@@ -14,8 +14,9 @@ layers, bottom-up:
   reduce-scatter/allgather allreduce whose fixed rank-order association
   makes parallel training bit-identical to the serial reference
   (:class:`RankReducer`, :func:`reduce_ranks`), plus the bucketed
-  double-buffered variant with selectable wire precision that backs
-  overlapped DDP (:class:`BucketRankReducer`, :func:`plan_buckets`,
+  one-sided variant (slab row + sequence flag; no barrier, no thread)
+  with selectable wire precision that backs overlapped DDP
+  (:class:`BucketRankReducer`, :func:`plan_buckets`,
   :func:`reduce_ranks_bucketed`, ``wire_dtype in WIRE_DTYPES``).
 * :mod:`repro.parallel.ddp` / :mod:`repro.parallel.executor` — the two
   user-facing drivers: :func:`fit_data_parallel` (real data-parallel
@@ -36,6 +37,7 @@ from .allreduce import (
     BucketPlan,
     BucketRankReducer,
     RankReducer,
+    WireScratch,
     accumulate_rows,
     chunk_bounds,
     create_allreduce,
@@ -58,7 +60,7 @@ __all__ = [
     "ProcessWorkerPool", "TaskResult", "DEFAULT_WORKER_ENV", "echo_task",
     "RankReducer", "reduce_ranks", "create_allreduce", "chunk_bounds",
     "BucketPlan", "BucketRankReducer", "plan_buckets",
-    "create_bucketed_allreduce", "reduce_ranks_bucketed", "accumulate_rows",
+    "create_bucketed_allreduce", "reduce_ranks_bucketed", "accumulate_rows", "WireScratch",
     "encode_wire", "decode_wire", "wire_itemsize",
     "WIRE_DTYPES", "DEFAULT_BUCKET_BYTES",
     "fit_data_parallel", "DataParallelResult",

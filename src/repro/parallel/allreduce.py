@@ -7,9 +7,10 @@ slab reads: every rank writes its contribution into its own input slab,
 then each rank *owns* one contiguous chunk of the vector and reduces
 that chunk across all ranks — chunk reductions run in parallel, each
 element is summed exactly once, and the allgather is a single shared
-output slab everyone copies from.  Three barriers sequence the phases.
+output slab everyone copies from.  Three barriers sequence the phases
+(:class:`RankReducer`).
 
-Determinism is the point: each chunk owner accumulates contributions in
+Determinism is the point: whoever reduces accumulates contributions in
 **ascending rank order** (``((g0 + g1) + g2) + ...``), so the floating-
 point association is fixed — independent of scheduling, and *identical
 to the serial reference* :func:`reduce_ranks`, which sums the same way.
@@ -20,30 +21,54 @@ association order had to be pinned).
 Two engines share that contract:
 
 * :class:`RankReducer` — the monolithic 3-barrier allreduce (one slab,
-  one call per step covering the whole gradient vector).
-* :class:`BucketRankReducer` — the bucketed, double-buffered engine:
-  the vector is partitioned into size-targeted spans
-  (:func:`plan_buckets`, reverse layout order so the spans match the
-  order backward produces gradients), each bucket reduces through its
-  own per-parity barrier pair, and the two slab generations alternate
-  by step parity so the trailing "republish" barrier disappears from
-  the steady state (2 barriers per bucket per step instead of 3).
-  Contributions cross the slab in a selectable **wire dtype**
-  (``float64`` | ``float32`` | ``bf16`` stored as uint16); decoding is
-  value-exact widening, and accumulation always runs in float64 in
-  ascending rank order, so :func:`reduce_ranks_bucketed` — the serial
-  reference applying the same encode/decode and the same schedule — is
+  one call per step covering the whole gradient vector); the tests'
+  reference engine.
+* :class:`BucketRankReducer` — the bucketed engine: **one-sided,
+  flag-polled, thread-free**.  The vector is partitioned into
+  size-targeted spans (:func:`plan_buckets`, reverse layout order,
+  matching the order backward produces gradients).  A rank *publishes*
+  a bucket by encoding its slice into its own row of the step-parity
+  slab and then storing ``step + 1`` into its cell of a shared
+  ``(world, n_buckets)`` sequence array; it never blocks doing so.  A
+  rank *collects* a bucket once every rank's cell shows the step, by
+  running :func:`accumulate_rows` over the slab rows straight into its
+  own gradient vector — no output slab, chunk ownership, copy-out,
+  barrier or helper thread.  Contributions cross the slab in a
+  selectable **wire dtype** (``float64`` | ``float32`` | ``bf16`` as
+  uint16); decoding is exact widening and accumulation is always
+  float64 in ascending rank order, so :func:`reduce_ranks_bucketed` —
+  the serial reference with the same codec and schedule — is
   bit-identical at every wire precision.
+
+Why that is safe without barriers:
+
+* *Slab before flag.*  ``publish`` issues the slab stores (one NumPy
+  copy) and then the flag store (one aligned 8-byte write) from one
+  thread in program order; a collector loads the flag before the rows.
+  x86-64 keeps stores in order and loads in order, so whoever sees the
+  flag sees the rows.  On weaker memory models the order rests on the
+  interpreter work between the two NumPy calls, which is no
+  architectural guarantee: the bit-parity tests are the gate for a port.
+* *Generation reuse.*  Steps ``t`` and ``t + 2`` share a slab.  A rank
+  overwrites its step-``t`` row only when it publishes step ``t + 2``,
+  which program order puts after it finished step ``t + 1``, i.e. after
+  it saw every peer's step-``t + 1`` flag for every bucket — and a peer
+  raises a step-``t + 1`` flag only after its last read of the
+  step-``t`` rows.  So every read of a row precedes the write that
+  replaces it.  Flags only grow, hence the ``>`` readiness test; a peer
+  can be one step ahead, never two.
 """
 
 from __future__ import annotations
 
+import os
 import time
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .shm import AttachedArray, SharedArrayStore
+from .shm import AttachedArray, SharedArrayRef, SharedArrayStore
 
 #: Selectable wire formats for bucketed gradient exchange.  Encoding is
 #: round-to-nearest-even narrowing; decoding is exact widening back to
@@ -125,7 +150,8 @@ def decode_wire(src: np.ndarray, wire_dtype: str, out: np.ndarray) -> None:
         out[...] = src
 
 
-def accumulate_rows(rows: np.ndarray, wire_dtype: str, out: np.ndarray) -> None:
+def accumulate_rows(rows: np.ndarray, wire_dtype: str, out: np.ndarray,
+                    dec: Optional[np.ndarray] = None) -> None:
     """Sum the (world, m) wire ``rows`` into float64 ``out``, ascending.
 
     The accumulation itself is ``np.add.reduce`` over the rank axis —
@@ -135,19 +161,40 @@ def accumulate_rows(rows: np.ndarray, wire_dtype: str, out: np.ndarray) -> None:
     the same ``((g0 + g1) + g2) + ...`` association as the explicit
     loop in :func:`reduce_ranks`.  ``tests/test_ddp_overlap.py`` pins
     that bit-parity as a regression gate.
+
+    ``dec`` is caller-owned decode scratch for the reduced-precision
+    wires (flat float64, at least ``rows.size`` elements; see
+    :class:`WireScratch`); without it one is allocated per call.
     """
     if wire_dtype == "float64":
         np.add.reduce(rows, axis=0, out=out)
-    else:
-        dec = np.empty(rows.shape, dtype=np.float64)
-        decode_wire(rows, wire_dtype, dec)
-        np.add.reduce(dec, axis=0, out=out)
+        return
+    if dec is None:
+        dec = np.empty(rows.size, dtype=np.float64)
+    dec = dec[:rows.size].reshape(rows.shape)
+    decode_wire(rows, wire_dtype, dec)
+    np.add.reduce(dec, axis=0, out=out)
+
+
+class WireScratch:
+    """Caller-owned staging for bucketed reductions over one plan: the
+    wire-format rows of the widest span and (reduced-precision wires
+    only) their float64 decode.  Flat buffers, so every span's
+    ``(world, m)`` block is a C-contiguous prefix view.  Allocate once
+    per serial fit / per reducer instead of per bucket per step."""
+
+    def __init__(self, world: int, spans: Sequence[Tuple[int, int]], wire_dtype: str) -> None:
+        widest = max(hi - lo for lo, hi in spans)
+        self.rows = np.empty(world * widest, dtype=_WIRE_STORAGE[_check_wire(wire_dtype)])
+        self.dec = None if wire_dtype == "float64" else np.empty(world * widest)
 
 
 def reduce_ranks_bucketed(
     vectors: Sequence[np.ndarray],
     spans: Sequence[Tuple[int, int]],
     wire_dtype: str = "float64",
+    out: Optional[np.ndarray] = None,
+    scratch: Optional[WireScratch] = None,
 ) -> np.ndarray:
     """Serial reference for the bucketed engine: same schedule, same codec.
 
@@ -156,23 +203,29 @@ def reduce_ranks_bucketed(
     :class:`BucketRankReducer` produces, so a single process can replay
     a bucketed parallel run bit-for-bit.  With one rank the exchange is
     skipped entirely (both engines do), so no codec rounding applies.
+
+    A caller that reduces every step passes ``out`` (float64, full
+    length) and ``scratch`` so nothing is allocated per call.
     """
     if not vectors:
         raise ValueError("reduce_ranks_bucketed needs at least one vector")
     _check_wire(wire_dtype)
-    if len(vectors) == 1:
-        return vectors[0].astype(np.float64, copy=True)
     world = len(vectors)
     n = vectors[0].shape[0]
+    if out is None:
+        out = np.empty(n, dtype=np.float64)
+    if world == 1:
+        out[...] = vectors[0]
+        return out
     if sum(hi - lo for lo, hi in spans) != n:
         raise ValueError("bucket spans must tile the whole vector")
-    out = np.empty(n, dtype=np.float64)
-    storage = _WIRE_STORAGE[wire_dtype]
+    if scratch is None:
+        scratch = WireScratch(world, spans, wire_dtype)
     for lo, hi in spans:
-        rows = np.empty((world, hi - lo), dtype=storage)
+        rows = scratch.rows[:world * (hi - lo)].reshape(world, hi - lo)
         for r, v in enumerate(vectors):
             encode_wire(v[lo:hi], wire_dtype, rows[r])
-        accumulate_rows(rows, wire_dtype, out[lo:hi])
+        accumulate_rows(rows, wire_dtype, out[lo:hi], scratch.dec)
     return out
 
 
@@ -277,6 +330,7 @@ class RankReducer:
 DEFAULT_BUCKET_BYTES = 1 << 16
 
 
+@dataclass
 class BucketPlan:
     """How one flat gradient vector is partitioned into comm buckets.
 
@@ -290,10 +344,9 @@ class BucketPlan:
     of the vector to ship.
     """
 
-    def __init__(self, spans: List[Tuple[int, int]], param_bucket: List[int], n: int) -> None:
-        self.spans = spans
-        self.param_bucket = param_bucket
-        self.n = n
+    spans: List[Tuple[int, int]]
+    param_bucket: List[int]
+    n: int
 
     @property
     def n_buckets(self) -> int:
@@ -354,113 +407,133 @@ def plan_buckets(
     return BucketPlan(spans, param_bucket, total)
 
 
+@dataclass
 class BucketAllreduceHandle:
     """Parent-built, rank-shipped state for one bucketed allreduce group.
+    Plain picklable data: no synchronisation primitive crosses the
+    process boundary."""
 
-    Two slab generations (index = step parity) and, per generation, a
-    (publish, reduce-done) barrier pair per bucket.  Like
-    :class:`AllreduceHandle` it pickles through process inheritance.
-    """
-
-    def __init__(self, world: int, plan: BucketPlan, wire_dtype: str,
-                 in_refs, out_refs, barriers) -> None:
-        self.world = world
-        self.plan = plan
-        self.wire_dtype = wire_dtype
-        self.in_refs = in_refs    # [parity] -> (world, n) wire-storage slab
-        self.out_refs = out_refs  # [parity] -> (n,) float64 slab
-        self.barriers = barriers  # [parity][bucket] -> (publish, reduced)
+    world: int
+    plan: BucketPlan
+    wire_dtype: str
+    slab_refs: list          # [step parity] -> (world, n) wire-storage slab
+    seq_ref: SharedArrayRef    # (world, n_buckets) int64: last step published + 1
+    stamp_ref: SharedArrayRef  # (2, world, n_buckets) float64: publish times by parity
 
 
-def create_bucketed_allreduce(
-    store: SharedArrayStore,
-    ctx,
-    world: int,
-    plan: BucketPlan,
-    wire_dtype: str = "float64",
-) -> BucketAllreduceHandle:
-    """Allocate double-buffered slabs + per-(parity, bucket) barriers."""
+def create_bucketed_allreduce(store: SharedArrayStore, world: int, plan: BucketPlan,
+                              wire_dtype: str = "float64") -> BucketAllreduceHandle:
+    """Allocate the double-buffered slabs, zeroed flags and stamps."""
     if world < 1:
         raise ValueError("world must be >= 1")
-    _check_wire(wire_dtype)
-    storage = _WIRE_STORAGE[wire_dtype]
-    in_refs, out_refs = [], []
+    storage = _WIRE_STORAGE[_check_wire(wire_dtype)]
     for parity in (0, 1):
-        store.allocate(f"bucket_in{parity}", (world, plan.n), storage)
-        store.allocate(f"bucket_out{parity}", (plan.n,), np.float64)
-        in_refs.append(store.ref(f"bucket_in{parity}"))
-        out_refs.append(store.ref(f"bucket_out{parity}"))
-    barriers = [
-        [(ctx.Barrier(world), ctx.Barrier(world)) for _ in plan.spans]
-        for _ in (0, 1)
-    ]
-    return BucketAllreduceHandle(world, plan, wire_dtype, in_refs, out_refs, barriers)
+        store.allocate(f"bucket_slab{parity}", (world, plan.n), storage)
+    store.allocate("bucket_seq", (world, plan.n_buckets), np.int64)[...] = 0
+    store.allocate("bucket_stamp", (2, world, plan.n_buckets), np.float64)[...] = 0.0
+    return BucketAllreduceHandle(
+        world, plan, wire_dtype,
+        [store.ref("bucket_slab0"), store.ref("bucket_slab1")],
+        store.ref("bucket_seq"), store.ref("bucket_stamp"),
+    )
+
+
+#: Back-off of a blocked :meth:`BucketRankReducer.wait`: polls that stay
+#: on the core, then sleeps that start at ``sleep(0)`` and grow by one
+#: step every ``_POLLS_PER_STEP`` polls up to ``_SLEEP_MAX_S``.  The spin is
+#: short: with more ranks than cores a waiter's peer needs this core.
+_SPIN_POLLS = 200
+_POLLS_PER_STEP = 50
+_SLEEP_STEP_S = 50e-6
+_SLEEP_MAX_S = 1e-3
 
 
 class BucketRankReducer:
-    """Per-rank endpoint of the bucketed, double-buffered allreduce.
+    """Per-rank endpoint of the one-sided bucketed allreduce.
 
-    ``allreduce_bucket(bucket, vec, step)`` ships one bucket's slice of
-    ``vec``; callers issue buckets in schedule order and pass the global
-    step index, whose parity selects the slab generation.  Two barriers
-    sequence each bucket (publish-done, reduce-done); there is **no**
-    trailing republish barrier — reusing a generation at step ``t+2``
-    is safe because a rank reaches that publish only after passing step
-    ``t+1``'s barriers for the same bucket, which every rank can only do
-    after finishing its step-``t`` copy-out (program order).
+    ``publish`` ships one bucket's slice of ``vec`` and returns at once;
+    ``collect`` reduces a bucket every rank has published into ``vec``
+    in place; ``ready`` is the non-blocking test, ``wait`` the blocking
+    one.  Callers issue buckets in schedule order and pass the global
+    step index, whose parity selects the slab generation.
+    ``stall_s_per_mib`` models wire transfer time as an arrival
+    deadline: bucket ``b`` arrives ``stall(b)`` after the later of its
+    last publish stamp and bucket ``b - 1``'s arrival (one wire, buckets
+    in order) and is not ready before; only ``wait`` sleeps for it.
+    ``timeout_s`` bounds every wait of this reducer's lifetime.
     """
 
-    def __init__(self, handle: BucketAllreduceHandle, rank: int) -> None:
+    def __init__(self, handle: BucketAllreduceHandle, rank: int, *,
+                 stall_s_per_mib: float = 0.0, timeout_s: float = 600.0) -> None:
         if not 0 <= rank < handle.world:
             raise ValueError(f"rank {rank} out of range for world {handle.world}")
         self.rank = rank
         self.world = handle.world
         self.plan = handle.plan
         self.wire_dtype = handle.wire_dtype
-        self._barriers = handle.barriers
-        self._in_atts = [AttachedArray(r) for r in handle.in_refs]
-        self._out_atts = [AttachedArray(r) for r in handle.out_refs]
-        self._ins = [a.array for a in self._in_atts]    # (world, n) wire storage
-        self._outs = [a.array for a in self._out_atts]  # (n,) float64
-        # Chunk ownership is per bucket: each bucket's span is split
-        # across ranks so its reduction parallelises like the monolithic
-        # engine's.
-        self._chunks = [
-            (lo + cl, lo + ch)
-            for (lo, hi) in self.plan.spans
-            for (cl, ch) in (chunk_bounds(hi - lo, self.world, rank),)
-        ]
+        self._atts = [AttachedArray(r) for r in
+                      (*handle.slab_refs, handle.seq_ref, handle.stamp_ref)]
+        self._slabs = [a.array for a in self._atts[:2]]
+        self._seq = self._atts[2].array
+        self._stamps = self._atts[3].array
+        self._dec = WireScratch(self.world, self.plan.spans, self.wire_dtype).dec
+        mib = wire_itemsize(self.wire_dtype) / 2**20
+        self._stalls = [stall_s_per_mib * (hi - lo) * mib for lo, hi in self.plan.spans]
+        self._arrived = 0.0  # arrival time of the last bucket collected
+        self._deadline = time.perf_counter() + timeout_s
+        self._ppid = os.getppid()
 
-    def allreduce_bucket(self, bucket: int, vec: np.ndarray, step: int,
-                         stall_s: float = 0.0) -> None:
-        """Sum one bucket's slice of ``vec`` across ranks, in place.
-
-        ``stall_s`` is the post-publish wire-transfer stall (see
-        :meth:`RankReducer.allreduce`) for this bucket's bytes.
-        """
-        if self.world == 1:
-            return
-        parity = step & 1
+    def publish(self, bucket: int, vec: np.ndarray, step: int) -> None:
+        """Encode this rank's slice into the slab, then raise its flag."""
         lo, hi = self.plan.spans[bucket]
-        publish, reduced = self._barriers[parity][bucket]
-        in_slab, out_slab = self._ins[parity], self._outs[parity]
-        encode_wire(vec[lo:hi], self.wire_dtype, in_slab[self.rank, lo:hi])
-        publish.wait()
-        if stall_s > 0.0:
-            time.sleep(stall_s)
-        clo, chi = self._chunks[bucket]
-        if chi > clo:
-            accumulate_rows(in_slab[:, clo:chi], self.wire_dtype, out_slab[clo:chi])
-        reduced.wait()
-        vec[lo:hi] = out_slab[lo:hi]
+        parity = step & 1
+        encode_wire(vec[lo:hi], self.wire_dtype, self._slabs[parity][self.rank, lo:hi])
+        self._stamps[parity, self.rank, bucket] = time.perf_counter()
+        self._seq[self.rank, bucket] = step + 1  # last: the flag covers the stores above
 
-    def allreduce(self, vec: np.ndarray, step: int) -> None:
-        """All buckets of one step, inline in schedule order."""
-        for b in range(self.plan.n_buckets):
-            self.allreduce_bucket(b, vec, step)
+    def _arrival(self, bucket: int, step: int) -> Optional[float]:
+        """When the bucket is deliverable, or None while a flag is missing."""
+        if self._seq[:, bucket].min() <= step:
+            return None
+        stall = self._stalls[bucket]
+        if stall <= 0.0:
+            return 0.0
+        sent = float(self._stamps[step & 1, :, bucket].max())
+        return (max(sent, self._arrived) if bucket else sent) + stall
+
+    def ready(self, bucket: int, step: int) -> bool:
+        """Every rank has published the bucket and its transfer is over."""
+        at = self._arrival(bucket, step)
+        return at is not None and time.perf_counter() >= at
+
+    def wait(self, bucket: int, step: int) -> None:
+        """Block until :meth:`ready`; raise ``RuntimeError`` past the
+        deadline or when the parent process is gone."""
+        polls = 0
+        while (at := self._arrival(bucket, step)) is None:
+            polls += 1
+            if polls <= _SPIN_POLLS:
+                continue
+            timed_out = time.perf_counter() > self._deadline
+            if timed_out or os.getppid() != self._ppid:
+                raise RuntimeError(
+                    f"allreduce wait {'timed out' if timed_out else 'lost its parent process'}: "
+                    f"rank {self.rank}, bucket {bucket}, step {step}, "
+                    f"flags {self._seq[:, bucket].tolist()}")
+            time.sleep(min(_SLEEP_MAX_S,
+                           (polls - _SPIN_POLLS) // _POLLS_PER_STEP * _SLEEP_STEP_S))
+        if at > 0.0:  # every flag is up: sleep out the rest of the modelled transfer
+            time.sleep(max(0.0, at - time.perf_counter()))
+
+    def collect(self, bucket: int, vec: np.ndarray, step: int) -> None:
+        """Reduce a :meth:`ready` bucket across ranks into ``vec``, in place."""
+        lo, hi = self.plan.spans[bucket]
+        if self._stalls[bucket] > 0.0:
+            self._arrived = self._arrival(bucket, step)
+        accumulate_rows(self._slabs[step & 1][:, lo:hi], self.wire_dtype, vec[lo:hi], self._dec)
 
     def close(self) -> None:
-        self._ins = []
-        self._outs = []
-        for a in self._in_atts + self._out_atts:
+        self._slabs = []
+        self._seq = self._stamps = None  # type: ignore[assignment]
+        for a in self._atts:
             a.close()

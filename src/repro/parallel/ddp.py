@@ -30,11 +30,13 @@ Gradient communication itself has two shapes (``comm=``):
   partitioned into size-targeted buckets in reverse layout order
   (:func:`~repro.parallel.allreduce.plan_buckets`); a per-parameter
   grad-ready tape hook (``Tensor.backward(grad_ready_hook=…)``) packs
-  each gradient the moment backward finalises it, and completed
-  buckets are handed — in pinned schedule order — to a per-rank comm
-  thread that runs the double-buffered shared-memory allreduce while
-  backward keeps producing the remaining buckets.  ``overlap=False``
-  flushes the same buckets synchronously after backward (the ablation
+  each gradient the moment backward finalises it; the hook that
+  completes a bucket *publishes* it (a slab write and a sequence flag,
+  never a wait) and *collects* — reduces into the rank's own gradient
+  vector — every earlier bucket all ranks have published by then, and
+  ``wait_step`` collects the rest.  One thread per rank, no barrier
+  (protocol and safety argument: :mod:`repro.parallel.allreduce`).
+  ``overlap=False`` publishes only after backward (the ablation
   baseline).  ``wire_dtype`` selects the slab format (``float64`` |
   ``float32`` | ``bf16``); accumulation is always float64 in ascending
   rank order, so the serial backend replaying the identical schedule
@@ -42,16 +44,20 @@ Gradient communication itself has two shapes (``comm=``):
   bit-identical at every wire precision.
 * ``"monolithic"`` — the original single 3-barrier allreduce over the
   whole flat vector after backward (float64 wire only); kept as the
-  measured baseline for ``benchmarks/bench_ddp_overlap.py``.
+  tests' reference and the baseline of
+  ``benchmarks/bench_ddp_overlap.py``.
 
 ``pre_step_hook(rank, step)`` runs during micro-batch assembly — the
 place a real pipeline pays its staging latency (and where the parallel
 benchmark injects a measured stall); ``prefetch=True`` overlaps that
 assembly with compute via :class:`~repro.parallel.prefetch.PrefetchLoader`.
-``comm_stall_s_per_mib`` injects a *communication* staging stall (per
-MiB of wire traffic, slept on the comm path) — the knob the overlap
-benchmark turns to model interconnect latency; it never changes
-numerics, so the stall-free serial reference stays the parity oracle.
+``comm_stall_s_per_mib`` models interconnect transfer time per MiB of
+wire traffic — the knob the overlap benchmark turns.  The bucketed
+engine treats it as an *arrival deadline* (so it elapses under the rest
+of backward and only ``wait_step`` sleeps out the remainder); the
+monolithic engine sleeps it after its publish barrier.  It never
+changes numerics, so the stall-free serial reference stays the parity
+oracle.  ``timeout_s`` bounds the call and every rank's wait for a peer.
 """
 
 from __future__ import annotations
@@ -60,7 +66,6 @@ import multiprocessing as mp
 import os
 import pickle
 import queue as queue_mod
-import threading
 import time
 import traceback
 import warnings
@@ -77,11 +82,10 @@ from ..obs.context import get_recorder
 from .allreduce import (
     DEFAULT_BUCKET_BYTES,
     WIRE_DTYPES,
-    AllreduceHandle,
     BucketAllreduceHandle,
-    BucketPlan,
     BucketRankReducer,
     RankReducer,
+    WireScratch,
     chunk_bounds,
     create_allreduce,
     create_bucketed_allreduce,
@@ -101,9 +105,10 @@ class DataParallelResult:
 
     ``comm_stats`` (process backend, rank 0's view) reports what the
     gradient-communication engine actually did: per-bucket spans and
-    cumulative comm seconds, total vs *exposed* comm time (exposed =
-    main thread blocked after backward), the derived overlap fraction,
-    and bytes-on-wire per step.
+    cumulative busy seconds (publish + collect, which also sum to
+    ``total_comm_s``), *exposed* time (blocked after backward in
+    ``wait_step`` / ``flush_inline``), the first-publish-to-last-collect
+    chain, the derived overlap fraction, and bytes-on-wire per step.
     """
 
     world: int
@@ -152,6 +157,7 @@ class _TrainSpec:
     overlap: bool = True
     comm_stall_s_per_mib: float = 0.0
     drop_last: bool = True
+    timeout_s: float = 600.0  # bounds every allreduce wait inside a rank
 
 
 def _param_layout(params) -> Tuple[List[Tuple[int, int, Tuple[int, ...]]], int]:
@@ -205,76 +211,45 @@ def _apply_combined(params, layout, combined, opt) -> None:
 
 class _GradBucketScheduler:
     """Per-rank bucket engine: pack gradients as backward produces them,
-    ship completed buckets in pinned schedule order.
+    publish completed buckets in pinned schedule order, collect them as
+    soon as every rank has — all on the calling thread.
 
-    ``grad_ready`` is handed to ``Tensor.backward(grad_ready_hook=…)``;
-    when the countdown of the *next* scheduled bucket reaches zero its
-    slice is dispatched — to a dedicated comm thread when ``overlap``
-    (the allreduce barrier waits and NumPy reductions release the GIL,
-    so communication genuinely runs under the remaining backward), or
-    queued for a synchronous post-backward flush otherwise.  Buckets
-    always cross the wire in schedule order on every rank, so the
-    per-bucket barriers can never interleave across buckets.
+    ``grad_ready`` is handed to ``Tensor.backward(grad_ready_hook=…)``.
+    With ``overlap``, the hook that completes the next scheduled bucket
+    publishes it (never a wait) and collects whatever earlier buckets
+    every peer has published too; ``wait_step`` blocks only for the
+    remainder.  Without ``overlap`` nothing leaves the rank before
+    backward returns and ``wait_step`` does the whole step.
 
-    With ``reducer=None`` (the serial backend) the scheduler is pure
-    bookkeeping: the same hooks pack the same buckets, and the caller
-    combines ranks through :func:`reduce_ranks_bucketed`.
-
-    ``stall_s_per_mib`` charges a wire-transfer stall per bucket, scaled
-    by the bucket's wire bytes, *inside* the collective (post-publish
-    barrier; see :meth:`BucketRankReducer.allreduce_bucket`) — the
-    bandwidth term of the alpha-beta cost model the overlap benchmark
-    measures against.  Timing bookkeeping: ``total_comm_s`` is comm-path
-    busy time, ``exposed_wait_s`` is how long the main thread actually
-    blocked for it, and ``comm_chain_s`` is the wall span of each step's
-    comm chain (first bucket dispatched to last bucket reduced) — the
-    overlap fraction is the share of that span hidden under backward,
-    ``1 - exposed / chain``.
+    Timing: ``total_comm_s`` is busy time (publish + collect) and
+    ``bucket_comm_s`` splits exactly that by bucket; ``exposed_wait_s``
+    is the time inside ``wait_step`` / ``flush_inline``, i.e. after
+    backward, polling included; ``comm_chain_s`` is each step's first
+    publish to its last collect.  The overlap fraction is the share of
+    that chain which ran under backward, ``1 - exposed / chain``.
     """
 
-    def __init__(self, plan: BucketPlan, params, layout,
-                 reducer: Optional[BucketRankReducer], wire_dtype: str, *,
-                 overlap: bool = True, stall_s_per_mib: float = 0.0) -> None:
-        self.plan = plan
-        self._params = params
+    def __init__(self, params, layout, reducer: BucketRankReducer, *,
+                 overlap: bool = True) -> None:
+        self.plan = reducer.plan
         self._layout = layout
         self._id2idx = {id(p): i for i, p in enumerate(params)}
-        self._counts0 = plan.param_counts()
+        self._counts0 = self.plan.param_counts()
         self._reducer = reducer
-        self._active = reducer is not None and reducer.world > 1
-        self._overlap = overlap and self._active
-        itemsize = wire_itemsize(wire_dtype)
-        self._stalls = [
-            stall_s_per_mib * (hi - lo) * itemsize / 2**20 for lo, hi in plan.spans
-        ]
-        self.steps = 0
+        self._overlap = overlap
         self.total_comm_s = 0.0
         self.exposed_wait_s = 0.0
         self.comm_chain_s = 0.0
-        self.bucket_comm_s = [0.0] * plan.n_buckets
-        self._t_first = 0.0
-        self._thread: Optional[threading.Thread] = None
-        if self._overlap:
-            self._queue: queue_mod.SimpleQueue = queue_mod.SimpleQueue()
-            self._cv = threading.Condition()
-            self._done = 0
-            self._error: Optional[BaseException] = None
-            self._thread = threading.Thread(
-                target=self._comm_loop, name="ddp-comm", daemon=True
-            )
-            self._thread.start()
+        self.bucket_comm_s = [0.0] * self.plan.n_buckets
 
     # -- per-step protocol ------------------------------------------------
     def begin_step(self, buf: np.ndarray, step: int) -> None:
         self._buf = buf
         self._step = step
-        self._counts = list(self._counts0)
-        self._complete = [False] * self.plan.n_buckets
-        self._seen = [False] * len(self._params)
-        self._next = 0
-        if self._overlap:
-            with self._cv:
-                self._done = 0
+        self._counts = list(self._counts0)  # parameters still missing, per bucket
+        self._seen = [False] * len(self._layout)
+        self._sent = 0  # buckets published so far this step
+        self._got = 0   # buckets collected so far this step
 
     def grad_ready(self, node) -> None:
         """Tape hook: ``node``'s gradient for this backward is final."""
@@ -296,99 +271,55 @@ class _GradBucketScheduler:
 
     def wait_step(self) -> None:
         """Block until every bucket of the step is reduced into ``buf``."""
-        self.steps += 1
-        if not self._active:
-            return
-        if self._overlap:
-            t0 = time.perf_counter()
-            with self._cv:
-                while self._done < self.plan.n_buckets and self._error is None:
-                    self._cv.wait(timeout=1.0)
-                err = self._error
-            self.exposed_wait_s += time.perf_counter() - t0
-            if err is not None:
-                raise RuntimeError("ddp comm thread failed") from err
-        else:
-            for b in range(self.plan.n_buckets):
-                dt = self._comm_bucket(b, self._buf, self._step)
-                self.exposed_wait_s += dt
-                self.comm_chain_s += dt
+        t0 = time.perf_counter()
+        self._pump(block=True)
+        t1 = time.perf_counter()
+        self.exposed_wait_s += t1 - t0
+        self.comm_chain_s += t1 - self._t_first
 
     def flush_inline(self, buf: np.ndarray, step: int) -> None:
-        """One whole step synchronously (the ragged-tail step): every
-        bucket shipped in order from ``buf``, no hooks involved."""
-        self.steps += 1
-        if not self._active:
-            return
-        for b in range(self.plan.n_buckets):
-            dt = self._comm_bucket(b, buf, step)
-            self.exposed_wait_s += dt
-            self.comm_chain_s += dt
+        """One whole step with no backward to hide under (the ragged-tail
+        step): every bucket published, then collected, from ``buf``."""
+        self.begin_step(buf, step)
+        self.wait_step()
 
-    def stats(self, world: int, steps: int) -> Dict:
-        total, exposed = self.total_comm_s, self.exposed_wait_s
-        chain = self.comm_chain_s
-        frac = 0.0 if chain <= 0 else min(1.0, max(0.0, 1.0 - exposed / chain))
-        wire = self._reducer.wire_dtype if self._reducer is not None else "float64"
-        return {
-            "comm": "bucketed",
-            "wire_dtype": wire,
-            "overlap": bool(self._overlap),
-            "n_buckets": self.plan.n_buckets,
-            "steps": int(steps),
-            "total_comm_s": float(total),
-            "exposed_wait_s": float(exposed),
-            "comm_chain_s": float(chain),
-            "overlap_fraction": float(frac),
-            "wire_bytes_per_step": int(world * self.plan.wire_bytes(wire)),
-            "bucket_spans": [[int(lo), int(hi)] for lo, hi in self.plan.spans],
-            "bucket_comm_s": [float(t) for t in self.bucket_comm_s],
-        }
-
-    def close(self) -> None:
-        if self._thread is not None:
-            self._queue.put(None)
-            self._thread.join(timeout=5.0)
-            self._thread = None
+    def stats(self, steps: int) -> Dict:
+        wire = self._reducer.wire_dtype
+        return _comm_stats(
+            "bucketed", wire, self._overlap, steps, self.total_comm_s, self.exposed_wait_s,
+            self.comm_chain_s, self._reducer.world * self.plan.wire_bytes(wire),
+            self.plan.spans, self.bucket_comm_s)
 
     # -- internals --------------------------------------------------------
     def _bucket_down(self, b: int) -> None:
         self._counts[b] -= 1
-        if self._counts[b] == 0:
-            self._complete[b] = True
-            if self._overlap:
-                while self._next < self.plan.n_buckets and self._complete[self._next]:
-                    if self._next == 0:
-                        self._t_first = time.perf_counter()
-                    self._queue.put((self._next, self._buf, self._step))
-                    self._next += 1
+        if self._overlap and self._counts[b] == 0:
+            self._pump(block=False)
 
-    def _comm_bucket(self, b: int, buf: np.ndarray, step: int) -> float:
+    def _pump(self, block: bool) -> None:
+        """Publish, in order, every bucket that is complete and collect
+        every published bucket all ranks have delivered; with ``block``,
+        publish and collect the whole rest of the step."""
+        red, n = self._reducer, self.plan.n_buckets
+        while self._sent < n and (block or self._counts[self._sent] == 0):
+            if self._sent == 0:
+                self._t_first = time.perf_counter()
+            self._timed(red.publish, self._sent)
+            self._sent += 1
+        while self._got < self._sent:
+            if block:
+                red.wait(self._got, self._step)
+            elif not red.ready(self._got, self._step):
+                break
+            self._timed(red.collect, self._got)
+            self._got += 1
+
+    def _timed(self, op, b: int) -> None:
         t0 = time.perf_counter()
-        self._reducer.allreduce_bucket(b, buf, step, stall_s=self._stalls[b])
+        op(b, self._buf, self._step)
         dt = time.perf_counter() - t0
         self.total_comm_s += dt
         self.bucket_comm_s[b] += dt
-        return dt
-
-    def _comm_loop(self) -> None:
-        while True:
-            item = self._queue.get()
-            if item is None:
-                return
-            b, buf, step = item
-            try:
-                self._comm_bucket(b, buf, step)
-            except BaseException as e:  # surface into wait_step
-                with self._cv:
-                    self._error = e
-                    self._cv.notify_all()
-                return
-            with self._cv:
-                self._done += 1
-                if self._done == self.plan.n_buckets:
-                    self.comm_chain_s += time.perf_counter() - self._t_first
-                self._cv.notify_all()
 
 
 def _epoch_batches(x, y, perm, steps, batch, micro, ranks, hook):
@@ -453,21 +384,23 @@ def _tail_grads(model, loss_fn, params, layout, x, y, perm, steps, spec,
         out_vec[:] = 0.0
 
 
-def _monolithic_stats(world: int, total: int, steps: int, comm_s: float) -> Dict:
-    """Comm report for the baseline engine: one bucket, fully exposed."""
+def _comm_stats(comm: str, wire: str, overlap: bool, steps: int, total_s: float,
+                exposed_s: float, chain_s: float, wire_bytes: int, spans, bucket_s) -> Dict:
+    """The ``comm_stats`` report, one shape for both engines."""
+    frac = 0.0 if chain_s <= 0 else min(1.0, max(0.0, 1.0 - exposed_s / chain_s))
     return {
-        "comm": "monolithic",
-        "wire_dtype": "float64",
-        "overlap": False,
-        "n_buckets": 1,
+        "comm": comm,
+        "wire_dtype": wire,
+        "overlap": bool(overlap),
+        "n_buckets": len(spans),
         "steps": int(steps),
-        "total_comm_s": float(comm_s),
-        "exposed_wait_s": float(comm_s),
-        "comm_chain_s": float(comm_s),
-        "overlap_fraction": 0.0,
-        "wire_bytes_per_step": int(world * total * 8),
-        "bucket_spans": [[0, int(total)]],
-        "bucket_comm_s": [float(comm_s)],
+        "total_comm_s": float(total_s),
+        "exposed_wait_s": float(exposed_s),
+        "comm_chain_s": float(chain_s),
+        "overlap_fraction": float(frac),
+        "wire_bytes_per_step": int(wire_bytes),
+        "bucket_spans": [[int(lo), int(hi)] for lo, hi in spans],
+        "bucket_comm_s": [float(t) for t in bucket_s],
     }
 
 
@@ -490,75 +423,67 @@ def _train_rank(model, x, y, spec: _TrainSpec, rank: int,
     inv_world = 1.0 / spec.world
     sched = None
     if spec.comm == "bucketed":
-        plan = (reducer.plan if isinstance(reducer, BucketRankReducer)
-                else plan_buckets([sz for _, sz, _ in layout], total, spec.bucket_bytes))
-        sched = _GradBucketScheduler(
-            plan, params, layout,
-            reducer if isinstance(reducer, BucketRankReducer) else None,
-            spec.wire_dtype, overlap=spec.overlap,
-            stall_s_per_mib=spec.comm_stall_s_per_mib,
-        )
+        sched = _GradBucketScheduler(params, layout, reducer, overlap=spec.overlap)
     mono_stall = spec.comm_stall_s_per_mib * total * 8 / 2**20
     mono_comm_s = 0.0
     step_no = 0
     epoch_losses: List[float] = []
     epoch_times: List[float] = []
-    try:
-        for _ in range(spec.epochs):
-            t0 = time.perf_counter()
-            perm = rng.permutation(spec.n_samples) if spec.shuffle else np.arange(spec.n_samples)
-            batches = _epoch_batches(
-                x, y, perm, steps, spec.batch_size, micro, (rank,), spec.pre_step_hook
-            )
-            if spec.prefetch:
-                batches = iter(PrefetchLoader(batches))
-            loss_sum = 0.0
-            for xb, yb in batches:
-                _grads_into(model, loss_fn, params, layout, xb, yb, buf,
-                            sched=sched, step=step_no)
-                if sched is not None:
-                    sched.wait_step()
-                elif reducer is not None:
-                    tc = time.perf_counter()
-                    reducer.allreduce(buf, stall_s=mono_stall)
-                    mono_comm_s += time.perf_counter() - tc
-                buf *= inv_world
-                _apply_combined(params, layout, buf, opt)
-                loss_sum += buf[-1]
-                step_no += 1
-            if tail:
-                _tail_grads(model, loss_fn, params, layout, x, y, perm, steps,
-                            spec, rank, buf, spec.pre_step_hook)
-                if sched is not None:
-                    sched.flush_inline(buf, step_no)
-                elif reducer is not None:
-                    tc = time.perf_counter()
-                    reducer.allreduce(buf, stall_s=mono_stall)
-                    mono_comm_s += time.perf_counter() - tc
-                buf *= inv_world
-                _apply_combined(params, layout, buf, opt)
-                loss_sum += buf[-1]
-                step_no += 1
-            epoch_losses.append(loss_sum / max(steps + (1 if tail else 0), 1))
-            epoch_times.append(time.perf_counter() - t0)
-    finally:
-        if sched is not None:
-            sched.close()
+    for _ in range(spec.epochs):
+        t0 = time.perf_counter()
+        perm = rng.permutation(spec.n_samples) if spec.shuffle else np.arange(spec.n_samples)
+        batches = _epoch_batches(
+            x, y, perm, steps, spec.batch_size, micro, (rank,), spec.pre_step_hook
+        )
+        if spec.prefetch:
+            batches = iter(PrefetchLoader(batches))
+        loss_sum = 0.0
+        for xb, yb in batches:
+            _grads_into(model, loss_fn, params, layout, xb, yb, buf,
+                        sched=sched, step=step_no)
+            if sched is not None:
+                sched.wait_step()
+            elif reducer is not None:
+                tc = time.perf_counter()
+                reducer.allreduce(buf, stall_s=mono_stall)
+                mono_comm_s += time.perf_counter() - tc
+            buf *= inv_world
+            _apply_combined(params, layout, buf, opt)
+            loss_sum += buf[-1]
+            step_no += 1
+        if tail:
+            _tail_grads(model, loss_fn, params, layout, x, y, perm, steps,
+                        spec, rank, buf, spec.pre_step_hook)
+            if sched is not None:
+                sched.flush_inline(buf, step_no)
+            elif reducer is not None:
+                tc = time.perf_counter()
+                reducer.allreduce(buf, stall_s=mono_stall)
+                mono_comm_s += time.perf_counter() - tc
+            buf *= inv_world
+            _apply_combined(params, layout, buf, opt)
+            loss_sum += buf[-1]
+            step_no += 1
+        epoch_losses.append(loss_sum / max(steps + (1 if tail else 0), 1))
+        epoch_times.append(time.perf_counter() - t0)
     if sched is not None:
-        stats = sched.stats(spec.world, step_no)
+        stats = sched.stats(step_no)
     else:
-        stats = _monolithic_stats(spec.world, total, step_no, mono_comm_s)
+        # The baseline engine: one bucket, fully exposed.
+        stats = _comm_stats("monolithic", "float64", False, step_no, mono_comm_s, mono_comm_s,
+                            mono_comm_s, spec.world * total * 8, [(0, total)], [mono_comm_s])
     return epoch_losses, epoch_times, stats
 
 
 def _train_serial(model, x, y, spec: _TrainSpec) -> Tuple[List[float], List[float], Optional[Dict]]:
     """Single-process reference: same shards, same schedule, same codec.
 
-    With ``comm="bucketed"`` every rank's backward runs through the same
-    grad-ready bucket scheduler (packing per parameter as the tape
-    finishes it) and ranks combine through
+    With ``comm="bucketed"`` ranks combine through
     :func:`reduce_ranks_bucketed` — the identical encode/decode and
     ascending accumulation the process engine performs on the slabs.
+    Gradients are packed after backward, not from the tape hook: the
+    same floats, so parity with the process backend also checks that
+    every hook saw a final gradient.
     """
     params = list(model.parameters())
     loss_fn = losses_mod.get(spec.loss) if isinstance(spec.loss, str) else spec.loss
@@ -570,19 +495,18 @@ def _train_serial(model, x, y, spec: _TrainSpec) -> Tuple[List[float], List[floa
     micro = spec.batch_size // world
     steps, tail = _epoch_steps(spec)
     inv_world = 1.0 / world
-    sched = None
     spans = None
     if spec.comm == "bucketed":
-        plan = plan_buckets([sz for _, sz, _ in layout], total, spec.bucket_bytes)
-        sched = _GradBucketScheduler(plan, params, layout, None, spec.wire_dtype)
-        spans = plan.spans
+        spans = plan_buckets([sz for _, sz, _ in layout], total, spec.bucket_bytes).spans
+        combined_buf = np.empty(total, dtype=np.float64)
+        scratch = WireScratch(world, spans, spec.wire_dtype)
 
     def combine() -> np.ndarray:
         if spans is not None:
-            return reduce_ranks_bucketed(list(rank_vecs), spans, spec.wire_dtype)
+            return reduce_ranks_bucketed(list(rank_vecs), spans, spec.wire_dtype,
+                                         out=combined_buf, scratch=scratch)
         return reduce_ranks(list(rank_vecs))
 
-    step_no = 0
     epoch_losses: List[float] = []
     epoch_times: List[float] = []
     for _ in range(spec.epochs):
@@ -597,15 +521,11 @@ def _train_serial(model, x, y, spec: _TrainSpec) -> Tuple[List[float], List[floa
         for _step in range(steps):
             for r in range(world):
                 xb, yb = next(batches)
-                _grads_into(model, loss_fn, params, layout, xb, yb, rank_vecs[r],
-                            sched=sched, step=step_no)
-                if sched is not None:
-                    sched.wait_step()
+                _grads_into(model, loss_fn, params, layout, xb, yb, rank_vecs[r])
             combined = combine()
             combined *= inv_world
             _apply_combined(params, layout, combined, opt)
             loss_sum += combined[-1]
-            step_no += 1
         if tail:
             for r in range(world):
                 _tail_grads(model, loss_fn, params, layout, x, y, perm, steps,
@@ -614,7 +534,6 @@ def _train_serial(model, x, y, spec: _TrainSpec) -> Tuple[List[float], List[floa
             combined *= inv_world
             _apply_combined(params, layout, combined, opt)
             loss_sum += combined[-1]
-            step_no += 1
         epoch_losses.append(loss_sum / max(steps + (1 if tail else 0), 1))
         epoch_times.append(time.perf_counter() - t0)
     return epoch_losses, epoch_times, None
@@ -632,7 +551,8 @@ def _rank_main(rank: int, spec: _TrainSpec, x_ref: SharedArrayRef,
         y_att = attach(y_ref) if y_ref is not None else None
         model = pickle.loads(spec.model_bytes)
         if isinstance(handle, BucketAllreduceHandle):
-            reducer = BucketRankReducer(handle, rank)
+            reducer = BucketRankReducer(handle, rank, timeout_s=spec.timeout_s,
+                                        stall_s_per_mib=spec.comm_stall_s_per_mib)
         else:
             reducer = RankReducer(handle, rank)
         losses, times, stats = _train_rank(
@@ -703,9 +623,11 @@ def fit_data_parallel(
     gradient-communication engine (see the module docstring);
     ``comm="monolithic"`` is the original single post-backward
     allreduce and supports only the ``float64`` wire.
-    ``comm_stall_s_per_mib`` injects a measured comm-staging sleep per
-    MiB of wire traffic on the process backend (timing only — numerics
-    are unchanged, and the serial backend ignores it).
+    ``comm_stall_s_per_mib`` models transfer time per MiB of wire
+    traffic on the process backend (timing only — numerics are
+    unchanged, and the serial backend ignores it).  ``timeout_s`` bounds
+    the call; a rank that waits longer than that for a peer, or whose
+    parent is gone, raises instead of polling on.
 
     ``optimizer_factory(params) -> Optimizer`` builds each rank's local
     optimizer (default: ``Adam(lr=lr)``); with ``start_method="spawn"``
@@ -759,7 +681,7 @@ def fit_data_parallel(
         pre_step_hook=pre_step_hook, prefetch=prefetch, n_samples=n,
         comm=comm, wire_dtype=wire_dtype, bucket_bytes=bucket_bytes,
         overlap=overlap, comm_stall_s_per_mib=comm_stall_s_per_mib,
-        drop_last=drop_tail,
+        drop_last=drop_tail, timeout_s=timeout_s,
     )
 
     rec = get_recorder()
@@ -819,9 +741,7 @@ def _run_processes(model, x, y, spec: _TrainSpec, layout, vec_len: int,
         y_ref = store.publish("y", y) if y is not None else None
         if spec.comm == "bucketed":
             plan = plan_buckets([sz for _, sz, _ in layout], vec_len, spec.bucket_bytes)
-            handle = create_bucketed_allreduce(
-                store, ctx, spec.world, plan, spec.wire_dtype
-            )
+            handle = create_bucketed_allreduce(store, spec.world, plan, spec.wire_dtype)
         else:
             handle = create_allreduce(store, ctx, spec.world, vec_len)
         result_q = ctx.Queue()

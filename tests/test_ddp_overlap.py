@@ -9,15 +9,30 @@ float sequence, and the ragged-tail handling is explicit rather than
 silent.
 """
 
+import glob
+import multiprocessing as mp
+import os
+import signal
+import subprocess
+import sys
+import threading
+import time
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.nn import Dense, Sequential
 from repro.obs import TraceRecorder
 from repro.parallel import (
+    BucketRankReducer,
+    SharedArrayStore,
+    WireScratch,
     accumulate_rows,
+    create_bucketed_allreduce,
     decode_wire,
     encode_wire,
     fit_data_parallel,
@@ -148,6 +163,21 @@ class TestAccumulateRows:
         got = np.empty(64, dtype=np.float64)
         accumulate_rows(np.stack(vecs), "float64", got)
         assert np.array_equal(got, reduce_ranks(vecs))
+
+    @pytest.mark.parametrize("wd", WIRE_DTYPES)
+    def test_caller_owned_scratch_changes_no_bit(self, wd):
+        """One ``WireScratch`` + ``out`` reused across calls (what a
+        serial fit does every step) gives the floats of the allocating
+        path, whatever the previous call left in the buffers."""
+        rng = np.random.default_rng(11)
+        spans = [(30, 41), (0, 30)]  # unequal widths: the narrow span reuses a prefix
+        scratch = WireScratch(3, spans, wd)
+        out = np.empty(41, dtype=np.float64)
+        for _ in range(3):
+            vecs = [rng.standard_normal(41) for _ in range(3)]
+            got = reduce_ranks_bucketed(vecs, spans, wd, out=out, scratch=scratch)
+            assert got is out
+            assert np.array_equal(got, reduce_ranks_bucketed(vecs, spans, wd))
 
 
 # ----------------------------------------------------------------------
@@ -339,6 +369,129 @@ class TestBucketedEngineParity:
         n = stats["bucket_spans"][0][1]  # bucket 0 covers the tail
         assert stats["wire_bytes_per_step"] == 2 * n * 4
         assert 0.0 <= stats["overlap_fraction"] <= 1.0
+        # Comm runs on the rank's main thread: busy time (publish +
+        # collect) splits exactly by bucket, and the time blocked after
+        # backward is part of the first-publish -> last-collect chain.
+        assert sum(stats["bucket_comm_s"]) == pytest.approx(stats["total_comm_s"])
+        assert 0.0 < stats["exposed_wait_s"] <= stats["comm_chain_s"]
+
+
+# ----------------------------------------------------------------------
+# The one-sided protocol under skew, oversubscription and death
+# ----------------------------------------------------------------------
+def _skew_hook(seed):
+    """``pre_step_hook`` for rank processes: a seeded sleep per (rank,
+    step) — zero half of the time, so ranks both drift apart and race —
+    and a check that the rank runs no helper thread."""
+    def hook(rank, step):
+        assert threading.active_count() == 1, threading.enumerate()
+        u = np.random.default_rng([seed, rank, step]).random()
+        if u > 0.5:
+            time.sleep((u - 0.5) * 6e-3)
+    return hook
+
+
+class TestOneSidedProtocol:
+    @pytest.mark.parametrize("overlap", [True, False])
+    @pytest.mark.parametrize("wd", WIRE_DTYPES)
+    @pytest.mark.parametrize("world", [2, 3, 4])  # 3 and 4 oversubscribe a 2-core box
+    @settings(max_examples=2, deadline=None)
+    @given(seed=st.integers(0, 2**16))
+    def test_any_skew_schedule_is_bit_identical_to_serial(self, world, wd, overlap, seed):
+        # 5 full steps + the ragged-tail flush_inline step per epoch, two
+        # epochs: each slab generation is reused five times.
+        batch = 4 * world
+        x, y = make_regression(n=5 * batch + 5)
+        kwargs = dict(world=world, epochs=2, batch_size=batch, seed=4, drop_last=False,
+                      comm="bucketed", wire_dtype=wd, bucket_bytes=256, overlap=overlap)
+        m_proc, m_ser = make_net(), make_net()
+        r_proc = fit_data_parallel(m_proc, x, y, backend="process", start_method="fork",
+                                   pre_step_hook=_skew_hook(seed), **kwargs)
+        r_ser = fit_data_parallel(m_ser, x, y, backend="serial", **kwargs)
+        assert r_proc.comm_stats["n_buckets"] > 1
+        assert r_proc.steps == 12
+        assert weights_diff(m_proc, m_ser) == 0.0
+        assert r_proc.epoch_losses == r_ser.epoch_losses
+
+    def test_wait_is_bounded_and_names_what_it_waited_for(self):
+        plan = plan_buckets([20, 20], total=41, bucket_bytes=160)
+        with SharedArrayStore(prefix="repro_ddp") as store:
+            handle = create_bucketed_allreduce(store, 2, plan, "float32")
+            red = BucketRankReducer(handle, 0, timeout_s=0.05)
+            try:
+                red.publish(0, np.zeros(41), step=0)
+                assert not red.ready(0, step=0)  # rank 1 never publishes
+                t0 = time.perf_counter()
+                with pytest.raises(RuntimeError, match=r"timed out: rank 0, bucket 0, step 0"):
+                    red.wait(0, step=0)
+                assert time.perf_counter() - t0 < 1.0
+            finally:
+                red.close()
+
+    def test_killed_rank_raises_and_leaves_nothing_behind(self):
+        def die_mid_fit(rank, step):
+            if rank == 1 and step == 3:
+                os.kill(os.getpid(), signal.SIGKILL)
+
+        before = set(glob.glob("/dev/shm/repro_ddp*"))
+        x, y = make_regression()
+        t0 = time.perf_counter()
+        with pytest.raises(RuntimeError, match="rank died"):
+            fit_data_parallel(make_net(), x, y, world=2, epochs=50, batch_size=16,
+                              seed=4, start_method="fork", pre_step_hook=die_mid_fit)
+        assert time.perf_counter() - t0 < 10.0
+        assert mp.active_children() == []
+        assert set(glob.glob("/dev/shm/repro_ddp*")) == before
+
+    def test_orphaned_rank_gives_up(self, tmp_path):
+        """Parent and peer both SIGKILLed: the surviving rank must notice
+        from inside its flag wait and exit, not poll for ``timeout_s``."""
+        script = f"""
+import os
+import numpy as np
+from repro.nn import Dense, Sequential
+from repro.parallel import fit_data_parallel
+
+def hook(rank, step):
+    if step == 3:
+        with open(os.path.join({str(tmp_path)!r}, f"rank{{rank}}.pid"), "w") as f:
+            f.write(str(os.getpid()))
+
+x = np.random.default_rng(0).standard_normal((96, 6))
+fit_data_parallel(Sequential([Dense(8, activation="tanh"), Dense(6)]), x, None, world=2,
+                  epochs=100000, batch_size=16, seed=4, start_method="fork", pre_step_hook=hook)
+"""
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        parent = subprocess.Popen([sys.executable, "-c", script], env=env)
+        pid_files = [tmp_path / "rank0.pid", tmp_path / "rank1.pid"]
+        try:
+            deadline = time.monotonic() + 30.0
+            while not all(f.exists() and f.read_text() for f in pid_files):
+                assert parent.poll() is None and time.monotonic() < deadline
+                time.sleep(0.01)
+            survivor, peer = (int(f.read_text()) for f in pid_files)
+            parent.kill()
+            os.kill(peer, signal.SIGKILL)
+            parent.wait(timeout=10.0)
+
+            def gone(pid):  # exited; a zombie awaiting its new reaper counts
+                try:
+                    return Path(f"/proc/{pid}/stat").read_text().rsplit(")", 1)[1].split()[0] == "Z"
+                except FileNotFoundError:
+                    return True
+
+            deadline = time.monotonic() + 10.0
+            while not gone(survivor) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert gone(survivor), "orphaned rank still polling"
+        finally:
+            parent.kill()
+            for f in pid_files:
+                if f.exists() and f.read_text():
+                    try:
+                        os.kill(int(f.read_text()), signal.SIGKILL)
+                    except ProcessLookupError:
+                        pass
 
 
 # ----------------------------------------------------------------------
