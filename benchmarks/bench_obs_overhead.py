@@ -1,8 +1,7 @@
 """Observability overhead gate: tracing the MLP train step must be cheap.
 
-Times the same full-batch MLP train step the kernel suite's acceptance
-row uses (``repro.perf.bench.bench_mlp_train_step``: batch 256, d=64,
-hidden (64, 32), 10 classes), through ``Model.fit`` — once detached and
+Times a full-batch MLP train step (batch 256, d=64, hidden (64, 32),
+10 classes) through ``Model.fit`` — once detached and
 once with a :class:`repro.obs.TraceRecorder` attached.  Attached runs
 pay for the fit/epoch/step spans, the loss and gradient-norm gauges,
 and the recorder bookkeeping; the gate is that this costs **under 5%**
@@ -39,8 +38,8 @@ import numpy as np  # noqa: E402
 
 GATE_FRAC = 0.05  # attached fit may cost at most 5% over detached
 
-# The kernel suite's acceptance MLP (full mode): one step is one
-# full-batch forward/backward/Adam update over all 256 samples.
+# The gated MLP: one step is one full-batch forward/backward/Adam
+# update over all 256 samples.
 N, D, HIDDEN, CLASSES = 256, 64, (64, 32), 10
 
 

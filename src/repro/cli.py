@@ -10,11 +10,6 @@ Commands
     Price one training step of the benchmark on every catalog machine.
 ``experiments``
     Print how to regenerate the E1-E15 experiment tables.
-``serve-bench``
-    Run the batched-inference serving benchmark (writes BENCH_serving.json).
-``serve-scale-bench``
-    Run the distributed serving tier under traffic mixes and chaos
-    (writes BENCH_serving_scale.json).
 ``trace <trace.jsonl>``
     Validate and summarize a recorded trace: per-span-kind time breakdown,
     critical path, recorder overhead estimate; ``--chrome`` converts it
@@ -23,20 +18,9 @@ Commands
     Browse a content-addressed model registry: list names and versions,
     show one artifact's manifest (benchmark, hparams, lineage, hash), or
     ``--verify`` its stored bytes against the content checksum.
-``registry-bench``
-    Run the artifact-store benchmark — publish/load throughput and warm
-    hit rate under churn with concurrent readers (writes
-    BENCH_registry.json).
-``hpo-scale-bench``
-    Run the durable elastic HPO benchmark — 10k sim-clock + 1k real-clock
-    trials through the on-disk trial queue, scheduler overhead, seeded
-    kill/resume replay, ASHA vs synchronous halving (writes
-    BENCH_hpo_scale.json).
-``ddp-overlap-bench``
-    Run the overlapped bucketed gradient-allreduce benchmark — step
-    throughput per comm engine under a calibrated wire stall, measured
-    bytes-on-wire per wire dtype, and the process-vs-serial bit-parity
-    audit (writes BENCH_ddp_overlap.json).
+
+Measurement lives outside the package: ``python3 bench/run.py`` (see
+``bench/README.md``) is the repository's one benchmark.
 """
 
 from __future__ import annotations
@@ -116,71 +100,6 @@ def _cmd_price(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_serve_bench(args: argparse.Namespace) -> int:
-    import json
-    from pathlib import Path
-
-    from .serve.bench import format_results, run_serving_bench
-
-    results = run_serving_bench(smoke=args.smoke, seed=args.seed, n_requests=args.requests)
-    print(format_results(results))
-    out = Path(args.out)
-    out.write_text(json.dumps(results, indent=2, sort_keys=True) + "\n")
-    print(f"\nwrote {out}")
-    acc = results["acceptance"]
-    if not acc["parity_ok"]:
-        print("FAIL: served outputs differ from Model.predict", file=sys.stderr)
-        return 1
-    if not acc["accounting_ok"]:
-        print("FAIL: request accounting does not balance", file=sys.stderr)
-        return 1
-    if not acc["speedup_ok"]:
-        print(
-            f"FAIL: batched speedup {acc['speedup']:.2f}x below gate {acc['speedup_min']}x",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
-
-
-def _cmd_serve_scale_bench(args: argparse.Namespace) -> int:
-    import json
-    from pathlib import Path
-
-    from .serve.scale_bench import format_results, run_serving_scale_bench
-
-    results = run_serving_scale_bench(
-        smoke=args.smoke, seed=args.seed,
-        n_replicas=args.replicas, n_requests=args.requests,
-    )
-    print(format_results(results))
-    out = Path(args.out)
-    out.write_text(json.dumps(results, indent=2, sort_keys=True) + "\n")
-    print(f"\nwrote {out}")
-    acc = results["acceptance"]
-    failures = []
-    if not acc["parity_ok"]:
-        failures.append("distributed outputs differ from Model.predict")
-    if not acc["accounting_ok"]:
-        failures.append("request accounting does not balance")
-    if not acc["chaos_zero_lost"]:
-        failures.append("chaos replay lost requests")
-    if not acc["respawns_ok"]:
-        failures.append("no replica respawned under traffic")
-    if args.smoke:
-        # Smoke timings are noise on shared machines: only require that
-        # replication isn't slower; the full run scores the real gate.
-        if acc["speedup"] <= 1.0:
-            failures.append(f"replication slower than single: {acc['speedup']:.2f}x")
-    elif not acc["speedup_ok"]:
-        failures.append(
-            f"distributed speedup {acc['speedup']:.2f}x below gate {acc['speedup_min']}x"
-        )
-    for f in failures:
-        print(f"FAIL: {f}", file=sys.stderr)
-    return 1 if failures else 0
-
-
 def _cmd_registry(args: argparse.Namespace) -> int:
     import json
 
@@ -218,59 +137,6 @@ def _cmd_registry(args: argparse.Namespace) -> int:
     print(json.dumps(ref.meta or {"content_hash": ref.content_hash},
                      indent=2, sort_keys=True))
     return 0
-
-
-def _cmd_registry_bench(args: argparse.Namespace) -> int:
-    from .registry.bench import (
-        check_gates, format_results, run_registry_bench, write_results,
-    )
-
-    results = run_registry_bench(
-        smoke=args.smoke, seed=args.seed,
-        n_artifacts=args.artifacts, n_readers=args.readers,
-    )
-    print(format_results(results))
-    out = write_results(results, args.out)
-    print(f"\nwrote {out}")
-    failures = check_gates(results, smoke=args.smoke)
-    for f in failures:
-        print(f"FAIL: {f}", file=sys.stderr)
-    return 1 if failures else 0
-
-
-def _cmd_hpo_scale_bench(args: argparse.Namespace) -> int:
-    from .hpo.scale_bench import (
-        check_gates, format_results, run_hpo_scale_bench, write_results,
-    )
-
-    results = run_hpo_scale_bench(smoke=args.smoke, seed=args.seed)
-    print(format_results(results))
-    out = write_results(results, args.out)
-    print(f"\nwrote {out}")
-    failures = check_gates(results, smoke=args.smoke)
-    for f in failures:
-        print(f"FAIL: {f}", file=sys.stderr)
-    return 1 if failures else 0
-
-
-def _cmd_ddp_overlap_bench(args: argparse.Namespace) -> int:
-    # The bench lives with the other artifact producers in benchmarks/
-    # (it spawns rank processes and calibrates a stall, so it stays a
-    # standalone script); load it by path so the CLI shares one
-    # implementation with pytest and CI.
-    import importlib.util
-    from pathlib import Path
-
-    bench = Path(__file__).resolve().parents[2] / "benchmarks" / "bench_ddp_overlap.py"
-    if not bench.exists():
-        print("benchmarks/bench_ddp_overlap.py not found "
-              "(a source checkout is required)", file=sys.stderr)
-        return 2
-    spec = importlib.util.spec_from_file_location("bench_ddp_overlap", bench)
-    mod = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(mod)
-    argv = ["--out", args.out] + (["--smoke"] if args.smoke else [])
-    return mod.main(argv)
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
@@ -323,49 +189,12 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     sub.add_parser("experiments", help="how to regenerate the experiment tables")
 
-    p_serve = sub.add_parser("serve-bench", help="run the batched serving benchmark")
-    p_serve.add_argument("--smoke", action="store_true", help="small request counts (CI)")
-    p_serve.add_argument("--requests", type=int, default=None, help="override request count")
-    p_serve.add_argument("--seed", type=int, default=0)
-    p_serve.add_argument("--out", default="BENCH_serving.json", help="output JSON path")
-
-    p_scale = sub.add_parser(
-        "serve-scale-bench", help="run the distributed serving scale benchmark"
-    )
-    p_scale.add_argument("--smoke", action="store_true", help="small request counts (CI)")
-    p_scale.add_argument("--requests", type=int, default=None, help="override request count")
-    p_scale.add_argument("--replicas", type=int, default=None, help="override replica count")
-    p_scale.add_argument("--seed", type=int, default=0)
-    p_scale.add_argument("--out", default="BENCH_serving_scale.json", help="output JSON path")
-
     p_reg = sub.add_parser("registry", help="browse a model registry directory")
     p_reg.add_argument("root", help="registry root directory")
     p_reg.add_argument("spec", nargs="?", default=None,
                        help="artifact to inspect: name, name@version, or sha256:<hex>")
     p_reg.add_argument("--verify", action="store_true",
                        help="check the stored bytes against the content checksum")
-
-    p_regb = sub.add_parser("registry-bench", help="run the artifact-store benchmark")
-    p_regb.add_argument("--smoke", action="store_true", help="small churn (CI)")
-    p_regb.add_argument("--artifacts", type=int, default=None,
-                        help="override churned artifact count")
-    p_regb.add_argument("--readers", type=int, default=None,
-                        help="override concurrent reader count")
-    p_regb.add_argument("--seed", type=int, default=0)
-    p_regb.add_argument("--out", default="BENCH_registry.json", help="output JSON path")
-
-    p_hpob = sub.add_parser("hpo-scale-bench",
-                            help="run the durable elastic HPO benchmark")
-    p_hpob.add_argument("--smoke", action="store_true", help="small trial counts (CI)")
-    p_hpob.add_argument("--seed", type=int, default=0)
-    p_hpob.add_argument("--out", default="BENCH_hpo_scale.json", help="output JSON path")
-
-    p_ddpb = sub.add_parser("ddp-overlap-bench",
-                            help="run the overlapped bucketed DDP benchmark")
-    p_ddpb.add_argument("--smoke", action="store_true",
-                        help="short run; gate parity + bytes ratio only (CI)")
-    p_ddpb.add_argument("--out", default="BENCH_ddp_overlap.json",
-                        help="output JSON path")
 
     p_trace = sub.add_parser("trace", help="validate and summarize a recorded trace")
     p_trace.add_argument("trace", help="path to a trace .jsonl file")
@@ -378,12 +207,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         "train": _cmd_train,
         "price": _cmd_price,
         "experiments": _cmd_experiments,
-        "serve-bench": _cmd_serve_bench,
-        "serve-scale-bench": _cmd_serve_scale_bench,
         "registry": _cmd_registry,
-        "registry-bench": _cmd_registry_bench,
-        "hpo-scale-bench": _cmd_hpo_scale_bench,
-        "ddp-overlap-bench": _cmd_ddp_overlap_bench,
         "trace": _cmd_trace,
     }
     return handlers[args.command](args)

@@ -529,8 +529,7 @@ def _run_real(
         q.reset_claims()
     executor.start(objective)
     # The campaign clock starts once the pool is up: trial sim_times
-    # measure search progress (and the scale bench's scheduler-overhead
-    # gate), not process fork/import time.
+    # measure search progress, not process fork/import time.
     t0 = time.perf_counter()
     wall = lambda: time.perf_counter() - t0  # noqa: E731
     plan = sorted(worker_plan.real) if worker_plan is not None else []

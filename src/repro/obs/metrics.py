@@ -1,11 +1,11 @@
 """Counters, gauges, and histograms for the observability layer.
 
 The :class:`MetricsRegistry` is the numeric side of a trace: spans say
-*when*, metrics say *how much*.  Histograms reuse the log-bucket
-:class:`repro.serve.metrics.LatencyHistogram` — the serving layer solved
-the wide-dynamic-range percentile problem once; gauges and counters are
-deliberately minimal (a float slot, an int slot) so hook sites can
-update them inside training steps without measurable cost.
+*when*, metrics say *how much*.  :class:`Histogram` is the repository's
+one log-bucket histogram (the serving layer exports it as
+``LatencyHistogram``); gauges and counters are deliberately minimal (a
+float slot, an int slot) so hook sites can update them inside training
+steps without measurable cost.
 
 Instruments are created on first use (``registry.counter("x").inc()``)
 so hook points never need registration ceremony, and a snapshot is a
@@ -15,6 +15,8 @@ list of plain JSON records ready for the trace exporter.
 from __future__ import annotations
 
 from typing import Dict, List, Optional
+
+import numpy as np
 
 
 class Counter:
@@ -66,32 +68,75 @@ class Gauge:
 
 
 class Histogram:
-    """Log-bucket value histogram (delegates to the serving histogram)."""
+    """Log-spaced histogram with percentile estimation.
 
-    __slots__ = ("name", "_hist")
+    Buckets are powers of ``2**0.25`` from ``low`` (1 microsecond) up to
+    ``high`` (~1000 seconds), fixed at construction, so observing is
+    allocation-free and the range covers microsecond kernel calls
+    through multi-second overload stalls.  Exact min/max/sum are tracked
+    alongside: the mean is exact, and a percentile is interpolated
+    geometrically by rank inside its bucket (within ~19% of exact by
+    construction) and never leaves ``[min, max]``.
+    """
 
-    def __init__(self, name: str, low: float = 1e-6, high: float = 1e3) -> None:
-        # Imported lazily: repro.serve.__init__ pulls in the server (and
-        # through it repro.nn.model), which itself imports repro.obs —
-        # a top-level import here would cycle at module init.
-        from ..serve.metrics import LatencyHistogram
-
+    def __init__(self, name: Optional[str] = None, low: float = 1e-6, high: float = 1e3) -> None:
+        if not 0 < low < high:
+            raise ValueError("need 0 < low < high")
+        n = int(np.ceil(4 * np.log2(high / low))) + 1
         self.name = name
-        self._hist = LatencyHistogram(min_latency=low, max_latency=high)
+        self.edges = low * 2.0 ** (0.25 * np.arange(n + 1))
+        self.counts = np.zeros(n + 2, dtype=np.int64)  # +under/overflow
+        self.n = 0
+        self.sum = 0.0
+        self.min = np.inf
+        self.max = 0.0
 
     def observe(self, value: float) -> None:
-        self._hist.observe(value)
+        if value < 0:
+            raise ValueError("value must be non-negative")
+        idx = int(np.searchsorted(self.edges, value, side="right"))
+        self.counts[idx] += 1
+        self.n += 1
+        self.sum += value
+        self.min = min(self.min, value)
+        self.max = max(self.max, value)
 
     def percentile(self, q: float) -> float:
-        return self._hist.percentile(q)
+        """Value at quantile ``q`` in [0, 100]."""
+        if not 0 <= q <= 100:
+            raise ValueError("q must be in [0, 100]")
+        if self.n == 0:
+            return 0.0
+        target = q / 100.0 * self.n
+        if target <= 0:
+            return float(self.min)
+        cum = np.cumsum(self.counts)
+        idx = int(np.searchsorted(cum, target, side="left"))
+        # The bucket's edges, narrowed to the observed range.
+        lo = max(self.edges[idx - 1], self.min) if idx > 0 else self.min
+        hi = min(self.edges[idx], self.max) if idx < len(self.edges) else self.max
+        frac = (target - (cum[idx] - self.counts[idx])) / self.counts[idx]
+        if lo <= 0:  # a zero sample: no geometric mean with 0
+            return float(lo + (hi - lo) * frac)
+        return float(min(hi, lo * (hi / lo) ** frac))
 
     @property
-    def n(self) -> int:
-        return self._hist.n
+    def mean(self) -> float:
+        return self.sum / self.n if self.n else 0.0
+
+    def summary(self) -> Dict[str, float]:
+        return {
+            "count": self.n,
+            "mean_s": self.mean,
+            "min_s": self.min if self.n else 0.0,
+            "max_s": self.max,
+            "p50_s": self.percentile(50),
+            "p95_s": self.percentile(95),
+            "p99_s": self.percentile(99),
+        }
 
     def as_record(self) -> Dict:
-        summary = self._hist.summary()
-        return {"type": "metric", "metric": "histogram", "name": self.name, **summary}
+        return {"type": "metric", "metric": "histogram", "name": self.name, **self.summary()}
 
 
 class MetricsRegistry:

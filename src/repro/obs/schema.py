@@ -5,12 +5,12 @@ Silent format drift is the failure mode: a benchmark runner reshapes its
 output, nothing notices, and three PRs later the regression tooling is
 comparing fields that no longer exist.  Each artifact therefore gets a
 declared schema — the trace JSONL records (versioned via
-:data:`~repro.obs.trace.TRACE_SCHEMA_VERSION`), ``BENCH_kernels.json``,
-``BENCH_serving.json``, ``BENCH_serving_scale.json``, ``BENCH_obs.json``,
-``BENCH_parallel.json``, ``BENCH_precision.json``, and
-``BENCH_ddp_overlap.json``
-— and CI validates the generated files against them
-(``tests/test_schemas.py``).
+:data:`~repro.obs.trace.TRACE_SCHEMA_VERSION`) and ``BENCH_obs.json``,
+the live tracing-overhead gate — and ``tests/test_schemas.py`` validates
+the files against them.  The other eight ``BENCH_*`` schemas pin the
+committed last readings of per-subsystem drivers that ``bench/``
+superseded and this repository no longer carries; nothing regenerates
+those files, so their schemas are frozen with them.
 
 The validator is a deliberately small JSON-Schema subset (type /
 required / properties / items / enum / anyOf / minimum / null-unions /
@@ -467,7 +467,7 @@ BENCH_PARALLEL_SCHEMA = obj(
 )
 
 #: ``BENCH_precision.json`` — the end-to-end reduced-precision benchmark
-#: (``benchmarks/bench_precision_e2e.py``): measured p1b2 train-step time
+#: (frozen record; its driver is retired): measured p1b2 train-step time
 #: per storage format, int8 serving throughput vs the fp32 single-stream
 #: baseline, AUC parity, and the CI acceptance gates.
 BENCH_PRECISION_SCHEMA = obj(
@@ -580,7 +580,8 @@ BENCH_HPO_SCALE_SCHEMA = obj(
 
 
 #: ``BENCH_ddp_overlap.json`` — the overlapped bucketed gradient
-#: allreduce benchmark (``benchmarks/bench_ddp_overlap.py``): step
+#: allreduce benchmark (frozen record; its driver, the monolithic engine
+#: and the comm-stall option it names are all retired): step
 #: throughput per engine (monolithic / bucketed / bucketed+overlap /
 #: bucketed+overlap on the fp32 wire) at 2 and 4 ranks under a
 #: calibrated comm stall, measured bytes-on-wire per wire dtype, and

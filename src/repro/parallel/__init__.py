@@ -11,13 +11,13 @@ layers, bottom-up:
   worker pool with a pickle-light task protocol and died-worker
   respawn (:class:`ProcessWorkerPool`).
 * :mod:`repro.parallel.allreduce` — deterministic shared-memory
-  reduce-scatter/allgather allreduce whose fixed rank-order association
-  makes parallel training bit-identical to the serial reference
-  (:class:`RankReducer`, :func:`reduce_ranks`), plus the bucketed
-  one-sided variant (slab row + sequence flag; no barrier, no thread)
-  with selectable wire precision that backs overlapped DDP
-  (:class:`BucketRankReducer`, :func:`plan_buckets`,
-  :func:`reduce_ranks_bucketed`, ``wire_dtype in WIRE_DTYPES``).
+  allreduce whose fixed rank-order association makes parallel training
+  bit-identical to the serial reference: a bucketed one-sided engine
+  (slab row + sequence flag; no barrier, no thread) with selectable
+  wire precision that backs overlapped DDP (:class:`BucketRankReducer`,
+  :func:`plan_buckets`, :func:`reduce_ranks_bucketed`,
+  ``wire_dtype in WIRE_DTYPES``; :func:`reduce_ranks` is the
+  explicit-loop oracle).
 * :mod:`repro.parallel.ddp` / :mod:`repro.parallel.executor` — the two
   user-facing drivers: :func:`fit_data_parallel` (real data-parallel
   training) and :class:`ParallelTrialExecutor` (real-clock HPO via
@@ -27,8 +27,9 @@ layers, bottom-up:
 batch assembly/staging with compute and is usable standalone or via
 ``Model.fit(..., prefetch=True)``.
 
-Measured by ``benchmarks/bench_parallel.py`` (speedup + parity gates,
-``BENCH_parallel.json``); see the README "Parallel execution" section.
+Measured by ``python3 bench/run.py --workload ddp_mlp`` (and
+``hpo_campaign`` for the executor); see the README "Parallel execution"
+section.
 """
 
 from .allreduce import (
@@ -36,11 +37,9 @@ from .allreduce import (
     WIRE_DTYPES,
     BucketPlan,
     BucketRankReducer,
-    RankReducer,
     WireScratch,
     accumulate_rows,
     chunk_bounds,
-    create_allreduce,
     create_bucketed_allreduce,
     decode_wire,
     encode_wire,
@@ -58,7 +57,7 @@ from .shm import AttachedArray, SharedArrayRef, SharedArrayStore, attach
 __all__ = [
     "SharedArrayStore", "SharedArrayRef", "AttachedArray", "attach",
     "ProcessWorkerPool", "TaskResult", "DEFAULT_WORKER_ENV", "echo_task",
-    "RankReducer", "reduce_ranks", "create_allreduce", "chunk_bounds",
+    "reduce_ranks", "chunk_bounds",
     "BucketPlan", "BucketRankReducer", "plan_buckets",
     "create_bucketed_allreduce", "reduce_ranks_bucketed", "accumulate_rows", "WireScratch",
     "encode_wire", "decode_wire", "wire_itemsize",

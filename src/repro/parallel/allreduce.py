@@ -1,14 +1,9 @@
 """Shared-memory allreduce with a fixed, deterministic reduction order.
 
-The classic ring allreduce is a reduce-scatter (each rank ends up owning
-the reduced value of one chunk) followed by an allgather (owners
-broadcast their chunks).  On a shared-memory node the rings collapse to
-slab reads: every rank writes its contribution into its own input slab,
-then each rank *owns* one contiguous chunk of the vector and reduces
-that chunk across all ranks — chunk reductions run in parallel, each
-element is summed exactly once, and the allgather is a single shared
-output slab everyone copies from.  Three barriers sequence the phases
-(:class:`RankReducer`).
+On a shared-memory node the rings of a ring allreduce collapse to slab
+reads: every rank writes its contribution into its own row of a shared
+slab, and every rank reduces the rows it needs straight into its own
+gradient vector (:class:`BucketRankReducer`).
 
 Determinism is the point: whoever reduces accumulates contributions in
 **ascending rank order** (``((g0 + g1) + g2) + ...``), so the floating-
@@ -18,27 +13,23 @@ That is what makes process-parallel training bit-identical to the
 single-process path (IEEE-754 addition is deterministic; only the
 association order had to be pinned).
 
-Two engines share that contract:
-
-* :class:`RankReducer` — the monolithic 3-barrier allreduce (one slab,
-  one call per step covering the whole gradient vector); the tests'
-  reference engine.
-* :class:`BucketRankReducer` — the bucketed engine: **one-sided,
-  flag-polled, thread-free**.  The vector is partitioned into
-  size-targeted spans (:func:`plan_buckets`, reverse layout order,
-  matching the order backward produces gradients).  A rank *publishes*
-  a bucket by encoding its slice into its own row of the step-parity
-  slab and then storing ``step + 1`` into its cell of a shared
-  ``(world, n_buckets)`` sequence array; it never blocks doing so.  A
-  rank *collects* a bucket once every rank's cell shows the step, by
-  running :func:`accumulate_rows` over the slab rows straight into its
-  own gradient vector — no output slab, chunk ownership, copy-out,
-  barrier or helper thread.  Contributions cross the slab in a
-  selectable **wire dtype** (``float64`` | ``float32`` | ``bf16`` as
-  uint16); decoding is exact widening and accumulation is always
-  float64 in ascending rank order, so :func:`reduce_ranks_bucketed` —
-  the serial reference with the same codec and schedule — is
-  bit-identical at every wire precision.
+The engine, :class:`BucketRankReducer`, is **one-sided, flag-polled and
+thread-free**.  The vector is partitioned into size-targeted spans
+(:func:`plan_buckets`, reverse layout order, matching the order
+backward produces gradients; a ``bucket_bytes`` at least the vector's
+size gives one bucket, i.e. a single whole-vector allreduce).  A rank
+*publishes* a bucket by encoding its slice into its own row of the
+step-parity slab and then storing ``step + 1`` into its cell of a shared
+``(world, n_buckets)`` sequence array; it never blocks doing so.  A
+rank *collects* a bucket once every rank's cell shows the step, by
+running :func:`accumulate_rows` over the slab rows straight into its
+own gradient vector — no output slab, chunk ownership, copy-out,
+barrier or helper thread.  Contributions cross the slab in a
+selectable **wire dtype** (``float64`` | ``float32`` | ``bf16`` as
+uint16); decoding is exact widening and accumulation is always
+float64 in ascending rank order, so :func:`reduce_ranks_bucketed` —
+the serial reference with the same codec and schedule — is
+bit-identical at every wire precision.
 
 Why that is safe without barriers:
 
@@ -84,11 +75,11 @@ _WIRE_STORAGE = {
 
 
 def reduce_ranks(vectors: Sequence[np.ndarray]) -> np.ndarray:
-    """Serial reference reduction: ascending-rank-order sum.
+    """Explicit-loop reference reduction: ascending-rank-order sum.
 
-    Bit-identical to what :class:`RankReducer.allreduce` computes —
-    element ``i`` is accumulated ``((v0[i] + v1[i]) + v2[i]) + ...`` in
-    both — so a single process can replay a parallel run exactly.
+    Element ``i`` is accumulated ``((v0[i] + v1[i]) + v2[i]) + ...`` —
+    the association :func:`accumulate_rows` must reproduce bit for bit
+    (``tests/test_ddp_overlap.py`` compares the two).
     """
     if not vectors:
         raise ValueError("reduce_ranks needs at least one vector")
@@ -229,97 +220,6 @@ def reduce_ranks_bucketed(
     return out
 
 
-class AllreduceHandle:
-    """Parent-built, rank-shipped state for one allreduce group.
-
-    Carries the shared slab refs and the barrier.  Passable to
-    ``Process(args=...)`` under both fork and spawn (multiprocessing
-    synchronisation primitives pickle through process inheritance).
-    """
-
-    def __init__(self, world: int, n: int, in_ref, out_ref, barrier) -> None:
-        self.world = world
-        self.n = n
-        self.in_ref = in_ref
-        self.out_ref = out_ref
-        self.barrier = barrier
-
-
-def create_allreduce(store: SharedArrayStore, ctx, world: int, n: int) -> AllreduceHandle:
-    """Allocate the slabs for a ``world``-rank group reducing ``n`` floats.
-
-    ``store`` owns the segments (parent cleans up); ``ctx`` is the
-    multiprocessing context whose Barrier the group synchronises on.
-    """
-    if world < 1:
-        raise ValueError("world must be >= 1")
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    store.allocate("allreduce_in", (world, n), np.float64)
-    store.allocate("allreduce_out", (n,), np.float64)
-    return AllreduceHandle(
-        world, n, store.ref("allreduce_in"), store.ref("allreduce_out"),
-        ctx.Barrier(world),
-    )
-
-
-class RankReducer:
-    """Per-rank endpoint of the shared-memory allreduce.
-
-    Built inside each rank process from the shipped handle.  One
-    ``allreduce`` call per step; the result lands in place.
-    """
-
-    def __init__(self, handle: AllreduceHandle, rank: int) -> None:
-        if not 0 <= rank < handle.world:
-            raise ValueError(f"rank {rank} out of range for world {handle.world}")
-        self.rank = rank
-        self.world = handle.world
-        self._barrier = handle.barrier
-        self._in_att = AttachedArray(handle.in_ref)
-        self._out_att = AttachedArray(handle.out_ref)
-        self._in = self._in_att.array  # (world, n)
-        self._out = self._out_att.array  # (n,)
-        self._lo, self._hi = chunk_bounds(handle.n, handle.world, rank)
-
-    def allreduce(self, vec: np.ndarray, stall_s: float = 0.0) -> None:
-        """Sum ``vec`` across all ranks, in place, deterministic order.
-
-        Phases (3 barriers): publish inputs -> owners reduce their chunk
-        in ascending rank order -> everyone copies the full result out.
-        The trailing barrier keeps a fast rank from republishing step
-        ``t+1`` inputs while a slow rank still reads step ``t`` output.
-
-        ``stall_s`` injects a wire-transfer stall *after* the publish
-        barrier — the bandwidth term of the alpha-beta collective cost
-        model, charged once all ranks have arrived (every rank sleeps it
-        concurrently, so it adds ``stall_s`` of wall per call).  Timing
-        only; numerics are unchanged.
-        """
-        if vec.shape != (self._in.shape[1],):
-            raise ValueError(f"expected shape ({self._in.shape[1]},), got {vec.shape}")
-        if self.world == 1:
-            return
-        self._in[self.rank, :] = vec
-        self._barrier.wait()
-        if stall_s > 0.0:
-            time.sleep(stall_s)
-        lo, hi = self._lo, self._hi
-        if hi > lo:
-            # One vectorized reduction over the rank axis; same ascending
-            # association as the old explicit loop (see accumulate_rows).
-            accumulate_rows(self._in[:, lo:hi], "float64", self._out[lo:hi])
-        self._barrier.wait()
-        vec[:] = self._out
-        self._barrier.wait()
-
-    def close(self) -> None:
-        self._in = None  # type: ignore[assignment]
-        self._out = None  # type: ignore[assignment]
-        self._in_att.close()
-        self._out_att.close()
-
-
 # ----------------------------------------------------------------------
 # Bucketed, double-buffered engine
 # ----------------------------------------------------------------------
@@ -417,24 +317,22 @@ class BucketAllreduceHandle:
     plan: BucketPlan
     wire_dtype: str
     slab_refs: list          # [step parity] -> (world, n) wire-storage slab
-    seq_ref: SharedArrayRef    # (world, n_buckets) int64: last step published + 1
-    stamp_ref: SharedArrayRef  # (2, world, n_buckets) float64: publish times by parity
+    seq_ref: SharedArrayRef  # (world, n_buckets) int64: last step published + 1
 
 
 def create_bucketed_allreduce(store: SharedArrayStore, world: int, plan: BucketPlan,
                               wire_dtype: str = "float64") -> BucketAllreduceHandle:
-    """Allocate the double-buffered slabs, zeroed flags and stamps."""
+    """Allocate the double-buffered slabs and the zeroed flags."""
     if world < 1:
         raise ValueError("world must be >= 1")
     storage = _WIRE_STORAGE[_check_wire(wire_dtype)]
     for parity in (0, 1):
         store.allocate(f"bucket_slab{parity}", (world, plan.n), storage)
     store.allocate("bucket_seq", (world, plan.n_buckets), np.int64)[...] = 0
-    store.allocate("bucket_stamp", (2, world, plan.n_buckets), np.float64)[...] = 0.0
     return BucketAllreduceHandle(
         world, plan, wire_dtype,
         [store.ref("bucket_slab0"), store.ref("bucket_slab1")],
-        store.ref("bucket_seq"), store.ref("bucket_stamp"),
+        store.ref("bucket_seq"),
     )
 
 
@@ -456,61 +354,39 @@ class BucketRankReducer:
     in place; ``ready`` is the non-blocking test, ``wait`` the blocking
     one.  Callers issue buckets in schedule order and pass the global
     step index, whose parity selects the slab generation.
-    ``stall_s_per_mib`` models wire transfer time as an arrival
-    deadline: bucket ``b`` arrives ``stall(b)`` after the later of its
-    last publish stamp and bucket ``b - 1``'s arrival (one wire, buckets
-    in order) and is not ready before; only ``wait`` sleeps for it.
     ``timeout_s`` bounds every wait of this reducer's lifetime.
     """
 
     def __init__(self, handle: BucketAllreduceHandle, rank: int, *,
-                 stall_s_per_mib: float = 0.0, timeout_s: float = 600.0) -> None:
+                 timeout_s: float = 600.0) -> None:
         if not 0 <= rank < handle.world:
             raise ValueError(f"rank {rank} out of range for world {handle.world}")
         self.rank = rank
         self.world = handle.world
         self.plan = handle.plan
         self.wire_dtype = handle.wire_dtype
-        self._atts = [AttachedArray(r) for r in
-                      (*handle.slab_refs, handle.seq_ref, handle.stamp_ref)]
+        self._atts = [AttachedArray(r) for r in (*handle.slab_refs, handle.seq_ref)]
         self._slabs = [a.array for a in self._atts[:2]]
         self._seq = self._atts[2].array
-        self._stamps = self._atts[3].array
         self._dec = WireScratch(self.world, self.plan.spans, self.wire_dtype).dec
-        mib = wire_itemsize(self.wire_dtype) / 2**20
-        self._stalls = [stall_s_per_mib * (hi - lo) * mib for lo, hi in self.plan.spans]
-        self._arrived = 0.0  # arrival time of the last bucket collected
         self._deadline = time.perf_counter() + timeout_s
         self._ppid = os.getppid()
 
     def publish(self, bucket: int, vec: np.ndarray, step: int) -> None:
         """Encode this rank's slice into the slab, then raise its flag."""
         lo, hi = self.plan.spans[bucket]
-        parity = step & 1
-        encode_wire(vec[lo:hi], self.wire_dtype, self._slabs[parity][self.rank, lo:hi])
-        self._stamps[parity, self.rank, bucket] = time.perf_counter()
+        encode_wire(vec[lo:hi], self.wire_dtype, self._slabs[step & 1][self.rank, lo:hi])
         self._seq[self.rank, bucket] = step + 1  # last: the flag covers the stores above
 
-    def _arrival(self, bucket: int, step: int) -> Optional[float]:
-        """When the bucket is deliverable, or None while a flag is missing."""
-        if self._seq[:, bucket].min() <= step:
-            return None
-        stall = self._stalls[bucket]
-        if stall <= 0.0:
-            return 0.0
-        sent = float(self._stamps[step & 1, :, bucket].max())
-        return (max(sent, self._arrived) if bucket else sent) + stall
-
     def ready(self, bucket: int, step: int) -> bool:
-        """Every rank has published the bucket and its transfer is over."""
-        at = self._arrival(bucket, step)
-        return at is not None and time.perf_counter() >= at
+        """Every rank has published the bucket."""
+        return self._seq[:, bucket].min() > step
 
     def wait(self, bucket: int, step: int) -> None:
         """Block until :meth:`ready`; raise ``RuntimeError`` past the
         deadline or when the parent process is gone."""
         polls = 0
-        while (at := self._arrival(bucket, step)) is None:
+        while not self.ready(bucket, step):
             polls += 1
             if polls <= _SPIN_POLLS:
                 continue
@@ -522,18 +398,14 @@ class BucketRankReducer:
                     f"flags {self._seq[:, bucket].tolist()}")
             time.sleep(min(_SLEEP_MAX_S,
                            (polls - _SPIN_POLLS) // _POLLS_PER_STEP * _SLEEP_STEP_S))
-        if at > 0.0:  # every flag is up: sleep out the rest of the modelled transfer
-            time.sleep(max(0.0, at - time.perf_counter()))
 
     def collect(self, bucket: int, vec: np.ndarray, step: int) -> None:
         """Reduce a :meth:`ready` bucket across ranks into ``vec``, in place."""
         lo, hi = self.plan.spans[bucket]
-        if self._stalls[bucket] > 0.0:
-            self._arrived = self._arrival(bucket, step)
         accumulate_rows(self._slabs[step & 1][:, lo:hi], self.wire_dtype, vec[lo:hi], self._dec)
 
     def close(self) -> None:
         self._slabs = []
-        self._seq = self._stamps = None  # type: ignore[assignment]
+        self._seq = None  # type: ignore[assignment]
         for a in self._atts:
             a.close()

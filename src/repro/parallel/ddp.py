@@ -15,49 +15,39 @@ Two backends, one contract:
   once through the shared-memory data plane and ranks attach zero-copy.
 * ``backend="serial"`` — the same algorithm executed by one process
   (rank micro-batches evaluated sequentially, combined with
-  :func:`~repro.parallel.allreduce.reduce_ranks`).
+  :func:`~repro.parallel.allreduce.reduce_ranks_bucketed`).
 
 Because the reduction association order is pinned (ascending rank
 order in both backends) the two produce **bit-identical** weights —
-the parity gate ``benchmarks/bench_parallel.py`` enforces.  With
+the parity the ``ddp_mlp`` workload of ``bench/`` checks inside every
+run and ``tests/test_ddp_overlap.py`` pins per wire dtype.  With
 ``world=1`` the loop degenerates to plain mini-batch SGD and matches
 ``Model.fit`` exactly (same RNG draw order, provided ``batch_size``
 divides the dataset; see ``drop_last`` for the ragged tail).
 
-Gradient communication itself has two shapes (``comm=``):
-
-* ``"bucketed"`` (default) — the overlapped engine.  Parameters are
-  partitioned into size-targeted buckets in reverse layout order
-  (:func:`~repro.parallel.allreduce.plan_buckets`); a per-parameter
-  grad-ready tape hook (``Tensor.backward(grad_ready_hook=…)``) packs
-  each gradient the moment backward finalises it; the hook that
-  completes a bucket *publishes* it (a slab write and a sequence flag,
-  never a wait) and *collects* — reduces into the rank's own gradient
-  vector — every earlier bucket all ranks have published by then, and
-  ``wait_step`` collects the rest.  One thread per rank, no barrier
-  (protocol and safety argument: :mod:`repro.parallel.allreduce`).
-  ``overlap=False`` publishes only after backward (the ablation
-  baseline).  ``wire_dtype`` selects the slab format (``float64`` |
-  ``float32`` | ``bf16``); accumulation is always float64 in ascending
-  rank order, so the serial backend replaying the identical schedule
-  (:func:`~repro.parallel.allreduce.reduce_ranks_bucketed`) stays
-  bit-identical at every wire precision.
-* ``"monolithic"`` — the original single 3-barrier allreduce over the
-  whole flat vector after backward (float64 wire only); kept as the
-  tests' reference and the baseline of
-  ``benchmarks/bench_ddp_overlap.py``.
+Gradient communication is one engine.  Parameters are partitioned into
+size-targeted buckets in reverse layout order
+(:func:`~repro.parallel.allreduce.plan_buckets`; ``bucket_bytes`` at
+least the gradient vector's size gives a single whole-vector bucket); a
+per-parameter grad-ready tape hook (``Tensor.backward(grad_ready_hook=…)``)
+packs each gradient the moment backward finalises it; the hook that
+completes a bucket *publishes* it (a slab write and a sequence flag,
+never a wait) and *collects* — reduces into the rank's own gradient
+vector — every earlier bucket all ranks have published by then, and
+``wait_step`` collects the rest.  One thread per rank, no barrier
+(protocol and safety argument: :mod:`repro.parallel.allreduce`).
+``overlap=False`` publishes only after backward (the ablation
+baseline).  ``wire_dtype`` selects the slab format (``float64`` |
+``float32`` | ``bf16``); accumulation is always float64 in ascending
+rank order, so the serial backend replaying the identical schedule
+(:func:`~repro.parallel.allreduce.reduce_ranks_bucketed`) stays
+bit-identical at every wire precision.
 
 ``pre_step_hook(rank, step)`` runs during micro-batch assembly — the
-place a real pipeline pays its staging latency (and where the parallel
-benchmark injects a measured stall); ``prefetch=True`` overlaps that
-assembly with compute via :class:`~repro.parallel.prefetch.PrefetchLoader`.
-``comm_stall_s_per_mib`` models interconnect transfer time per MiB of
-wire traffic — the knob the overlap benchmark turns.  The bucketed
-engine treats it as an *arrival deadline* (so it elapses under the rest
-of backward and only ``wait_step`` sleeps out the remainder); the
-monolithic engine sleeps it after its publish barrier.  It never
-changes numerics, so the stall-free serial reference stays the parity
-oracle.  ``timeout_s`` bounds the call and every rank's wait for a peer.
+place a real pipeline pays its staging latency; ``prefetch=True``
+overlaps that assembly with compute via
+:class:`~repro.parallel.prefetch.PrefetchLoader`.  ``timeout_s`` bounds
+the call and every rank's wait for a peer.
 """
 
 from __future__ import annotations
@@ -84,13 +74,10 @@ from .allreduce import (
     WIRE_DTYPES,
     BucketAllreduceHandle,
     BucketRankReducer,
-    RankReducer,
     WireScratch,
     chunk_bounds,
-    create_allreduce,
     create_bucketed_allreduce,
     plan_buckets,
-    reduce_ranks,
     reduce_ranks_bucketed,
     wire_itemsize,
 )
@@ -126,7 +113,7 @@ class DataParallelResult:
 
     @property
     def steps_per_s(self) -> float:
-        """Global train-step throughput (the bench acceptance metric)."""
+        """Global train-step throughput."""
         return self.steps / self.elapsed_s if self.elapsed_s > 0 else 0.0
 
     @property
@@ -151,11 +138,9 @@ class _TrainSpec:
     pre_step_hook: Optional[Callable[[int, int], None]]
     prefetch: bool
     n_samples: int
-    comm: str = "bucketed"
     wire_dtype: str = "float64"
     bucket_bytes: int = DEFAULT_BUCKET_BYTES
     overlap: bool = True
-    comm_stall_s_per_mib: float = 0.0
     drop_last: bool = True
     timeout_s: float = 600.0  # bounds every allreduce wait inside a rank
 
@@ -285,10 +270,21 @@ class _GradBucketScheduler:
 
     def stats(self, steps: int) -> Dict:
         wire = self._reducer.wire_dtype
-        return _comm_stats(
-            "bucketed", wire, self._overlap, steps, self.total_comm_s, self.exposed_wait_s,
-            self.comm_chain_s, self._reducer.world * self.plan.wire_bytes(wire),
-            self.plan.spans, self.bucket_comm_s)
+        chain_s = self.comm_chain_s
+        frac = 0.0 if chain_s <= 0 else min(1.0, max(0.0, 1.0 - self.exposed_wait_s / chain_s))
+        return {
+            "wire_dtype": wire,
+            "overlap": bool(self._overlap),
+            "n_buckets": self.plan.n_buckets,
+            "steps": int(steps),
+            "total_comm_s": float(self.total_comm_s),
+            "exposed_wait_s": float(self.exposed_wait_s),
+            "comm_chain_s": float(chain_s),
+            "overlap_fraction": float(frac),
+            "wire_bytes_per_step": int(self._reducer.world * self.plan.wire_bytes(wire)),
+            "bucket_spans": [[int(lo), int(hi)] for lo, hi in self.plan.spans],
+            "bucket_comm_s": [float(t) for t in self.bucket_comm_s],
+        }
 
     # -- internals --------------------------------------------------------
     def _bucket_down(self, b: int) -> None:
@@ -384,28 +380,8 @@ def _tail_grads(model, loss_fn, params, layout, x, y, perm, steps, spec,
         out_vec[:] = 0.0
 
 
-def _comm_stats(comm: str, wire: str, overlap: bool, steps: int, total_s: float,
-                exposed_s: float, chain_s: float, wire_bytes: int, spans, bucket_s) -> Dict:
-    """The ``comm_stats`` report, one shape for both engines."""
-    frac = 0.0 if chain_s <= 0 else min(1.0, max(0.0, 1.0 - exposed_s / chain_s))
-    return {
-        "comm": comm,
-        "wire_dtype": wire,
-        "overlap": bool(overlap),
-        "n_buckets": len(spans),
-        "steps": int(steps),
-        "total_comm_s": float(total_s),
-        "exposed_wait_s": float(exposed_s),
-        "comm_chain_s": float(chain_s),
-        "overlap_fraction": float(frac),
-        "wire_bytes_per_step": int(wire_bytes),
-        "bucket_spans": [[int(lo), int(hi)] for lo, hi in spans],
-        "bucket_comm_s": [float(t) for t in bucket_s],
-    }
-
-
 def _train_rank(model, x, y, spec: _TrainSpec, rank: int,
-                reducer) -> Tuple[List[float], List[float], Optional[Dict]]:
+                reducer: BucketRankReducer) -> Tuple[List[float], List[float], Dict]:
     """The per-rank training loop (process backend).
 
     Returns (epoch mean losses, epoch wall times, comm stats).  The
@@ -421,11 +397,7 @@ def _train_rank(model, x, y, spec: _TrainSpec, rank: int,
     micro = spec.batch_size // spec.world
     steps, tail = _epoch_steps(spec)
     inv_world = 1.0 / spec.world
-    sched = None
-    if spec.comm == "bucketed":
-        sched = _GradBucketScheduler(params, layout, reducer, overlap=spec.overlap)
-    mono_stall = spec.comm_stall_s_per_mib * total * 8 / 2**20
-    mono_comm_s = 0.0
+    sched = _GradBucketScheduler(params, layout, reducer, overlap=spec.overlap)
     step_no = 0
     epoch_losses: List[float] = []
     epoch_times: List[float] = []
@@ -441,12 +413,7 @@ def _train_rank(model, x, y, spec: _TrainSpec, rank: int,
         for xb, yb in batches:
             _grads_into(model, loss_fn, params, layout, xb, yb, buf,
                         sched=sched, step=step_no)
-            if sched is not None:
-                sched.wait_step()
-            elif reducer is not None:
-                tc = time.perf_counter()
-                reducer.allreduce(buf, stall_s=mono_stall)
-                mono_comm_s += time.perf_counter() - tc
+            sched.wait_step()
             buf *= inv_world
             _apply_combined(params, layout, buf, opt)
             loss_sum += buf[-1]
@@ -454,33 +421,22 @@ def _train_rank(model, x, y, spec: _TrainSpec, rank: int,
         if tail:
             _tail_grads(model, loss_fn, params, layout, x, y, perm, steps,
                         spec, rank, buf, spec.pre_step_hook)
-            if sched is not None:
-                sched.flush_inline(buf, step_no)
-            elif reducer is not None:
-                tc = time.perf_counter()
-                reducer.allreduce(buf, stall_s=mono_stall)
-                mono_comm_s += time.perf_counter() - tc
+            sched.flush_inline(buf, step_no)
             buf *= inv_world
             _apply_combined(params, layout, buf, opt)
             loss_sum += buf[-1]
             step_no += 1
         epoch_losses.append(loss_sum / max(steps + (1 if tail else 0), 1))
         epoch_times.append(time.perf_counter() - t0)
-    if sched is not None:
-        stats = sched.stats(step_no)
-    else:
-        # The baseline engine: one bucket, fully exposed.
-        stats = _comm_stats("monolithic", "float64", False, step_no, mono_comm_s, mono_comm_s,
-                            mono_comm_s, spec.world * total * 8, [(0, total)], [mono_comm_s])
-    return epoch_losses, epoch_times, stats
+    return epoch_losses, epoch_times, sched.stats(step_no)
 
 
 def _train_serial(model, x, y, spec: _TrainSpec) -> Tuple[List[float], List[float], Optional[Dict]]:
     """Single-process reference: same shards, same schedule, same codec.
 
-    With ``comm="bucketed"`` ranks combine through
-    :func:`reduce_ranks_bucketed` — the identical encode/decode and
-    ascending accumulation the process engine performs on the slabs.
+    Ranks combine through :func:`reduce_ranks_bucketed` — the identical
+    encode/decode and ascending accumulation the process engine
+    performs on the slabs.
     Gradients are packed after backward, not from the tape hook: the
     same floats, so parity with the process backend also checks that
     every hook saw a final gradient.
@@ -495,17 +451,13 @@ def _train_serial(model, x, y, spec: _TrainSpec) -> Tuple[List[float], List[floa
     micro = spec.batch_size // world
     steps, tail = _epoch_steps(spec)
     inv_world = 1.0 / world
-    spans = None
-    if spec.comm == "bucketed":
-        spans = plan_buckets([sz for _, sz, _ in layout], total, spec.bucket_bytes).spans
-        combined_buf = np.empty(total, dtype=np.float64)
-        scratch = WireScratch(world, spans, spec.wire_dtype)
+    spans = plan_buckets([sz for _, sz, _ in layout], total, spec.bucket_bytes).spans
+    combined_buf = np.empty(total, dtype=np.float64)
+    scratch = WireScratch(world, spans, spec.wire_dtype)
 
     def combine() -> np.ndarray:
-        if spans is not None:
-            return reduce_ranks_bucketed(list(rank_vecs), spans, spec.wire_dtype,
-                                         out=combined_buf, scratch=scratch)
-        return reduce_ranks(list(rank_vecs))
+        return reduce_ranks_bucketed(list(rank_vecs), spans, spec.wire_dtype,
+                                     out=combined_buf, scratch=scratch)
 
     epoch_losses: List[float] = []
     epoch_times: List[float] = []
@@ -540,7 +492,7 @@ def _train_serial(model, x, y, spec: _TrainSpec) -> Tuple[List[float], List[floa
 
 
 def _rank_main(rank: int, spec: _TrainSpec, x_ref: SharedArrayRef,
-               y_ref: Optional[SharedArrayRef], handle,
+               y_ref: Optional[SharedArrayRef], handle: BucketAllreduceHandle,
                result_q, env: Dict[str, str]) -> None:
     if env:
         os.environ.update(env)
@@ -550,11 +502,7 @@ def _rank_main(rank: int, spec: _TrainSpec, x_ref: SharedArrayRef,
         x_att = attach(x_ref)
         y_att = attach(y_ref) if y_ref is not None else None
         model = pickle.loads(spec.model_bytes)
-        if isinstance(handle, BucketAllreduceHandle):
-            reducer = BucketRankReducer(handle, rank, timeout_s=spec.timeout_s,
-                                        stall_s_per_mib=spec.comm_stall_s_per_mib)
-        else:
-            reducer = RankReducer(handle, rank)
+        reducer = BucketRankReducer(handle, rank, timeout_s=spec.timeout_s)
         losses, times, stats = _train_rank(
             model, x_att.array, None if y_att is None else y_att.array,
             spec, rank, reducer,
@@ -593,11 +541,9 @@ def fit_data_parallel(
     prefetch: bool = False,
     env: Optional[Dict[str, str]] = None,
     timeout_s: float = 600.0,
-    comm: str = "bucketed",
     wire_dtype: str = "float64",
     bucket_bytes: int = DEFAULT_BUCKET_BYTES,
     overlap: bool = True,
-    comm_stall_s_per_mib: float = 0.0,
     drop_last: Optional[bool] = None,
 ) -> DataParallelResult:
     """Train ``model`` data-parallel on ``world`` ranks; weights land in
@@ -619,15 +565,11 @@ def fit_data_parallel(
     allreduce association order is pinned), which is the testable
     definition of "the parallel path does not change the numerics".
 
-    ``comm``/``wire_dtype``/``bucket_bytes``/``overlap`` select the
-    gradient-communication engine (see the module docstring);
-    ``comm="monolithic"`` is the original single post-backward
-    allreduce and supports only the ``float64`` wire.
-    ``comm_stall_s_per_mib`` models transfer time per MiB of wire
-    traffic on the process backend (timing only — numerics are
-    unchanged, and the serial backend ignores it).  ``timeout_s`` bounds
-    the call; a rank that waits longer than that for a peer, or whose
-    parent is gone, raises instead of polling on.
+    ``wire_dtype``/``bucket_bytes``/``overlap`` shape the gradient
+    exchange (see the module docstring); a ``bucket_bytes`` at least
+    the gradient vector's size is a single whole-vector allreduce.
+    ``timeout_s`` bounds the call; a rank that waits longer than that
+    for a peer, or whose parent is gone, raises instead of polling on.
 
     ``optimizer_factory(params) -> Optimizer`` builds each rank's local
     optimizer (default: ``Adam(lr=lr)``); with ``start_method="spawn"``
@@ -638,13 +580,8 @@ def fit_data_parallel(
         raise ValueError("world must be >= 1")
     if backend not in ("process", "serial"):
         raise ValueError(f"unknown backend {backend!r}")
-    if comm not in ("bucketed", "monolithic"):
-        raise ValueError(f"unknown comm {comm!r}; choose 'bucketed' or 'monolithic'")
     if wire_dtype not in WIRE_DTYPES:
         raise ValueError(f"unknown wire dtype {wire_dtype!r}; choose from {WIRE_DTYPES}")
-    if comm == "monolithic" and wire_dtype != "float64":
-        raise ValueError("comm='monolithic' supports only the float64 wire; "
-                         "use comm='bucketed' for reduced-precision exchange")
     if batch_size % world != 0:
         raise ValueError(f"batch_size {batch_size} not divisible by world {world}")
     x = np.ascontiguousarray(x)
@@ -679,8 +616,7 @@ def fit_data_parallel(
         world=world, epochs=epochs, batch_size=batch_size, loss=loss, lr=lr,
         optimizer_factory=optimizer_factory, shuffle=shuffle,
         pre_step_hook=pre_step_hook, prefetch=prefetch, n_samples=n,
-        comm=comm, wire_dtype=wire_dtype, bucket_bytes=bucket_bytes,
-        overlap=overlap, comm_stall_s_per_mib=comm_stall_s_per_mib,
+        wire_dtype=wire_dtype, bucket_bytes=bucket_bytes, overlap=overlap,
         drop_last=drop_tail, timeout_s=timeout_s,
     )
 
@@ -690,7 +626,7 @@ def fit_data_parallel(
         span_id = rec.begin(
             "ddp_fit", kind="ddp.fit", world=world, backend=backend,
             epochs=epochs, steps_per_epoch=steps_per_epoch, batch_size=batch_size,
-            comm=comm, wire_dtype=wire_dtype, overlap=bool(overlap),
+            wire_dtype=wire_dtype, overlap=bool(overlap),
             data_bytes=x.nbytes + (0 if y_arr is None else y_arr.nbytes),
         )
 
@@ -739,11 +675,8 @@ def _run_processes(model, x, y, spec: _TrainSpec, layout, vec_len: int,
     with SharedArrayStore(prefix="repro_ddp") as store:
         x_ref = store.publish("x", x)
         y_ref = store.publish("y", y) if y is not None else None
-        if spec.comm == "bucketed":
-            plan = plan_buckets([sz for _, sz, _ in layout], vec_len, spec.bucket_bytes)
-            handle = create_bucketed_allreduce(store, spec.world, plan, spec.wire_dtype)
-        else:
-            handle = create_allreduce(store, ctx, spec.world, vec_len)
+        plan = plan_buckets([sz for _, sz, _ in layout], vec_len, spec.bucket_bytes)
+        handle = create_bucketed_allreduce(store, spec.world, plan, spec.wire_dtype)
         result_q = ctx.Queue()
         saved = {k: os.environ.get(k) for k in env}
         os.environ.update(env)

@@ -255,8 +255,13 @@ class ProcessWorkerPool:
             raise KeyError(f"no worker in slot {slot}")
         self._kill_reason.setdefault(slot, reason)
         proc = self._procs[slot]
-        proc.terminate()
-        proc.join(timeout=5.0)
+        # Every worker writes results under the queue's one write lock; a
+        # worker killed while holding it would wedge all the others (and
+        # its own replacement) in put() for good.  Holding the lock here
+        # means the victim is not inside that critical section.
+        with self._result_q._wlock:
+            proc.terminate()
+            proc.join(timeout=5.0)
 
     def _check_hung(self) -> None:
         """Terminate any worker that has sat on one task past the bound."""

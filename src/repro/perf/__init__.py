@@ -1,6 +1,6 @@
 """Op-level performance measurement for the NumPy training engine.
 
-Split in three pieces so nothing here ever imports :mod:`repro.nn` (the
+Split so that nothing here ever imports :mod:`repro.nn` (the
 nn ops import *us* to instrument themselves, and a cycle would deadlock
 module init):
 
@@ -8,8 +8,12 @@ module init):
   functional ops wrap themselves with at import time;
 * :mod:`repro.perf.profiler` — :class:`OpProfiler`, the user-facing sink
   collecting per-op wall time / call counts / bytes;
-* :mod:`repro.perf.bench` — the microbenchmark library behind
-  ``benchmarks/bench_kernels.py`` (imports nn lazily, inside functions).
+* :mod:`repro.perf.reference` — kernels frozen from the pre-optimization
+  engine, the independent oracle ``tests/test_perf.py`` checks the
+  optimized ops against.
+
+Timing the engine is the job of ``bench/`` (``python3 bench/run.py
+--workload train_mlp`` / ``train_cnn``), from outside the package.
 """
 
 from .hooks import instrument, get_sink, set_sink

@@ -3,13 +3,11 @@
 These are the engine's hot-path implementations as they stood before the
 kernel/memory pass (copying im2col in the (N, L_out, C*K) layout,
 ``np.pad``, batched matmul, broadcast bias adds, allocating optimizer
-updates).  They exist so ``benchmarks/bench_kernels.py`` can measure the
-optimized engine against a *recorded* baseline instead of a guess, and so
-the fused ops have an independent reference to be checked against.
+updates).  They exist so the optimized ops have an independent,
+*recorded* reference to be checked against (``tests/test_perf.py``).
 
-Everything here works on raw ``np.ndarray`` s — no tape — because the
-quantity being measured is kernel data movement, not autodiff overhead
-(the train-step benchmarks in :mod:`repro.perf.bench` cover the tape).
+Everything here works on raw ``np.ndarray`` s — no tape: the quantity
+being pinned is the kernel's arithmetic, not autodiff overhead.
 Do not "fix" or speed these up: their value is being frozen.
 """
 

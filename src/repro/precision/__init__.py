@@ -5,8 +5,8 @@ inference (claim C7 / experiment E1).
 The emulation half (:class:`PrecisionPolicy`, rounders) answers *"is this
 format numerically sufficient?"* on a float64 datapath; the autocast/int8
 half (:class:`FitPrecision`, :class:`Int8Plan`) makes the sufficient
-formats *faster* in measured wall-clock — see
-``benchmarks/bench_precision_e2e.py``.
+formats *faster* in measured wall-clock — see the ``precision.*``
+per-layer metrics of ``python3 bench/run.py --trace 1``.
 """
 
 from .autocast import TRAIN_FORMATS, FitPrecision, autocast, snap_bf16, snap_bf16_

@@ -20,10 +20,9 @@ with pluggable storage backends and a warm model cache:
   blobs (with lineage back to the producing campaign/trial), ``get``
   serves warm models bit-identically to ``Model.predict``.
 
-The serving layer (:mod:`repro.serve.registry`) delegates here;
-``benchmarks/bench_registry.py`` gates publish/load throughput and cache
-hit rate under a churn of thousands of published models with concurrent
-readers.
+The serving layer (:mod:`repro.serve.registry`) delegates here; the
+``registry_churn`` workload of ``bench/`` measures publish throughput
+beside a cold-loading reader and fails on a torn read.
 """
 
 from .artifact import (

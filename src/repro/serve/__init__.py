@@ -17,9 +17,7 @@ provides one, built from the library's own parts:
 * :class:`LatencyHistogram` / :class:`ServingStats` — tail-latency and
   request-accounting observability;
 * :func:`simulate_serving` / :func:`sweep_offered_load` — offered-load
-  experiments on the simulated clock (:class:`repro.hpc.events.EventLoop`);
-* :func:`repro.serve.bench.run_serving_bench` — the acceptance-gated
-  benchmark behind ``repro serve-bench`` / ``benchmarks/bench_serving.py``.
+  experiments on the simulated clock (:class:`repro.hpc.events.EventLoop`).
 
 The **distributed tier** scales this out to real processes and keeps it
 alive under failure:
@@ -34,9 +32,11 @@ alive under failure:
   bit-identical canary probes, recycle-under-traffic, autoscaling hook;
 * :class:`ChaosHarness` / :func:`run_chaos_replay`
   (:mod:`repro.serve.chaos`) — seeded kill/hang/slow/corrupt injection
-  with accounting + parity audits;
-* :func:`repro.serve.scale_bench.run_serving_scale_bench` — the gated
-  scale benchmark behind ``repro serve-scale-bench``.
+  with accounting + parity audits.
+
+Measured from outside by ``python3 bench/run.py --workload serve_b1``
+(in-process server, batch 1) and ``--workload serve_open`` (router over
+two replica processes, open-loop arrivals).
 """
 
 from .batcher import BatchPolicy, MicroBatcher, Request

@@ -116,10 +116,6 @@ def _replica_task(payload: Dict[str, Any]) -> np.ndarray:
         time.sleep(payload.get("slow_s", 0.1))
     if fault == "corrupt":
         _WEDGED = True
-    if payload.get("stall_s"):
-        # Models accelerator/service latency per batch (the scale bench's
-        # overlap target on small CI machines), not a fault.
-        time.sleep(payload["stall_s"])
     if "rows" in payload:
         xb = np.asarray(_DATA[payload.get("pool_key", "x_pool")][payload["rows"]])
     else:
@@ -285,7 +281,6 @@ class ReplicaGroup:
         x: Optional[np.ndarray] = None,
         rows: Optional[Sequence[int]] = None,
         fault: Optional[Dict[str, Any]] = None,
-        stall_s: float = 0.0,
     ) -> int:
         """Ship one batch to ``replica``; returns the pool task id.
 
@@ -295,8 +290,6 @@ class ReplicaGroup:
         if (x is None) == (rows is None):
             raise ValueError("pass exactly one of x or rows")
         payload: Dict[str, Any] = dict(fault or {})
-        if stall_s:
-            payload["stall_s"] = stall_s
         if x is not None:
             payload["x"] = np.asarray(x)
         else:
@@ -305,8 +298,8 @@ class ReplicaGroup:
 
     def wait_ready(self, timeout_s: float = 60.0) -> None:
         """Block until every replica has built its model and attached the
-        shared segments (benches call this so replica startup is not
-        billed to the first requests)."""
+        shared segments (so replica startup is not billed to the first
+        requests)."""
         self.pool.wait_ready(timeout_s=timeout_s)
 
     def poll(self, timeout: float = 0.0) -> Optional[TaskResult]:

@@ -1,10 +1,10 @@
 """Serving observability: latency histograms and request accounting.
 
 The serving layer's health is a tail-latency story — mean latency hides
-the queueing spikes that matter at high offered load — so the histogram
-keeps log-spaced buckets wide enough to cover microsecond kernel calls
-through multi-second overload stalls, and :class:`ServingStats` enforces
-the accounting invariant every request must satisfy:
+the queueing spikes that matter at high offered load — so latencies go
+into the log-bucket :class:`repro.obs.metrics.Histogram` (exported here
+as ``LatencyHistogram``), and :class:`ServingStats` enforces the
+accounting invariant every request must satisfy:
 
     submitted == completed + shed + timed_out + still_queued
 
@@ -15,72 +15,9 @@ exactly the bug class overload handling tends to breed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
-import numpy as np
-
-
-class LatencyHistogram:
-    """Log-spaced latency histogram with percentile estimation.
-
-    Buckets are powers of ``2**0.25`` from 1 microsecond up to ~1000
-    seconds (fixed at construction, allocation-free to observe).  Exact
-    min/max/sum are tracked alongside, so the mean is exact and the
-    percentiles are bucket-resolution estimates (within ~19% by
-    construction, far tighter than the order-of-magnitude swings they
-    exist to detect).
-    """
-
-    def __init__(self, min_latency: float = 1e-6, max_latency: float = 1e3) -> None:
-        if not 0 < min_latency < max_latency:
-            raise ValueError("need 0 < min_latency < max_latency")
-        n = int(np.ceil(4 * np.log2(max_latency / min_latency))) + 1
-        self.edges = min_latency * 2.0 ** (0.25 * np.arange(n + 1))
-        self.counts = np.zeros(n + 2, dtype=np.int64)  # +under/overflow
-        self.n = 0
-        self.sum = 0.0
-        self.min = np.inf
-        self.max = 0.0
-
-    def observe(self, latency: float) -> None:
-        if latency < 0:
-            raise ValueError("latency must be non-negative")
-        idx = int(np.searchsorted(self.edges, latency, side="right"))
-        self.counts[idx] += 1
-        self.n += 1
-        self.sum += latency
-        self.min = min(self.min, latency)
-        self.max = max(self.max, latency)
-
-    def percentile(self, q: float) -> float:
-        """Latency at quantile ``q`` in [0, 100] (upper bucket edge)."""
-        if not 0 <= q <= 100:
-            raise ValueError("q must be in [0, 100]")
-        if self.n == 0:
-            return 0.0
-        target = q / 100.0 * self.n
-        cum = np.cumsum(self.counts)
-        idx = int(np.searchsorted(cum, target, side="left"))
-        if idx == 0:
-            return float(min(self.edges[0], self.max))
-        if idx >= len(self.edges):
-            return float(self.max)
-        return float(min(self.edges[idx], self.max))
-
-    @property
-    def mean(self) -> float:
-        return self.sum / self.n if self.n else 0.0
-
-    def summary(self) -> Dict[str, float]:
-        return {
-            "count": self.n,
-            "mean_s": self.mean,
-            "min_s": self.min if self.n else 0.0,
-            "max_s": self.max,
-            "p50_s": self.percentile(50),
-            "p95_s": self.percentile(95),
-            "p99_s": self.percentile(99),
-        }
+from ..obs.metrics import Histogram as LatencyHistogram
 
 
 @dataclass

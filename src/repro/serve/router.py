@@ -151,7 +151,6 @@ class Router:
         breaker_cooldown_s: float = 1.0,
         clock: Optional[Callable[[], float]] = None,
         record_batches: bool = False,
-        stall_s: float = 0.0,
     ) -> None:
         if not groups:
             raise ValueError("need at least one replica group")
@@ -165,7 +164,6 @@ class Router:
         self.backoff_base_s = backoff_base_s
         self.clock = clock or time.perf_counter
         self.record_batches = record_batches
-        self.stall_s = stall_s
         self.stats = RouterStats()
         self.batch_log: List[Tuple[str, Tuple[int, ...]]] = []
         self.chaos = None       # duck-typed: .plan(first_request_id, slot) -> dict|None
@@ -342,10 +340,10 @@ class Router:
             fault = self.chaos.plan(batch.requests[0].request_id, slot)
         if batch.requests[0].row is not None:
             rows = [r.row for r in batch.requests]
-            task_id = group.submit(slot, rows=rows, fault=fault, stall_s=self.stall_s)
+            task_id = group.submit(slot, rows=rows, fault=fault)
         else:
             xb = np.stack([r.x for r in batch.requests], axis=0)
-            task_id = group.submit(slot, x=xb, fault=fault, stall_s=self.stall_s)
+            task_id = group.submit(slot, x=xb, fault=fault)
         batch.slot = slot
         batch.attempt += 1
         for r in batch.requests:

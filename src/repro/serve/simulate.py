@@ -73,7 +73,7 @@ def fit_service_time(model, input_shape: Sequence[int], batch_sizes=(1, 8, 32, 6
     return AffineServiceTime(base_s=base, per_sample_s=per_sample)
 
 
-#: The traffic shapes the scale bench replays (names are API).
+#: The traffic shapes :func:`traffic_arrivals` generates (names are API).
 TRAFFIC_MIXES = ("poisson", "bursty", "diurnal")
 
 

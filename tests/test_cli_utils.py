@@ -35,6 +35,14 @@ class TestCli:
         with pytest.raises(SystemExit):
             main([])
 
+    def test_removed_bench_subcommands_rejected(self):
+        # Measurement moved to bench/run.py; the package has no bench
+        # entry points left, so argparse refuses the old names.
+        for cmd in ("serve-bench", "serve-scale-bench", "registry-bench",
+                    "hpo-scale-bench", "ddp-overlap-bench"):
+            with pytest.raises(SystemExit):
+                main([cmd, "--smoke"])
+
 
 class TestFormatTable:
     def test_alignment_and_content(self):

@@ -1,9 +1,10 @@
 """Overlapped bucketed DDP: wire codecs, bucket planning, the
 grad-ready tape hook, and end-to-end engine parity.
 
-The contract under test is the one ``benchmarks/bench_ddp_overlap.py``
-gates at scale: every (backend, comm engine, wire dtype) combination
-must be **bit-identical** to its serial same-schedule reference —
+The contract under test is the one the ``ddp_mlp`` workload of
+``bench/`` re-checks inside every run: every (backend, bucket count,
+wire dtype) combination must be **bit-identical** to its serial
+same-schedule reference —
 overlap is purely a scheduling change, the wire codec is a pinned
 float sequence, and the ragged-tail handling is explicit rather than
 silent.
@@ -43,6 +44,7 @@ from repro.parallel import (
 )
 
 WIRE_DTYPES = ("float64", "float32", "bf16")
+ONE_BUCKET = 1 << 30  # bucket_bytes >= any test vector: one whole-vector bucket
 
 
 def make_regression(n=96, d=6, seed=0):
@@ -293,7 +295,7 @@ class TestBucketedEngineParity:
         x, y = make_regression()
         m_proc, m_ser = make_net(), make_net()
         kwargs = dict(world=2, epochs=2, batch_size=16, seed=4,
-                      comm="bucketed", wire_dtype=wd, bucket_bytes=256)
+                      wire_dtype=wd, bucket_bytes=256)
         r_proc = fit_data_parallel(m_proc, x, y, backend="process", **kwargs)
         r_ser = fit_data_parallel(m_ser, x, y, backend="serial", **kwargs)
         assert weights_diff(m_proc, m_ser) == 0.0
@@ -303,23 +305,32 @@ class TestBucketedEngineParity:
         x, y = make_regression()
         m_on, m_off = make_net(), make_net()
         common = dict(world=2, epochs=2, batch_size=16, seed=4,
-                      backend="process", comm="bucketed", bucket_bytes=256)
+                      backend="process", bucket_bytes=256)
         fit_data_parallel(m_on, x, y, overlap=True, **common)
         fit_data_parallel(m_off, x, y, overlap=False, **common)
         assert weights_diff(m_on, m_off) == 0.0
 
-    def test_bucketed_f64_matches_monolithic(self):
-        # On the f64 wire the codec is the identity and the bucketed
-        # accumulation is span-by-span in the same ascending rank order,
-        # so the engines agree bit-for-bit.
+    def test_one_bucket_matches_many_buckets_and_serial(self):
+        # On the f64 wire the codec is the identity and accumulation is
+        # span-by-span in the same ascending rank order, so how the
+        # vector is cut changes no bit: a single whole-vector bucket
+        # (bucket_bytes >= vector), many small buckets and the serial
+        # backend all agree.
         x, y = make_regression()
-        m_b, m_m = make_net(), make_net()
-        common = dict(world=2, epochs=2, batch_size=16, seed=4,
-                      backend="serial")
-        fit_data_parallel(m_b, x, y, comm="bucketed", bucket_bytes=256,
-                          **common)
-        fit_data_parallel(m_m, x, y, comm="monolithic", **common)
-        assert weights_diff(m_b, m_m) == 0.0
+        common = dict(world=2, epochs=2, batch_size=16, seed=4)
+        runs = {}
+        for backend in ("process", "serial"):
+            for bucket_bytes in (ONE_BUCKET, 256):
+                m = make_net()
+                res = fit_data_parallel(m, x, y, backend=backend,
+                                        bucket_bytes=bucket_bytes, **common)
+                runs[backend, bucket_bytes] = (m, res)
+        assert runs["process", ONE_BUCKET][1].comm_stats["n_buckets"] == 1
+        assert runs["process", 256][1].comm_stats["n_buckets"] > 1
+        ref, ref_res = runs["serial", 256]
+        for m, res in runs.values():
+            assert weights_diff(m, ref) == 0.0
+            assert res.epoch_losses == ref_res.epoch_losses
 
     def test_serial_reference_replays_process_run(self):
         # reduce_ranks_bucketed is the spec: hand it per-rank grads and
@@ -339,31 +350,25 @@ class TestBucketedEngineParity:
                 accumulate_rows(rows, wd, want[lo:hi])
             assert np.array_equal(got, want)
 
-    def test_monolithic_requires_f64_wire(self):
-        x, y = make_regression()
-        with pytest.raises(ValueError, match="monolithic"):
-            fit_data_parallel(make_net(), x, y, world=2, epochs=1,
-                              batch_size=16, backend="serial",
-                              comm="monolithic", wire_dtype="float32")
-
     def test_bad_comm_and_wire_dtype_rejected(self):
         x, y = make_regression()
-        with pytest.raises(ValueError):
+        # The engine selector is gone, with no shim: a stale caller
+        # gets Python's own TypeError.
+        with pytest.raises(TypeError):
             fit_data_parallel(make_net(), x, y, world=2, epochs=1,
                               batch_size=16, backend="serial", comm="nccl")
         with pytest.raises(ValueError):
             fit_data_parallel(make_net(), x, y, world=2, epochs=1,
                               batch_size=16, backend="serial",
-                              comm="bucketed", wire_dtype="float16")
+                              wire_dtype="float16")
 
     def test_comm_stats_report(self):
         x, y = make_regression()
         m = make_net()
         res = fit_data_parallel(m, x, y, world=2, epochs=1, batch_size=16,
-                                backend="process", seed=4, comm="bucketed",
+                                backend="process", seed=4,
                                 bucket_bytes=256, wire_dtype="float32")
         stats = res.comm_stats
-        assert stats["comm"] == "bucketed"
         assert stats["wire_dtype"] == "float32"
         assert stats["n_buckets"] == len(stats["bucket_spans"])
         n = stats["bucket_spans"][0][1]  # bucket 0 covers the tail
@@ -403,7 +408,7 @@ class TestOneSidedProtocol:
         batch = 4 * world
         x, y = make_regression(n=5 * batch + 5)
         kwargs = dict(world=world, epochs=2, batch_size=batch, seed=4, drop_last=False,
-                      comm="bucketed", wire_dtype=wd, bucket_bytes=256, overlap=overlap)
+                      wire_dtype=wd, bucket_bytes=256, overlap=overlap)
         m_proc, m_ser = make_net(), make_net()
         r_proc = fit_data_parallel(m_proc, x, y, backend="process", start_method="fork",
                                    pre_step_hook=_skew_hook(seed), **kwargs)
@@ -531,20 +536,23 @@ class TestRaggedTail:
         x, y = make_regression(n=100)
         m_proc, m_ser = make_net(), make_net()
         kwargs = dict(world=2, epochs=2, batch_size=16, seed=4,
-                      drop_last=False, comm="bucketed", bucket_bytes=256)
+                      drop_last=False, bucket_bytes=256)
         r_proc = fit_data_parallel(m_proc, x, y, backend="process", **kwargs)
         r_ser = fit_data_parallel(m_ser, x, y, backend="serial", **kwargs)
         assert weights_diff(m_proc, m_ser) == 0.0
         assert r_proc.epoch_losses == r_ser.epoch_losses
 
-    def test_keep_tail_monolithic_parity(self):
+    def test_keep_tail_one_bucket_parity(self):
+        # The ragged-tail step through a single whole-vector bucket:
+        # process == serial == the many-bucket serial run.
         x, y = make_regression(n=100)
-        m_proc, m_ser = make_net(), make_net()
-        kwargs = dict(world=2, epochs=1, batch_size=16, seed=4,
-                      drop_last=False, comm="monolithic")
-        fit_data_parallel(m_proc, x, y, backend="process", **kwargs)
-        fit_data_parallel(m_ser, x, y, backend="serial", **kwargs)
+        m_proc, m_ser, m_many = make_net(), make_net(), make_net()
+        kwargs = dict(world=2, epochs=1, batch_size=16, seed=4, drop_last=False)
+        fit_data_parallel(m_proc, x, y, backend="process", bucket_bytes=ONE_BUCKET, **kwargs)
+        fit_data_parallel(m_ser, x, y, backend="serial", bucket_bytes=ONE_BUCKET, **kwargs)
+        fit_data_parallel(m_many, x, y, backend="serial", bucket_bytes=256, **kwargs)
         assert weights_diff(m_proc, m_ser) == 0.0
+        assert weights_diff(m_proc, m_many) == 0.0
 
     def test_no_warning_when_divisible(self):
         x, y = make_regression(n=96)
@@ -564,7 +572,7 @@ class TestOverlapObs:
         with rec:
             fit_data_parallel(make_net(), x, y, world=2, epochs=1,
                               batch_size=16, backend="process", seed=4,
-                              comm="bucketed", bucket_bytes=256)
+                              bucket_bytes=256)
         names = {r["name"] for r in rec.metrics.snapshot()}
         assert "ddp.overlap_fraction" in names
         assert rec.spans(kind="ddp.bucket"), "per-bucket spans must be recorded"

@@ -382,9 +382,12 @@ class TestFusedSoftmaxCrossEntropy:
         onehot = np.eye(5)[labels]
         for target in (labels, onehot):
             zf = Tensor(z.copy(), requires_grad=True)
-            F.softmax_cross_entropy(zf, target).backward()
+            fused = F.softmax_cross_entropy(zf, target)
+            fused.backward()
             zu = Tensor(z.copy(), requires_grad=True)
-            cross_entropy_unfused(zu, target).backward()
+            unfused = cross_entropy_unfused(zu, target)
+            unfused.backward()
+            assert fused.item() == pytest.approx(unfused.item(), abs=1e-6)
             np.testing.assert_allclose(zf.grad, zu.grad, atol=1e-6)
 
     def test_extreme_logits_stable(self):

@@ -31,7 +31,10 @@ from repro.hpo import (
     KillPlan,
     RandomSearch,
     SearchSpace,
+    SuccessiveHalving,
+    SurrogateLandscape,
     WorkerPlan,
+    candle_mlp_space,
     run_elastic,
     run_parallel,
 )
@@ -427,6 +430,22 @@ class TestElasticRuntime:
         log = run_parallel(RandomSearch(small_space(), seed=8), objective,
                            15, 4, budget_cost, queue=tmp_path / "rp.db")
         assert len(log) == 15
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_asha_reaches_target_no_later_than_sync_halving(self, tmp_path, seed):
+        # Cost = budget on the simulated clock, so the comparison is about
+        # rung barriers, not luck, and is exact for a seed.  The target is
+        # one both runs provably reach: the worse of the two final bests.
+        space = candle_mlp_space()
+        surrogate = SurrogateLandscape(space, seed=seed)
+        logs = [
+            run_parallel(cls(space, seed=seed, min_budget=1, max_budget=27),
+                         surrogate, 150, 8, budget_cost,
+                         queue=tmp_path / f"{cls.__name__}.db")
+            for cls in (ASHA, SuccessiveHalving)
+        ]
+        target = max(log.best_value() for log in logs)
+        assert logs[0].time_to_value(target) <= logs[1].time_to_value(target)
 
     def test_run_parallel_queue_rejects_sync(self, tmp_path):
         with pytest.raises(ValueError):

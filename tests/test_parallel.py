@@ -27,15 +27,16 @@ from repro.parallel import (
     DEFAULT_WORKER_ENV,
     ParallelTrialExecutor,
     PrefetchLoader,
+    BucketRankReducer,
     ProcessWorkerPool,
-    RankReducer,
     SharedArrayStore,
     attach,
     bind_worker_data,
     chunk_bounds,
-    create_allreduce,
+    create_bucketed_allreduce,
     echo_task,
     fit_data_parallel,
+    plan_buckets,
     reduce_ranks,
     worker_data,
 )
@@ -326,13 +327,14 @@ class TestAllreduce:
 
     @pytest.mark.parametrize("world", [2, 3])
     def test_process_allreduce_bitwise_matches_serial(self, world):
-        n = 37
+        # Two parameters of 18 floats + the loss slot, one bucket each.
+        plan = plan_buckets([18, 18], total=37, bucket_bytes=8)
         rng = np.random.default_rng(7)
-        vecs = [rng.standard_normal(n) for _ in range(world)]
+        vecs = [rng.standard_normal(plan.n) for _ in range(world)]
         expect = reduce_ranks(vecs)
         ctx = mp.get_context()
         with SharedArrayStore(prefix="repro_test") as store:
-            handle = create_allreduce(store, ctx, world, n)
+            handle = create_bucketed_allreduce(store, world, plan)
             out_q = ctx.Queue()
             procs = [
                 ctx.Process(target=_allreduce_rank, args=(handle, r, vecs[r], out_q))
@@ -343,33 +345,40 @@ class TestAllreduce:
             outs = dict(out_q.get(timeout=60.0) for _ in range(world))
             for p in procs:
                 p.join(timeout=10.0)
+        assert plan.n_buckets == 2
         for r in range(world):
             assert np.array_equal(outs[r], expect), f"rank {r} diverged"
 
     def test_world_one_is_noop(self):
-        ctx = mp.get_context()
         with SharedArrayStore(prefix="repro_test") as store:
-            handle = create_allreduce(store, ctx, 1, 5)
-            red = RankReducer(handle, 0)
+            handle = create_bucketed_allreduce(store, 1, plan_buckets([4], total=5))
+            red = BucketRankReducer(handle, 0)
             v = np.arange(5.0)
-            red.allreduce(v)
+            _allreduce(red, v)
             assert np.array_equal(v, np.arange(5.0))
-            with pytest.raises(ValueError):
-                red.allreduce(np.zeros(4))
             red.close()
 
     def test_bad_rank_rejected(self):
-        ctx = mp.get_context()
         with SharedArrayStore(prefix="repro_test") as store:
-            handle = create_allreduce(store, ctx, 2, 5)
+            handle = create_bucketed_allreduce(store, 2, plan_buckets([4], total=5))
             with pytest.raises(ValueError):
-                RankReducer(handle, 2)
+                BucketRankReducer(handle, 2)
+
+
+def _allreduce(red, vec, step=0):
+    """Sum ``vec`` across the reducer's ranks, in place: publish every
+    bucket, then wait for and collect each."""
+    for b in range(red.plan.n_buckets):
+        red.publish(b, vec, step)
+    for b in range(red.plan.n_buckets):
+        red.wait(b, step)
+        red.collect(b, vec, step)
 
 
 def _allreduce_rank(handle, rank, vec, out_q):
-    red = RankReducer(handle, rank)
+    red = BucketRankReducer(handle, rank, timeout_s=60.0)
     v = vec.copy()
-    red.allreduce(v)
+    _allreduce(red, v)
     out_q.put((rank, v))
     red.close()
 

@@ -173,6 +173,23 @@ class TestFitPrecision:
                 [p.data.ravel() for p in model.parameters()])
         assert np.max(np.abs(weights["fp32"] - weights["bf16"])) > 0.0
 
+    @pytest.mark.parametrize("fmt", ["fp32", "bf16", "fp16"])
+    def test_loss_trajectory_tracks_fp64(self, fmt):
+        # Narrow formats change rounding, not learning: on P1B2 every
+        # epoch loss stays within 10% (of the first fp64 loss) of the
+        # fp64 run's.
+        from repro.candle import get_benchmark
+
+        bm = get_benchmark("p1b2")
+        x, y = bm.make_data(seed=0)
+        losses = {}
+        for precision in (None, fmt):
+            hist = bm.build_model().fit(x[:160], y[:160], epochs=2, batch_size=32,
+                                        loss=bm.loss, lr=1e-3, seed=0, precision=precision)
+            losses[precision] = np.asarray(hist.series("loss"), dtype=np.float64)
+        dev = np.max(np.abs(losses[fmt] - losses[None])) / abs(losses[None][0])
+        assert dev <= 0.1
+
 
 # ----------------------------------------------------------------------
 # int8 kernels
@@ -323,6 +340,26 @@ class TestServingPrecision:
         for i, req in enumerate(reqs):
             assert req.status == "completed"
             np.testing.assert_array_equal(req.result, direct[i])
+
+    def test_int8_auc_within_one_percent_of_fp32(self):
+        # Calibrated int8 may cost at most 1% mean one-vs-rest AUC on
+        # held-out rows against the fp32 model it was quantized from.
+        from repro.candle import get_benchmark
+        from repro.nn.metrics import roc_auc
+
+        model, _ = self._served_model()  # trained and calibrated on rows 0..159
+        x, y = get_benchmark("p1b2").make_data(seed=0)
+        x_te, y_te = x[160:360].astype(np.float32), y[160:360]
+
+        def mean_ovr_auc(logits):
+            return np.mean([roc_auc(logits[:, c], y_te == c)
+                            for c in range(logits.shape[1])
+                            if 0 < (y_te == c).sum() < len(y_te)])
+
+        fp32 = mean_ovr_auc(model.predict(x_te, precision="fp32"))
+        int8 = mean_ovr_auc(model.predict(x_te, precision="int8"))
+        assert fp32 > 0.9
+        assert fp32 - int8 < 0.01
 
     def test_server_validates_precision_eagerly(self):
         model, _ = self._served_model()

@@ -78,7 +78,7 @@ class FakeGroup:
         self._next = 0
         self.dispatched = []  # (slot, n_requests)
 
-    def submit(self, replica, x=None, rows=None, fault=None, stall_s=0.0):
+    def submit(self, replica, x=None, rows=None, fault=None):
         task_id = self._next
         self._next += 1
         xb = self._x_pool[np.asarray(rows)] if rows is not None else np.asarray(x)
