@@ -27,12 +27,15 @@ from ..nn.layers import (
     AvgPool1D,
     BatchNorm,
     Conv1D,
+    Conv2D,
     Dense,
     Dropout,
     Embedding,
     Flatten,
+    GlobalAvgPool2D,
     LayerNorm,
     MaxPool1D,
+    MaxPool2D,
 )
 from ..nn.model import Model
 from .hardware import DTYPE_BYTES, AcceleratorSpec, NodeSpec
@@ -159,6 +162,11 @@ def _layer_cost(layer, in_shape: Tuple[int, ...], out_shape: Tuple[int, ...], b:
         c_in = in_shape[0]
         flops_fwd = 2.0 * b * c_out * l_out * c_in * layer.kernel_size
         flops_bwd = 2.0 * flops_fwd
+    elif isinstance(layer, Conv2D):
+        c_out, h_out, w_out = out_shape
+        c_in = in_shape[0]
+        flops_fwd = 2.0 * b * c_out * h_out * w_out * c_in * layer.kernel_size ** 2
+        flops_bwd = 2.0 * flops_fwd  # dX and dW GEMMs
     elif isinstance(layer, Embedding):
         flops_fwd = float(out_elems)  # gather
         flops_bwd = float(out_elems)
@@ -168,9 +176,12 @@ def _layer_cost(layer, in_shape: Tuple[int, ...], out_shape: Tuple[int, ...], b:
     elif isinstance(layer, (Activation, Dropout)):
         flops_fwd = float(out_elems)
         flops_bwd = float(out_elems)
-    elif isinstance(layer, (MaxPool1D, AvgPool1D)):
+    elif isinstance(layer, (MaxPool1D, AvgPool1D, MaxPool2D)):
         flops_fwd = float(b * int(np.prod(in_shape)))
         flops_bwd = float(out_elems)
+    elif isinstance(layer, GlobalAvgPool2D):
+        flops_fwd = float(b * int(np.prod(in_shape)))  # one add per input
+        flops_bwd = flops_fwd  # one scaled copy per input
     elif isinstance(layer, Flatten):
         flops_fwd = 0.0
         flops_bwd = 0.0

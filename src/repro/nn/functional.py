@@ -11,9 +11,12 @@ Hot-path conventions (see ``repro.perf`` for the measurement side):
   runs are contiguous in the source image, then feeds one GEMM; the column
   buffer is cached in the closure and reused by backward for the weight
   gradient.
-* conv/pool backward scatter through strided slice ``+=`` (index sets from
-  a uniform stride never collide), never ``np.add.at``, except for
-  overlapping pooling windows where collisions are real.
+* conv/pool backward scatter through strided slice assignment or ``+=``
+  (index sets from a uniform stride never collide), never ``np.add.at``;
+  max pooling is tap-wise in both directions (see ``_maxpool``).
+* a backward closure returns ``None`` for a parent that does not require
+  grad instead of computing its gradient (the data batch under the first
+  layer): ``Tensor.backward`` discards those slots anyway.
 * ``conv1d``/``conv2d``/``linear_act`` optionally fuse a relu/tanh
   epilogue into the same tape node, applied in place on the GEMM output.
 """
@@ -26,20 +29,22 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import amp as _amp
-from .tensor import Tensor, unbroadcast
+from .tensor import Tensor, is_grad_enabled, unbroadcast
 
 
 # Activation epilogues fusable into conv / linear nodes.  Each entry maps
 # name -> (in-place forward on the pre-activation buffer,
-#          in-place-safe backward factor from the *post*-activation output).
+#          derivative from the *post*-activation output; backward
+#          multiplies the incoming gradient by it, in whatever layout the
+#          node keeps that output).
 _FUSED_ACTS = {
     "relu": (
         lambda buf: np.maximum(buf, 0.0, out=buf),
-        lambda out, g: g * (out > 0),
+        lambda out: out > 0,
     ),
     "tanh": (
         lambda buf: np.tanh(buf, out=buf),
-        lambda out, g: g * (1.0 - out * out),
+        lambda out: 1.0 - out * out,
     ),
 }
 
@@ -324,8 +329,8 @@ def linear_act(
 
     def backward(g: np.ndarray):
         if act is not None:
-            g = act[1](out, g)
-        grad_x = g @ wd.T
+            g = g * act[1](out)
+        grad_x = g @ wd.T if x.requires_grad else None
         grad_w = xd.T @ g
         if bias is None:
             return (grad_x, grad_w, None)
@@ -358,8 +363,8 @@ def _linear_act_amp(x: Tensor, weight: Tensor, bias, act, ac) -> Tensor:
     def backward(g: np.ndarray):
         g = ac.to_compute(g)
         if act is not None:
-            g = act[1](ac.to_compute(out), g)
-        grad_x = ac.snap_out(g @ wd.T)
+            g = g * act[1](ac.to_compute(out))
+        grad_x = ac.snap_out(g @ wd.T) if x.requires_grad else None
         grad_w = xd.T @ g  # fp32 — applied to fp32 master weights
         if bias is None:
             return (grad_x, grad_w, None)
@@ -539,9 +544,12 @@ def conv1d(
         if ac is not None:
             g = ac.to_compute(g)
         if act is not None:
-            g = act[1](out if ac is None else ac.to_compute(out), g)
+            g = g * act[1](out if ac is None else ac.to_compute(out))
         g2d = g.transpose(1, 0, 2).reshape(c_out, n * l_out)  # copy once
         grad_w = (g2d @ cols.T).reshape(c_out, c_in, k)
+        grad_b = g.sum(axis=(0, 2)) if bias is not None else None
+        if not x.requires_grad:
+            return (None, grad_w, grad_b)
         grad_cols = (w2.T @ g2d).reshape(c_in, k, n, l_out)
         grad_x_pad = np.zeros((n, c_in, length), dtype=g.dtype)
         # One strided slice += per kernel tap: within a tap the target
@@ -550,7 +558,6 @@ def conv1d(
         for kk in range(k):
             grad_x_pad[:, :, kk : kk + span : stride] += grad_cols[:, kk].transpose(1, 0, 2)
         grad_x = grad_x_pad[:, :, padding : length - padding] if padding > 0 else grad_x_pad
-        grad_b = g.sum(axis=(0, 2)) if bias is not None else None
         if ac is not None:
             grad_x = ac.snap(grad_x)  # activation grads narrow; w/b stay fp32
         return (grad_x.reshape(x_shape), grad_w, grad_b)
@@ -560,39 +567,73 @@ def conv1d(
     return Tensor(out, requires_grad=req, parents=parents, backward_fn=backward)
 
 
-def maxpool1d(x: Tensor, pool: int, stride: Optional[int] = None) -> Tensor:
-    """Max pooling over the last axis of (N, C, L)."""
+def _window_taps(xd: np.ndarray, pool: int, stride: int, spatial_axes: int) -> list:
+    """The ``pool ** spatial_axes`` strided slices of ``xd`` (views) that
+    hold, for every pooling window at once, the element at one window
+    offset — in window (row-major) order, so tap ``t`` of a 2-D window is
+    offset ``divmod(t, pool)``."""
+    taps = [xd]
+    for ax in range(xd.ndim - spatial_axes, xd.ndim):
+        span = (xd.shape[ax] - pool) // stride * stride + 1
+        lead = (slice(None),) * ax
+        taps = [t[lead + (slice(k, k + span, stride),)] for t in taps for k in range(pool)]
+    return taps
+
+
+def _maxpool(x: Tensor, pool: int, stride: Optional[int], spatial_axes: int) -> Tensor:
+    """Tap-wise max pooling over the trailing ``spatial_axes`` axes: the
+    taps are folded with ``np.maximum`` into one contiguous output — no
+    window tensor.  NaN in a window propagates to its output (which of
+    that window's inputs then receives its gradient is not pinned).
+
+    The winning tap of each output is tracked only when a tape node will
+    be recorded.  A tap wins only by strictly raising the running
+    maximum, so ties keep the first maximum in window order (post-ReLU
+    zeros tie all the time).  All of it is branch-free array arithmetic:
+    the masks are close to random, so ``np.where`` / ``np.putmask`` would
+    mispredict on every other element.
+    """
     stride = stride or pool
     xd = x.data
-    n, c, length = xd.shape
-    l_out = (length - pool) // stride + 1
-    s_n, s_c, s_l = xd.strides
-    windows = np.lib.stride_tricks.as_strided(
-        xd,
-        shape=(n, c, l_out, pool),
-        strides=(s_n, s_c, s_l * stride, s_l),
-        writeable=False,
-    )
-    out = windows.max(axis=3)
-    arg = windows.argmax(axis=3)  # (N, C, L_out)
+    taps = _window_taps(xd, pool, stride, spatial_axes)
+    out = np.array(taps[0], order="C")
+    nxt = np.empty_like(out)
+    record = x.requires_grad and is_grad_enabled()
+    if record:
+        winner = np.zeros(out.shape, dtype=np.min_scalar_type(len(taps)))
+        raised = np.empty(out.shape, dtype=bool)
+    for t in range(1, len(taps)):
+        np.maximum(out, taps[t], out=nxt)
+        if record:
+            np.not_equal(nxt, out, out=raised)
+            # t exceeds every index stored so far: max() overwrites.
+            np.maximum(winner, np.multiply(raised, t, dtype=winner.dtype), out=winner)
+        out, nxt = nxt, out
 
     def backward(g: np.ndarray):
-        # np.zeros (not zeros_like): xd may be a non-contiguous view from
-        # an upstream op, and the flat scatter below needs the reshape to
-        # be a view, which only a C-contiguous buffer guarantees.
         grad = np.zeros(xd.shape, dtype=xd.dtype)
-        pos = arg + np.arange(l_out)[None, None, :] * stride  # absolute index into L
-        g2 = grad.reshape(n * c, length)
-        rows = np.arange(n * c)[:, None]
-        if stride >= pool:
-            # Disjoint windows: every (row, pos) target is unique, so a
-            # plain fancy-index assignment works — no np.add.at scatter.
-            g2[rows, pos.reshape(n * c, l_out)] = g.reshape(n * c, l_out)
-        else:
-            np.add.at(g2, (rows, pos.reshape(n * c, l_out)), g.reshape(n * c, l_out))
+        grad_taps = _window_taps(grad, pool, stride, spatial_axes)
+        g_bits = g.view(f"i{g.itemsize}")
+        # Descending tap order visits the windows that share an input
+        # position in ascending window order — the order a scatter-add
+        # over the outputs accumulates in.
+        for t in range(len(grad_taps) - 1, -1, -1):
+            # Integer multiply by the 0/1 mask is an exact select: the
+            # winner keeps g's bits (-0.0 included), the rest are +0.0.
+            routed = np.multiply(g_bits, winner == t).view(g.dtype)
+            if stride >= pool:
+                # Disjoint windows: each position has one window, assign.
+                grad_taps[t][...] = routed
+            else:
+                grad_taps[t] += routed
         return (grad,)
 
     return x._unary_out(out, backward)
+
+
+def maxpool1d(x: Tensor, pool: int, stride: Optional[int] = None) -> Tensor:
+    """Max pooling over the last axis of (N, C, L)."""
+    return _maxpool(x, pool, stride, 1)
 
 
 def avgpool1d(x: Tensor, pool: int, stride: Optional[int] = None) -> Tensor:
@@ -644,6 +685,11 @@ def batch_norm(
     Running stats are updated in place when training.
     """
     xd = x.data
+    # Shape that broadcasts per-feature vectors against x.
+    bshape = [1] * xd.ndim
+    for a in range(xd.ndim):
+        if a not in axis:
+            bshape[a] = xd.shape[a]
     if training:
         mean = xd.mean(axis=axis, keepdims=True)
         var = xd.var(axis=axis, keepdims=True)
@@ -652,25 +698,12 @@ def batch_norm(
         running_var *= 1.0 - momentum
         running_var += momentum * var.squeeze()
     else:
-        shape = [1] * xd.ndim
-        feat_axes = [i for i in range(xd.ndim) if i not in axis]
-        for i, a in enumerate(feat_axes):
-            shape[a] = -1 if i == 0 else shape[a]
-        # Reshape running stats to broadcast against x.
-        bshape = [1] * xd.ndim
-        for a in range(xd.ndim):
-            if a not in axis:
-                bshape[a] = xd.shape[a]
         mean = running_mean.reshape(bshape)
         var = running_var.reshape(bshape)
 
     inv_std = 1.0 / np.sqrt(var + eps)
     x_hat = (xd - mean) * inv_std
 
-    bshape = [1] * xd.ndim
-    for a in range(xd.ndim):
-        if a not in axis:
-            bshape[a] = xd.shape[a]
     gamma_b = gamma.data.reshape(bshape)
     out = x_hat * gamma_b + beta.data.reshape(bshape)
 
@@ -681,6 +714,8 @@ def batch_norm(
     def backward(g: np.ndarray):
         grad_beta = g.sum(axis=axis).reshape(beta.shape)
         grad_gamma = (g * x_hat).sum(axis=axis).reshape(gamma.shape)
+        if not x.requires_grad:
+            return (None, grad_gamma, grad_beta)
         if training:
             gxh = g * gamma_b
             grad_x = (
@@ -709,6 +744,8 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     def backward(g: np.ndarray):
         grad_beta = unbroadcast(g, beta.shape)
         grad_gamma = unbroadcast(g * x_hat, gamma.shape)
+        if not x.requires_grad:
+            return (None, grad_gamma, grad_beta)
         gxh = g * gamma.data
         grad_x = (
             inv_std
@@ -782,12 +819,30 @@ def conv2d(
     def backward(g: np.ndarray):
         if ac is not None:
             g = ac.to_compute(g)
-        if act is not None:
-            g = act[1](out if ac is None else ac.to_compute(out), g)
-        g2d = g.transpose(1, 0, 2, 3).reshape(c_out, n * h_out * w_out)  # copy once
+        g_cn = g.transpose(1, 0, 2, 3)  # (C_out, N, H_out, W_out) view
+        if act is None:
+            g2d = g_cn.reshape(out2d.shape)  # copy once
+            grad_b = g.sum(axis=(0, 2, 3)) if bias is not None else None
+        else:
+            # The activation derivative is taken from out2d where it lies
+            # and multiplied in during the one transposing copy, so g2d
+            # lands in the (C_out, N*H_out*W_out) GEMM layout directly.
+            slope = act[1](out2d if ac is None else ac.to_compute(out2d))
+            g2d = np.empty(out2d.shape, dtype=np.result_type(g, slope))
+            np.multiply(g_cn, slope.reshape(g_cn.shape), out=g2d.reshape(g_cn.shape))
+            # Per-image sums added up in image order: how summing the
+            # N-major product over (0, 2, 3) associates (with one channel
+            # its images are adjacent and sum as a single run).
+            runs = n if c_out > 1 else 1
+            grad_b = (
+                g2d.reshape(c_out, runs, -1).sum(axis=2).cumsum(axis=1)[:, -1]
+                if bias is not None else None
+            )
         grad_w = (g2d @ cols.T).reshape(c_out, c_in, kh, kw)
+        if not x.requires_grad:
+            return (None, grad_w, grad_b)
         grad_cols = (w2.T @ g2d).reshape(c_in, kh, kw, n, h_out, w_out)
-        grad_x_pad = np.zeros((n, c_in, h, w), dtype=g.dtype)
+        grad_x_pad = np.zeros((n, c_in, h, w), dtype=g2d.dtype)
         # One strided slice += per kernel tap; stride-uniform targets
         # within a tap never collide, so no np.add.at scatter.
         h_span = (h_out - 1) * stride + 1
@@ -801,7 +856,6 @@ def conv2d(
             grad_x = grad_x_pad[:, :, padding : h - padding, padding : w - padding]
         else:
             grad_x = grad_x_pad
-        grad_b = g.sum(axis=(0, 2, 3)) if bias is not None else None
         if ac is not None:
             grad_x = ac.snap(grad_x)  # activation grads narrow; w/b stay fp32
         return (grad_x.reshape(x_shape), grad_w, grad_b)
@@ -813,41 +867,7 @@ def conv2d(
 
 def maxpool2d(x: Tensor, pool: int, stride: Optional[int] = None) -> Tensor:
     """Max pooling over the last two axes of (N, C, H, W)."""
-    stride = stride or pool
-    xd = x.data
-    n, c, h, w = xd.shape
-    h_out = (h - pool) // stride + 1
-    w_out = (w - pool) // stride + 1
-    s_n, s_c, s_h, s_w = xd.strides
-    windows = np.lib.stride_tricks.as_strided(
-        xd,
-        shape=(n, c, h_out, w_out, pool, pool),
-        strides=(s_n, s_c, s_h * stride, s_w * stride, s_h, s_w),
-        writeable=False,
-    )
-    flat = windows.reshape(n, c, h_out, w_out, pool * pool)
-    out = flat.max(axis=4)
-    arg = flat.argmax(axis=4)  # flat index within the window
-
-    def backward(g: np.ndarray):
-        # C-contiguous zeros so the flat reshape below is a view (xd may
-        # be a non-contiguous transpose from conv2d).
-        grad = np.zeros(xd.shape, dtype=xd.dtype)
-        dh, dw = np.divmod(arg, pool)
-        hh = dh + np.arange(h_out)[None, None, :, None] * stride
-        ww = dw + np.arange(w_out)[None, None, None, :] * stride
-        # Flatten (H, W) so the scatter is a single 2-D fancy index.
-        pos = (hh * w + ww).reshape(n * c, h_out * w_out)
-        g2 = grad.reshape(n * c, h * w)
-        rows = np.arange(n * c)[:, None]
-        if stride >= pool:
-            # Disjoint windows: unique targets, plain assignment suffices.
-            g2[rows, pos] = g.reshape(n * c, h_out * w_out)
-        else:
-            np.add.at(g2, (rows, pos), g.reshape(n * c, h_out * w_out))
-        return (grad,)
-
-    return x._unary_out(out, backward)
+    return _maxpool(x, pool, stride, 2)
 
 
 def global_avgpool2d(x: Tensor) -> Tensor:

@@ -429,9 +429,11 @@ class Tensor:
                 return (g @ b.T, np.outer(a, g))
             if b.ndim == 1:  # (m, k) @ (k,) -> (m,)
                 return (np.outer(g, b), a.T @ g)
-            ga = g @ np.swapaxes(b, -1, -2)
-            gb = np.swapaxes(a, -1, -2) @ g
-            return (unbroadcast(ga, a.shape), unbroadcast(gb, b.shape))
+            # A side that does not require grad (the data batch under a
+            # first layer) is skipped: backward() discards its slot.
+            ga = unbroadcast(g @ np.swapaxes(b, -1, -2), a.shape) if self.requires_grad else None
+            gb = unbroadcast(np.swapaxes(a, -1, -2) @ g, b.shape) if other.requires_grad else None
+            return (ga, gb)
 
         return _binary_out(self, other, data, backward)
 

@@ -412,14 +412,22 @@ class ProcessWorkerPool:
         re-buffered, not lost.
         """
         deadline = time.perf_counter() + timeout_s
-        while not all(self._ready.get(s, False) for s in range(self.n_workers)):
-            res = self._poll_once(wait_s=0.005)
-            if res is not None:
-                # _emit already settled accounting; re-credit and buffer.
-                self._outstanding += 1
-                self._pending.append(res)
-            if time.perf_counter() > deadline:
-                raise TimeoutError("workers not ready within bound")
+        # Held aside until the wait ends: _poll_once hands back anything in
+        # _pending before it reads the queue, so a result re-buffered
+        # there mid-wait would come straight back on every poll and the
+        # "ready" queued behind it would never be read.
+        held: List[TaskResult] = []
+        try:
+            while not all(self._ready.get(s, False) for s in range(self.n_workers)):
+                res = self._poll_once(wait_s=0.005)
+                if res is not None:
+                    held.append(res)
+                if time.perf_counter() > deadline:
+                    raise TimeoutError("workers not ready within bound")
+        finally:
+            # _emit already settled accounting; re-credit and buffer.
+            self._outstanding += len(held)
+            self._pending[:0] = held
 
     def next_result(self, timeout: Optional[float] = 300.0) -> TaskResult:
         """Block until one task finishes; returns its :class:`TaskResult`.

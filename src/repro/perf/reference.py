@@ -3,7 +3,8 @@
 These are the engine's hot-path implementations as they stood before the
 kernel/memory pass (copying im2col in the (N, L_out, C*K) layout,
 ``np.pad``, batched matmul, broadcast bias adds, allocating optimizer
-updates).  They exist so the optimized ops have an independent,
+updates) and, since the pooling rewrite, the window-tensor + ``argmax``
+max-pooling kernels the tap-wise ones in ``nn.functional`` replaced.  They exist so the optimized ops have an independent,
 *recorded* reference to be checked against (``tests/test_perf.py``).
 
 Everything here works on raw ``np.ndarray`` s — no tape: the quantity
@@ -119,6 +120,95 @@ def conv2d_backward(
     if padding > 0:
         return grad_x_pad[:, :, padding : h - padding, padding : w_sp - padding], grad_w
     return grad_x_pad, grad_w
+
+
+# ----------------------------------------------------------------------
+# Pre-PR max pooling (as_strided window tensor + max/argmax over it)
+# ----------------------------------------------------------------------
+def maxpool1d_forward(xd: np.ndarray, pool: int, stride: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Pre-PR maxpool1d forward: (N, C, L_out, pool) window view, ``max``
+    and ``argmax`` over the window axis.  Returns ``(out, arg)``."""
+    n, c, length = xd.shape
+    l_out = (length - pool) // stride + 1
+    s_n, s_c, s_l = xd.strides
+    windows = np.lib.stride_tricks.as_strided(
+        xd,
+        shape=(n, c, l_out, pool),
+        strides=(s_n, s_c, s_l * stride, s_l),
+        writeable=False,
+    )
+    out = windows.max(axis=3)
+    arg = windows.argmax(axis=3)  # (N, C, L_out)
+    return out, arg
+
+
+def maxpool1d_backward(
+    g: np.ndarray, arg: np.ndarray, xd: np.ndarray, pool: int, stride: int
+) -> np.ndarray:
+    """Pre-PR maxpool1d backward: fancy-index scatter of ``g`` to the
+    argmax positions (``np.add.at`` when windows overlap)."""
+    n, c, length = xd.shape
+    l_out = (length - pool) // stride + 1
+    # np.zeros (not zeros_like): xd may be a non-contiguous view from
+    # an upstream op, and the flat scatter below needs the reshape to
+    # be a view, which only a C-contiguous buffer guarantees.
+    grad = np.zeros(xd.shape, dtype=xd.dtype)
+    pos = arg + np.arange(l_out)[None, None, :] * stride  # absolute index into L
+    g2 = grad.reshape(n * c, length)
+    rows = np.arange(n * c)[:, None]
+    if stride >= pool:
+        # Disjoint windows: every (row, pos) target is unique, so a
+        # plain fancy-index assignment works — no np.add.at scatter.
+        g2[rows, pos.reshape(n * c, l_out)] = g.reshape(n * c, l_out)
+    else:
+        np.add.at(g2, (rows, pos.reshape(n * c, l_out)), g.reshape(n * c, l_out))
+    return grad
+
+
+def maxpool2d_forward(xd: np.ndarray, pool: int, stride: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Pre-PR maxpool2d forward: 6-D window view, copying reshape to
+    (..., pool*pool), ``max`` and ``argmax`` over it.  Returns
+    ``(out, arg)`` with ``arg`` the flat index within the window."""
+    n, c, h, w = xd.shape
+    h_out = (h - pool) // stride + 1
+    w_out = (w - pool) // stride + 1
+    s_n, s_c, s_h, s_w = xd.strides
+    windows = np.lib.stride_tricks.as_strided(
+        xd,
+        shape=(n, c, h_out, w_out, pool, pool),
+        strides=(s_n, s_c, s_h * stride, s_w * stride, s_h, s_w),
+        writeable=False,
+    )
+    flat = windows.reshape(n, c, h_out, w_out, pool * pool)
+    out = flat.max(axis=4)
+    arg = flat.argmax(axis=4)  # flat index within the window
+    return out, arg
+
+
+def maxpool2d_backward(
+    g: np.ndarray, arg: np.ndarray, xd: np.ndarray, pool: int, stride: int
+) -> np.ndarray:
+    """Pre-PR maxpool2d backward: one 2-D fancy-index scatter over the
+    flattened (H, W) plane (``np.add.at`` when windows overlap)."""
+    n, c, h, w = xd.shape
+    h_out = (h - pool) // stride + 1
+    w_out = (w - pool) // stride + 1
+    # C-contiguous zeros so the flat reshape below is a view (xd may
+    # be a non-contiguous transpose from conv2d).
+    grad = np.zeros(xd.shape, dtype=xd.dtype)
+    dh, dw = np.divmod(arg, pool)
+    hh = dh + np.arange(h_out)[None, None, :, None] * stride
+    ww = dw + np.arange(w_out)[None, None, None, :] * stride
+    # Flatten (H, W) so the scatter is a single 2-D fancy index.
+    pos = (hh * w + ww).reshape(n * c, h_out * w_out)
+    g2 = grad.reshape(n * c, h * w)
+    rows = np.arange(n * c)[:, None]
+    if stride >= pool:
+        # Disjoint windows: unique targets, plain assignment suffices.
+        g2[rows, pos] = g.reshape(n * c, h_out * w_out)
+    else:
+        np.add.at(g2, (rows, pos), g.reshape(n * c, h_out * w_out))
+    return grad
 
 
 # ----------------------------------------------------------------------

@@ -68,3 +68,54 @@ def check_grad_multi(
             t.grad, numeric, atol=atol, rtol=rtol,
             err_msg=f"gradient mismatch for argument {i}",
         )
+
+
+class _MatmulCounting(np.ndarray):
+    """ndarray view that counts the ``@`` products it (or a reshape or
+    transpose of it) takes part in, then computes them as plain arrays."""
+
+    matmuls = 0
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if ufunc is np.matmul:
+            _MatmulCounting.matmuls += 1
+        inputs = tuple(np.asarray(i) for i in inputs)
+        return getattr(ufunc, method)(*inputs, **kwargs)
+
+
+def check_dead_input_grad(
+    op: Callable[..., Tensor],
+    x: np.ndarray,
+    params: Sequence[np.ndarray],
+    count_matmuls: bool = True,
+) -> None:
+    """Dead-gradient contract of ``op(x, weight, *more_params)``: when ``x``
+    does not require grad, the parameter grads are byte-identical to the
+    run where it does, ``x.grad`` stays None, the closure leaves x's slot
+    None and the weight takes part in one ``@`` fewer (the forward GEMM
+    only — no input-gradient GEMM).  ``count_matmuls=False`` for datapaths
+    that copy the weight before using it (autocast), where the counting
+    view does not survive."""
+
+    def run(x_requires_grad: bool):
+        xt = Tensor(x.copy(), requires_grad=x_requires_grad)
+        pts = [Tensor(p.copy(), requires_grad=True) for p in params]
+        pts[0].data = pts[0].data.view(_MatmulCounting)
+        _MatmulCounting.matmuls = 0
+        out = op(xt, *pts)
+        g = np.random.default_rng(0).standard_normal(out.shape).astype(out.data.dtype)
+        x_slot = out._backward_fn(g)[0]
+        out.backward(g)
+        return xt, pts, x_slot, _MatmulCounting.matmuls
+
+    live_x, live_params, live_slot, live_matmuls = run(True)
+    dead_x, dead_params, dead_slot, dead_matmuls = run(False)
+    assert live_x.grad is not None and live_slot is not None
+    assert dead_x.grad is None and dead_slot is None
+    for live, dead in zip(live_params, dead_params):
+        assert live.grad.dtype == dead.grad.dtype
+        assert live.grad.tobytes() == dead.grad.tobytes()
+    if count_matmuls:
+        # Each run calls the closure twice (once directly, once through
+        # backward()): forward + 2 input-grad GEMMs against forward only.
+        assert (live_matmuls, dead_matmuls) == (3, 1)

@@ -6,9 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.nn.functional as F
+from repro.nn.amp import autocast
 from repro.nn.tensor import Tensor
 
-from helpers import check_grad, check_grad_multi
+from helpers import check_dead_input_grad, check_grad, check_grad_multi
 
 RNG = np.random.default_rng(7)
 
@@ -326,6 +327,15 @@ class TestFusedLinearAct:
             check_grad_multi(
                 lambda a, ww, bb, act=act: F.linear_act(a, ww, bb, activation=act), [x, w, b]
             )
+            # ... and with a data batch (no grad) as the input.
+            check_dead_input_grad(
+                lambda a, ww, bb, act=act: F.linear_act(a, ww, bb, activation=act), x, [w, b]
+            )
+            with autocast("bf16"):
+                check_dead_input_grad(
+                    lambda a, ww, bb, act=act: F.linear_act(a, ww, bb, activation=act),
+                    x, [w, b], count_matmuls=False,
+                )
 
     def test_matches_unfused_composition(self):
         x = RNG.standard_normal((6, 4))
@@ -432,6 +442,9 @@ class TestConvStrideOddPadding:
         check_grad_multi(
             lambda a, ww: F.conv1d(a, ww, stride=2, padding=1, activation="tanh"), [x, w]
         )
+        check_dead_input_grad(
+            lambda a, ww: F.conv1d(a, ww, stride=2, padding=1, activation="tanh"), x, [w]
+        )
 
 
 class TestPoolNonContiguousInput:
@@ -450,6 +463,13 @@ class TestPoolNonContiguousInput:
         x = RNG.standard_normal((2, 2, 6, 6))
         w = RNG.standard_normal((3, 2, 3, 3))
         check_grad_multi(lambda a, ww: F.maxpool2d(F.conv2d(a, ww, padding=1), 2), [x, w])
+        # The conv of that chain fed a data batch (no grad), bare and fused.
+        for act in (None, "relu"):
+            b = RNG.standard_normal(3)
+            check_dead_input_grad(
+                lambda a, ww, bb, act=act: F.conv2d(a, ww, bb, padding=1, activation=act),
+                x, [w, b],
+            )
 
 
 class TestDropoutDtype:

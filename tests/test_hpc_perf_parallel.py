@@ -118,6 +118,36 @@ class TestProfiles:
         assert profile.params == model.param_count()
         assert profile.flops_step > 0
 
+    def test_profile_imaging_model_counts_its_gemms(self):
+        # The GEMM layers' forward + backward flops are 2*m*k*n over the
+        # step's GEMMs (forward, dW, dX of each Conv2D via im2col and each
+        # Dense) -- 0.0178 GFLOP at batch 32, what bench/ reports as
+        # nn.step_gflop.  The pools and the head reducer are elementwise.
+        from repro.candle.registry import REGISTRY
+        from repro.nn import Conv2D, Dense
+
+        batch = 32
+        model = REGISTRY["imaging"].build_model()
+        profile = profile_model(model, (1, 16, 16), batch_size=batch)
+        assert profile.params == model.param_count()
+        gemm_flops = 0.0
+        shape = (1, 16, 16)
+        for layer, cost in zip(model.layers, profile.layers):
+            out = layer.output_shape(shape)
+            if isinstance(layer, Conv2D):
+                m, k, n = layer.filters, shape[0] * layer.kernel_size ** 2, batch * out[1] * out[2]
+            elif isinstance(layer, Dense):
+                m, k, n = batch, shape[-1], layer.units
+            else:
+                assert cost.flops_total <= 2 * batch * max(np.prod(shape), np.prod(out))
+                shape = out
+                continue
+            assert cost.flops_total == 3 * 2.0 * m * k * n
+            gemm_flops += cost.flops_total
+            shape = out
+        assert gemm_flops / 1e9 == pytest.approx(0.0178, abs=5e-5)
+        assert profile.flops_step == pytest.approx(gemm_flops, rel=0.02)
+
     def test_conv1d_profile_synthetic(self):
         p = conv1d_profile(length=1000, channels=(32, 64), kernel_size=7, batch_size=16)
         assert p.params > 0

@@ -72,6 +72,12 @@ def _whoami_task(payload):
     return os.getpid()
 
 
+def _nap(seconds):
+    """Task and initializer both: sleep, then echo."""
+    time.sleep(seconds)
+    return seconds
+
+
 # First-execution crash: a sentinel file (created by the initializer's
 # first run in each worker incarnation) marks whether this worker is the
 # original or a respawn.
@@ -248,6 +254,23 @@ class TestProcessWorkerPool:
             pid0_before = [r.value for r in first if r.task_id % 2 == 0]
             pid0_after = [r.value for r in second if r.task_id % 2 == 0]
             assert pid0_before != pid0_after
+
+    def test_wait_ready_reads_past_a_task_result(self):
+        # A result that lands while a replacement worker is still in its
+        # initializer sits ahead of that worker's "ready" in the shared
+        # queue; wait_ready must hold it and keep reading (it used to
+        # re-buffer it where the next poll handed it straight back, and
+        # spun until the timeout).
+        with ProcessWorkerPool(_nap, 2, dedicated_queues=True,
+                               initializer=_nap, initargs=(0.6,)) as pool:
+            pool.wait_ready()
+            pool.terminate_worker(1)
+            tid = pool.submit(0.2, slot=0)
+            assert pool.poll_result(timeout=0.05) is None  # reaps, respawns slot 1
+            assert pool.respawns == 1
+            pool.wait_ready(timeout_s=10.0)
+            res = pool.next_result(timeout=10.0)
+            assert (res.task_id, res.status, res.value) == (tid, "ok", 0.2)
 
     def test_slot_targeting_requires_dedicated_queues(self):
         with ProcessWorkerPool(echo_task, 2) as pool:

@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro.nn.functional as F
-from repro.nn import Dense, Sequential, Tensor
+from repro.nn import Dense, Sequential, Tensor, no_grad
 from repro.perf import OpProfiler, get_sink, instrument, set_sink
 from repro.perf import reference
 
@@ -184,6 +186,55 @@ class TestReferenceKernels:
             opt.step()
             ref.step([arr], [g])
         np.testing.assert_array_equal(p.data, arr)
+
+
+class TestPoolingParity:
+    """The tap-wise max pools against the frozen window + argmax kernels,
+    byte for byte (``tobytes``: a -0.0 where the old kernel wrote +0.0
+    would pass ``==``)."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        n=st.integers(1, 3), c=st.integers(1, 3), h=st.integers(3, 9), w=st.integers(3, 9),
+        pool=st.sampled_from([2, 3]), stride=st.sampled_from([1, 2, 3]),
+        layout=st.sampled_from(["contiguous", "transposed", "post_relu"]),
+        dtype=st.sampled_from([np.float64, np.float32]), seed=st.integers(0, 10**6),
+    )
+    def test_maxpool_matches_frozen_window_kernels(self, n, c, h, w, pool, stride, layout, dtype, seed):
+        rng = np.random.default_rng(seed)
+        x2 = rng.standard_normal((n, c, h, w)).astype(dtype)
+        if layout == "transposed":
+            # What conv2d hands over: (C, N, ...) memory viewed as (N, C, ...).
+            x2 = np.ascontiguousarray(x2.transpose(1, 0, 2, 3)).transpose(1, 0, 2, 3)
+        elif layout == "post_relu":
+            # Ties everywhere, whole windows of zeros included.
+            x2 = np.maximum(x2, 0.0)
+            x2[rng.random(x2.shape) < 0.4] = 0.0
+        cases = (
+            (x2, F.maxpool2d, reference.maxpool2d_forward, reference.maxpool2d_backward),
+            (x2[:, :, 0], F.maxpool1d, reference.maxpool1d_forward, reference.maxpool1d_backward),
+        )
+        for x, op, ref_forward, ref_backward in cases:
+            ref_out, ref_arg = ref_forward(x, pool, stride)
+            t = Tensor(x, requires_grad=True)
+            out = op(t, pool, stride)
+            assert out.data.dtype == ref_out.dtype and out.data.shape == ref_out.shape
+            assert out.data.tobytes() == ref_out.tobytes()
+            with no_grad():  # the path that tracks no winner
+                assert op(Tensor(x), pool, stride).data.tobytes() == ref_out.tobytes()
+
+            g = rng.standard_normal(ref_out.shape).astype(dtype)
+            g[rng.random(g.shape) < 0.2] = -0.0
+            out.backward(g)
+            assert t.grad.dtype == x.dtype
+            assert t.grad.tobytes() == ref_backward(g, ref_arg, x, pool, stride).tobytes()
+
+            # NaN in a window still reaches its output, and only there.
+            x_nan = x.copy()
+            x_nan[(0,) * x.ndim] = np.nan
+            nan_out = op(Tensor(x_nan), pool, stride).data
+            assert np.isnan(nan_out[(0,) * x.ndim])
+            np.testing.assert_array_equal(nan_out, ref_forward(x_nan, pool, stride)[0])
 
 
 class TestWorkflowProfileOps:
