@@ -24,22 +24,44 @@ slots (real mode) — with an asynchronous strategy such as
 :class:`~repro.hpo.strategies.hyperband.ASHA` the pool never idles at
 rung barriers, so joins translate directly into throughput.
 
-Two clocks, one code path, mirroring :func:`repro.hpo.scheduler.run_parallel`:
+This is the repo's one asynchronous search loop
+(:func:`repro.hpo.scheduler.run_parallel` is a call into it).  The steps
+of the loop — fill a consumer, fail an attempt, keep a live claim
+leased, ack then settle — are written once in :class:`_Search`; two
+clocks drive them:
 
 * **simulated** (default): trial durations come from a cost model and a
-  deterministic event loop advances the clock — 10^4-trial campaigns,
+  deterministic event heap advances the clock — 10^4-trial campaigns,
   seeded kill schedules, and hypothesis crash-replay tests run in
   seconds, bit-reproducibly;
 * **real** (``executor=``): trials run on the
   :class:`~repro.parallel.ParallelTrialExecutor` process pool; the
   queue sees wall-clock leases and real worker deaths.
 
-Fault semantics match the rest of the repo: an injected or real CRASH
-burns the attempt and the trial retries (up to ``max_retries``, then
-completes as ``inf`` — the give-up path keeps the exactly-once
-invariant: every enqueued job ends ``done``), NaN objective values are
-quarantined to ``inf``, and every kill/reclaim/give-up lands on the
-obs timeline when a recorder is attached.
+and two storage modes hold the ledger: a queue file on disk (durable,
+resumable) or SQLite ``":memory:"`` (same transactions, nothing to
+resume).
+
+Faults follow two rules, the same on both clocks:
+
+* **A trial CRASH is a failed attempt.**  Injected by a
+  :class:`~repro.resilience.FaultInjector`, raised by the objective, or
+  a pool worker dying under the trial: the attempt is counted, the job
+  goes back to pending, the consumer lives and takes the next job (on
+  the sim clock the attempt first burns its full duration).  A job
+  claimed more than ``max_retries + 1`` times completes as ``inf``, so
+  every enqueued job still ends ``done`` and ``failures == retries +
+  giveups``.  NaN objective values are quarantined to ``inf``.
+* **Only consumer death leads to lease expiry.**  A :class:`KillPlan`
+  entry kills the consumer holding a claim; nobody requeues it, and the
+  job becomes runnable again when its lease runs out.  A *live*
+  consumer never loses its claim that way: the driver knows which
+  claims are in flight and renews any whose lease has run out
+  (:meth:`DurableTrialQueue.extend_lease`) before the next claim is
+  taken, so a trial may outlive ``lease_s``.
+
+Every retry, give-up, quarantine, kill and reclaim lands on the obs
+timeline when a recorder is attached.
 """
 
 from __future__ import annotations
@@ -48,19 +70,19 @@ import heapq
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
 from ..obs.context import get_recorder
-from ..resilience.faults import CRASH, NAN, STRAGGLER, FaultInjector
+from ..resilience.faults import CRASH, NAN, STRAGGLER, WORKER_LOSS, FaultInjector
 from .queue import ClaimedJob, DurableTrialQueue
 from .results import ResultLog, Trial
-from .space import Config
 from .strategies.base import Strategy, Suggestion
 
 __all__ = [
     "KillPlan", "WorkerPlan", "ElasticReplayError", "run_elastic", "replay_into",
+    "new_ledger", "screen",
 ]
 
 KILL_AFTER_CLAIM = "claim"  # consumer dies right after claiming, before evaluating
@@ -164,13 +186,128 @@ def _parse_consumer(owner: Optional[str]) -> Optional[Tuple[int, int]]:
     return None
 
 
-def _quarantine(value: float, stats: Dict[str, int], rec, trial: int) -> float:
+def new_ledger() -> Dict:
+    """The ``log.stats`` keys every parallel search reports, all zero
+    (the BSP wave of :func:`~repro.hpo.scheduler.run_parallel` fills the
+    same dict, so sync and async ledgers compare key for key)."""
+    return {
+        "failures": 0, "retries": 0, "giveups": 0, "quarantined": 0,
+        "workers_lost": 0, "workers_killed": 0, "reclaims": 0,
+        "duplicate_acks": 0, "replayed": 0, "resumed": False, "aborted": False,
+        "busy_s": 0.0,  # real clock: worker-measured execution seconds
+    }
+
+
+def screen(value: float, stats: Dict, rec, trial: int, source: str = "objective") -> float:
+    """NaN objective values (``source="injected"``: a NaN fault) are
+    penalized, never propagated: a diverged trial must not crash the
+    campaign or poison the strategy's model."""
     if np.isnan(value):
         stats["quarantined"] += 1
         if rec is not None:
-            rec.event("quarantine", kind="hpo.quarantine", trial=trial, source="objective")
+            rec.event("quarantine", kind="hpo.quarantine", trial=trial, source=source)
         return float("inf")
     return value
+
+
+@dataclass
+class _Search:
+    """The steps of the asynchronous loop that do not depend on the clock.
+
+    The clock's driver sets ``now`` (the lease clock) and ``stamp`` (a
+    trial's ``sim_time``) to zero-argument callables before the first
+    step: both read the event clock in sim mode; in real mode they are
+    ``time.time`` and seconds since the pool came up.
+    """
+
+    strategy: Strategy
+    q: DurableTrialQueue
+    n_trials: int
+    lease_s: float
+    max_retries: int
+    injector: Optional[FaultInjector]
+    stop_after: Optional[int]
+    sugs: Dict[int, Suggestion]
+    log: ResultLog
+    rec: object
+    completed_new: int = 0
+    now: Optional[Callable[[], float]] = None
+    stamp: Optional[Callable[[], float]] = None
+
+    @property
+    def stats(self) -> Dict:
+        return self.log.stats
+
+    @property
+    def stopped(self) -> bool:
+        return self.stop_after is not None and self.completed_new >= self.stop_after
+
+    def fault(self, job: ClaimedJob) -> Optional[str]:
+        """The injected fault of this attempt.  Drawn once per attempt:
+        every draw is counted and traced by the injector."""
+        if self.injector is None:
+            return None
+        return self.injector.trial_fault(job.job_id - 1, job.attempts - 1)
+
+    def next_job(self, owner: str, worker: int) -> Optional[ClaimedJob]:
+        """A job for one free consumer: claim first (pending jobs and
+        expired leases), ask the strategy for fresh work only when the
+        queue has nothing runnable.  None when the strategy stalled
+        (completions will unblock it) or everything is launched."""
+        q, stats, rec = self.q, self.stats, self.rec
+        while True:
+            job = q.claim(owner, now=self.now(), lease_s=self.lease_s)
+            if job is None:
+                if q.n_jobs >= self.n_trials:
+                    return None
+                sug = self.strategy.ask()
+                if sug is None:
+                    return None
+                self.sugs[q.enqueue(sug.config, sug.budget, sug.tag)] = sug
+                continue
+            if job.attempts > self.max_retries + 1:
+                # Poison job: failed or orphaned on every allowed attempt.
+                # The driver completes it as inf so the exactly-once
+                # invariant (every job ends done) survives give-up.
+                stats["giveups"] += 1
+                if rec is not None:
+                    rec.event("retries_exhausted", kind="hpo.giveup",
+                              trial=job.job_id - 1, attempts=job.attempts - 1)
+                self.finish(job, "driver", float("inf"), -1)
+                continue
+            if job.attempts > 1:
+                stats["retries"] += 1
+                if rec is not None:
+                    rec.event("retry", kind="hpo.retry", trial=job.job_id - 1,
+                              attempt=job.attempts - 1, worker=worker)
+            return job
+
+    def fail(self, job: ClaimedJob, owner: str) -> None:
+        """The one CRASH rule: the attempt is counted and the job goes
+        back to pending; :meth:`next_job` retries it or gives up."""
+        self.stats["failures"] += 1
+        self.q.requeue(job.job_id, owner)
+
+    def renew(self, job: ClaimedJob, owner: str) -> None:
+        """Heartbeat of a live consumer: a claim still being worked on
+        whose lease has run out is renewed before anyone can reclaim it."""
+        now = self.now()
+        if job.lease_expires <= now:
+            self.q.extend_lease(job.job_id, owner, now, self.lease_s)
+            job.lease_expires = now + self.lease_s
+
+    def finish(self, job: ClaimedJob, owner: str, value: float, worker: int) -> bool:
+        """Ack, then settle: only the ack that completed the job tells
+        the strategy and logs the trial (a duplicate changes nothing)."""
+        stamp = self.stamp()
+        if not self.q.ack(job.job_id, owner, value, sim_time=stamp, worker=worker):
+            return False
+        sug = self.sugs[job.job_id]
+        self.strategy.tell(sug, value)
+        self.log.add(Trial(trial_id=job.job_id - 1, config=sug.config, value=value,
+                           budget=job.budget, sim_time=stamp, worker=worker))
+        self.completed_new += 1
+        return True
 
 
 def run_elastic(
@@ -190,11 +327,12 @@ def run_elastic(
 ) -> ResultLog:
     """Run (or resume) an elastic search campaign over a durable queue.
 
-    If ``queue`` (or the path it names) already holds events, the call
-    is a **resume**: ``strategy`` must be a fresh instance with the
-    original seed; its state is rebuilt by replay before any new work
-    is scheduled, and previously completed trials appear in the
-    returned log exactly as they were recorded.
+    ``queue`` is a :class:`DurableTrialQueue`, the path of one, or
+    ``":memory:"`` for a ledger that lives and dies with this call.  If
+    it already holds events, the call is a **resume**: ``strategy`` must
+    be a fresh instance with the original seed; its state is rebuilt by
+    replay before any new work is scheduled, and previously completed
+    trials appear in the returned log exactly as they were recorded.
 
     ``stop_after`` aborts the campaign after that many *newly* acked
     completions — the test/bench hook that simulates a driver crash
@@ -214,12 +352,7 @@ def run_elastic(
 
     log = ResultLog()
     stats = log.stats
-    stats.update({
-        "failures": 0, "retries": 0, "quarantined": 0, "workers_lost": 0,
-        "workers_killed": 0, "reclaims": 0, "duplicate_acks": 0,
-        "giveups": 0, "replayed": 0, "resumed": False, "aborted": False,
-        "busy_s": 0.0,  # real mode: worker-measured execution seconds
-    })
+    stats.update(new_ledger())
     rec = get_recorder()
 
     try:
@@ -229,14 +362,12 @@ def run_elastic(
             stats["replayed"] = len(log)
             if rec is not None:
                 rec.event("resume", kind="hpo.resume", replayed=len(log))
+        search = _Search(strategy, q, n_trials, lease_s, max_retries, injector,
+                         stop_after, sugs, log, rec)
         if executor is not None:
-            _run_real(strategy, objective, n_trials, q, n_workers, executor,
-                      lease_s, max_retries, injector, worker_plan, stop_after,
-                      sugs, log, stats, rec)
+            _run_real(search, objective, n_workers, executor, worker_plan)
         else:
-            _run_sim(strategy, objective, n_trials, q, n_workers, cost_model,
-                     lease_s, max_retries, injector, kill_plan, worker_plan,
-                     stop_after, sugs, log, stats, rec)
+            _run_sim(search, objective, n_workers, cost_model, kill_plan, worker_plan)
         stats["reclaims"] += q.stats["reclaims"]
         stats["duplicate_acks"] += q.stats["duplicate_acks"]
         return log
@@ -248,21 +379,19 @@ def run_elastic(
 # ----------------------------------------------------------------------
 # Simulated clock
 # ----------------------------------------------------------------------
-def _run_sim(
-    strategy, objective, n_trials, q, n_workers, cost_model, lease_s,
-    max_retries, injector, kill_plan, worker_plan, stop_after,
-    sugs, log, stats, rec,
-) -> None:
+def _run_sim(s: _Search, objective, n_workers, cost_model, kill_plan, worker_plan) -> None:
     from .scheduler import constant_cost
 
+    q, stats, rec, injector, lease_s = s.q, s.stats, s.rec, s.injector, s.lease_s
     cost = cost_model or constant_cost()
     kill_plan = kill_plan or KillPlan()
     straggler_factor = injector.spec.straggler_factor if injector is not None else 1.0
 
     clock = float(q.meta_get("sim_now", 0.0))
+    s.now = s.stamp = lambda: clock
     prev_sim_clock = rec.sim_clock if rec is not None else None
     if rec is not None:
-        rec.sim_clock = lambda: clock
+        rec.sim_clock = s.now
 
     # Worker slots: wid -> incarnation; busy slots tracked via events.
     slots: Dict[int, int] = {wid: 0 for wid in range(n_workers)}
@@ -271,102 +400,101 @@ def _run_sim(
     next_wid = n_workers
     seq = 0
     # Event heap: (time, seq, kind, payload).  Kinds: "done" a consumer
-    # finished evaluating and will ack; "dead" a consumer dies without
-    # acking (kill at the ack boundary); "respawn" a killed slot
-    # rejoins; "plan" elastic membership change.
+    # finished its attempt (the payload carries the attempt's fault);
+    # "respawn" a killed slot rejoins; "plan" elastic membership change.
     heap: List[Tuple[float, int, str, object]] = []
+    # Claims whose trial outlives lease_s: job_id -> (owner, job, time
+    # the consumer stops working on it).  Nothing else needs a heartbeat.
+    long_running: Dict[int, Tuple[str, ClaimedJob, float]] = {}
 
     def push(t: float, kind: str, payload) -> None:
         nonlocal seq
         heapq.heappush(heap, (t, seq, kind, payload))
         seq += 1
 
-    plan_events = sorted(worker_plan.sim) if worker_plan is not None else []
-    if injector is not None:
-        plan_events = sorted(plan_events + [(t, -1) for t in injector.worker_loss_times])
-    for t, delta in plan_events:
-        if t <= clock:
-            # Resume: this membership change fired before the previous
-            # driver died — re-apply it so the pool size is right.
-            if delta > 0:
-                for _ in range(delta):
-                    slots[next_wid] = 0
-                    idle.add(next_wid)
-                    next_wid += 1
+    def resize(delta: int, injected: bool, past: bool = False) -> None:
+        """``delta`` workers join, or ``-delta`` leave for good: an idle
+        one at once, a busy one after its current trial.  An injected
+        loss never takes the last worker.  ``past`` re-applies a change
+        a previous driver already applied and reported."""
+        nonlocal next_wid
+        for _ in range(delta):
+            slots[next_wid] = 0
+            idle.add(next_wid)
+            next_wid += 1
+        for _ in range(-delta):
+            if injected and len(slots) - len(leaving) <= 1:
+                break
+            if idle:
+                wid = min(idle)
+                idle.discard(wid)
+                del slots[wid]
+            elif slots.keys() - leaving:
+                leaving.add(min(slots.keys() - leaving))
             else:
-                for _ in range(-delta):
-                    if idle:
-                        wid = min(idle)
-                        idle.discard(wid)
-                        slots.pop(wid)
+                break
+            if not past:
+                stats["workers_lost"] += 1
+                if injected:
+                    injector.record(WORKER_LOSS)
+        if rec is not None and not past:
+            rec.event("workers_joined" if delta > 0 else "workers_left",
+                      kind="hpo.elastic", n=abs(delta))
+
+    changes = [(t, delta, False) for t, delta in (worker_plan.sim if worker_plan else ())]
+    if injector is not None:
+        changes += [(t, -1, True) for t in injector.worker_loss_times]
+    for t, delta, injected in sorted(changes):
+        if t <= clock:
+            # Resume: this change fired before the previous driver died.
+            resize(delta, injected, past=True)
         else:
-            push(t, "plan", delta)
+            push(t, "plan", (delta, injected))
 
     def consumer(wid: int) -> str:
         return f"c{wid}.{slots[wid]}"
 
-    completed_new = 0
+    def release(wid: int, respawned: bool = False) -> None:
+        """A slot is free again — unless it was told to leave."""
+        if wid in leaving:
+            leaving.discard(wid)
+            del slots[wid]
+        elif wid in slots:
+            if respawned:
+                slots[wid] += 1  # fresh consumer identity
+            idle.add(wid)
 
-    def fault(job) -> Optional[str]:
-        if injector is None:
-            return None
-        return injector.trial_fault(job.job_id - 1, job.attempts - 1)
-
-    def try_fill() -> None:
-        """Give every idle worker a job: claim first (pending + expired
-        leases), ask the strategy for fresh work only when the queue has
-        nothing runnable."""
-        nonlocal clock
+    def fill() -> None:
+        """Give every idle worker a job."""
+        for job_id, (owner, job, until) in list(long_running.items()):
+            if clock > until:
+                del long_running[job_id]
+            else:
+                s.renew(job, owner)
         for wid in sorted(idle):
-            while True:
-                job = q.claim(consumer(wid), now=clock, lease_s=lease_s)
-                if job is None:
-                    if q.n_jobs < n_trials:
-                        sug = strategy.ask()
-                        if sug is None:
-                            return  # stalled; completions will unblock
-                        jid = q.enqueue(sug.config, sug.budget, sug.tag)
-                        sugs[jid] = sug
-                        continue
-                    return  # everything launched; nothing runnable
-                if job.attempts > max_retries + 1:
-                    # Poison job: crashed on every allowed attempt.  The
-                    # driver completes it as inf so the exactly-once
-                    # invariant (every job ends done) survives give-up.
-                    stats["giveups"] += 1
-                    if rec is not None:
-                        rec.event("retries_exhausted", kind="hpo.giveup",
-                                  trial=job.job_id - 1, attempts=job.attempts)
-                    if q.ack(job.job_id, "driver", float("inf"),
-                             now=clock, sim_time=clock, worker=-1):
-                        _settle(job, float("inf"), -1)
-                    continue  # this worker is still idle; next job
-                _start(wid, job)
-                break
+            job = s.next_job(consumer(wid), wid)
+            if job is None:
+                return
+            start(wid, job, clock)
 
-    def _start(wid: int, job, at: Optional[float] = None) -> None:
-        at = clock if at is None else at
+    def start(wid: int, job: ClaimedJob, at: float) -> None:
         idle.discard(wid)
         boundary = kill_plan.boundary(job.job_id, job.attempts)
-        kind = fault(job)
+        if boundary == KILL_AFTER_CLAIM:
+            kill(wid, job, at, burned=0.0)
+            return
+        kind = s.fault(job)
         duration = cost(job.config, job.budget)
         if kind == STRAGGLER:
             duration *= straggler_factor
-        if job.attempts > 1:
-            stats["retries"] += 1
-            if rec is not None:
-                rec.event("retry", kind="hpo.retry",
-                          trial=job.job_id - 1, attempt=job.attempts - 1, worker=wid)
-        if boundary == KILL_AFTER_CLAIM:
-            _kill(wid, job, at, burned=0.0)
-        elif boundary == KILL_BEFORE_ACK or kind == CRASH:
-            if kind == CRASH:
-                stats["failures"] += 1
-            _kill(wid, job, at, burned=duration)
+        if duration > lease_s:
+            long_running[job.job_id] = (consumer(wid), job, at + duration)
+        if boundary == KILL_BEFORE_ACK:
+            kill(wid, job, at, burned=duration)
         else:
-            push(at + duration, "done", (wid, job, duration))
+            push(at + duration, "done", (wid, job, duration, kind))
 
-    def _kill(wid: int, job, at: float, burned: float) -> None:
+    def kill(wid: int, job: ClaimedJob, at: float, burned: float) -> None:
         """The consumer dies holding its claim; the slot respawns later
         as a fresh consumer.  The orphaned lease expires on its own."""
         stats["workers_killed"] += 1
@@ -376,13 +504,19 @@ def _run_sim(
                       worker=wid, burned_sim=burned)
         push(at + burned + kill_plan.respawn_delay, "respawn", wid)
 
-    def _settle(job, value: float, wid: int) -> None:
-        nonlocal completed_new
-        sug = sugs[job.job_id]
-        strategy.tell(sug, value)
-        log.add(Trial(trial_id=job.job_id - 1, config=sug.config, value=value,
-                      budget=job.budget, sim_time=clock, worker=wid))
-        completed_new += 1
+    def evaluate(wid: int, job: ClaimedJob, duration: float) -> float:
+        trial = job.job_id - 1
+        if rec is not None:
+            span_id = rec.begin("trial", kind="hpo.trial", trial=trial,
+                                attempt=job.attempts - 1, worker=wid, budget=job.budget)
+        value = screen(float(objective(job.config, job.budget)), stats, rec, trial)
+        if rec is not None:
+            span = rec.end(span_id, value=value)
+            # The objective runs when its completion event pops; on the
+            # sim clock the trial held its worker for the `duration`
+            # before that instant.
+            span["t_sim"], span["dur_sim"] = clock - duration, duration
+        return value
 
     # Resume: restore the previous driver's in-flight claims as running
     # work.  Each claim records when it started, and durations recompute
@@ -420,19 +554,18 @@ def _run_sim(
             idle.add(wid)
             next_wid = max(next_wid, wid + 1)
         slots[wid] = max(slots[wid], incarnation)
-        _start(wid, ClaimedJob(
+        start(wid, ClaimedJob(
             job_id=record.job_id, config=record.config, budget=record.budget,
             tag=record.tag, attempts=record.attempts,
             lease_expires=record.lease_expires,
         ), at=record.claimed_at)
 
     try:
-        while q.n_done < n_trials:
-            try_fill()
-            if stop_after is not None and completed_new >= stop_after:
+        while q.n_done < s.n_trials:
+            fill()
+            if s.stopped:
                 stats["aborted"] = True
-                q.meta_set("sim_now", clock)
-                return
+                break
             if not heap:
                 expiry = q.next_lease_expiry()
                 if expiry is None:
@@ -448,63 +581,18 @@ def _run_sim(
             t, _, kind, payload = heapq.heappop(heap)
             clock = max(clock, t)
             if kind == "done":
-                wid, job, duration = payload
-                if fault(job) == NAN:
-                    value = float("inf")
-                    stats["quarantined"] += 1
-                    if rec is not None:
-                        rec.event("quarantine", kind="hpo.quarantine",
-                                  trial=job.job_id - 1, source="injected")
+                wid, job, duration, fault = payload
+                if fault == CRASH:
+                    s.fail(job, consumer(wid))
                 else:
-                    value = _quarantine(
-                        float(objective(job.config, job.budget)), stats, rec,
-                        job.job_id - 1,
-                    )
-                if q.ack(job.job_id, consumer(wid), value,
-                         now=clock, sim_time=clock, worker=wid):
-                    if rec is not None:
-                        rec.add_complete(
-                            "trial", kind="hpo.trial", dur_wall=0.0,
-                            t_sim=clock - duration, dur_sim=duration,
-                            trial=job.job_id - 1, attempt=job.attempts - 1,
-                            worker=wid, budget=job.budget, value=value,
-                        )
-                    _settle(job, value, wid)
-                if wid in leaving:
-                    leaving.discard(wid)
-                    slots.pop(wid, None)
-                    stats["workers_lost"] += 1
-                else:
-                    idle.add(wid)
+                    value = (screen(float("nan"), stats, rec, job.job_id - 1, "injected")
+                             if fault == NAN else evaluate(wid, job, duration))
+                    s.finish(job, consumer(wid), value, wid)
+                release(wid)
             elif kind == "respawn":
-                wid = payload
-                if wid in leaving:
-                    leaving.discard(wid)
-                    slots.pop(wid, None)
-                    stats["workers_lost"] += 1
-                elif wid in slots:
-                    slots[wid] += 1  # fresh consumer identity
-                    idle.add(wid)
-            elif kind == "plan":
-                delta = payload
-                if delta > 0:
-                    for _ in range(delta):
-                        slots[next_wid] = 0
-                        idle.add(next_wid)
-                        next_wid += 1
-                    if rec is not None:
-                        rec.event("workers_joined", kind="hpo.elastic", n=delta)
-                else:
-                    for _ in range(-delta):
-                        if idle:
-                            wid = min(idle)
-                            idle.discard(wid)
-                            slots.pop(wid, None)
-                            stats["workers_lost"] += 1
-                        elif slots.keys() - leaving:
-                            leaving.add(min(slots.keys() - leaving))
-                    if rec is not None:
-                        rec.event("workers_left", kind="hpo.elastic", n=-delta)
+                release(payload, respawned=True)
+            else:
+                resize(*payload)
         q.meta_set("sim_now", clock)
     finally:
         if rec is not None:
@@ -514,13 +602,11 @@ def _run_sim(
 # ----------------------------------------------------------------------
 # Real clock (process workers via ParallelTrialExecutor)
 # ----------------------------------------------------------------------
-def _run_real(
-    strategy, objective, n_trials, q, n_workers, executor, lease_s,
-    max_retries, injector, worker_plan, stop_after, sugs, log, stats, rec,
-) -> None:
+def _run_real(s: _Search, objective, n_workers, executor, worker_plan) -> None:
+    q, stats, rec = s.q, s.stats, s.rec
     if getattr(executor, "n_workers", n_workers) != n_workers:
         raise ValueError(
-            f"executor has {executor.n_workers} workers but run_elastic "
+            f"executor has {executor.n_workers} workers but the search "
             f"was asked for {n_workers}"
         )
     if stats["resumed"]:
@@ -531,77 +617,35 @@ def _run_real(
     # The campaign clock starts once the pool is up: trial sim_times
     # measure search progress, not process fork/import time.
     t0 = time.perf_counter()
-    wall = lambda: time.perf_counter() - t0  # noqa: E731
+    s.now, s.stamp = time.time, lambda: time.perf_counter() - t0
     plan = sorted(worker_plan.real) if worker_plan is not None else []
     active = n_workers
-    inflight: Dict[int, Tuple[int, object]] = {}  # task_id -> (slot, job)
-    completed_new = 0
-
-    def fault(job) -> Optional[str]:
-        if injector is None:
-            return None
-        kind = injector.trial_fault(job.job_id - 1, job.attempts - 1)
-        return None if kind == STRAGGLER else kind
-
-    def settle(job, value: float, worker: int) -> None:
-        nonlocal completed_new
-        sug = sugs[job.job_id]
-        strategy.tell(sug, value)
-        log.add(Trial(trial_id=job.job_id - 1, config=sug.config, value=value,
-                      budget=job.budget, sim_time=wall(), worker=worker))
-        completed_new += 1
-
-    def crash_or_giveup(job, slot: int) -> None:
-        """One real attempt failed: requeue for retry, or give up."""
-        name = f"w{slot}"
-        if job.attempts > max_retries:
-            if q.ack(job.job_id, name, float("inf"), sim_time=wall(), worker=slot):
-                stats["giveups"] += 1
-                if rec is not None:
-                    rec.event("retries_exhausted", kind="hpo.giveup",
-                              trial=job.job_id - 1, attempts=job.attempts)
-                settle(job, float("inf"), slot)
-        else:
-            q.requeue(job.job_id, name)
-            stats["retries"] += 1
-            if rec is not None:
-                rec.event("retry", kind="hpo.retry",
-                          trial=job.job_id - 1, attempt=job.attempts, worker=slot)
+    inflight: Dict[int, Tuple[int, ClaimedJob]] = {}  # task_id -> (slot, job)
 
     try:
-        while q.n_done < n_trials:
+        while q.n_done < s.n_trials:
             for threshold, n_active in plan:
-                if completed_new + stats["replayed"] >= threshold:
+                if s.completed_new + stats["replayed"] >= threshold:
                     active = max(1, min(n_active, n_workers))
-            # Fill free executor slots from the queue.
+            for slot, job in inflight.values():
+                s.renew(job, f"w{slot}")
+            # Fill free executor slots from the queue.  Injected faults
+            # are applied parent-side before dispatch; STRAGGLER means
+            # nothing without a simulated clock.
             while len(inflight) < active:
                 slot = len(inflight)  # logical consumer slot
-                name = f"w{slot}"
-                job = q.claim(name, lease_s=lease_s)
+                owner = f"w{slot}"
+                job = s.next_job(owner, slot)
                 if job is None:
-                    if q.n_jobs < n_trials:
-                        sug = strategy.ask()
-                        if sug is None:
-                            break
-                        jid = q.enqueue(sug.config, sug.budget, sug.tag)
-                        sugs[jid] = sug
-                        continue
                     break
-                kind = fault(job)
+                kind = s.fault(job)
                 if kind == CRASH:
-                    stats["failures"] += 1
-                    crash_or_giveup(job, slot)
-                    continue
-                if kind == NAN:
-                    stats["quarantined"] += 1
-                    if rec is not None:
-                        rec.event("quarantine", kind="hpo.quarantine",
-                                  trial=job.job_id - 1, source="injected")
-                    if q.ack(job.job_id, name, float("inf"), sim_time=wall(), worker=slot):
-                        settle(job, float("inf"), slot)
-                    continue
-                task_id = executor.submit(job.config, job.budget)
-                inflight[task_id] = (slot, job)
+                    s.fail(job, owner)
+                elif kind == NAN:
+                    value = screen(float("nan"), stats, rec, job.job_id - 1, "injected")
+                    s.finish(job, owner, value, slot)
+                else:
+                    inflight[executor.submit(job.config, job.budget)] = (slot, job)
             if not inflight:
                 if q.counts()["claimed"] == 0:
                     break  # exhausted/stalled with nothing outstanding
@@ -609,25 +653,22 @@ def _run_real(
                 continue
             res = executor.next_result()
             slot, job = inflight.pop(res.task_id)
-            name = f"w{slot}"
+            owner = f"w{slot}"
             if res.status != "ok":
                 if res.status == "died":
                     stats["workers_lost"] += 1  # the pool respawned it
-                stats["failures"] += 1
-                crash_or_giveup(job, slot)
+                s.fail(job, owner)
             else:
                 stats["busy_s"] += res.duration_s
-                value = _quarantine(float(res.value), stats, rec, job.job_id - 1)
-                if q.ack(job.job_id, name, value, sim_time=wall(), worker=res.worker):
-                    if rec is not None:
-                        rec.add_complete(
-                            "trial", kind="hpo.trial", dur_wall=res.duration_s,
-                            trial=job.job_id - 1, attempt=job.attempts - 1,
-                            worker=res.worker, budget=job.budget,
-                            mode="process", value=value,
-                        )
-                    settle(job, value, res.worker)
-            if stop_after is not None and completed_new >= stop_after:
+                value = screen(float(res.value), stats, rec, job.job_id - 1)
+                if s.finish(job, owner, value, res.worker) and rec is not None:
+                    rec.add_complete(
+                        "trial", kind="hpo.trial", dur_wall=res.duration_s,
+                        trial=job.job_id - 1, attempt=job.attempts - 1,
+                        worker=res.worker, budget=job.budget,
+                        mode="process", value=value,
+                    )
+            if s.stopped:
                 stats["aborted"] = True
                 return
     finally:

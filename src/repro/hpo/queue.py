@@ -133,7 +133,11 @@ class DurableTrialQueue:
     path:
         The database file (created if missing).  Everything — jobs,
         the ask/tell replay log, campaign metadata — lives in this one
-        file; copying it *is* checkpointing the search.
+        file; copying it *is* checkpointing the search.  ``":memory:"``
+        keeps the same tables and transactions in a private in-process
+        database instead: nothing touches the disk and the ledger is
+        gone at :meth:`close` (what ``run_parallel`` uses when it is not
+        given a queue).
     lease_s:
         Default lease duration handed to :meth:`claim`.
     fast:
@@ -147,7 +151,8 @@ class DurableTrialQueue:
             raise ValueError("lease_s must be > 0")
         self.path = Path(path)
         self.lease_s = float(lease_s)
-        self.path.parent.mkdir(parents=True, exist_ok=True)
+        if str(path) != ":memory:":
+            self.path.parent.mkdir(parents=True, exist_ok=True)
         self._lock = threading.Lock()
         self._db = sqlite3.connect(str(self.path), timeout=30.0, check_same_thread=False)
         self._db.isolation_level = None  # explicit BEGIN/COMMIT below

@@ -1,37 +1,39 @@
-"""Search drivers: sequential and simulated-parallel (search parallelism).
+"""Search drivers: sequential, and parallel (search parallelism).
 
-The parallel scheduler runs a strategy over a :class:`WorkerPool` inside
-the discrete-event loop, with a per-trial *simulated duration* from a cost
-model — so E6 can measure time-to-accuracy against worker count, sync vs
-async, on any simulated cluster without burning real compute.
+:func:`run_parallel` runs a strategy on ``n_workers`` workers with a
+per-trial *simulated duration* from a cost model — so E6 can measure
+time-to-accuracy against worker count, sync vs async, on any simulated
+cluster without burning real compute.  The asynchronous regime is not
+written here: it is one call into the queue-driven runtime
+(:func:`repro.hpo.elastic.run_elastic`), over a ledger in memory or on
+disk, on the simulated or the real clock.  The bulk-synchronous wave
+(``sync=True``) is the one policy written separately, because E6
+studies it and its barrier times are the reference the tests pin.
 
-Both schedulers degrade gracefully under the
-:class:`repro.resilience.FaultInjector` fault model: crashed trials are
-retried with optional exponential backoff, stragglers stretch their
-slot, NaN objective values are quarantined (penalized, never fatal), and
-permanent worker loss shrinks the pool — the campaign always completes
-and reports what it survived via ``log.stats``.
+Both regimes degrade gracefully under the
+:class:`repro.resilience.FaultInjector` fault model, with the same
+accounting (:func:`repro.hpo.elastic.new_ledger`): a crashed attempt
+burns its duration and is retried up to ``max_retries`` times, then the
+trial lands as ``inf``; stragglers stretch their slot; NaN objective
+values are quarantined (penalized, never fatal); permanent worker loss
+shrinks the pool but never takes the last worker — the campaign always
+completes and reports what it survived via ``log.stats``.
 
 Observability: with a :class:`repro.obs.TraceRecorder` attached, every
-executed trial becomes an ``hpo.trial`` span (wall-clock interval of the
-real objective evaluation, sim-clock stamp from the event loop, attrs
-for trial id / attempt / worker / value), and retries, exhausted-retry
-give-ups, and NaN quarantines become events on the same timeline.  The
-recorder's sim clock is pointed at this scheduler's event loop for the
-duration of the search, so nested spans (the objective's ``fit`` spans)
-carry simulated timestamps too.
+executed trial becomes an ``hpo.trial`` span around the real objective
+evaluation, stamped on the simulated clock, and retries, give-ups and
+NaN quarantines become events on the same timeline.  The recorder's sim
+clock is pointed at the search's clock for its duration, so nested
+spans (the objective's ``fit`` spans) carry simulated timestamps too.
 """
 
 from __future__ import annotations
 
-import time
-from typing import Callable, Dict, List, Optional
+from typing import Callable, List, Optional, Tuple
 
-import numpy as np
-
-from ..hpc.events import EventLoop, WorkerPool
 from ..obs.context import get_recorder
 from ..resilience.faults import CRASH, NAN, STRAGGLER, WORKER_LOSS, FaultInjector
+from .elastic import new_ledger, run_elastic, screen
 from .results import ResultLog, Trial
 from .space import Config
 from .strategies.base import Strategy, Suggestion
@@ -85,17 +87,6 @@ def constant_cost(seconds: float = 1.0) -> CostModel:
     return model
 
 
-def _quarantine(value: float, stats: Dict[str, int], rec=None, trial: Optional[int] = None) -> float:
-    """NaN objective values are penalized, never propagated: a diverged
-    trial must not crash the campaign or poison the strategy's model."""
-    if np.isnan(value):
-        stats["quarantined"] += 1
-        if rec is not None:
-            rec.event("quarantine", kind="hpo.quarantine", trial=trial, source="objective")
-        return float("inf")
-    return value
-
-
 def run_parallel(
     strategy: Strategy,
     objective: Objective,
@@ -103,424 +94,154 @@ def run_parallel(
     n_workers: int,
     cost_model: Optional[CostModel] = None,
     sync: bool = False,
-    failure_rate: float = 0.0,
     max_retries: int = 3,
-    failure_seed: int = 0,
     injector: Optional[FaultInjector] = None,
-    retry_backoff: float = 0.0,
     executor=None,
     queue=None,
 ) -> ResultLog:
-    """Run the search on ``n_workers`` simulated workers.
+    """Run the search on ``n_workers`` workers.
 
-    With ``queue`` (a :class:`repro.hpo.queue.DurableTrialQueue` or a
-    path to one), the search runs through the durable elastic runtime
-    (:func:`repro.hpo.elastic.run_elastic`) instead: every ask/claim/ack
-    is a queue transaction, so a killed campaign resumes bit-identically
-    from the same queue path.  ``sync``, ``failure_rate``, and
-    ``retry_backoff`` do not apply there.
+    async (default): a worker that finishes immediately asks for new
+    work — results arrive out of order and the strategy sees them as
+    they land.  This is :func:`repro.hpo.elastic.run_elastic`; the two
+    keywords below choose its storage and its clock, and every other
+    keyword means the same whichever they are:
 
-    With ``executor`` (a :class:`repro.parallel.ParallelTrialExecutor`),
-    the search instead runs in **real-clock mode**: trials execute on
-    real worker processes, ``cost_model``/``sync`` do not apply, and
-    trial ``sim_time`` is wall-clock seconds since the search started.
-    The retry/quarantine semantics are preserved — real worker crashes
-    (and injector-scheduled CRASH faults) burn an attempt and are
-    resubmitted up to ``max_retries`` times, NaN objective values are
-    quarantined to ``inf`` — so a campaign degrades gracefully on real
-    hardware exactly as it does on the simulated clock.
-
-    async (default): a worker that finishes immediately asks for new work —
-    results arrive out of order and the strategy sees them as they land.
+    * ``queue`` (a :class:`repro.hpo.queue.DurableTrialQueue` or a path
+      to one) keeps the ledger on disk, so a killed campaign resumes
+      bit-identically from the same path.  Without it the ledger is an
+      in-memory queue that is gone when the call returns.
+    * ``executor`` (a :class:`repro.parallel.ParallelTrialExecutor`)
+      runs trials on real worker processes: ``cost_model`` does not
+      apply and a trial's ``sim_time`` is wall-clock seconds since the
+      pool came up.  Without it trials take ``cost_model`` simulated
+      seconds (default: ``budget`` seconds) on a deterministic clock.
 
     sync: workers proceed in barriers of ``n_workers`` suggestions; the
     strategy only sees results at barrier boundaries (the BSP regime whose
     stragglers E6 quantifies).  A trial's ``sim_time`` is the barrier it
     landed at — the moment its result became visible, matching the async
-    path where ``sim_time`` is the completion event.
+    path where ``sim_time`` is the completion event.  Simulated clock and
+    no queue only.
 
-    Fault model — two sources, identical recovery semantics in both
-    scheduling modes:
-
-    * legacy ``failure_rate``: each execution independently crashes with
-      that probability (drawn from ``failure_seed``);
-    * a :class:`~repro.resilience.FaultInjector`: deterministic per
-      (trial, attempt) crash / straggler / NaN faults, plus permanent
-      worker loss at scheduled times (the pool shrinks; in sync mode
-      later waves are narrower).
-
-    A crashed attempt burns its full simulated duration, then is
-    resubmitted after ``retry_backoff * 2**attempt`` simulated seconds,
-    up to ``max_retries`` retries; exhausted trials are reported to the
-    strategy as ``inf``.  NaN objective values are quarantined the same
-    way.  The returned log's ``stats`` dict records failures, retries,
-    quarantined trials, and workers lost.
+    Faults come from ``injector`` (a
+    :class:`~repro.resilience.FaultInjector`): deterministic per
+    (trial, attempt) crash / straggler / NaN faults, plus permanent
+    worker loss at scheduled times (the pool shrinks; in sync mode later
+    waves are narrower).  See the module docstring for the recovery
+    rules; ``log.stats`` records failures, retries, give-ups,
+    quarantined trials and workers lost, with the same keys in both
+    regimes.
     """
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
     if n_workers < 1:
         raise ValueError("n_workers must be >= 1")
-    if not 0.0 <= failure_rate < 1.0:
-        raise ValueError("failure_rate must be in [0, 1)")
     if max_retries < 0:
         raise ValueError("max_retries must be >= 0")
-    if retry_backoff < 0:
-        raise ValueError("retry_backoff must be >= 0")
-    if queue is not None:
-        if sync:
-            raise ValueError("durable-queue mode is async-only (sync=True unsupported)")
-        from .elastic import run_elastic
-
-        return run_elastic(
-            strategy, objective, n_trials, queue, n_workers,
-            cost_model=cost_model, executor=executor,
-            max_retries=max_retries, injector=injector,
-        )
-    if executor is not None:
-        if sync:
-            raise ValueError("real-clock mode is async-only (sync=True unsupported)")
-        if getattr(executor, "n_workers", n_workers) != n_workers:
+    if sync:
+        if executor is not None or queue is not None:
             raise ValueError(
-                f"executor has {executor.n_workers} workers but run_parallel "
-                f"was asked for {n_workers}"
+                "real-clock and durable-queue searches are async-only (sync=True unsupported)"
             )
-        return _run_parallel_real(
-            strategy, objective, n_trials, executor,
-            failure_rate=failure_rate, max_retries=max_retries,
-            failure_seed=failure_seed, injector=injector,
-        )
-    failure_rng = np.random.default_rng(failure_seed)
-    cost = cost_model or constant_cost()
-    log = ResultLog()
-    loop = EventLoop()
-    stats = log.stats
-    stats.update({"failures": 0, "retries": 0, "quarantined": 0, "workers_lost": 0})
+        return _run_bsp(strategy, objective, n_trials, n_workers,
+                        cost_model or constant_cost(), max_retries, injector)
+    # The in-memory ledger has one driver by construction and no consumer
+    # that can die without it, so its leases never expire.
+    storage = {"queue": queue} if queue is not None else {
+        "queue": ":memory:", "lease_s": float("inf")}
+    return run_elastic(
+        strategy, objective, n_trials, n_workers=n_workers, cost_model=cost_model,
+        executor=executor, max_retries=max_retries, injector=injector, **storage,
+    )
 
-    # Point the attached recorder's sim clock at this search's event loop
-    # so every span recorded during the search (trials, and the fit
-    # spans nested inside them) carries simulated timestamps; restored on
-    # the way out (the finally blocks below guard both exits).
+
+def _run_bsp(
+    strategy: Strategy,
+    objective: Objective,
+    n_trials: int,
+    n_workers: int,
+    cost: CostModel,
+    max_retries: int,
+    injector: Optional[FaultInjector],
+) -> ResultLog:
+    """Bulk-synchronous waves on the simulated clock."""
+    log = ResultLog()
+    stats = log.stats
+    stats.update(new_ledger())
+    straggler_factor = injector.spec.straggler_factor if injector is not None else 1.0
+    losses = sorted(injector.worker_loss_times) if injector is not None else []
+    alive = n_workers
+    now = 0.0
+
+    # Point the attached recorder's sim clock at this search's clock so
+    # every span recorded during the search carries simulated
+    # timestamps; restored on the way out.
     rec = get_recorder()
     prev_sim_clock = rec.sim_clock if rec is not None else None
     if rec is not None:
-        rec.sim_clock = lambda: loop.now
+        rec.sim_clock = lambda: now
 
-    def attempt_fault(tid: int, attempt: int) -> Optional[str]:
-        """Fault for one execution attempt, from whichever source is on."""
-        if injector is not None:
-            return injector.trial_fault(tid, attempt)
-        if failure_rate > 0 and failure_rng.random() < failure_rate:
-            return CRASH
-        return None
-
-    straggler_factor = injector.spec.straggler_factor if injector is not None else 1.0
-    loss_times = sorted(injector.worker_loss_times) if injector is not None else []
-
-    if sync:
-        try:
-            launched = 0
-            alive = n_workers
-            pending_losses = list(loss_times)
-            while launched < n_trials:
-                # Permanent node losses that have occurred shrink the wave.
-                while pending_losses and pending_losses[0] <= loop.now and alive > 1:
-                    pending_losses.pop(0)
-                    alive -= 1
-                    stats["workers_lost"] += 1
-                    injector.record(WORKER_LOSS)
-                batch: List[Suggestion] = []
-                for _ in range(min(alive, n_trials - launched)):
-                    sug = strategy.ask()
-                    if sug is None:
-                        break
-                    batch.append(sug)
-                if not batch:
-                    break
-                # Each slot runs its trial to completion (crashes burn the
-                # attempt and retry in place); the barrier waits for the
-                # slowest slot, so one failing straggler stalls the wave —
-                # the BSP cost the async scheduler avoids.
-                outcomes = []
-                slot_times = []
-                for slot, sug in enumerate(batch):
-                    tid = launched + slot
-                    duration = cost(sug.config, sug.budget)
-                    elapsed = 0.0
-                    attempt = 0
-                    while True:
-                        kind = attempt_fault(tid, attempt)
-                        burn = duration * (straggler_factor if kind == STRAGGLER else 1.0)
-                        elapsed += burn
-                        if kind == CRASH:
-                            stats["failures"] += 1
-                            if attempt < max_retries:
-                                attempt += 1
-                                stats["retries"] += 1
-                                elapsed += retry_backoff * (2.0 ** (attempt - 1))
-                                if rec is not None:
-                                    rec.event(
-                                        "retry", kind="hpo.retry",
-                                        trial=tid, attempt=attempt, worker=slot,
-                                    )
-                                continue
-                            value = float("inf")
-                            if rec is not None:
-                                rec.event(
-                                    "retries_exhausted", kind="hpo.giveup",
-                                    trial=tid, attempts=attempt + 1, worker=slot,
-                                )
-                        elif kind == NAN:
-                            stats["quarantined"] += 1
-                            value = float("inf")
-                            if rec is not None:
-                                rec.event(
-                                    "quarantine", kind="hpo.quarantine",
-                                    trial=tid, source="injected",
-                                )
-                        else:
-                            if rec is not None:
-                                span_id = rec.begin(
-                                    "trial", kind="hpo.trial",
-                                    trial=tid, attempt=attempt, worker=slot,
-                                    budget=sug.budget, sim_duration=burn,
-                                )
-                            value = _quarantine(
-                                objective(sug.config, sug.budget), stats, rec, tid
-                            )
-                            if rec is not None:
-                                rec.end(span_id, value=value)
-                        break
-                    outcomes.append((sug, value, slot))
-                    slot_times.append(elapsed)
-                loop.now += max(slot_times)
-                # The barrier: results land, the strategy learns, all at once.
-                for sug, value, slot in outcomes:
-                    strategy.tell(sug, value)
-                    log.add(
-                        Trial(
-                            trial_id=launched, config=sug.config, value=value,
-                            budget=sug.budget, sim_time=loop.now, worker=slot,
-                        )
-                    )
-                    launched += 1
-            return log
-        finally:
-            if rec is not None:
-                rec.sim_clock = prev_sim_clock
-
-    pool = WorkerPool(loop, n_workers)
-    state = {"launched": 0, "completed": 0}
-
-    for t in loss_times:
-        def lose_one() -> None:
-            if pool.fail_worker() is not None:
-                stats["workers_lost"] += 1
-                injector.record(WORKER_LOSS)
-
-        loop.schedule_at(t, lose_one)
-
-    def submit(sug, tid: int, attempt: int, delay: float = 0.0) -> None:
-        kind = attempt_fault(tid, attempt)
+    def run_slot(sug: Suggestion, tid: int, slot: int) -> Tuple[float, float]:
+        """One slot runs its trial to completion (a crash burns the
+        attempt and retries in place); returns (value, elapsed)."""
         duration = cost(sug.config, sug.budget)
-        if kind == STRAGGLER:
-            duration *= straggler_factor
-
-        def on_done(worker_id: int, sug=sug, tid=tid, attempt=attempt, kind=kind) -> None:
-            if kind == CRASH and attempt < max_retries:
-                stats["failures"] += 1
+        elapsed = 0.0
+        for attempt in range(max_retries + 1):
+            kind = injector.trial_fault(tid, attempt) if injector is not None else None
+            burn = duration * (straggler_factor if kind == STRAGGLER else 1.0)
+            elapsed += burn
+            if kind != CRASH:
+                break
+            stats["failures"] += 1
+            if attempt < max_retries:
                 stats["retries"] += 1
-                backoff = retry_backoff * (2.0 ** attempt)
                 if rec is not None:
-                    rec.event(
-                        "retry", kind="hpo.retry",
-                        trial=tid, attempt=attempt + 1, worker=worker_id, backoff=backoff,
-                    )
-                if backoff > 0:
-                    loop.schedule(backoff, lambda: submit(sug, tid, attempt + 1))
-                else:
-                    submit(sug, tid, attempt + 1)  # resubmit; queues if all busy
-                # This completion still frees a slot for other pending work.
-                while pool.idle_workers > 0 and launch_one():
-                    pass
-                return
-            if kind == CRASH:
-                stats["failures"] += 1
-                value = float("inf")  # retries exhausted
-                if rec is not None:
-                    rec.event(
-                        "retries_exhausted", kind="hpo.giveup",
-                        trial=tid, attempts=attempt + 1, worker=worker_id,
-                    )
-            elif kind == NAN:
-                stats["quarantined"] += 1
-                value = float("inf")  # quarantined, not fatal
-                if rec is not None:
-                    rec.event(
-                        "quarantine", kind="hpo.quarantine", trial=tid, source="injected",
-                    )
-            else:
-                if rec is not None:
-                    span_id = rec.begin(
-                        "trial", kind="hpo.trial",
-                        trial=tid, attempt=attempt, worker=worker_id,
-                        budget=sug.budget, sim_duration=duration,
-                    )
-                value = _quarantine(objective(sug.config, sug.budget), stats, rec, tid)
-                if rec is not None:
-                    rec.end(span_id, value=value)
-            strategy.tell(sug, value)
-            log.add(
-                Trial(
-                    trial_id=tid, config=sug.config, value=value,
-                    budget=sug.budget, sim_time=loop.now, worker=worker_id,
-                )
-            )
-            state["completed"] += 1
-            # Refill this worker's slot (it is not yet marked idle during
-            # its own completion callback — the job lands in the backlog
-            # and is picked up immediately)...
-            launch_one()
-            # ...then fill any other free slots (a completion may unblock
-            # multiple multi-fidelity promotions).
-            while pool.idle_workers > 0 and launch_one():
-                pass
-
-        if delay > 0:
-            loop.schedule(delay, lambda: pool.submit(duration, on_done))
-        else:
-            pool.submit(duration, on_done)
-
-    def launch_one() -> bool:
-        if state["launched"] >= n_trials:
-            return False
-        sug = strategy.ask()
-        if sug is None:
-            return False  # stalled; completions will retry
-        tid = state["launched"]
-        state["launched"] += 1
-        submit(sug, tid, attempt=0)
-        return True
+                    rec.event("retry", kind="hpo.retry",
+                              trial=tid, attempt=attempt + 1, worker=slot)
+        if kind == CRASH:
+            stats["giveups"] += 1
+            if rec is not None:
+                rec.event("retries_exhausted", kind="hpo.giveup",
+                          trial=tid, attempts=max_retries + 1)
+            return float("inf"), elapsed
+        if kind == NAN:
+            return screen(float("nan"), stats, rec, tid, "injected"), elapsed
+        if rec is not None:
+            span_id = rec.begin("trial", kind="hpo.trial", trial=tid, attempt=attempt,
+                                worker=slot, budget=sug.budget, sim_duration=burn)
+        value = screen(objective(sug.config, sug.budget), stats, rec, tid)
+        if rec is not None:
+            rec.end(span_id, value=value)
+        return value, elapsed
 
     try:
-        # Prime the pool.
-        while pool.idle_workers > 0 and launch_one():
-            pass
-        loop.run()
+        while len(log) < n_trials:
+            # Permanent node losses that have occurred shrink the wave.
+            while losses and losses[0] <= now and alive > 1:
+                losses.pop(0)
+                alive -= 1
+                stats["workers_lost"] += 1
+                injector.record(WORKER_LOSS)
+            batch: List[Suggestion] = []
+            for _ in range(min(alive, n_trials - len(log))):
+                sug = strategy.ask()
+                if sug is None:
+                    break
+                batch.append(sug)
+            if not batch:
+                break
+            # The barrier waits for the slowest slot, so one failing
+            # straggler stalls the wave — the BSP cost async avoids.
+            values, elapsed = zip(*(run_slot(sug, len(log) + slot, slot)
+                                    for slot, sug in enumerate(batch)))
+            now += max(elapsed)
+            # The barrier: results land, the strategy learns, all at once.
+            for slot, (sug, value) in enumerate(zip(batch, values)):
+                strategy.tell(sug, value)
+                log.add(Trial(trial_id=len(log), config=sug.config, value=value,
+                              budget=sug.budget, sim_time=now, worker=slot))
         return log
     finally:
         if rec is not None:
             rec.sim_clock = prev_sim_clock
-
-
-def _run_parallel_real(
-    strategy: Strategy,
-    objective: Objective,
-    n_trials: int,
-    executor,
-    failure_rate: float,
-    max_retries: int,
-    failure_seed: int,
-    injector: Optional[FaultInjector],
-) -> ResultLog:
-    """Async search on real worker processes (the executor's pool).
-
-    Mirrors the simulated async scheduler's semantics on the wall
-    clock: completions arrive out of order, the strategy learns as they
-    land, crashed attempts retry up to ``max_retries`` then report
-    ``inf``, NaN values are quarantined.  Injector CRASH/NAN faults are
-    applied parent-side before dispatch (deterministic per
-    (trial, attempt), so fault-handling tests run identically in both
-    modes); STRAGGLER faults are meaningless without a simulated clock
-    and are ignored.  Dead workers are respawned by the pool and the
-    lost attempt is charged as a failure.
-    """
-    failure_rng = np.random.default_rng(failure_seed)
-    log = ResultLog()
-    stats = log.stats
-    stats.update({"failures": 0, "retries": 0, "quarantined": 0, "workers_lost": 0})
-    rec = get_recorder()
-    t0 = time.perf_counter()
-
-    def wall() -> float:
-        return time.perf_counter() - t0
-
-    def attempt_fault(tid: int, attempt: int) -> Optional[str]:
-        if injector is not None:
-            fault = injector.trial_fault(tid, attempt)
-            return None if fault == STRAGGLER else fault
-        if failure_rate > 0 and failure_rng.random() < failure_rate:
-            return CRASH
-        return None
-
-    state = {"launched": 0}
-    inflight: Dict[int, tuple] = {}  # task_id -> (sug, tid, attempt)
-
-    def finish(sug, tid: int, value: float, worker: int) -> None:
-        strategy.tell(sug, value)
-        log.add(Trial(trial_id=tid, config=sug.config, value=value,
-                      budget=sug.budget, sim_time=wall(), worker=worker))
-
-    def crash(sug, tid: int, attempt: int, worker: int) -> None:
-        """One attempt failed (injected, exception, or dead worker)."""
-        stats["failures"] += 1
-        if attempt < max_retries:
-            stats["retries"] += 1
-            if rec is not None:
-                rec.event("retry", kind="hpo.retry",
-                          trial=tid, attempt=attempt + 1, worker=worker)
-            dispatch(sug, tid, attempt + 1)
-        else:
-            if rec is not None:
-                rec.event("retries_exhausted", kind="hpo.giveup",
-                          trial=tid, attempts=attempt + 1, worker=worker)
-            finish(sug, tid, float("inf"), worker)
-
-    def dispatch(sug, tid: int, attempt: int) -> None:
-        kind = attempt_fault(tid, attempt)
-        if kind == CRASH:
-            crash(sug, tid, attempt, worker=-1)
-            return
-        if kind == NAN:
-            stats["quarantined"] += 1
-            if rec is not None:
-                rec.event("quarantine", kind="hpo.quarantine", trial=tid, source="injected")
-            finish(sug, tid, float("inf"), worker=-1)
-            return
-        task_id = executor.submit(sug.config, sug.budget)
-        inflight[task_id] = (sug, tid, attempt)
-
-    def launch_one() -> bool:
-        if state["launched"] >= n_trials:
-            return False
-        sug = strategy.ask()
-        if sug is None:
-            return False  # stalled; completions will retry
-        tid = state["launched"]
-        state["launched"] += 1
-        dispatch(sug, tid, attempt=0)
-        return True
-
-    executor.start(objective)
-    try:
-        while True:
-            while len(inflight) < executor.n_workers and launch_one():
-                pass
-            if not inflight:
-                break  # done, or strategy stalled with nothing outstanding
-            res = executor.next_result()
-            sug, tid, attempt = inflight.pop(res.task_id)
-            if res.status != "ok":
-                if res.status == "died":
-                    stats["workers_lost"] += 1  # the pool respawned it
-                crash(sug, tid, attempt, worker=res.worker)
-                continue
-            if rec is not None:
-                rec.add_complete(
-                    "trial", kind="hpo.trial", dur_wall=res.duration_s,
-                    trial=tid, attempt=attempt, worker=res.worker,
-                    budget=sug.budget, mode="process", value=res.value,
-                )
-            finish(sug, tid, _quarantine(res.value, stats, rec, tid), res.worker)
-        return log
-    finally:
-        executor.shutdown()

@@ -93,7 +93,6 @@ def run_campaign(
     strategy_kwargs: Optional[Dict] = None,
     faults=None,
     max_retries: int = 3,
-    retry_backoff: float = 0.0,
     checkpoint_dir=None,
     publish_to=None,
     model_name: Optional[str] = None,
@@ -122,11 +121,12 @@ def run_campaign(
     "which campaign produced you".  The report's ``published`` field
     carries the resulting :class:`repro.registry.ArtifactRef`.
 
-    ``queue_path`` makes the search phase *durable*: every ask/claim/ack
-    goes through an on-disk :class:`repro.hpo.DurableTrialQueue` at that
-    path, so a campaign killed mid-search can be re-invoked with the
-    same arguments and resumes bit-identically where it died (see
-    :func:`repro.hpo.run_elastic`).
+    ``queue_path`` makes the search phase *durable*: the search's
+    :class:`repro.hpo.DurableTrialQueue` lives on disk at that path
+    instead of in memory, so a campaign killed mid-search can be
+    re-invoked with the same arguments and resumes bit-identically where
+    it died (see :func:`repro.hpo.run_elastic`).  Nothing else about the
+    search depends on it.
     """
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
@@ -152,16 +152,10 @@ def run_campaign(
             cost = simulated_trial_cost(spec, cluster)
             strat_cls = STRATEGIES[strategy]
             strat = strat_cls(space, seed=seed, **(strategy_kwargs or {}))
-            if queue_path is not None:
-                log = run_parallel(
-                    strat, objective, n_trials, n_workers, cost,
-                    injector=injector, max_retries=max_retries, queue=queue_path,
-                )
-            else:
-                log = run_parallel(
-                    strat, objective, n_trials, n_workers, cost,
-                    injector=injector, max_retries=max_retries, retry_backoff=retry_backoff,
-                )
+            log = run_parallel(
+                strat, objective, n_trials, n_workers, cost,
+                injector=injector, max_retries=max_retries, queue=queue_path,
+            )
             try:
                 best = log.best_config()
             except ValueError:

@@ -35,13 +35,15 @@ from repro.hpo import (
     SurrogateLandscape,
     WorkerPlan,
     candle_mlp_space,
+    constant_cost,
     run_elastic,
     run_parallel,
 )
 from repro.hpo.elastic import ElasticReplayError, replay_into
 from repro.hpo.queue import CLAIMED, DONE, PENDING
 from repro.hpo.results import ResultLog
-from repro.resilience import FaultSpec
+from repro.obs import TraceRecorder
+from repro.resilience import NAN, WORKER_LOSS, FaultInjector, FaultSpec
 
 
 def _drain_driver(path, name, barrier, out_q):
@@ -114,6 +116,22 @@ class TestQueueBasics:
     def test_invalid_lease_raises(self, tmp_path):
         with pytest.raises(ValueError):
             DurableTrialQueue(tmp_path / "bad.db", lease_s=0.0)
+
+    def test_memory_queue_touches_no_disk(self, tmp_path, monkeypatch):
+        """``":memory:"`` is a stated constructor form: same tables and
+        transactions, no directory made for it, nothing left behind."""
+        monkeypatch.chdir(tmp_path)
+        with DurableTrialQueue(":memory:", lease_s=10.0) as queue:
+            jid = queue.enqueue({"x": 0.5}, budget=2, tag=(0, 1, 2))
+            job = queue.claim("c", now=0.0)
+            assert (job.job_id, job.tag, job.lease_expires) == (jid, (0, 1, 2), 10.0)
+            assert queue.extend_lease(jid, "c", now=5.0)
+            assert queue.ack(jid, "c", 1.5) and not queue.ack(jid, "c", 1.5)
+            assert [k for _, k, _, _ in queue.events()] == ["ask", "tell"]
+            assert queue.counts() == {PENDING: 0, CLAIMED: 0, DONE: 1}
+            queue.meta_set("sim_now", 3.0)
+            assert queue.meta_get("sim_now") == 3.0
+        assert list(tmp_path.iterdir()) == []
 
     def test_claim_oldest_runnable_first(self, q):
         q.enqueue({"x": 0.1})
@@ -414,22 +432,94 @@ class TestElasticRuntime:
     def test_faulted_campaign_completes(self, tmp_path):
         faults = FaultSpec(crash_prob=0.15, nan_prob=0.1, straggler_prob=0.1,
                            worker_loss_times=(5.0,), seed=9)
-        from repro.resilience import as_injector
+        injector = FaultInjector(faults)
 
-        with DurableTrialQueue(tmp_path / "faults.db", lease_s=5.0) as queue:
+        with TraceRecorder() as rec, \
+                DurableTrialQueue(tmp_path / "faults.db", lease_s=5.0) as queue:
             log = run_elastic(RandomSearch(small_space(), seed=3), objective,
                               40, queue, n_workers=4, cost_model=budget_cost,
-                              injector=as_injector(faults))
+                              injector=injector, max_retries=1)
             counts = queue.counts()
+        stats = log.stats
         assert counts == {PENDING: 0, CLAIMED: 0, DONE: 40}
-        assert log.stats["failures"] > 0
-        assert log.stats["quarantined"] > 0
-        assert log.stats["workers_lost"] == 1
+        assert stats["failures"] > 0
+        assert stats["quarantined"] > 0
+        assert stats["workers_lost"] == 1
+        # A trial CRASH is a failed attempt, not a consumer death: nobody
+        # is killed, no lease is waited out, and the ledger balances.
+        assert stats["workers_killed"] == 0 and stats["reclaims"] == 0
+        assert stats["giveups"] > 0
+        assert stats["failures"] == stats["retries"] + stats["giveups"]
+        assert stats["giveups"] == sum(t.worker == -1 for t in log.trials)
+        # Each attempt's fault is drawn once: the injector's counts, the
+        # trace's fault events and the ledger agree.
+        assert stats["failures"] == injector.counts["crash"]
+        assert stats["quarantined"] == injector.counts[NAN]
+        assert stats["workers_lost"] == injector.counts[WORKER_LOSS]
+        assert len(rec.events(kind="fault")) == injector.total_injected
+        assert len(rec.events(kind="hpo.retry")) == stats["retries"]
+
+    @pytest.mark.parametrize("via", ["run_elastic", "run_parallel"])
+    def test_trial_longer_than_lease_runs_once(self, tmp_path, via):
+        """A live consumer keeps its claim however long the trial: 100 s
+        trials under the 60 s default lease run once each (on disk the
+        driver renews the leases; in memory they never expire)."""
+        calls = []
+
+        def counted(config, budget=1):
+            calls.append(config["x"])
+            return objective(config, budget)
+
+        strat = RandomSearch(small_space(), seed=2)
+        if via == "run_elastic":
+            log = run_elastic(strat, counted, 20, tmp_path / "long.db",
+                              n_workers=4, cost_model=constant_cost(100.0))
+        else:
+            log = run_parallel(strat, counted, 20, 4, constant_cost(100.0))
+        assert len(calls) == len(log) == 20
+        assert log.stats["duplicate_acks"] == 0 and log.stats["reclaims"] == 0
+        assert max(t.sim_time for t in log.trials) == 500.0
+
+    def test_kill_still_waits_out_the_lease_of_a_long_trial(self, tmp_path):
+        """Renewal is the heartbeat of a *live* consumer: one killed
+        before its ack stops renewing and the job is reclaimed."""
+        log = run_elastic(RandomSearch(small_space(), seed=2), objective, 4,
+                          tmp_path / "killed.db", n_workers=2,
+                          cost_model=constant_cost(100.0),
+                          kill_plan=KillPlan(kills={(1, 1): "ack"}))
+        assert len(log) == 4
+        assert log.stats["workers_killed"] == 1 and log.stats["reclaims"] == 1
 
     def test_run_parallel_delegates_to_queue_mode(self, tmp_path):
         log = run_parallel(RandomSearch(small_space(), seed=8), objective,
                            15, 4, budget_cost, queue=tmp_path / "rp.db")
         assert len(log) == 15
+        # One loop, two storage modes: the ledger in memory and on disk
+        # give the same rows, the same stats and the same fault counts.
+        faults = FaultSpec(crash_prob=0.15, nan_prob=0.1, straggler_prob=0.1,
+                           worker_loss_times=(2.0, 7.0), seed=4)
+        strategies = {
+            "random": lambda: RandomSearch(small_space(), seed=8),
+            "asha": lambda: ASHA(small_space(), seed=8, max_budget=9),
+        }
+        for name, mk in strategies.items():
+            for spec in (None, faults):
+                runs = []
+                for queue in (None, tmp_path / f"{name}-{spec is not None}.db"):
+                    injector = FaultInjector(spec) if spec is not None else None
+                    with TraceRecorder() as rec:
+                        log = run_parallel(mk(), objective, 40, 4, budget_cost,
+                                           injector=injector, max_retries=2, queue=queue)
+                    assert len(log) == 40
+                    counts = dict(injector.counts) if injector is not None else {}
+                    assert len(rec.events(kind="fault")) == sum(counts.values())
+                    runs.append((rows(log), log.stats, counts))
+                assert runs[0] == runs[1], (name, spec)
+                if spec is not None:
+                    _, stats, counts = runs[0]
+                    assert stats["failures"] == counts["crash"] > 0
+                    assert stats["quarantined"] == counts[NAN] > 0
+                    assert stats["workers_lost"] == counts[WORKER_LOSS] == 2
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_asha_reaches_target_no_later_than_sync_halving(self, tmp_path, seed):

@@ -25,6 +25,7 @@ from repro.hpo import (
     run_parallel,
     run_sequential,
 )
+from repro.resilience import FaultInjector
 
 
 def small_space():
@@ -433,7 +434,8 @@ class TestFailureInjection:
         space = small_space()
         log = run_parallel(
             RandomSearch(space, seed=0), sphere, 60, 8,
-            constant_cost(5.0), failure_rate=0.25, max_retries=8, failure_seed=3,
+            constant_cost(5.0), max_retries=8,
+            injector=FaultInjector(crash_prob=0.25, seed=3),
         )
         assert len(log) == 60
         # P(9 consecutive crashes) ~ 4e-6: retries make every trial finish.
@@ -444,7 +446,7 @@ class TestFailureInjection:
         clean = run_parallel(RandomSearch(space, seed=0), sphere, 60, 8, constant_cost(5.0))
         faulty = run_parallel(
             RandomSearch(space, seed=0), sphere, 60, 8,
-            constant_cost(5.0), failure_rate=0.3, failure_seed=1,
+            constant_cost(5.0), injector=FaultInjector(crash_prob=0.3, seed=1),
         )
         assert max(t.sim_time for t in faulty.trials) > max(t.sim_time for t in clean.trials)
 
@@ -452,7 +454,8 @@ class TestFailureInjection:
         space = small_space()
         log = run_parallel(
             RandomSearch(space, seed=0), sphere, 30, 4,
-            constant_cost(1.0), failure_rate=0.9, max_retries=0, failure_seed=2,
+            constant_cost(1.0), max_retries=0,
+            injector=FaultInjector(crash_prob=0.9, seed=2),
         )
         assert len(log) == 30
         assert any(t.value == float("inf") for t in log.trials)
@@ -460,19 +463,22 @@ class TestFailureInjection:
     def test_failure_injection_deterministic(self):
         space = small_space()
         a = run_parallel(RandomSearch(space, seed=0), sphere, 40, 4,
-                         constant_cost(2.0), failure_rate=0.2, failure_seed=7)
+                         constant_cost(2.0), injector=FaultInjector(crash_prob=0.2, seed=7))
         b = run_parallel(RandomSearch(space, seed=0), sphere, 40, 4,
-                         constant_cost(2.0), failure_rate=0.2, failure_seed=7)
+                         constant_cost(2.0), injector=FaultInjector(crash_prob=0.2, seed=7))
         assert [t.sim_time for t in a.trials] == [t.sim_time for t in b.trials]
 
     def test_validation(self):
         space = small_space()
         with pytest.raises(ValueError):
-            run_parallel(RandomSearch(space), sphere, 10, 2, failure_rate=1.0)
+            run_parallel(RandomSearch(space), sphere, 10, 2,
+                         injector=FaultInjector(crash_prob=1.0))
         with pytest.raises(ValueError):
             run_parallel(RandomSearch(space), sphere, 10, 2, max_retries=-1)
-        with pytest.raises(ValueError):
-            run_parallel(RandomSearch(space), sphere, 10, 2, retry_backoff=-1.0)
+        # The pre-injector spellings are gone, not shimmed.
+        for stale in ({"failure_rate": 0.1}, {"failure_seed": 1}, {"retry_backoff": 1.0}):
+            with pytest.raises(TypeError):
+                run_parallel(RandomSearch(space), sphere, 10, 2, **stale)
 
     def test_stats_account_for_every_crash(self):
         """Every injected crash is either retried or ends an inf trial:
@@ -480,7 +486,8 @@ class TestFailureInjection:
         space = small_space()
         log = run_parallel(
             RandomSearch(space, seed=0), sphere, 40, 4,
-            constant_cost(1.0), failure_rate=0.35, max_retries=2, failure_seed=9,
+            constant_cost(1.0), max_retries=2,
+            injector=FaultInjector(crash_prob=0.35, seed=9),
         )
         stats = log.stats
         n_inf = sum(t.value == float("inf") for t in log.trials)
@@ -493,20 +500,20 @@ class TestFailureInjection:
         space = small_space()
         runs = [
             run_parallel(RandomSearch(space, seed=0), sphere, 40, 4,
-                         constant_cost(2.0), failure_rate=0.2, failure_seed=7).stats
+                         constant_cost(2.0), injector=FaultInjector(crash_prob=0.2, seed=7)).stats
             for _ in range(2)
         ]
         assert runs[0] == runs[1]
         other = run_parallel(RandomSearch(space, seed=0), sphere, 40, 4,
-                             constant_cost(2.0), failure_rate=0.2, failure_seed=8).stats
+                             constant_cost(2.0), injector=FaultInjector(crash_prob=0.2, seed=8)).stats
         assert other != runs[0]
 
     def test_values_deterministic_under_failure_seed(self):
         space = small_space()
         a = run_parallel(RandomSearch(space, seed=0), sphere, 40, 4,
-                         constant_cost(2.0), failure_rate=0.2, failure_seed=7)
+                         constant_cost(2.0), injector=FaultInjector(crash_prob=0.2, seed=7))
         b = run_parallel(RandomSearch(space, seed=0), sphere, 40, 4,
-                         constant_cost(2.0), failure_rate=0.2, failure_seed=7)
+                         constant_cost(2.0), injector=FaultInjector(crash_prob=0.2, seed=7))
         assert [t.value for t in a.trials] == [t.value for t in b.trials]
         assert [t.trial_id for t in a.trials] == [t.trial_id for t in b.trials]
 
@@ -516,8 +523,8 @@ class TestFailureInjection:
         space = small_space()
         log = run_parallel(
             RandomSearch(space, seed=0), sphere, 24, 4,
-            constant_cost(1.0), sync=True, failure_rate=0.4, max_retries=1,
-            failure_seed=5,
+            constant_cost(1.0), sync=True, max_retries=1,
+            injector=FaultInjector(crash_prob=0.4, seed=5),
         )
         assert len(log) == 24
         n_inf = sum(t.value == float("inf") for t in log.trials)

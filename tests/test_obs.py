@@ -392,10 +392,14 @@ class TestWiredHooks:
         from repro.hpo.scheduler import run_parallel
 
         rec = TraceRecorder()
+
+        def objective(cfg, budget):
+            with rec.span("fit", kind="fit"):
+                return cfg["lr"]
+
         with rec:
             log = run_parallel(
-                RandomSearch(space, seed=0),
-                lambda cfg, budget: cfg["lr"],
+                RandomSearch(space, seed=0), objective,
                 n_trials=4, n_workers=2,
                 cost_model=lambda cfg, budget: 2.0,
             )
@@ -406,6 +410,15 @@ class TestWiredHooks:
         # spans are stamped in simulated seconds and detach afterwards.
         assert all(t["t_sim"] is not None and t["dur_sim"] is not None for t in trials)
         assert rec.sim_clock is None
+        # The span is a real begin/end around the objective call: what
+        # the objective records nests under its trial, the wall time is
+        # measured, and the sim stamps are the interval the trial held
+        # its worker.
+        fits = rec.spans(kind="fit")
+        assert [f["parent"] for f in fits] == [t["id"] for t in trials]
+        assert all(t["dur_wall"] >= f["dur_wall"] > 0 for t, f in zip(trials, fits))
+        assert [(t["t_sim"], t["dur_sim"]) for t in trials] == [(0.0, 2.0)] * 2 + [(2.0, 2.0)] * 2
+        assert [t.sim_time for t in log.trials] == [2.0, 2.0, 4.0, 4.0]
 
     def test_fault_events_and_counters(self):
         from repro.resilience import FaultInjector

@@ -434,19 +434,6 @@ class TestSchedulerResilience:
         assert log.stats["quarantined"] == inj.counts[NAN] > 0
         assert sum(t.value == float("inf") for t in log.trials) == inj.counts[NAN]
 
-    def test_retry_backoff_extends_wallclock(self):
-        from repro.hpo import RandomSearch, constant_cost, run_parallel
-
-        def run(backoff, sync):
-            inj = FaultInjector(crash_prob=0.3, seed=6)
-            log = run_parallel(RandomSearch(_space(), seed=0), _sphere, 20, 4,
-                               constant_cost(1.0), sync=sync, injector=inj,
-                               max_retries=4, retry_backoff=backoff)
-            return max(t.sim_time for t in log.trials)
-
-        for sync in (True, False):
-            assert run(10.0, sync) > run(0.0, sync)
-
 
 class TestWorkflowResilience:
     @pytest.fixture(scope="class")
