@@ -2,21 +2,25 @@
 
 Attach a :class:`repro.obs.TraceRecorder` and run the same campaign the
 other examples run — search, fault injection, resilient final training —
-plus a short serving burst against the trained model.  Every subsystem
-reports into the shared timeline:
+publish the winner into an :class:`repro.registry.ArtifactStore`
+(``traced_registry/``), and serve a short burst from what was published:
+campaign → publish → resolve → serve, the whole hand-off on one
+timeline.  Every subsystem reports into it:
 
 * the campaign driver (top-level span + search/train/evaluate phases),
 * the HPO scheduler (one span per trial attempt, on the simulated clock),
 * ``Model.fit`` (epoch/step spans with loss and gradient-norm gauges),
 * the op profiler (per-kernel spans nested under the step that ran them),
 * the fault injector and checkpoint/restart loop (instant events),
-* the inference server (per-batch spans with queue-depth gauges).
+* the registry publish (``campaign.publish``) and the inference server
+  (per-batch ``serve.batch`` spans with queue-depth gauges).
 
 The trace is exported as JSONL (validated against the versioned schema)
 and converted to a Chrome trace-event file.  Inspect either with::
 
     python -m repro trace traced_campaign.jsonl
     # or load traced_campaign_chrome.json in chrome://tracing / Perfetto
+    python -m repro registry traced_registry p1b1 --verify
 
 Run: ``python examples/traced_campaign.py [--smoke]``
 """
@@ -27,12 +31,12 @@ import tempfile
 import numpy as np
 
 from repro.hpo.space import Float, Int, SearchSpace
-from repro.nn import Sequential
 from repro.obs import (
     TraceRecorder, format_summary, read_jsonl, summarize_trace,
     validate_trace, write_chrome_trace, write_jsonl,
 )
 from repro.perf import OpProfiler
+from repro.registry import ArtifactStore
 from repro.resilience import FaultSpec
 from repro.serve import BatchPolicy, InferenceServer
 from repro.workflow.campaign import run_campaign
@@ -49,6 +53,7 @@ space = SearchSpace({
 # 1. Run the campaign with the recorder attached.
 # ----------------------------------------------------------------------
 recorder = TraceRecorder()
+store = ArtifactStore("traced_registry")
 with tempfile.TemporaryDirectory() as ckpt_dir:
     with recorder:
         with OpProfiler():  # op spans nest under the fit-step spans
@@ -62,17 +67,18 @@ with tempfile.TemporaryDirectory() as ckpt_dir:
                 seed=7,
                 faults=FaultSpec(crash_prob=0.10, nan_prob=0.05, seed=3),
                 checkpoint_dir=ckpt_dir,
+                publish_to=store,
+                model_name="p1b1",
             )
 
-        # A serving burst against a small model, on the same timeline.
-        model = Sequential()
-        from repro.nn.layers import Dense
-        model.add(Dense(16)).add(Dense(1))
-        model.build((8,), np.random.default_rng(0))
-        server = InferenceServer(model, BatchPolicy(max_batch_size=8, max_wait_s=0.0))
+        # A serving burst against what the campaign just published, on
+        # the same timeline.
+        server = InferenceServer.from_store(
+            store, "p1b1@latest", BatchPolicy(max_batch_size=8, max_wait_s=0.0)
+        )
         rng = np.random.default_rng(1)
         for _ in range(8 if smoke else 64):
-            server.submit(rng.normal(size=8))
+            server.submit(rng.normal(size=report.published.input_shape))
             server.step(force=True)
         server.drain()
 

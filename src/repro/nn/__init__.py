@@ -14,13 +14,12 @@ from . import optim
 from . import schedules
 from . import serialization
 from .serialization import (
+    CheckpointIntegrityError,
     atomic_savez,
-    load_checkpoint,
     load_training_state,
     load_weights,
     restore_rng,
     rng_state,
-    save_checkpoint,
     save_training_state,
     save_weights,
 )
@@ -77,6 +76,6 @@ __all__ = [
     "Constant", "StepDecay", "ExponentialDecay", "CosineAnnealing",
     "WarmupCosine", "ScheduledOptimizer",
     "DataLoader", "shard", "train_val_split",
-    "serialization", "save_weights", "load_weights", "save_checkpoint", "load_checkpoint",
+    "serialization", "save_weights", "load_weights", "CheckpointIntegrityError",
     "save_training_state", "load_training_state", "atomic_savez", "rng_state", "restore_rng",
 ]

@@ -1,15 +1,16 @@
-"""Model checkpointing: save/load weights (and optimizer state) as .npz.
+"""Model persistence: the one module that knows the on-disk layout.
 
-Long CANDLE-style campaigns checkpoint between hyperparameter-search
-rungs (Hyperband promotions resume training) and across job boundaries;
-this module provides that persistence for any :class:`repro.nn.Model`.
-
-:func:`save_training_state` / :func:`load_training_state` extend the
-basic checkpoint with everything a *resumable* training loop needs —
-epoch/step cursor, data-order RNG state, epoch permutation, history —
-written atomically (write-tmp-then-rename) so a crash mid-write can
-never leave a truncated checkpoint behind (the resilience runtime in
-:mod:`repro.resilience` restarts from these).
+Every file this repo writes for a model — bare weights
+(:func:`save_weights`), resumable training snapshots
+(:func:`save_training_state`, what :mod:`repro.resilience` restarts
+from) and registry artifacts (:func:`repro.registry.write_artifact`) —
+is one ``.npz``: the parameters in order as ``param_0000``…, any
+further named arrays, and a ``_meta`` member holding a JSON header with
+``n_params``.  :func:`write_npz` is the only writer (always through
+:func:`atomic_savez`: temp file, then ``os.replace``, so a reader never
+finds a torn file) and :func:`read_npz` the only reader (a file that is
+unreadable, truncated or fails a CRC is refused with
+:class:`CheckpointIntegrityError`, whoever asks).
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import json
 import os
 import tempfile
 from pathlib import Path
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -26,15 +27,86 @@ from .model import Model
 from .optim import Adam, Optimizer, RMSProp, SGD
 
 
+class CheckpointIntegrityError(RuntimeError):
+    """A stored model failed its integrity check: the file is truncated,
+    a member is corrupt, or (for registry artifacts) the weights no
+    longer match the checksum recorded at publish time.  Raised *before*
+    any weights are installed into a model."""
+
+
+def atomic_savez(path: Union[str, Path], arrays: Dict[str, np.ndarray]) -> Path:
+    """Write an .npz atomically: savez to a temp file, then rename.
+
+    ``os.replace`` is atomic on POSIX, so readers either see the previous
+    complete checkpoint or the new complete one — never a torn write.
+    Returns the final path (with the ``.npz`` suffix ``np.savez`` adds).
+    """
+    path = Path(path)
+    if path.suffix != ".npz":
+        path = path.with_suffix(path.suffix + ".npz")
+    fd, tmp_name = tempfile.mkstemp(suffix=".npz", dir=path.parent, prefix=".tmp_ckpt_")
+    os.close(fd)
+    try:
+        with open(tmp_name, "wb") as fh:
+            np.savez(fh, **arrays)
+        os.replace(tmp_name, path)
+    except BaseException:
+        if os.path.exists(tmp_name):
+            os.unlink(tmp_name)
+        raise
+    return path
+
+
+def write_npz(
+    path: Union[str, Path],
+    weights: Sequence[np.ndarray],
+    header: Dict,
+    arrays: Optional[Dict[str, np.ndarray]] = None,
+) -> Path:
+    """The writer: ``weights`` in order, ``arrays`` by name, ``header``
+    (plus ``n_params``) as JSON — atomically.  Returns the final path."""
+    members = {f"param_{i:04d}": w for i, w in enumerate(weights)}
+    members.update(arrays or {})
+    members["_meta"] = np.frombuffer(
+        json.dumps({"n_params": len(weights), **header}).encode(), dtype=np.uint8
+    )
+    return atomic_savez(path, members)
+
+
+def read_npz(path: Union[str, Path]) -> Tuple[Dict, List[np.ndarray], Dict[str, np.ndarray]]:
+    """The reader: ``(header, weights, other arrays)`` of a file written
+    by :func:`write_npz`, every member decoded in this one pass.
+
+    ``path`` may omit the ``.npz`` suffix.  A missing file raises
+    ``FileNotFoundError``; anything else that stops the decode — a
+    truncated zip, a member failing its CRC, a mangled array or JSON
+    header, a missing parameter, two members under one name (a damaged
+    directory entry shadowing a neighbour, which would otherwise just
+    vanish) — raises :class:`CheckpointIntegrityError`.
+    """
+    path = Path(path)
+    if not path.exists() and path.with_suffix(path.suffix + ".npz").exists():
+        path = path.with_suffix(path.suffix + ".npz")
+    try:
+        with np.load(path) as data:
+            arrays = {key: data[key] for key in data.files}
+            if len(arrays) != len(data.files):
+                raise ValueError("two members share a name")
+        header = json.loads(bytes(arrays.pop("_meta")).decode())
+        weights = [arrays.pop(f"param_{i:04d}") for i in range(header["n_params"])]
+    except FileNotFoundError:
+        raise
+    except Exception as exc:  # BadZipFile, zlib.error, EOFError, KeyError, ValueError…
+        raise CheckpointIntegrityError(
+            f"{path}: unreadable ({type(exc).__name__}: {exc}) — "
+            "file is truncated or corrupt; refusing to load"
+        ) from exc
+    return header, weights, arrays
+
+
 def save_weights(model: Model, path: Union[str, Path], metadata: Optional[Dict] = None) -> None:
     """Write all model parameters (ordered) plus optional JSON metadata."""
-    path = Path(path)
-    weights = model.get_weights()
-    arrays = {f"param_{i:04d}": w for i, w in enumerate(weights)}
-    arrays["_meta"] = np.frombuffer(
-        json.dumps({"n_params": len(weights), "metadata": metadata or {}}).encode(), dtype=np.uint8
-    )
-    np.savez(path, **arrays)
+    write_npz(path, model.get_weights(), {"metadata": metadata or {}})
 
 
 def load_weights(model: Model, path: Union[str, Path]) -> Dict:
@@ -42,15 +114,9 @@ def load_weights(model: Model, path: Union[str, Path]) -> Dict:
 
     The model must already be built with matching shapes.
     """
-    path = Path(path)
-    if not path.exists() and path.with_suffix(path.suffix + ".npz").exists():
-        path = path.with_suffix(path.suffix + ".npz")
-    with np.load(path) as data:
-        meta = json.loads(bytes(data["_meta"]).decode())
-        n = meta["n_params"]
-        weights = [data[f"param_{i:04d}"] for i in range(n)]
+    header, weights, _ = read_npz(path)
     model.set_weights(weights)
-    return meta["metadata"]
+    return header["metadata"]
 
 
 def unwrap_optimizer(optimizer):
@@ -92,7 +158,8 @@ def _pack_optimizer(optimizer: Optional[Optimizer], arrays: Dict[str, np.ndarray
 
 
 def _unpack_optimizer(optimizer: Optional[Optimizer], opt_state: Dict, data) -> None:
-    """Restore optimizer moments saved by :func:`_pack_optimizer`.
+    """Restore optimizer moments saved by :func:`_pack_optimizer` from
+    ``data``, the arrays :func:`read_npz` decoded (handed over, not copied).
 
     The restore is *exact*: moments absent from the snapshot are cleared,
     not kept — a run restored to a pre-first-step snapshot must not carry
@@ -110,84 +177,20 @@ def _unpack_optimizer(optimizer: Optional[Optimizer], opt_state: Dict, data) -> 
         for i, p in enumerate(params):
             key = f"adam_m_{i:04d}"
             if key in data:
-                optimizer._m[id(p)] = data[key].copy()
-                optimizer._v[id(p)] = data[f"adam_v_{i:04d}"].copy()
+                optimizer._m[id(p)] = data[key]
+                optimizer._v[id(p)] = data[f"adam_v_{i:04d}"]
     elif isinstance(optimizer, RMSProp):
         optimizer._sq.clear()
         for i, p in enumerate(params):
             key = f"rms_sq_{i:04d}"
             if key in data:
-                optimizer._sq[id(p)] = data[key].copy()
+                optimizer._sq[id(p)] = data[key]
     elif isinstance(optimizer, SGD):
         optimizer._velocity.clear()
         for i, p in enumerate(params):
             key = f"sgd_v_{i:04d}"
             if key in data:
-                optimizer._velocity[id(p)] = data[key].copy()
-
-
-def atomic_savez(path: Union[str, Path], arrays: Dict[str, np.ndarray]) -> Path:
-    """Write an .npz atomically: savez to a temp file, then rename.
-
-    ``os.replace`` is atomic on POSIX, so readers either see the previous
-    complete checkpoint or the new complete one — never a torn write.
-    Returns the final path (with the ``.npz`` suffix ``np.savez`` adds).
-    """
-    path = Path(path)
-    if path.suffix != ".npz":
-        path = path.with_suffix(path.suffix + ".npz")
-    fd, tmp_name = tempfile.mkstemp(suffix=".npz", dir=path.parent, prefix=".tmp_ckpt_")
-    os.close(fd)
-    try:
-        with open(tmp_name, "wb") as fh:
-            np.savez(fh, **arrays)
-        os.replace(tmp_name, path)
-    except BaseException:
-        if os.path.exists(tmp_name):
-            os.unlink(tmp_name)
-        raise
-    return path
-
-
-def save_checkpoint(
-    model: Model,
-    optimizer: Optional[Optimizer],
-    path: Union[str, Path],
-    epoch: int = 0,
-    metadata: Optional[Dict] = None,
-) -> None:
-    """Full training checkpoint: weights + optimizer moments + epoch."""
-    path = Path(path)
-    arrays: Dict[str, np.ndarray] = {}
-    weights = model.get_weights()
-    for i, w in enumerate(weights):
-        arrays[f"param_{i:04d}"] = w
-    opt_state = _pack_optimizer(optimizer, arrays)
-    header = {
-        "n_params": len(weights),
-        "epoch": epoch,
-        "optimizer": opt_state,
-        "metadata": metadata or {},
-    }
-    arrays["_meta"] = np.frombuffer(json.dumps(header).encode(), dtype=np.uint8)
-    np.savez(path, **arrays)
-
-
-def load_checkpoint(model: Model, optimizer: Optional[Optimizer], path: Union[str, Path]) -> Dict:
-    """Restore a checkpoint written by :func:`save_checkpoint`.
-
-    Returns the header dict (epoch, metadata...).  Optimizer state is
-    restored when the optimizer type matches what was saved.
-    """
-    path = Path(path)
-    if not path.exists() and path.with_suffix(path.suffix + ".npz").exists():
-        path = path.with_suffix(path.suffix + ".npz")
-    with np.load(path) as data:
-        header = json.loads(bytes(data["_meta"]).decode())
-        n = header["n_params"]
-        model.set_weights([data[f"param_{i:04d}"] for i in range(n)])
-        _unpack_optimizer(optimizer, header.get("optimizer", {}), data)
-    return header
+                optimizer._velocity[id(p)] = data[key]
 
 
 def rng_state(rng: np.random.Generator) -> Dict:
@@ -218,22 +221,18 @@ def save_training_state(
 ) -> Path:
     """Atomic, fully-resumable training snapshot.
 
-    Beyond :func:`save_checkpoint` this captures the position *inside*
-    training — (epoch, step-in-epoch, global step), the shuffle RNG's
-    exact bit-generator state, arbitrary extra arrays (e.g. the current
+    Weights and optimizer moments plus the position *inside* training —
+    (epoch, step-in-epoch, global step), the shuffle RNG's exact
+    bit-generator state, arbitrary extra arrays (e.g. the current
     epoch's permutation), and the per-epoch history so a resumed run
-    replays nothing and reports a seamless record.  Written with
-    :func:`atomic_savez`; returns the final checkpoint path.
+    replays nothing and reports a seamless record.  Returns the final
+    checkpoint path.
     """
     arrays: Dict[str, np.ndarray] = {}
-    weights = model.get_weights()
-    for i, w in enumerate(weights):
-        arrays[f"param_{i:04d}"] = w
     opt_state = _pack_optimizer(optimizer, arrays)
     for key, arr in (extra_arrays or {}).items():
         arrays[f"extra_{key}"] = np.asarray(arr)
     header = {
-        "n_params": len(weights),
         "epoch": epoch,
         "step": step,
         "global_step": global_step,
@@ -243,8 +242,7 @@ def save_training_state(
         "extra_keys": sorted((extra_arrays or {}).keys()),
         "metadata": metadata or {},
     }
-    arrays["_meta"] = np.frombuffer(json.dumps(header).encode(), dtype=np.uint8)
-    return atomic_savez(path, arrays)
+    return write_npz(path, model.get_weights(), header, arrays)
 
 
 def load_training_state(
@@ -258,14 +256,9 @@ def load_training_state(
     restored ``np.random.Generator`` (or None) and ``"extra"`` maps the
     saved extra-array names to their arrays.
     """
-    path = Path(path)
-    if not path.exists() and path.with_suffix(path.suffix + ".npz").exists():
-        path = path.with_suffix(path.suffix + ".npz")
-    with np.load(path) as data:
-        header = json.loads(bytes(data["_meta"]).decode())
-        n = header["n_params"]
-        model.set_weights([data[f"param_{i:04d}"] for i in range(n)])
-        _unpack_optimizer(optimizer, header.get("optimizer", {}), data)
-        header["extra"] = {key: data[f"extra_{key}"].copy() for key in header.get("extra_keys", [])}
+    header, weights, arrays = read_npz(path)
+    model.set_weights(weights)
+    _unpack_optimizer(optimizer, header.get("optimizer", {}), arrays)
+    header["extra"] = {key: arrays[f"extra_{key}"] for key in header.get("extra_keys", [])}
     header["rng"] = restore_rng(header["rng"]) if header.get("rng") else None
     return header

@@ -109,15 +109,21 @@ class PrecisionPolicy:
             return quantize_mod.calibrate(x, method=self.int8_calibration).fake_quantize(x)
         return self._round(x)
 
+    def round_for(self, param: Tensor, x: np.ndarray) -> np.ndarray:
+        """Round ``x`` (``param``'s values or gradient) to ``param``'s
+        format — the one per-parameter hook every rounding site goes
+        through; :class:`LayerwisePolicy` overrides it."""
+        return self.round_array(x)
+
     def round_params(self, params: Sequence[Tensor]) -> None:
         """Round parameter values in place (the working copy)."""
         for p in params:
-            p.data[...] = self.round_array(p.data)
+            p.data[...] = self.round_for(p, p.data)
 
     def round_grads(self, params: Sequence[Tensor]) -> None:
         for p in params:
             if p.grad is not None:
-                p.grad[...] = self.round_array(p.grad)
+                p.grad[...] = self.round_for(p, p.grad)
 
     # -- training step --------------------------------------------------
     def loss_scale(self) -> float:
@@ -142,7 +148,7 @@ class PrecisionPolicy:
 
         # Working copy = rounded master weights.
         for p, m in zip(params, self._master):
-            p.data[...] = self.round_array(m)
+            p.data[...] = self.round_for(p, m)
 
         pred = model.forward(Tensor(xb), training=True)
         loss = loss_fn(pred, target)
@@ -249,7 +255,9 @@ class LayerwisePolicy(PrecisionPolicy):
         seed: int = 0,
     ) -> None:
         super().__init__(fmt=fmt, loss_scaling=loss_scaling, seed=seed)
-        self.overrides = dict(overrides or {"gamma": "fp32", "beta": "fp32", ".b": "fp32"})
+        if overrides is None:  # `overrides or ...` would replace an empty map too
+            overrides = {"gamma": "fp32", "beta": "fp32", ".b": "fp32"}
+        self.overrides = dict(overrides)
         # Validate every override format eagerly.
         self._rounders = {f: get_rounder(f) for f in set(self.overrides.values())}
 
@@ -259,53 +267,8 @@ class LayerwisePolicy(PrecisionPolicy):
                 return f
         return self.fmt
 
-    def _round_named(self, name: str, x):
-        f = self._format_for(name)
+    def round_for(self, param: Tensor, x: np.ndarray) -> np.ndarray:
+        f = self._format_for(param.name)
         if f == self.fmt:
             return self.round_array(x)
         return self._rounders[f](x)
-
-    def round_params(self, params) -> None:
-        for p in params:
-            p.data[...] = self._round_named(p.name, p.data)
-
-    def round_grads(self, params) -> None:
-        for p in params:
-            if p.grad is not None:
-                p.grad[...] = self._round_named(p.name, p.grad)
-
-    def train_step(self, model, optimizer, xb, target, loss_fn) -> float:
-        # Same master-weight loop as the base policy, but the working-copy
-        # rounding respects the per-parameter map.
-        params = optimizer.params
-        if not hasattr(self, "_master"):
-            self._master = [p.data.copy() for p in params]
-        for p, m in zip(params, self._master):
-            p.data[...] = self._round_named(p.name, m)
-        from ..nn.tensor import Tensor as _T
-
-        pred = model.forward(_T(xb), training=True)
-        loss = loss_fn(pred, target)
-        loss_value = loss.item()
-        scale = self.loss_scale()
-        optimizer.zero_grad()
-        import numpy as _np
-
-        loss.backward(_np.asarray(scale, dtype=loss.data.dtype))
-        self.round_grads(params)
-        if scale != 1.0:
-            for p in params:
-                if p.grad is not None:
-                    p.grad = p.grad / scale
-        if self.scaler is not None and not self.scaler.check_and_update([p.grad for p in params]):
-            self.skipped_steps += 1
-            return loss_value
-        if any(p.grad is not None and not _np.all(_np.isfinite(p.grad)) for p in params):
-            self.skipped_steps += 1
-            return loss_value
-        for p, m in zip(params, self._master):
-            p.data[...] = m
-        optimizer.step()
-        for i, p in enumerate(params):
-            self._master[i] = p.data.copy()
-        return loss_value

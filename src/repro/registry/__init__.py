@@ -6,9 +6,10 @@ campaign and serves the winners; this package is the load-bearing link
 between those two ends — a versioned, content-addressed artifact store
 with pluggable storage backends and a warm model cache:
 
-* :mod:`repro.registry.artifact` — the self-describing ``.npz`` artifact
-  format, SHA-256 content addressing, crash-safe atomic writes, and the
-  **single-read** loader (verify and install from one decode);
+* :mod:`repro.registry.artifact` — what a self-describing artifact's
+  header means: SHA-256 content addressing, checksum verification on
+  load, dtype refusal, building the served model (the ``.npz`` bytes
+  themselves belong to :mod:`repro.nn.serialization`);
 * :mod:`repro.registry.backends` — the :class:`RegistryBackend` ABC
   (local directory now, S3-style remotes by the same five-method
   contract) with atomic-write semantics;
@@ -20,20 +21,19 @@ with pluggable storage backends and a warm model cache:
   blobs (with lineage back to the producing campaign/trial), ``get``
   serves warm models bit-identically to ``Model.predict``.
 
-The serving layer (:mod:`repro.serve.registry`) delegates here; the
+The serving layer loads only through :meth:`ArtifactStore.get`
+(``InferenceServer.from_store``, ``ReplicaGroup.from_store``); the
 ``registry_churn`` workload of ``bench/`` measures publish throughput
 beside a cold-loading reader and fails on a torn read.
 """
 
 from .artifact import (
     SUPPORTED_SERVING_DTYPES,
-    ArtifactReader,
     CheckpointIntegrityError,
     UnsupportedDtypeError,
     build_artifact_meta,
     build_from_artifact,
     load_artifact,
-    open_artifact,
     weights_checksum,
     write_artifact,
 )
@@ -43,7 +43,6 @@ from .store import ArtifactRef, ArtifactStore
 
 __all__ = [
     "ArtifactRef",
-    "ArtifactReader",
     "ArtifactStore",
     "CheckpointIntegrityError",
     "InMemoryBackend",
@@ -55,7 +54,6 @@ __all__ = [
     "build_artifact_meta",
     "build_from_artifact",
     "load_artifact",
-    "open_artifact",
     "weights_checksum",
     "write_artifact",
 ]

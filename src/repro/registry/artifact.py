@@ -1,41 +1,27 @@
-"""Self-describing model artifacts: one format, one read.
+"""Self-describing model artifacts: what the registry stores.
 
-An *artifact* is the unit the registry stores: every model parameter
-(ordered), plus a JSON header carrying the benchmark name, input shape,
-builder hyperparameters, per-parameter dtypes, optional quantization
-spec, lineage back to the producing campaign/trial, and a SHA-256
-content checksum over the weights.  The same ``.npz`` layout
-:func:`repro.nn.serialization.save_weights` writes — existing serving
-checkpoints load unchanged — but written atomically (temp file +
-``os.replace``) so a crashed publisher can never leave a torn artifact
-where a reader will find it.
-
-The load path is deliberately a **single read**: :func:`open_artifact`
-opens the ``.npz`` once and exposes a lazy :class:`ArtifactReader` —
-the header decodes immediately (cheap), the weight arrays decode at most
-once, on first use, and the integrity checksum is computed from *those
-same decoded arrays* before they are installed into a model.  The old
-serving loader read the file twice (once to verify, once to install);
-callers of :func:`load_artifact` / :func:`build_from_artifact` pay the
-decode exactly once.
+An *artifact* is every model parameter (ordered) plus a JSON header
+carrying the benchmark name, input shape, builder hyperparameters,
+per-parameter dtypes, optional quantization spec, lineage back to the
+producing campaign/trial, and a SHA-256 content checksum over the
+weights.  The bytes are the ``.npz`` layout of
+:mod:`repro.nn.serialization` — this module never touches the file
+format, only what the header means: :func:`write_artifact` hands
+weights and header to the one atomic writer, :func:`load_artifact`
+takes them back from the one reader and checks the weights against the
+recorded checksum *before* anything is installed into a model, and
+:func:`build_from_artifact` turns the pair into a served model.
 """
 
 from __future__ import annotations
 
-import contextlib
 import hashlib
-import json
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Union
+from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 import numpy as np
 
-
-class CheckpointIntegrityError(RuntimeError):
-    """An artifact failed its integrity check: the file is truncated, an
-    array is corrupt, or the content checksum recorded at publish time no
-    longer matches the weights on disk.  Raised *before* any weights are
-    installed into a model."""
+from ..nn.serialization import CheckpointIntegrityError, read_npz, write_npz
 
 
 class UnsupportedDtypeError(RuntimeError):
@@ -138,133 +124,37 @@ def build_artifact_meta(
 
 
 def write_artifact(model, path: Union[str, Path], meta: Dict) -> Path:
-    """Atomically write ``model``'s weights + ``meta`` as an artifact.
+    """Atomically write ``model``'s weights + ``meta`` as an artifact:
+    concurrent readers see either the previous complete artifact or the
+    new complete one — never a torn write."""
+    return write_npz(path, model.get_weights(), {"metadata": meta})
 
-    Uses :func:`repro.nn.serialization.atomic_savez` (temp file +
-    ``os.replace``), so concurrent readers see either the previous
-    complete artifact or the new complete one — never a torn write.
+
+def load_artifact(path: Union[str, Path]) -> Tuple[Dict, List[np.ndarray]]:
+    """Read and verify one artifact in a single pass; ``(meta, weights)``.
+
+    A truncated or undecodable file, or weights that no longer hash to
+    the checksum recorded at publish time, raise
+    :class:`CheckpointIntegrityError` — corrupt weights never reach a
+    model.  (Artifacts published before checksums existed carry none;
+    there is nothing to compare.)  A well-formed ``.npz`` that is not an
+    artifact raises ``ValueError``.
     """
-    from ..nn.serialization import atomic_savez
-
-    weights = model.get_weights()
-    arrays = {f"param_{i:04d}": w for i, w in enumerate(weights)}
-    arrays["_meta"] = np.frombuffer(
-        json.dumps({"n_params": len(weights), "metadata": meta}).encode(), dtype=np.uint8
-    )
-    return atomic_savez(path, arrays)
-
-
-class ArtifactReader:
-    """One open artifact: header decoded, weights decoded lazily, once.
-
-    Obtained from :func:`open_artifact`.  ``meta`` is available
-    immediately (only the tiny ``_meta`` member is decompressed);
-    :meth:`weights` decodes every parameter exactly once and caches the
-    list, verifying the content checksum from those same arrays.
-    """
-
-    def __init__(self, path: Path, npz) -> None:
-        self.path = path
-        self._npz = npz
-        try:
-            self.header = json.loads(bytes(npz["_meta"]).decode())
-            self.meta = self.header.get("metadata", {})
-        except Exception as exc:
+    header, weights, _ = read_npz(path)
+    meta = header.get("metadata")
+    if not isinstance(meta, dict) or "benchmark" not in meta or "input_shape" not in meta:
+        raise ValueError(
+            f"{path} is not a serving checkpoint (write one with ArtifactStore.publish)"
+        )
+    if "checksum" in meta:
+        actual = weights_checksum(weights)
+        if actual != meta["checksum"]:
             raise CheckpointIntegrityError(
-                f"{path}: unreadable artifact header ({type(exc).__name__}: {exc}) — "
-                "file is truncated or corrupt; refusing to load"
-            ) from exc
-        if "benchmark" not in self.meta or "input_shape" not in self.meta:
-            raise ValueError(f"{path} is not a serving checkpoint (use publish_model)")
-        self._weights: Optional[List[np.ndarray]] = None
-        self._verified = False
-
-    @property
-    def content_key(self) -> str:
-        """Content address without touching the weight arrays.
-
-        The recorded checksum when present; artifacts published before
-        checksums existed fall back to a (path, size, mtime) signature —
-        still a stable cache key, just not content-shared across copies.
-        """
-        checksum = self.meta.get("checksum")
-        if checksum:
-            return checksum
-        st = self.path.stat()
-        return f"file:{self.path}:{st.st_size}:{st.st_mtime_ns}"
-
-    def weights(self, verify: bool = True) -> List[np.ndarray]:
-        """Decode the weight arrays (once); verify the checksum from them.
-
-        A truncated member, undecodable array, or checksum mismatch
-        raises :class:`CheckpointIntegrityError` — corrupt weights never
-        reach a model.  Artifacts with no recorded checksum skip the
-        comparison (there is nothing to compare against).
-        """
-        if self._weights is None:
-            try:
-                n = self.header["n_params"]
-                self._weights = [self._npz[f"param_{i:04d}"] for i in range(n)]
-            except Exception as exc:
-                raise CheckpointIntegrityError(
-                    f"{self.path}: unreadable weights ({type(exc).__name__}: {exc}) — "
-                    "file is truncated or corrupt; refusing to load"
-                ) from exc
-        if verify and not self._verified and "checksum" in self.meta:
-            actual = weights_checksum(self._weights)
-            if actual != self.meta["checksum"]:
-                raise CheckpointIntegrityError(
-                    f"{self.path}: weight checksum mismatch (expected "
-                    f"{self.meta['checksum'][:16]}…, got {actual[:16]}…) — "
-                    "artifact is corrupt; refusing to load"
-                )
-            self._verified = True
-        return self._weights
-
-    def close(self) -> None:
-        self._npz.close()
-
-
-@contextlib.contextmanager
-def open_artifact(path: Union[str, Path]):
-    """Open an artifact for a single read; yields :class:`ArtifactReader`.
-
-    Exactly one ``np.load`` per artifact access: the caller reads the
-    header (and content key) for free, and decides whether the weights —
-    the expensive part — need decoding at all (warm-cache hits don't).
-    """
-    path = Path(path)
-    if not path.exists() and path.with_suffix(path.suffix + ".npz").exists():
-        path = path.with_suffix(path.suffix + ".npz")
-    try:
-        npz = np.load(path)
-    except FileNotFoundError:
-        raise
-    except Exception as exc:  # truncated zip, bad central directory…
-        raise CheckpointIntegrityError(
-            f"{path}: unreadable artifact ({type(exc).__name__}: {exc}) — "
-            "file is truncated or corrupt; refusing to load"
-        ) from exc
-    try:
-        reader = ArtifactReader(path, npz)
-    except BaseException:
-        npz.close()
-        raise
-    try:
-        yield reader
-    finally:
-        reader.close()
-
-
-def load_artifact(path: Union[str, Path], verify: bool = True):
-    """Read one artifact in a single pass; returns ``(meta, weights)``.
-
-    The weights come back as in-memory arrays (safe to use after the
-    file is closed); ``verify`` checks the content checksum against the
-    same decoded arrays — there is no second read.
-    """
-    with open_artifact(path) as art:
-        return art.meta, art.weights(verify=verify)
+                f"{path}: weight checksum mismatch (expected "
+                f"{str(meta['checksum'])[:16]}…, got {actual[:16]}…) — "
+                "artifact is corrupt; refusing to load"
+            )
+    return meta, weights
 
 
 def build_from_artifact(

@@ -4,8 +4,8 @@ The expensive part of serving a checkpoint is not the catalog lookup —
 it is decoding the weight arrays, materializing the architecture, and
 running the warm-up forward.  This cache keeps those built models
 resident under an LRU policy, keyed by the artifact's **content hash**:
-two aliases (``winner@3`` and ``canary@1``, or two registry names
-pointing at byte-identical checkpoints) share one resident model and pay
+two aliases (``winner@3`` and ``canary@1``, or names in two stores
+pointing at byte-identical weights) share one resident model and pay
 one load between them.
 
 Eviction never invalidates handed-out models: callers holding a model
@@ -17,16 +17,16 @@ cache merely drops *its* reference so the next ``get`` reloads.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List
 
 
 class WarmModelCache:
     """LRU of built models keyed by content hash.
 
     ``capacity`` bounds how many built models stay resident.  The cache
-    is shareable: several :class:`~repro.serve.ModelRegistry` /
-    :class:`~repro.registry.ArtifactStore` instances may pool one cache
-    so aliases of the same bytes stay deduplicated process-wide.
+    is shareable: several :class:`~repro.registry.ArtifactStore`
+    instances may pool one cache so aliases of the same bytes stay
+    deduplicated process-wide.
     """
 
     def __init__(self, capacity: int = 2) -> None:
@@ -68,18 +68,6 @@ class WarmModelCache:
             evicted += 1
         self.evictions += evicted
         return evicted
-
-    def get_or_load(self, key: str, loader: Callable[[], object]):
-        """Resident model for ``key``, or ``loader()`` inserted under it."""
-        model = self.get(key)
-        if model is None:
-            model = loader()
-            self.put(key, model)
-        return model
-
-    def pop(self, key: str) -> None:
-        """Drop one entry (alias repoint invalidation); no-op if absent."""
-        self._models.pop(key, None)
 
     def clear(self) -> None:
         self._models.clear()

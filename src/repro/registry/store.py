@@ -1,9 +1,8 @@
 """The content-addressed, versioned model artifact store.
 
-One store subsumes what used to be two half-registries: the serving
-LRU (``repro.serve.ModelRegistry``) and the CANDLE benchmark publication
-metadata (``repro.candle.registry``).  The campaign → publish → serve
-pipeline flows through it as one artifact path:
+The campaign → publish → resolve → serve pipeline flows through this
+store as one artifact path, and :meth:`ArtifactStore.get` is the only
+code that turns stored bytes into a built, warm model:
 
 * **Objects** are immutable blobs named by their weights SHA-256
   (``objects/<hash>.npz``) — publishing byte-identical weights twice
@@ -15,11 +14,13 @@ pipeline flows through it as one artifact path:
   ``latest.json`` points at the newest version; repointing an alias is
   one atomic manifest write, so concurrent readers always resolve a
   complete version — old or new, never torn.
-* **Loading** goes through the content-keyed
-  :class:`~repro.registry.cache.WarmModelCache`: a warm hit costs zero
-  file I/O (the manifest already carries the hash), and a cold load is a
-  single read of the blob — header, checksum verification, and weight
-  install from one decode (see :mod:`repro.registry.artifact`).
+* **Loading** is one sequence, written once: resolve the manifest →
+  probe the content-keyed :class:`~repro.registry.cache.WarmModelCache`
+  (a warm hit costs zero file I/O, the manifest already carries the
+  hash) → refuse unservable dtypes → read the blob once, verifying its
+  own checksum and that it is the object its address names → build →
+  cache.  :class:`repro.serve.InferenceServer` and
+  :class:`repro.serve.ReplicaGroup` both serve what ``get`` returns.
 
 Storage is pluggable (:mod:`repro.registry.backends`): a local directory
 today, an S3-style remote by implementing the same five-method contract.
@@ -74,6 +75,13 @@ class ArtifactRef:
         return self.meta.get("lineage", {})
 
     @property
+    def precision(self) -> Optional[str]:
+        """The serving datapath the artifact was published for: ``"int8"``
+        when it carries quantization metadata, else ``None`` (the weights'
+        own dtype).  What a ``from_store`` serves at unless told otherwise."""
+        return "int8" if self.meta.get("quantization") is not None else None
+
+    @property
     def spec(self) -> str:
         if self.name is None:
             return f"sha256:{self.content_hash}"
@@ -101,7 +109,7 @@ class ArtifactStore:
     capacity / warmup / warmup_batch:
         Warm-cache sizing and warm-up policy for loaded models; pass a
         shared :class:`WarmModelCache` via ``cache`` to pool residency
-        across stores/registries.
+        across stores.
     """
 
     def __init__(
@@ -247,11 +255,23 @@ class ArtifactStore:
 
     # -- load ------------------------------------------------------------
     def path_for(self, spec: Union[str, ArtifactRef]) -> Path:
-        """Local filesystem path of the resolved artifact blob (for
-        consumers that stream the file themselves, e.g. shared-memory
-        weight publication in :class:`repro.serve.ReplicaGroup`)."""
+        """Local filesystem path of the resolved artifact blob (for tools
+        that inspect the file itself; models come from :meth:`get`)."""
         ref = self.resolve(spec)
         return self.backend.open_local(_object_key(ref.content_hash))
+
+    def _read(self, ref: ArtifactRef):
+        """Decode the blob ``ref`` names, verified twice over: against
+        its own recorded checksum, and against the address it sits at."""
+        path = self.path_for(ref)
+        meta, weights = load_artifact(path)
+        if meta.get("checksum") and meta["checksum"] != ref.content_hash:
+            raise CheckpointIntegrityError(
+                f"{path}: stored object does not match its address "
+                f"(manifest says {ref.content_hash[:16]}…, object says "
+                f"{meta['checksum'][:16]}…)"
+            )
+        return meta, weights
 
     def get(self, spec: Union[str, ArtifactRef]):
         """The built model for ``spec``, warm-cached by content hash.
@@ -267,14 +287,7 @@ class ArtifactStore:
             return model
         if ref.meta.get("dtypes"):
             check_serving_dtypes(ref.meta["dtypes"])  # refuse before any blob I/O
-        path = self.backend.open_local(_object_key(ref.content_hash))
-        meta, weights = load_artifact(path, verify=True)
-        if meta.get("checksum") and meta["checksum"] != ref.content_hash:
-            raise CheckpointIntegrityError(
-                f"{path}: stored object does not match its address "
-                f"(manifest says {ref.content_hash[:16]}…, object says "
-                f"{meta['checksum'][:16]}…)"
-            )
+        meta, weights = self._read(ref)
         model = build_from_artifact(
             meta, weights, warmup=self.warmup, warmup_batch=self.warmup_batch
         )
@@ -283,15 +296,10 @@ class ArtifactStore:
         return model
 
     def verify(self, spec: Union[str, ArtifactRef]) -> bool:
-        """Full integrity check of one artifact (decode + checksum);
-        raises :class:`CheckpointIntegrityError` on any corruption."""
-        ref = self.resolve(spec)
-        path = self.backend.open_local(_object_key(ref.content_hash))
-        meta, _ = load_artifact(path, verify=True)
-        if meta.get("checksum") and meta["checksum"] != ref.content_hash:
-            raise CheckpointIntegrityError(
-                f"{path}: stored object does not match its address"
-            )
+        """Full integrity check of one artifact (decode + checksum +
+        address); raises :class:`CheckpointIntegrityError` on any
+        corruption."""
+        self._read(self.resolve(spec))
         return True
 
     # -- maintenance -----------------------------------------------------

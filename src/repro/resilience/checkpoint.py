@@ -2,10 +2,13 @@
 
 A :class:`CheckpointManager` owns a directory of numbered snapshots
 (``ckpt-<global_step>.npz``).  Writes go through
-:func:`repro.nn.serialization.atomic_savez` (write-tmp-then-rename), so
-a crash — real or injected — during a write can never corrupt the
-latest durable checkpoint: restart always finds either the previous
-complete snapshot or the new complete one.
+:func:`repro.nn.serialization.save_training_state`
+(write-tmp-then-rename), so a crash — real or injected — during a write
+can never corrupt the latest durable checkpoint: restart always finds
+either the previous complete snapshot or the new complete one.  A
+snapshot damaged *after* it landed (a truncating copy, bit rot) is
+refused by the reader and skipped: restore falls back to the newest
+snapshot that still reads.
 
 Injected storage faults (:class:`repro.resilience.FaultInjector`) make
 a write *fail cleanly*: the manager reports the failure, leaves the
@@ -23,7 +26,11 @@ import numpy as np
 
 from ..nn.model import Model
 from ..nn.optim import Optimizer
-from ..nn.serialization import load_training_state, save_training_state
+from ..nn.serialization import (
+    CheckpointIntegrityError,
+    load_training_state,
+    save_training_state,
+)
 from .faults import FaultInjector
 
 _PREFIX = "ckpt-"
@@ -58,6 +65,7 @@ class CheckpointManager:
         self.injector = injector
         self.writes_attempted = 0
         self.writes_failed = 0
+        self.snapshots_skipped = 0  # unreadable snapshots restore() stepped over
 
     def _path_for(self, global_step: int) -> Path:
         return self.directory / f"{_PREFIX}{global_step:08d}.npz"
@@ -104,12 +112,25 @@ class CheckpointManager:
         return path
 
     def restore(self, model: Model, optimizer: Optional[Optimizer]) -> Optional[Dict]:
-        """Load the newest snapshot into model/optimizer; returns its
-        header (see :func:`load_training_state`) or None if empty."""
-        path = self.latest()
-        if path is None:
-            return None
-        return load_training_state(model, optimizer, path)
+        """Load the newest *readable* snapshot into model/optimizer;
+        returns its header (see :func:`load_training_state`) or None if
+        the directory is empty.
+
+        A snapshot the reader refuses is left on disk, counted in
+        :attr:`snapshots_skipped`, and the next-older one is tried; when
+        none reads, :class:`CheckpointIntegrityError` names the directory.
+        """
+        snaps = self.snapshots()
+        for path in reversed(snaps):
+            try:
+                return load_training_state(model, optimizer, path)
+            except CheckpointIntegrityError:
+                self.snapshots_skipped += 1
+        if snaps:
+            raise CheckpointIntegrityError(
+                f"{self.directory}: none of the {len(snaps)} snapshots is readable"
+            )
+        return None
 
     def _prune(self) -> None:
         snaps = self.snapshots()

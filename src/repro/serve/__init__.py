@@ -9,11 +9,11 @@ provides one, built from the library's own parts:
   micro-batching (max-batch-size + max-wait) with a bounded queue, load
   shedding, and per-request timeouts (the :mod:`repro.resilience`
   overload idioms applied to serving);
-* :class:`ModelRegistry` / :func:`publish_model` — checkpoint-backed
-  model loading (via :mod:`repro.nn.serialization`) with an LRU weight
-  cache and warm-up;
 * :class:`InferenceServer` — the request front-end over the grad-free
   ``no_grad`` predict path, instrumented for :class:`repro.perf.OpProfiler`;
+  ``InferenceServer.from_store`` / ``ReplicaGroup.from_store`` serve a
+  ``name@version`` out of a :class:`repro.registry.ArtifactStore`, whose
+  ``get`` is the only model loader (checksum-verified, warm-cached);
 * :class:`LatencyHistogram` / :class:`ServingStats` — tail-latency and
   request-accounting observability;
 * :func:`simulate_serving` / :func:`sweep_offered_load` — offered-load
@@ -39,19 +39,16 @@ Measured from outside by ``python3 bench/run.py --workload serve_b1``
 two replica processes, open-loop arrivals).
 """
 
+from ..registry.artifact import (
+    SUPPORTED_SERVING_DTYPES,
+    CheckpointIntegrityError,
+    UnsupportedDtypeError,
+    weights_checksum,
+)
 from .batcher import BatchPolicy, MicroBatcher, Request
 from .chaos import ChaosHarness, run_chaos_replay
 from .distributed import ReplicaGroup
 from .metrics import LatencyHistogram, ServingStats
-from .registry import (
-    SUPPORTED_SERVING_DTYPES,
-    CheckpointIntegrityError,
-    ModelRegistry,
-    UnsupportedDtypeError,
-    publish_model,
-    read_checkpoint_meta,
-    weights_checksum,
-)
 from .router import CircuitBreaker, RoutedRequest, Router, RouterStats
 from .server import InferenceServer
 from .simulate import (
@@ -76,9 +73,6 @@ __all__ = [
     "CheckpointIntegrityError",
     "UnsupportedDtypeError",
     "SUPPORTED_SERVING_DTYPES",
-    "ModelRegistry",
-    "publish_model",
-    "read_checkpoint_meta",
     "weights_checksum",
     "InferenceServer",
     "AffineServiceTime",

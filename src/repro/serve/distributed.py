@@ -39,7 +39,6 @@ from ..nn.model import Model
 from ..obs.context import get_recorder
 from ..parallel.pool import ProcessWorkerPool, TaskResult
 from ..parallel.shm import SharedArrayStore, attach
-from ..registry.artifact import build_from_artifact, load_artifact
 
 # Replica-global state, installed once per worker process by the pool
 # initializer (and re-installed by the initializer of every respawned
@@ -136,7 +135,7 @@ class ReplicaGroup:
         are what gets published).
     benchmark / input_shape / hparams:
         How each replica rebuilds the architecture, exactly as
-        :func:`repro.serve.publish_model` records them.
+        :meth:`repro.registry.ArtifactStore.publish` records them.
     n_replicas:
         Pool width — one process per replica.
     hang_timeout_s:
@@ -235,29 +234,6 @@ class ReplicaGroup:
         )
 
     @classmethod
-    def from_checkpoint(
-        cls,
-        path,
-        n_replicas: int = 2,
-        data: Optional[Dict[str, np.ndarray]] = None,
-        **kwargs,
-    ) -> "ReplicaGroup":
-        """Build a group straight from a published (verified) checkpoint.
-
-        One read: the artifact is decoded once, its checksum verified
-        from those same arrays, and the parent's reference model built
-        from them (replicas then attach the shared-memory segments the
-        constructor publishes).
-        """
-        meta, weights = load_artifact(path, verify=True)
-        model = build_from_artifact(meta, weights, warmup=False)
-        return cls(
-            model, meta["benchmark"], tuple(meta["input_shape"]),
-            hparams=meta.get("hparams") or {}, n_replicas=n_replicas,
-            data=data, **kwargs,
-        )
-
-    @classmethod
     def from_store(
         cls,
         store,
@@ -266,12 +242,28 @@ class ReplicaGroup:
         data: Optional[Dict[str, np.ndarray]] = None,
         **kwargs,
     ) -> "ReplicaGroup":
-        """Build a group from a registry artifact (``"name@version"``,
-        ``"name"``/``"name@latest"``, or ``"sha256:<hex>"``) resolved
-        against a :class:`repro.registry.ArtifactStore`."""
+        """Build a group from a registry artifact (``"name@version"`` or
+        ``"name"``/``"name@latest"``) of a
+        :class:`repro.registry.ArtifactStore`.
+
+        The parent's reference model is ``store.get(spec)`` — verified
+        against its checksum and its address, refused on an unservable
+        dtype, warm-cached — and the replicas rebuild the architecture
+        from the manifest.  Unless an explicit ``precision`` is passed,
+        the group serves the datapath the artifact was published for
+        (:attr:`repro.registry.ArtifactRef.precision`).
+        """
         ref = store.resolve(spec)
-        return cls.from_checkpoint(
-            store.path_for(ref), n_replicas=n_replicas, data=data, **kwargs
+        if ref.benchmark is None:
+            raise ValueError(
+                f"{ref.spec} names bytes, not a manifest: replicas rebuild the "
+                "architecture from the benchmark/input_shape/hparams a "
+                "name@version records"
+            )
+        kwargs.setdefault("precision", ref.precision)
+        return cls(
+            store.get(ref), ref.benchmark, ref.input_shape,
+            hparams=ref.hparams, n_replicas=n_replicas, data=data, **kwargs,
         )
 
     # -- dispatch --------------------------------------------------------

@@ -39,8 +39,8 @@ class InferenceServer:
     Parameters
     ----------
     model:
-        Any built :class:`repro.nn.Model` (typically out of a
-        :class:`repro.serve.ModelRegistry`).
+        Any built :class:`repro.nn.Model` (typically out of
+        :meth:`repro.registry.ArtifactStore.get`, see :meth:`from_store`).
     policy:
         Batching + overload policy; defaults to :class:`BatchPolicy()`.
     clock:
@@ -96,15 +96,14 @@ class InferenceServer:
         """Serve a registry artifact: resolve ``spec`` (``"name@version"``,
         ``"name"``/``"name@latest"``, or ``"sha256:<hex>"``) against a
         :class:`repro.registry.ArtifactStore` and front the warm-cached
-        model.  When the artifact carries quantization metadata and no
-        explicit ``precision`` is passed, the server defaults to the int8
-        datapath the artifact was published for.
+        model.  Unless an explicit ``precision`` is passed, the server
+        runs the datapath the artifact was published for
+        (:attr:`repro.registry.ArtifactRef.precision`: int8 when it
+        carries quantization metadata).
         """
         ref = store.resolve(spec)
-        model = store.get(ref)
-        if "precision" not in kwargs and ref.meta.get("quantization") is not None:
-            kwargs["precision"] = "int8"
-        return cls(model, policy=policy, **kwargs)
+        kwargs.setdefault("precision", ref.precision)
+        return cls(store.get(ref), policy=policy, **kwargs)
 
     # -- request ingress -------------------------------------------------
     def submit(self, x: np.ndarray, now: Optional[float] = None) -> Request:

@@ -19,9 +19,9 @@ from repro.nn import (
     Dense,
     SGD,
     Sequential,
-    load_checkpoint,
+    load_training_state,
     load_weights,
-    save_checkpoint,
+    save_training_state,
     save_weights,
 )
 
@@ -168,11 +168,11 @@ class TestSerialization:
 
     def test_checkpoint_restores_optimizer_state(self, trained_model, tmp_path):
         m, opt, x, y = trained_model
-        save_checkpoint(m, opt, tmp_path / "c.npz", epoch=3)
+        save_training_state(m, opt, tmp_path / "c.npz", epoch=3)
         m2 = Sequential([Dense(8, activation="tanh"), Dense(1)])
         m2.build((5,), np.random.default_rng(7))
         opt2 = Adam(m2.parameters(), lr=999.0)
-        header = load_checkpoint(m2, opt2, tmp_path / "c.npz")
+        header = load_training_state(m2, opt2, tmp_path / "c.npz")
         assert header["epoch"] == 3
         assert opt2.lr == opt.lr
         assert opt2.step_count == opt.step_count
@@ -183,7 +183,7 @@ class TestSerialization:
     def test_resume_training_continues_identically(self, trained_model, tmp_path):
         """Checkpoint/restore then train must match uninterrupted training."""
         m, opt, x, y = trained_model
-        save_checkpoint(m, opt, tmp_path / "c.npz")
+        save_training_state(m, opt, tmp_path / "c.npz")
         # Continue original for 2 epochs.
         m.fit(x, y, epochs=2, optimizer=opt, seed=1)
         ref = m.predict(x)
@@ -191,7 +191,7 @@ class TestSerialization:
         m2 = Sequential([Dense(8, activation="tanh"), Dense(1)])
         m2.build((5,), np.random.default_rng(3))
         opt2 = Adam(m2.parameters(), lr=1e-2)
-        load_checkpoint(m2, opt2, tmp_path / "c.npz")
+        load_training_state(m2, opt2, tmp_path / "c.npz")
         m2.fit(x, y, epochs=2, optimizer=opt2, seed=1)
         assert np.allclose(m2.predict(x), ref)
 
@@ -203,11 +203,11 @@ class TestSerialization:
         m.build((3,), np.random.default_rng(0))
         opt = SGD(m.parameters(), lr=0.01, momentum=0.9)
         m.fit(x, y, epochs=2, optimizer=opt, seed=0)
-        save_checkpoint(m, opt, tmp_path / "sgd.npz")
+        save_training_state(m, opt, tmp_path / "sgd.npz")
         m2 = Sequential([Dense(1)])
         m2.build((3,), np.random.default_rng(9))
         opt2 = SGD(m2.parameters(), lr=0.01, momentum=0.9)
-        load_checkpoint(m2, opt2, tmp_path / "sgd.npz")
+        load_training_state(m2, opt2, tmp_path / "sgd.npz")
         for p in m2.parameters():
             assert id(p) in opt2._velocity
 

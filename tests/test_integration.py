@@ -15,7 +15,7 @@ from repro.hpo import (
     benchmark_objective,
     run_parallel,
 )
-from repro.nn import Adam, load_checkpoint, metrics, save_checkpoint, train_val_split
+from repro.nn import Adam, load_training_state, metrics, save_training_state, train_val_split
 from repro.precision import PrecisionPolicy, train_with_policy
 from repro.workflow import (
     run_training_job,
@@ -72,13 +72,13 @@ class TestCheckpointAcrossNodes:
         opt = Adam(model.parameters(), lr=1e-3)
         model.fit(ds.x, ds.y, epochs=3, loss="cross_entropy", optimizer=opt, seed=0)
         loss_before = model.evaluate(ds.x, ds.y, loss="cross_entropy")["loss"]
-        save_checkpoint(model, opt, tmp_path / "job.npz", epoch=3)
+        save_training_state(model, opt, tmp_path / "job.npz", epoch=3)
 
         # "Node B": fresh process state.
         restored = build_p1b2_classifier(3, hidden=(16,), dropout=0.0)
         restored.build(ds.x.shape[1:], np.random.default_rng(123))
         opt2 = Adam(restored.parameters(), lr=1e-3)
-        header = load_checkpoint(restored, opt2, tmp_path / "job.npz")
+        header = load_training_state(restored, opt2, tmp_path / "job.npz")
         assert header["epoch"] == 3
         loss_restored = restored.evaluate(ds.x, ds.y, loss="cross_entropy")["loss"]
         assert loss_restored == pytest.approx(loss_before)

@@ -330,8 +330,10 @@ class TestLayerwisePolicy:
         m1 = Sequential([Dense(8), Dense(1)])
         l1 = train_with_policy(m1, x, y, PrecisionPolicy("fp16"), epochs=3, seed=0)
         m2 = Sequential([Dense(8), Dense(1)])
-        l2 = train_with_policy(m2, x, y, LayerwisePolicy("fp16", overrides={}), epochs=3, seed=0)
-        assert np.allclose(l1, l2)
+        policy = LayerwisePolicy("fp16", overrides={})
+        assert policy.overrides == {}, "an empty map is a map, not 'use the default'"
+        l2 = train_with_policy(m2, x, y, policy, epochs=3, seed=0)
+        assert l1 == l2
 
     def test_bad_override_format_raises(self):
         from repro.precision import LayerwisePolicy

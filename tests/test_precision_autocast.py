@@ -40,14 +40,8 @@ from repro.precision import (
     quantize_activations,
     quantize_model,
 )
-from repro.serve import (
-    BatchPolicy,
-    InferenceServer,
-    ModelRegistry,
-    UnsupportedDtypeError,
-    publish_model,
-    read_checkpoint_meta,
-)
+from repro.registry import ArtifactStore, load_artifact
+from repro.serve import BatchPolicy, InferenceServer, UnsupportedDtypeError
 
 
 def _mlp(units=(16, 8), n_out=3):
@@ -370,21 +364,19 @@ class TestServingPrecision:
 
     def test_checkpoint_carries_dtype_and_quantization_metadata(self, tmp_path):
         model, x = self._served_model()
-        path = publish_model(model, tmp_path / "p1b2.npz", "p1b2",
-                             input_shape=(x.shape[1],))
-        meta = read_checkpoint_meta(path)
-        assert set(meta["dtypes"]) == {"float32"}
-        quant = meta["quantization"]
-        assert quant["method"] == "percentile"
-        assert any(step["kind"] == "dense" for step in quant["steps"])
+        store = ArtifactStore(tmp_path)
+        ref = store.publish(model, "p1b2", "p1b2", input_shape=(x.shape[1],))
+        for meta in (ref.meta, load_artifact(store.path_for(ref))[0]):
+            assert set(meta["dtypes"]) == {"float32"}
+            quant = meta["quantization"]
+            assert quant["method"] == "percentile"
+            assert any(step["kind"] == "dense" for step in quant["steps"])
 
     def test_registry_roundtrip_serves_int8_bit_identically(self, tmp_path):
         model, x = self._served_model()
-        path = publish_model(model, tmp_path / "p1b2.npz", "p1b2",
-                             input_shape=(x.shape[1],))
-        registry = ModelRegistry()
-        registry.register("p1b2", path)
-        loaded = registry.get("p1b2")
+        store = ArtifactStore(tmp_path, warmup=True)
+        store.publish(model, "p1b2", "p1b2", input_shape=(x.shape[1],))
+        loaded = store.get("p1b2")
         # Loaded in the published dtype (no silent float64 upcast) …
         assert all(p.data.dtype == np.float32 for p in loaded.parameters())
         # … and the rebuilt int8 plan is the same datapath, bitwise.
@@ -394,10 +386,12 @@ class TestServingPrecision:
 
     def test_registry_refuses_unsupported_dtype(self, tmp_path):
         model, x = self._served_model()
-        path = publish_model(model, tmp_path / "p1b2.npz", "p1b2",
-                             input_shape=(x.shape[1],))
-        # Tamper the recorded dtypes: an int16 checkpoint has no host
-        # kernel support and must be refused at load, not at predict.
+        store = ArtifactStore(tmp_path, warmup=True)
+        ref = store.publish(model, "bad", "p1b2", input_shape=(x.shape[1],))
+        path = store.path_for(ref)
+        # Tamper the dtypes the blob records (the manifest still says
+        # float32): an int16 checkpoint has no host kernel support and
+        # must be refused at load, not at predict.
         with np.load(path) as data:
             arrays = {k: np.array(data[k]) for k in data.files}
         header = json.loads(bytes(arrays["_meta"]).decode())
@@ -406,7 +400,5 @@ class TestServingPrecision:
             json.dumps(header).encode(), dtype=np.uint8)
         np.savez(path, **arrays)
 
-        registry = ModelRegistry()
-        registry.register("bad", path)
         with pytest.raises(UnsupportedDtypeError, match="int16"):
-            registry.get("bad")
+            store.get("bad")

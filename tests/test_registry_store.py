@@ -1,8 +1,9 @@
 """Tests for the content-addressed model registry (repro.registry).
 
 Covers the store's publish/resolve/get flow, the loader-bug regressions
-this subsystem fixes (same-path ``scan()`` evicting warm models; the
-double checkpoint read), the failure paths (corrupt artifacts, alias
+this subsystem fixes (a republish must reload; the double checkpoint
+read), the drift the merged load path closes (server and replica group
+refuse, default and cache alike), the failure paths (corrupt artifacts, alias
 repoints under a concurrent reader, eviction mid-``get``, unsupported
 dtypes), the backend contract, and a seeded publisher-vs-readers churn.
 """
@@ -21,10 +22,9 @@ from repro.registry import (
     LocalDirBackend,
     UnsupportedDtypeError,
     WarmModelCache,
-    load_artifact,
     weights_checksum,
 )
-from repro.serve import InferenceServer, ModelRegistry, publish_model
+from repro.serve import InferenceServer, ReplicaGroup
 
 BENCHMARK = "p1b2"
 HPARAMS = {"hidden": (16,)}
@@ -233,52 +233,28 @@ class TestGcRetention:
 
 
 class TestLoaderBugRegressions:
-    def test_same_path_rescan_keeps_loads_flat(self, tmp_path, p1b2_shape):
-        """Satellite: a periodic scan() over an unchanged directory must
-        not evict every warm model (the pre-fix register() always popped
-        the cache, so steady-state serving re-loaded on every scan)."""
-        for i in range(2):
-            publish_model(_tiny_model(bump=i), tmp_path / f"m{i}.npz",
-                          BENCHMARK, p1b2_shape, hparams=HPARAMS)
-        registry = ModelRegistry(capacity=2, warmup=False)
-        registry.scan(tmp_path)
-        for name in registry.names:
-            registry.get(name)
-        assert registry.loads == 2
-        for _ in range(3):
-            registry.scan(tmp_path)
-            for name in registry.names:
-                registry.get(name)
-        assert registry.loads == 2, "re-scan of unchanged files evicted warm models"
-        assert registry.hits == 6
-
-    def test_rewritten_checkpoint_does_invalidate(self, tmp_path, p1b2_shape):
-        path = tmp_path / "m.npz"
-        publish_model(_tiny_model(bump=1), path, BENCHMARK, p1b2_shape, hparams=HPARAMS)
-        registry = ModelRegistry(capacity=1, warmup=False)
-        registry.register("m", path)
-        first = registry.get("m")
-        # Rewrite with different weights: the next get must reload.
-        publish_model(_tiny_model(bump=2), path, BENCHMARK, p1b2_shape, hparams=HPARAMS)
-        registry.register("m", path)
-        second = registry.get("m")
+    def test_rewritten_checkpoint_does_invalidate(self, tmp_path):
+        store = ArtifactStore(tmp_path, capacity=1)
+        store.publish(_tiny_model(bump=1), "m", BENCHMARK, hparams=HPARAMS)
+        first = store.get("m")
+        # Republish the name with different weights: the next get must reload.
+        store.publish(_tiny_model(bump=2), "m", BENCHMARK, hparams=HPARAMS)
+        second = store.get("m")
         assert second is not first
-        assert registry.loads == 2
+        assert store.loads == 2
 
-    def test_cold_get_reads_the_file_exactly_once(self, tmp_path, p1b2_shape, monkeypatch):
+    def test_cold_get_reads_the_file_exactly_once(self, tmp_path, monkeypatch):
         """Satellite: the pre-fix loader opened the checkpoint twice
         (verify pass, then install pass).  Count np.load calls."""
-        path = publish_model(_tiny_model(), tmp_path / "m.npz",
-                             BENCHMARK, p1b2_shape, hparams=HPARAMS)
-        registry = ModelRegistry(capacity=1, warmup=False)
-        registry.register("m", path)
+        store = ArtifactStore(tmp_path, capacity=1)
+        store.publish(_tiny_model(), "m", BENCHMARK, hparams=HPARAMS)
         calls = []
         real_load = np.load
         monkeypatch.setattr(np, "load", lambda *a, **k: calls.append(a) or real_load(*a, **k))
-        registry.get("m")  # cold: one open, verify + install from one decode
+        store.get("m")  # cold: one open, verify + install from one decode
         assert len(calls) == 1
-        registry.get("m")  # warm: the header probe is the only open
-        assert len(calls) == 2
+        store.get("m")  # warm: the manifest names the hash, no open at all
+        assert len(calls) == 1
 
     def test_benchmark_shape_derivation_is_cached(self):
         """Satellite: input_shape() used to regenerate the full synthetic
@@ -300,15 +276,13 @@ class TestLoaderBugRegressions:
 
 
 class TestFailurePaths:
-    def test_truncated_artifact_refused(self, tmp_path, p1b2_shape):
-        path = publish_model(_tiny_model(), tmp_path / "m.npz",
-                             BENCHMARK, p1b2_shape, hparams=HPARAMS)
+    def test_truncated_artifact_refused(self, tmp_path):
+        store = ArtifactStore(tmp_path, capacity=1)
+        path = store.path_for(store.publish(_tiny_model(), "m", BENCHMARK, hparams=HPARAMS))
         path.write_bytes(path.read_bytes()[: path.stat().st_size // 3])
-        registry = ModelRegistry(capacity=1, warmup=False)
-        registry.register("m", path)
         with pytest.raises(CheckpointIntegrityError):
-            registry.get("m")
-        assert registry.stats()["resident"] == 0, "corrupt model reached the cache"
+            store.get("m")
+        assert store.stats()["resident"] == 0, "corrupt model reached the cache"
 
     def test_corrupt_blob_refused_through_store(self, tmp_path):
         store = ArtifactStore(tmp_path, capacity=1)
@@ -421,19 +395,17 @@ class TestWarmModelCache:
         with pytest.raises(ValueError):
             WarmModelCache(0)
 
-    def test_shared_cache_pools_residency(self, tmp_path, p1b2_shape):
-        """A store and a path registry can share one warm cache."""
+    def test_shared_cache_pools_residency(self, tmp_path):
+        """Two stores can share one warm cache."""
         shared = WarmModelCache(capacity=2)
         store = ArtifactStore(tmp_path / "store", cache=shared)
+        other = ArtifactStore(tmp_path / "other", cache=shared)
         model = _tiny_model()
         ref = store.publish(model, "m", BENCHMARK, hparams=HPARAMS)
-        path = publish_model(model, tmp_path / "m.npz", BENCHMARK,
-                             p1b2_shape, hparams=HPARAMS)
-        registry = ModelRegistry(capacity=2, warmup=False, cache=shared)
-        registry.register("m", path)
+        other.publish(model, "m", BENCHMARK, hparams=HPARAMS)
         loaded = store.get(ref)
-        assert registry.get("m") is loaded, "identical bytes, one resident model"
-        assert registry.loads == 0 and registry.hits == 1
+        assert other.get("m") is loaded, "identical bytes, one resident model"
+        assert other.loads == 0 and other.hits == 1
 
 
 def _churn_publisher(root, n_versions):
@@ -519,8 +491,6 @@ class TestServingIntegration:
         )
 
     def test_replica_group_from_store_parity(self, tmp_path, p1b2_shape):
-        from repro.serve import ReplicaGroup
-
         model = _tiny_model()
         store = ArtifactStore(tmp_path)
         store.publish(model, "m", BENCHMARK, hparams=HPARAMS)
@@ -533,6 +503,74 @@ class TestServingIntegration:
             result = group.poll(timeout=30.0)
         assert result is not None and result.status == "ok"
         assert np.array_equal(result.value, model.predict(x, batch_size=8))
+
+    def _quantized_store(self, tmp_path, p1b2_shape):
+        model = get_benchmark(BENCHMARK).materialize(**HPARAMS)
+        rng = np.random.default_rng(0)
+        model.quantize_int8(rng.standard_normal((32,) + p1b2_shape))
+        store = ArtifactStore(tmp_path)
+        store.publish(model, "m", BENCHMARK, hparams=HPARAMS)
+        return store, model, rng.standard_normal((8,) + p1b2_shape)
+
+    def test_swapped_blob_refused_by_server_and_group(self, tmp_path, monkeypatch):
+        """Another object's self-consistent blob under this hash's key:
+        neither front door may serve it, and no replica may start."""
+        import repro.serve.distributed as distributed
+
+        store = ArtifactStore(tmp_path)
+        a = store.publish(_tiny_model(bump=1), "a", BENCHMARK, hparams=HPARAMS)
+        b = store.publish(_tiny_model(bump=2), "b", BENCHMARK, hparams=HPARAMS)
+        store.backend.write_bytes(
+            f"objects/{a.content_hash}.npz",
+            store.backend.read_bytes(f"objects/{b.content_hash}.npz"),
+        )
+        pools = []
+        monkeypatch.setattr(
+            distributed, "ProcessWorkerPool", lambda *a, **k: pools.append(a) or 1 / 0
+        )
+        with pytest.raises(CheckpointIntegrityError, match="address"):
+            InferenceServer.from_store(store, "a")
+        with pytest.raises(CheckpointIntegrityError, match="address"):
+            ReplicaGroup.from_store(store, "a", n_replicas=1)
+        assert pools == [], "a replica pool was started for a refused artifact"
+
+    def test_replica_group_from_store_int8_default(self, tmp_path, p1b2_shape):
+        store, model, x = self._quantized_store(tmp_path, p1b2_shape)
+        with ReplicaGroup.from_store(store, "m", n_replicas=1, hang_timeout_s=60.0) as group:
+            assert group.precision == "int8"
+            group.wait_ready()
+            group.submit(0, x=x)
+            result = group.poll(timeout=30.0)
+        assert result is not None and result.status == "ok"
+        assert np.array_equal(result.value, model.predict(x, precision="int8"))
+
+    def test_explicit_precision_beats_the_artifact_default(self, tmp_path, p1b2_shape):
+        store, _, _ = self._quantized_store(tmp_path, p1b2_shape)
+        assert InferenceServer.from_store(store, "m", precision="fp32").precision == "fp32"
+        assert InferenceServer.from_store(store, "m", precision=None).precision is None
+        with ReplicaGroup.from_store(
+            store, "m", n_replicas=1, hang_timeout_s=60.0, precision="fp32"
+        ) as group:
+            assert group.precision == "fp32"
+            group.wait_ready()
+
+    def test_replica_group_from_store_uses_the_warm_cache(self, tmp_path):
+        store = ArtifactStore(tmp_path)
+        store.publish(_tiny_model(), "m", BENCHMARK, hparams=HPARAMS)
+        resident = store.get("m@1")
+        loads, hits = store.loads, store.hits
+        with ReplicaGroup.from_store(store, "m@1", n_replicas=1, hang_timeout_s=60.0) as group:
+            assert group.model is resident
+            group.wait_ready()
+        assert store.loads == loads, "the group decoded a blob that was already resident"
+        assert store.hits == hits + 1
+        assert store.get("m@1") is resident
+
+    def test_replica_group_needs_a_manifest(self, tmp_path):
+        store = ArtifactStore(tmp_path)
+        ref = store.publish(_tiny_model(), "m", BENCHMARK, hparams=HPARAMS)
+        with pytest.raises(ValueError, match="manifest"):
+            ReplicaGroup.from_store(store, f"sha256:{ref.content_hash}")
 
     def test_campaign_publishes_with_lineage(self, tmp_path):
         from repro.hpo.space import Float, Int, SearchSpace

@@ -13,18 +13,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.candle import build_p1b2_classifier
+from repro.candle import build_p1b2_classifier, get_benchmark
 from repro.datasets import make_tumor_expression
 from repro.hpc import SimCluster
 from repro.hpc.events import EventLoop, WorkerPool
 from repro.nn import (
     Adam,
+    CheckpointIntegrityError,
     atomic_savez,
     load_training_state,
     restore_rng,
     rng_state,
     save_training_state,
+    save_weights,
 )
+from repro.registry import ArtifactStore, load_artifact
 from repro.resilience import (
     CRASH,
     NAN,
@@ -184,7 +187,7 @@ class TestTrainingStateSerialization:
         twin = restore_rng(rng_state(rng))
         assert twin.random(8).tolist() == rng.random(8).tolist()
 
-    def test_atomic_savez_leaves_no_temp_files(self, tmp_path):
+    def test_atomic_savez_leaves_no_temp_files(self, data, tmp_path):
         p = atomic_savez(tmp_path / "a.npz", {"x": np.arange(3)})
         assert p.exists()
         assert [f.name for f in tmp_path.iterdir()] == ["a.npz"]
@@ -193,6 +196,89 @@ class TestTrainingStateSerialization:
         with np.load(tmp_path / "a.npz") as z:
             assert z["x"].shape == (5,)
         assert len(list(tmp_path.iterdir())) == 1
+        # save_weights goes through the same writer: one final file
+        # after a write and after an overwrite.
+        model = small_model()
+        model.build(data[0].shape[1:], np.random.default_rng(0))
+        (tmp_path / "w").mkdir()
+        for _ in range(2):
+            save_weights(model, tmp_path / "w" / "weights.npz")
+            assert [f.name for f in (tmp_path / "w").iterdir()] == ["weights.npz"]
+
+
+@pytest.fixture(scope="module")
+def stored(data, tmp_path_factory):
+    """One valid registry artifact and one valid training snapshot, as
+    bytes, each with the arrays it decodes to."""
+    x, y = data
+    tmp = tmp_path_factory.mktemp("stored")
+    model = small_model()
+    model.build(x.shape[1:], np.random.default_rng(0))
+    opt = Adam(model.parameters(), lr=1e-3)
+    model.fit(x, y, epochs=1, batch_size=32, loss="cross_entropy", optimizer=opt)
+    store = ArtifactStore(tmp / "store")
+    blob = store.path_for(store.publish(
+        get_benchmark("p1b2").materialize(hidden=(8,)), "m", "p1b2", hparams={"hidden": (8,)}
+    ))
+    snap = save_training_state(
+        model, opt, tmp / "snap.npz", epoch=1, step=2, global_step=5,
+        rng=np.random.default_rng(3), extra_arrays={"perm": np.arange(12)[::-1].copy()},
+    )
+    return {"artifact": (blob.read_bytes(), load_artifact(blob)[1]),
+            "snapshot": (snap.read_bytes(), _snapshot_arrays(x, snap))}
+
+
+def _snapshot_arrays(x, path):
+    """Everything load_training_state installs, as one flat list."""
+    model = small_model()
+    model.build(x.shape[1:], np.random.default_rng(9))
+    opt = Adam(model.parameters(), lr=1e-3)
+    header = load_training_state(model, opt, path)
+    moments = [m.get(id(p)) for p in opt.params for m in (opt._m, opt._v)]
+    return model.get_weights() + moments + [header["extra"]["perm"]]
+
+
+class TestReaderRefusesDamage:
+    """ROADMAP item 7, first parser: a damaged file is refused with
+    CheckpointIntegrityError or decodes to exactly what was written —
+    never another exception, never other numbers."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        kind=st.sampled_from(["artifact", "snapshot"]),
+        where=st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
+        xor=st.integers(min_value=0, max_value=255),
+    )
+    def test_truncation_or_byte_flip_is_refused_or_harmless(self, data, stored, kind, where, xor):
+        raw, want = stored[kind]
+        pos = int(where * len(raw))
+        if xor == 0:
+            damaged = raw[:pos]  # prefix truncation
+        else:
+            damaged = raw[:pos] + bytes([raw[pos] ^ xor]) + raw[pos + 1:]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "damaged.npz"
+            path.write_bytes(damaged)
+            try:
+                got = load_artifact(path)[1] if kind == "artifact" else _snapshot_arrays(data[0], path)
+            except CheckpointIntegrityError:
+                return
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert g is not None and g.dtype == w.dtype and np.array_equal(g, w)
+
+
+    def test_shadowed_directory_entry_is_refused(self, data, stored, tmp_path):
+        """One flipped byte in the zip directory can rename a member onto
+        its neighbour; zipfile then serves the neighbour and the member
+        silently vanishes — for an optional array (an Adam moment) that
+        would load as 'no moment yet'."""
+        raw, _ = stored["snapshot"]
+        at = raw.rindex(b"adam_m_0000.npy")  # the directory copy of the name
+        path = tmp_path / "shadowed.npz"
+        path.write_bytes(raw[:at] + b"adam_m_0001.npy" + raw[at + 15:])
+        with pytest.raises(CheckpointIntegrityError, match="share a name"):
+            _snapshot_arrays(data[0], path)
 
 
 class TestCheckpointManager:
@@ -227,6 +313,24 @@ class TestCheckpointManager:
     def test_restore_empty_dir_returns_none(self, tmp_path):
         mgr = CheckpointManager(tmp_path)
         assert mgr.restore(small_model(), None) is None
+
+    def test_restore_skips_unreadable_snapshots(self, data, tmp_path):
+        x, _ = data
+        model = small_model()
+        model.build(x.shape[1:], np.random.default_rng(0))
+        opt = Adam(model.parameters())
+        mgr = CheckpointManager(tmp_path)
+        for g in [0, 5, 10]:
+            self._save(mgr, model, opt, g)
+        newest = mgr.latest()
+        newest.write_bytes(newest.read_bytes()[: newest.stat().st_size // 2])
+        assert mgr.restore(model, opt)["global_step"] == 5
+        assert mgr.snapshots_skipped == 1
+        assert mgr.latest() == newest, "the damaged snapshot is evidence: left on disk"
+        for path in mgr.snapshots():
+            path.write_bytes(b"PK")
+        with pytest.raises(CheckpointIntegrityError, match=str(tmp_path)):
+            mgr.restore(model, opt)
 
 
 class TestBitIdenticalResume:
@@ -263,6 +367,22 @@ class TestBitIdenticalResume:
         )
         hist, _ = run_resilient_training(
             resumed, x, y, checkpoint_dir=tmp_path / "b", epochs=4, batch_size=16,
+            loss="cross_entropy", lr=1e-3, seed=0, checkpoint_every=4,
+        )
+        assert hist.series("loss") == straight_hist.series("loss")
+        assert_bit_identical(straight_model, resumed)
+
+    def test_resume_past_a_truncated_newest_snapshot(self, data, tmp_path):
+        """The newest snapshot was cut in half after it landed (a
+        truncating copy): resume falls back one snapshot and still ends
+        bit-identical to the run that was never interrupted."""
+        straight_model, straight_hist, _ = self._run(data, tmp_path / "a", epochs=3)
+        resumed, _, _ = self._run(data, tmp_path / "b", epochs=2)
+        newest = sorted((tmp_path / "b").glob("ckpt-*.npz"))[-1]
+        newest.write_bytes(newest.read_bytes()[: newest.stat().st_size // 2])
+        x, y = data
+        hist, _ = run_resilient_training(
+            resumed, x, y, checkpoint_dir=tmp_path / "b", epochs=3, batch_size=16,
             loss="cross_entropy", lr=1e-3, seed=0, checkpoint_every=4,
         )
         assert hist.series("loss") == straight_hist.series("loss")

@@ -5,17 +5,15 @@ import pytest
 
 from repro.candle.registry import get_benchmark
 from repro.perf import OpProfiler
+from repro.registry import ArtifactStore, load_artifact, weights_checksum
 from repro.serve import (
     AffineServiceTime,
     BatchPolicy,
     InferenceServer,
     LatencyHistogram,
     MicroBatcher,
-    ModelRegistry,
     Request,
     ServingStats,
-    publish_model,
-    read_checkpoint_meta,
     simulate_serving,
     sweep_offered_load,
 )
@@ -214,62 +212,52 @@ class TestInferenceServer:
 
 
 class TestModelRegistry:
-    def _publish(self, tmp_path, name="p1b2", seed=0):
-        spec = get_benchmark(name)
-        shape = spec.input_shape(seed=seed)
+    """The cases of the retired ``serve.ModelRegistry`` facade, held
+    against the one loader it wrapped: ``ArtifactStore.get``."""
+
+    def _publish(self, store, name="p1b2", seed=0):
+        spec = get_benchmark("p1b2")
+        shape = spec.input_shape()
         model = spec.materialize(input_shape=shape, seed=seed)
-        path = publish_model(model, tmp_path / f"{name}.npz", name, shape)
-        return model, path, shape
+        ref = store.publish(model, name, "p1b2", input_shape=shape)
+        return model, ref, shape
 
     def test_publish_load_roundtrip_identical(self, tmp_path):
-        model, path, shape = self._publish(tmp_path)
-        meta = read_checkpoint_meta(path)
-        assert meta["benchmark"] == "p1b2"
-        assert tuple(meta["input_shape"]) == shape
+        store = ArtifactStore(tmp_path, capacity=2, warmup=True)
+        model, ref, shape = self._publish(store)
+        for meta in (store.resolve("p1b2").meta, load_artifact(store.path_for(ref))[0]):
+            assert meta["benchmark"] == "p1b2"
+            assert tuple(meta["input_shape"]) == shape
 
-        registry = ModelRegistry(capacity=2)
-        registry.register("p1b2", path)
-        loaded = registry.get("p1b2")
+        loaded = store.get("p1b2")
         x = np.random.default_rng(0).standard_normal((16,) + shape)
         np.testing.assert_array_equal(loaded.predict(x), model.predict(x))
 
     def test_lru_eviction(self, tmp_path):
-        _, path_a, _ = self._publish(tmp_path, seed=0)
-        spec = get_benchmark("p1b2")
-        shape = spec.input_shape()
-        model_b = spec.materialize(input_shape=shape, seed=1)
-        path_b = publish_model(model_b, tmp_path / "b.npz", "p1b2", shape)
-
-        registry = ModelRegistry(capacity=1, warmup=False)
-        registry.register("a", path_a)
-        registry.register("b", path_b)
-        registry.get("a")
-        registry.get("b")  # evicts a
-        assert registry.resident == ["b"]
-        assert registry.evictions == 1
-        registry.get("a")  # reload from disk
-        assert registry.loads == 3
-        registry.get("a")  # cache hit
-        assert registry.hits == 1
+        store = ArtifactStore(tmp_path, capacity=1)
+        self._publish(store, "a", seed=0)
+        _, ref_b, _ = self._publish(store, "b", seed=1)
+        store.get("a")
+        store.get("b")  # evicts a
+        assert store.cache.keys() == [ref_b.content_hash]
+        assert store.evictions == 1
+        store.get("a")  # reload from disk
+        assert store.loads == 3
+        store.get("a")  # cache hit
+        assert store.hits == 1
 
     def test_cache_hit_returns_same_object(self, tmp_path):
-        _, path, _ = self._publish(tmp_path)
-        registry = ModelRegistry(capacity=2, warmup=False)
-        registry.register("m", path)
-        assert registry.get("m") is registry.get("m")
+        store = ArtifactStore(tmp_path, capacity=2)
+        self._publish(store, "m")
+        assert store.get("m") is store.get("m")
 
     def test_unknown_name(self, tmp_path):
-        registry = ModelRegistry()
+        store = ArtifactStore(tmp_path)
         with pytest.raises(KeyError):
-            registry.get("nope")
-        with pytest.raises(FileNotFoundError):
-            registry.register("x", tmp_path / "missing.npz")
-
-    def test_scan(self, tmp_path):
-        self._publish(tmp_path)
-        registry = ModelRegistry(warmup=False)
-        assert registry.scan(tmp_path) == 1
-        assert registry.names == ["p1b2"]
+            store.get("nope")
+        self._publish(store, "m")
+        with pytest.raises(KeyError):
+            store.get("m@9")
 
     def test_non_serving_checkpoint_rejected(self, tmp_path, p1b2_model):
         from repro.nn.serialization import save_weights
@@ -277,47 +265,47 @@ class TestModelRegistry:
         path = tmp_path / "raw.npz"
         save_weights(p1b2_model, path)
         with pytest.raises(ValueError):
-            read_checkpoint_meta(path)
+            load_artifact(path)
 
     def test_publish_validates_benchmark(self, tmp_path, p1b2_model):
         with pytest.raises(ValueError):
-            publish_model(p1b2_model, tmp_path / "x.npz", "not_a_benchmark", (3,))
+            ArtifactStore(tmp_path).publish(p1b2_model, "x", "not_a_benchmark", (3,))
 
     def test_checksum_recorded_at_publish(self, tmp_path):
-        from repro.serve.registry import weights_checksum
-
-        model, path, _ = self._publish(tmp_path)
-        meta = read_checkpoint_meta(path, verify=False)
-        assert meta["checksum"] == weights_checksum(model.get_weights())
+        store = ArtifactStore(tmp_path)
+        model, ref, _ = self._publish(store)
+        checksum = weights_checksum(model.get_weights())
+        assert ref.meta["checksum"] == checksum
+        assert load_artifact(store.path_for(ref))[0]["checksum"] == checksum
 
     def test_truncated_checkpoint_refused(self, tmp_path):
         from repro.serve import CheckpointIntegrityError
 
-        _, path, _ = self._publish(tmp_path)
+        store = ArtifactStore(tmp_path)
+        _, ref, _ = self._publish(store, "m")
+        path = store.path_for(ref)
         raw = path.read_bytes()
         path.write_bytes(raw[: len(raw) // 2])
         with pytest.raises(CheckpointIntegrityError):
-            read_checkpoint_meta(path)
-        registry = ModelRegistry(warmup=False)
-        registry.register("m", path)
+            load_artifact(path)
         with pytest.raises(CheckpointIntegrityError):
-            registry.get("m")
+            store.get("m")
 
     def test_corrupt_weights_refused(self, tmp_path):
         from repro.serve import CheckpointIntegrityError
 
-        _, path, _ = self._publish(tmp_path)
+        store = ArtifactStore(tmp_path)
+        _, ref, _ = self._publish(store, "m")
+        path = store.path_for(ref)
         with np.load(path) as data:
             arrays = {k: data[k].copy() for k in data.files}
         key = next(k for k in sorted(arrays) if k.startswith("param_") and arrays[k].size)
         arrays[key] = arrays[key] + 1.0  # single-array bit rot, zip still valid
         np.savez(path, **arrays)
         with pytest.raises(CheckpointIntegrityError, match="checksum mismatch"):
-            read_checkpoint_meta(path)
-        registry = ModelRegistry(warmup=False)
-        registry.register("m", path)
+            load_artifact(path)
         with pytest.raises(CheckpointIntegrityError, match="checksum mismatch"):
-            registry.get("m")
+            store.get("m")
 
 
 class TestSimulatedServing:

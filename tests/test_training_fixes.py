@@ -17,8 +17,8 @@ from repro.nn import losses as losses_mod
 from repro.nn.optim import SGD, Adam
 from repro.nn.schedules import Constant, ScheduledOptimizer, StepDecay
 from repro.nn.serialization import (
-    load_checkpoint,
-    save_checkpoint,
+    load_training_state,
+    save_training_state,
     unwrap_optimizer,
 )
 from repro.nn.tensor import Tensor
@@ -201,12 +201,12 @@ class TestScheduledOptimizerPassthrough:
         model.fit(x, y, epochs=1, batch_size=4, loss="mse", optimizer=wrapped, seed=0)
 
         path = tmp_path / "ckpt.npz"
-        save_checkpoint(model, wrapped, path, epoch=1)
+        save_training_state(model, wrapped, path, epoch=1)
 
         restored_model = _make_model(seed=99)
         restored_inner = Adam(restored_model.parameters(), lr=5e-4)
         restored = ScheduledOptimizer(restored_inner, Constant(1e-3))
-        header = load_checkpoint(restored_model, restored, path)
+        header = load_training_state(restored_model, restored, path)
         assert header["optimizer"]["type"] == "Adam"
         assert restored_inner.step_count == inner.step_count
         assert len(restored_inner._m) == len(inner._m)
