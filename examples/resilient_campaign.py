@@ -6,11 +6,15 @@ stall their barrier, NaN trials are quarantined, a worker leaves the
 pool permanently, and the final training checkpoint/restarts through
 two node crashes at the Daly-optimal interval.  The fault seed makes
 the whole ordeal reproducible; the clean run alongside shows what the
-faults cost.
+faults cost, and a third run repeats the ordeal at ``precision="bf16"``
+— checkpoint/restart is a state of the one fit loop, so it composes
+with every datapath.  Exits non-zero unless that run restarted at least
+twice without ever skipping an unreadable snapshot.
 
 Run: ``python examples/resilient_campaign.py``
 """
 
+import sys
 import tempfile
 
 from repro.hpo import Float, Int, SearchSpace
@@ -36,14 +40,16 @@ faults = FaultSpec(
 )
 
 rows = []
-for name, spec in (("clean", None), ("faulty", faults)):
+for name, spec, precision in (
+    ("clean", None, "fp32"), ("faulty", faults, "fp32"), ("faulty bf16", faults, "bf16"),
+):
     report = run_campaign(
         "p1b2", space,
         strategy="evolutionary", n_trials=32, n_workers=8,
-        final_epochs=10, precision="fp32",
+        final_epochs=10, precision=precision,
         max_search_samples=200, seed=1, max_retries=3,
         faults=spec,
-        checkpoint_dir=tempfile.mkdtemp(prefix=f"repro-{name}-"),
+        checkpoint_dir=tempfile.mkdtemp(prefix=f"repro-{name.replace(' ', '-')}-"),
         strategy_kwargs={"population_size": 8},
     )
     print(report.summary())
@@ -71,3 +77,7 @@ print(
     "\nafter each crash.  Same API, one extra argument — the resilience"
     "\nreport above is the bill."
 )
+
+r = report.resilience  # the bf16 row: precision x faults, gated on every push
+if r.restarts < 2 or r.snapshots_skipped != 0:
+    sys.exit(f"bf16 final training did not checkpoint/restart cleanly: {r.summary()}")

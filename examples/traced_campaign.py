@@ -94,6 +94,23 @@ print(f"\nwrote {jsonl_path}: "
       f"{counts['span']} spans, {counts['event']} events, {counts['metric']} metrics "
       "(schema-valid)")
 
+# The final training is the one fit loop, faults or not: its step spans
+# (and the op spans under them) must hang off the campaign's
+# final-training phase.  The trace-smoke CI job gates on this.
+spans = {r["id"]: r for r in records if r.get("type") == "span"}
+
+
+def under_final_training(span):
+    while span is not None and span["kind"] != "campaign.final_training":
+        span = spans.get(span["parent"])
+    return span is not None
+
+
+n_steps = sum(under_final_training(s) for s in spans.values() if s["kind"] == "fit.step")
+print(f"{n_steps} fit.step spans under campaign.final_training")
+if n_steps == 0:
+    sys.exit("no fit.step span under campaign.final_training: a trainer is missing from the trace")
+
 chrome_path = write_chrome_trace(records, "traced_campaign_chrome.json")
 print(f"wrote {chrome_path} (load in chrome://tracing or ui.perfetto.dev)")
 

@@ -40,7 +40,7 @@ from .layers import (
     MaxPool1D,
     MaxPool2D,
 )
-from .model import History, Model, Sequential
+from .model import FitLoop, History, Model, Sequential
 from .gradcheck import gradient_check, numerical_gradient
 from .recurrent import GRU, LSTM, SimpleRNN
 from .optim import SGD, AdaGrad, Adam, Optimizer, RMSProp
@@ -71,7 +71,7 @@ __all__ = [
     "Conv1D", "MaxPool1D", "AvgPool1D", "Flatten", "Embedding",
     "Conv2D", "MaxPool2D", "GlobalAvgPool2D", "SimpleRNN", "GRU", "LSTM",
     "gradient_check", "numerical_gradient",
-    "Model", "Sequential", "History",
+    "Model", "Sequential", "History", "FitLoop",
     "Optimizer", "SGD", "Adam", "RMSProp", "AdaGrad",
     "Constant", "StepDecay", "ExponentialDecay", "CosineAnnealing",
     "WarmupCosine", "ScheduledOptimizer",

@@ -88,20 +88,26 @@ class DataLoader:
 
     def __iter__(self) -> Iterator[Tuple[np.ndarray, Optional[np.ndarray]]]:
         n = len(self.x)
-        stop = (n // self.batch_size) * self.batch_size if self.drop_last else n
         if not self.shuffle:
             # Sequential epochs take contiguous basic slices — views into
             # the dataset, zero bytes copied per batch.
+            stop = (n // self.batch_size) * self.batch_size if self.drop_last else n
             for start in range(0, stop, self.batch_size):
                 sl = slice(start, min(start + self.batch_size, stop))
                 yield self.x[sl], (None if self.y is None else self.y[sl])
             return
-        idx = self.rng.permutation(n)
-        for start in range(0, stop, self.batch_size):
+        yield from self.batches(self.rng.permutation(n))
+
+    def batches(
+        self, idx: np.ndarray, first: int = 0
+    ) -> Iterator[Tuple[np.ndarray, Optional[np.ndarray]]]:
+        """The batches of one epoch whose sample order is ``idx``, from
+        batch number ``first`` on — how a resumed fit re-enters an epoch
+        under the permutation it was drawn with."""
+        stop = (len(idx) // self.batch_size) * self.batch_size if self.drop_last else len(idx)
+        for start in range(first * self.batch_size, stop, self.batch_size):
             batch_idx = idx[start : start + self.batch_size]
-            xb = self.x[batch_idx]
-            yb = None if self.y is None else self.y[batch_idx]
-            yield xb, yb
+            yield self.x[batch_idx], (None if self.y is None else self.y[batch_idx])
 
 
 def shard(x: np.ndarray, y: Optional[np.ndarray], rank: int, world: int) -> Tuple[np.ndarray, Optional[np.ndarray]]:

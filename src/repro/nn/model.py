@@ -18,6 +18,7 @@ import numpy as np
 from . import losses as losses_mod
 from . import metrics as metrics_mod
 from ..obs.context import get_recorder
+from ..obs.trace import maybe_span
 from .dataloader import DataLoader, train_val_split
 from .layers import Layer
 from .optim import Adam, Optimizer
@@ -206,30 +207,12 @@ class Model:
         return np.concatenate(outs, axis=0)
 
     # -- training ---------------------------------------------------------
-    def fit(
-        self,
-        x: np.ndarray,
-        y: Optional[np.ndarray],
-        epochs: int = 10,
-        batch_size: int = 32,
-        loss: str | Callable = "mse",
-        optimizer: Optional[Optimizer] = None,
-        lr: float = 1e-3,
-        validation_data: Optional[Tuple[np.ndarray, np.ndarray]] = None,
-        validation_split: float = 0.0,
-        metrics: Sequence[str] = (),
-        seed: int = 0,
-        verbose: bool = False,
-        early_stopping_patience: Optional[int] = None,
-        clip_norm: Optional[float] = None,
-        step_hook: Optional[Callable[[int, float], None]] = None,
-        grad_accumulation: int = 1,
-        profiler: Optional[ContextManager] = None,
-        prefetch: bool = False,
-        precision: Optional[str] = None,
-        grad_ready_hook: Optional[Callable] = None,
-    ) -> History:
-        """Train the model; returns a :class:`History`.
+    def fit(self, x: np.ndarray, y: Optional[np.ndarray], **options) -> History:
+        """fit(x, y, epochs=10, batch_size=32, loss="mse", optimizer=None, lr=1e-3, ...)
+
+        Train the model; returns a :class:`History`.  The keywords are
+        :class:`FitLoop`'s (the typed signature and the defaults are
+        there); this call is ``FitLoop(self, x, y, **options).run()``.
 
         ``loss`` is a name from :mod:`repro.nn.losses` or a callable
         ``(pred, target) -> scalar Tensor``.  For autoencoder-style models
@@ -259,190 +242,12 @@ class Model:
         weights, narrow-storage fused kernels with fp32 accumulation
         (bf16/fp16 via :mod:`repro.nn.amp`), and automatic loss scaling
         for fp16 through :class:`repro.precision.LossScaler`.  Parameters
-        are cast to fp32 in place; the controller's stats land on
-        ``history.precision``.
-
-        ``grad_ready_hook(param)`` is forwarded to every backward pass
-        (see :meth:`Tensor.backward`): it fires per parameter the moment
-        that parameter's gradient is final, enabling overlapped gradient
-        communication in :func:`repro.parallel.fit_data_parallel`.
+        are cast to fp32 in place.  A :class:`repro.precision.PrecisionPolicy`
+        object selects the *emulated* form of any format (fp8, int8, …):
+        float64 storage, a rounded working copy inside forward/backward.
+        Either way the controller's stats land on ``history.precision``.
         """
-        if grad_accumulation < 1:
-            raise ValueError("grad_accumulation must be >= 1")
-        rng = np.random.default_rng(seed)
-        x = np.asarray(x)
-        if validation_split > 0.0 and validation_data is None:
-            x, y, x_val, y_val = train_val_split(x, y, val_frac=validation_split, rng=rng)
-            validation_data = (x_val, y_val)
-
-        if not self.built:
-            self.build(x.shape[1:], rng)
-        loss_fn = losses_mod.get(loss) if isinstance(loss, str) else loss
-        amp_state = None
-        if precision is not None and precision != "fp64":
-            # Lazy import: repro.precision imports repro.nn at module scope.
-            from ..precision.autocast import FitPrecision
-
-            amp_state = FitPrecision(precision, self.parameters())
-            x = amp_state.cast_array(x)
-            if y is not None:
-                y = amp_state.cast_array(y)
-            if validation_data is not None:
-                vx, vy = validation_data
-                validation_data = (
-                    amp_state.cast_array(vx),
-                    None if vy is None else amp_state.cast_array(vy),
-                )
-        # The optimizer is built after any precision cast so its scratch
-        # buffers (Adam moments) match the fp32 master weights.
-        opt = optimizer or Adam(self.parameters(), lr=lr)
-        metric_fns = {m: metrics_mod.get(m) for m in metrics}
-        loader = DataLoader(x, y, batch_size=batch_size, shuffle=True, rng=rng)
-        if prefetch:
-            # Lazy import: repro.parallel imports repro.nn, so importing
-            # it at module scope here would cycle.
-            from ..parallel.prefetch import PrefetchLoader
-
-            loader = PrefetchLoader(loader)
-
-        history = History()
-        best_val = np.inf
-        best_weights: Optional[List[np.ndarray]] = None
-        patience_left = early_stopping_patience
-
-        # Window lengths for gradient averaging: every full window has
-        # grad_accumulation batches; the last window of the epoch may be
-        # shorter and must average over its own length, not k.
-        batches_per_epoch = len(loader)
-        full_window_batches = (batches_per_epoch // grad_accumulation) * grad_accumulation
-        trailing_window = batches_per_epoch - full_window_batches
-
-        # Observability (repro.obs): one module-global read when detached;
-        # when a recorder is attached, fit/epoch/step spans plus loss and
-        # grad-norm gauges (gated <5% step overhead by bench_obs_overhead).
-        rec = get_recorder()
-        if rec is not None:
-            obs_params = list(self.parameters())
-            # Resolved once: the registry lookups stay off the step path.
-            obs_steps = rec.metrics.counter("fit.steps")
-            obs_loss = rec.metrics.gauge("fit.loss")
-            obs_grad_norm = rec.metrics.gauge("fit.grad_norm")
-            fit_id = rec.begin(
-                "fit", kind="fit",
-                epochs=epochs, batch_size=batch_size, n_samples=len(x),
-            )
-
-        with profiler if profiler is not None else contextlib.nullcontext():
-            for epoch in range(epochs):
-                t0 = time.perf_counter()
-                epoch_loss = 0.0
-                n_batches = 0
-                accum = 0
-                opt.zero_grad()
-                if rec is not None:
-                    epoch_id = rec.begin("epoch", kind="fit.epoch", epoch=epoch)
-                for xb, yb in loader:
-                    if rec is not None:
-                        step_id = rec.begin("step", kind="fit.step")
-                    xt = Tensor(xb)
-                    target = xb if yb is None else yb
-                    window = (
-                        trailing_window
-                        if trailing_window and n_batches >= full_window_batches
-                        else grad_accumulation
-                    )
-                    if amp_state is not None:
-                        with amp_state.cast():
-                            pred = self.forward(xt, training=True)
-                            batch_loss = loss_fn(pred, target)
-                            # One seed folds loss scale and window average;
-                            # grads are unscaled at the window boundary.
-                            batch_loss.backward(
-                                amp_state.seed(window, batch_loss.data.dtype),
-                                grad_ready_hook=grad_ready_hook,
-                            )
-                    else:
-                        pred = self.forward(xt, training=True)
-                        batch_loss = loss_fn(pred, target)
-                        if window > 1:
-                            # Average (not sum) over the accumulation window.
-                            (batch_loss * (1.0 / window)).backward(
-                                grad_ready_hook=grad_ready_hook
-                            )
-                        else:
-                            batch_loss.backward(grad_ready_hook=grad_ready_hook)
-                    loss_val = batch_loss.item()
-                    if rec is not None:
-                        # Grad norm must be read here: the window boundary
-                        # below may step-and-zero the gradients.
-                        grad_norm = math.sqrt(sum(
-                            np.vdot(p.grad, p.grad)
-                            for p in obs_params if p.grad is not None
-                        )) / (amp_state.scale if amp_state is not None else 1.0)
-                    accum += 1
-                    if accum >= grad_accumulation:
-                        self._apply_step(opt, amp_state, clip_norm)
-                        accum = 0
-                    epoch_loss += loss_val
-                    n_batches += 1
-                    if rec is not None:
-                        obs_steps.inc()
-                        obs_loss.set(loss_val)
-                        obs_grad_norm.set(grad_norm)
-                        rec.end(step_id, loss=loss_val, grad_norm=grad_norm)
-                    if step_hook is not None:
-                        step_hook(getattr(opt, "step_count", n_batches), loss_val)
-                if accum > 0:  # flush a trailing partial window
-                    self._apply_step(opt, amp_state, clip_norm)
-                record: Dict[str, float] = {
-                    "loss": epoch_loss / max(n_batches, 1),
-                    "time": time.perf_counter() - t0,
-                }
-
-                if validation_data is not None:
-                    x_val, y_val = validation_data
-                    val_metrics = self.evaluate(x_val, y_val, loss=loss_fn, metrics=metrics, batch_size=batch_size)
-                    record.update({f"val_{k}": v for k, v in val_metrics.items()})
-                    val_loss = record["val_loss"]
-                    if early_stopping_patience is not None:
-                        if val_loss < best_val - 1e-12:
-                            best_val = val_loss
-                            best_weights = self.get_weights()
-                            patience_left = early_stopping_patience
-                        else:
-                            patience_left -= 1
-                            if patience_left <= 0:
-                                if rec is not None:
-                                    rec.end(epoch_id, early_stopped=True, **record)
-                                history.append(**record)
-                                break
-                if rec is not None:
-                    rec.end(epoch_id, **record)
-                history.append(**record)
-                if verbose:
-                    parts = " ".join(f"{k}={v:.4g}" for k, v in record.items())
-                    print(f"epoch {epoch + 1}/{epochs}: {parts}")
-
-        if best_weights is not None and early_stopping_patience is not None:
-            self.set_weights(best_weights)
-        if rec is not None:
-            rec.end(fit_id, epochs_run=len(history))
-        if amp_state is not None:
-            history.precision = amp_state.stats()
-        return history
-
-    @staticmethod
-    def _apply_step(opt: Optimizer, amp_state, clip_norm: Optional[float]) -> None:
-        """Close one accumulation window: unscale/check (mixed precision),
-        clip, step, zero.  A non-finite window is dropped whole — the
-        scaler has already halved, so the retry lands in range."""
-        if amp_state is not None and not amp_state.unscale_and_check():
-            opt.zero_grad()
-            return
-        if clip_norm is not None:
-            opt.clip_grad_norm(clip_norm)
-        opt.step()
-        opt.zero_grad()
+        return FitLoop(self, x, y, **options).run()
 
     def evaluate(
         self,
@@ -501,3 +306,242 @@ class Sequential(Model):
             raise RuntimeError("cannot add layers after the model is built")
         self.layers.append(layer)
         return self
+
+
+class FitLoop:
+    """One :meth:`Model.fit` run: the library's only forward → loss →
+    backward → window close → optimizer step over a dataset, resumable
+    at any batch boundary.  The keywords are documented on ``fit``.
+
+    What a run carries across a batch boundary is an attribute, so a
+    snapshot can read and restore it: the ``epoch`` / ``batch`` /
+    ``global_step`` cursor (``global_step`` counts batches), the epoch's
+    ``perm`` (None between epochs), the shuffle ``rng``, ``epoch_sum``,
+    ``last_loss``, the open window's length ``accum``, ``history``, the
+    early-stopping ``best_val`` / ``patience_left`` / ``best_weights`` /
+    ``stopped``, and the precision controller ``ctrl`` (a
+    :class:`repro.precision.policy.StepController` or None).  A driver
+    subclasses the three boundaries — :meth:`before_batch`,
+    :meth:`accept_update`, :meth:`cursor_moved` — never the step body
+    (:func:`repro.resilience.run_resilient_training` does).
+    """
+
+    def __init__(
+        self,
+        model: Model,
+        x: np.ndarray,
+        y: Optional[np.ndarray],
+        epochs: int = 10,
+        batch_size: int = 32,
+        loss: str | Callable = "mse",
+        optimizer: Optional[Optimizer] = None,
+        lr: float = 1e-3,
+        validation_data: Optional[Tuple[np.ndarray, np.ndarray]] = None,
+        validation_split: float = 0.0,
+        metrics: Sequence[str] = (),
+        seed: int = 0,
+        verbose: bool = False,
+        early_stopping_patience: Optional[int] = None,
+        clip_norm: Optional[float] = None,
+        step_hook: Optional[Callable[[int, float], None]] = None,
+        grad_accumulation: int = 1,
+        profiler: Optional[ContextManager] = None,
+        prefetch: bool = False,
+        precision=None,
+    ) -> None:
+        if grad_accumulation < 1:
+            raise ValueError("grad_accumulation must be >= 1")
+        self.rng = rng = np.random.default_rng(seed)
+        x = np.asarray(x)
+        if validation_split > 0.0 and validation_data is None:
+            x, y, x_val, y_val = train_val_split(x, y, val_frac=validation_split, rng=rng)
+            validation_data = (x_val, y_val)
+        if not model.built:
+            model.build(x.shape[1:], rng)
+        self.ctrl = None
+        if precision is not None and precision != "fp64":
+            if isinstance(precision, str):
+                # Lazy import: repro.precision imports repro.nn at module scope.
+                from ..precision.autocast import FitPrecision
+
+                self.ctrl = FitPrecision(precision, model.parameters())
+            else:
+                self.ctrl = precision.bind(model.parameters())
+            cast = self.ctrl.cast_array
+            x, y = cast(x), None if y is None else cast(y)
+            if validation_data is not None:
+                validation_data = tuple(None if a is None else cast(a) for a in validation_data)
+        self.model = model
+        self.loss_fn = losses_mod.get(loss) if isinstance(loss, str) else loss
+        # The optimizer is built after any precision cast so its scratch
+        # buffers (Adam moments) match the fp32 master weights.
+        self.opt = optimizer or Adam(model.parameters(), lr=lr)
+        # The loop draws each epoch's permutation itself (so it can be
+        # snapshotted); the loader only gathers batches.
+        self.loader = DataLoader(x, y, batch_size=batch_size)
+        self.epochs, self.validation_data, self.metrics = epochs, validation_data, metrics
+        self.patience, self.clip_norm, self.step_hook = early_stopping_patience, clip_norm, step_hook
+        self.grad_accumulation, self.profiler, self.prefetch = grad_accumulation, profiler, prefetch
+        self.verbose = verbose
+
+        self.epoch = self.batch = self.global_step = self.accum = 0
+        self.perm: Optional[np.ndarray] = None
+        self.epoch_sum = self.last_loss = 0.0
+        self.history = History()
+        self.best_val = np.inf
+        self.best_weights: Optional[List[np.ndarray]] = None
+        self.patience_left = early_stopping_patience
+        self.stopped = False
+
+    # -- the three boundaries a driver may act at -------------------------
+    def before_batch(self) -> None:
+        """Before the batch at the cursor is processed."""
+
+    def accept_update(self) -> bool:
+        """A window's gradients are final (unscaled, not yet clipped);
+        False drops the update."""
+        return True
+
+    def cursor_moved(self) -> None:
+        """After every batch, and after every epoch's row is appended
+        (``perm`` is None then)."""
+
+    def _close_window(self) -> None:
+        """Close one accumulation window: unscale/check (mixed precision),
+        clip, step, zero.  A non-finite window is dropped whole — the
+        scaler has already halved, so the retry lands in range."""
+        if (self.ctrl is None or self.ctrl.unscale_and_check()) and self.accept_update():
+            if self.clip_norm is not None:
+                self.opt.clip_grad_norm(self.clip_norm)
+            self.opt.step()
+        self.opt.zero_grad()
+        self.accum = 0
+
+    def run(self) -> History:
+        """Train from the cursor to ``epochs`` (or early stop)."""
+        model, opt, ctrl, loss_fn, loader = self.model, self.opt, self.ctrl, self.loss_fn, self.loader
+        k, step_hook, history = self.grad_accumulation, self.step_hook, self.history
+
+        # Window lengths for gradient averaging: every full window has k
+        # batches; the last window of the epoch may be shorter and must
+        # average over its own length, not k.
+        full_window_batches = (len(loader) // k) * k
+        trailing_window = len(loader) - full_window_batches
+
+        # Observability (repro.obs): one module-global read when detached;
+        # when a recorder is attached, fit/epoch/step spans plus loss and
+        # grad-norm gauges (gated <5% step overhead by bench_obs_overhead).
+        # An exception (an injected crash) closes the open spans aborted.
+        rec = get_recorder()
+        if rec is not None:
+            obs_params = list(model.parameters())
+            # Resolved once: the registry lookups stay off the step path.
+            obs_steps = rec.metrics.counter("fit.steps")
+            obs_loss = rec.metrics.gauge("fit.loss")
+            obs_grad_norm = rec.metrics.gauge("fit.grad_norm")
+
+        with self.profiler if self.profiler is not None else contextlib.nullcontext(), maybe_span(
+            rec, "fit", "fit",
+            epochs=self.epochs, batch_size=loader.batch_size, n_samples=loader.n_samples,
+        ) as fit_span:
+            while self.epoch < self.epochs and not self.stopped:
+                t0 = time.perf_counter()
+                if self.perm is None:  # a resumed epoch keeps the order it was drawn with
+                    self.perm = self.rng.permutation(loader.n_samples)
+                opt.zero_grad()
+                self.accum = 0
+                if rec is not None:
+                    epoch_id = rec.begin("epoch", kind="fit.epoch", epoch=self.epoch)
+                batches = loader.batches(self.perm, self.batch)
+                if self.prefetch:
+                    # Lazy import: repro.parallel imports repro.nn, so
+                    # importing it at module scope here would cycle.
+                    from ..parallel.prefetch import PrefetchLoader
+
+                    batches = PrefetchLoader(batches)
+                for xb, yb in batches:
+                    self.before_batch()
+                    if rec is not None:
+                        step_id = rec.begin("step", kind="fit.step")
+                    xt = Tensor(xb)
+                    target = xb if yb is None else yb
+                    window = (
+                        trailing_window
+                        if trailing_window and self.batch >= full_window_batches
+                        else k
+                    )
+                    if ctrl is not None:
+                        with ctrl.cast():
+                            pred = model.forward(xt, training=True)
+                            batch_loss = loss_fn(pred, target)
+                            # One seed folds loss scale and window average;
+                            # grads are unscaled at the window boundary.
+                            batch_loss.backward(ctrl.seed(window, batch_loss.data.dtype))
+                    else:
+                        pred = model.forward(xt, training=True)
+                        batch_loss = loss_fn(pred, target)
+                        if window > 1:
+                            # Average (not sum) over the accumulation window.
+                            (batch_loss * (1.0 / window)).backward()
+                        else:
+                            batch_loss.backward()
+                    self.last_loss = loss_val = batch_loss.item()
+                    if rec is not None:
+                        # Grad norm must be read here: the window boundary
+                        # below may step-and-zero the gradients.
+                        grad_norm = math.sqrt(sum(
+                            np.vdot(p.grad, p.grad)
+                            for p in obs_params if p.grad is not None
+                        )) / (ctrl.scale if ctrl is not None else 1.0)
+                    self.accum += 1
+                    if self.accum >= k:
+                        self._close_window()
+                    self.epoch_sum += loss_val
+                    self.batch += 1
+                    self.global_step += 1
+                    if rec is not None:
+                        obs_steps.inc()
+                        obs_loss.set(loss_val)
+                        obs_grad_norm.set(grad_norm)
+                        rec.end(step_id, loss=loss_val, grad_norm=grad_norm)
+                    if step_hook is not None:
+                        step_hook(getattr(opt, "step_count", self.batch), loss_val)
+                    self.cursor_moved()
+                if self.accum > 0:  # flush a trailing partial window
+                    self._close_window()
+                record: Dict[str, float] = {
+                    "loss": self.epoch_sum / max(self.batch, 1),
+                    "time": time.perf_counter() - t0,
+                }
+
+                if self.validation_data is not None:
+                    x_val, y_val = self.validation_data
+                    val_metrics = model.evaluate(
+                        x_val, y_val, loss=loss_fn, metrics=self.metrics, batch_size=loader.batch_size
+                    )
+                    record.update({f"val_{name}": v for name, v in val_metrics.items()})
+                    if self.patience is not None:
+                        if record["val_loss"] < self.best_val - 1e-12:
+                            self.best_val = record["val_loss"]
+                            self.best_weights = model.get_weights()
+                            self.patience_left = self.patience
+                        else:
+                            self.patience_left -= 1
+                            self.stopped = self.patience_left <= 0
+                if rec is not None:
+                    rec.end(epoch_id, **({"early_stopped": True} if self.stopped else {}), **record)
+                history.append(**record)
+                if self.verbose:
+                    parts = " ".join(f"{name}={v:.4g}" for name, v in record.items())
+                    print(f"epoch {self.epoch + 1}/{self.epochs}: {parts}")
+                self.epoch += 1
+                self.batch, self.perm, self.epoch_sum = 0, None, 0.0
+                self.cursor_moved()
+
+            if self.best_weights is not None:
+                model.set_weights(self.best_weights)
+            if fit_span is not None:
+                fit_span["attrs"]["epochs_run"] = len(history)
+        if ctrl is not None:
+            history.precision = ctrl.stats()
+        return history

@@ -2,11 +2,11 @@
 datapath (autocast + fp32-accumulate fused kernels), and calibrated int8
 inference (claim C7 / experiment E1).
 
-The emulation half (:class:`PrecisionPolicy`, rounders) answers *"is this
-format numerically sufficient?"* on a float64 datapath; the autocast/int8
-half (:class:`FitPrecision`, :class:`Int8Plan`) makes the sufficient
-formats *faster* in measured wall-clock — see the ``precision.*``
-per-layer metrics of ``python3 bench/run.py --trace 1``.
+``Model.fit(precision=...)`` is the one training entry point: a
+:class:`PrecisionPolicy` object (emulation, rounders) answers *"is this
+format numerically sufficient?"* on float64 storage; a format name
+(:class:`FitPrecision`, autocast) and :class:`Int8Plan` make the sufficient
+formats *faster* — see the ``precision.*`` metrics of ``bench/run.py --trace 1``.
 """
 
 from .autocast import TRAIN_FORMATS, FitPrecision, autocast, snap_bf16, snap_bf16_

@@ -3,17 +3,20 @@
 :class:`repro.precision.PrecisionPolicy` *emulates* narrow formats on
 float64 storage — numerically faithful, but slower than fp64, so claim C7
 ("rarely require 64bit or even 32bits") never paid off in wall-clock.
-This module is the datapath that does pay off:
+This module is the datapath that does pay off, through the same
+``Model.fit(precision=...)`` entry point:
 
 * ``autocast`` (re-exported from :mod:`repro.nn.amp`) switches the fused
   kernels — ``linear_act``, ``conv1d``, ``conv2d``,
   ``softmax_cross_entropy`` — to narrow-storage compute with fp32
   accumulation;
-* :class:`FitPrecision` is the controller ``Model.fit(precision=...)``
-  drives: fp32 master weights, the autocast context around
-  forward/backward, loss scaling through the existing
-  :class:`~repro.precision.policy.LossScaler`, and the
-  unscale-check-skip step boundary.
+* :class:`FitPrecision` is the :class:`~repro.precision.policy.StepController`
+  ``Model.fit(precision="fp32"|"bf16"|"fp16")`` drives: fp32 master
+  weights and the autocast context around forward/backward.  Loss
+  scaling and the unscale-check-skip step boundary are the base class's,
+  shared with the emulated-format controller
+  (``Model.fit(precision=PrecisionPolicy(...))``) — one loop, two
+  datapaths.
 
 Formats: ``fp32`` (native float32, no autocast needed), ``bf16`` and
 ``fp16`` (narrow storage + fp32 accumulate).  ``fp64`` / ``None`` mean
@@ -30,13 +33,13 @@ import numpy as np
 from ..nn import amp
 from ..nn.amp import autocast, snap_bf16, snap_bf16_  # noqa: F401 - public API
 from ..nn.tensor import Tensor
-from .policy import LossScaler
+from .policy import LossScaler, StepController
 
 #: Formats Model.fit(precision=...) accepts (beyond None/"fp64").
 TRAIN_FORMATS = ("fp32", "bf16", "fp16")
 
 
-class FitPrecision:
+class FitPrecision(StepController):
     """Mixed-precision state for one :meth:`repro.nn.Model.fit` run.
 
     Construction casts every parameter to fp32 **in place** — those fp32
@@ -70,10 +73,7 @@ class FitPrecision:
         self.plan = amp.get_plan(fmt) if fmt in ("bf16", "fp16") else None
         use_scaling = (fmt == "fp16") if loss_scaling is None else loss_scaling
         self.scaler = scaler if scaler is not None else (LossScaler() if use_scaling else None)
-        self.skipped_steps = 0
-        self.steps = 0
 
-    # -- data casts -----------------------------------------------------
     def cast_array(self, a: np.ndarray) -> np.ndarray:
         """Float arrays to fp32 (labels/int arrays pass through)."""
         a = np.asarray(a)
@@ -81,45 +81,8 @@ class FitPrecision:
             return a.astype(np.float32)
         return a
 
-    # -- forward/backward context ---------------------------------------
     def cast(self):
         """Context manager for the forward+backward of one batch."""
         if self.plan is None:
             return contextlib.nullcontext()
         return amp.autocast(self.plan)
-
-    @property
-    def scale(self) -> float:
-        return self.scaler.scale if self.scaler is not None else 1.0
-
-    def seed(self, window: int, dtype) -> np.ndarray:
-        """Backward seed folding loss scale and accumulation-window
-        averaging into one scalar (bit-identical to the unscaled
-        ``(loss * (1/window)).backward()`` composition when scale==1)."""
-        return np.asarray(self.scale / window, dtype=dtype)
-
-    # -- step boundary ---------------------------------------------------
-    def unscale_and_check(self) -> bool:
-        """Divide accumulated grads by the loss scale; True iff the step
-        should apply (finite grads).  Updates the scaler either way."""
-        self.steps += 1
-        scale = self.scale
-        if scale != 1.0:
-            inv = 1.0 / scale
-            for p in self.params:
-                if p.grad is not None:
-                    p.grad *= inv
-        if self.scaler is not None:
-            ok = self.scaler.check_and_update([p.grad for p in self.params])
-            if not ok:
-                self.skipped_steps += 1
-            return ok
-        return True
-
-    def stats(self) -> dict:
-        return {
-            "format": self.fmt,
-            "steps": self.steps,
-            "skipped_steps": self.skipped_steps,
-            "final_loss_scale": self.scale,
-        }

@@ -1,12 +1,15 @@
 """Mixed-precision training policies.
 
-A :class:`PrecisionPolicy` plugs into the standard fit loop and reproduces
-the numerics of low-precision training:
+A :class:`PrecisionPolicy` is a step controller for :meth:`Model.fit`
+(``model.fit(..., precision=policy)``) that reproduces the numerics of
+low-precision training on float64 storage:
 
-* **master weights** are kept at full precision;
+* **master weights** are kept at full precision — they are ``p.data``
+  everywhere outside forward/backward;
 * the *working copy* used by forward/backward is rounded to the target
-  format before every step (emulating a half-precision compute datapath);
-* gradients are rounded to the target format after backward;
+  format on entering ``cast()`` (emulating a half-precision compute
+  datapath) and the master weights are put back on leaving it;
+* gradients are rounded to the target format when their window closes;
 * for narrow-range formats (fp16, fp8) a **dynamic loss scale** multiplies
   the loss before backward and divides gradients after, preventing
   underflow of small gradients — the standard mixed-precision recipe.
@@ -17,13 +20,13 @@ different policies, with only the rounding changing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence
+import contextlib
+from dataclasses import asdict, dataclass, field
+from typing import Iterable, Iterator, List, Optional, Sequence
 
 import numpy as np
 
 from ..nn.model import Model
-from ..nn.optim import Optimizer
 from ..nn.tensor import Tensor
 from . import quantize as quantize_mod
 from .rounding import FORMAT_INFO, get_rounder
@@ -62,7 +65,68 @@ class LossScaler:
         return False
 
 
-class PrecisionPolicy:
+class StepController:
+    """What :class:`repro.nn.FitLoop` drives around every step, with the
+    loss-scale arithmetic written once: ``cast_array()`` on the data,
+    ``cast()`` around forward+backward, ``seed()`` for backward,
+    ``unscale_and_check()`` when a window closes, ``stats()`` at the end,
+    and ``state()``/``load_state()`` for snapshots.  Subclasses set
+    ``fmt``, ``params`` and ``scaler`` (None: no loss scaling)."""
+
+    fmt: str
+    params: List[Tensor]
+    scaler: Optional[LossScaler]
+    steps = 0
+    skipped_steps = 0
+
+    cast_array = staticmethod(np.asarray)
+
+    @property
+    def scale(self) -> float:
+        return self.scaler.scale if self.scaler is not None else 1.0
+
+    def seed(self, window: int, dtype) -> np.ndarray:
+        """Backward seed folding loss scale and accumulation-window
+        averaging into one scalar (bit-identical to the unscaled
+        ``(loss * (1/window)).backward()`` composition when scale==1)."""
+        return np.asarray(self.scale / window, dtype=dtype)
+
+    def unscale_and_check(self) -> bool:
+        """Divide accumulated grads by the loss scale; True iff the step
+        should apply (finite grads).  Updates the scaler either way."""
+        self.steps += 1
+        scale = self.scale
+        if scale != 1.0:
+            inv = 1.0 / scale
+            for p in self.params:
+                if p.grad is not None:
+                    p.grad *= inv
+        ok = self.scaler is None or self.scaler.check_and_update([p.grad for p in self.params])
+        if not ok:
+            self.skipped_steps += 1
+        return ok
+
+    def stats(self) -> dict:
+        return {
+            "format": self.fmt,
+            "steps": self.steps,
+            "skipped_steps": self.skipped_steps,
+            "final_loss_scale": self.scale,
+        }
+
+    def state(self) -> dict:
+        """JSON-able counters and scaler (what a resumed fit needs beyond
+        the weights)."""
+        return {"steps": self.steps, "skipped_steps": self.skipped_steps,
+                "scaler": None if self.scaler is None else asdict(self.scaler)}
+
+    def load_state(self, state: dict) -> None:
+        self.steps, self.skipped_steps = state["steps"], state["skipped_steps"]
+        if state["scaler"] is not None:
+            vars(self.scaler).update(state["scaler"])
+
+
+class PrecisionPolicy(StepController):
     """Rounding policy applied around each optimizer step.
 
     Parameters
@@ -71,9 +135,6 @@ class PrecisionPolicy:
         One of ``fp64 | fp32 | fp16 | bf16 | fp8_e4m3 | int8``.
     loss_scaling:
         Enable dynamic loss scaling (default: on for fp16/fp8, off otherwise).
-    stochastic:
-        Use stochastic rounding for the weight update (fp16 only) —
-        the keynote's "new design points to accelerate training".
     int8_calibration:
         Calibration method when ``fmt == 'int8'``.
     """
@@ -82,22 +143,15 @@ class PrecisionPolicy:
         self,
         fmt: str = "fp32",
         loss_scaling: Optional[bool] = None,
-        stochastic: bool = False,
         int8_calibration: str = "minmax",
-        seed: int = 0,
     ) -> None:
-        if fmt != "int8":
-            self._round = get_rounder(fmt)  # validates fmt
-        else:
-            self._round = None
+        self._round = None if fmt == "int8" else get_rounder(fmt)  # validates fmt
         self.fmt = fmt
         narrow = fmt in ("fp16", "fp8_e4m3")
         self.loss_scaling = narrow if loss_scaling is None else loss_scaling
         self.scaler = LossScaler() if self.loss_scaling else None
-        self.stochastic = stochastic
         self.int8_calibration = int8_calibration
-        self._rng = np.random.default_rng(seed)
-        self.skipped_steps = 0
+        self.params: List[Tensor] = []
 
     # -- rounding primitives -------------------------------------------
     def round_array(self, x: np.ndarray) -> np.ndarray:
@@ -125,115 +179,49 @@ class PrecisionPolicy:
             if p.grad is not None:
                 p.grad[...] = self.round_for(p, p.grad)
 
-    # -- training step --------------------------------------------------
-    def loss_scale(self) -> float:
-        return self.scaler.scale if self.scaler is not None else 1.0
+    # -- step controller ------------------------------------------------
+    def bind(self, params: Iterable[Tensor]) -> "PrecisionPolicy":
+        """Attach the parameters of the model about to be fitted."""
+        self.params = list(params)
+        return self
 
-    def train_step(
-        self,
-        model: Model,
-        optimizer: Optimizer,
-        xb: np.ndarray,
-        target,
-        loss_fn: Callable,
-    ) -> float:
-        """One mixed-precision training step; returns the (unscaled) loss.
+    @contextlib.contextmanager
+    def cast(self) -> Iterator[None]:
+        """Forward+backward of one batch on the rounded working copy;
+        the master weights are ``p.data`` again on exit."""
+        master = [p.data for p in self.params]
+        for p in self.params:
+            p.data = self.round_for(p, p.data)
+        try:
+            yield
+        finally:
+            for p, m in zip(self.params, master):
+                p.data = m
 
-        Master weights live in ``self._master``; the model's tensors hold
-        the rounded working copy during forward/backward.
-        """
-        params = optimizer.params
-        if not hasattr(self, "_master"):
-            self._master: List[np.ndarray] = [p.data.copy() for p in params]
-
-        # Working copy = rounded master weights.
-        for p, m in zip(params, self._master):
-            p.data[...] = self.round_for(p, m)
-
-        pred = model.forward(Tensor(xb), training=True)
-        loss = loss_fn(pred, target)
-        loss_value = loss.item()
-
-        scale = self.loss_scale()
-        optimizer.zero_grad()
-        loss.backward(np.asarray(scale, dtype=loss.data.dtype))
-
-        # Emulate a low-precision backward datapath.
-        self.round_grads(params)
-
-        # Unscale.
-        if scale != 1.0:
-            for p in params:
-                if p.grad is not None:
-                    p.grad = p.grad / scale
-
-        if self.scaler is not None:
-            ok = self.scaler.check_and_update([p.grad for p in params])
-            if not ok:
-                self.skipped_steps += 1
-                return loss_value
-
+    def unscale_and_check(self) -> bool:
+        # Emulate a low-precision backward datapath: grads are rounded
+        # while still scaled.
+        self.round_grads(self.params)
+        ok = super().unscale_and_check()
         # Guard: even without scaling, never apply a non-finite update.
-        if any(p.grad is not None and not np.all(np.isfinite(p.grad)) for p in params):
+        if ok and self.scaler is None and not all(
+            np.all(np.isfinite(p.grad)) for p in self.params if p.grad is not None
+        ):
             self.skipped_steps += 1
-            return loss_value
-
-        # Apply the update to *master* weights at full precision.
-        for p, m in zip(params, self._master):
-            p.data[...] = m
-        optimizer.step()
-        for i, p in enumerate(params):
-            if self.stochastic and self.fmt == "fp16":
-                from .rounding import stochastic_round_fp16
-
-                self._master[i] = p.data.copy()
-                p.data[...] = stochastic_round_fp16(p.data, self._rng)
-            else:
-                self._master[i] = p.data.copy()
-        return loss_value
+            ok = False
+        return ok
 
 
-def train_with_policy(
-    model: Model,
-    x: np.ndarray,
-    y,
-    policy: PrecisionPolicy,
-    epochs: int = 10,
-    batch_size: int = 32,
-    loss: str = "mse",
-    optimizer: Optional[Optimizer] = None,
-    lr: float = 1e-3,
-    seed: int = 0,
-) -> List[float]:
+def train_with_policy(model: Model, x: np.ndarray, y, policy: PrecisionPolicy, **fit_kwargs) -> List[float]:
     """Train ``model`` under ``policy``; returns per-epoch mean losses.
 
-    The companion of :meth:`Model.fit` for experiment E1: identical loop
-    structure, with the policy wrapped around every step.
+    E1's entry point: ``model.fit(..., precision=policy)``, then the
+    rounded working copy is left in the model (inference at the target
+    precision, as deployed low-precision models would run).
     """
-    from ..nn import losses as losses_mod
-    from ..nn.dataloader import DataLoader
-    from ..nn.optim import Adam
-
-    rng = np.random.default_rng(seed)
-    x = np.asarray(x)
-    if not model.built:
-        model.build(x.shape[1:], rng)
-    loss_fn = losses_mod.get(loss) if isinstance(loss, str) else loss
-    opt = optimizer or Adam(model.parameters(), lr=lr)
-    loader = DataLoader(x, y, batch_size=batch_size, shuffle=True, rng=rng)
-
-    epoch_losses: List[float] = []
-    for _ in range(epochs):
-        total, count = 0.0, 0
-        for xb, yb in loader:
-            target = xb if yb is None else yb
-            total += policy.train_step(model, opt, xb, target, loss_fn)
-            count += 1
-        epoch_losses.append(total / max(count, 1))
-    # Leave the rounded working copy in the model (inference at the target
-    # precision, as deployed low-precision models would run).
-    policy.round_params(opt.params)
-    return epoch_losses
+    history = model.fit(x, y, precision=policy, **fit_kwargs)
+    policy.round_params(policy.params)
+    return history.series("loss")
 
 
 class LayerwisePolicy(PrecisionPolicy):
@@ -252,9 +240,8 @@ class LayerwisePolicy(PrecisionPolicy):
         fmt: str = "fp16",
         overrides: Optional[dict] = None,
         loss_scaling: Optional[bool] = None,
-        seed: int = 0,
     ) -> None:
-        super().__init__(fmt=fmt, loss_scaling=loss_scaling, seed=seed)
+        super().__init__(fmt=fmt, loss_scaling=loss_scaling)
         if overrides is None:  # `overrides or ...` would replace an empty map too
             overrides = {"gamma": "fp32", "beta": "fp32", ".b": "fp32"}
         self.overrides = dict(overrides)

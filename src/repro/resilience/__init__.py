@@ -6,13 +6,13 @@ package *survives* them.  It provides:
 * :class:`FaultInjector` / :class:`FaultSpec` — a seeded, deterministic
   fault schedule (node crashes, stragglers, NaN/corrupted gradients,
   storage write failures, permanent worker loss) pluggable into the
-  training loop, the distributed-SGD simulators, the HPO schedulers,
+  fit loop's driver, the distributed-SGD simulators, the HPO schedulers,
   and the campaign driver.
 * :class:`CheckpointManager` — periodic atomic (write-tmp-then-rename)
   training snapshots including optimizer moments, epoch/step cursor and
   RNG state, with Daly-optimal interval planning.
-* :func:`run_resilient_training` — a checkpoint/restart training loop
-  whose killed-and-resumed runs are bit-identical to uninterrupted ones.
+* :func:`run_resilient_training` — :meth:`Model.fit` under a checkpoint/restart
+  driver; killed-and-resumed runs are bit-identical to uninterrupted ones.
 * :class:`ResilienceReport` — what happened: faults injected, retries,
   restarts, checkpoint overhead, recovered work, measured efficiency.
 """

@@ -1,14 +1,18 @@
 """Checkpoint/restart training: the analytic model, lived.
 
-:func:`run_resilient_training` is a fit loop that expects to die.  It
-snapshots atomically on a periodic step interval (pick it with
-:func:`plan_checkpoint_interval`, which applies Daly's formula to the
-simulated machine), and when an injected fault kills the job it
-restores the newest snapshot — weights, optimizer moments, epoch/step
-cursor, shuffle-RNG state, per-layer dropout RNG states, partial-epoch
-loss accumulators — and replays forward.  Because every stochastic
+:func:`run_resilient_training` is :meth:`Model.fit` under a driver that
+expects to die.  It holds no forward/backward of its own: it is the
+restart loop, checkpoint cadence, crash point, poisoned-gradient
+quarantine and step ledger around :class:`repro.nn.FitLoop`, acting at
+that loop's three boundaries.  It snapshots atomically on a periodic
+step interval (pick it with :func:`plan_checkpoint_interval`, which
+applies Daly's formula to the simulated machine), and when an injected
+fault kills the job it restores the newest snapshot — weights, optimizer
+moments, per-layer dropout RNG states and everything the loop carries
+across a batch boundary — and replays forward.  Because every stochastic
 input is part of the snapshot, a killed-and-resumed run is
-**bit-identical** to an uninterrupted one (property-tested).
+**bit-identical** to an uninterrupted one under any of ``fit``'s options
+(property-tested).
 
 The :class:`ResilienceReport` it returns is the measured counterpart of
 :func:`repro.hpc.resilience.expected_runtime`: E15 compares the two.
@@ -16,22 +20,18 @@ The :class:`ResilienceReport` it returns is the measured counterpart of
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
 from ..hpc.cluster import SimCluster
 from ..hpc.perfmodel import ModelProfile
-from ..nn import losses as losses_mod
-from ..nn.model import History, Model
+from ..nn.model import FitLoop, History, Model
+from ..nn.serialization import restore_rng, rng_state
 from ..obs.context import get_recorder
-from ..nn.optim import Adam, Optimizer
-from ..nn.tensor import Tensor
 from .checkpoint import CheckpointManager
 from .faults import FaultInjector
-from ..nn.serialization import restore_rng, rng_state
 
 
 class SimulatedCrash(RuntimeError):
@@ -56,6 +56,7 @@ class ResilienceReport:
     nan_updates_skipped: int = 0
     checkpoints_written: int = 0
     checkpoint_write_failures: int = 0
+    snapshots_skipped: int = 0  # unreadable snapshots a restore stepped over
     useful_steps: int = 0
     steps_replayed: int = 0
     sim_useful_time: float = 0.0
@@ -88,27 +89,118 @@ class ResilienceReport:
             f"resilience[faults: {faults}] restarts={self.restarts} "
             f"retries={self.retries} quarantined={self.quarantined} "
             f"workers_lost={self.workers_lost} ckpts={self.checkpoints_written} "
-            f"(+{self.checkpoint_write_failures} failed) "
+            f"(+{self.checkpoint_write_failures} failed, {self.snapshots_skipped} skipped) "
             f"replayed={self.steps_replayed} steps "
             f"efficiency={self.measured_efficiency:.3f}"
         )
 
 
-def _layer_rng_states(model: Model) -> Dict[str, Dict]:
-    """Bit-generator states of per-layer RNGs (dropout masks etc.)."""
-    states: Dict[str, Dict] = {}
-    for i, layer in enumerate(model.layers):
-        gen = getattr(layer, "_rng", None)
-        if isinstance(gen, np.random.Generator):
-            states[str(i)] = rng_state(gen)
-    return states
+class _ResilientLoop(FitLoop):
+    """:class:`FitLoop` under a fault schedule: crash before a batch,
+    quarantine a poisoned window, and after the cursor moves keep the
+    step ledger and snapshot on cadence.  The snapshot header keeps the
+    layout older ``ckpt-*.npz`` directories have; keys added since are
+    read with defaults."""
 
+    def __init__(self, manager: CheckpointManager, report: "ResilienceReport",
+                 checkpoint_every: Optional[int], /, *fit_args, **fit_kwargs) -> None:
+        super().__init__(*fit_args, **fit_kwargs)
+        self.manager, self.injector, self.report = manager, manager.injector, report
+        self.checkpoint_every = checkpoint_every
+        self.furthest = 0  # distinct batches completed at least once
+        self.snapshot_due = False
 
-def _restore_layer_rngs(model: Model, states: Dict[str, Dict]) -> None:
-    for i, state in states.items():
-        layer = model.layers[int(i)]
-        if state is not None:
-            layer._rng = restore_rng(state)
+    # -- the three boundaries ---------------------------------------------
+    def before_batch(self) -> None:
+        # The incarnation number is the restart count: rate-based crashes redraw.
+        if self.injector is not None and self.injector.crash_now(self.global_step, self.report.restarts):
+            raise SimulatedCrash(f"injected crash at step {self.global_step}")
+
+    def accept_update(self) -> bool:
+        grads = [p.grad for p in self.model.parameters() if p.grad is not None]
+        corrupted = self.injector is not None and self.injector.corrupt_gradients(
+            self.global_step, grads
+        )
+        if corrupted or not np.isfinite(self.last_loss) or not all(
+            np.isfinite(g).all() for g in grads
+        ):
+            # Quarantine: drop the poisoned update, keep training.
+            self.report.nan_updates_skipped += 1
+            return False
+        return True
+
+    def cursor_moved(self) -> None:
+        if self.perm is None:  # an epoch ended: always snapshot
+            self.snapshot()
+            return
+        if self.global_step <= self.furthest:
+            self.report.steps_replayed += 1
+        else:
+            self.report.useful_steps += 1
+            self.furthest = self.global_step
+        if self.checkpoint_every is not None and self.global_step % self.checkpoint_every == 0:
+            self.snapshot_due = True
+        # A snapshot holds no half-accumulated gradients: one that falls
+        # due inside an accumulation window waits for the window to close.
+        if self.snapshot_due and self.accum == 0:
+            self.snapshot()
+
+    # -- snapshot / restore -------------------------------------------------
+    def snapshot(self, force: bool = False) -> None:
+        self.snapshot_due = False
+        meta = {
+            "epoch_sum": self.epoch_sum,
+            "epoch_count": self.batch,
+            # Bit-generator states of per-layer RNGs (dropout masks etc.).
+            "layer_rngs": {
+                str(i): rng_state(layer._rng) for i, layer in enumerate(self.model.layers)
+                if isinstance(getattr(layer, "_rng", None), np.random.Generator)
+            },
+            "best_val": self.best_val,
+            "patience_left": self.patience_left,
+            "stopped": self.stopped,
+            "precision": None if self.ctrl is None else self.ctrl.state(),
+        }
+        extra = {} if self.perm is None else {"perm": self.perm}
+        for i, w in enumerate(self.best_weights or ()):
+            extra[f"best_{i:04d}"] = w
+        rows = [{k: float(v) for k, v in row.items()} for row in self.history.epochs]
+        path = self.manager.save(
+            self.model, self.opt, epoch=self.epoch, step=self.batch,
+            global_step=self.global_step, rng=self.rng, extra_arrays=extra,
+            history=rows, metadata=meta, force=force,
+        )
+        if path is not None:
+            self.report.checkpoints_written += 1
+        else:
+            self.report.checkpoint_write_failures += 1
+        rec = get_recorder()
+        if rec is not None:
+            rec.event(
+                "checkpoint", kind="resilience.checkpoint",
+                epoch=self.epoch, global_step=self.global_step, ok=path is not None,
+            )
+
+    def restore(self) -> None:
+        """Put the newest readable snapshot back into model, optimizer and loop."""
+        header = self.manager.restore(self.model, self.opt)
+        meta, extra = header.get("metadata", {}), header["extra"]
+        if header["rng"] is not None:
+            self.rng = header["rng"]
+        for i, state in meta.get("layer_rngs", {}).items():
+            self.model.layers[int(i)]._rng = restore_rng(state)
+        self.epoch = int(header["epoch"])
+        self.batch = int(header.get("step", 0))
+        self.global_step = int(header.get("global_step", 0))
+        self.perm = extra["perm"].astype(np.int64) if self.batch > 0 else None
+        self.epoch_sum = float(meta.get("epoch_sum", 0.0))
+        self.history.epochs[:] = header.get("history", [])
+        self.best_val = meta.get("best_val", np.inf)
+        self.patience_left = meta.get("patience_left", self.patience)
+        self.stopped = meta.get("stopped", False)
+        self.best_weights = [extra[k] for k in sorted(extra) if k.startswith("best_")] or None
+        if self.ctrl is not None and meta.get("precision") is not None:
+            self.ctrl.load_state(meta["precision"])
 
 
 def run_resilient_training(
@@ -117,173 +209,50 @@ def run_resilient_training(
     y: Optional[np.ndarray],
     *,
     checkpoint_dir,
-    epochs: int = 5,
-    batch_size: int = 32,
-    loss: str = "mse",
-    lr: float = 1e-3,
-    optimizer: Optional[Optimizer] = None,
-    seed: int = 0,
-    shuffle: bool = True,
     checkpoint_every: Optional[int] = 50,
-    keep_checkpoints: int = 3,
     injector: Optional[FaultInjector] = None,
     max_restarts: int = 50,
     step_time_s: float = 0.0,
     checkpoint_time_s: float = 0.0,
     restart_time_s: float = 0.0,
-    report: Optional[ResilienceReport] = None,
+    **fit_kwargs,
 ) -> Tuple[History, ResilienceReport]:
-    """Train under failures; survive them; account for them.
+    """``model.fit(x, y, **fit_kwargs)`` under failures: survive them,
+    account for them.
 
-    ``checkpoint_every`` is in optimizer steps (None disables periodic
-    snapshots; epoch boundaries still snapshot).  ``step_time_s`` /
-    ``checkpoint_time_s`` / ``restart_time_s`` are the simulated costs
-    used for the report's time ledger; leave them at 0 to account in
-    steps only.  An existing checkpoint directory resumes — which is
-    exactly how a killed-and-rescheduled campaign job picks up its work.
+    Every keyword not named here is :meth:`Model.fit`'s — ``epochs``,
+    ``precision``, ``clip_norm``, ``grad_accumulation``, validation and
+    early stopping all compose with crashes.  ``checkpoint_every`` is in
+    batches (optimizer steps at ``grad_accumulation=1``; None disables
+    periodic snapshots; epoch boundaries still snapshot).
+    ``step_time_s`` / ``checkpoint_time_s`` / ``restart_time_s`` are the
+    simulated costs used for the report's time ledger; leave them at 0
+    to account in steps only.  An existing checkpoint directory resumes —
+    which is exactly how a killed-and-rescheduled campaign job picks up
+    its work.
     """
-    if epochs < 1:
-        raise ValueError("epochs must be >= 1")
     if checkpoint_every is not None and checkpoint_every < 1:
         raise ValueError("checkpoint_every must be >= 1 (or None)")
-    x = np.asarray(x)
-    y_arr = None if y is None else np.asarray(y)
-    rng = np.random.default_rng(seed)
-    if not model.built:
-        model.build(x.shape[1:], rng)
-    loss_fn = losses_mod.get(loss) if isinstance(loss, str) else loss
-    opt = optimizer or Adam(model.parameters(), lr=lr)
-    params = list(model.parameters())
-
-    report = report or ResilienceReport()
-    manager = CheckpointManager(checkpoint_dir, keep=keep_checkpoints, injector=injector)
-
-    n = len(x)
-    n_batches = int(math.ceil(n / batch_size))
-    records: List[Dict[str, float]] = []
-    furthest = 0  # distinct optimizer steps completed at least once
-
-    # Mutable loop state shared with the checkpoint helper.
-    state = {"perm": np.arange(n), "epoch_sum": 0.0, "epoch_count": 0}
-
-    def snapshot(epoch: int, step: int, global_step: int, force: bool = False) -> None:
-        meta = {
-            "epoch_sum": state["epoch_sum"],
-            "epoch_count": state["epoch_count"],
-            "layer_rngs": _layer_rng_states(model),
-        }
-        extra = {"perm": state["perm"]} if step > 0 else None
-        path = manager.save(
-            model, opt, epoch=epoch, step=step, global_step=global_step,
-            rng=rng, extra_arrays=extra, history=records, metadata=meta,
-            force=force,
-        )
-        if path is not None:
-            report.checkpoints_written += 1
-            report.sim_checkpoint_time += checkpoint_time_s
-        else:
-            report.checkpoint_write_failures += 1
-        rec = get_recorder()
-        if rec is not None:
-            rec.event(
-                "checkpoint", kind="resilience.checkpoint",
-                epoch=epoch, global_step=global_step, ok=path is not None,
-            )
-
+    report = ResilienceReport()
+    manager = CheckpointManager(checkpoint_dir, injector=injector)
+    loop = _ResilientLoop(manager, report, checkpoint_every, model, x, y, **fit_kwargs)
     if manager.latest() is None:
         # Baseline snapshot: anchors restarts that beat the first periodic
         # checkpoint.  Written force=True — job staging is assumed durable.
-        snapshot(0, 0, 0, force=True)
+        loop.snapshot(force=True)
 
-    def run_incarnation(incarnation: int) -> None:
-        nonlocal rng, furthest
-        header = manager.restore(model, opt)
-        assert header is not None  # the baseline snapshot always exists
-        if header["rng"] is not None:
-            rng = header["rng"]
-        meta = header.get("metadata", {})
-        _restore_layer_rngs(model, meta.get("layer_rngs", {}))
-        start_epoch = int(header["epoch"])
-        start_step = int(header.get("step", 0))
-        g = int(header.get("global_step", 0))
-        records[:] = header.get("history", [])
-        state["epoch_sum"] = float(meta.get("epoch_sum", 0.0))
-        state["epoch_count"] = int(meta.get("epoch_count", 0))
-
-        for epoch in range(start_epoch, epochs):
-            if epoch == start_epoch and start_step > 0:
-                state["perm"] = header["extra"]["perm"].astype(np.int64)
-                s0 = start_step
-            else:
-                state["perm"] = rng.permutation(n) if shuffle else np.arange(n)
-                s0 = 0
-                if epoch != start_epoch:
-                    state["epoch_sum"], state["epoch_count"] = 0.0, 0
-            perm = state["perm"]
-
-            for s in range(s0, n_batches):
-                if injector is not None and injector.crash_now(g, incarnation):
-                    raise SimulatedCrash(f"injected crash at step {g}")
-                idx = perm[s * batch_size : (s + 1) * batch_size]
-                xb = x[idx]
-                target = xb if y_arr is None else y_arr[idx]
-                for p in params:
-                    p.grad = None
-                batch_loss = loss_fn(model.forward(Tensor(xb), training=True), target)
-                batch_loss.backward()
-                grads = [p.grad for p in params if p.grad is not None]
-                corrupted = (
-                    injector.corrupt_gradients(g, grads) if injector is not None else False
-                )
-                loss_val = float(batch_loss.item())
-                healthy = (
-                    not corrupted
-                    and np.isfinite(loss_val)
-                    and all(np.isfinite(gr).all() for gr in grads)
-                )
-                if healthy:
-                    opt.step()
-                else:
-                    # Quarantine: drop the poisoned update, keep training.
-                    report.nan_updates_skipped += 1
-                if np.isfinite(loss_val) and not corrupted:
-                    state["epoch_sum"] += loss_val
-                    state["epoch_count"] += 1
-                if g < furthest:
-                    report.steps_replayed += 1
-                    report.sim_lost_time += step_time_s
-                else:
-                    report.useful_steps += 1
-                    report.sim_useful_time += step_time_s
-                    furthest = g + 1
-                g += 1
-                if checkpoint_every is not None and g % checkpoint_every == 0:
-                    snapshot(epoch, s + 1, g)
-
-            records.append({"loss": state["epoch_sum"] / max(state["epoch_count"], 1)})
-            state["epoch_sum"], state["epoch_count"] = 0.0, 0
-            snapshot(epoch + 1, 0, g)
-            start_step = 0  # any later epoch starts clean
-
-    incarnation = 0
     rec = get_recorder()
     while True:
         try:
-            if rec is not None:
-                # The span ctx closes (marked aborted) when an injected
-                # crash unwinds the incarnation, so the trace stays
-                # balanced across restarts.
-                with rec.span("resilient_fit", kind="fit", incarnation=incarnation):
-                    run_incarnation(incarnation)
-            else:
-                run_incarnation(incarnation)
+            # Each incarnation is one `fit` span; an injected crash
+            # closes it (and its open epoch/step spans) aborted.
+            loop.restore()
+            history = loop.run()
             break
         except SimulatedCrash:
             report.restarts += 1
-            report.sim_restart_time += restart_time_s
-            incarnation += 1
             if rec is not None:
-                rec.event("restart", kind="resilience.restart", incarnation=incarnation)
+                rec.event("restart", kind="resilience.restart", incarnation=report.restarts)
             if report.restarts > max_restarts:
                 raise RuntimeError(
                     f"gave up after {max_restarts} restarts — raise max_restarts "
@@ -292,9 +261,12 @@ def run_resilient_training(
 
     if injector is not None:
         report.faults = dict(injector.counts)
-    history = History()
-    for row in records:
-        history.append(**row)
+    report.snapshots_skipped = manager.snapshots_skipped
+    # The time ledger is the step ledger priced.
+    report.sim_useful_time = report.useful_steps * step_time_s
+    report.sim_lost_time = report.steps_replayed * step_time_s
+    report.sim_checkpoint_time = report.checkpoints_written * checkpoint_time_s
+    report.sim_restart_time = report.restarts * restart_time_s
     return history, report
 
 

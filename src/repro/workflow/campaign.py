@@ -4,8 +4,8 @@ One call runs the complete loop the keynote describes for a benchmark:
 
 1. hyperparameter search with a chosen strategy, trial costs priced by
    the architecture model (search parallelism on the simulated cluster);
-2. final training of the winning configuration (optionally under a
-   reduced-precision policy);
+2. final training of the winning configuration: one
+   :func:`run_training_job`, at any precision, fault-tolerant or not;
 3. a report with the achieved metric, the simulated campaign wall-clock,
    and the energy bill.
 
@@ -31,7 +31,6 @@ from ..nn import metrics as metrics_mod
 from ..nn.dataloader import train_val_split
 from ..obs.context import get_recorder
 from ..obs.trace import maybe_span
-from ..precision.policy import PrecisionPolicy, train_with_policy
 from ..resilience import ResilienceReport, as_injector
 from .training_job import run_training_job, simulated_trial_cost
 
@@ -100,18 +99,17 @@ def run_campaign(
 ) -> CampaignReport:
     """Run search + final training for one registry benchmark.
 
-    The search trains small models on a subsample (fast, real);
-    the final training uses the full generated dataset under the
-    requested precision policy, priced and metered on ``cluster``.
+    The search trains small models on a subsample (fast, real); the
+    final training is one :func:`run_training_job` on the full generated
+    dataset at the requested ``precision``, priced and metered on
+    ``cluster``.
 
     ``faults`` (a FaultSpec or FaultInjector) runs the whole campaign
     under that fault model: search trials crash/straggle/NaN and are
     retried or quarantined, workers may leave the pool permanently, and
-    the fp32 final training checkpoint/restarts through the injected
-    crash schedule.  The campaign always completes; the report's
-    ``resilience`` field says what it survived.  (Reduced-precision
-    final training keeps its policy loop and only the search is
-    fault-injected — the resilient fit loop is fp32.)
+    the final training — at any ``precision`` — checkpoint/restarts
+    through the injected crash schedule.  The campaign always completes;
+    the report's ``resilience`` field says what it survived.
 
     ``publish_to`` (a :class:`repro.registry.ArtifactStore`) publishes
     the final trained model into the registry as ``model_name``
@@ -183,31 +181,12 @@ def run_campaign(
                 cfg["hidden"] = (int(h1),) if h2 is None else (int(h1), int(h2))
             model = spec.build_model(**cfg)
 
-            train_resilience: Optional[ResilienceReport] = None
-            if precision == "fp32":
-                report = run_training_job(
-                    model, x_tr, y_tr, cluster, precision=precision,
-                    epochs=final_epochs, batch_size=batch_size, loss=spec.loss,
-                    lr=lr, seed=seed, faults=injector, checkpoint_dir=checkpoint_dir,
-                )
-                train_time, energy = report.sim_total_time, report.energy_joules
-                train_resilience = report.resilience
-            else:
-                policy = PrecisionPolicy(precision)
-                train_with_policy(model, x_tr, y_tr, policy, epochs=final_epochs,
-                                  batch_size=batch_size, loss=spec.loss, lr=lr, seed=seed)
-                # Price the run post hoc (the policy loop trains; the
-                # simulator meters).
-                from ..hpc.energy import step_energy
-                from ..hpc.parallelism import SingleNode
-                from ..hpc.perfmodel import profile_model
-
-                profile = profile_model(model, np.asarray(x_tr).shape[1:], batch_size=batch_size)
-                plan = SingleNode()
-                step_t = plan.step_time(profile, cluster, precision)
-                steps = int(np.ceil(len(x_tr) / batch_size)) * final_epochs
-                train_time = step_t * steps
-                energy = step_energy(plan, profile, cluster, precision).total * steps
+            report = run_training_job(
+                model, x_tr, y_tr, cluster, precision=precision,
+                epochs=final_epochs, batch_size=batch_size, loss=spec.loss,
+                lr=lr, seed=seed, faults=injector, checkpoint_dir=checkpoint_dir,
+            )
+            train_time, energy = report.sim_total_time, report.energy_joules
             if train_span is not None:
                 train_span["attrs"].update(sim_time=train_time, energy_joules=energy)
 
@@ -223,7 +202,7 @@ def run_campaign(
         # -- 4. resilience ledger --------------------------------------------
         resilience: Optional[ResilienceReport] = None
         if injector is not None:
-            resilience = train_resilience or ResilienceReport()
+            resilience = report.resilience or ResilienceReport()
             stats = log.stats
             resilience.retries += stats.get("retries", 0)
             resilience.quarantined += stats.get("quarantined", 0)

@@ -9,7 +9,7 @@ bridge.
 
 from __future__ import annotations
 
-import contextlib
+import tempfile
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Tuple
 
@@ -22,6 +22,7 @@ from ..hpc.parallelism import DataParallel, ParallelPlan, SingleNode
 from ..hpc.perfmodel import ModelProfile, profile_model
 from ..hpo.space import Config
 from ..nn.model import History, Model
+from ..precision.policy import PrecisionPolicy
 from ..resilience import ResilienceReport, as_injector, plan_checkpoint_interval, run_resilient_training
 
 
@@ -66,14 +67,18 @@ def run_training_job(
     """Train ``model`` for real; price every step on ``cluster``/``plan``.
 
     The simulated global batch is the fit loop's batch; steps per epoch
-    come from the dataset size.
+    come from the dataset size.  Training is one :meth:`Model.fit`:
+    ``fp32``/``fp64`` on the default datapath, narrower formats under
+    the emulated :class:`repro.precision.PrecisionPolicy` (the rounded
+    working copy is left in the model, as deployed).
 
-    With ``faults`` (a FaultSpec or FaultInjector) the job runs through
-    :func:`repro.resilience.run_resilient_training` instead of the plain
-    fit loop: it checkpoints at the Daly-optimal step interval for this
-    model on this cluster, survives the injected crash/NaN schedule, and
-    the report's time/energy bill includes the replayed work, checkpoint
-    writes and restart overheads (its ``resilience`` field itemizes them).
+    With ``faults`` (a FaultSpec or FaultInjector) that same fit runs
+    under :func:`repro.resilience.run_resilient_training`, at any
+    ``precision``: it checkpoints at the Daly-optimal step interval for
+    this model on this cluster, survives the injected crash/NaN schedule,
+    and the report's time/energy bill includes the replayed work,
+    checkpoint writes and restart overheads (its ``resilience`` field
+    itemizes them).
 
     ``profile_ops=True`` attaches a :class:`repro.perf.OpProfiler` to the
     training run and fills the report's ``op_profile`` with the measured
@@ -87,80 +92,61 @@ def run_training_job(
         from ..perf import OpProfiler
 
         op_prof = OpProfiler()
+    policy = None if precision in ("fp32", "fp64") else PrecisionPolicy(precision)
+    fit_kwargs = dict(epochs=epochs, batch_size=batch_size, loss=loss, lr=lr, seed=seed,
+                      precision=policy, profiler=op_prof)
 
+    # The checkpoint cadence depends on step time and MTBF, so a
+    # fault-tolerant job is priced before it trains and its model is
+    # built here; a plain job trains first and fit builds the model
+    # (from the same seed either way).
+    resilience = None
     if injector is None:
-        history = model.fit(
-            x, y, epochs=epochs, batch_size=batch_size, loss=loss, lr=lr, seed=seed, profiler=op_prof
-        )
-        profile = profile_model(model, x.shape[1:], batch_size=batch_size)
-        _check_feasible(plan, profile, cluster, precision)
-        step_t = plan.step_time(profile, cluster, precision)
-        steps_per_epoch = int(np.ceil(len(x) / batch_size))
-        epoch_t = step_t * steps_per_epoch
-        energy = step_energy(plan, profile, cluster, precision).total * steps_per_epoch * len(history)
-        return TrainingReport(
-            history=history,
-            profile=profile,
-            sim_step_time=step_t,
-            sim_epoch_time=epoch_t,
-            sim_total_time=epoch_t * len(history),
-            energy_joules=energy,
-            final_loss=history.series("loss")[-1],
-            op_profile=op_prof.as_dict() if op_prof is not None else None,
-        )
-
-    # Fault-tolerant path: price the machine first (the checkpoint cadence
-    # depends on step time and MTBF), then live through the fault schedule.
-    if not model.built:
+        history = model.fit(x, y, **fit_kwargs)
+    elif not model.built:
         model.build(x.shape[1:], np.random.default_rng(seed))
     profile = profile_model(model, x.shape[1:], batch_size=batch_size)
-    _check_feasible(plan, profile, cluster, precision)
-    step_t = plan.step_time(profile, cluster, precision)
-    cadence = plan_checkpoint_interval(profile, cluster, precision=precision, step_time_s=step_t)
-    ckpt_time = cadence["checkpoint_time"]
-    checkpoint_every = int(cadence["interval_steps"])
-
-    if checkpoint_dir is None:
-        import tempfile
-
-        checkpoint_dir = tempfile.mkdtemp(prefix="repro-ckpt-")
-    # The profiler hooks ops globally (via the repro.perf sink), so
-    # wrapping the resilient loop catches its inner fit calls too.
-    with op_prof if op_prof is not None else contextlib.nullcontext():
-        history, resilience = run_resilient_training(
-            model, x, y,
-            checkpoint_dir=checkpoint_dir,
-            epochs=epochs, batch_size=batch_size, loss=loss, lr=lr, seed=seed,
-            checkpoint_every=checkpoint_every,
-            injector=injector,
-            step_time_s=step_t,
-            checkpoint_time_s=ckpt_time,
-            restart_time_s=ckpt_time,  # reading the snapshot back mirrors writing it
-        )
-    steps_per_epoch = int(np.ceil(len(x) / batch_size))
-    executed_steps = resilience.useful_steps + resilience.steps_replayed
-    # Energy follows executed (not just useful) steps — replay burns watts.
-    energy = step_energy(plan, profile, cluster, precision).total * executed_steps
-    return TrainingReport(
-        history=history,
-        profile=profile,
-        sim_step_time=step_t,
-        sim_epoch_time=step_t * steps_per_epoch,
-        sim_total_time=resilience.sim_total_time,
-        energy_joules=energy,
-        final_loss=history.series("loss")[-1],
-        resilience=resilience,
-        op_profile=op_prof.as_dict() if op_prof is not None else None,
-    )
-
-
-def _check_feasible(plan: ParallelPlan, profile: ModelProfile, cluster: SimCluster, precision: str) -> None:
     if not plan.feasible(profile, cluster, precision):
         raise ValueError(
             f"plan {plan.name} does not fit: needs "
             f"{plan.memory_per_node(profile, precision) / 1e9:.1f} GB/node, node has "
             f"{cluster.node.accelerator.mem_capacity / 1e9:.1f} GB"
         )
+    step_t = plan.step_time(profile, cluster, precision)
+    steps_per_epoch = int(np.ceil(len(x) / batch_size))
+    if injector is not None:
+        cadence = plan_checkpoint_interval(profile, cluster, precision=precision, step_time_s=step_t)
+        history, resilience = run_resilient_training(
+            model, x, y,
+            checkpoint_dir=checkpoint_dir or tempfile.mkdtemp(prefix="repro-ckpt-"),
+            checkpoint_every=int(cadence["interval_steps"]),
+            injector=injector,
+            step_time_s=step_t,
+            checkpoint_time_s=cadence["checkpoint_time"],
+            restart_time_s=cadence["checkpoint_time"],  # reading the snapshot back mirrors writing it
+            **fit_kwargs,
+        )
+    if policy is not None:
+        policy.round_params(policy.params)
+    if resilience is None:
+        executed_steps = steps_per_epoch * len(history)
+        total_t = step_t * executed_steps
+    else:
+        # Replayed work, checkpoint writes and restarts are on the bill.
+        executed_steps = resilience.useful_steps + resilience.steps_replayed
+        total_t = resilience.sim_total_time
+    return TrainingReport(
+        history=history,
+        profile=profile,
+        sim_step_time=step_t,
+        sim_epoch_time=step_t * steps_per_epoch,
+        sim_total_time=total_t,
+        # Energy follows executed (not just useful) steps — replay burns watts.
+        energy_joules=step_energy(plan, profile, cluster, precision).total * executed_steps,
+        final_loss=history.series("loss")[-1],
+        resilience=resilience,
+        op_profile=op_prof.as_dict() if op_prof is not None else None,
+    )
 
 
 def simulated_trial_cost(

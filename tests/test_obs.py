@@ -461,6 +461,57 @@ class TestWiredHooks:
         assert rec.events(kind="resilience.checkpoint")
 
 
+    def test_policy_trainer_records_what_fit_records(self):
+        """train_with_policy is Model.fit: same fit / epoch / step spans
+        and the same fit.steps count on the same data."""
+        from repro.precision import PrecisionPolicy, train_with_policy
+
+        rng = np.random.default_rng(0)
+        x = rng.standard_normal((40, 5))
+        y = rng.standard_normal((40, 1))
+        counts = []
+        for policy in (None, PrecisionPolicy("fp16")):
+            model = Sequential()
+            model.add(Dense(4)).add(Dense(1))
+            rec = TraceRecorder()
+            with rec:
+                if policy is None:
+                    model.fit(x, y, epochs=2, batch_size=10)
+                else:
+                    train_with_policy(model, x, y, policy, epochs=2, batch_size=10)
+            assert rec.balanced
+            counts.append(
+                [len(rec.spans(kind=k)) for k in ("fit", "fit.epoch", "fit.step")]
+                + [rec.metrics.counter("fit.steps").value]
+            )
+        assert counts[0] == counts[1] == [1, 2, 8, 8]
+
+    def test_resilient_training_step_spans_match_its_ledger(self, tmp_path):
+        """Every executed step — useful or replayed — is one fit.step
+        span and one fit.steps count; a crash fires between steps, so no
+        step span is ever aborted."""
+        from repro.resilience import FaultInjector, run_resilient_training
+
+        rng = np.random.default_rng(0)
+        x = rng.standard_normal((40, 5))
+        y = rng.standard_normal((40, 1))
+        model = Sequential()
+        model.add(Dense(4)).add(Dense(1))
+        rec = TraceRecorder()
+        with rec:
+            _, report = run_resilient_training(
+                model, x, y, checkpoint_dir=tmp_path / "ck", epochs=2, batch_size=10,
+                checkpoint_every=3, injector=FaultInjector(crash_steps=(5,)),
+            )
+        assert report.restarts == 1 and report.steps_replayed > 0
+        steps = rec.spans(kind="fit.step")
+        assert len(steps) == report.useful_steps + report.steps_replayed
+        assert rec.metrics.counter("fit.steps").value == len(steps)
+        assert not any(s["attrs"].get("aborted") for s in steps)
+        # The epoch the crash interrupted is the one aborted epoch span.
+        assert sum(bool(e["attrs"].get("aborted")) for e in rec.spans(kind="fit.epoch")) == 1
+
+
 class TestInstrumentedCampaignEndToEnd:
     """Acceptance criterion: a full run_campaign under one recorder
     exports a schema-valid JSONL trace with balanced spans from all six

@@ -286,14 +286,6 @@ class TestPrecisionPolicy:
         out = p.round_array(x)
         assert len(np.unique(out)) <= 2 * INT8_LEVELS + 1
 
-    def test_stochastic_policy_runs(self):
-        x, y = _toy_problem(n=60)
-        model = Sequential([Dense(4), Dense(1)])
-        losses = train_with_policy(
-            model, x, y, PrecisionPolicy("fp16", stochastic=True), epochs=3, seed=0
-        )
-        assert np.all(np.isfinite(losses))
-
 
 class TestLayerwisePolicy:
     def test_overrides_keep_named_params_at_fp32(self):

@@ -20,6 +20,9 @@ from repro.hpc.events import EventLoop, WorkerPool
 from repro.nn import (
     Adam,
     CheckpointIntegrityError,
+    Dense,
+    Dropout,
+    Sequential,
     atomic_savez,
     load_training_state,
     restore_rng,
@@ -27,6 +30,7 @@ from repro.nn import (
     save_training_state,
     save_weights,
 )
+from repro.precision import LayerwisePolicy, LossScaler, PrecisionPolicy, train_with_policy
 from repro.registry import ArtifactStore, load_artifact
 from repro.resilience import (
     CRASH,
@@ -352,6 +356,7 @@ class TestBitIdenticalResume:
         assert rep.restarts == 3
         assert rep.steps_replayed > 0
         assert clean_rep.steps_replayed == 0
+        assert clean_rep.snapshots_skipped == rep.snapshots_skipped == 0
         assert faulty_hist.series("loss") == clean_hist.series("loss")
         assert_bit_identical(clean_model, faulty_model)
 
@@ -365,10 +370,11 @@ class TestBitIdenticalResume:
             resumed, x, y, checkpoint_dir=tmp_path / "b", epochs=2, batch_size=16,
             loss="cross_entropy", lr=1e-3, seed=0, checkpoint_every=4,
         )
-        hist, _ = run_resilient_training(
+        hist, rep = run_resilient_training(
             resumed, x, y, checkpoint_dir=tmp_path / "b", epochs=4, batch_size=16,
             loss="cross_entropy", lr=1e-3, seed=0, checkpoint_every=4,
         )
+        assert rep.snapshots_skipped == 0
         assert hist.series("loss") == straight_hist.series("loss")
         assert_bit_identical(straight_model, resumed)
 
@@ -381,35 +387,104 @@ class TestBitIdenticalResume:
         newest = sorted((tmp_path / "b").glob("ckpt-*.npz"))[-1]
         newest.write_bytes(newest.read_bytes()[: newest.stat().st_size // 2])
         x, y = data
-        hist, _ = run_resilient_training(
+        hist, rep = run_resilient_training(
             resumed, x, y, checkpoint_dir=tmp_path / "b", epochs=3, batch_size=16,
             loss="cross_entropy", lr=1e-3, seed=0, checkpoint_every=4,
         )
+        assert rep.snapshots_skipped == 1 and "1 skipped" in rep.summary()
         assert hist.series("loss") == straight_hist.series("loss")
         assert_bit_identical(straight_model, resumed)
+
+    def test_resume_from_a_snapshot_with_only_the_old_header_keys(self, data, tmp_path):
+        """A ``ckpt-*.npz`` written before the loops merged (the header
+        keys of 77a41ef, loss-only history rows) still resumes, mid-epoch,
+        to the uninterrupted run's weights: keys added since default."""
+        straight_model, straight_hist, _ = self._run(data, tmp_path / "a", epochs=3)
+        with pytest.raises(RuntimeError, match="restarts"):  # die at step 9, stay dead
+            self._run(data, tmp_path / "b", injector=FaultInjector(crash_steps=(9,)),
+                      max_restarts=0)
+        x, y = data
+        newest = sorted((tmp_path / "b").glob("ckpt-*.npz"))[-1]
+        carrier = small_model(dropout=0.3)
+        carrier.build(x.shape[1:], np.random.default_rng(0))
+        opt = Adam(carrier.parameters(), lr=1e-3)
+        header = load_training_state(carrier, opt, newest)
+        assert header["step"] > 0, "the case is a mid-epoch resume"
+        (tmp_path / "c").mkdir()
+        save_training_state(
+            carrier, opt, tmp_path / "c" / newest.name,
+            epoch=header["epoch"], step=header["step"], global_step=header["global_step"],
+            rng=header["rng"], extra_arrays={"perm": header["extra"]["perm"]},
+            history=[{"loss": row["loss"]} for row in header["history"]],
+            metadata={k: header["metadata"][k] for k in ("epoch_sum", "epoch_count", "layer_rngs")},
+        )
+        resumed, hist, rep = self._run(data, tmp_path / "c", epochs=3)
+        assert rep.steps_replayed == 0 and rep.useful_steps == 18 - header["global_step"]
+        assert hist.series("loss") == straight_hist.series("loss")
+        assert_bit_identical(straight_model, resumed)
+
+    @pytest.mark.parametrize("batch_size", [8, 16])
+    def test_fit_resilient_and_policy_trainers_are_one_loop(self, batch_size, tmp_path):
+        """Model.fit == fault-free run_resilient_training ==
+        train_with_policy(fp64), weights and loss rows, ragged tail
+        included: the merge of the three loops moved no float."""
+        d = make_tumor_expression(n_samples=100, n_genes=20, n_classes=4, seed=1)
+        kw = dict(epochs=3, batch_size=batch_size, loss="cross_entropy")
+        models = [Sequential([Dense(16, activation="relu"), Dropout(0.2), Dense(4)])
+                  for _ in range(3)]
+        rows = [
+            models[0].fit(d.x, d.y, **kw).series("loss"),
+            run_resilient_training(models[1], d.x, d.y, checkpoint_dir=tmp_path, **kw)[0]
+            .series("loss"),
+            train_with_policy(models[2], d.x, d.y, PrecisionPolicy("fp64"), **kw),
+        ]
+        assert rows[0] == rows[1] == rows[2]
+        assert_bit_identical(models[0], models[1])
+        assert_bit_identical(models[0], models[2])
 
     @settings(max_examples=12, deadline=None)
     @given(
         crash_steps=st.sets(st.integers(min_value=1, max_value=17), max_size=4),
         checkpoint_every=st.integers(min_value=1, max_value=7),
+        precision=st.sampled_from([None, "bf16", "fp16", "overflowing fp16 policy"]),
+        grad_accumulation=st.sampled_from([1, 3]),
+        clip_norm=st.sampled_from([None, 0.5]),
+        validate=st.booleans(),
     )
-    def test_resume_is_bit_identical_property(self, crash_steps, checkpoint_every):
-        """For any crash schedule and any checkpoint cadence, the survivor
-        equals the uninterrupted run bit for bit."""
+    def test_resume_is_bit_identical_property(
+        self, crash_steps, checkpoint_every, precision, grad_accumulation, clip_norm, validate
+    ):
+        """For any crash schedule, any checkpoint cadence and any of
+        fit's own options — datapath, accumulation window, clipping,
+        validation with early stopping — the survivor equals the
+        uninterrupted run bit for bit."""
         d = make_tumor_expression(n_samples=48, n_genes=20, n_classes=4, seed=1)
         runs = []
         for steps in [(), tuple(sorted(crash_steps))]:
             model = small_model(dropout=0.2)
             inj = FaultInjector(crash_steps=steps, seed=0) if steps else None
+            fit_kwargs = dict(grad_accumulation=grad_accumulation, clip_norm=clip_norm)
+            if precision == "overflowing fp16 policy":
+                # Starts too high: overflows, halves, regrows, overflows again.
+                fit_kwargs["precision"] = PrecisionPolicy("fp16")
+                fit_kwargs["precision"].scaler = LossScaler(scale=2.0 ** 20, growth_interval=2)
+            else:
+                fit_kwargs["precision"] = precision
+            if validate:
+                fit_kwargs.update(validation_split=0.25, early_stopping_patience=1)
             with tempfile.TemporaryDirectory() as tmp:
-                hist, _ = run_resilient_training(
+                hist, rep = run_resilient_training(
                     model, d.x, d.y, checkpoint_dir=tmp, epochs=3, batch_size=8,
                     loss="cross_entropy", lr=1e-3, seed=0,
-                    checkpoint_every=checkpoint_every, injector=inj,
+                    checkpoint_every=checkpoint_every, injector=inj, **fit_kwargs,
                 )
-            runs.append((model, hist.series("loss")))
-        (clean, clean_loss), (faulty, faulty_loss) = runs
-        assert faulty_loss == clean_loss
+            assert rep.snapshots_skipped == 0
+            runs.append((model, hist))
+        (clean, clean_hist), (faulty, faulty_hist) = runs
+        for key in ("loss", "val_loss"):
+            assert faulty_hist.series(key) == clean_hist.series(key)
+        assert getattr(faulty_hist, "precision", None) == getattr(clean_hist, "precision", None)
+        assert [w.dtype for w in faulty.get_weights()] == [w.dtype for w in clean.get_weights()]
         assert_bit_identical(clean, faulty)
 
     def test_nan_steps_are_quarantined_not_fatal(self, data, tmp_path):
@@ -444,6 +519,26 @@ class TestBitIdenticalResume:
         inj = FaultInjector(crash_steps=tuple(range(1, 6)), seed=0)
         with pytest.raises(RuntimeError, match="restarts"):
             self._run(data, tmp_path, injector=inj, max_restarts=2)
+
+
+class TestRemovedOptions:
+    """Options no caller set are gone without shims: a stale keyword is
+    a TypeError, not a silent no-op."""
+
+    @pytest.mark.parametrize("call", [
+        lambda x, y, tmp: small_model().fit(x, y, epochs=1, grad_ready_hook=print),
+        lambda x, y, tmp: run_resilient_training(small_model(), x, y, checkpoint_dir=tmp, shuffle=False),
+        lambda x, y, tmp: run_resilient_training(small_model(), x, y, checkpoint_dir=tmp, keep_checkpoints=5),
+        lambda x, y, tmp: run_resilient_training(small_model(), x, y, checkpoint_dir=tmp,
+                                                 report=ResilienceReport()),
+        lambda x, y, tmp: PrecisionPolicy("fp16", stochastic=True),
+        lambda x, y, tmp: PrecisionPolicy("fp16", seed=1),
+        lambda x, y, tmp: LayerwisePolicy("fp16", seed=1),
+    ], ids=["fit-grad_ready_hook", "resilient-shuffle", "resilient-keep_checkpoints",
+            "resilient-report", "policy-stochastic", "policy-seed", "layerwise-seed"])
+    def test_stale_keyword_raises(self, call, data, tmp_path):
+        with pytest.raises(TypeError, match="unexpected keyword"):
+            call(*data, tmp_path)
 
 
 class TestReport:
@@ -614,6 +709,42 @@ class TestWorkflowResilience:
         )
         assert rep2.resilience.faults == r.faults
         assert rep2.final_metric == rep.final_metric
+
+    def test_reduced_precision_composes_with_faults(self, data, cluster, tmp_path):
+        """precision x faults: a bf16 campaign and an fp16 training job
+        restart through their crash schedules and end bit-identical to
+        the same call with nothing injected."""
+        from repro.hpo import Float, Int, SearchSpace
+        from repro.workflow import run_campaign, run_training_job
+
+        space = SearchSpace({"lr": Float(1e-4, 1e-2, log=True), "hidden1": Int(8, 32)})
+        published = {}
+        for name, spec in (("faulty", FaultSpec(crash_steps=(3, 7))), ("clean", FaultSpec())):
+            store = ArtifactStore(tmp_path / name)
+            rep = run_campaign(
+                "p1b2", space, n_trials=4, n_workers=2, final_epochs=3, precision="bf16",
+                max_search_samples=80, faults=spec, publish_to=store,
+                checkpoint_dir=tmp_path / name / "ckpt",
+            )
+            published[name] = load_artifact(store.path_for(rep.published))[1]
+            r = rep.resilience
+            assert r.restarts == r.faults[CRASH] == len(spec.crash_steps)
+            assert r.checkpoints_written > 0 and r.snapshots_skipped == 0
+        for a, b in zip(published["faulty"], published["clean"]):
+            assert np.array_equal(a, b)
+
+        x, y = data
+        jobs = []
+        for spec in (FaultSpec(crash_steps=(2, 9)), FaultSpec()):
+            model = small_model()
+            rep = run_training_job(model, x, y, cluster, precision="fp16", epochs=2,
+                                   batch_size=16, loss="cross_entropy", faults=spec)
+            jobs.append((model, rep))
+        (faulty, faulty_rep), (clean, clean_rep) = jobs
+        assert faulty_rep.resilience.restarts == 2 and clean_rep.resilience.restarts == 0
+        assert faulty_rep.history.series("loss") == clean_rep.history.series("loss")
+        assert faulty_rep.history.precision == clean_rep.history.precision
+        assert_bit_identical(faulty, clean)
 
     def test_campaign_all_trials_lost_falls_back(self, tmp_path):
         from repro.hpo import Float, SearchSpace
