@@ -14,6 +14,7 @@ list of plain JSON records ready for the trace exporter.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -85,6 +86,7 @@ class Histogram:
         n = int(np.ceil(4 * np.log2(high / low))) + 1
         self.name = name
         self.edges = low * 2.0 ** (0.25 * np.arange(n + 1))
+        self._edge_list = self.edges.tolist()  # observe() bisects this copy
         self.counts = np.zeros(n + 2, dtype=np.int64)  # +under/overflow
         self.n = 0
         self.sum = 0.0
@@ -94,7 +96,9 @@ class Histogram:
     def observe(self, value: float) -> None:
         if value < 0:
             raise ValueError("value must be non-negative")
-        idx = int(np.searchsorted(self.edges, value, side="right"))
+        # == np.searchsorted(self.edges, value, side="right"), without the
+        # array-call overhead on a scalar: this runs once per served request.
+        idx = bisect_right(self._edge_list, value)
         self.counts[idx] += 1
         self.n += 1
         self.sum += value

@@ -5,10 +5,10 @@ millions of compounds, serving treatment-response predictions — so
 trained models need a serving layer, not just a fit loop.  This package
 provides one, built from the library's own parts:
 
-* :class:`MicroBatcher` / :class:`BatchPolicy` — deadline-aware
-  micro-batching (max-batch-size + max-wait) with a bounded queue, load
-  shedding, and per-request timeouts (the :mod:`repro.resilience`
-  overload idioms applied to serving);
+* :class:`MicroBatcher` / :class:`BatchPolicy` — work-conserving
+  micro-batching (idle capacity, else max-batch-size or max-wait) with
+  a bounded queue, load shedding, and per-request timeouts (the
+  :mod:`repro.resilience` overload idioms applied to serving);
 * :class:`InferenceServer` — the request front-end over the grad-free
   ``no_grad`` predict path, instrumented for :class:`repro.perf.OpProfiler`;
   ``InferenceServer.from_store`` / ``ReplicaGroup.from_store`` serve a
@@ -26,8 +26,9 @@ alive under failure:
   replicas on :class:`repro.parallel.ProcessWorkerPool` workers, weights
   published once through shared memory;
 * :class:`Router` (:mod:`repro.serve.router`) — per-model routing,
-  admission control, per-request deadlines, bounded retries with
-  backoff, and per-replica circuit breakers;
+  admission control, dispatch to idle replicas at once, per-request
+  deadlines, bounded retries with backoff, and per-replica circuit
+  breakers;
 * :class:`ReplicaSupervisor` (:mod:`repro.serve.supervisor`) —
   bit-identical canary probes, recycle-under-traffic, autoscaling hook;
 * :class:`ChaosHarness` / :func:`run_chaos_replay`

@@ -5,11 +5,22 @@ the same code drives both the wall-clock server (:mod:`repro.serve.server`)
 and the simulated-load driver (:mod:`repro.serve.simulate`).  Callers
 pass ``now`` explicitly; the batcher never reads time.
 
-Dispatch rule (the classic max-batch-size + max-wait policy used by
-production inference servers): a batch is ready as soon as either
+Dispatch rule — work-conserving: a non-empty queue has a batch ready as
+soon as any of
 
+* the caller reports idle capacity (``ready(now, idle=True)``: something
+  that could run the batch right now has nothing to do),
 * ``max_batch_size`` requests are queued (throughput bound), or
 * the oldest queued request has waited ``max_wait_s`` (latency bound).
+
+So ``max_wait_s`` does not delay a request that an idle replica could be
+serving; it only bounds how long a partial batch keeps collecting while
+every replica is busy, after which it is queued behind one of them.
+Batches grow with load by themselves: the busier the replicas, the more
+requests arrive between two moments of idle capacity.  A caller with no
+capacity of its own to report (the synchronous
+:class:`~repro.serve.server.InferenceServer`, whose caller decides when
+it steps) leaves ``idle`` at False and gets the full-or-timer rule.
 
 Overload handling: the queue is bounded (``max_queue``); offers beyond
 the bound are *shed* immediately — rejecting cheap at the door beats
@@ -95,25 +106,17 @@ class MicroBatcher:
         self._queue.append(request)
         return True
 
-    def ready(self, now: float) -> bool:
-        """Is a batch dispatchable at time ``now``?"""
-        if not self._queue:
-            return False
-        if len(self._queue) >= self.policy.max_batch_size:
-            return True
-        return now - self._queue[0].enqueue_time >= self.policy.max_wait_s
+    def ready(self, now: float, idle: bool = False) -> bool:
+        """Is a batch dispatchable at time ``now``?
 
-    def next_ready_time(self) -> Optional[float]:
-        """Earliest future time a (partial) batch becomes dispatchable.
-
-        None when the queue is empty; the simulated driver schedules its
-        wake-up here instead of polling.
+        ``idle`` is the caller's report that it has capacity with nothing
+        to do; with it, any queued request is dispatchable at once.
         """
         if not self._queue:
-            return None
-        if len(self._queue) >= self.policy.max_batch_size:
-            return self._queue[0].enqueue_time  # ready since then
-        return self._queue[0].enqueue_time + self.policy.max_wait_s
+            return False
+        if idle or len(self._queue) >= self.policy.max_batch_size:
+            return True
+        return now - self._queue[0].enqueue_time >= self.policy.max_wait_s
 
     def take(self, now: float) -> Tuple[List[Request], List[Request]]:
         """Pop up to ``max_batch_size`` live requests; expire stale ones.

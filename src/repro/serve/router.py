@@ -9,6 +9,13 @@ replica plane deliberately does not make:
   bound are shed *at the door* (rejecting cheap beats timing out
   expensive in the queue), so a traffic burst degrades into an explicit
   shed rate, never an unbounded backlog.
+* **Work-conserving dispatch** — ``pump`` absorbs finished results
+  first, then hands whatever is queued to each *idle* replica (nothing
+  in flight — inference batch or canary — and a breaker that would let
+  a dispatch through), one batch per idle replica, without waiting;
+  ``max_wait_s`` only bounds how long a partial batch keeps collecting
+  while every replica is busy, after which (or once it is full) it is
+  queued behind the least-loaded one.
 * **Per-request deadlines** — requests carry a deadline (defaulting to
   the policy's ``timeout_s``); they expire at batch formation and again
   before any retry dispatch, so no replica computes answers nobody is
@@ -175,7 +182,8 @@ class Router:
             for slot in range(group.n_replicas)
         }
         self._inflight: Dict[Tuple[str, int], _Batch] = {}  # (model, task_id)
-        self._slot_load: Dict[Tuple[str, int], int] = {}     # batches in flight
+        # Batches + canaries in flight on each replica.
+        self._slot_load: Dict[Tuple[str, int], int] = dict.fromkeys(self._breakers, 0)
         self._retry_q: List[_Batch] = []
         self._next_id = 0
 
@@ -234,26 +242,20 @@ class Router:
         self._inflight[(model, task_id)] = _Batch(
             model, [], kind="canary", slot=replica, expected=expected,
         )
+        self._slot_load[(model, replica)] += 1
         return task_id
 
     # -- event loop ------------------------------------------------------
     def pump(self, now: Optional[float] = None) -> int:
-        """One scheduler turn: dispatch what's due, absorb what's done.
+        """One scheduler turn: absorb what's done, dispatch what's due.
+
+        Results come first, so a replica freed by this call is idle
+        capacity when batches are formed and takes the waiting requests
+        in the same call.
 
         Returns the number of requests completed by this call.
         """
         now = self.clock() if now is None else now
-        due = [b for b in self._retry_q if b.not_before <= now]
-        if due:
-            self._retry_q = [b for b in self._retry_q if b.not_before > now]
-            for batch in due:
-                self._dispatch(batch, now)
-        for model, batcher in self._batchers.items():
-            while batcher.ready(now):
-                formed, expired = batcher.take(now)
-                self._expire(expired, now)
-                if formed:
-                    self._dispatch(_Batch(model, formed), now)
         completed = 0
         for model, group in self.groups.items():
             while True:
@@ -261,6 +263,17 @@ class Router:
                 if res is None:
                     break
                 completed += self._resolve(model, res)
+        due = [b for b in self._retry_q if b.not_before <= now]
+        if due:
+            self._retry_q = [b for b in self._retry_q if b.not_before > now]
+            for batch in due:
+                self._dispatch(batch, now)
+        for model, batcher in self._batchers.items():
+            while batcher.ready(now, idle=self._idle_capacity(model, now)):
+                formed, expired = batcher.take(now)
+                self._expire(expired, now)
+                if formed:
+                    self._dispatch(_Batch(model, formed), now)
         self._gauges()
         return completed
 
@@ -311,6 +324,15 @@ class Router:
             return False
         return True
 
+    def _idle_capacity(self, model: str, now: float) -> bool:
+        """Could some replica of ``model`` start a batch right now?  It has
+        nothing in flight (inference batch or canary) and its breaker
+        would let a dispatch through."""
+        return any(
+            not self._slot_load[(model, s)] and self._breakers[(model, s)].available(now)
+            for s in range(self.groups[model].n_replicas)
+        )
+
     def _choose_slot(self, model: str, now: float, avoid: Optional[int]) -> Optional[int]:
         group = self.groups[model]
         candidates = [
@@ -321,7 +343,7 @@ class Router:
             candidates = [s for s in candidates if s != avoid] or candidates
         if not candidates:
             return None
-        return min(candidates, key=lambda s: self._slot_load.get((model, s), 0))
+        return min(candidates, key=lambda s: self._slot_load[(model, s)])
 
     def _dispatch(self, batch: _Batch, now: float) -> None:
         batch.requests = [r for r in batch.requests if self._still_live(r, now)]
@@ -349,7 +371,7 @@ class Router:
         for r in batch.requests:
             r.attempts += 1
         self._inflight[(batch.model, task_id)] = batch
-        self._slot_load[(batch.model, slot)] = self._slot_load.get((batch.model, slot), 0) + 1
+        self._slot_load[(batch.model, slot)] += 1
         rec = get_recorder()
         if rec is not None:
             rec.metrics.counter("serve.dispatches").inc()
@@ -361,7 +383,7 @@ class Router:
         now = self.clock()
         if batch.slot is not None:
             key = (model, batch.slot)
-            self._slot_load[key] = max(0, self._slot_load.get(key, 0) - 1)
+            self._slot_load[key] = max(0, self._slot_load[key] - 1)
         breaker = self._breakers[(model, batch.slot)]
         if batch.kind == "canary":
             if self.supervisor is not None:

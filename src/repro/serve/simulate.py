@@ -174,8 +174,10 @@ def simulate_serving(
 
     Arrivals are a Poisson process at ``arrival_rate`` req/s (exponential
     inter-arrival gaps from a seeded generator — bit-reproducible).  The
-    server serves one batch at a time; while it is busy the queue grows,
-    sheds, and times out exactly as the real :class:`MicroBatcher` says.
+    server serves one batch at a time and, like a router replica, takes
+    whatever is queued the moment it falls idle; while it is busy the
+    queue grows, sheds, and times out exactly as the real
+    :class:`MicroBatcher` says.
 
     Returns a summary dict (latency percentiles, throughput, shed /
     timeout counts, occupancy, utilization) that always satisfies the
@@ -189,42 +191,38 @@ def simulate_serving(
     rng = np.random.default_rng(seed)
     batcher = MicroBatcher(policy)
     stats = ServingStats()
-    state = {"busy": False, "wake_at": None}
+    busy = False
     sample = np.zeros(1)  # payload is irrelevant to queueing behaviour
 
     def start_batch_if_ready() -> None:
-        if state["busy"]:
-            return
+        # The one server asks only when it has nothing to do, so it is
+        # idle capacity exactly here: the router's dispatch rule, N=1.
+        nonlocal busy
         now = loop.now
-        if batcher.ready(now):
-            batch, expired = batcher.take(now)
-            stats.timed_out += len(expired)
-            if not batch:
-                # Everything expired; re-check whatever remains queued.
-                start_batch_if_ready()
-                return
-            dt = float(service_time(len(batch)))
-            state["busy"] = True
-            stats.record_batch(len(batch), dt)
+        if busy or not batcher.ready(now, idle=True):
+            return
+        batch, expired = batcher.take(now)
+        stats.timed_out += len(expired)
+        if not batch:
+            # Everything expired; re-check whatever remains queued.
+            start_batch_if_ready()
+            return
+        dt = float(service_time(len(batch)))
+        busy = True
+        stats.record_batch(len(batch), dt)
 
-            def complete() -> None:
-                done = loop.now
-                for req in batch:
-                    req.status = "completed"
-                    req.complete_time = done
-                    stats.completed += 1
-                    stats.latency.observe(done - req.enqueue_time)
-                state["busy"] = False
-                start_batch_if_ready()
+        def complete() -> None:
+            nonlocal busy
+            done = loop.now
+            for req in batch:
+                req.status = "completed"
+                req.complete_time = done
+                stats.completed += 1
+                stats.latency.observe(done - req.enqueue_time)
+            busy = False
+            start_batch_if_ready()
 
-            loop.schedule(dt, complete)
-        else:
-            wake = batcher.next_ready_time()
-            if wake is not None and state["wake_at"] != wake:
-                # One pending wake-up per deadline; duplicates are benign
-                # (ready() re-checks) but pointless events.
-                state["wake_at"] = wake
-                loop.schedule_at(max(wake, now), lambda: start_batch_if_ready())
+        loop.schedule(dt, complete)
 
     def arrive(i: int) -> None:
         req = Request(request_id=i, x=sample, enqueue_time=loop.now)
@@ -243,28 +241,13 @@ def simulate_serving(
         loop.schedule_at(t, (lambda idx: (lambda: arrive(idx)))(i))
 
     loop.run()
-    # The wake-up events above serve every trailing partial batch before
-    # the queue runs dry, so this is a safety net: anything still queued
-    # (it would indicate a scheduling bug) is force-served sequentially
-    # rather than lost, keeping the accounting invariant intact.
-    while batcher.depth > 0:
-        batch, expired = batcher.take(loop.now)
-        stats.timed_out += len(expired)
-        if not batch:
-            continue
-        dt = float(service_time(len(batch)))
-        stats.record_batch(len(batch), dt)
-        for req in batch:
-            req.status = "completed"
-            req.complete_time = loop.now + dt
-            stats.completed += 1
-            stats.latency.observe(req.complete_time - req.enqueue_time)
-
     elapsed = loop.now if loop.now > 0 else 1.0
     out = stats.summary(elapsed=elapsed, max_batch_size=policy.max_batch_size)
     out["offered_rps"] = arrival_rate
     out["sim_time_s"] = loop.now
-    out["accounted"] = stats.accounted(still_queued=batcher.depth)
+    # A request is never left queued behind an idle server, so once the
+    # events run dry everything submitted has reached a terminal state.
+    out["accounted"] = stats.accounted()
     return out
 
 

@@ -65,31 +65,46 @@ class FakeGroup:
 
     ``fail_slots`` maps slot -> status ("died"/"hung"): every dispatch to
     that slot fails that way, which is how the retry/breaker paths are
-    driven deterministically.
+    driven deterministically.  With ``hold`` a result stays back — its
+    replica is busy — until ``release`` lets it reach ``poll``; task ids
+    count dispatches (canaries included) from 0.
     """
 
-    def __init__(self, model, x_pool, n_replicas=2, fail_slots=None):
+    def __init__(self, model, x_pool, n_replicas=2, fail_slots=None, hold=False):
         self.model = model
         self.n_replicas = n_replicas
         self.respawns = 0
         self._x_pool = x_pool
         self._fail = dict(fail_slots or {})
+        self._hold = hold
+        self.held = {}  # task_id -> result not yet visible to poll()
         self._results = []
         self._next = 0
         self.dispatched = []  # (slot, n_requests)
+        self.rows = []        # per dispatch: the pool rows it carried
 
     def submit(self, replica, x=None, rows=None, fault=None):
         task_id = self._next
         self._next += 1
         xb = self._x_pool[np.asarray(rows)] if rows is not None else np.asarray(x)
         self.dispatched.append((replica, len(xb)))
+        self.rows.append(None if rows is None else [int(r) for r in rows])
         if replica in self._fail:
             self.respawns += 1  # the real pool respawns the slot
-            self._results.append(TaskResult(task_id, replica, self._fail[replica], None, 0.0))
+            res = TaskResult(task_id, replica, self._fail[replica], None, 0.0)
         else:
             out = self.model.predict(xb, batch_size=max(len(xb), 1))
-            self._results.append(TaskResult(task_id, replica, "ok", out, 0.0))
+            res = TaskResult(task_id, replica, "ok", out, 0.0)
+        if self._hold:
+            self.held[task_id] = res
+        else:
+            self._results.append(res)
         return task_id
+
+    def release(self, *task_ids):
+        """Finish the named held tasks (all of them when none is named)."""
+        for task_id in task_ids or sorted(self.held):
+            self._results.append(self.held.pop(task_id))
 
     def poll(self, timeout=0.0):
         return self._results.pop(0) if self._results else None
@@ -104,11 +119,18 @@ class FakeGroup:
         pass
 
 
-def _fake_router(parent, policy=None, fail_slots=None, n_replicas=2, **kw):
+def _fake_router(parent, policy=None, fail_slots=None, n_replicas=2, hold=False, **kw):
     model, _, x_pool = parent
-    group = FakeGroup(model, x_pool, n_replicas=n_replicas, fail_slots=fail_slots)
+    group = FakeGroup(model, x_pool, n_replicas=n_replicas, fail_slots=fail_slots, hold=hold)
     policy = policy or BatchPolicy(max_batch_size=4, max_wait_s=0.0, max_queue=64)
     return Router({"m": group}, policy=policy, **kw), group
+
+
+def _occupy(router, n_replicas=2):
+    """Put one single-request batch in flight on every (held) replica."""
+    for i in range(n_replicas):
+        router.submit("m", row=i)
+        router.pump()
 
 
 class TestCircuitBreaker:
@@ -263,26 +285,171 @@ class TestRouterPolicy:
             router.submit("m", x=np.zeros(3), row=1)
 
 
+class TestWorkConservingDispatch:
+    """The one dispatch rule: queued work goes to an idle replica at
+    once; ``max_wait_s`` only bounds the wait while every replica is
+    busy.  Results are held back in the fake group to keep replicas busy."""
+
+    def _router(self, parent, max_batch_size=4, max_wait_s=60.0, **kw):
+        clock = {"t": 0.0}
+        router, group = _fake_router(
+            parent, policy=BatchPolicy(max_batch_size, max_wait_s, max_queue=64),
+            hold=True, clock=lambda: clock["t"], **kw,
+        )
+        return router, group, clock
+
+    def test_idle_replica_takes_a_lone_request_at_once(self, parent):
+        router, group, _ = self._router(parent)
+        handle = router.submit("m", row=0)
+        router.pump()  # t=0: neither a full batch nor an expired timer
+        assert group.dispatched == [(0, 1)]
+        group.release()
+        assert router.pump() == 1 and handle.status == "completed"
+
+    def test_one_batch_per_idle_replica(self, parent):
+        router, group, _ = self._router(parent)
+        for i in range(3):
+            router.submit("m", row=i)
+        router.pump()
+        # Both replicas were idle, so everything queued left in one batch
+        # to the first; nothing was left for the second to take.
+        assert group.dispatched == [(0, 3)]
+        router.submit("m", row=3)
+        router.pump()
+        assert group.dispatched == [(0, 3), (1, 1)]
+
+    def test_busy_replicas_hold_partial_batch_until_one_frees(self, parent):
+        router, group, _ = self._router(parent)
+        _occupy(router)
+        assert group.dispatched == [(0, 1), (1, 1)]
+        waiting = [router.submit("m", row=i) for i in (2, 3)]
+        router.pump()
+        assert len(group.dispatched) == 2 and router.queue_depth == 2
+        group.release(1)  # replica 1 finishes its batch
+        assert router.pump() == 1
+        # ... and the same pump hands it everything that waited, as one batch.
+        assert group.dispatched[2:] == [(1, 2)] and router.queue_depth == 0
+        group.release()
+        router.pump()
+        assert all(h.status == "completed" for h in waiting)
+        assert router.stats.accounted(still_queued=router.pending)
+
+    def test_timer_batch_queues_behind_least_loaded_busy_replica(self, parent):
+        router, group, clock = self._router(parent, max_batch_size=2, max_wait_s=1.0)
+        _occupy(router)
+        for i in (2, 3):  # a full batch: queued behind replica 0 (tie -> first)
+            router.submit("m", row=i)
+        router.pump()
+        assert group.dispatched[2:] == [(0, 2)]
+        router.submit("m", row=4)
+        router.pump()
+        assert len(group.dispatched) == 3  # partial, timer running, all busy
+        clock["t"] = 1.5
+        router.pump()
+        assert group.dispatched[3:] == [(1, 1)]  # replica 1 carries less
+
+    def test_open_breaker_is_not_idle_capacity(self, parent):
+        router, group, clock = self._router(
+            parent, n_replicas=1, fail_slots={0: "died"},
+            max_retries=0, breaker_threshold=1, breaker_cooldown_s=10.0,
+        )
+        router.submit("m", row=0)
+        router.pump()
+        group.release()
+        router.pump()  # the failure comes back: breaker opens
+        assert router.breaker_state("m", 0) == "open"
+        router.submit("m", row=1)
+        router.pump()
+        # Nothing in flight on the replica, but it is ejected.
+        assert len(group.dispatched) == 1 and router.queue_depth == 1
+        clock["t"] = 11.0  # cooldown over: the probe batch may go
+        router.pump()
+        assert len(group.dispatched) == 2
+        assert router.stats.accounted(still_queued=router.pending)
+
+    def test_canary_in_flight_counts_as_load(self, parent):
+        model, _, x_pool = parent
+        router, group, clock = self._router(parent, n_replicas=1, max_wait_s=1.0)
+        router.submit_canary("m", 0, x_pool[:2], model.predict(x_pool[:2]))  # task 0
+        router.submit("m", row=0)
+        router.pump()
+        assert len(group.dispatched) == 1  # the probed replica is not idle
+        clock["t"] = 2.0
+        router.pump()  # timer: queued behind the canary as task 1
+        assert group.dispatched[1:] == [(0, 1)]
+        group.release(0)  # the canary returns, the batch is still out
+        router.submit("m", row=1)
+        router.pump()
+        assert len(group.dispatched) == 2  # still busy
+        group.release(1)
+        router.pump()  # the batch returns: idle, so the waiter goes at once
+        assert group.dispatched[2:] == [(0, 1)]
+
+    @settings(max_examples=60, deadline=None)
+    @given(ops=st.lists(
+        st.one_of(
+            st.just(("submit", 0)), st.just(("pump", 0)),
+            st.tuples(st.just("release"), st.integers(0, 7)),
+            st.tuples(st.just("advance"), st.sampled_from([0.0, 0.4, 1.1])),
+        ),
+        min_size=1, max_size=60,
+    ))
+    def test_any_interleaving_keeps_accounting_order_and_parity(self, parent, ops):
+        model, _, x_pool = parent
+        router, group, clock = self._router(
+            parent, max_batch_size=3, max_wait_s=1.0, record_batches=True)
+        handles = []
+        for op, arg in ops:
+            if op == "submit":
+                handles.append(router.submit("m", row=len(handles) % len(x_pool)))
+            elif op == "pump":
+                router.pump()
+            elif op == "release" and group.held:
+                held = sorted(group.held)
+                group.release(held[arg % len(held)])
+            elif op == "advance":
+                clock["t"] += arg
+            assert router.stats.accounted(still_queued=router.pending)
+        while router.pending:
+            group.release()
+            router.pump()
+        assert router.stats.accounted() and router.stats.completed == len(handles)
+        assert all(n <= 3 for _, n in group.dispatched)
+        # FIFO: dispatch order is submission order.
+        dispatched_rows = [r for batch in group.rows for r in batch]
+        assert dispatched_rows == [h.row for h in handles]
+        for _, ids in router.batch_log:
+            rows = [handles[i].row for i in ids]
+            expected = model.predict(x_pool[rows], batch_size=len(rows))
+            for i, want in zip(ids, expected):
+                assert np.array_equal(handles[i].result, want)
+
+
 class TestAutoscaleHook:
     def test_scale_up_and_down_advice(self, parent):
         advice = []
-        router, _ = _fake_router(
-            parent, policy=BatchPolicy(max_batch_size=4, max_wait_s=60.0, max_queue=64),
+        router, group = _fake_router(
+            parent, policy=BatchPolicy(max_batch_size=16, max_wait_s=60.0, max_queue=64),
+            hold=True,
         )
         sup = ReplicaSupervisor(
             router, canaries={}, probe_interval_s=1e9,
             on_autoscale=advice.append, queue_high=4, queue_low=2,
             autoscale_patience=2,
         )
-        for i in range(8):  # depth 8 > high watermark, held by max_wait
+        _occupy(router)
+        for i in range(8):  # depth 8 > high watermark, held by busy replicas
             router.submit("m", row=i)
+        router.pump()
         sup.tick(now=0.0)
+        router.pump()
         sup.tick(now=0.1)
         assert advice and advice[-1]["action"] == "scale_up"
         assert advice[-1]["recommended"] == advice[-1]["replicas"] + 1
         deadline = time.perf_counter() + 5.0
         while router.pending and time.perf_counter() < deadline:
-            router.pump(now=1e9)  # max_wait elapsed: flush everything
+            group.release()  # replicas finish: the backlog drains
+            router.pump()
         sup.tick(now=2.0)
         sup.tick(now=2.1)
         assert advice[-1]["action"] == "scale_down"

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.candle.registry import get_benchmark
 from repro.perf import OpProfiler
@@ -62,7 +64,13 @@ class TestMicroBatcher:
         b.offer(_req(0, t=1.0))
         assert not b.ready(now=1.2)
         assert b.ready(now=1.5)
-        assert b.next_ready_time() == 1.5
+
+    def test_idle_capacity_dispatches_without_waiting(self):
+        b = MicroBatcher(BatchPolicy(max_batch_size=4, max_wait_s=60.0))
+        assert not b.ready(now=0.0, idle=True)  # nothing queued
+        b.offer(_req(0, t=0.0))
+        assert not b.ready(now=0.0)  # no capacity reported: full-or-timer
+        assert b.ready(now=0.0, idle=True)
 
     def test_take_caps_at_max_batch(self):
         b = MicroBatcher(BatchPolicy(max_batch_size=2, max_wait_s=0.0, max_queue=10))
@@ -125,6 +133,30 @@ class TestLatencyHistogram:
         p50, p95, p99 = (h.percentile(q) for q in (50, 95, 99))
         assert samples.min() <= p50 < p95 < p99 <= h.max
         assert h.percentile(100) == h.max == samples.max()
+
+    EDGES = LatencyHistogram().edges
+
+    @staticmethod
+    def _bucket(value):
+        h = LatencyHistogram()
+        h.observe(value)
+        return int(np.flatnonzero(h.counts)[0])
+
+    def test_bucket_is_searchsorted_right_at_every_edge(self):
+        # observe() bisects a list copy of the edges; the reference is
+        # the array search it replaced, probed where they could disagree.
+        edges = self.EDGES
+        probes = np.concatenate([
+            edges, np.nextafter(edges, 0.0), np.nextafter(edges, np.inf),
+            [0.0, np.inf],
+        ])
+        for v in probes:
+            for value in (v, float(v)):  # np.float64 and plain float alike
+                assert self._bucket(value) == np.searchsorted(edges, value, side="right"), value
+
+    @given(value=st.floats(min_value=0.0, allow_nan=False))
+    def test_bucket_is_searchsorted_right_on_drawn_values(self, value):
+        assert self._bucket(value) == np.searchsorted(self.EDGES, value, side="right")
 
     def test_empty_and_validation(self):
         h = LatencyHistogram()
@@ -336,6 +368,19 @@ class TestSimulatedServing:
         assert out["shed"] > 0
         assert out["accounted"]
         assert out["utilization"] <= 1.0
+
+    def test_light_load_latency_is_service_time_not_the_timer(self):
+        # Far below capacity nearly every request meets an idle server
+        # and is served alone, at once: p50 is the service time of a
+        # batch of 1 (to the histogram's 2**0.25 bucket), not max_wait_s
+        # on top of it.
+        alone = self.SERVICE(1)
+        out = simulate_serving(self.POLICY, self.SERVICE, arrival_rate=10.0, n_requests=400, seed=3)
+        p50 = out["latency"]["p50_s"]
+        assert p50 < self.POLICY.max_wait_s
+        assert alone / 2 ** 0.25 <= p50 <= alone * 2 ** 0.25
+        assert out["completed"] == out["submitted"] == 400 and out["accounted"]
+        assert out == simulate_serving(self.POLICY, self.SERVICE, arrival_rate=10.0, n_requests=400, seed=3)
 
     def test_sweep_shapes(self):
         rows = sweep_offered_load(self.POLICY, self.SERVICE, rates=[1000.0, 4000.0], n_requests=200, seed=0)
