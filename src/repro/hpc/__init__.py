@@ -17,7 +17,7 @@ from .collectives import (
     reduce_scatter_ring,
 )
 from .energy import EnergyBreakdown, energy_per_sample, step_energy
-from .events import EventLoop, WorkerPool
+from .events import EventLoop
 from .hardware import (
     DTYPE_BYTES,
     FUTURE_DL,
@@ -65,7 +65,7 @@ from .storage import DatasetSpec, EpochIO, StagingSimulator, compare_policies
 from .topology import Dragonfly, FatTree, Ring, Topology, Torus, make_topology
 
 __all__ = [
-    "SimCluster", "EventLoop", "WorkerPool",
+    "SimCluster", "EventLoop",
     "MemoryTier", "AcceleratorSpec", "NodeSpec", "MACHINES", "get_machine",
     "TITAN_ERA", "SUMMIT_ERA", "KNL_ERA", "FUTURE_DL", "DTYPE_BYTES",
     "Topology", "Ring", "Torus", "FatTree", "Dragonfly", "make_topology",

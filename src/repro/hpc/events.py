@@ -1,8 +1,8 @@
 """Minimal discrete-event simulation core.
 
-Drives the asynchronous hyperparameter-search scheduler (experiment E6):
-workers are resources whose job completions are events; the search
-strategy reacts to each completion by scheduling the next trial.
+Drives the simulated-clock hyperparameter-search runtime (experiment E6):
+job completions are events, and the search strategy reacts to each one
+by scheduling the next trial.
 """
 
 from __future__ import annotations
@@ -65,84 +65,3 @@ class EventLoop:
     @property
     def processed(self) -> int:
         return self._processed
-
-
-class WorkerPool:
-    """N identical workers consuming jobs from a queue inside an EventLoop.
-
-    ``submit(duration, on_done)`` either starts the job on a free worker or
-    enqueues it; completions fire ``on_done(worker_id)`` and immediately
-    pull the next queued job — standard async task-farm semantics.
-    """
-
-    def __init__(self, loop: EventLoop, n_workers: int) -> None:
-        if n_workers < 1:
-            raise ValueError("n_workers must be >= 1")
-        self.loop = loop
-        self.n_workers = n_workers
-        self._free: List[int] = list(range(n_workers))
-        self._backlog: List[Tuple[float, Callable[[int], None]]] = []
-        self._dead: set = set()
-        self.busy_time = 0.0
-
-    def submit(self, duration: float, on_done: Callable[[int], None]) -> None:
-        if duration < 0:
-            raise ValueError("duration must be non-negative")
-        if self._free:
-            self._start(self._free.pop(), duration, on_done)
-        else:
-            self._backlog.append((duration, on_done))
-
-    def _start(self, worker: int, duration: float, on_done: Callable[[int], None]) -> None:
-        self.busy_time += duration
-
-        def finish() -> None:
-            on_done(worker)
-            if worker in self._dead:
-                return  # a failed worker neither drains the backlog nor idles
-            if self._backlog:
-                next_duration, next_done = self._backlog.pop(0)
-                self._start(worker, next_duration, next_done)
-            else:
-                self._free.append(worker)
-
-        self.loop.schedule(duration, finish)
-
-    def fail_worker(self) -> Optional[int]:
-        """Permanently remove one worker from the pool (node loss).
-
-        An idle worker leaves immediately; otherwise a busy worker is
-        marked and leaves when its current job completes (the job itself
-        is not killed — job crashes are the scheduler's fault model).
-        Refuses to kill the last live worker; returns the failed worker
-        id, or None if the pool is already down to one.
-        """
-        if self.n_alive <= 1:
-            return None
-        if self._free:
-            worker = self._free.pop()
-            self._dead.add(worker)
-            return worker
-        busy = [w for w in range(self.n_workers) if w not in self._dead and w not in self._free]
-        worker = busy[-1]
-        self._dead.add(worker)
-        return worker
-
-    @property
-    def n_alive(self) -> int:
-        return self.n_workers - len(self._dead)
-
-    @property
-    def idle_workers(self) -> int:
-        return len(self._free)
-
-    @property
-    def queued_jobs(self) -> int:
-        return len(self._backlog)
-
-    def utilization(self) -> float:
-        """Busy-time fraction of total worker-time so far."""
-        wall = self.loop.now
-        if wall <= 0:
-            return 0.0
-        return min(self.busy_time / (wall * self.n_workers), 1.0)

@@ -16,7 +16,7 @@ that layer:
 * :mod:`repro.obs.report` — per-kind time breakdown, critical path, and
   recorder-overhead estimation (the ``repro trace`` subcommand);
 * :mod:`repro.obs.schema` — explicit schemas for the trace records and
-  every ``BENCH_*.json`` artifact, with a dependency-free validator.
+  ``BENCH_obs.json``, with a dependency-free validator.
 
 Usage — attach a recorder and everything instrumented reports to it::
 
@@ -49,15 +49,7 @@ from .export import (
 from .metrics import Counter, Gauge, Histogram, MetricsRegistry
 from .report import format_summary, summarize_trace
 from .schema import (
-    BENCH_DDP_OVERLAP_SCHEMA,
-    BENCH_HPO_SCALE_SCHEMA,
-    BENCH_KERNELS_SCHEMA,
     BENCH_OBS_SCHEMA,
-    BENCH_PARALLEL_SCHEMA,
-    BENCH_PRECISION_SCHEMA,
-    BENCH_REGISTRY_SCHEMA,
-    BENCH_SERVING_SCALE_SCHEMA,
-    BENCH_SERVING_SCHEMA,
     SchemaError,
     validate,
 )
@@ -84,13 +76,5 @@ __all__ = [
     "format_summary",
     "validate",
     "SchemaError",
-    "BENCH_DDP_OVERLAP_SCHEMA",
-    "BENCH_HPO_SCALE_SCHEMA",
-    "BENCH_KERNELS_SCHEMA",
-    "BENCH_SERVING_SCHEMA",
-    "BENCH_SERVING_SCALE_SCHEMA",
     "BENCH_OBS_SCHEMA",
-    "BENCH_PARALLEL_SCHEMA",
-    "BENCH_PRECISION_SCHEMA",
-    "BENCH_REGISTRY_SCHEMA",
 ]

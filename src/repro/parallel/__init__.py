@@ -9,7 +9,10 @@ layers, bottom-up:
   :func:`attach`).
 * :mod:`repro.parallel.pool` — persistent fork/spawn-safe process
   worker pool with a pickle-light task protocol and died-worker
-  respawn (:class:`ProcessWorkerPool`).
+  respawn (:class:`ProcessWorkerPool`): the one process boundary, which
+  owns the shared-memory store it is handed and attaches it in every
+  worker.  DDP ranks, trial workers and serving replicas are task
+  functions over it.
 * :mod:`repro.parallel.allreduce` — deterministic shared-memory
   allreduce whose fixed rank-order association makes parallel training
   bit-identical to the serial reference: a bucketed one-sided engine

@@ -11,8 +11,9 @@ never diverge — standard DDP, actually running on processes.
 
 Two backends, one contract:
 
-* ``backend="process"`` — real OS processes; the dataset is published
-  once through the shared-memory data plane and ranks attach zero-copy.
+* ``backend="process"`` — real OS processes: one
+  :class:`~repro.parallel.pool.ProcessWorkerPool` slot per rank, the
+  dataset and the allreduce slabs its shared-memory data plane.
 * ``backend="serial"`` — the same algorithm executed by one process
   (rank micro-batches evaluated sequentially, combined with
   :func:`~repro.parallel.allreduce.reduce_ranks_bucketed`).
@@ -52,12 +53,8 @@ the call and every rank's wait for a peer.
 
 from __future__ import annotations
 
-import multiprocessing as mp
-import os
 import pickle
-import queue as queue_mod
 import time
-import traceback
 import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
@@ -81,9 +78,9 @@ from .allreduce import (
     reduce_ranks_bucketed,
     wire_itemsize,
 )
-from .pool import DEFAULT_WORKER_ENV
+from .pool import ProcessWorkerPool
 from .prefetch import PrefetchLoader
-from .shm import SharedArrayRef, attach, SharedArrayStore
+from .shm import SharedArrayStore
 
 
 @dataclass
@@ -380,8 +377,32 @@ def _tail_grads(model, loss_fn, params, layout, x, y, perm, steps, spec,
         out_vec[:] = 0.0
 
 
-def _train_rank(model, x, y, spec: _TrainSpec, rank: int,
-                reducer: BucketRankReducer) -> Tuple[List[float], List[float], Dict]:
+#: Rank-process state, installed once per worker by :func:`_init_rank`:
+#: (model, x, y, spec, allreduce handle).
+_RANK: Optional[Tuple] = None
+
+
+def _init_rank(arrays, spec: _TrainSpec, handle: BucketAllreduceHandle) -> None:
+    """Pool initializer: the model crosses the boundary once, here."""
+    global _RANK
+    _RANK = (pickle.loads(spec.model_bytes), arrays["x"], arrays.get("y"), spec, handle)
+
+
+def _train_rank(rank: int) -> Optional[Tuple]:
+    """The pool's task function, ``rank == slot``: run the rank loop on
+    the state :func:`_init_rank` installed.  Rank 0 returns (weights,
+    epoch mean losses, epoch wall times, comm stats); the others None."""
+    model, x, y, spec, handle = _RANK
+    reducer = BucketRankReducer(handle, rank, timeout_s=spec.timeout_s)
+    try:
+        losses, times, stats = _rank_loop(model, x, y, spec, rank, reducer)
+    finally:
+        reducer.close()
+    return (model.get_weights(), losses, times, stats) if rank == 0 else None
+
+
+def _rank_loop(model, x, y, spec: _TrainSpec, rank: int,
+               reducer: BucketRankReducer) -> Tuple[List[float], List[float], Dict]:
     """The per-rank training loop (process backend).
 
     Returns (epoch mean losses, epoch wall times, comm stats).  The
@@ -489,37 +510,6 @@ def _train_serial(model, x, y, spec: _TrainSpec) -> Tuple[List[float], List[floa
         epoch_losses.append(loss_sum / max(steps + (1 if tail else 0), 1))
         epoch_times.append(time.perf_counter() - t0)
     return epoch_losses, epoch_times, None
-
-
-def _rank_main(rank: int, spec: _TrainSpec, x_ref: SharedArrayRef,
-               y_ref: Optional[SharedArrayRef], handle: BucketAllreduceHandle,
-               result_q, env: Dict[str, str]) -> None:
-    if env:
-        os.environ.update(env)
-    reducer = None
-    x_att = y_att = None
-    try:
-        x_att = attach(x_ref)
-        y_att = attach(y_ref) if y_ref is not None else None
-        model = pickle.loads(spec.model_bytes)
-        reducer = BucketRankReducer(handle, rank, timeout_s=spec.timeout_s)
-        losses, times, stats = _train_rank(
-            model, x_att.array, None if y_att is None else y_att.array,
-            spec, rank, reducer,
-        )
-        payload = None
-        if rank == 0:
-            payload = (model.get_weights(), losses, times, stats)
-        result_q.put(("done", rank, payload))
-    except BaseException:
-        result_q.put(("error", rank, traceback.format_exc()))
-    finally:
-        if reducer is not None:
-            reducer.close()
-        if x_att is not None:
-            x_att.close()
-        if y_att is not None:
-            y_att.close()
 
 
 def fit_data_parallel(
@@ -637,7 +627,7 @@ def fit_data_parallel(
             # pool of one; run it in-process (identical numerics).
             losses, times, stats = _train_serial(model, x, y_arr, spec)
         else:
-            losses, times, stats = _run_processes(
+            losses, times, stats = _fit_on_pool(
                 model, x, y_arr, spec, layout, total, start_method, env, timeout_s
             )
         elapsed = time.perf_counter() - t0
@@ -667,67 +657,42 @@ def fit_data_parallel(
     )
 
 
-def _run_processes(model, x, y, spec: _TrainSpec, layout, vec_len: int,
-                   start_method: Optional[str], env: Optional[Dict[str, str]],
-                   timeout_s: float) -> Tuple[List[float], List[float], Optional[Dict]]:
-    ctx = mp.get_context(start_method)
-    env = DEFAULT_WORKER_ENV if env is None else env
-    with SharedArrayStore(prefix="repro_ddp") as store:
-        x_ref = store.publish("x", x)
-        y_ref = store.publish("y", y) if y is not None else None
+def _fit_on_pool(model, x, y, spec: _TrainSpec, layout, vec_len: int,
+                 start_method: Optional[str], env: Optional[Dict[str, str]],
+                 timeout_s: float) -> Tuple[List[float], List[float], Optional[Dict]]:
+    """One pool slot per rank, one :func:`_train_rank` task per slot."""
+    store = SharedArrayStore("repro_ddp", {"x": x} if y is None else {"x": x, "y": y})
+    try:
         plan = plan_buckets([sz for _, sz, _ in layout], vec_len, spec.bucket_bytes)
         handle = create_bucketed_allreduce(store, spec.world, plan, spec.wire_dtype)
-        result_q = ctx.Queue()
-        saved = {k: os.environ.get(k) for k in env}
-        os.environ.update(env)
-        try:
-            procs = [
-                ctx.Process(
-                    target=_rank_main,
-                    args=(r, spec, x_ref, y_ref, handle, result_q, env),
-                    daemon=True,
-                )
-                for r in range(spec.world)
-            ]
-            for p in procs:
-                p.start()
-        finally:
-            for k, v in saved.items():
-                if v is None:
-                    os.environ.pop(k, None)
-                else:
-                    os.environ[k] = v
+    except BaseException:
+        store.close()
+        raise
+    pool = ProcessWorkerPool(
+        _train_rank, spec.world, initializer=_init_rank, initargs=(spec, handle),
+        start_method=start_method, env=env, dedicated_queues=True,
+        max_task_retries=0,  # a lost rank loses the fit: its peers hold its gradients
+        shared=store,
+    )
+    try:
+        ranks = {pool.submit(rank, slot=rank): rank for rank in range(spec.world)}
+        deadline = time.perf_counter() + timeout_s
         payload = None
-        try:
-            done = 0
-            deadline = time.perf_counter() + timeout_s
-            while done < spec.world:
-                remaining = deadline - time.perf_counter()
-                if remaining <= 0:
-                    raise TimeoutError(f"data-parallel ranks not done within {timeout_s}s")
-                try:
-                    status, rank, data = result_q.get(timeout=min(remaining, 1.0))
-                except queue_mod.Empty:
-                    if any(p.exitcode not in (None, 0) for p in procs):
-                        raise RuntimeError(
-                            "a data-parallel rank died: "
-                            + str([p.exitcode for p in procs])
-                        )
-                    continue
-                if status == "error":
-                    raise RuntimeError(f"rank {rank} failed:\n{data}")
-                done += 1
-                if rank == 0:
-                    payload = data
-            for p in procs:
-                p.join(timeout=5.0)
-        finally:
-            for p in procs:
-                if p.is_alive():
-                    p.terminate()
-                    p.join(timeout=1.0)
-    if payload is None:  # pragma: no cover - rank 0 always reports
-        raise RuntimeError("rank 0 produced no result")
+        for _ in ranks:
+            res = pool.next_result(timeout=max(deadline - time.perf_counter(), 0.0))
+            rank = ranks[res.task_id]
+            if res.status == "err":
+                raise RuntimeError(f"rank {rank} failed:\n{res.value}")
+            if res.status != "ok":
+                raise RuntimeError(f"a data-parallel rank died: rank {rank} ({res.status})")
+            if rank == 0:
+                payload = res.value
+    except BaseException:
+        # The surviving ranks are blocked on a peer that will never
+        # publish: terminate them now instead of waiting out the join.
+        pool.close(join_timeout=0.0)
+        raise
+    pool.close()
     weights, losses, times, stats = payload
     model.set_weights(weights)
     return losses, times, stats

@@ -22,15 +22,14 @@ from typing import Any, Callable, Dict, Optional
 
 import numpy as np
 
-from .pool import DEFAULT_WORKER_ENV, ProcessWorkerPool, TaskResult
-from .shm import SharedArrayStore, attach
+from .pool import ProcessWorkerPool, TaskResult
+from .shm import SharedArrayStore
 
 # Worker-global objective + dataset, installed once per worker by the
 # pool initializer (and in the parent by Executor.start, so the same
 # objective code path works serially).
 _OBJECTIVE: Optional[Callable] = None
 _DATA: Dict[str, Any] = {}
-_ATTACHED = []  # keep shm mappings alive for the worker's lifetime
 
 
 def worker_data() -> Dict[str, Any]:
@@ -48,14 +47,10 @@ def bind_worker_data(data: Dict[str, Any]) -> None:
     _DATA = dict(data)
 
 
-def _init_worker(objective, array_refs, extra) -> None:
+def _init_worker(arrays, objective, extra) -> None:
     global _OBJECTIVE, _DATA
     _OBJECTIVE = objective
-    _DATA = dict(extra)
-    for key, ref in array_refs.items():
-        att = attach(ref)
-        _ATTACHED.append(att)
-        _DATA[key] = att.array
+    _DATA = {**extra, **arrays}
 
 
 def _run_trial(payload) -> float:
@@ -97,30 +92,24 @@ class ParallelTrialExecutor:
         self._start_method = start_method
         self._env = env
         self._pool: Optional[ProcessWorkerPool] = None
-        self._store: Optional[SharedArrayStore] = None
 
     # -- lifecycle -------------------------------------------------------
     def start(self, objective: Callable) -> "ParallelTrialExecutor":
-        """Publish the data plane and spin up the worker pool."""
+        """Spin up the worker pool over the published data plane."""
         if self._pool is not None:
             raise RuntimeError("executor already started")
-        self._store = SharedArrayStore(prefix="repro_hpo")
-        refs: Dict[str, Any] = {}
-        extra: Dict[str, Any] = {}
-        for key, value in self._data.items():
-            if isinstance(value, np.ndarray):
-                refs[key] = self._store.publish(key, value)
-            else:
-                extra[key] = value
+        arrays = {k: v for k, v in self._data.items() if isinstance(v, np.ndarray)}
+        extra = {k: v for k, v in self._data.items() if k not in arrays}
         # Parent-side bind: the identical objective code runs serially.
         bind_worker_data(self._data)
         self._pool = ProcessWorkerPool(
             _run_trial,
             self.n_workers,
             initializer=_init_worker,
-            initargs=(objective, refs, extra),
+            initargs=(objective, extra),
             start_method=self._start_method,
             env=self._env,
+            shared=SharedArrayStore("repro_hpo", arrays),
         )
         return self
 
@@ -128,9 +117,6 @@ class ParallelTrialExecutor:
         if self._pool is not None:
             self._pool.close()
             self._pool = None
-        if self._store is not None:
-            self._store.close()
-            self._store = None
 
     def __enter__(self) -> "ParallelTrialExecutor":
         return self

@@ -1,14 +1,22 @@
 """Persistent process worker pool with a pickle-light task protocol.
 
-Unlike :class:`repro.hpc.events.WorkerPool` (simulated workers on a
-virtual clock), this pool runs tasks on *real* OS processes.  Design
-points, in the order they matter:
+This is the repo's one process boundary: DDP ranks, HPO trial workers
+and serving replicas are all task functions over this pool, and nothing
+else under ``src/repro`` starts a process, exports the BLAS pins or
+attaches a shared segment in a child.  Design points, in the order they
+matter:
 
-* **Persistent workers.**  Each worker is forked/spawned once, runs an
-  optional initializer (attach shared memory, pin BLAS threads), then
-  loops on a private task pipe until shutdown.  Per-task cost is one
-  small pickle each way — the task function and any bulk data cross the
-  process boundary exactly once, at startup.
+* **Persistent workers.**  Each worker is forked/spawned once, pins its
+  BLAS threads, attaches the pool's shared arrays, runs an optional
+  initializer, then loops on a private task pipe until shutdown.
+  Per-task cost is one small pickle each way — the task function and
+  any bulk data cross the process boundary exactly once, at startup.
+* **The pool owns its data plane.**  A :class:`SharedArrayStore` handed
+  in as ``shared=`` belongs to the pool from that call on: every worker
+  incarnation attaches its arrays zero-copy before the initializer runs
+  and holds the mappings for its lifetime, and the segments are unlinked
+  by :meth:`ProcessWorkerPool.close` — or by the constructor, if it
+  raises.  A caller never pairs "close the pool" with "close the store".
 * **Parent-side dispatch.**  Submitted tasks queue *in the parent*; a
   task is written to a worker's pipe only when that worker has reported
   ready and has no task in flight.  One task in flight per worker means
@@ -30,8 +38,8 @@ points, in the order they matter:
   ``os._exit``) is detected by liveness polling; its lost task is
   *resubmitted* up to ``max_task_retries`` times (default 1) before
   being reported with status ``"died"``, and a replacement worker is
-  spawned either way so pool capacity survives — the real-clock
-  analogue of ``WorkerPool.fail_worker``.  A worker that *hangs* past
+  spawned either way so pool capacity survives: a slot never stays
+  empty, whatever its task's fate.  A worker that *hangs* past
   ``task_timeout_s`` on one task is terminated and takes the same
   resubmit-or-report path with status ``"hung"``.
 
@@ -53,6 +61,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
 from ..obs.context import get_recorder
+from .shm import SharedArrayStore, attach
 
 #: BLAS/OpenMP pins exported to workers: one process == one compute lane.
 #: Oversubscribed BLAS thread pools are the classic way a "4x" parallel
@@ -66,6 +75,7 @@ DEFAULT_WORKER_ENV: Dict[str, str] = {
 }
 
 _POLL_S = 0.02  # liveness-check cadence while waiting on results
+_ORPHAN_POLL_S = 1.0  # how often an idle worker checks its parent is alive
 
 
 @dataclass
@@ -84,17 +94,28 @@ def echo_task(payload: Any) -> Any:
     return payload
 
 
-def _worker_main(idx, task_fn, initializer, initargs, env, task_r, result_q) -> None:
+def _worker_main(idx, task_fn, initializer, initargs, env, refs, task_r, result_q) -> None:
     if env:
         os.environ.update(env)
     try:
-        if initializer is not None:
+        # The mappings live in this frame, i.e. for as long as tasks run:
+        # a view outliving its mapping is a dangling pointer.
+        attached = {k: attach(r) for k, r in (refs or {}).items()}
+        if initializer is not None and refs is not None:
+            initializer({k: a.array for k, a in attached.items()}, *initargs)
+        elif initializer is not None:
             initializer(*initargs)
     except BaseException:
         result_q.put((None, idx, "init_err", traceback.format_exc(), 0.0))
         return
     result_q.put((None, idx, "ready", os.getpid(), 0.0))
+    parent_pid = mp.parent_process().pid
     while True:
+        # A forked worker inherits a copy of its own pipe's write end, so
+        # a killed parent never reads as EOF: watch the parent itself.
+        while not task_r.poll(_ORPHAN_POLL_S):
+            if os.getppid() != parent_pid:
+                return
         try:
             item = task_r.recv()
         except EOFError:  # parent closed the pipe: shutdown
@@ -121,10 +142,11 @@ class ProcessWorkerPool:
     n_workers:
         Pool width (slots; one real process per slot).
     initializer / initargs:
-        Run once in each worker before its task loop — the place to
-        attach the shared-memory data plane.  Re-runs in every respawned
-        replacement worker, so slot state (attached segments, built
-        models) survives a crash.
+        Run once in each worker before its task loop, as
+        ``initializer(*initargs)`` — or, with ``shared``, as
+        ``initializer(arrays, *initargs)``.  Re-runs in every respawned
+        replacement worker, so slot state (built models) survives a
+        crash.
     start_method:
         ``"fork"`` (default on Linux: instant, inherits the parent) or
         ``"spawn"`` (fresh interpreters; everything must pickle).
@@ -143,6 +165,12 @@ class ProcessWorkerPool:
         If set, a worker that holds one dispatched task longer than this
         is declared hung, terminated, and respawned (its task follows
         the retry policy).  ``None`` (default) disables hang detection.
+    shared:
+        The pool's data plane: a :class:`SharedArrayStore` the pool owns
+        from here on.  Each worker incarnation attaches every array in
+        it before the initializer runs and passes the initializer the
+        ``{key: zero-copy view}`` dict; :meth:`close` — or a failing
+        constructor — unlinks the segments.
     """
 
     def __init__(
@@ -156,13 +184,8 @@ class ProcessWorkerPool:
         dedicated_queues: bool = False,
         max_task_retries: int = 1,
         task_timeout_s: Optional[float] = None,
+        shared: Optional[SharedArrayStore] = None,
     ) -> None:
-        if n_workers < 1:
-            raise ValueError("n_workers must be >= 1")
-        if max_task_retries < 0:
-            raise ValueError("max_task_retries must be >= 0")
-        if task_timeout_s is not None and task_timeout_s <= 0:
-            raise ValueError("task_timeout_s must be positive")
         self.task_fn = task_fn
         self.n_workers = n_workers
         self.max_task_retries = max_task_retries
@@ -171,15 +194,9 @@ class ProcessWorkerPool:
         self._initializer = initializer
         self._initargs = initargs
         self._env = DEFAULT_WORKER_ENV if env is None else env
-        self._ctx = mp.get_context(start_method)
-        # Results ride a SimpleQueue on purpose: its put() writes the
-        # message synchronously into the pipe, so a worker's result is
-        # durable the moment put() returns — even if the worker then
-        # dies (mp.Queue's background feeder thread would lose it).
-        self._result_q = self._ctx.SimpleQueue()
-        # Parent-side backlogs: one per slot (dedicated) or one shared.
-        n_backlogs = n_workers if dedicated_queues else 1
-        self._backlogs: List[Deque[int]] = [deque() for _ in range(n_backlogs)]
+        self._shared = shared
+        self._refs = None if shared is None else shared.refs()  # shipped to every incarnation
+        self._result_q = None
         self._procs: Dict[int, Any] = {}          # slot -> live process
         self._pipes: Dict[int, Any] = {}          # slot -> parent Connection
         self._widx: Dict[int, int] = {}           # slot -> incarnation id
@@ -200,8 +217,27 @@ class ProcessWorkerPool:
         self.tasks_lost = 0
         self.tasks_retried = 0
         self._closed = False
-        for slot in range(n_workers):
-            self._spawn_worker(slot)
+        try:
+            if n_workers < 1:
+                raise ValueError("n_workers must be >= 1")
+            if max_task_retries < 0:
+                raise ValueError("max_task_retries must be >= 0")
+            if task_timeout_s is not None and task_timeout_s <= 0:
+                raise ValueError("task_timeout_s must be positive")
+            self._ctx = mp.get_context(start_method)
+            # Results ride a SimpleQueue on purpose: its put() writes the
+            # message synchronously into the pipe, so a worker's result is
+            # durable the moment put() returns — even if the worker then
+            # dies (mp.Queue's background feeder thread would lose it).
+            self._result_q = self._ctx.SimpleQueue()
+            # Parent-side backlogs: one per slot (dedicated) or one shared.
+            n_backlogs = n_workers if dedicated_queues else 1
+            self._backlogs: List[Deque[int]] = [deque() for _ in range(n_backlogs)]
+            for slot in range(n_workers):
+                self._spawn_worker(slot)
+        except BaseException:
+            self.close(join_timeout=0.0)  # workers started so far, and the segments
+            raise
 
     # -- workers ---------------------------------------------------------
     def _backlog_for(self, slot: Optional[int]) -> Deque[int]:
@@ -224,7 +260,7 @@ class ProcessWorkerPool:
             proc = self._ctx.Process(
                 target=_worker_main,
                 args=(idx, self.task_fn, self._initializer, self._initargs,
-                      self._env, task_r, self._result_q),
+                      self._env, self._refs, task_r, self._result_q),
                 daemon=True,
             )
             proc.start()
@@ -519,8 +555,11 @@ class ProcessWorkerPool:
 
     # -- lifecycle -------------------------------------------------------
     def close(self, join_timeout: float = 5.0) -> None:
-        """Shut down workers (idempotent); drains nothing — callers should
-        have consumed their results first."""
+        """Shut down workers and unlink the ``shared`` segments
+        (idempotent); drains nothing — callers should have consumed
+        their results first.  A worker still inside a task after
+        ``join_timeout`` is terminated; pass ``0.0`` when the work is
+        already lost and waiting for it would only delay the error."""
         if self._closed:
             return
         self._closed = True
@@ -548,7 +587,10 @@ class ProcessWorkerPool:
         self._running.clear()
         self._widx.clear()
         self._slot_of.clear()
-        self._result_q.close()
+        if self._result_q is not None:
+            self._result_q.close()
+        if self._shared is not None:
+            self._shared.close()
 
     def __enter__(self) -> "ProcessWorkerPool":
         return self

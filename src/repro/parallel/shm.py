@@ -11,12 +11,14 @@ to workers, and each worker attaches a zero-copy NumPy view
 100 MB x workers x trials.
 
 Lifecycle: the *publishing* process owns the segments and unlinks them
-in :meth:`SharedArrayStore.close` (or at context exit).  Attaching
-processes only close their mapping.  When the attacher runs a *private*
-resource tracker (spawn children), attach unregisters the segment from
-it — otherwise the tracker of the first worker to exit unlinks segments
-the parent still owns (the long-standing CPython gotcha for
-cross-process shared memory).  Fork children share the publisher's
+in :meth:`SharedArrayStore.close` (or at context exit); a store handed
+to a :class:`~repro.parallel.pool.ProcessWorkerPool` (``shared=``) is
+closed by the pool, which is also what attaches it in every worker.
+Attaching processes only close their mapping.  When the attacher runs a
+*private* resource tracker (spawn children), attach unregisters the
+segment from it — otherwise the tracker of the first worker to exit
+unlinks segments the parent still owns (the long-standing CPython gotcha
+for cross-process shared memory).  Fork children share the publisher's
 tracker and must leave it alone.
 """
 
@@ -124,17 +126,26 @@ def attach(ref: SharedArrayRef) -> AttachedArray:
 class SharedArrayStore:
     """Owner of a set of named shared-memory arrays (the data plane).
 
-    ``publish`` copies an array in once; ``allocate`` creates an empty
-    shared array (scratch slabs for the allreduce).  ``refs()`` returns
-    the picklable handles to ship to workers.  ``close`` unlinks
-    everything; it is idempotent and runs at context exit.
+    ``publish`` copies an array in once (``arrays`` publishes a whole
+    dict at construction, unlinking what it made if one of them fails);
+    ``allocate`` creates an empty shared array (scratch slabs for the
+    allreduce).  ``refs()`` returns the picklable handles to ship to
+    workers.  ``close`` unlinks everything; it is idempotent and runs at
+    context exit.
     """
 
-    def __init__(self, prefix: str = "repro") -> None:
+    def __init__(self, prefix: str = "repro",
+                 arrays: Optional[Dict[str, np.ndarray]] = None) -> None:
         self._prefix = prefix
         self._segments: Dict[str, shared_memory.SharedMemory] = {}
         self._refs: Dict[str, SharedArrayRef] = {}
         self._arrays: Dict[str, np.ndarray] = {}
+        try:
+            for key, array in (arrays or {}).items():
+                self.publish(key, array)
+        except BaseException:
+            self.close()
+            raise
 
     def _new_segment(self, key: str, nbytes: int) -> shared_memory.SharedMemory:
         if key in self._refs:

@@ -5,12 +5,13 @@ core and dies with its process; an inference *campaign* (screening
 millions of compounds) needs replicas that survive worker death.  This
 module provides the replica plane:
 
-* Model weights are published **once** into shared memory
-  (:class:`repro.parallel.SharedArrayStore`); each replica attaches the
-  segments read-only at initialization, rebuilds the architecture from
-  :mod:`repro.candle.registry`, and installs the weights — so N replicas
-  cost one copy of the weights on the wire, and a *respawned* replica
-  reloads from the same segments without touching the checkpoint file.
+* Model weights are published **once** into shared memory, as the data
+  plane of the group's :class:`repro.parallel.ProcessWorkerPool`; the
+  pool attaches the segments in each replica, whose initializer rebuilds
+  the architecture from :mod:`repro.candle.registry` and installs the
+  weights — so N replicas cost one copy of the weights on the wire, and
+  a *respawned* replica reloads from the same segments without touching
+  the checkpoint file.
 * Each replica is one slot of a :class:`repro.parallel.ProcessWorkerPool`
   in dedicated-queue mode: batches are addressed to a specific replica,
   a dead replica's backlog survives into its replacement (the pool
@@ -38,22 +39,23 @@ from ..candle.registry import get_benchmark
 from ..nn.model import Model
 from ..obs.context import get_recorder
 from ..parallel.pool import ProcessWorkerPool, TaskResult
-from ..parallel.shm import SharedArrayStore, attach
+from ..parallel.shm import SharedArrayStore
 
 # Replica-global state, installed once per worker process by the pool
 # initializer (and re-installed by the initializer of every respawned
 # replacement replica).
 _MODEL: Optional[Model] = None
 _DATA: Dict[str, np.ndarray] = {}
-_ATTACHED = []  # keep shm mappings alive for the replica's lifetime
 _WEDGED = False  # sticky corrupt-response state (chaos), cleared by respawn
 _PRECISION: Optional[str] = None  # serving datapath, set by the initializer
 
 
 def _init_replica(
-    benchmark, input_shape, hparams, weight_refs, data_refs,
-    precision=None, quant_spec=None, quant_refs=None,
+    arrays, benchmark, input_shape, hparams, n_weights, data_keys,
+    precision=None, quant_spec=None,
 ) -> None:
+    """``arrays`` holds ``w0..w{n_weights-1}``, the request pools named
+    by ``data_keys`` and, for int8 groups, the quantized plan's arrays."""
     global _MODEL, _WEDGED, _PRECISION
     _WEDGED = False
     _PRECISION = precision
@@ -63,29 +65,17 @@ def _init_replica(
         # The published segments are float32 (or int8); cast the skeleton
         # so set_weights installs them without a silent upcast.
         model.astype(np.float32)
-    weights = []
-    for ref in weight_refs:
-        att = attach(ref)
-        _ATTACHED.append(att)
-        weights.append(att.array)
-    if weights:
-        model.set_weights(weights)  # read the shared segments; never write them
+    if n_weights:
+        # read the shared segments; never write them
+        model.set_weights([arrays[f"w{i}"] for i in range(n_weights)])
+    _DATA.clear()
+    _DATA.update((key, arrays[key]) for key in data_keys)
     if precision == "int8":
         # int8 groups ship the quantized plan, not full-precision weights:
         # one byte per weight on the shared-memory plane.
         from ..precision.int8 import Int8Plan
 
-        arrays = {}
-        for key, ref in (quant_refs or {}).items():
-            att = attach(ref)
-            _ATTACHED.append(att)
-            arrays[key] = att.array
         model._int8_plan = Int8Plan.from_arrays(quant_spec, arrays)
-    _DATA.clear()
-    for key, ref in data_refs.items():
-        att = attach(ref)
-        _ATTACHED.append(att)
-        _DATA[key] = att.array
     # Warm-up forward: allocate layer scratch off the request path, in
     # the serving dtype (a float64 warmup would prime the wrong path).
     wdtype = np.float64 if precision is None else np.float32
@@ -177,9 +167,7 @@ class ReplicaGroup:
         self.input_shape = tuple(input_shape)
         self.n_replicas = n_replicas
         self.precision = precision
-        self._store = SharedArrayStore(prefix="repro_serve")
         quant_spec = None
-        quant_refs = None
         if precision == "int8":
             plan = getattr(model, "_int8_plan", None)
             if plan is None:
@@ -189,27 +177,21 @@ class ReplicaGroup:
                     "with quantization metadata) first"
                 )
             quant_spec = plan.spec()
-            quant_refs = {
-                key: self._store.publish(key, arr)
-                for key, arr in plan.arrays().items()
-            }
-            weight_refs = []  # replicas run the plan; full weights stay home
-        elif precision == "fp32":
-            weight_refs = [
-                self._store.publish(f"w{i}", w, dtype=np.float32)
-                for i, w in enumerate(model.get_weights())
-            ]
+            weights = plan.arrays()  # replicas run the plan; full weights stay home
+            n_weights = 0
         else:
-            weight_refs = [
-                self._store.publish(f"w{i}", w) for i, w in enumerate(model.get_weights())
-            ]
-        data_refs = {
-            key: self._store.publish(key, np.asarray(arr))
-            for key, arr in (data or {}).items()
-        }
-        self.weight_bytes = sum(r.nbytes for r in weight_refs) + sum(
-            r.nbytes for r in (quant_refs or {}).values()
-        )
+            # fp32 groups publish float32 segments: half the shared bytes.
+            dtype = np.float32 if precision == "fp32" else None
+            weights = {
+                f"w{i}": np.asarray(w, dtype=dtype)
+                for i, w in enumerate(model.get_weights())
+            }
+            n_weights = len(weights)
+        pools = {key: np.asarray(arr) for key, arr in (data or {}).items()}
+        clash = sorted(set(weights) & set(pools))
+        if clash:
+            raise ValueError(f"data keys {clash} collide with the weight segments")
+        self.weight_bytes = sum(w.nbytes for w in weights.values())
         rec = get_recorder()
         self._span = None
         if rec is not None:
@@ -219,19 +201,25 @@ class ReplicaGroup:
                 weight_bytes=self.weight_bytes,
                 precision=precision or "native",
             )
-        self.pool = ProcessWorkerPool(
-            _replica_task,
-            n_replicas,
-            initializer=_init_replica,
-            initargs=(
-                benchmark, self.input_shape, hparams or {}, weight_refs, data_refs,
-                precision, quant_spec, quant_refs,
-            ),
-            start_method=start_method,
-            dedicated_queues=True,
-            max_task_retries=0,  # retry policy belongs to the Router
-            task_timeout_s=hang_timeout_s,
-        )
+        try:
+            self.pool = ProcessWorkerPool(
+                _replica_task,
+                n_replicas,
+                initializer=_init_replica,
+                initargs=(
+                    benchmark, self.input_shape, hparams or {}, n_weights,
+                    tuple(pools), precision, quant_spec,
+                ),
+                start_method=start_method,
+                dedicated_queues=True,
+                max_task_retries=0,  # retry policy belongs to the Router
+                task_timeout_s=hang_timeout_s,
+                shared=SharedArrayStore("repro_serve", {**weights, **pools}),
+            )
+        except BaseException:
+            if self._span is not None:
+                rec.end(self._span, aborted=True)
+            raise
 
     @classmethod
     def from_store(
@@ -320,7 +308,6 @@ class ReplicaGroup:
 
     def close(self) -> None:
         self.pool.close()
-        self._store.close()
         rec = get_recorder()
         if rec is not None and self._span is not None:
             rec.end(self._span)

@@ -21,7 +21,6 @@ from repro.hpc import (
     SimCluster,
     SingleNode,
     StagingSimulator,
-    WorkerPool,
     achieved_flops,
     arithmetic_intensity,
     compare_policies,
@@ -554,41 +553,6 @@ class TestEventLoop:
         loop.schedule(0.0, forever)
         with pytest.raises(RuntimeError):
             loop.run(max_events=100)
-
-
-class TestWorkerPool:
-    def test_parallel_execution(self):
-        loop = EventLoop()
-        pool = WorkerPool(loop, n_workers=4)
-        done = []
-        for i in range(4):
-            pool.submit(1.0, lambda w, i=i: done.append(i))
-        loop.run()
-        assert loop.now == pytest.approx(1.0)  # all ran concurrently
-        assert len(done) == 4
-
-    def test_backlog_serializes(self):
-        loop = EventLoop()
-        pool = WorkerPool(loop, n_workers=1)
-        for _ in range(3):
-            pool.submit(1.0, lambda w: None)
-        loop.run()
-        assert loop.now == pytest.approx(3.0)
-
-    def test_utilization(self):
-        loop = EventLoop()
-        pool = WorkerPool(loop, n_workers=2)
-        pool.submit(1.0, lambda w: None)
-        pool.submit(1.0, lambda w: None)
-        loop.run()
-        assert pool.utilization() == pytest.approx(1.0)
-
-    def test_validation(self):
-        loop = EventLoop()
-        with pytest.raises(ValueError):
-            WorkerPool(loop, 0)
-        with pytest.raises(ValueError):
-            WorkerPool(loop, 1).submit(-1.0, lambda w: None)
 
 
 class TestPerfModelProperties:

@@ -10,6 +10,7 @@ bit-identical to the serial backend, and ``world=1`` must match
 and preserve the retry/quarantine semantics of the simulated mode).
 """
 
+import glob
 import multiprocessing as mp
 import os
 import pickle
@@ -100,6 +101,23 @@ def _die_once_task(payload):
             os._exit(9)
         os.unlink(path)
     return payload
+
+
+# Data-plane probes: the initializer keeps the views the pool attached,
+# the task reports what this worker incarnation sees through them.
+_SEEN = {}
+
+
+def _keep_arrays(arrays, scale):
+    _SEEN.update(x=arrays["x"], scale=scale)
+
+
+def _seen_task(payload):
+    return os.getpid(), float(_SEEN["x"].sum() * _SEEN["scale"])
+
+
+def _raise_init(arrays):
+    raise ValueError(f"cannot use {sorted(arrays)}")
 
 
 def _sleep_objective(config, budget):
@@ -244,16 +262,40 @@ class TestProcessWorkerPool:
         assert len({r.value for r in res}) == 2
 
     def test_terminate_worker_respawns_same_slot(self):
-        with ProcessWorkerPool(_whoami_task, 2, dedicated_queues=True) as pool:
+        x = np.arange(12.0)
+        pool = ProcessWorkerPool(
+            _seen_task, 2, dedicated_queues=True,
+            initializer=_keep_arrays, initargs=(2.0,),
+            shared=SharedArrayStore("repro_pooltest", {"x": x}),
+        )
+        with pool:
+            assert len(glob.glob("/dev/shm/repro_pooltest*")) == 1
             first = pool.map([None, None], timeout=60.0)
             pool.terminate_worker(0)
             second = pool.map([None, None], timeout=60.0)
             assert all(r.status == "ok" for r in second)
             assert pool.respawns == 1
-            # Slot 0's replacement is a different process.
-            pid0_before = [r.value for r in first if r.task_id % 2 == 0]
-            pid0_after = [r.value for r in second if r.task_id % 2 == 0]
+            # Slot 0's replacement is a different process...
+            pid0_before = [r.value[0] for r in first if r.task_id % 2 == 0]
+            pid0_after = [r.value[0] for r in second if r.task_id % 2 == 0]
             assert pid0_before != pid0_after
+            # ...whose initializer was handed the same arrays.
+            assert {r.value[1] for r in first + second} == {2.0 * x.sum()}
+        pool.close()  # a second close is a no-op
+        assert glob.glob("/dev/shm/repro_pooltest*") == []
+
+    def test_initializer_failure_raises_and_leaves_no_segment(self):
+        pool = ProcessWorkerPool(
+            echo_task, 1, initializer=_raise_init,
+            shared=SharedArrayStore("repro_pooltest", {"x": np.ones(4)}),
+        )
+        try:
+            with pytest.raises(RuntimeError, match="initializer failed"):
+                pool.wait_ready(timeout_s=30.0)
+        finally:
+            pool.close()
+        assert glob.glob("/dev/shm/repro_pooltest*") == []
+        assert mp.active_children() == []
 
     def test_wait_ready_reads_past_a_task_result(self):
         # A result that lands while a replacement worker is still in its
@@ -409,16 +451,19 @@ def _allreduce_rank(handle, rank, vec, out_q):
 class TestDataParallelFit:
     def test_process_backend_bit_identical_to_serial(self):
         x, y = make_regression()
-        m_proc, m_ser = make_net(), make_net()
-        r_proc = fit_data_parallel(
-            m_proc, x, y, world=2, epochs=3, batch_size=16, backend="process", seed=4
-        )
+        m_ser = make_net()
         r_ser = fit_data_parallel(
             m_ser, x, y, world=2, epochs=3, batch_size=16, backend="serial", seed=4
         )
-        assert weights_equal(m_proc, m_ser) == 0.0
-        assert r_proc.epoch_losses == r_ser.epoch_losses
-        assert r_proc.steps == r_ser.steps == 3 * (96 // 16)
+        for start_method in ("fork", "spawn"):
+            m_proc = make_net()
+            r_proc = fit_data_parallel(
+                m_proc, x, y, world=2, epochs=3, batch_size=16, backend="process",
+                seed=4, start_method=start_method,
+            )
+            assert weights_equal(m_proc, m_ser) == 0.0
+            assert r_proc.epoch_losses == r_ser.epoch_losses
+            assert r_proc.steps == r_ser.steps == 3 * (96 // 16)
 
     def test_world_one_matches_model_fit(self):
         x, y = make_regression()
@@ -527,6 +572,15 @@ class TestParallelTrialExecutor:
         with pytest.raises(ValueError, match="workers"):
             run_parallel(RandomSearch(self.SPACE, seed=0), _sleep_objective,
                          n_trials=2, n_workers=2, executor=ex)
+
+    def test_failed_start_leaves_no_segment(self):
+        # No shutdown(): whatever start() published before the pool
+        # refused the start method must already be gone.
+        before = set(glob.glob("/dev/shm/repro_hpo*"))
+        ex = ParallelTrialExecutor(2, data={"x": np.ones((8, 2))}, start_method="bogus")
+        with pytest.raises(ValueError, match="bogus"):
+            ex.start(_data_objective)
+        assert set(glob.glob("/dev/shm/repro_hpo*")) == before
 
     def test_lifecycle_guards(self):
         ex = ParallelTrialExecutor(1)

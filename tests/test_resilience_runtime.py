@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 from repro.candle import build_p1b2_classifier, get_benchmark
 from repro.datasets import make_tumor_expression
 from repro.hpc import SimCluster
-from repro.hpc.events import EventLoop, WorkerPool
 from repro.nn import (
     Adam,
     CheckpointIntegrityError,
@@ -817,34 +816,3 @@ class TestDistributedResilience:
                               epochs=2, loss="cross_entropy", injector=inj)
         assert res.dropped_updates > 0
         assert all(np.isfinite(v) for v in res.epoch_losses)
-
-
-class TestWorkerPoolFailure:
-    def test_idle_worker_leaves_immediately(self):
-        loop = EventLoop()
-        pool = WorkerPool(loop, 3)
-        assert pool.fail_worker() is not None
-        assert pool.n_alive == 2
-        assert pool.idle_workers == 2
-
-    def test_busy_worker_finishes_then_leaves(self):
-        loop = EventLoop()
-        pool = WorkerPool(loop, 2)
-        done = []
-        pool.submit(1.0, lambda w: done.append(w))
-        pool.submit(1.0, lambda w: done.append(w))
-        pool.submit(1.0, lambda w: done.append(w))  # backlog
-        failed = pool.fail_worker()
-        assert failed is not None
-        loop.run()
-        # The failed worker completed its current job but did not pick up
-        # the backlog; the survivor drained it.
-        assert len(done) == 3
-        assert pool.n_alive == 1
-
-    def test_never_kills_last_worker(self):
-        loop = EventLoop()
-        pool = WorkerPool(loop, 2)
-        assert pool.fail_worker() is not None
-        assert pool.fail_worker() is None
-        assert pool.n_alive == 1

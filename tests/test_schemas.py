@@ -1,13 +1,9 @@
 """Schema regression tests for every JSON artifact the repo commits.
 
-Guards against silent format drift: the committed ``BENCH_kernels.json``,
-``BENCH_serving.json``, ``BENCH_obs.json``, ``BENCH_parallel.json``,
-``BENCH_serving_scale.json``, ``BENCH_precision.json``, and
-``BENCH_registry.json``, ``BENCH_hpo_scale.json``, and
-``BENCH_ddp_overlap.json`` must match their declared
-schemas in :mod:`repro.obs.schema`, a freshly recorded trace must pass
-the trace validator, and the validator itself must actually reject the
-malformed shapes it claims to catch (a validator that accepts everything
+Guards against silent format drift: the committed ``BENCH_obs.json``
+must match its declared schema in :mod:`repro.obs.schema`, a freshly
+recorded trace must pass the trace validator, and the validator itself
+must actually reject the malformed shapes it claims to catch (a validator that accepts everything
 passes every regression test and catches nothing).
 """
 
@@ -21,15 +17,7 @@ import pytest
 from repro.nn import Sequential
 from repro.nn.layers import Dense
 from repro.obs import (
-    BENCH_DDP_OVERLAP_SCHEMA,
-    BENCH_HPO_SCALE_SCHEMA,
-    BENCH_KERNELS_SCHEMA,
     BENCH_OBS_SCHEMA,
-    BENCH_PARALLEL_SCHEMA,
-    BENCH_PRECISION_SCHEMA,
-    BENCH_REGISTRY_SCHEMA,
-    BENCH_SERVING_SCALE_SCHEMA,
-    BENCH_SERVING_SCHEMA,
     TRACE_SCHEMA_VERSION,
     SchemaError,
     TraceRecorder,
@@ -44,15 +32,7 @@ from repro.obs.schema import TRACE_RECORD_SCHEMAS, arr, obj
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
 ARTIFACTS = [
-    ("BENCH_kernels.json", BENCH_KERNELS_SCHEMA),
-    ("BENCH_serving.json", BENCH_SERVING_SCHEMA),
     ("BENCH_obs.json", BENCH_OBS_SCHEMA),
-    ("BENCH_parallel.json", BENCH_PARALLEL_SCHEMA),
-    ("BENCH_serving_scale.json", BENCH_SERVING_SCALE_SCHEMA),
-    ("BENCH_precision.json", BENCH_PRECISION_SCHEMA),
-    ("BENCH_registry.json", BENCH_REGISTRY_SCHEMA),
-    ("BENCH_hpo_scale.json", BENCH_HPO_SCALE_SCHEMA),
-    ("BENCH_ddp_overlap.json", BENCH_DDP_OVERLAP_SCHEMA),
 ]
 
 
@@ -185,313 +165,3 @@ class TestValidatorSemantics:
         validate(3, schema)
         with pytest.raises(SchemaError):
             validate(3.5, schema)
-
-
-def _minimal_parallel_doc():
-    """A smallest-possible BENCH_parallel.json (what a smoke run emits)."""
-    return {
-        "acceptance": {
-            "parity_ok": True, "ddp_parity_max_abs_diff": 0.0,
-            "hpo_best_match": True, "hpo_speedup_4w": 3.1,
-            "hpo_speedup_min": 2.5, "hpo_speedup_ok": True,
-            "ddp_speedup_2r": 1.7, "ddp_speedup_min": 1.5, "ddp_speedup_ok": True,
-        },
-        "hpo": {
-            "n_trials": 8, "trial_stall_s": 0.3,
-            "serial": {"elapsed_s": 2.9, "best_value": 1e-5},
-            "workers": [
-                {"n_workers": 2, "elapsed_s": 1.5, "speedup": 1.9,
-                 "best_value": 1e-5, "best_match": True, "trials": 8},
-            ],
-        },
-        "ddp": {
-            "world": 2, "epochs": 2, "steps": 8, "stall_per_batch_s": 0.05,
-            "serial": {"elapsed_s": 1.0, "steps_per_s": 8.0, "final_loss": 0.4},
-            "process": {"elapsed_s": 0.6, "steps_per_s": 13.3, "final_loss": 0.4,
-                        "speedup": 1.66},
-            "parity_max_abs_diff": 0.0, "loss_match": True,
-        },
-        "prefetch": {"plain_s": 1.0, "prefetch_s": 0.6, "speedup": 1.66,
-                     "batches": 12, "stall_s": 0.05},
-        "meta": {"numpy": "1.26", "cpus": 1, "start_method": "fork",
-                 "smoke": True, "blas_pinned": True},
-    }
-
-
-class TestParallelSchema:
-    """BENCH_parallel.json pinned independently of the committed artifact."""
-
-    def test_minimal_doc_validates(self):
-        validate(_minimal_parallel_doc(), BENCH_PARALLEL_SCHEMA)
-
-    def test_rejects_missing_acceptance_gate(self):
-        doc = _minimal_parallel_doc()
-        del doc["acceptance"]["parity_ok"]
-        with pytest.raises(SchemaError, match="parity_ok"):
-            validate(doc, BENCH_PARALLEL_SCHEMA)
-
-    def test_rejects_stringified_speedup(self):
-        doc = _minimal_parallel_doc()
-        doc["acceptance"]["hpo_speedup_4w"] = "3.1"
-        with pytest.raises(SchemaError, match=r"\$\.acceptance\.hpo_speedup_4w"):
-            validate(doc, BENCH_PARALLEL_SCHEMA)
-
-    def test_rejects_negative_elapsed_and_zero_cpus(self):
-        doc = _minimal_parallel_doc()
-        doc["hpo"]["serial"]["elapsed_s"] = -0.1
-        with pytest.raises(SchemaError):
-            validate(doc, BENCH_PARALLEL_SCHEMA)
-        doc = _minimal_parallel_doc()
-        doc["meta"]["cpus"] = 0
-        with pytest.raises(SchemaError):
-            validate(doc, BENCH_PARALLEL_SCHEMA)
-
-    def test_rejects_unknown_top_level_section(self):
-        doc = _minimal_parallel_doc()
-        doc["extra_section"] = {}
-        with pytest.raises(SchemaError, match="extra_section"):
-            validate(doc, BENCH_PARALLEL_SCHEMA)
-
-    def test_rejects_reshaped_worker_row(self):
-        doc = _minimal_parallel_doc()
-        doc["hpo"]["workers"][0].pop("speedup")
-        with pytest.raises(SchemaError, match=r"\$\.hpo\.workers\[0\]"):
-            validate(doc, BENCH_PARALLEL_SCHEMA)
-
-
-def _minimal_serving_scale_doc():
-    """A smallest-possible BENCH_serving_scale.json (what a smoke run emits)."""
-    replay = {
-        "n_requests": 192, "elapsed_s": 0.07, "submitted": 192, "completed": 192,
-        "shed": 0, "timed_out": 0, "retried_away": 0, "retries": 0,
-        "respawns": 0, "invariant_ok": True, "parity_checked": 192, "parity_ok": True,
-    }
-    latency = {"count": 192, "mean_s": 0.02, "min_s": 0.01, "max_s": 0.06,
-               "p50_s": 0.02, "p95_s": 0.05, "p99_s": 0.06}
-    return {
-        "acceptance": {
-            "speedup": 1.8, "speedup_min": 1.5, "speedup_ok": True,
-            "parity_ok": True, "accounting_ok": True,
-            "chaos_zero_lost": True, "respawns_ok": True,
-        },
-        "single": {"requests": 192, "batches": 12, "elapsed_s": 0.12,
-                   "throughput_rps": 1500.0},
-        "distributed": {**replay, "throughput_rps": 2700.0, "latency": latency},
-        "mixes": [
-            {"mix": "poisson", "offered_rps": 2200.0, "n_requests": 96,
-             "completed": 96, "shed": 0, "shed_rate": 0.0, "timed_out": 0,
-             "retried_away": 0, "throughput_rps": 1500.0,
-             "p50_s": 0.016, "p99_s": 0.022, "invariant_ok": True, "parity_ok": True},
-        ],
-        "chaos": {
-            **dict(replay, n_requests=144, respawns=5, retries=14,
-                   parity_checked=144, submitted=144, completed=144),
-            "fault_counts": {"kill_replica": 3, "hang_replica": 1,
-                             "slow_replica": 3, "corrupt_response": 0},
-            "supervisor": {"probes": 20, "probe_failures": 4,
-                           "corrupt_detected": 0, "recycled": 4},
-            "autoscale_events": 1, "breaker_opens": 1,
-        },
-        "benchmark": "p1b2", "n_replicas": 3, "max_batch_size": 16,
-        "n_requests": 192, "stall_per_batch_s": 0.01, "smoke": True,
-        "meta": {"numpy": "1.26", "cpus": 1, "start_method": "fork", "smoke": True},
-    }
-
-
-class TestServingScaleSchema:
-    """BENCH_serving_scale.json pinned independently of the committed artifact."""
-
-    def test_minimal_doc_validates(self):
-        validate(_minimal_serving_scale_doc(), BENCH_SERVING_SCALE_SCHEMA)
-
-    def test_rejects_missing_chaos_gate(self):
-        doc = _minimal_serving_scale_doc()
-        del doc["acceptance"]["chaos_zero_lost"]
-        with pytest.raises(SchemaError, match="chaos_zero_lost"):
-            validate(doc, BENCH_SERVING_SCALE_SCHEMA)
-
-    def test_rejects_unknown_traffic_mix(self):
-        doc = _minimal_serving_scale_doc()
-        doc["mixes"][0]["mix"] = "flash_crowd"
-        with pytest.raises(SchemaError, match=r"\$\.mixes\[0\]\.mix"):
-            validate(doc, BENCH_SERVING_SCALE_SCHEMA)
-
-    def test_rejects_negative_respawns_and_bool_counts(self):
-        doc = _minimal_serving_scale_doc()
-        doc["chaos"]["respawns"] = -1
-        with pytest.raises(SchemaError):
-            validate(doc, BENCH_SERVING_SCALE_SCHEMA)
-        doc = _minimal_serving_scale_doc()
-        doc["chaos"]["fault_counts"]["kill_replica"] = True
-        with pytest.raises(SchemaError):
-            validate(doc, BENCH_SERVING_SCALE_SCHEMA)
-
-    def test_rejects_dropped_invariant_verdict(self):
-        doc = _minimal_serving_scale_doc()
-        del doc["distributed"]["invariant_ok"]
-        with pytest.raises(SchemaError, match="invariant_ok"):
-            validate(doc, BENCH_SERVING_SCALE_SCHEMA)
-
-    def test_rejects_unknown_top_level_section(self):
-        doc = _minimal_serving_scale_doc()
-        doc["replicas_v2"] = {}
-        with pytest.raises(SchemaError, match="replicas_v2"):
-            validate(doc, BENCH_SERVING_SCALE_SCHEMA)
-
-
-def _minimal_precision_doc():
-    """A smallest-possible BENCH_precision.json (what a smoke run emits)."""
-    row = {"format": "fp64", "step_ms": 2.1, "speedup_vs_fp64": 1.0,
-           "final_loss": 0.02, "loss_dev_vs_fp64": 0.0}
-    return {
-        "meta": {"numpy": "1.26", "smoke": True, "reps": 1, "benchmark": "p1b2"},
-        "train": {
-            "n_samples": 160, "n_features": 200, "batch_size": 32, "epochs": 2,
-            "rows": [
-                row,
-                {"format": "bf16", "step_ms": 1.4, "speedup_vs_fp64": 1.5,
-                 "final_loss": 0.02, "loss_dev_vs_fp64": 0.01, "skipped_steps": 0},
-                {"format": "fp16", "step_ms": 3.0, "speedup_vs_fp64": 0.7,
-                 "final_loss": 0.02, "loss_dev_vs_fp64": 0.01,
-                 "skipped_steps": 1, "final_loss_scale": 32768.0},
-            ],
-            "bf16_vs_emulated_fp32_speedup": 1.6,
-            "bf16_vs_fp32_speedup": 0.8,
-            "bf16_vs_fp64_speedup": 1.5,
-        },
-        "serving": {
-            "n_eval": 40,
-            "auc": {"fp64": 0.99, "fp32": 0.99, "int8": 0.985},
-            "auc_drop_int8_vs_fp32": 0.005,
-            "fp32_single_stream_rps": 9000.0, "fp32_batched_rps": 60000.0,
-            "int8_single_stream_rps": 9500.0, "int8_batched_rps": 68000.0,
-            "served_bit_identical": True,
-            "weight_bytes": {"fp64": 742944, "fp32": 371472, "int8": 94224},
-        },
-        "acceptance": {
-            "bf16_train_speedup": 1.6, "bf16_train_speedup_min": 1.3,
-            "bf16_train_ok": True,
-            "int8_serving_speedup": 7.5, "int8_serving_speedup_min": 2.0,
-            "int8_serving_ok": True,
-            "int8_auc_drop": 0.005, "int8_auc_drop_max": 0.01, "int8_auc_ok": True,
-            "train_parity_ok": True, "served_bit_identical": True,
-            "gates_enforced": False,
-        },
-    }
-
-
-class TestPrecisionSchema:
-    """BENCH_precision.json pinned independently of the committed artifact."""
-
-    def test_minimal_doc_validates(self):
-        validate(_minimal_precision_doc(), BENCH_PRECISION_SCHEMA)
-
-    def test_rejects_missing_serving_gate(self):
-        doc = _minimal_precision_doc()
-        del doc["acceptance"]["int8_serving_ok"]
-        with pytest.raises(SchemaError, match="int8_serving_ok"):
-            validate(doc, BENCH_PRECISION_SCHEMA)
-
-    def test_rejects_unknown_train_format(self):
-        doc = _minimal_precision_doc()
-        doc["train"]["rows"][0]["format"] = "fp8"
-        with pytest.raises(SchemaError, match=r"\$\.train\.rows\[0\]\.format"):
-            validate(doc, BENCH_PRECISION_SCHEMA)
-
-    def test_rejects_stringified_speedup(self):
-        doc = _minimal_precision_doc()
-        doc["acceptance"]["int8_serving_speedup"] = "7.5"
-        with pytest.raises(SchemaError, match=r"\$\.acceptance\.int8_serving_speedup"):
-            validate(doc, BENCH_PRECISION_SCHEMA)
-
-    def test_rejects_negative_throughput_and_bool_bytes(self):
-        doc = _minimal_precision_doc()
-        doc["serving"]["int8_batched_rps"] = -1.0
-        with pytest.raises(SchemaError):
-            validate(doc, BENCH_PRECISION_SCHEMA)
-        doc = _minimal_precision_doc()
-        doc["serving"]["weight_bytes"]["int8"] = True
-        with pytest.raises(SchemaError):
-            validate(doc, BENCH_PRECISION_SCHEMA)
-
-    def test_rejects_dropped_bit_identical_verdict(self):
-        doc = _minimal_precision_doc()
-        del doc["serving"]["served_bit_identical"]
-        with pytest.raises(SchemaError, match="served_bit_identical"):
-            validate(doc, BENCH_PRECISION_SCHEMA)
-
-    def test_rejects_unknown_top_level_section(self):
-        doc = _minimal_precision_doc()
-        doc["quantization_v2"] = {}
-        with pytest.raises(SchemaError, match="quantization_v2"):
-            validate(doc, BENCH_PRECISION_SCHEMA)
-
-
-def _minimal_registry_doc():
-    """A smallest-possible BENCH_registry.json (what a smoke run emits)."""
-    return {
-        "benchmark": "p1b2",
-        "smoke": True,
-        "churn": {
-            "n_artifacts": 60, "n_readers": 2, "publish_elapsed_s": 0.4,
-            "publishes_per_s": 150.0, "reader_reads": 900, "reader_errors": 0,
-            "reads_per_s": 1500.0, "last_error": "", "versions": 60,
-        },
-        "load": {
-            "reps": 5, "double_read_ms": 3.5, "single_read_ms": 2.1,
-            "speedup": 1.67,
-        },
-        "cache": {
-            "names": 8, "distinct_contents": 4, "accesses": 32, "hits": 28,
-            "loads": 4, "evictions": 0, "dedup_hits": 4, "hit_rate": 0.875,
-            "alias_shared": True, "dedup_ok": True, "objects": 4,
-        },
-        "scan": {
-            "models": 3, "scans": 3, "loads_before": 3, "loads_after": 3,
-            "loads_flat": True,
-        },
-        "acceptance": {
-            "parity_ok": True, "integrity_ok": True, "churn_zero_torn": True,
-            "hit_rate": 0.875, "hit_rate_min": 0.8, "hit_rate_ok": True,
-            "alias_shared": True, "dedup_ok": True,
-            "single_read_speedup": 1.67, "single_read_speedup_min": 1.1,
-            "single_read_speedup_ok": True, "scan_loads_flat": True,
-        },
-    }
-
-
-class TestRegistrySchema:
-    """BENCH_registry.json pinned independently of the committed artifact."""
-
-    def test_minimal_doc_validates(self):
-        validate(_minimal_registry_doc(), BENCH_REGISTRY_SCHEMA)
-
-    def test_rejects_missing_churn_gate(self):
-        doc = _minimal_registry_doc()
-        del doc["acceptance"]["churn_zero_torn"]
-        with pytest.raises(SchemaError, match="churn_zero_torn"):
-            validate(doc, BENCH_REGISTRY_SCHEMA)
-
-    def test_rejects_stringified_speedup(self):
-        doc = _minimal_registry_doc()
-        doc["acceptance"]["single_read_speedup"] = "1.67"
-        with pytest.raises(SchemaError, match=r"\$\.acceptance\.single_read_speedup"):
-            validate(doc, BENCH_REGISTRY_SCHEMA)
-
-    def test_rejects_negative_reader_errors(self):
-        doc = _minimal_registry_doc()
-        doc["churn"]["reader_errors"] = -1
-        with pytest.raises(SchemaError):
-            validate(doc, BENCH_REGISTRY_SCHEMA)
-
-    def test_rejects_dropped_scan_section(self):
-        doc = _minimal_registry_doc()
-        del doc["scan"]
-        with pytest.raises(SchemaError, match="scan"):
-            validate(doc, BENCH_REGISTRY_SCHEMA)
-
-    def test_rejects_unknown_top_level_section(self):
-        doc = _minimal_registry_doc()
-        doc["gc_v2"] = {}
-        with pytest.raises(SchemaError, match="gc_v2"):
-            validate(doc, BENCH_REGISTRY_SCHEMA)

@@ -13,6 +13,7 @@ additionally pinned against a synchronous in-process fake replica group,
 so those tests are deterministic and process-free.
 """
 
+import glob
 import time
 
 import numpy as np
@@ -21,6 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.candle.registry import get_benchmark
+from repro.obs import TraceRecorder
 from repro.parallel.pool import TaskResult
 from repro.resilience import SERVING_FAULT_KINDS, FaultInjector, FaultSpec
 from repro.serve import (
@@ -581,3 +583,14 @@ class TestDistributedTier:
         assert g.respawns == 0
         g.close()
         g.close()  # idempotent
+
+
+    def test_failed_construction_leaves_no_segment_and_no_open_span(self, parent):
+        model, shape, x_pool = parent
+        before = set(glob.glob("/dev/shm/repro_serve*"))
+        with TraceRecorder() as rec:
+            with pytest.raises(ValueError, match="task_timeout_s"):
+                ReplicaGroup(model, BENCH, shape, hang_timeout_s=0.0,
+                             data={"x_pool": x_pool})
+            assert rec.open_spans == []
+        assert set(glob.glob("/dev/shm/repro_serve*")) == before
