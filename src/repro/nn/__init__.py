@@ -53,6 +53,7 @@ from .schedules import (
     WarmupCosine,
 )
 from .tensor import (
+    GradArena,
     Tensor,
     concatenate,
     no_grad,
@@ -65,7 +66,7 @@ from .tensor import (
 
 __all__ = [
     "Tensor", "tensor", "zeros", "ones", "concatenate", "stack", "no_grad",
-    "tape_node_count",
+    "tape_node_count", "GradArena",
     "functional", "init", "losses", "metrics", "optim", "schedules",
     "Layer", "Dense", "Activation", "Dropout", "BatchNorm", "LayerNorm",
     "Conv1D", "MaxPool1D", "AvgPool1D", "Flatten", "Embedding",

@@ -42,6 +42,21 @@ class Layer:
     def parameters(self) -> Iterator[Tensor]:
         return iter(())
 
+    def buffer_names(self) -> Iterator[str]:
+        """Attribute names of the arrays that are model state but not
+        parameters (BatchNorm's running statistics).  They travel with
+        the weights: ``Model.get_weights`` / ``set_weights`` / ``astype``
+        read this list."""
+        return iter(())
+
+    def rng_state(self) -> Optional[dict]:
+        """Bit-generator state of the stream this layer draws from
+        (dropout masks), None for a deterministic layer; a layer that
+        has one takes it back through ``set_rng_state(state)``.  It is
+        what a training snapshot saves and what a data-parallel rank
+        keeps to itself."""
+        return None
+
     def output_shape(self, input_shape: Tuple[int, ...]) -> Tuple[int, ...]:
         """Shape (excluding batch axis) this layer produces for ``input_shape``."""
         return input_shape
@@ -149,6 +164,14 @@ class Dropout(Layer):
             self._rng = np.random.default_rng(0)
         return F.dropout(x, self.rate, self._rng, training=training)
 
+    def rng_state(self) -> Optional[dict]:
+        return None if self._rng is None else self._rng.bit_generator.state
+
+    def set_rng_state(self, state: dict) -> None:
+        if self._rng is None:
+            self._rng = np.random.default_rng()
+        self._rng.bit_generator.state = state
+
 
 class BatchNorm(Layer):
     """Batch normalization for (N, F) or (N, C, L) inputs."""
@@ -199,6 +222,9 @@ class BatchNorm(Layer):
     def parameters(self) -> Iterator[Tensor]:
         yield self.gamma
         yield self.beta
+
+    def buffer_names(self) -> Iterator[str]:
+        return iter(("running_mean", "running_var"))
 
 
 class LayerNorm(Layer):

@@ -22,7 +22,7 @@ from ..obs.trace import maybe_span
 from .dataloader import DataLoader, train_val_split
 from .layers import Layer
 from .optim import Adam, Optimizer
-from .tensor import Tensor, no_grad
+from .tensor import GradArena, Tensor, no_grad
 
 
 class History:
@@ -72,17 +72,36 @@ class Model:
     def param_count(self) -> int:
         return sum(p.size for p in self.parameters())
 
+    def buffers(self) -> Iterator[np.ndarray]:
+        """Layer state that is not a parameter (see :meth:`Layer.buffer_names`)."""
+        for layer in self.layers:
+            for attr in layer.buffer_names():
+                yield getattr(layer, attr)
+
     def get_weights(self) -> List[np.ndarray]:
-        return [p.data.copy() for p in self.parameters()]
+        """Copies of everything a trained model is: the parameters, then
+        the layer buffers."""
+        return [p.data.copy() for p in self.parameters()] + [b.copy() for b in self.buffers()]
 
     def set_weights(self, weights: Sequence[np.ndarray]) -> None:
-        params = list(self.parameters())
-        if len(params) != len(weights):
-            raise ValueError(f"weight count mismatch: model has {len(params)}, got {len(weights)}")
-        for p, w in zip(params, weights):
-            if p.data.shape != w.shape:
-                raise ValueError(f"shape mismatch for {p.name or 'param'}: {p.data.shape} vs {w.shape}")
-            p.data[...] = w
+        named = [(p.name or "param", p.data) for p in self.parameters()]
+        named += [("buffer", b) for b in self.buffers()]
+        if len(named) != len(weights):
+            raise ValueError(f"weight count mismatch: model has {len(named)}, got {len(weights)}")
+        for (name, dst), w in zip(named, weights):
+            if dst.shape != w.shape:
+                raise ValueError(f"shape mismatch for {name}: {dst.shape} vs {w.shape}")
+            dst[...] = w
+
+    def layer_rng_states(self) -> Dict[str, dict]:
+        """:meth:`Layer.rng_state` of every layer that has one, keyed by
+        layer index (as a string: it goes into JSON snapshot headers)."""
+        states = {str(i): layer.rng_state() for i, layer in enumerate(self.layers)}
+        return {i: state for i, state in states.items() if state is not None}
+
+    def set_layer_rng_states(self, states: Dict[str, dict]) -> None:
+        for i, state in states.items():
+            self.layers[int(i)].set_rng_state(state)
 
     # -- forward ----------------------------------------------------------
     def forward(self, x: Tensor, training: bool = True) -> Tensor:
@@ -138,10 +157,8 @@ class Model:
         for layer in self.layers:
             if getattr(layer, "dtype", None) is not None:
                 layer.dtype = dtype
-            for attr in ("running_mean", "running_var"):
-                buf = getattr(layer, attr, None)
-                if isinstance(buf, np.ndarray):
-                    setattr(layer, attr, buf.astype(dtype))
+            for attr in layer.buffer_names():
+                setattr(layer, attr, getattr(layer, attr).astype(dtype))
         self._int8_plan = None
         return self
 
@@ -324,6 +341,12 @@ class FitLoop:
     subclasses the three boundaries — :meth:`before_batch`,
     :meth:`accept_update`, :meth:`cursor_moved` — never the step body
     (:func:`repro.resilience.run_resilient_training` does).
+
+    Gradients live in ``arena`` (a :class:`~repro.nn.tensor.GradArena`
+    allocated after any precision cast): ``p.grad`` is a view of it while
+    a window is open and None after ``zero_grad``.  A driver whose batch
+    has parts (data-parallel ranks) wraps :meth:`batch_grads` and may set
+    ``grad_ready``, the tape's per-parameter hook.
     """
 
     def __init__(
@@ -376,6 +399,10 @@ class FitLoop:
         # The optimizer is built after any precision cast so its scratch
         # buffers (Adam moments) match the fp32 master weights.
         self.opt = optimizer or Adam(model.parameters(), lr=lr)
+        # The trailing slot carries the batch loss, so whoever reduces
+        # the arena across ranks reduces the loss in the same exchange.
+        self.arena = GradArena(model.parameters())
+        self.grad_ready: Optional[Callable[[Tensor], None]] = None
         # The loop draws each epoch's permutation itself (so it can be
         # snapshotted); the loader only gathers batches.
         self.loader = DataLoader(x, y, batch_size=batch_size)
@@ -405,6 +432,27 @@ class FitLoop:
     def cursor_moved(self) -> None:
         """After every batch, and after every epoch's row is appended
         (``perm`` is None then)."""
+
+    def batch_grads(self, xb: np.ndarray, yb: Optional[np.ndarray], window: int) -> None:
+        """Forward → loss → backward of one batch of a ``window``-batch
+        accumulation window: gradients into the arena, the loss into
+        ``last_loss`` and — before backward, so a hook that ships arena
+        slices ships it with the first — into the arena's last slot."""
+        ctrl = self.ctrl
+        with ctrl.cast() if ctrl is not None else contextlib.nullcontext():
+            loss = self.loss_fn(self.model.forward(Tensor(xb), training=True), xb if yb is None else yb)
+            # Held until the next batch's graph exists: freed any sooner,
+            # the heap trims and every step page-faults its buffers back.
+            self._graph = loss
+            self.last_loss = self.arena.flat[-1] = loss.item()
+            if ctrl is not None:
+                # One seed folds loss scale and window average; grads
+                # are unscaled at the window boundary.
+                loss.backward(ctrl.seed(window, loss.data.dtype), self.grad_ready, self.arena)
+            else:
+                # Average (not sum) over the accumulation window.
+                root = loss * (1.0 / window) if window > 1 else loss
+                root.backward(None, self.grad_ready, self.arena)
 
     def _close_window(self) -> None:
         """Close one accumulation window: unscale/check (mixed precision),
@@ -463,29 +511,13 @@ class FitLoop:
                     self.before_batch()
                     if rec is not None:
                         step_id = rec.begin("step", kind="fit.step")
-                    xt = Tensor(xb)
-                    target = xb if yb is None else yb
                     window = (
                         trailing_window
                         if trailing_window and self.batch >= full_window_batches
                         else k
                     )
-                    if ctrl is not None:
-                        with ctrl.cast():
-                            pred = model.forward(xt, training=True)
-                            batch_loss = loss_fn(pred, target)
-                            # One seed folds loss scale and window average;
-                            # grads are unscaled at the window boundary.
-                            batch_loss.backward(ctrl.seed(window, batch_loss.data.dtype))
-                    else:
-                        pred = model.forward(xt, training=True)
-                        batch_loss = loss_fn(pred, target)
-                        if window > 1:
-                            # Average (not sum) over the accumulation window.
-                            (batch_loss * (1.0 / window)).backward()
-                        else:
-                            batch_loss.backward()
-                    self.last_loss = loss_val = batch_loss.item()
+                    self.batch_grads(xb, yb, window)
+                    loss_val = self.last_loss
                     if rec is not None:
                         # Grad norm must be read here: the window boundary
                         # below may step-and-zero the gradients.

@@ -92,10 +92,6 @@ def _as_array(value: ArrayLike, dtype=None) -> np.ndarray:
     arr = np.asarray(value)
     if dtype is not None and arr.dtype != dtype:
         arr = arr.astype(dtype)
-    elif arr.dtype == np.float64 and dtype is None:
-        # Default compute dtype is float64 for reproducibility; callers that
-        # want float32 pass explicit dtypes.
-        pass
     return arr
 
 
@@ -209,6 +205,7 @@ class Tensor:
         self,
         grad: Optional[np.ndarray] = None,
         grad_ready_hook: Optional[Callable[["Tensor"], None]] = None,
+        arena: Optional["GradArena"] = None,
     ) -> None:
         """Run reverse-mode autodiff from this tensor.
 
@@ -225,6 +222,10 @@ class Tensor:
         gradient communication (``repro.parallel.ddp``): buckets of
         parameters can start their allreduce while the rest of backward
         is still running.
+
+        ``arena`` names where leaf gradients live: a leaf with a slot in
+        it gets its first contribution written there and ``.grad`` set
+        to that view, instead of a buffer of its own.
         """
         if not self.requires_grad:
             raise RuntimeError("backward() called on a tensor that does not require grad")
@@ -283,13 +284,19 @@ class Tensor:
         # one is an in-place ``np.add``.
         grads = {id(self): grad}
         owned = set()
+        slots = arena.slots if arena is not None else {}
 
         def _finalize_leaf(leaf: "Tensor", g: np.ndarray) -> None:
             if leaf.grad is None:
-                # Leaves (params) get an owned copy so cross-step
-                # accumulation below can run in place; an owned buffer can
-                # be adopted as-is.
-                leaf.grad = g if id(leaf) in owned else g.copy()
+                # Leaves (params) get a buffer this pass may write, so
+                # cross-step accumulation below can run in place: their
+                # arena slot, else an owned buffer adopted as-is, else a copy.
+                slot = slots.get(id(leaf))
+                if slot is not None:
+                    np.copyto(slot, g)
+                    leaf.grad = slot
+                else:
+                    leaf.grad = g if id(leaf) in owned else g.copy()
             else:
                 # Accumulate into the existing (owned) leaf buffer without
                 # reallocating — the grad-accumulation hot path.
@@ -581,6 +588,42 @@ class Tensor:
         from . import functional as F
 
         return F.abs(self)
+
+
+class GradArena:
+    """One contiguous gradient buffer for a fixed list of leaf tensors.
+
+    ``flat`` holds every parameter's gradient back to back in list order
+    (``views[i]`` is parameter ``i``'s slice, in its shape) plus one
+    trailing slot for the owner.  ``Tensor.backward(arena=...)`` writes a
+    leaf's gradient into its slot and points ``.grad`` at it, so the
+    owner can scale, reduce or ship all gradients as slices of one vector.
+    The tensors hold nothing of it: ``.grad = None`` drops a view.
+    """
+
+    def __init__(self, params: Iterable[Tensor]) -> None:
+        self.params = list(params)
+        sizes = [p.data.size for p in self.params]
+        dtype = np.result_type(*(p.data.dtype for p in self.params)) if sizes else np.float64
+        self.flat = np.zeros(sum(sizes) + 1, dtype=dtype)
+        ends = np.cumsum(sizes)
+        self.views = [self.flat[hi - n:hi].reshape(p.data.shape)
+                      for p, n, hi in zip(self.params, sizes, ends)]
+        self.slots = {id(p): v for p, v in zip(self.params, self.views)}
+
+    def bind(self, zero_unreached: bool = False) -> None:
+        """Point every ``.grad`` that is None at its slot, whose contents
+        are the gradient — or, with ``zero_unreached``, stale: zeroed first."""
+        for p, v in zip(self.params, self.views):
+            if p.grad is None:
+                if zero_unreached:
+                    v[...] = 0.0
+                p.grad = v
+
+    def release(self) -> None:
+        """Drop every ``.grad``; the next backward starts the slots afresh."""
+        for p in self.params:
+            p.grad = None
 
 
 def _binary_out(a: Tensor, b: Tensor, data: np.ndarray, backward) -> Tensor:

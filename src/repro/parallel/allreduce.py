@@ -26,8 +26,8 @@ running :func:`accumulate_rows` over the slab rows straight into its
 own gradient vector — no output slab, chunk ownership, copy-out,
 barrier or helper thread.  Contributions cross the slab in a
 selectable **wire dtype** (``float64`` | ``float32`` | ``bf16`` as
-uint16); decoding is exact widening and accumulation is always
-float64 in ascending rank order, so :func:`reduce_ranks_bucketed` —
+uint16); decoding is exact widening and accumulation is in ascending
+rank order in the vector's own dtype, so :func:`reduce_ranks_bucketed` —
 the serial reference with the same codec and schedule — is
 bit-identical at every wire precision.
 
@@ -112,7 +112,7 @@ def _check_wire(wire_dtype: str) -> str:
 
 
 def encode_wire(src: np.ndarray, wire_dtype: str, out: np.ndarray) -> None:
-    """Narrow a float64 contribution into its wire storage, in ``out``.
+    """Narrow a float contribution into its wire storage, in ``out``.
 
     ``float32`` is the C cast (round-to-nearest-even); ``bf16`` rounds
     the float32 bit pattern to its upper 16 bits with the same RNE
@@ -126,7 +126,9 @@ def encode_wire(src: np.ndarray, wire_dtype: str, out: np.ndarray) -> None:
     elif wire_dtype == "float32":
         out[...] = src.astype(np.float32)
     else:  # bf16
-        bits = np.ascontiguousarray(src, dtype=np.float32).view(np.uint32)
+        # A copy even when ``src`` is float32 already (an fp32 gradient
+        # arena): the rounding below runs in place on ``bits``.
+        bits = np.array(src, dtype=np.float32, order="C").view(np.uint32)
         lsb = (bits >> 16) & np.uint32(1)
         bits += np.uint32(0x7FFF) + lsb
         out[...] = (bits >> 16).astype(np.uint16)
@@ -143,7 +145,8 @@ def decode_wire(src: np.ndarray, wire_dtype: str, out: np.ndarray) -> None:
 
 def accumulate_rows(rows: np.ndarray, wire_dtype: str, out: np.ndarray,
                     dec: Optional[np.ndarray] = None) -> None:
-    """Sum the (world, m) wire ``rows`` into float64 ``out``, ascending.
+    """Sum the (world, m) wire ``rows`` into ``out``, ascending, in
+    ``out``'s dtype (float64, or a reduced-precision fit's float32 arena).
 
     The accumulation itself is ``np.add.reduce`` over the rank axis —
     a reduction over the *outer* (strided) axis of a C-order array,
@@ -195,8 +198,8 @@ def reduce_ranks_bucketed(
     a bucketed parallel run bit-for-bit.  With one rank the exchange is
     skipped entirely (both engines do), so no codec rounding applies.
 
-    A caller that reduces every step passes ``out`` (float64, full
-    length) and ``scratch`` so nothing is allocated per call.
+    A caller that reduces every step passes ``out`` (full length) and
+    ``scratch`` so nothing is allocated per call.
     """
     if not vectors:
         raise ValueError("reduce_ranks_bucketed needs at least one vector")

@@ -9,67 +9,64 @@ are averaged through the deterministic shared-memory allreduce of
 averaged gradient with identical optimizer state, so replica weights
 never diverge — standard DDP, actually running on processes.
 
-Two backends, one contract:
+There is no training loop here.  A rank is a driver of
+:class:`repro.nn.FitLoop`, the library's one forward → backward → step
+body, so every ``fit`` keyword means here what it means in
+``Model.fit``.  The driver changes three things: its loader yields the
+rank's share of each *global* batch; :meth:`~repro.nn.FitLoop.batch_grads`
+ends with the exchange, so what ``fit`` clips and steps on is the rank
+average; and the gradient arena ``fit`` allocates is the vector the
+exchange ships — bucket spans index it directly, nothing is packed or
+unpacked.
 
-* ``backend="process"`` — real OS processes: one
-  :class:`~repro.parallel.pool.ProcessWorkerPool` slot per rank, the
-  dataset and the allreduce slabs its shared-memory data plane.
-* ``backend="serial"`` — the same algorithm executed by one process
-  (rank micro-batches evaluated sequentially, combined with
-  :func:`~repro.parallel.allreduce.reduce_ranks_bucketed`).
-
-Because the reduction association order is pinned (ascending rank
-order in both backends) the two produce **bit-identical** weights —
-the parity the ``ddp_mlp`` workload of ``bench/`` checks inside every
-run and ``tests/test_ddp_overlap.py`` pins per wire dtype.  With
-``world=1`` the loop degenerates to plain mini-batch SGD and matches
-``Model.fit`` exactly (same RNG draw order, provided ``batch_size``
-divides the dataset; see ``drop_last`` for the ragged tail).
+Two backends, one contract: ``backend="process"`` is one
+:class:`~repro.parallel.pool.ProcessWorkerPool` slot per rank, the
+dataset and the allreduce slabs its shared-memory data plane;
+``backend="serial"`` is the same driver executing every rank's share in
+turn in one process (:class:`_SerialFit` says what that checks).
+Because the reduction association order is pinned (ascending rank order
+in both) the two produce **bit-identical** weights, buffers and
+histories — the parity the ``ddp_mlp`` workload of ``bench/`` checks
+inside every run and ``tests/test_ddp_overlap.py`` pins per wire dtype.
+With ``world=1`` the driver degenerates to plain ``Model.fit`` and
+matches it exactly, ragged last batch included.
 
 Gradient communication is one engine.  Parameters are partitioned into
 size-targeted buckets in reverse layout order
 (:func:`~repro.parallel.allreduce.plan_buckets`; ``bucket_bytes`` at
 least the gradient vector's size gives a single whole-vector bucket); a
-per-parameter grad-ready tape hook (``Tensor.backward(grad_ready_hook=…)``)
-packs each gradient the moment backward finalises it; the hook that
-completes a bucket *publishes* it (a slab write and a sequence flag,
-never a wait) and *collects* — reduces into the rank's own gradient
-vector — every earlier bucket all ranks have published by then, and
-``wait_step`` collects the rest.  One thread per rank, no barrier
-(protocol and safety argument: :mod:`repro.parallel.allreduce`).
-``overlap=False`` publishes only after backward (the ablation
-baseline).  ``wire_dtype`` selects the slab format (``float64`` |
-``float32`` | ``bf16``); accumulation is always float64 in ascending
-rank order, so the serial backend replaying the identical schedule
-(:func:`~repro.parallel.allreduce.reduce_ranks_bucketed`) stays
-bit-identical at every wire precision.
-
-``pre_step_hook(rank, step)`` runs during micro-batch assembly — the
-place a real pipeline pays its staging latency; ``prefetch=True``
-overlaps that assembly with compute via
-:class:`~repro.parallel.prefetch.PrefetchLoader`.  ``timeout_s`` bounds
-the call and every rank's wait for a peer.
+per-parameter grad-ready tape hook counts a bucket's parameters down as
+backward finalises them in the arena; the hook that completes a bucket
+*publishes* it (a slab write and a sequence flag, never a wait) and
+*collects* — reduces into the rank's own arena — every earlier bucket
+all ranks have published by then, and ``wait_step`` collects the rest.
+One thread per rank, no barrier (protocol and safety argument:
+:mod:`repro.parallel.allreduce`).  ``overlap=False`` publishes only
+after backward (the ablation baseline).  ``wire_dtype`` selects the slab
+format (``float64`` | ``float32`` | ``bf16``); accumulation is in
+ascending rank order into the arena, and the serial backend replays the
+identical schedule and codec.
 """
 
 from __future__ import annotations
 
-import pickle
+import inspect
 import time
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..nn import losses as losses_mod
-from ..nn.model import Model
-from ..nn.optim import Adam, Optimizer
-from ..nn.tensor import Tensor
+from ..nn.dataloader import DataLoader
+from ..nn.model import FitLoop, History, Model
+from ..nn.tensor import GradArena
 from ..obs.context import get_recorder
 from .allreduce import (
     DEFAULT_BUCKET_BYTES,
     WIRE_DTYPES,
     BucketAllreduceHandle,
+    BucketPlan,
     BucketRankReducer,
     WireScratch,
     chunk_bounds,
@@ -79,20 +76,23 @@ from .allreduce import (
     wire_itemsize,
 )
 from .pool import ProcessWorkerPool
-from .prefetch import PrefetchLoader
 from .shm import SharedArrayStore
+
+#: ``fit``'s keywords and defaults, read off the one place they are declared.
+_FIT_SIGNATURE = inspect.signature(FitLoop)
 
 
 @dataclass
 class DataParallelResult:
     """Outcome of a data-parallel fit (either backend).
 
-    ``comm_stats`` (process backend, rank 0's view) reports what the
-    gradient-communication engine actually did: per-bucket spans and
-    cumulative busy seconds (publish + collect, which also sum to
-    ``total_comm_s``), *exposed* time (blocked after backward in
-    ``wait_step`` / ``flush_inline``), the first-publish-to-last-collect
-    chain, the derived overlap fraction, and bytes-on-wire per step.
+    ``history`` is rank 0's :class:`~repro.nn.History` (``epoch_losses``
+    and ``epoch_times`` are its ``loss`` and ``time`` columns; ``epochs``
+    is how many it ran, fewer than asked for after an early stop).
+    ``comm_stats`` (process backend, rank 0's view) is what the
+    gradient-communication engine actually did: bucket spans, bytes on
+    the wire per step and the timings :class:`_GradBucketScheduler`
+    defines.
     """
 
     world: int
@@ -103,6 +103,7 @@ class DataParallelResult:
     epoch_losses: List[float]
     epoch_times: List[float] = field(default_factory=list)
     comm_stats: Optional[Dict] = None
+    history: Optional[History] = None
 
     @property
     def steps(self) -> int:
@@ -120,102 +121,46 @@ class DataParallelResult:
 
 @dataclass
 class _TrainSpec:
-    """Everything a rank needs, in one picklable bundle (the model and
-    RNG state cross the process boundary once, at rank startup)."""
+    """What a driver needs beside model and data, in one picklable bundle."""
 
-    model_bytes: bytes
-    rng_state: dict
+    rng_state: dict  # the shuffle stream, after the caller's process built the model
     world: int
-    epochs: int
-    batch_size: int  # global batch; each rank takes batch_size/world
-    loss: object  # name or picklable callable
-    lr: float
+    fit_kwargs: dict
     optimizer_factory: Optional[Callable]
-    shuffle: bool
     pre_step_hook: Optional[Callable[[int, int], None]]
-    prefetch: bool
-    n_samples: int
-    wire_dtype: str = "float64"
-    bucket_bytes: int = DEFAULT_BUCKET_BYTES
-    overlap: bool = True
-    drop_last: bool = True
-    timeout_s: float = 600.0  # bounds every allreduce wait inside a rank
-
-
-def _param_layout(params) -> Tuple[List[Tuple[int, int, Tuple[int, ...]]], int]:
-    """(offset, size, shape) per parameter in one flat float64 vector,
-    plus the vector length (one trailing slot carries the batch loss)."""
-    layout = []
-    off = 0
-    for p in params:
-        layout.append((off, p.data.size, p.data.shape))
-        off += p.data.size
-    return layout, off + 1
-
-
-def _grads_into(model, loss_fn, params, layout, xb, yb, out_vec,
-                sched: Optional["_GradBucketScheduler"] = None, step: int = 0) -> None:
-    """One micro-batch forward/backward; pack grads + loss into out_vec.
-
-    Without a scheduler the gradients are packed after backward returns
-    (and the scheduler path packs the *same* floats — each hook reads
-    the finalised ``.grad``); with one, every parameter is packed the
-    moment the tape finishes it, so completed buckets start
-    communicating while backward is still running.  The loss lands in
-    the trailing slot before backward — bucket 0 carries it and may
-    ship mid-backward.
-    """
-    for p in params:
-        p.grad = None
-    target = xb if yb is None else yb
-    loss = loss_fn(model.forward(Tensor(xb), training=True), target)
-    if sched is not None:
-        sched.begin_step(out_vec, step)
-        out_vec[-1] = loss.item()
-        loss.backward(grad_ready_hook=sched.grad_ready)
-        sched.finish_backward()
-    else:
-        loss.backward()
-        for p, (off, size, _) in zip(params, layout):
-            if p.grad is None:
-                out_vec[off:off + size] = 0.0
-            else:
-                out_vec[off:off + size] = p.grad.ravel()
-        out_vec[-1] = loss.item()
-
-
-def _apply_combined(params, layout, combined, opt) -> None:
-    """Point each param's grad at its slice of the averaged vector and step."""
-    for p, (off, size, shape) in zip(params, layout):
-        p.grad = combined[off:off + size].reshape(shape)
-    opt.step()
+    wire_dtype: str
+    plan: BucketPlan  # over fit's gradient arena: the parameters, then the loss slot
+    overlap: bool
+    drop_last: bool
+    timeout_s: float  # bounds every allreduce wait inside a rank
 
 
 class _GradBucketScheduler:
-    """Per-rank bucket engine: pack gradients as backward produces them,
-    publish completed buckets in pinned schedule order, collect them as
-    soon as every rank has — all on the calling thread.
+    """Per-rank bucket engine: count parameters down as backward
+    finalises them in the arena, publish completed buckets in pinned
+    schedule order, collect them as soon as every rank has — all on the
+    calling thread, all as slices of the arena.
 
-    ``grad_ready`` is handed to ``Tensor.backward(grad_ready_hook=…)``.
-    With ``overlap``, the hook that completes the next scheduled bucket
-    publishes it (never a wait) and collects whatever earlier buckets
-    every peer has published too; ``wait_step`` blocks only for the
-    remainder.  Without ``overlap`` nothing leaves the rank before
-    backward returns and ``wait_step`` does the whole step.
+    ``grad_ready`` is the tape hook.  While a step hides its exchange
+    (``begin_step(hide=True)``), the hook that completes the next
+    scheduled bucket publishes it (never a wait) and collects whatever
+    earlier buckets every peer has published too; ``wait_step`` blocks
+    only for the remainder.  Otherwise nothing leaves the rank before
+    ``wait_step``, which does the whole step.
 
     Timing: ``total_comm_s`` is busy time (publish + collect) and
     ``bucket_comm_s`` splits exactly that by bucket; ``exposed_wait_s``
-    is the time inside ``wait_step`` / ``flush_inline``, i.e. after
-    backward, polling included; ``comm_chain_s`` is each step's first
-    publish to its last collect.  The overlap fraction is the share of
-    that chain which ran under backward, ``1 - exposed / chain``.
+    is the time inside ``wait_step``, i.e. after backward, polling
+    included; ``comm_chain_s`` is each step's first publish to its last
+    collect.  The overlap fraction is the share of that chain which ran
+    under backward, ``1 - exposed / chain``.
     """
 
-    def __init__(self, params, layout, reducer: BucketRankReducer, *,
+    def __init__(self, arena: GradArena, reducer: BucketRankReducer, *,
                  overlap: bool = True) -> None:
         self.plan = reducer.plan
-        self._layout = layout
-        self._id2idx = {id(p): i for i, p in enumerate(params)}
+        self._vec = arena.flat
+        self._bucket_of = {id(p): b for p, b in zip(arena.params, self.plan.param_bucket)}
         self._counts0 = self.plan.param_counts()
         self._reducer = reducer
         self._overlap = overlap
@@ -225,45 +170,28 @@ class _GradBucketScheduler:
         self.bucket_comm_s = [0.0] * self.plan.n_buckets
 
     # -- per-step protocol ------------------------------------------------
-    def begin_step(self, buf: np.ndarray, step: int) -> None:
-        self._buf = buf
+    def begin_step(self, step: int, hide: bool) -> None:
         self._step = step
+        self._hide = hide and self._overlap
         self._counts = list(self._counts0)  # parameters still missing, per bucket
-        self._seen = [False] * len(self._layout)
         self._sent = 0  # buckets published so far this step
         self._got = 0   # buckets collected so far this step
 
-    def grad_ready(self, node) -> None:
-        """Tape hook: ``node``'s gradient for this backward is final."""
-        idx = self._id2idx.get(id(node))
-        if idx is None or self._seen[idx]:
-            return
-        self._seen[idx] = True
-        off, size, _ = self._layout[idx]
-        self._buf[off:off + size] = node.grad.ravel()
-        self._bucket_down(self.plan.param_bucket[idx])
-
-    def finish_backward(self) -> None:
-        """Zero-fill parameters backward never reached; flush their buckets."""
-        for idx, seen in enumerate(self._seen):
-            if not seen:
-                off, size, _ = self._layout[idx]
-                self._buf[off:off + size] = 0.0
-                self._bucket_down(self.plan.param_bucket[idx])
+    def grad_ready(self, leaf) -> None:
+        """Tape hook: ``leaf``'s gradient for this backward is final."""
+        b = self._bucket_of.get(id(leaf))
+        if b is not None:
+            self._counts[b] -= 1
+            if self._hide and self._counts[b] == 0:
+                self._pump(block=False)
 
     def wait_step(self) -> None:
-        """Block until every bucket of the step is reduced into ``buf``."""
+        """Block until every bucket of the step is reduced into the arena."""
         t0 = time.perf_counter()
         self._pump(block=True)
         t1 = time.perf_counter()
         self.exposed_wait_s += t1 - t0
         self.comm_chain_s += t1 - self._t_first
-
-    def flush_inline(self, buf: np.ndarray, step: int) -> None:
-        """One whole step with no backward to hide under (the ragged-tail
-        step): every bucket published, then collected, from ``buf``."""
-        self.begin_step(buf, step)
-        self.wait_step()
 
     def stats(self, steps: int) -> Dict:
         wire = self._reducer.wire_dtype
@@ -284,11 +212,6 @@ class _GradBucketScheduler:
         }
 
     # -- internals --------------------------------------------------------
-    def _bucket_down(self, b: int) -> None:
-        self._counts[b] -= 1
-        if self._overlap and self._counts[b] == 0:
-            self._pump(block=False)
-
     def _pump(self, block: bool) -> None:
         """Publish, in order, every bucket that is complete and collect
         every published bucket all ranks have delivered; with ``block``,
@@ -309,207 +232,176 @@ class _GradBucketScheduler:
 
     def _timed(self, op, b: int) -> None:
         t0 = time.perf_counter()
-        op(b, self._buf, self._step)
+        op(b, self._vec, self._step)
         dt = time.perf_counter() - t0
         self.total_comm_s += dt
         self.bucket_comm_s[b] += dt
 
 
-def _epoch_batches(x, y, perm, steps, batch, micro, ranks, hook):
-    """Micro-batch assembly for one epoch, staging hook included.
+class _ShareLoader(DataLoader):
+    """``FitLoop``'s loader over *global* batches: an item is ``ranks``'
+    shares of one, in rank order, each a :func:`chunk_bounds` slice of
+    the batch's permutation indices.  ``steps`` full batches split evenly
+    (``batch_size`` divides by ``world``); a kept ragged ``tail`` splits
+    pad-free, so a rank's share of it can be empty.
 
-    Yields one ``(xb, yb)`` per (step, rank) pair in deterministic
-    order.  This generator is what ``prefetch=True`` overlaps with
-    compute — the gather *and* the staging hook run on the producer
-    thread while the consumer computes the previous step.
+    The staging hook runs here, in the generator — which is what
+    ``prefetch=True`` overlaps with compute: the gather *and* the hook
+    run on the producer thread while the consumer computes.
     """
-    for step in range(steps):
-        base = step * batch
-        for rank in ranks:
-            if hook is not None:
-                hook(rank, step)
-            idx = perm[base + rank * micro: base + (rank + 1) * micro]
-            yield x[idx], (None if y is None else y[idx])
+
+    def __init__(self, data: DataLoader, spec: _TrainSpec, ranks: Sequence[int]) -> None:
+        super().__init__(data.x, data.y, data.batch_size, drop_last=spec.drop_last)
+        self.world, self.ranks, self.hook = spec.world, ranks, spec.pre_step_hook
+        self.steps = self.n_samples // self.batch_size
+        self.tail = 0 if spec.drop_last else self.n_samples % self.batch_size
+
+    def batches(self, perm: np.ndarray, first: int = 0):
+        for step in range(first, len(self)):
+            batch = perm[step * self.batch_size:(step + 1) * self.batch_size]
+            xs, ys = [], []
+            for rank in self.ranks:
+                if self.hook is not None:
+                    self.hook(rank, step)
+                lo, hi = chunk_bounds(len(batch), self.world, rank)
+                xs.append(self.x[batch[lo:hi]])
+                ys.append(None if self.y is None else self.y[batch[lo:hi]])
+            yield xs, ys
 
 
-def _make_optimizer(spec: _TrainSpec, params) -> Optimizer:
-    if spec.optimizer_factory is not None:
-        return spec.optimizer_factory(params)
-    return Adam(params, lr=spec.lr)
+class _ParallelFit(FitLoop):
+    """:class:`FitLoop` whose batch is a global batch: ``batch_grads``
+    runs the step body on each of this driver's ``ranks``' shares
+    (:meth:`share_grads`) and leaves the arena holding the mean over all
+    ``world`` ranks, loss slot included — which is then what ``fit``
+    unscales, clips and steps on.  A subclass wraps ``share_grads`` and
+    provides ``exchange()``: sum the ranks' arenas, ascending, into this one.
 
-
-def _restore_rng(state: dict) -> np.random.Generator:
-    rng = np.random.default_rng()
-    rng.bit_generator.state = state
-    return rng
-
-
-def _epoch_steps(spec: _TrainSpec) -> Tuple[int, int]:
-    """(full steps per epoch, ragged-tail sample count or 0)."""
-    steps = spec.n_samples // spec.batch_size
-    tail = 0 if spec.drop_last else spec.n_samples - steps * spec.batch_size
-    return steps, tail
-
-
-def _tail_grads(model, loss_fn, params, layout, x, y, perm, steps, spec,
-                rank, out_vec, hook) -> None:
-    """One rank's share of the ragged tail batch, pre-weighted.
-
-    The tail (``n_tail < batch_size`` samples) is split across ranks by
-    :func:`chunk_bounds` — pad-free, so no fabricated samples touch the
-    statistics.  Each rank scales its micro-batch-mean gradient (and
-    loss) by ``n_r * world / n_tail`` before the allreduce; after the
-    usual ``1/world`` the combined vector is exactly the sample-weighted
-    tail-batch average ``sum_r (n_r / n_tail) * g_r``.  A rank whose
-    share is empty skips compute and contributes zeros.  Every float in
-    that sequence is identical across backends.
+    The ragged tail batch is sample-weighted: each rank scales its
+    share-mean gradient (and loss) by ``n_r * world / n_tail`` before the
+    exchange, so after the usual ``1/world`` the arena is exactly
+    ``sum_r (n_r / n_tail) * g_r``.  A rank whose share is empty skips
+    compute and contributes zeros; no fabricated sample touches the
+    statistics.  Every float in that sequence is identical across
+    backends.
     """
-    if hook is not None:
-        hook(rank, steps)
-    tail = spec.n_samples - steps * spec.batch_size
-    lo, hi = chunk_bounds(tail, spec.world, rank)
-    if hi > lo:
-        idx = perm[steps * spec.batch_size + lo: steps * spec.batch_size + hi]
-        _grads_into(model, loss_fn, params, layout,
-                    x[idx], None if y is None else y[idx], out_vec)
-        out_vec *= (hi - lo) * spec.world / tail
-    else:
-        out_vec[:] = 0.0
+
+    def __init__(self, model: Model, x, y, spec: _TrainSpec, ranks: Sequence[int]) -> None:
+        super().__init__(model, x, y, **spec.fit_kwargs)
+        self.rng.bit_generator.state = spec.rng_state
+        if spec.optimizer_factory is not None:
+            self.opt = spec.optimizer_factory(list(model.parameters()))
+        self.world, self.ranks = spec.world, ranks
+        self.loader = _ShareLoader(self.loader, spec, ranks)
+
+    def share_grads(self, rank: int, xb, yb, window: int, tail: int) -> None:
+        """``rank``'s weighted gradients and loss into the arena; ``tail``
+        is the ragged batch's sample count, 0 for a full batch."""
+        flat = self.arena.flat
+        if len(xb):
+            super().batch_grads(xb, yb, window)
+            # A parameter this share's backward did not reach may be
+            # reached on a peer: it takes part with a zero gradient.
+            self.arena.bind(zero_unreached=True)
+            if tail:
+                flat *= len(xb) * self.world / tail
+        else:
+            flat[:] = 0.0
+
+    def batch_grads(self, xs, ys, window: int) -> None:
+        flat = self.arena.flat
+        tail = self.loader.tail if self.batch == self.loader.steps else 0
+        for rank, xb, yb in zip(self.ranks, xs, ys):
+            self.share_grads(rank, xb, yb, window, tail)
+        self.exchange()
+        flat *= 1.0 / self.world
+        self.arena.bind()
+        self.last_loss = float(flat[-1])
 
 
-#: Rank-process state, installed once per worker by :func:`_init_rank`:
-#: (model, x, y, spec, allreduce handle).
+class _RankFit(_ParallelFit):
+    """One rank process: the tape hook publishes and collects arena
+    slices under backward, and the exchange waits out the rest."""
+
+    def __init__(self, model: Model, x, y, spec: _TrainSpec, rank: int,
+                 reducer: BucketRankReducer) -> None:
+        super().__init__(model, x, y, spec, (rank,))
+        self.verbose = self.verbose and rank == 0
+        self.sched = _GradBucketScheduler(self.arena, reducer, overlap=spec.overlap)
+        self.grad_ready = self.sched.grad_ready
+
+    def share_grads(self, rank: int, xb, yb, window: int, tail: int) -> None:
+        # The tail is weighted after backward, so it has nothing to hide under.
+        self.sched.begin_step(self.global_step, hide=not tail)
+        super().share_grads(rank, xb, yb, window, tail)
+
+    def exchange(self) -> None:
+        self.sched.wait_step()
+
+
+class _SerialFit(_ParallelFit):
+    """The single-process reference: every rank's share in turn, same
+    shards, same schedule, same codec.  What it checks the process
+    backend against: a rank's arena is copied to its row *after* backward
+    returns, not shipped from the tape hook (so parity also shows every
+    hook saw a final gradient); rows combine through
+    :func:`reduce_ranks_bucketed`, never a slab; and each rank's share
+    runs under that rank's own layer state (dropout stream, BatchNorm
+    statistics), as ``world`` replicas would — the model is left with
+    rank 0's, which is also what validation sees.
+    """
+
+    def __init__(self, model: Model, x, y, spec: _TrainSpec) -> None:
+        super().__init__(model, x, y, spec, range(spec.world))
+        self.rows = np.empty((spec.world, self.arena.flat.size), dtype=self.arena.flat.dtype)
+        self.spans, self.wire_dtype = spec.plan.spans, spec.wire_dtype
+        self.scratch = WireScratch(spec.world, self.spans, spec.wire_dtype)
+        self.layer_states = [self._layer_state()] * spec.world  # replicas start identical
+
+    def _layer_state(self) -> Tuple[Dict, List[np.ndarray]]:
+        return self.model.layer_rng_states(), [b.copy() for b in self.model.buffers()]
+
+    def _install(self, rank: int) -> None:
+        rngs, buffers = self.layer_states[rank]
+        self.model.set_layer_rng_states(rngs)
+        for dst, src in zip(self.model.buffers(), buffers):
+            dst[...] = src
+
+    def share_grads(self, rank: int, xb, yb, window: int, tail: int) -> None:
+        self._install(rank)
+        super().share_grads(rank, xb, yb, window, tail)
+        self.rows[rank] = self.arena.flat
+        self.arena.release()
+        self.layer_states[rank] = self._layer_state()
+
+    def exchange(self) -> None:
+        reduce_ranks_bucketed(list(self.rows), self.spans, self.wire_dtype,
+                              out=self.arena.flat, scratch=self.scratch)
+        self._install(0)
+
+
+#: What :func:`_init_rank` installed: (model, x, y, spec, allreduce handle).
 _RANK: Optional[Tuple] = None
 
 
-def _init_rank(arrays, spec: _TrainSpec, handle: BucketAllreduceHandle) -> None:
+def _init_rank(arrays, model: Model, spec: _TrainSpec, handle: BucketAllreduceHandle) -> None:
     """Pool initializer: the model crosses the boundary once, here."""
     global _RANK
-    _RANK = (pickle.loads(spec.model_bytes), arrays["x"], arrays.get("y"), spec, handle)
+    _RANK = (model, arrays["x"], arrays.get("y"), spec, handle)
 
 
 def _train_rank(rank: int) -> Optional[Tuple]:
-    """The pool's task function, ``rank == slot``: run the rank loop on
-    the state :func:`_init_rank` installed.  Rank 0 returns (weights,
-    epoch mean losses, epoch wall times, comm stats); the others None."""
+    """The pool's task function, ``rank == slot``: drive ``fit`` on the
+    state :func:`_init_rank` installed.  Rank 0 returns (weights,
+    history, comm stats); the others None."""
     model, x, y, spec, handle = _RANK
     reducer = BucketRankReducer(handle, rank, timeout_s=spec.timeout_s)
     try:
-        losses, times, stats = _rank_loop(model, x, y, spec, rank, reducer)
+        loop = _RankFit(model, x, y, spec, rank, reducer)
+        history = loop.run()
     finally:
         reducer.close()
-    return (model.get_weights(), losses, times, stats) if rank == 0 else None
-
-
-def _rank_loop(model, x, y, spec: _TrainSpec, rank: int,
-               reducer: BucketRankReducer) -> Tuple[List[float], List[float], Dict]:
-    """The per-rank training loop (process backend).
-
-    Returns (epoch mean losses, epoch wall times, comm stats).  The
-    combined gradient is ``(sum over ranks in ascending order) *
-    (1/world)`` — the exact float sequence the serial backend replays.
-    """
-    params = list(model.parameters())
-    loss_fn = losses_mod.get(spec.loss) if isinstance(spec.loss, str) else spec.loss
-    opt = _make_optimizer(spec, params)
-    rng = _restore_rng(spec.rng_state)
-    layout, total = _param_layout(params)
-    buf = np.empty(total, dtype=np.float64)
-    micro = spec.batch_size // spec.world
-    steps, tail = _epoch_steps(spec)
-    inv_world = 1.0 / spec.world
-    sched = _GradBucketScheduler(params, layout, reducer, overlap=spec.overlap)
-    step_no = 0
-    epoch_losses: List[float] = []
-    epoch_times: List[float] = []
-    for _ in range(spec.epochs):
-        t0 = time.perf_counter()
-        perm = rng.permutation(spec.n_samples) if spec.shuffle else np.arange(spec.n_samples)
-        batches = _epoch_batches(
-            x, y, perm, steps, spec.batch_size, micro, (rank,), spec.pre_step_hook
-        )
-        if spec.prefetch:
-            batches = iter(PrefetchLoader(batches))
-        loss_sum = 0.0
-        for xb, yb in batches:
-            _grads_into(model, loss_fn, params, layout, xb, yb, buf,
-                        sched=sched, step=step_no)
-            sched.wait_step()
-            buf *= inv_world
-            _apply_combined(params, layout, buf, opt)
-            loss_sum += buf[-1]
-            step_no += 1
-        if tail:
-            _tail_grads(model, loss_fn, params, layout, x, y, perm, steps,
-                        spec, rank, buf, spec.pre_step_hook)
-            sched.flush_inline(buf, step_no)
-            buf *= inv_world
-            _apply_combined(params, layout, buf, opt)
-            loss_sum += buf[-1]
-            step_no += 1
-        epoch_losses.append(loss_sum / max(steps + (1 if tail else 0), 1))
-        epoch_times.append(time.perf_counter() - t0)
-    return epoch_losses, epoch_times, sched.stats(step_no)
-
-
-def _train_serial(model, x, y, spec: _TrainSpec) -> Tuple[List[float], List[float], Optional[Dict]]:
-    """Single-process reference: same shards, same schedule, same codec.
-
-    Ranks combine through :func:`reduce_ranks_bucketed` — the identical
-    encode/decode and ascending accumulation the process engine
-    performs on the slabs.
-    Gradients are packed after backward, not from the tape hook: the
-    same floats, so parity with the process backend also checks that
-    every hook saw a final gradient.
-    """
-    params = list(model.parameters())
-    loss_fn = losses_mod.get(spec.loss) if isinstance(spec.loss, str) else spec.loss
-    opt = _make_optimizer(spec, params)
-    rng = _restore_rng(spec.rng_state)
-    layout, total = _param_layout(params)
-    world = spec.world
-    rank_vecs = np.empty((world, total), dtype=np.float64)
-    micro = spec.batch_size // world
-    steps, tail = _epoch_steps(spec)
-    inv_world = 1.0 / world
-    spans = plan_buckets([sz for _, sz, _ in layout], total, spec.bucket_bytes).spans
-    combined_buf = np.empty(total, dtype=np.float64)
-    scratch = WireScratch(world, spans, spec.wire_dtype)
-
-    def combine() -> np.ndarray:
-        return reduce_ranks_bucketed(list(rank_vecs), spans, spec.wire_dtype,
-                                     out=combined_buf, scratch=scratch)
-
-    epoch_losses: List[float] = []
-    epoch_times: List[float] = []
-    for _ in range(spec.epochs):
-        t0 = time.perf_counter()
-        perm = rng.permutation(spec.n_samples) if spec.shuffle else np.arange(spec.n_samples)
-        batches = _epoch_batches(
-            x, y, perm, steps, spec.batch_size, micro, range(world), spec.pre_step_hook
-        )
-        if spec.prefetch:
-            batches = iter(PrefetchLoader(batches))
-        loss_sum = 0.0
-        for _step in range(steps):
-            for r in range(world):
-                xb, yb = next(batches)
-                _grads_into(model, loss_fn, params, layout, xb, yb, rank_vecs[r])
-            combined = combine()
-            combined *= inv_world
-            _apply_combined(params, layout, combined, opt)
-            loss_sum += combined[-1]
-        if tail:
-            for r in range(world):
-                _tail_grads(model, loss_fn, params, layout, x, y, perm, steps,
-                            spec, r, rank_vecs[r], spec.pre_step_hook)
-            combined = combine()
-            combined *= inv_world
-            _apply_combined(params, layout, combined, opt)
-            loss_sum += combined[-1]
-        epoch_losses.append(loss_sum / max(steps + (1 if tail else 0), 1))
-        epoch_times.append(time.perf_counter() - t0)
-    return epoch_losses, epoch_times, None
+    return (model.get_weights(), history, loop.sched.stats(loop.global_step)) if rank == 0 else None
 
 
 def fit_data_parallel(
@@ -518,52 +410,46 @@ def fit_data_parallel(
     y: Optional[np.ndarray] = None,
     *,
     world: int = 2,
-    epochs: int = 5,
-    batch_size: int = 32,
-    loss="mse",
-    lr: float = 1e-3,
-    optimizer_factory: Optional[Callable] = None,
-    seed: int = 0,
-    shuffle: bool = True,
     backend: str = "process",
     start_method: Optional[str] = None,
-    pre_step_hook: Optional[Callable[[int, int], None]] = None,
-    prefetch: bool = False,
     env: Optional[Dict[str, str]] = None,
     timeout_s: float = 600.0,
     wire_dtype: str = "float64",
     bucket_bytes: int = DEFAULT_BUCKET_BYTES,
     overlap: bool = True,
     drop_last: Optional[bool] = None,
+    pre_step_hook: Optional[Callable[[int, int], None]] = None,
+    optimizer_factory: Optional[Callable] = None,
+    **fit_kwargs,
 ) -> DataParallelResult:
-    """Train ``model`` data-parallel on ``world`` ranks; weights land in
-    ``model``.
+    """Train ``model`` data-parallel on ``world`` ranks; weights (and
+    layer buffers) land in ``model``.
+
+    Every keyword not named here is :meth:`Model.fit`'s, with ``fit``'s
+    defaults and meaning: ``epochs``, ``batch_size``, ``loss``, ``lr``,
+    ``seed``, ``clip_norm``, ``validation_data`` + ``metrics`` +
+    ``early_stopping_patience``, ``step_hook`` (runs on every rank),
+    ``verbose`` (rank 0 prints), ``prefetch``, ``precision``.  Three are
+    refused, because ranks could not honour them identically:
+    ``optimizer=`` (an instance cannot be shared; pass
+    ``optimizer_factory(params) -> Optimizer``, default ``Adam(lr=lr)``),
+    ``validation_split`` (split before the call) and
+    ``grad_accumulation > 1`` when ``world > 1``.
 
     ``batch_size`` is the *global* batch and must be divisible by
-    ``world``.  When it does not divide the dataset, ``drop_last``
-    decides the ragged tail's fate: ``True`` drops it (every rank
-    always holds an equal micro-batch), ``False`` trains on it as one
-    extra sample-weighted step per epoch (pad-free: each rank takes its
-    :func:`~repro.parallel.allreduce.chunk_bounds` share and pre-scales
-    by ``n_r * world / n_tail``, so the averaged gradient is exact and
-    deterministic).  The default ``None`` behaves like ``True`` but
-    warns — the silent drop used to be an easy way to lose data.
+    ``world``.  When it does not divide the dataset, ``drop_last=True``
+    drops the ragged tail, ``False`` trains on it as one extra
+    sample-weighted step per epoch (pad-free and exact: see
+    :class:`_ParallelFit`), and the default ``None`` drops it with a
+    warning — the silent drop used to be an easy way to lose data.
 
-    ``backend="process"`` runs real rank processes over the shared-
-    memory data plane; ``backend="serial"`` executes the identical
-    algorithm in-process.  Both produce bit-identical weights (the
-    allreduce association order is pinned), which is the testable
-    definition of "the parallel path does not change the numerics".
-
-    ``wire_dtype``/``bucket_bytes``/``overlap`` shape the gradient
-    exchange (see the module docstring); a ``bucket_bytes`` at least
-    the gradient vector's size is a single whole-vector allreduce.
-    ``timeout_s`` bounds the call; a rank that waits longer than that
-    for a peer, or whose parent is gone, raises instead of polling on.
-
-    ``optimizer_factory(params) -> Optimizer`` builds each rank's local
-    optimizer (default: ``Adam(lr=lr)``); with ``start_method="spawn"``
-    it, the loss callable, and ``pre_step_hook`` must be module-level
+    ``backend``, ``wire_dtype``, ``bucket_bytes`` and ``overlap`` are
+    described in the module docstring.  ``pre_step_hook(rank, step)`` runs
+    during share assembly — the place a real pipeline pays its staging
+    latency, and what ``prefetch=True`` hides.  ``timeout_s`` bounds the
+    call; a rank that waits longer than that for a peer, or whose parent
+    is gone, raises instead of polling on.  With ``start_method="spawn"``
+    the factory, a loss callable and the hooks must be module-level
     picklables.
     """
     if world < 1:
@@ -572,6 +458,20 @@ def fit_data_parallel(
         raise ValueError(f"unknown backend {backend!r}")
     if wire_dtype not in WIRE_DTYPES:
         raise ValueError(f"unknown wire dtype {wire_dtype!r}; choose from {WIRE_DTYPES}")
+    # TypeError, as from ``fit`` itself, on a keyword ``fit`` does not have.
+    bound = _FIT_SIGNATURE.bind(model, x, y, **fit_kwargs)
+    bound.apply_defaults()
+    fit = bound.arguments
+    if fit["optimizer"] is not None:
+        raise ValueError("optimizer= is one instance and every rank needs its own: "
+                         "pass optimizer_factory(params) -> Optimizer")
+    if fit["validation_split"]:
+        raise ValueError("validation_split would be drawn inside every rank: split the "
+                         "data before the call and pass validation_data")
+    if fit["grad_accumulation"] > 1 and world > 1:
+        raise ValueError("grad_accumulation > 1 with world > 1 is refused: the per-batch "
+                         "loss of a window that is not reduced yet is undefined")
+    epochs, batch_size = fit["epochs"], fit["batch_size"]
     if batch_size % world != 0:
         raise ValueError(f"batch_size {batch_size} not divisible by world {world}")
     x = np.ascontiguousarray(x)
@@ -594,24 +494,22 @@ def fit_data_parallel(
     drop_tail = True if drop_last is None else bool(drop_last)
     steps_per_epoch = steps + (1 if (tail and not drop_tail) else 0)
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(fit["seed"])
     if not model.built:
         model.build(x.shape[1:], rng)
-    params = list(model.parameters())
-    layout, total = _param_layout(params)
-
+    if world > 1 and fit["early_stopping_patience"] is not None and any(True for _ in model.buffers()):
+        raise ValueError("early stopping with layer buffers and world > 1 is refused: each "
+                         "rank's running statistics give it its own validation loss, so "
+                         "ranks would stop at different epochs")
+    sizes = [p.data.size for p in model.parameters()]
     spec = _TrainSpec(
-        model_bytes=pickle.dumps(model),
-        rng_state=rng.bit_generator.state,
-        world=world, epochs=epochs, batch_size=batch_size, loss=loss, lr=lr,
-        optimizer_factory=optimizer_factory, shuffle=shuffle,
-        pre_step_hook=pre_step_hook, prefetch=prefetch, n_samples=n,
-        wire_dtype=wire_dtype, bucket_bytes=bucket_bytes, overlap=overlap,
-        drop_last=drop_tail, timeout_s=timeout_s,
+        rng_state=rng.bit_generator.state, world=world, fit_kwargs=fit_kwargs,
+        optimizer_factory=optimizer_factory, pre_step_hook=pre_step_hook,
+        wire_dtype=wire_dtype, plan=plan_buckets(sizes, sum(sizes) + 1, bucket_bytes),
+        overlap=overlap, drop_last=drop_tail, timeout_s=timeout_s,
     )
 
     rec = get_recorder()
-    span_id = None
     if rec is not None:
         span_id = rec.begin(
             "ddp_fit", kind="ddp.fit", world=world, backend=backend,
@@ -625,17 +523,16 @@ def fit_data_parallel(
         if backend == "serial" or world == 1:
             # world==1 process mode would pay the data-plane setup for a
             # pool of one; run it in-process (identical numerics).
-            losses, times, stats = _train_serial(model, x, y_arr, spec)
+            history, stats = _SerialFit(model, x, y_arr, spec).run(), None
         else:
-            losses, times, stats = _fit_on_pool(
-                model, x, y_arr, spec, layout, total, start_method, env, timeout_s
-            )
+            history, stats = _fit_on_pool(model, x, y_arr, spec, start_method, env)
         elapsed = time.perf_counter() - t0
     except BaseException:
         if rec is not None:
             rec.end(span_id, aborted=True)
         raise
 
+    losses, times = history.series("loss"), history.series("time")
     if rec is not None:
         for i, (dt, lv) in enumerate(zip(times, losses)):
             rec.add_complete("epoch", kind="ddp.epoch", dur_wall=dt, epoch=i, loss=lv)
@@ -652,31 +549,31 @@ def fit_data_parallel(
             rec.metrics.gauge("ddp.overlap_fraction").set(stats["overlap_fraction"])
         rec.end(span_id, elapsed_s=elapsed, final_loss=losses[-1])
     return DataParallelResult(
-        world=world, backend=backend, epochs=epochs, steps_per_epoch=steps_per_epoch,
+        world=world, backend=backend, epochs=len(history), steps_per_epoch=steps_per_epoch,
         elapsed_s=elapsed, epoch_losses=losses, epoch_times=times, comm_stats=stats,
+        history=history,
     )
 
 
-def _fit_on_pool(model, x, y, spec: _TrainSpec, layout, vec_len: int,
-                 start_method: Optional[str], env: Optional[Dict[str, str]],
-                 timeout_s: float) -> Tuple[List[float], List[float], Optional[Dict]]:
-    """One pool slot per rank, one :func:`_train_rank` task per slot."""
+def _fit_on_pool(model: Model, x, y, spec: _TrainSpec, start_method: Optional[str],
+                 env: Optional[Dict[str, str]]) -> Tuple[History, Dict]:
+    """One pool slot per rank, one :func:`_train_rank` task per slot;
+    rank 0's weights go into ``model``."""
     store = SharedArrayStore("repro_ddp", {"x": x} if y is None else {"x": x, "y": y})
     try:
-        plan = plan_buckets([sz for _, sz, _ in layout], vec_len, spec.bucket_bytes)
-        handle = create_bucketed_allreduce(store, spec.world, plan, spec.wire_dtype)
+        handle = create_bucketed_allreduce(store, spec.world, spec.plan, spec.wire_dtype)
     except BaseException:
         store.close()
         raise
     pool = ProcessWorkerPool(
-        _train_rank, spec.world, initializer=_init_rank, initargs=(spec, handle),
+        _train_rank, spec.world, initializer=_init_rank, initargs=(model, spec, handle),
         start_method=start_method, env=env, dedicated_queues=True,
         max_task_retries=0,  # a lost rank loses the fit: its peers hold its gradients
         shared=store,
     )
     try:
         ranks = {pool.submit(rank, slot=rank): rank for rank in range(spec.world)}
-        deadline = time.perf_counter() + timeout_s
+        deadline = time.perf_counter() + spec.timeout_s
         payload = None
         for _ in ranks:
             res = pool.next_result(timeout=max(deadline - time.perf_counter(), 0.0))
@@ -693,6 +590,9 @@ def _fit_on_pool(model, x, y, spec: _TrainSpec, layout, vec_len: int,
         pool.close(join_timeout=0.0)
         raise
     pool.close()
-    weights, losses, times, stats = payload
+    weights, history, stats = payload
+    for p, w in zip(model.parameters(), weights):
+        if p.data.dtype != w.dtype:  # precision= cast the ranks' parameters in place
+            p.data = p.data.astype(w.dtype)
     model.set_weights(weights)
-    return losses, times, stats
+    return history, stats

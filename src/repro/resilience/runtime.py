@@ -28,7 +28,6 @@ import numpy as np
 from ..hpc.cluster import SimCluster
 from ..hpc.perfmodel import ModelProfile
 from ..nn.model import FitLoop, History, Model
-from ..nn.serialization import restore_rng, rng_state
 from ..obs.context import get_recorder
 from .checkpoint import CheckpointManager
 from .faults import FaultInjector
@@ -151,11 +150,7 @@ class _ResilientLoop(FitLoop):
         meta = {
             "epoch_sum": self.epoch_sum,
             "epoch_count": self.batch,
-            # Bit-generator states of per-layer RNGs (dropout masks etc.).
-            "layer_rngs": {
-                str(i): rng_state(layer._rng) for i, layer in enumerate(self.model.layers)
-                if isinstance(getattr(layer, "_rng", None), np.random.Generator)
-            },
+            "layer_rngs": self.model.layer_rng_states(),
             "best_val": self.best_val,
             "patience_left": self.patience_left,
             "stopped": self.stopped,
@@ -187,8 +182,7 @@ class _ResilientLoop(FitLoop):
         meta, extra = header.get("metadata", {}), header["extra"]
         if header["rng"] is not None:
             self.rng = header["rng"]
-        for i, state in meta.get("layer_rngs", {}).items():
-            self.model.layers[int(i)]._rng = restore_rng(state)
+        self.model.set_layer_rng_states(meta.get("layer_rngs", {}))
         self.epoch = int(header["epoch"])
         self.batch = int(header.get("step", 0))
         self.global_step = int(header.get("global_step", 0))

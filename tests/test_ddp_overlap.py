@@ -13,6 +13,7 @@ silent.
 import glob
 import multiprocessing as mp
 import os
+import pickle
 import signal
 import subprocess
 import sys
@@ -26,7 +27,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.nn import Dense, Sequential
+from repro.nn import Adam, BatchNorm, Dense, Dropout, Sequential
 from repro.obs import TraceRecorder
 from repro.parallel import (
     BucketRankReducer,
@@ -64,6 +65,24 @@ def weights_diff(a, b):
     wa, wb = a.get_weights(), b.get_weights()
     assert len(wa) == len(wb)
     return max(float(np.abs(p - q).max()) for p, q in zip(wa, wb))
+
+
+#: ``fit`` keywords ``fit_data_parallel`` forwards to its drivers: what
+#: they mean must not depend on the backend.  (Two epochs never exhaust
+#: ``early_stopping_patience=1``; the bookkeeping still runs.)
+_XV, _YV = make_regression(n=24, seed=9)
+FIT_KEYWORD_SETS = {
+    "plain": {},
+    "clip": dict(clip_norm=0.5),
+    "validate": dict(validation_data=(_XV, _YV), early_stopping_patience=1),
+    "fp32": dict(precision="fp32"),
+    "bf16": dict(precision="bf16"),
+}
+
+
+def history_rows(result):
+    """A result's per-epoch history without the wall-clock column."""
+    return [{k: v for k, v in row.items() if k != "time"} for row in result.history.epochs]
 
 
 # ----------------------------------------------------------------------
@@ -401,14 +420,16 @@ class TestOneSidedProtocol:
     @pytest.mark.parametrize("wd", WIRE_DTYPES)
     @pytest.mark.parametrize("world", [2, 3, 4])  # 3 and 4 oversubscribe a 2-core box
     @settings(max_examples=2, deadline=None)
-    @given(seed=st.integers(0, 2**16))
-    def test_any_skew_schedule_is_bit_identical_to_serial(self, world, wd, overlap, seed):
-        # 5 full steps + the ragged-tail flush_inline step per epoch, two
-        # epochs: each slab generation is reused five times.
+    @given(seed=st.integers(0, 2**16), fit_set=st.sampled_from(sorted(FIT_KEYWORD_SETS)))
+    def test_any_skew_schedule_is_bit_identical_to_serial(self, world, wd, overlap, seed, fit_set):
+        # 5 full steps + the ragged-tail step (nothing to hide under) per
+        # epoch, two epochs: each slab generation is reused five times.
+        # ``fit_set`` is a set of ``fit`` keywords the drivers forward.
         batch = 4 * world
         x, y = make_regression(n=5 * batch + 5)
         kwargs = dict(world=world, epochs=2, batch_size=batch, seed=4, drop_last=False,
-                      wire_dtype=wd, bucket_bytes=256, overlap=overlap)
+                      wire_dtype=wd, bucket_bytes=256, overlap=overlap,
+                      **FIT_KEYWORD_SETS[fit_set])
         m_proc, m_ser = make_net(), make_net()
         r_proc = fit_data_parallel(m_proc, x, y, backend="process", start_method="fork",
                                    pre_step_hook=_skew_hook(seed), **kwargs)
@@ -417,6 +438,8 @@ class TestOneSidedProtocol:
         assert r_proc.steps == 12
         assert weights_diff(m_proc, m_ser) == 0.0
         assert r_proc.epoch_losses == r_ser.epoch_losses
+        assert history_rows(r_proc) == history_rows(r_ser)
+        assert [w.dtype for w in m_proc.get_weights()] == [w.dtype for w in m_ser.get_weights()]
 
     def test_wait_is_bounded_and_names_what_it_waited_for(self):
         plan = plan_buckets([20, 20], total=41, bucket_bytes=160)
@@ -454,7 +477,7 @@ class TestOneSidedProtocol:
         script = f"""
 import os
 import numpy as np
-from repro.nn import Dense, Sequential
+from repro.nn import Adam, BatchNorm, Dense, Dropout, Sequential
 from repro.parallel import fit_data_parallel
 
 def hook(rank, step):
@@ -560,6 +583,85 @@ class TestRaggedTail:
             warnings.simplefilter("error", UserWarning)
             fit_data_parallel(make_net(), x, y, world=2, epochs=1,
                               batch_size=16, backend="serial", seed=4)
+
+
+# ----------------------------------------------------------------------
+# Layer state that is not a parameter; what forwarding refuses
+# ----------------------------------------------------------------------
+STATEFUL_NETS = {
+    "dropout": lambda: Sequential([Dense(8, activation="tanh"), Dropout(0.3), Dense(1)]),
+    "batchnorm": lambda: Sequential([Dense(8, activation="tanh"), BatchNorm(), Dense(1)]),
+}
+
+
+class TestStatefulLayers:
+    @pytest.mark.parametrize("start_method", ["fork", "spawn"])
+    @pytest.mark.parametrize("kind", sorted(STATEFUL_NETS))
+    def test_process_bit_identical_to_serial(self, kind, start_method):
+        """Every rank owns a dropout stream and BatchNorm statistics; the
+        serial reference must replay ``world`` replicas, not run every
+        share through one layer state — and both leave rank 0's."""
+        x, y = make_regression(n=101)
+        m_proc, m_ser = STATEFUL_NETS[kind](), STATEFUL_NETS[kind]()
+        kwargs = dict(world=2, epochs=3, batch_size=16, seed=4, drop_last=False, bucket_bytes=256)
+        r_proc = fit_data_parallel(m_proc, x, y, backend="process",
+                                   start_method=start_method, **kwargs)
+        r_ser = fit_data_parallel(m_ser, x, y, backend="serial", **kwargs)
+        assert weights_diff(m_proc, m_ser) == 0.0  # get_weights: parameters, then buffers
+        assert r_proc.epoch_losses == r_ser.epoch_losses
+        buffers = list(zip(m_proc.buffers(), m_ser.buffers()))
+        assert len(buffers) == (2 if kind == "batchnorm" else 0)
+        for got, want in buffers:
+            assert np.array_equal(got, want)
+
+    def test_trained_running_stats_reach_the_caller(self):
+        x, y = make_regression()
+        m_proc, m_ser = STATEFUL_NETS["batchnorm"](), STATEFUL_NETS["batchnorm"]()
+        for model, backend in ((m_proc, "process"), (m_ser, "serial")):
+            fit_data_parallel(model, x, y, world=2, epochs=2, batch_size=16, seed=4,
+                              backend=backend)
+        mean, var = m_proc.buffers()
+        assert np.abs(mean).max() > 0 and np.abs(var - 1.0).max() > 0, "still the build values"
+        assert np.array_equal(m_proc.predict(x), m_ser.predict(x))
+
+
+class TestForwardedKeywords:
+    def test_what_the_drivers_cannot_honour_is_refused(self):
+        x, y = make_regression()
+        net = make_net()
+        net.build(x.shape[1:], np.random.default_rng(0))
+        with pytest.raises(TypeError, match="shuffle"):  # removed: fit has no such keyword
+            fit_data_parallel(make_net(), x, y, batch_size=16, shuffle=False)
+        with pytest.raises(ValueError, match="optimizer_factory"):
+            fit_data_parallel(net, x, y, batch_size=16, optimizer=Adam(net.parameters()))
+        with pytest.raises(ValueError, match="grad_accumulation"):
+            fit_data_parallel(make_net(), x, y, batch_size=16, grad_accumulation=2)
+        with pytest.raises(ValueError, match="validation_split"):
+            fit_data_parallel(make_net(), x, y, batch_size=16, validation_split=0.2)
+        with pytest.raises(ValueError, match="running statistics"):
+            fit_data_parallel(STATEFUL_NETS["batchnorm"](), x, y, batch_size=16,
+                              validation_data=(x, y), early_stopping_patience=2)
+
+    def test_accumulation_on_one_rank_is_model_fit(self):
+        x, y = make_regression(n=101)
+        m_ddp, m_fit = make_net(), make_net()
+        options = dict(epochs=2, batch_size=16, seed=0, grad_accumulation=3)
+        res = fit_data_parallel(m_ddp, x, y, world=1, drop_last=False, **options)
+        hist = m_fit.fit(x, y, **options)
+        assert weights_diff(m_ddp, m_fit) == 0.0
+        assert res.epoch_losses == hist.series("loss")
+
+    def test_fit_leaves_nothing_of_the_arena_in_the_model(self):
+        """``ddp_mlp`` and ``hpo_campaign`` pickle models into workers: a
+        fitted model must cost what a built one does, gradients (views
+        of the fit's arena while a window is open) included."""
+        x, y = make_regression()
+        net = make_net()
+        net.build(x.shape[1:], np.random.default_rng(0))
+        built = len(pickle.dumps(net))
+        net.fit(x, y, epochs=1, batch_size=16)
+        assert all(p.grad is None for p in net.parameters())
+        assert len(pickle.dumps(net)) == built
 
 
 # ----------------------------------------------------------------------

@@ -473,6 +473,22 @@ class TestDataParallelFit:
         )
         m_fit.fit(x, y, epochs=2, batch_size=16, seed=0, verbose=0)
         assert weights_equal(m_ddp, m_fit) == 0.0
+        # One rank is ``Model.fit`` under every keyword the driver
+        # forwards, and on a dataset the batch does not divide: the kept
+        # tail's weight is exactly 1.0, so it is fit's short last batch.
+        xr, yr = make_regression(n=101)
+        xv, yv = make_regression(n=24, seed=9)
+        for options in ({}, dict(clip_norm=0.5), dict(precision="fp32"), dict(precision="bf16"),
+                        dict(validation_data=(xv, yv), early_stopping_patience=1)):
+            for xs, ys in ((x, y), (xr, yr)):
+                m_ddp, m_fit = make_net(), make_net()
+                res = fit_data_parallel(m_ddp, xs, ys, world=1, epochs=3, batch_size=16,
+                                        backend="serial", seed=0, drop_last=False, **options)
+                hist = m_fit.fit(xs, ys, epochs=3, batch_size=16, seed=0, **options)
+                assert weights_equal(m_ddp, m_fit) == 0.0, options
+                assert res.epoch_losses == hist.series("loss"), options
+                assert res.history.series("val_loss") == hist.series("val_loss")
+                assert res.steps == len(hist) * -(-len(xs) // 16)
 
     def test_training_reduces_loss(self):
         x, y = make_regression()

@@ -504,6 +504,27 @@ class TestServingIntegration:
         assert result is not None and result.status == "ok"
         assert np.array_equal(result.value, model.predict(x, batch_size=8))
 
+    def test_layer_buffers_travel_with_the_artifact(self, tmp_path, p1b2_shape):
+        """BatchNorm's running statistics are part of what was published:
+        the store, the loader and the replicas' shared segments must hand
+        back the trained model, not its parameters over fresh buffers."""
+        hparams = {"hidden": (16,), "batch_norm": True}
+        model = get_benchmark(BENCHMARK).materialize(**hparams)
+        rng = np.random.default_rng(0)
+        x = rng.standard_normal((64,) + p1b2_shape)
+        model.fit(x, rng.integers(0, 4, size=64), epochs=2, batch_size=16, loss="cross_entropy")
+        store = ArtifactStore(tmp_path)
+        ref = store.publish(model, "bn", BENCHMARK, hparams=hparams)
+        assert ref.content_hash == weights_checksum(model.get_weights())
+        want = model.predict(x[:8], batch_size=8)
+        assert np.array_equal(store.get("bn").predict(x[:8], batch_size=8), want)
+        with ReplicaGroup.from_store(store, "bn", n_replicas=1, hang_timeout_s=60.0) as group:
+            group.wait_ready()
+            group.submit(0, x=x[:8])
+            result = group.poll(timeout=30.0)
+        assert result is not None and result.status == "ok"
+        assert np.array_equal(result.value, want)
+
     def _quantized_store(self, tmp_path, p1b2_shape):
         model = get_benchmark(BENCHMARK).materialize(**HPARAMS)
         rng = np.random.default_rng(0)

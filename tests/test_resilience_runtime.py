@@ -359,6 +359,25 @@ class TestBitIdenticalResume:
         assert faulty_hist.series("loss") == clean_hist.series("loss")
         assert_bit_identical(clean_model, faulty_model)
 
+    def test_batchnorm_statistics_survive_a_crash(self, data, tmp_path):
+        """Layer buffers are model state: a snapshot that kept only the
+        parameters resumed with stale running statistics, and the resumed
+        model predicted differently on identical weights."""
+        x, y = data
+
+        def run(ckpt_dir, injector=None):
+            model = build_p1b2_classifier(4, hidden=(12,), dropout=0.0, batch_norm=True)
+            run_resilient_training(
+                model, x, y, checkpoint_dir=ckpt_dir, epochs=3, batch_size=16,
+                loss="cross_entropy", lr=1e-3, seed=0, checkpoint_every=4, injector=injector,
+            )
+            return model
+
+        clean = run(tmp_path / "clean")
+        faulty = run(tmp_path / "faulty", FaultInjector(crash_steps=(5, 11), seed=0))
+        assert_bit_identical(clean, faulty)
+        assert np.array_equal(clean.predict(x), faulty.predict(x))
+
     def test_resume_across_calls_matches_single_run(self, data, tmp_path):
         """Kill-and-reschedule across process boundaries: train 2 epochs,
         come back later for 4 — identical to 4 straight."""
