@@ -1,10 +1,11 @@
 """Optimizers.
 
-State (momentum buffers, Adam moments) lives in the optimizer, keyed by
-parameter identity, so the same parameter list can be re-optimized after a
-checkpoint restore.  All updates are in-place on ``param.data``.
+State (momentum buffers, Adam moments) lives in the optimizer, by
+parameter position: one flat vector per declared slot in the gradient
+arena's layout (:func:`repro.nn.tensor.flat_layout`), so a snapshot needs
+no knowledge of the optimizer.  All updates are in-place on ``param.data``.
 
-Update arithmetic runs through preallocated per-parameter scratch buffers
+Update arithmetic runs through preallocated per-parameter scratch views
 (``out=`` ufunc forms) so ``step()`` allocates nothing after the first
 call.  The in-place sequences replicate the reference expressions
 factor-for-factor — IEEE-754 ``+``/``*`` are commutative (though not
@@ -14,15 +15,24 @@ while reassociation would not.  ``p.grad`` itself is never written.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 import numpy as np
 
-from .tensor import Tensor
+from .tensor import Tensor, flat_layout
 
 
 class Optimizer:
-    """Base optimizer over a list of parameters."""
+    """Base optimizer over a list of parameters.
+
+    A subclass names its state in ``slots``.  ``state`` maps each name to
+    its flat vector; it is None until the first step allocates it —
+    lazily, so an optimizer built before ``fit(precision=)`` casts the
+    parameters gets the dtype the cast leaves.  ``_views[i]`` is parameter
+    ``i``'s slice of each slot, then of two scratch vectors.
+    """
+
+    slots: Tuple[str, ...] = ()
 
     def __init__(self, params: Iterable[Tensor], lr: float, weight_decay: float = 0.0) -> None:
         self.params: List[Tensor] = list(params)
@@ -33,42 +43,55 @@ class Optimizer:
         self.lr = lr
         self.weight_decay = weight_decay
         self.step_count = 0
-        # Pure scratch (never serialized): per-param work buffers for the
-        # out= update arithmetic, plus a weight-decay staging buffer.
-        self._scratch: Dict[int, tuple] = {}
-        self._wd: Dict[int, np.ndarray] = {}
+        self.state: Optional[Dict[str, np.ndarray]] = None
+
+    def _allocate(self) -> None:
+        # Zeroed: the slots, then (never serialized) two scratch vectors
+        # and the weight-decay staging buffer.
+        vectors = [flat_layout(self.params) for _ in range(len(self.slots) + 3)]
+        self.state = {name: flat for name, (flat, _) in zip(self.slots, vectors)}
+        *per_param, self._wd = (views for _, views in vectors)
+        self._views = list(zip(*per_param))
+
+    def load_state(self, state: Optional[Mapping[str, np.ndarray]]) -> None:
+        """Install a saved ``state`` (copied in).  None clears it: the
+        next step starts from zeros.  Anything but exactly this
+        optimizer's slots, at this parameter list's length, is refused."""
+        if state is None:
+            self.state = None
+            return
+        size = sum(p.data.size for p in self.params)
+        shapes = {name: saved.shape for name, saved in state.items()}
+        if shapes != dict.fromkeys(self.slots, (size,)):
+            raise ValueError(f"optimizer state {shapes} is not slots {self.slots} of shape ({size},)")
+        self._allocate()
+        for name, saved in state.items():
+            self.state[name][:] = saved
 
     def zero_grad(self) -> None:
         for p in self.params:
             p.grad = None
 
-    def _scratch_pair(self, p: Tensor) -> tuple:
-        pair = self._scratch.get(id(p))
-        if pair is None or pair[0].shape != p.data.shape:
-            pair = (np.empty_like(p.data), np.empty_like(p.data))
-            self._scratch[id(p)] = pair
-        return pair
-
     def step(self) -> None:
+        if self.state is None:
+            self._allocate()
         self.step_count += 1
-        for p in self.params:
+        for i, p in enumerate(self.params):
             if p.grad is None:
                 continue
             grad = p.grad
             if self.weight_decay:
                 if grad.dtype == p.data.dtype:
-                    buf = self._wd.get(id(p))
-                    if buf is None or buf.shape != p.data.shape:
-                        buf = self._wd[id(p)] = np.empty_like(p.data)
                     # grad + wd*p.data, staged so p.grad stays untouched.
+                    buf = self._wd[i]
                     np.multiply(p.data, self.weight_decay, out=buf)
                     np.add(buf, grad, out=buf)
                     grad = buf
                 else:
                     grad = grad + self.weight_decay * p.data
-            self._update(p, grad)
+            self._update(i, p, grad)
 
-    def _update(self, p: Tensor, grad: np.ndarray) -> None:
+    def _update(self, i: int, p: Tensor, grad: np.ndarray) -> None:
         raise NotImplementedError
 
     def grad_norm(self) -> float:
@@ -106,37 +129,25 @@ class SGD(Optimizer):
             raise ValueError("nesterov requires momentum > 0")
         self.momentum = momentum
         self.nesterov = nesterov
-        self._velocity: Dict[int, np.ndarray] = {}
+        self.slots = ("velocity",) if momentum else ()
 
-    def _update(self, p: Tensor, grad: np.ndarray) -> None:
-        if grad.dtype != p.data.dtype:  # mixed-dtype fallback (rare)
-            if self.momentum:
-                v = self._velocity.get(id(p))
-                if v is None:
-                    v = self._velocity[id(p)] = np.zeros_like(p.data)
-                v *= self.momentum
-                v += grad
-                step = grad + self.momentum * v if self.nesterov else v
-            else:
-                step = grad
-            p.data -= self.lr * step
-            return
-        s, _ = self._scratch_pair(p)
+    def _update(self, i: int, p: Tensor, grad: np.ndarray) -> None:
+        *velocity, s, _ = self._views[i]
+        step = grad
         if self.momentum:
-            v = self._velocity.get(id(p))
-            if v is None:
-                v = np.zeros_like(p.data)
-                self._velocity[id(p)] = v
+            v, = velocity
             v *= self.momentum
             v += grad
+            step = v
+        if grad.dtype != p.data.dtype:  # mixed-dtype fallback (rare)
             if self.nesterov:
-                np.multiply(v, self.momentum, out=s)  # momentum * v
-                np.add(s, grad, out=s)                # grad + momentum * v
-                step = s
-            else:
-                step = v
-        else:
-            step = grad
+                step = grad + self.momentum * v
+            p.data -= self.lr * step
+            return
+        if self.nesterov:
+            np.multiply(v, self.momentum, out=s)  # momentum * v
+            np.add(s, grad, out=s)                # grad + momentum * v
+            step = s
         # p.data -= lr * step, staged through scratch so ``grad`` (possibly
         # p.grad itself) is never written.
         np.multiply(step, self.lr, out=s)
@@ -145,6 +156,8 @@ class SGD(Optimizer):
 
 class Adam(Optimizer):
     """Adam (Kingma & Ba 2015) with bias correction."""
+
+    slots = ("m", "v")
 
     def __init__(
         self,
@@ -157,19 +170,9 @@ class Adam(Optimizer):
     ) -> None:
         super().__init__(params, lr, weight_decay)
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
-        self._m: Dict[int, np.ndarray] = {}
-        self._v: Dict[int, np.ndarray] = {}
 
-    def _update(self, p: Tensor, grad: np.ndarray) -> None:
-        # .get + fill on miss, not setdefault: setdefault evaluates its
-        # zeros_like default on every call, allocating two dead buffers
-        # per parameter per step.
-        m = self._m.get(id(p))
-        if m is None:
-            m = self._m[id(p)] = np.zeros_like(p.data)
-        v = self._v.get(id(p))
-        if v is None:
-            v = self._v[id(p)] = np.zeros_like(p.data)
+    def _update(self, i: int, p: Tensor, grad: np.ndarray) -> None:
+        m, v, s1, s2 = self._views[i]
         t = self.step_count
         if grad.dtype != p.data.dtype:  # mixed-dtype fallback (rare)
             m *= self.beta1
@@ -180,7 +183,6 @@ class Adam(Optimizer):
             v_hat = v / (1 - self.beta2 ** t)
             p.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
             return
-        s1, s2 = self._scratch_pair(p)
         m *= self.beta1
         np.multiply(grad, 1 - self.beta1, out=s1)  # (1-b1) * grad
         m += s1
@@ -200,6 +202,8 @@ class Adam(Optimizer):
 class RMSProp(Optimizer):
     """RMSProp (Tieleman & Hinton)."""
 
+    slots = ("sq",)
+
     def __init__(
         self,
         params: Iterable[Tensor],
@@ -210,18 +214,14 @@ class RMSProp(Optimizer):
     ) -> None:
         super().__init__(params, lr, weight_decay)
         self.rho, self.eps = rho, eps
-        self._sq: Dict[int, np.ndarray] = {}
 
-    def _update(self, p: Tensor, grad: np.ndarray) -> None:
-        sq = self._sq.get(id(p))
-        if sq is None:  # avoid setdefault's per-call zeros_like
-            sq = self._sq[id(p)] = np.zeros_like(p.data)
+    def _update(self, i: int, p: Tensor, grad: np.ndarray) -> None:
+        sq, s1, s2 = self._views[i]
         if grad.dtype != p.data.dtype:  # mixed-dtype fallback (rare)
             sq *= self.rho
             sq += (1 - self.rho) * grad * grad
             p.data -= self.lr * grad / (np.sqrt(sq) + self.eps)
             return
-        s1, s2 = self._scratch_pair(p)
         sq *= self.rho
         np.multiply(grad, 1 - self.rho, out=s1)  # ((1-rho) * grad) * grad
         np.multiply(s1, grad, out=s1)
@@ -236,20 +236,18 @@ class RMSProp(Optimizer):
 class AdaGrad(Optimizer):
     """AdaGrad — included for the HPO search-space experiments."""
 
+    slots = ("acc",)
+
     def __init__(self, params: Iterable[Tensor], lr: float = 0.01, eps: float = 1e-10, weight_decay: float = 0.0) -> None:
         super().__init__(params, lr, weight_decay)
         self.eps = eps
-        self._acc: Dict[int, np.ndarray] = {}
 
-    def _update(self, p: Tensor, grad: np.ndarray) -> None:
-        acc = self._acc.get(id(p))
-        if acc is None:  # avoid setdefault's per-call zeros_like
-            acc = self._acc[id(p)] = np.zeros_like(p.data)
+    def _update(self, i: int, p: Tensor, grad: np.ndarray) -> None:
+        acc, s1, s2 = self._views[i]
         if grad.dtype != p.data.dtype:  # mixed-dtype fallback (rare)
             acc += grad * grad
             p.data -= self.lr * grad / (np.sqrt(acc) + self.eps)
             return
-        s1, s2 = self._scratch_pair(p)
         np.multiply(grad, grad, out=s1)
         acc += s1
         np.multiply(grad, self.lr, out=s1)  # lr * grad
@@ -257,18 +255,3 @@ class AdaGrad(Optimizer):
         s2 += self.eps
         np.divide(s1, s2, out=s1)
         p.data -= s1
-
-
-OPTIMIZERS = {
-    "sgd": SGD,
-    "adam": Adam,
-    "rmsprop": RMSProp,
-    "adagrad": AdaGrad,
-}
-
-
-def get(name: str):
-    try:
-        return OPTIMIZERS[name]
-    except KeyError:
-        raise ValueError(f"unknown optimizer {name!r}; choose from {sorted(OPTIMIZERS)}")

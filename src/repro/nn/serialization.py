@@ -24,7 +24,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .model import Model
-from .optim import Adam, Optimizer, RMSProp, SGD
+from .optim import Optimizer
 
 
 class CheckpointIntegrityError(RuntimeError):
@@ -133,64 +133,37 @@ def unwrap_optimizer(optimizer):
 
 
 def _pack_optimizer(optimizer: Optional[Optimizer], arrays: Dict[str, np.ndarray]) -> Dict:
-    """Append optimizer moment arrays to ``arrays``; return the JSON header."""
+    """Append the optimizer's slot vectors to ``arrays`` as ``opt_<slot>``;
+    return the JSON header, which names them."""
     optimizer = unwrap_optimizer(optimizer)
-    opt_state: Dict = {"type": None}
-    if optimizer is not None:
-        opt_state["type"] = type(optimizer).__name__
-        opt_state["lr"] = optimizer.lr
-        opt_state["step_count"] = optimizer.step_count
-        params = optimizer.params
-        if isinstance(optimizer, Adam):
-            for i, p in enumerate(params):
-                if id(p) in optimizer._m:
-                    arrays[f"adam_m_{i:04d}"] = optimizer._m[id(p)]
-                    arrays[f"adam_v_{i:04d}"] = optimizer._v[id(p)]
-        elif isinstance(optimizer, RMSProp):
-            for i, p in enumerate(params):
-                if id(p) in optimizer._sq:
-                    arrays[f"rms_sq_{i:04d}"] = optimizer._sq[id(p)]
-        elif isinstance(optimizer, SGD) and optimizer.momentum:
-            for i, p in enumerate(params):
-                if id(p) in optimizer._velocity:
-                    arrays[f"sgd_v_{i:04d}"] = optimizer._velocity[id(p)]
-    return opt_state
+    if optimizer is None:
+        return {"type": None}
+    state = optimizer.state
+    for name, flat in (state or {}).items():
+        arrays[f"opt_{name}"] = flat
+    return {"type": type(optimizer).__name__, "lr": optimizer.lr, "step_count": optimizer.step_count,
+            "slots": None if state is None else sorted(state)}
 
 
 def _unpack_optimizer(optimizer: Optional[Optimizer], opt_state: Dict, data) -> None:
-    """Restore optimizer moments saved by :func:`_pack_optimizer` from
-    ``data``, the arrays :func:`read_npz` decoded (handed over, not copied).
-
-    The restore is *exact*: moments absent from the snapshot are cleared,
-    not kept — a run restored to a pre-first-step snapshot must not carry
-    stale moments from the incarnation that died.
-    """
+    """Restore what :func:`_pack_optimizer` saved from ``data``, the
+    arrays :func:`read_npz` decoded.  The restore is *exact*: a snapshot
+    taken before the first step has no slots and clears the optimizer's —
+    a run restored to it must not carry stale moments from the incarnation
+    that died."""
     optimizer = unwrap_optimizer(optimizer)
     if optimizer is None or opt_state.get("type") != type(optimizer).__name__:
         return
+    slots = opt_state.get("slots")
+    try:
+        state = None if slots is None else {name: data[f"opt_{name}"] for name in slots}
+    except KeyError as exc:
+        raise CheckpointIntegrityError(
+            f"the header lists optimizer slot {exc} and the file lacks it; refusing to load"
+        ) from None
+    optimizer.load_state(state)
     optimizer.lr = opt_state["lr"]
     optimizer.step_count = opt_state["step_count"]
-    params = optimizer.params
-    if isinstance(optimizer, Adam):
-        optimizer._m.clear()
-        optimizer._v.clear()
-        for i, p in enumerate(params):
-            key = f"adam_m_{i:04d}"
-            if key in data:
-                optimizer._m[id(p)] = data[key]
-                optimizer._v[id(p)] = data[f"adam_v_{i:04d}"]
-    elif isinstance(optimizer, RMSProp):
-        optimizer._sq.clear()
-        for i, p in enumerate(params):
-            key = f"rms_sq_{i:04d}"
-            if key in data:
-                optimizer._sq[id(p)] = data[key]
-    elif isinstance(optimizer, SGD):
-        optimizer._velocity.clear()
-        for i, p in enumerate(params):
-            key = f"sgd_v_{i:04d}"
-            if key in data:
-                optimizer._velocity[id(p)] = data[key]
 
 
 def rng_state(rng: np.random.Generator) -> Dict:
@@ -257,8 +230,9 @@ def load_training_state(
     saved extra-array names to their arrays.
     """
     header, weights, arrays = read_npz(path)
-    model.set_weights(weights)
+    # The optimizer first: what it refuses is refused before any weight is installed.
     _unpack_optimizer(optimizer, header.get("optimizer", {}), arrays)
+    model.set_weights(weights)
     header["extra"] = {key: arrays[f"extra_{key}"] for key in header.get("extra_keys", [])}
     header["rng"] = restore_rng(header["rng"]) if header.get("rng") else None
     return header

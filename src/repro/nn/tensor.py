@@ -590,10 +590,23 @@ class Tensor:
         return F.abs(self)
 
 
+def flat_layout(params: Sequence[Tensor], extra: int = 0) -> Tuple[np.ndarray, List[np.ndarray]]:
+    """The one layout everything a training run carries per parameter is
+    addressed in (gradients, optimizer state): a zeroed vector with a slot
+    per tensor back to back in list order, plus ``extra`` trailing slots,
+    in the promotion of the tensors' dtypes — and each slot as a view in
+    its tensor's shape."""
+    sizes = [p.data.size for p in params]
+    dtype = np.result_type(*(p.data.dtype for p in params)) if sizes else np.float64
+    flat = np.zeros(sum(sizes) + extra, dtype=dtype)
+    ends = np.cumsum(sizes)
+    return flat, [flat[hi - n:hi].reshape(p.data.shape) for p, n, hi in zip(params, sizes, ends)]
+
+
 class GradArena:
     """One contiguous gradient buffer for a fixed list of leaf tensors.
 
-    ``flat`` holds every parameter's gradient back to back in list order
+    ``flat`` holds every parameter's gradient in :func:`flat_layout`
     (``views[i]`` is parameter ``i``'s slice, in its shape) plus one
     trailing slot for the owner.  ``Tensor.backward(arena=...)`` writes a
     leaf's gradient into its slot and points ``.grad`` at it, so the
@@ -603,12 +616,7 @@ class GradArena:
 
     def __init__(self, params: Iterable[Tensor]) -> None:
         self.params = list(params)
-        sizes = [p.data.size for p in self.params]
-        dtype = np.result_type(*(p.data.dtype for p in self.params)) if sizes else np.float64
-        self.flat = np.zeros(sum(sizes) + 1, dtype=dtype)
-        ends = np.cumsum(sizes)
-        self.views = [self.flat[hi - n:hi].reshape(p.data.shape)
-                      for p, n, hi in zip(self.params, sizes, ends)]
+        self.flat, self.views = flat_layout(self.params, extra=1)
         self.slots = {id(p): v for p, v in zip(self.params, self.views)}
 
     def bind(self, zero_unreached: bool = False) -> None:

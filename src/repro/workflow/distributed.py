@@ -1,7 +1,10 @@
 """Numerically-exact simulation of distributed SGD variants.
 
 Unlike :mod:`repro.hpc.parallelism` (which models *time*), this module
-simulates the *numerics* of distributed training on real NumPy models:
+simulates the *numerics* of distributed training on real NumPy models.
+It holds no step body: each study is a :class:`repro.nn.FitLoop` driver
+stepping ``SGD(lr)`` that acts on a batch's gradients at the loop's
+boundaries, or a call into :func:`repro.parallel.fit_data_parallel`.
 
 * :func:`train_sync_data_parallel` — K replicas, exact gradient averaging
   (mathematically identical to large-batch SGD; the tests verify this).
@@ -18,26 +21,22 @@ simulates the *numerics* of distributed training on real NumPy models:
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Tuple
 
 import numpy as np
 
-from ..nn import losses as losses_mod
-from ..nn.dataloader import DataLoader, shard
-from ..nn.model import Model
-from ..nn.tensor import Tensor
-from ..resilience.faults import CRASH, NAN, FaultInjector
+from ..nn.model import FitLoop, Model
+from ..nn.optim import SGD
+from ..parallel.ddp import fit_data_parallel
+from ..resilience.faults import FaultInjector
 
 
 @dataclass
 class DistributedRunResult:
-    """Outcome of a simulated distributed training run.
-
-    ``dropped_updates`` counts per-worker gradient contributions that were
-    discarded (NaN-poisoned, or from a worker as it died); ``workers_lost``
-    counts replicas permanently removed by injected crashes.
-    """
+    """Outcome of a simulated distributed training run.  ``dropped_updates``
+    counts poisoned gradients that were discarded; ``workers_lost`` stays 0
+    (a rank that dies and resumes is ROADMAP item 4's)."""
 
     epoch_losses: List[float]
     comm_bytes: float = 0.0
@@ -57,15 +56,19 @@ class DistributedRunResult:
         return self.dense_bytes / self.comm_bytes
 
 
-def _grads_of(model: Model, xb: np.ndarray, target, loss_fn) -> Tuple[List[np.ndarray], float]:
-    """Compute (gradients, loss value) for one mini-batch at the model's
-    current weights."""
-    params = list(model.parameters())
-    for p in params:
-        p.grad = None
-    loss = loss_fn(model.forward(Tensor(xb), training=True), target)
-    loss.backward()
-    return [p.grad.copy() if p.grad is not None else np.zeros_like(p.data) for p in params], loss.item()
+class _StudyLoop(FitLoop):
+    """:class:`FitLoop` stepping ``SGD(lr)``, with a result to fill."""
+
+    def __init__(self, model: Model, x, y, lr: float, **fit_kwargs) -> None:
+        super().__init__(model, x, y, **fit_kwargs)
+        # After FitLoop has built the model: the generator is consumed in one
+        # order (build, then a permutation per epoch) built or unbuilt.
+        self.opt = SGD(model.parameters(), lr=lr)
+        self.result = DistributedRunResult([])
+
+    def finish(self) -> DistributedRunResult:
+        self.result.epoch_losses = self.run().series("loss")
+        return self.result
 
 
 def train_sync_data_parallel(
@@ -78,121 +81,55 @@ def train_sync_data_parallel(
     loss: str = "mse",
     lr: float = 1e-2,
     seed: int = 0,
-    use_communicator: bool = False,
-    injector: Optional[FaultInjector] = None,
 ) -> DistributedRunResult:
     """Synchronous data parallelism with exact gradient averaging.
 
-    Each worker holds a contiguous shard; every step, all workers compute
-    gradients at the *same* weights and the averaged gradient is applied
-    once (plain SGD).  This is bit-for-bit the math of an allreduce step.
-
-    ``use_communicator=True`` performs the averaging through the real
-    ring-allreduce algorithm of :class:`repro.comm.Communicator` instead
-    of a direct sum, and reports the communicator's measured traffic —
-    the numerics and the traffic accounting cross-validate each other.
-
-    An ``injector`` degrades the run gracefully instead of crashing it:
-    a worker CRASH fault permanently removes that replica (the remaining
-    workers keep averaging over the survivors; the last worker never
-    dies), and a NAN fault drops that worker's contribution for that
-    update only.  The result reports both.
+    Every step, all workers compute gradients at the *same* weights on
+    their share of one global batch and the average is applied once
+    (plain SGD): :func:`repro.parallel.fit_data_parallel` on its serial
+    backend, which is pinned bit-identical to real rank processes.  The
+    reported volume is dense: every worker's full gradient per update.
     """
     if n_workers < 1:
         raise ValueError("n_workers must be >= 1")
-    rng = np.random.default_rng(seed)
-    x = np.asarray(x)
-    if not model.built:
-        model.build(x.shape[1:], rng)
-    loss_fn = losses_mod.get(loss) if isinstance(loss, str) else loss
-    params = list(model.parameters())
-
-    shards = [shard(x, y, r, n_workers) for r in range(n_workers)]
-    loaders = [
-        DataLoader(sx, sy, batch_size=batch_size_per_worker, shuffle=True,
-                   rng=np.random.default_rng(seed + 100 + r))
-        for r, (sx, sy) in enumerate(shards)
-    ]
-    steps_per_epoch = min(len(l) for l in loaders)
-    grad_bytes = sum(p.size for p in params) * 8.0
-    communicator = None
-    if use_communicator and n_workers > 1:
-        from ..comm import Communicator
-
-        communicator = Communicator(n_workers)
-
-    alive = list(range(n_workers))
-    epoch_losses: List[float] = []
-    comm = 0.0
-    comm_retired = 0.0  # traffic from communicators retired by pool shrinks
-    updates = 0
-    dropped = 0
-    lost = 0
-    for _ in range(epochs):
-        iters = [iter(l) for l in loaders]
-        total, count = 0.0, 0
-        for _ in range(steps_per_epoch):
-            contributions: List[List[np.ndarray]] = []
-            crashed: List[int] = []
-            for r in alive:
-                xb, yb = next(iters[r])
-                fault = injector.worker_fault(updates, r) if injector is not None else None
-                if fault == CRASH and len(alive) - len(crashed) > 1:
-                    # The replica died mid-step: its gradient is lost and
-                    # it leaves the collective from the next step on.
-                    crashed.append(r)
-                    dropped += 1
-                    continue
-                target = xb if yb is None else yb
-                grads, loss_val = _grads_of(model, xb, target, loss_fn)
-                if fault == NAN:
-                    dropped += 1  # poisoned contribution, quarantined
-                    continue
-                total += loss_val
-                count += 1
-                contributions.append(grads)
-            if crashed:
-                alive = [r for r in alive if r not in crashed]
-                lost += len(crashed)
-                if communicator is not None and len(alive) > 1:
-                    # The ring re-forms over the survivors.
-                    comm_retired += communicator.traffic.bytes_sent
-                    from ..comm import Communicator
-
-                    communicator = Communicator(len(alive))
-                elif communicator is not None:
-                    comm_retired += communicator.traffic.bytes_sent
-                    communicator = None
-            if not contributions:
-                continue  # every contribution was dropped; skip the update
-            if communicator is not None and len(contributions) == len(alive):
-                # Real ring allreduce, parameter by parameter.
-                summed: List[np.ndarray] = []
-                for param_idx in range(len(params)):
-                    bufs = [c[param_idx].copy() for c in contributions]
-                    communicator.Allreduce_ring(bufs)
-                    summed.append(bufs[0])
-                grad_sum = summed
-            else:
-                # Direct sum (also the fallback when NaN drops leave the
-                # step with fewer contributions than ring members).
-                grad_sum = contributions[0]
-                for c in contributions[1:]:
-                    for gs, g in zip(grad_sum, c):
-                        gs += g
-                comm += grad_bytes * len(contributions)  # model the injected volume
-            for p, g in zip(params, grad_sum):
-                p.data -= lr * g / len(contributions)
-            updates += 1
-        epoch_losses.append(total / max(count, 1))
-    if communicator is not None:
-        comm += communicator.traffic.bytes_sent
-    comm += comm_retired
-    dense = grad_bytes * n_workers * updates if not use_communicator else comm
-    return DistributedRunResult(
-        epoch_losses, comm_bytes=comm, dense_bytes=dense, updates=updates,
-        dropped_updates=dropped, workers_lost=lost,
+    fit = fit_data_parallel(
+        model, x, y, world=n_workers, backend="serial",
+        batch_size=n_workers * batch_size_per_worker, drop_last=True,
+        optimizer_factory=lambda params: SGD(params, lr=lr),
+        epochs=epochs, loss=loss, seed=seed,
     )
+    dense = model.param_count() * 8.0 * n_workers * fit.steps
+    return DistributedRunResult(fit.epoch_losses, dense, dense, updates=fit.steps)
+
+
+class _AsyncLoop(_StudyLoop):
+    """Gradients are taken at the weights ``staleness`` updates ago (a
+    ring of weight copies makes that exact) and applied to the live ones;
+    the parameter server drops a poisoned one."""
+
+    def __init__(self, staleness: int, injector: Optional[FaultInjector], /, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self.ring, self.injector = deque(maxlen=staleness + 1), injector
+
+    def batch_grads(self, xb, yb, window: int) -> None:
+        params = self.opt.params
+        live = [p.data.copy() for p in params]
+        self.ring.append(live)
+        for p, w in zip(params, self.ring[0]):  # the oldest kept: `staleness` updates ago
+            p.data[...] = w
+        super().batch_grads(xb, yb, window)
+        for p, w in zip(params, live):
+            p.data[...] = w
+
+    def accept_update(self) -> bool:
+        grads = [p.grad for p in self.opt.params if p.grad is not None]
+        inj = self.injector
+        corrupted = inj is not None and inj.corrupt_gradients(self.global_step, grads)
+        if corrupted or not all(np.isfinite(g).all() for g in grads):
+            self.result.dropped_updates += 1  # quarantined: the live weights stand
+            return False
+        self.result.updates += 1
+        return True
 
 
 def train_async_sgd(
@@ -219,62 +156,17 @@ def train_async_sgd(
     An ``injector`` may poison arriving gradients (NaN faults); the
     parameter server drops those updates rather than absorbing NaNs —
     the live weights are untouched and the run reports the drop count.
+    As everywhere under :class:`FitLoop`, a dropped update drops the
+    update, not the observation: its batch loss stays in the epoch row.
     """
     if staleness < 0:
         raise ValueError("staleness must be >= 0")
     if n_workers < 1:
         raise ValueError("n_workers must be >= 1")
-    rng = np.random.default_rng(seed)
-    x = np.asarray(x)
-    if not model.built:
-        model.build(x.shape[1:], rng)
-    loss_fn = losses_mod.get(loss) if isinstance(loss, str) else loss
-    params = list(model.parameters())
-
-    loader = DataLoader(x, y, batch_size=batch_size, shuffle=True, rng=rng)
-    snapshots: deque = deque(maxlen=staleness + 1)
-
-    def current_weights() -> List[np.ndarray]:
-        return [p.data.copy() for p in params]
-
-    epoch_losses: List[float] = []
-    updates = 0
-    arrivals = 0
-    dropped = 0
-    for _ in range(epochs):
-        total, count = 0.0, 0
-        for xb, yb in loader:
-            target = xb if yb is None else yb
-            snapshots.append(current_weights())
-            stale = snapshots[0]  # weights `staleness` updates ago (or oldest)
-            live = current_weights()
-            # Compute the gradient at the stale weights...
-            for p, w in zip(params, stale):
-                p.data[...] = w
-            grads, loss_val = _grads_of(model, xb, target, loss_fn)
-            corrupted = (
-                injector.corrupt_gradients(arrivals, grads) if injector is not None else False
-            )
-            arrivals += 1
-            if corrupted or not all(np.isfinite(g).all() for g in grads):
-                # Parameter server quarantine: a poisoned gradient is
-                # dropped, the live weights stand.
-                for p, w in zip(params, live):
-                    p.data[...] = w
-                dropped += 1
-                continue
-            # ...apply it to the live weights.
-            for p, w, g in zip(params, live, grads):
-                p.data[...] = w - lr * g
-            total += loss_val
-            count += 1
-            updates += 1
-        epoch_losses.append(total / max(count, 1))
-    grad_bytes = sum(p.size for p in params) * 8.0 * updates
-    return DistributedRunResult(
-        epoch_losses, comm_bytes=grad_bytes, dense_bytes=grad_bytes, updates=updates,
-        dropped_updates=dropped,
-    )
+    result = _AsyncLoop(staleness, injector, model, x, y, lr, epochs=epochs,
+                        batch_size=batch_size, loss=loss, seed=seed).finish()
+    result.comm_bytes = result.dense_bytes = model.param_count() * 8.0 * result.updates
+    return result
 
 
 def topk_sparsify(grad: np.ndarray, fraction: float) -> Tuple[np.ndarray, int]:
@@ -292,6 +184,31 @@ def topk_sparsify(grad: np.ndarray, fraction: float) -> Tuple[np.ndarray, int]:
     out = np.zeros_like(flat)
     out[idx] = flat[idx]
     return out.reshape(grad.shape), k
+
+
+class _TopkLoop(_StudyLoop):
+    """Only the top-``fraction`` entries of each gradient reach the step;
+    with ``error_feedback`` the rest is carried to the next one."""
+
+    def __init__(self, fraction: float, error_feedback: bool, /, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self.fraction, self.error_feedback = fraction, error_feedback
+        self.residual = [np.zeros_like(p.data) for p in self.opt.params]
+
+    def accept_update(self) -> bool:
+        self.arena.bind(zero_unreached=True)
+        res = self.result
+        for i, p in enumerate(self.opt.params):
+            grad = p.grad
+            corrected = grad + self.residual[i] if self.error_feedback else grad
+            sparse, kept = topk_sparsify(corrected, self.fraction)
+            if self.error_feedback:
+                self.residual[i] = corrected - sparse
+            grad[...] = sparse
+            res.comm_bytes += kept * 12.0
+            res.dense_bytes += grad.size * 8.0
+        res.updates += 1
+        return True
 
 
 def train_topk_sgd(
@@ -316,34 +233,5 @@ def train_topk_sgd(
     Communicated bytes count 12 bytes per sent entry (8-byte value +
     4-byte index) vs 8 bytes per entry dense.
     """
-    rng = np.random.default_rng(seed)
-    x = np.asarray(x)
-    if not model.built:
-        model.build(x.shape[1:], rng)
-    loss_fn = losses_mod.get(loss) if isinstance(loss, str) else loss
-    params = list(model.parameters())
-    residual = [np.zeros_like(p.data) for p in params]
-
-    loader = DataLoader(x, y, batch_size=batch_size, shuffle=True, rng=rng)
-    epoch_losses: List[float] = []
-    comm = 0.0
-    dense = 0.0
-    updates = 0
-    for _ in range(epochs):
-        total, count = 0.0, 0
-        for xb, yb in loader:
-            target = xb if yb is None else yb
-            grads, loss_val = _grads_of(model, xb, target, loss_fn)
-            for i, (p, g) in enumerate(zip(params, grads)):
-                corrected = g + residual[i] if error_feedback else g
-                sparse, kept = topk_sparsify(corrected, fraction)
-                if error_feedback:
-                    residual[i] = corrected - sparse
-                p.data -= lr * sparse
-                comm += kept * 12.0
-                dense += g.size * 8.0
-            total += loss_val
-            count += 1
-            updates += 1
-        epoch_losses.append(total / max(count, 1))
-    return DistributedRunResult(epoch_losses, comm_bytes=comm, dense_bytes=dense, updates=updates)
+    return _TopkLoop(fraction, error_feedback, model, x, y, lr, epochs=epochs,
+                     batch_size=batch_size, loss=loss, seed=seed).finish()

@@ -462,29 +462,32 @@ class TestWiredHooks:
 
 
     def test_policy_trainer_records_what_fit_records(self):
-        """train_with_policy is Model.fit: same fit / epoch / step spans
-        and the same fit.steps count on the same data."""
+        """Every trainer is in the trace: train_with_policy and the three
+        distributed-SGD studies are Model.fit, so each records the same
+        fit / epoch / step spans and the same fit.steps count (one per
+        batch run) on the same data."""
         from repro.precision import PrecisionPolicy, train_with_policy
+        from repro.workflow import train_async_sgd, train_sync_data_parallel, train_topk_sgd
 
         rng = np.random.default_rng(0)
         x = rng.standard_normal((40, 5))
         y = rng.standard_normal((40, 1))
-        counts = []
-        for policy in (None, PrecisionPolicy("fp16")):
+        trainers = [
+            lambda m: m.fit(x, y, epochs=2, batch_size=10),
+            lambda m: train_with_policy(m, x, y, PrecisionPolicy("fp16"), epochs=2, batch_size=10),
+            lambda m: train_async_sgd(m, x, y, 2, staleness=2, epochs=2, batch_size=10),
+            lambda m: train_topk_sgd(m, x, y, fraction=0.1, epochs=2, batch_size=10),
+            lambda m: train_sync_data_parallel(m, x, y, 2, epochs=2, batch_size_per_worker=5),
+        ]
+        for train in trainers:
             model = Sequential()
             model.add(Dense(4)).add(Dense(1))
             rec = TraceRecorder()
             with rec:
-                if policy is None:
-                    model.fit(x, y, epochs=2, batch_size=10)
-                else:
-                    train_with_policy(model, x, y, policy, epochs=2, batch_size=10)
+                train(model)
             assert rec.balanced
-            counts.append(
-                [len(rec.spans(kind=k)) for k in ("fit", "fit.epoch", "fit.step")]
-                + [rec.metrics.counter("fit.steps").value]
-            )
-        assert counts[0] == counts[1] == [1, 2, 8, 8]
+            counts = [len(rec.spans(kind=k)) for k in ("fit", "fit.epoch", "fit.step")]
+            assert counts + [rec.metrics.counter("fit.steps").value] == [1, 2, 8, 8]
 
     def test_resilient_training_step_spans_match_its_ledger(self, tmp_path):
         """Every executed step — useful or replayed — is one fit.step
