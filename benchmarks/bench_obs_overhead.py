@@ -15,14 +15,10 @@ per-round ratios were tried and rejected: a single interference burst
 inside one round swings the round's ratio by ±10%, far above the
 effect being gated.
 
-Two entry points:
-
-* ``pytest benchmarks/bench_obs_overhead.py -s`` — smoke-mode run that
-  gates the overhead fraction and validates the recorded trace.
-* ``python benchmarks/bench_obs_overhead.py [--smoke] [--reps N]
-  [--out PATH]`` — emits ``BENCH_obs.json`` (schema:
-  ``repro.obs.schema.BENCH_OBS_SCHEMA``); exits nonzero if the gate
-  fails.
+``python benchmarks/bench_obs_overhead.py [--smoke] [--reps N]
+[--out PATH]`` emits ``BENCH_obs.json`` (schema:
+``repro.obs.schema.BENCH_OBS_SCHEMA``), validates the recorded trace and
+exits nonzero if the gate fails.
 """
 
 import argparse
@@ -141,19 +137,6 @@ def format_results(results: dict) -> str:
         f"  trace     {trace['records']} records "
         f"({trace['records_per_step']:.1f}/step), schema-valid",
     ])
-
-
-def test_obs_overhead_smoke():
-    results = run_overhead_bench(smoke=True)
-    print()
-    print(format_results(results))
-    acc = results["acceptance"]
-    assert acc["overhead_ok"], (
-        f"instrumented fit overhead {acc['overhead_frac'] * 100:.2f}% "
-        f"exceeds the {acc['gate_frac'] * 100:.0f}% gate"
-    )
-    # Every step must have left a span (plus epoch/fit framing records).
-    assert results["trace"]["records_per_step"] >= 1.0
 
 
 def main(argv=None) -> int:

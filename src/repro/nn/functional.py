@@ -294,6 +294,21 @@ def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
     return out
 
 
+def linear_act_kernel(
+    xd: np.ndarray, wd: np.ndarray, bd: Optional[np.ndarray], activation: Optional[str]
+) -> np.ndarray:
+    """The forward arithmetic of :func:`linear_act` on raw (N, F) arrays:
+    one GEMM, then the bias add and the relu/tanh epilogue in place on
+    its output.  The tape node and the tape-free ``Dense.infer`` both
+    call it, so they cannot disagree by a bit."""
+    out = xd @ wd  # (N, units)
+    if bd is not None:
+        out += bd
+    if activation is not None:
+        _FUSED_ACTS[activation][0](out)
+    return out
+
+
 def linear_act(
     x: Tensor,
     weight: Tensor,
@@ -302,11 +317,11 @@ def linear_act(
 ) -> Tensor:
     """Fused ``act(x @ weight + bias)`` as a single tape node.
 
-    The bias add and the relu/tanh epilogue run in place on the GEMM
-    output, and backward applies the activation derivative to the incoming
-    gradient before the two grad GEMMs — one node where the unfused
-    composition records three.  Falls back to the unfused ops for inputs
-    that are not 2-D (the Dense hot path is (N, F)).
+    The forward is :func:`linear_act_kernel`; backward applies the
+    activation derivative to the incoming gradient before the two grad
+    GEMMs — one node where the unfused composition records three.  Falls
+    back to the unfused ops for inputs that are not 2-D (the Dense hot
+    path is (N, F)).
     """
     act = _fused_act(activation)
     if x.data.ndim != 2:
@@ -321,11 +336,7 @@ def linear_act(
         return _linear_act_amp(x, weight, bias, act, ac)
 
     xd, wd = x.data, weight.data
-    out = xd @ wd  # (N, units)
-    if bias is not None:
-        out += bias.data
-    if act is not None:
-        act[0](out)
+    out = linear_act_kernel(xd, wd, None if bias is None else bias.data, activation)
 
     def backward(g: np.ndarray):
         if act is not None:

@@ -6,7 +6,11 @@ Layers follow a small protocol:
 * ``parameters()`` yields trainable :class:`~repro.nn.tensor.Tensor` s;
 * ``build(input_shape, rng)`` lazily materializes weights the first time
   the layer sees data, mirroring Keras' deferred-build semantics that the
-  CANDLE benchmark definitions rely on.
+  CANDLE benchmark definitions rely on;
+* ``infer(xd)``, where a layer has it (Dense with a fusable activation,
+  Dropout), is the eval forward on a raw (N, F) array through the same
+  kernel the tape node calls; elsewhere ``infer`` is None and
+  ``Model.predict`` runs the tape under ``no_grad``.
 
 Shapes are channels-first for convolutional layers: (N, C, L).
 """
@@ -24,6 +28,10 @@ from .tensor import Tensor
 
 class Layer:
     """Base class for all layers."""
+
+    # The tape-free eval forward ``infer(xd) -> ndarray``; None for a
+    # layer without one (see the module docstring).
+    infer = None
 
     def __init__(self, name: Optional[str] = None) -> None:
         self.name = name or type(self).__name__
@@ -85,6 +93,8 @@ class Dense(Layer):
             raise ValueError(f"units must be positive, got {units}")
         self.units = units
         self.activation = Activation(activation) if activation else None
+        if self.activation is not None and self.activation.kind not in ("relu", "tanh"):
+            self.infer = None  # no fused epilogue, so no tape-free forward
         self.use_bias = use_bias
         self.kernel_init = kernel_init
         self.dtype = dtype
@@ -106,6 +116,14 @@ class Dense(Layer):
             return F.linear_act(x, self.weight, self.bias, activation=kind)
         out = F.linear_act(x, self.weight, self.bias)
         return self.activation(out, training=training)
+
+    def infer(self, xd: np.ndarray) -> np.ndarray:
+        # The weights are read per call: a set_weights, cast or rebind of
+        # p.data between two calls is seen by the second.
+        return F.linear_act_kernel(
+            xd, self.weight.data, None if self.bias is None else self.bias.data,
+            None if self.activation is None else self.activation.kind,
+        )
 
     def parameters(self) -> Iterator[Tensor]:
         yield self.weight
@@ -163,6 +181,9 @@ class Dropout(Layer):
         if self._rng is None:
             self._rng = np.random.default_rng(0)
         return F.dropout(x, self.rate, self._rng, training=training)
+
+    def infer(self, xd: np.ndarray) -> np.ndarray:
+        return xd  # identity at eval
 
     def rng_state(self) -> Optional[dict]:
         return None if self._rng is None else self._rng.bit_generator.state

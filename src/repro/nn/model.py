@@ -15,10 +15,12 @@ from typing import Callable, ContextManager, Dict, Iterator, List, Optional, Seq
 
 import numpy as np
 
+from . import amp
 from . import losses as losses_mod
 from . import metrics as metrics_mod
 from ..obs.context import get_recorder
 from ..obs.trace import maybe_span
+from ..perf.hooks import get_sink
 from .dataloader import DataLoader, train_val_split
 from .layers import Layer
 from .optim import Adam, Optimizer
@@ -139,9 +141,37 @@ class Model:
         try:
             shape = self.output_shape(np.asarray(x).shape[1:])
         except NotImplementedError:
-            with no_grad():
-                return self.forward(Tensor(np.asarray(x)), training=False).data
+            return self._infer(np.asarray(x))
         return np.zeros((0,) + shape)
+
+    def _infer(self, xb: np.ndarray) -> np.ndarray:
+        """The grad-free eval forward of one batch, as ``predict``,
+        ``evaluate`` and ``_empty_output`` run it.
+
+        A plain stack of layers that all have ``infer`` (Dense with a
+        fused or no activation, Dropout) on a 2-D batch runs as array
+        calls through the kernels the tape nodes call.  Whatever the code
+        can see that would make that differ from the eager forward sends
+        the batch through the tape under ``no_grad`` instead, which stays
+        the reference: another input rank (Dense on (N, T, F) is the
+        unfused composition), an overridden or profiler-attached
+        ``forward``, an active ``OpProfiler`` sink (it must see every op)
+        or an active ``amp`` autocast plan.  Weights are read from the
+        layers on every call; nothing is cached on the model.
+        """
+        if (
+            xb.ndim == 2
+            and getattr(self.forward, "__func__", None) is Model.forward
+            and get_sink() is None
+            and amp.active() is None
+        ):
+            steps = [layer.infer for layer in self.layers]
+            if None not in steps:
+                for step in steps:
+                    xb = step(xb)
+                return xb
+        with no_grad():
+            return self.forward(Tensor(xb), training=False).data
 
     def astype(self, dtype) -> "Model":
         """Cast all parameters (and layer buffers) to ``dtype`` in place.
@@ -187,8 +217,11 @@ class Model:
         ``"int8"`` runs the calibrated quantized plan from
         :meth:`quantize_int8`.  A zero-length input returns a
         correctly-shaped empty array (the serving layer drains queues
-        that may be empty).
+        that may be empty).  Each batch runs through :meth:`_infer`, so
+        a Dense/Dropout stack pays for no graph; the result is a new
+        array either way, bit-identical to the eager ``no_grad`` forward.
         """
+        x = np.asarray(x)
         if precision == "int8":
             plan = getattr(self, "_int8_plan", None)
             if plan is None:
@@ -198,7 +231,7 @@ class Model:
                 )
             if len(x) == 0:
                 return self._empty_output(x).astype(np.float32)
-            return plan.predict(np.asarray(x), batch_size=batch_size)
+            return plan.predict(x, batch_size=batch_size)
         if precision == "fp32":
             p0 = next(iter(self.parameters()), None)
             if p0 is not None and p0.data.dtype != np.float32:
@@ -207,7 +240,6 @@ class Model:
                     "with model.astype(np.float32) (fit(precision=...) already "
                     "leaves fp32 master weights)"
                 )
-            x = np.asarray(x)
             if x.dtype != np.float32:
                 x = x.astype(np.float32)
         elif precision not in (None, "fp64"):
@@ -216,12 +248,18 @@ class Model:
             )
         if len(x) == 0:
             return self._empty_output(x)
-        outs = []
-        with no_grad():
-            for start in range(0, len(x), batch_size):
-                xb = Tensor(np.asarray(x[start : start + batch_size]))
-                outs.append(self.forward(xb, training=False).data)
-        return np.concatenate(outs, axis=0)
+        if len(x) > batch_size:
+            return np.concatenate(
+                [self._infer(x[start : start + batch_size]) for start in range(0, len(x), batch_size)],
+                axis=0,
+            )
+        # One batch: its output is the result, copied only where it is the
+        # input or a view that may overlap it (identity layers hand the
+        # batch through; an array that owns its buffer and is not x cannot).
+        out = self._infer(x)
+        if out is x or (out.base is not None and np.may_share_memory(out, x)):
+            return out.copy()
+        return np.ascontiguousarray(out)
 
     # -- training ---------------------------------------------------------
     def fit(self, x: np.ndarray, y: Optional[np.ndarray], **options) -> History:
@@ -291,10 +329,10 @@ class Model:
             for start in range(0, len(x), batch_size):
                 xb = np.asarray(x[start : start + batch_size])
                 target = xb if y is None else y[start : start + batch_size]
-                pred = self.forward(Tensor(xb), training=False)
-                total += loss_fn(pred, target).item() * len(xb)
+                pred = self._infer(xb)
+                total += loss_fn(Tensor(pred), target).item() * len(xb)
                 count += len(xb)
-                preds.append(pred.data)
+                preds.append(pred)
         out = {"loss": total / max(count, 1)}
         if metrics:
             pred_all = np.concatenate(preds, axis=0)

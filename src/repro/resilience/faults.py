@@ -43,7 +43,6 @@ _CTX_TRIAL = 1
 _CTX_STEP = 2
 _CTX_STORAGE = 3
 _CTX_GRAD = 4
-_CTX_WORKER = 5
 _CTX_SERVE = 6
 
 
@@ -193,27 +192,6 @@ class FaultInjector:
             self.record(NAN)
             return True
         return False
-
-    # -- distributed-SGD-facing (per worker per update) -----------------
-    def worker_fault(self, update: int, worker: int) -> Optional[str]:
-        """Fault for one worker's contribution to one distributed update.
-
-        CRASH means the worker is lost permanently (the caller shrinks
-        its replica set); NAN means this worker's gradient for this
-        update is poisoned and must be dropped.  Deterministic in
-        (seed, update, worker).
-        """
-        s = self.spec
-        if s.crash_prob == s.nan_prob == 0.0:
-            return None
-        u = self._draw(_CTX_WORKER, update, worker)
-        if u < s.crash_prob:
-            self.record(WORKER_LOSS)
-            return CRASH
-        if u < s.crash_prob + s.nan_prob:
-            self.record(NAN)
-            return NAN
-        return None
 
     # -- serving-facing (per request per replica) -----------------------
     def serving_fault(self, request_index: int, replica: int) -> Optional[str]:

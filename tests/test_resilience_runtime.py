@@ -142,13 +142,6 @@ class TestFaultInjector:
         assert np.isnan(g[0]).all()
         assert inj.counts[NAN] == 1
 
-    def test_worker_fault_deterministic(self):
-        a = FaultInjector(crash_prob=0.1, nan_prob=0.1, seed=3)
-        b = FaultInjector(crash_prob=0.1, nan_prob=0.1, seed=3)
-        fa = [a.worker_fault(u, w) for u in range(20) for w in range(4)]
-        fb = [b.worker_fault(u, w) for u in range(20) for w in range(4)]
-        assert fa == fb
-
 
 class TestTrainingStateSerialization:
     def test_round_trip_restores_everything(self, data, tmp_path):

@@ -1,11 +1,17 @@
 """Tests for the batched inference serving subsystem (repro.serve)."""
 
+import contextlib
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.candle.registry import get_benchmark
+from repro.nn import (
+    BatchNorm, Conv2D, Dense, Dropout, Flatten, Sequential, Tensor, amp, losses, no_grad,
+    tape_node_count,
+)
 from repro.perf import OpProfiler
 from repro.registry import ArtifactStore, load_artifact, weights_checksum
 from repro.serve import (
@@ -394,3 +400,177 @@ class TestSimulatedServing:
             simulate_serving(self.POLICY, self.SERVICE, arrival_rate=0.0, n_requests=10)
         with pytest.raises(ValueError):
             simulate_serving(self.POLICY, self.SERVICE, arrival_rate=1.0, n_requests=0)
+
+
+def _eager(model, x, batch_size):
+    """The reference ``predict`` is held to: every batch through the tape
+    under ``no_grad``, one output per batch."""
+    with no_grad():
+        return [model.forward(Tensor(x[s : s + batch_size]), training=False).data
+                for s in range(0, len(x), batch_size)]
+
+
+@contextlib.contextmanager
+def _tape_free_calls():
+    """Record every ``infer`` call Dense and Dropout layers take."""
+    calls = []
+    originals = {cls: cls.infer for cls in (Dense, Dropout)}
+
+    def spy(fn):
+        def infer(self, xd):
+            calls.append(type(self).__name__)
+            return fn(self, xd)
+        return infer
+
+    for cls, fn in originals.items():
+        cls.infer = spy(fn)
+    try:
+        yield calls
+    finally:
+        for cls, fn in originals.items():
+            cls.infer = fn
+
+
+class _Doubled(Sequential):
+    def forward(self, x, training=True):
+        return super().forward(x, training=training) * 2.0
+
+
+class TestTapeFreePredict:
+    """``Model.predict`` runs a Dense/Dropout stack without the tape; the
+    eager ``no_grad`` forward stays the reference it must match bit for
+    bit, and the path it falls back to wherever they could differ."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        # None is a Dropout; a stack of only those hands the input through.
+        stack=st.lists(
+            st.none() | st.tuples(st.integers(1, 6), st.sampled_from([None, "relu", "tanh"])),
+            min_size=1, max_size=4,
+        ),
+        fp32=st.booleans(),
+        batch_size=st.integers(1, 5),
+        extra_rows=st.integers(-4, 7),
+        mutation=st.sampled_from(["set_weights", "astype", "rebind"]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_predict_is_the_eager_forward(self, stack, fp32, batch_size, extra_rows, mutation, seed):
+        rng = np.random.default_rng(seed)
+        layers = [Dropout(0.3) if s is None else Dense(s[0], activation=s[1]) for s in stack]
+        width = next((s[0] for s in reversed(stack) if s is not None), 3)
+        model = Sequential(layers)
+        model.build((3,), rng)
+        precision = None
+        if fp32:
+            model.astype(np.float32)
+            precision = "fp32"
+        n = max(1, batch_size + extra_rows)  # one batch, several, a ragged tail
+        x = rng.standard_normal((n, 3))
+        x_in = x.astype(np.float32) if fp32 else x
+        x_bytes = x.tobytes()
+
+        nodes = tape_node_count()
+        with _tape_free_calls() as calls:
+            out = model.predict(x, batch_size=batch_size, precision=precision)
+        assert calls, "the Dense/Dropout stack took the tape"
+        ref = _eager(model, x_in, batch_size)
+        assert out.dtype == ref[0].dtype and out.shape == (n, width)
+        for i, want in enumerate(ref):
+            assert out[i * batch_size : (i + 1) * batch_size].tobytes() == want.tobytes()
+
+        # evaluate's loss is the one the eager forward gives.
+        y = rng.standard_normal(out.shape)
+        loss_fn = losses.get("mse")
+        total = 0.0
+        with no_grad():
+            for i, pred in enumerate(ref):
+                total += loss_fn(Tensor(pred), y[i * batch_size : (i + 1) * batch_size]).item() * len(pred)
+        assert model.evaluate(x_in, y, loss="mse", batch_size=batch_size)["loss"] == total / n
+        assert tape_node_count() == nodes
+
+        # The result is the caller's: writing into it touches neither the
+        # input nor the next answer.
+        out[...] = 7.0
+        assert x.tobytes() == x_bytes
+        again = model.predict(x, batch_size=batch_size, precision=precision)
+        assert again.tobytes() == np.concatenate(ref).tobytes()
+
+        # Weights are read per call, never cached.
+        if mutation == "set_weights":
+            model.set_weights([w * 0.5 + 0.25 for w in model.get_weights()])
+        elif mutation == "astype":
+            model.astype(np.float64 if fp32 else np.float32)
+        else:
+            for p in model.parameters():
+                p.data = -p.data
+        after = model.predict(x, batch_size=batch_size)
+        assert after.tobytes() == np.concatenate(_eager(model, x, batch_size)).tobytes()
+
+    @pytest.mark.parametrize("case", [
+        "profiler", "attached_profiler", "autocast", "forward_override", "conv2d", "batchnorm",
+        "sigmoid", "3d_input",
+    ])
+    def test_eager_wherever_the_tape_free_path_could_differ(self, case):
+        rng = np.random.default_rng(11)
+        shape = (4,)
+        layers = [Dense(6, activation="relu"), Dropout(0.2), Dense(3)]
+        model_cls = _Doubled if case == "forward_override" else Sequential
+        if case == "3d_input":
+            # Dense on (N, T, F) is the unfused composition, whose relu
+            # maps NaN to 0 where the fused epilogue keeps it.
+            shape = (2, 4)
+        elif case == "conv2d":
+            shape = (1, 5, 5)
+            layers = [Conv2D(2, 3, activation="relu"), Flatten(), Dense(3)]
+        elif case == "batchnorm":
+            layers = [Dense(6), BatchNorm(), Dense(3)]
+        elif case == "sigmoid":
+            layers = [Dense(6, activation="sigmoid"), Dense(3)]
+        model = model_cls(layers)
+        model.build(shape, rng)
+        x = rng.standard_normal((10,) + shape)
+        x.flat[0] = np.nan
+        prof = OpProfiler()
+        around = contextlib.nullcontext()
+        if case == "profiler":
+            around = prof
+        elif case == "attached_profiler":
+            prof.attach(model)
+        elif case == "autocast":
+            around = amp.autocast("bf16")
+
+        with _tape_free_calls() as calls, around:
+            out = model.predict(x, batch_size=4)
+            ref = _eager(model, x, 4)
+        assert not calls
+        assert out.tobytes() == np.concatenate(ref).tobytes()
+        if "profiler" in case:
+            # Every op of every batch is seen (the reference pass included).
+            assert prof.stats["linear_act"].calls == 2 * 3 * 2
+
+    def test_server_profiler_sees_the_ops_of_every_batch(self, p1b2_model, p1b2_shape):
+        prof = OpProfiler()
+        server = InferenceServer(p1b2_model, BatchPolicy(max_batch_size=4, max_wait_s=0.0), profiler=prof)
+        x = np.random.default_rng(6).standard_normal((12,) + p1b2_shape)
+        with _tape_free_calls() as calls:
+            handles = [server.submit(row) for row in x]
+            server.drain()
+        assert not calls
+        n_dense = sum(isinstance(layer, Dense) for layer in p1b2_model.layers)
+        assert prof.stats["serve.batch"].calls == 3
+        assert prof.stats["linear_act"].calls == 3 * n_dense
+        served = np.stack([h.result for h in handles])
+        assert served.tobytes() == np.concatenate(_eager(p1b2_model, x, 4)).tobytes()
+
+    def test_int8_serving_runs_the_plan(self, p1b2_shape):
+        model = get_benchmark("p1b2").materialize()
+        x = np.random.default_rng(7).standard_normal((24,) + p1b2_shape)
+        plan = model.quantize_int8(x)
+        server = InferenceServer(model, BatchPolicy(max_batch_size=8, max_wait_s=0.0), precision="int8")
+        with _tape_free_calls() as calls:
+            handles = [server.submit(row) for row in x]
+            server.drain()
+        assert not calls
+        served = np.stack([h.result for h in handles])
+        want = np.concatenate([plan.predict(x[s : s + 8], batch_size=8) for s in (0, 8, 16)])
+        assert served.tobytes() == want.tobytes()
