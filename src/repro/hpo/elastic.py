@@ -4,8 +4,8 @@
 :class:`~repro.hpo.queue.DurableTrialQueue`: the driver asks the
 strategy and enqueues jobs; consumers claim jobs under a lease,
 evaluate the objective, and ack exactly once.  Because every state
-transition is a durable queue transaction, the campaign survives the
-death of anything:
+transition lands in a durable queue transaction, the campaign survives
+the death of anything:
 
 * a **consumer** killed between claim and ack leaves a leased claim
   behind; the lease expires and another consumer re-runs the trial —
@@ -42,6 +42,13 @@ and two storage modes hold the ledger: a queue file on disk (durable,
 resumable) or SQLite ``":memory:"`` (same transactions, nothing to
 resume).
 
+The driver commits in groups (:meth:`DurableTrialQueue.transaction`):
+one per simulated tick — every event at one sim time and the fills
+between them — or, on the real clock, one per settled result.  A group
+moves only commit boundaries, never the order of the calls, so the
+event log, the claim order and the kill points are the loop's own; a
+crashed driver leaves the file at a group boundary.
+
 Faults follow two rules, the same on both clocks:
 
 * **A trial CRASH is a failed attempt.**  Injected by a
@@ -68,15 +75,16 @@ from __future__ import annotations
 
 import heapq
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
 from ..obs.context import get_recorder
 from ..resilience.faults import CRASH, NAN, STRAGGLER, WORKER_LOSS, FaultInjector
-from .queue import ClaimedJob, DurableTrialQueue
+from .queue import DONE, ClaimedJob, DurableTrialQueue
 from .results import ResultLog, Trial
 from .strategies.base import Strategy, Suggestion
 
@@ -217,13 +225,13 @@ class _Search:
     The clock's driver sets ``now`` (the lease clock) and ``stamp`` (a
     trial's ``sim_time``) to zero-argument callables before the first
     step: both read the event clock in sim mode; in real mode they are
-    ``time.time`` and seconds since the pool came up.
+    ``time.time`` and seconds since the pool came up.  Every step runs
+    inside a :meth:`group`.
     """
 
     strategy: Strategy
     q: DurableTrialQueue
     n_trials: int
-    lease_s: float
     max_retries: int
     injector: Optional[FaultInjector]
     stop_after: Optional[int]
@@ -233,6 +241,8 @@ class _Search:
     completed_new: int = 0
     now: Optional[Callable[[], float]] = None
     stamp: Optional[Callable[[], float]] = None
+    n_jobs: int = 0  # the queue's job count, kept current inside a group
+    n_done: int = 0  # … and its done count
 
     @property
     def stats(self) -> Dict:
@@ -241,6 +251,17 @@ class _Search:
     @property
     def stopped(self) -> bool:
         return self.stop_after is not None and self.completed_new >= self.stop_after
+
+    @contextmanager
+    def group(self) -> Iterator[None]:
+        """One queue transaction around a run of steps.  The counts are
+        read once when it opens: inside it the driver holds the write
+        lock, so its own enqueues and acks are the only changes, and
+        :meth:`next_job` and :meth:`finish` count them."""
+        with self.q.transaction():
+            counts = self.q.counts()
+            self.n_jobs, self.n_done = sum(counts.values()), counts[DONE]
+            yield
 
     def fault(self, job: ClaimedJob) -> Optional[str]:
         """The injected fault of this attempt.  Drawn once per attempt:
@@ -256,14 +277,15 @@ class _Search:
         (completions will unblock it) or everything is launched."""
         q, stats, rec = self.q, self.stats, self.rec
         while True:
-            job = q.claim(owner, now=self.now(), lease_s=self.lease_s)
+            job = q.claim(owner, now=self.now())
             if job is None:
-                if q.n_jobs >= self.n_trials:
+                if self.n_jobs >= self.n_trials:
                     return None
                 sug = self.strategy.ask()
                 if sug is None:
                     return None
                 self.sugs[q.enqueue(sug.config, sug.budget, sug.tag)] = sug
+                self.n_jobs += 1
                 continue
             if job.attempts > self.max_retries + 1:
                 # Poison job: failed or orphaned on every allowed attempt.
@@ -293,8 +315,8 @@ class _Search:
         whose lease has run out is renewed before anyone can reclaim it."""
         now = self.now()
         if job.lease_expires <= now:
-            self.q.extend_lease(job.job_id, owner, now, self.lease_s)
-            job.lease_expires = now + self.lease_s
+            self.q.extend_lease(job.job_id, owner, now)
+            job.lease_expires = now + self.q.lease_s
 
     def finish(self, job: ClaimedJob, owner: str, value: float, worker: int) -> bool:
         """Ack, then settle: only the ack that completed the job tells
@@ -302,6 +324,7 @@ class _Search:
         stamp = self.stamp()
         if not self.q.ack(job.job_id, owner, value, sim_time=stamp, worker=worker):
             return False
+        self.n_done += 1
         sug = self.sugs[job.job_id]
         self.strategy.tell(sug, value)
         self.log.add(Trial(trial_id=job.job_id - 1, config=sug.config, value=value,
@@ -318,7 +341,7 @@ def run_elastic(
     n_workers: int,
     cost_model=None,
     executor=None,
-    lease_s: float = 60.0,
+    lease_s: Optional[float] = None,
     max_retries: int = 3,
     injector: Optional[FaultInjector] = None,
     kill_plan: Optional[KillPlan] = None,
@@ -334,6 +357,10 @@ def run_elastic(
     replay before any new work is scheduled, and previously completed
     trials appear in the returned log exactly as they were recorded.
 
+    Claims are leased for the queue's own ``lease_s``.  ``lease_s=``
+    sets it for a queue this call builds from a path (default 60 s); a
+    queue object already has one, so passing both is a ``ValueError``.
+
     ``stop_after`` aborts the campaign after that many *newly* acked
     completions — the test/bench hook that simulates a driver crash
     (claims are left behind exactly as a real kill would leave them).
@@ -348,7 +375,12 @@ def run_elastic(
     if max_retries < 0:
         raise ValueError("max_retries must be >= 0")
     owns_queue = not isinstance(queue, DurableTrialQueue)
-    q = DurableTrialQueue(queue, lease_s=lease_s) if owns_queue else queue
+    if owns_queue:
+        q = DurableTrialQueue(queue, lease_s=60.0 if lease_s is None else lease_s)
+    elif lease_s is not None:
+        raise ValueError("lease_s belongs to the queue object: set it on the DurableTrialQueue")
+    else:
+        q = queue
 
     log = ResultLog()
     stats = log.stats
@@ -362,8 +394,8 @@ def run_elastic(
             stats["replayed"] = len(log)
             if rec is not None:
                 rec.event("resume", kind="hpo.resume", replayed=len(log))
-        search = _Search(strategy, q, n_trials, lease_s, max_retries, injector,
-                         stop_after, sugs, log, rec)
+        search = _Search(strategy, q, n_trials, max_retries, injector, stop_after,
+                         sugs, log, rec)
         if executor is not None:
             _run_real(search, objective, n_workers, executor, worker_plan)
         else:
@@ -382,7 +414,7 @@ def run_elastic(
 def _run_sim(s: _Search, objective, n_workers, cost_model, kill_plan, worker_plan) -> None:
     from .scheduler import constant_cost
 
-    q, stats, rec, injector, lease_s = s.q, s.stats, s.rec, s.injector, s.lease_s
+    q, stats, rec, injector, lease_s = s.q, s.stats, s.rec, s.injector, s.q.lease_s
     cost = cost_model or constant_cost()
     kill_plan = kill_plan or KillPlan()
     straggler_factor = injector.spec.straggler_factor if injector is not None else 1.0
@@ -560,24 +592,32 @@ def _run_sim(s: _Search, objective, n_workers, cost_model, kill_plan, worker_pla
             lease_expires=record.lease_expires,
         ), at=record.claimed_at)
 
-    try:
-        while q.n_done < s.n_trials:
+    def search() -> Iterator[bool]:
+        """The loop: fill, pop the next event, settle it, fill again.
+        It yields at every tick boundary — right before the clock
+        moves — so the caller can commit the tick there."""
+        nonlocal clock
+        while s.n_done < s.n_trials:
             fill()
             if s.stopped:
                 stats["aborted"] = True
-                break
+                return
             if not heap:
                 expiry = q.next_lease_expiry()
                 if expiry is None:
-                    break  # strategy exhausted/stalled with nothing in flight
+                    return  # strategy exhausted/stalled with nothing in flight
+                if expiry > clock:
+                    yield True
                 clock = max(clock, expiry)
                 reclaimed = q.reclaim_expired(clock)
                 if rec is not None and reclaimed:
                     rec.event("lease_reclaim", kind="hpo.reclaim",
                               jobs=len(reclaimed), sim_time=clock)
                 if not idle:
-                    break  # no live workers left to run the reclaimed jobs
+                    return  # no live workers left to run the reclaimed jobs
                 continue
+            if heap[0][0] > clock:
+                yield True
             t, _, kind, payload = heapq.heappop(heap)
             clock = max(clock, t)
             if kind == "done":
@@ -593,7 +633,17 @@ def _run_sim(s: _Search, objective, n_workers, cost_model, kill_plan, worker_pla
                 release(payload, respawned=True)
             else:
                 resize(*payload)
-        q.meta_set("sim_now", clock)
+
+    # One group per tick: every event at one sim time and the fills
+    # between them commit together.  Only the commit boundaries move;
+    # the calls, and so the event log, come in the loop's own order.
+    ticks = search()
+    try:
+        while True:
+            with s.group():
+                if not next(ticks, False):
+                    q.meta_set("sim_now", clock)
+                    break
     finally:
         if rec is not None:
             rec.sim_clock = prev_sim_clock
@@ -621,55 +671,64 @@ def _run_real(s: _Search, objective, n_workers, executor, worker_plan) -> None:
     plan = sorted(worker_plan.real) if worker_plan is not None else []
     active = n_workers
     inflight: Dict[int, Tuple[int, ClaimedJob]] = {}  # task_id -> (slot, job)
+    res = None  # the result the next group settles first
 
     try:
-        while q.n_done < s.n_trials:
-            for threshold, n_active in plan:
-                if s.completed_new + stats["replayed"] >= threshold:
-                    active = max(1, min(n_active, n_workers))
-            for slot, job in inflight.values():
-                s.renew(job, f"w{slot}")
-            # Fill free executor slots from the queue.  Injected faults
-            # are applied parent-side before dispatch; STRAGGLER means
-            # nothing without a simulated clock.
-            while len(inflight) < active:
-                slot = len(inflight)  # logical consumer slot
-                owner = f"w{slot}"
-                job = s.next_job(owner, slot)
-                if job is None:
-                    break
-                kind = s.fault(job)
-                if kind == CRASH:
-                    s.fail(job, owner)
-                elif kind == NAN:
-                    value = screen(float("nan"), stats, rec, job.job_id - 1, "injected")
-                    s.finish(job, owner, value, slot)
-                else:
-                    inflight[executor.submit(job.config, job.budget)] = (slot, job)
-            if not inflight:
-                if q.counts()["claimed"] == 0:
-                    break  # exhausted/stalled with nothing outstanding
-                q.reclaim_expired(time.time())
-                continue
+        while True:
+            # One group per result: settle it, renew the leases, fill the
+            # free slots.  The wait for the next result is outside any
+            # group, so the write lock is never held while a worker runs.
+            with s.group():
+                if res is not None:
+                    slot, job = inflight.pop(res.task_id)
+                    owner = f"w{slot}"
+                    if res.status != "ok":
+                        if res.status == "died":
+                            stats["workers_lost"] += 1  # the pool respawned it
+                        s.fail(job, owner)
+                    else:
+                        stats["busy_s"] += res.duration_s
+                        value = screen(float(res.value), stats, rec, job.job_id - 1)
+                        if s.finish(job, owner, value, res.worker) and rec is not None:
+                            rec.add_complete(
+                                "trial", kind="hpo.trial", dur_wall=res.duration_s,
+                                trial=job.job_id - 1, attempt=job.attempts - 1,
+                                worker=res.worker, budget=job.budget,
+                                mode="process", value=value,
+                            )
+                    res = None
+                    if s.stopped:
+                        stats["aborted"] = True
+                        return
+                if s.n_done >= s.n_trials:
+                    return
+                for threshold, n_active in plan:
+                    if s.completed_new + stats["replayed"] >= threshold:
+                        active = max(1, min(n_active, n_workers))
+                for slot, job in inflight.values():
+                    s.renew(job, f"w{slot}")
+                # Fill free executor slots from the queue.  Injected faults
+                # are applied parent-side before dispatch; STRAGGLER means
+                # nothing without a simulated clock.
+                while len(inflight) < active:
+                    slot = len(inflight)  # logical consumer slot
+                    owner = f"w{slot}"
+                    job = s.next_job(owner, slot)
+                    if job is None:
+                        break
+                    kind = s.fault(job)
+                    if kind == CRASH:
+                        s.fail(job, owner)
+                    elif kind == NAN:
+                        value = screen(float("nan"), stats, rec, job.job_id - 1, "injected")
+                        s.finish(job, owner, value, slot)
+                    else:
+                        inflight[executor.submit(job.config, job.budget)] = (slot, job)
+                if not inflight:
+                    if q.counts()["claimed"] == 0:
+                        return  # exhausted/stalled with nothing outstanding
+                    q.reclaim_expired(time.time())
+                    continue
             res = executor.next_result()
-            slot, job = inflight.pop(res.task_id)
-            owner = f"w{slot}"
-            if res.status != "ok":
-                if res.status == "died":
-                    stats["workers_lost"] += 1  # the pool respawned it
-                s.fail(job, owner)
-            else:
-                stats["busy_s"] += res.duration_s
-                value = screen(float(res.value), stats, rec, job.job_id - 1)
-                if s.finish(job, owner, value, res.worker) and rec is not None:
-                    rec.add_complete(
-                        "trial", kind="hpo.trial", dur_wall=res.duration_s,
-                        trial=job.job_id - 1, attempt=job.attempts - 1,
-                        worker=res.worker, budget=job.budget,
-                        mode="process", value=value,
-                    )
-            if s.stopped:
-                stats["aborted"] = True
-                return
     finally:
         executor.shutdown()

@@ -30,6 +30,14 @@ instance with the same seed reproduces the strategy's internal state
 bit-for-bit, which is what makes a killed campaign resumable
 (:func:`repro.hpo.elastic.run_elastic`).
 
+The atomic unit is a **group**: :meth:`DurableTrialQueue.transaction`
+opens one, and every call made inside it runs its statements in the
+group's one SQLite transaction, committed when the group closes and
+rolled back as a whole if an exception leaves it.  A call made outside
+any group is a group of its own.  A crash therefore always leaves the
+file at a group boundary — the elastic driver groups one simulated
+tick, or one settled result, at a time.
+
 Clocks are injected: every lease-sensitive call takes ``now`` so the
 same queue runs under the simulated clock (deterministic 10k-trial
 benches, hypothesis crash schedules) and the wall clock (real worker
@@ -140,24 +148,23 @@ class DurableTrialQueue:
         given a queue).
     lease_s:
         Default lease duration handed to :meth:`claim`.
-    fast:
-        ``synchronous=OFF`` — no fsync per commit.  Safe against
-        process crashes (the benches and tests kill processes, not the
-        kernel); not against power loss.  The 10k-trial bench uses it.
     """
 
-    def __init__(self, path: Union[str, Path], lease_s: float = 60.0, fast: bool = False) -> None:
+    def __init__(self, path: Union[str, Path], lease_s: float = 60.0) -> None:
         if lease_s <= 0:
             raise ValueError("lease_s must be > 0")
         self.path = Path(path)
         self.lease_s = float(lease_s)
         if str(path) != ":memory:":
             self.path.parent.mkdir(parents=True, exist_ok=True)
-        self._lock = threading.Lock()
+        # Reentrant: a group holds the lock while the calls inside it
+        # take it again.
+        self._lock = threading.RLock()
+        self._group_open = False
         self._db = sqlite3.connect(str(self.path), timeout=30.0, check_same_thread=False)
         self._db.isolation_level = None  # explicit BEGIN/COMMIT below
         self._db.execute("PRAGMA journal_mode=WAL")
-        self._db.execute(f"PRAGMA synchronous={'OFF' if fast else 'NORMAL'}")
+        self._db.execute("PRAGMA synchronous=NORMAL")
         self._db.execute("PRAGMA busy_timeout=30000")
         # executescript manages its own transaction boundaries.
         self._db.executescript(_SCHEMA)
@@ -168,8 +175,23 @@ class DurableTrialQueue:
         }
 
     # -- plumbing --------------------------------------------------------
-    def _txn(self):
-        return _Transaction(self._db, self._lock)
+    def _txn(self) -> None:
+        """Begin a group's transaction: the one place a transaction
+        begins, called only when no group is open."""
+        self._db.execute("BEGIN IMMEDIATE")
+
+    def transaction(self) -> "_Transaction":
+        """Open a group: every call made inside the ``with`` block runs
+        in one transaction, committed when the block exits.
+
+        An exception that leaves the block rolls back every call made
+        in it, and :attr:`stats` reads as it did before the block.  A
+        group opened inside a group joins the outer one.  The group
+        holds SQLite's write lock for its whole duration, so another
+        connection to the same file waits for it (``busy_timeout``
+        30 s) and sees none of its writes until it commits.
+        """
+        return _Transaction(self)
 
     def close(self) -> None:
         self._db.close()
@@ -186,7 +208,7 @@ class DurableTrialQueue:
         job id (the launch index: ids are assigned in ask order)."""
         if budget < 1:
             raise ValueError("budget must be >= 1")
-        with self._txn():
+        with self.transaction():
             cur = self._db.execute(
                 "INSERT INTO jobs (config, budget, tag) VALUES (?, ?, ?)",
                 (json.dumps(config, sort_keys=True), int(budget), _encode_tag(tag)),
@@ -211,7 +233,7 @@ class DurableTrialQueue:
         """
         now = time.time() if now is None else float(now)
         lease = self.lease_s if lease_s is None else float(lease_s)
-        with self._txn():
+        with self.transaction():
             row = self._db.execute(
                 "SELECT job_id, config, budget, tag, status, attempts FROM jobs "
                 "WHERE status = 'pending' OR (status = 'claimed' AND lease_expires <= ?) "
@@ -252,7 +274,7 @@ class DurableTrialQueue:
         make any re-execution produce the same value).  Every subsequent
         ack for the job returns False and changes nothing.
         """
-        with self._txn():
+        with self.transaction():
             row = self._db.execute(
                 "SELECT status FROM jobs WHERE job_id = ?", (job_id,)
             ).fetchone()
@@ -278,7 +300,7 @@ class DurableTrialQueue:
         """Return a claimed job to pending (a failed attempt: the worker
         process died, or an injected crash).  Only the current owner can
         requeue; a done job stays done.  The attempt stays counted."""
-        with self._txn():
+        with self.transaction():
             cur = self._db.execute(
                 "UPDATE jobs SET status = 'pending', owner = NULL, claimed_at = NULL, "
                 "lease_expires = NULL WHERE job_id = ? AND status = 'claimed' AND owner = ?",
@@ -293,7 +315,7 @@ class DurableTrialQueue:
         """Renew a live claim's lease (long trials); False if the claim
         was lost (expired and reclaimed, or completed)."""
         lease = self.lease_s if lease_s is None else float(lease_s)
-        with self._txn():
+        with self.transaction():
             cur = self._db.execute(
                 "UPDATE jobs SET lease_expires = ? "
                 "WHERE job_id = ? AND status = 'claimed' AND owner = ?",
@@ -305,7 +327,7 @@ class DurableTrialQueue:
         """Flip every expired claim back to pending; returns the job ids.
         (Claim also reclaims lazily; this is the eager sweep the driver
         runs so leases expire even when no consumer is asking.)"""
-        with self._txn():
+        with self.transaction():
             rows = self._db.execute(
                 "SELECT job_id FROM jobs WHERE status = 'claimed' AND lease_expires <= ? "
                 "ORDER BY job_id",
@@ -325,7 +347,7 @@ class DurableTrialQueue:
     def reset_claims(self) -> int:
         """Driver restart: every claim belongs to a dead incarnation —
         return them all to pending immediately (no lease wait)."""
-        with self._txn():
+        with self.transaction():
             cur = self._db.execute(
                 "UPDATE jobs SET status = 'pending', owner = NULL, claimed_at = NULL, "
                 "lease_expires = NULL WHERE status = 'claimed'"
@@ -334,7 +356,7 @@ class DurableTrialQueue:
 
     # -- queries ---------------------------------------------------------
     def counts(self) -> Dict[str, int]:
-        with self._txn():
+        with self.transaction():
             rows = self._db.execute(
                 "SELECT status, COUNT(*) FROM jobs GROUP BY status"
             ).fetchall()
@@ -344,25 +366,25 @@ class DurableTrialQueue:
 
     @property
     def n_jobs(self) -> int:
-        with self._txn():
+        with self.transaction():
             return self._db.execute("SELECT COUNT(*) FROM jobs").fetchone()[0]
 
     @property
     def n_done(self) -> int:
-        with self._txn():
+        with self.transaction():
             return self._db.execute(
                 "SELECT COUNT(*) FROM jobs WHERE status = 'done'"
             ).fetchone()[0]
 
     def next_lease_expiry(self) -> Optional[float]:
-        with self._txn():
+        with self.transaction():
             row = self._db.execute(
                 "SELECT MIN(lease_expires) FROM jobs WHERE status = 'claimed'"
             ).fetchone()
         return row[0]
 
     def job(self, job_id: int) -> JobRecord:
-        with self._txn():
+        with self.transaction():
             row = self._db.execute(
                 "SELECT job_id, config, budget, tag, status, owner, claimed_at, lease_expires, "
                 "attempts, value, sim_time, worker, completed_by FROM jobs WHERE job_id = ?",
@@ -373,7 +395,7 @@ class DurableTrialQueue:
         return self._record(row)
 
     def jobs(self) -> List[JobRecord]:
-        with self._txn():
+        with self.transaction():
             rows = self._db.execute(
                 "SELECT job_id, config, budget, tag, status, owner, claimed_at, lease_expires, "
                 "attempts, value, sim_time, worker, completed_by FROM jobs ORDER BY job_id"
@@ -383,7 +405,7 @@ class DurableTrialQueue:
     def completions(self) -> List[JobRecord]:
         """Done jobs in *completion* order (tell-event order) — the
         order the strategy learned in, hence the replay order."""
-        with self._txn():
+        with self.transaction():
             rows = self._db.execute(
                 "SELECT j.job_id, j.config, j.budget, j.tag, j.status, j.owner, "
                 "j.claimed_at, j.lease_expires, j.attempts, j.value, j.sim_time, j.worker, j.completed_by "
@@ -394,7 +416,7 @@ class DurableTrialQueue:
 
     def events(self) -> List[Tuple[int, str, int, Optional[float]]]:
         """The replay log: (seq, kind, job_id, value) in commit order."""
-        with self._txn():
+        with self.transaction():
             return self._db.execute(
                 "SELECT seq, kind, job_id, value FROM events ORDER BY seq"
             ).fetchall()
@@ -412,14 +434,14 @@ class DurableTrialQueue:
 
     # -- campaign metadata ----------------------------------------------
     def meta_get(self, key: str, default=None):
-        with self._txn():
+        with self.transaction():
             row = self._db.execute(
                 "SELECT value FROM meta WHERE key = ?", (key,)
             ).fetchone()
         return default if row is None else json.loads(row[0])
 
     def meta_set(self, key: str, value) -> None:
-        with self._txn():
+        with self.transaction():
             self._db.execute(
                 "INSERT INTO meta (key, value) VALUES (?, ?) "
                 "ON CONFLICT(key) DO UPDATE SET value = excluded.value",
@@ -428,24 +450,41 @@ class DurableTrialQueue:
 
 
 class _Transaction:
-    """``BEGIN IMMEDIATE`` … ``COMMIT``/``ROLLBACK`` under the instance
-    lock — every public method is one atomic unit, so a crash between
-    any two calls leaves the queue in a consistent state."""
+    """A group: ``BEGIN IMMEDIATE`` … ``COMMIT``/``ROLLBACK`` under the
+    instance lock around every call made inside it.  The group, not a
+    single call, is the atomic unit: a crash leaves the queue at a
+    group boundary.  Entered while this thread's group is open, it
+    joins that group and neither begins nor commits."""
 
-    def __init__(self, db: sqlite3.Connection, lock: threading.Lock) -> None:
-        self.db = db
-        self.lock = lock
+    __slots__ = ("q", "saved_stats")
+
+    def __init__(self, q: DurableTrialQueue) -> None:
+        self.q = q
+        # q.stats as the group found it; None when this joined a group.
+        self.saved_stats: Optional[Dict[str, int]] = None
 
     def __enter__(self) -> "_Transaction":
-        self.lock.acquire()
-        self.db.execute("BEGIN IMMEDIATE")
+        q = self.q
+        q._lock.acquire()
+        if not q._group_open:
+            try:
+                q._txn()
+            except BaseException:
+                q._lock.release()
+                raise
+            q._group_open = True
+            self.saved_stats = dict(q.stats)
         return self
 
     def __exit__(self, exc_type, *exc) -> None:
+        q = self.q
         try:
-            if exc_type is None:
-                self.db.execute("COMMIT")
-            else:
-                self.db.execute("ROLLBACK")
+            if self.saved_stats is not None:
+                q._group_open = False
+                if exc_type is None:
+                    q._db.execute("COMMIT")
+                else:
+                    q._db.execute("ROLLBACK")
+                    q.stats.update(self.saved_stats)
         finally:
-            self.lock.release()
+            q._lock.release()

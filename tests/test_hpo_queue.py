@@ -14,9 +14,12 @@ killed mid-campaign, and the invariants must hold every time —
   (configs, values, budgets, sim times, worker assignment).
 """
 
+import functools
 import json
 import multiprocessing as mp
+import sqlite3
 import tempfile
+import threading
 import time
 from pathlib import Path
 
@@ -43,6 +46,7 @@ from repro.hpo.elastic import ElasticReplayError, replay_into
 from repro.hpo.queue import CLAIMED, DONE, PENDING
 from repro.hpo.results import ResultLog
 from repro.obs import TraceRecorder
+from repro.parallel import ParallelTrialExecutor
 from repro.resilience import NAN, WORKER_LOSS, FaultInjector, FaultSpec
 
 
@@ -77,6 +81,18 @@ def objective(config, budget=1):
     return (config["x"] - 0.25) ** 2 + 1.0 / budget
 
 
+def _writes_beside_the_driver(path, config, budget=1):
+    """A trial (in a worker process) that writes to its campaign's queue
+    file, waiting at most 2 s for the write lock."""
+    db = sqlite3.connect(path, timeout=2.0, isolation_level=None)
+    try:
+        db.execute("INSERT INTO meta (key, value) VALUES (?, '1')",
+                   (f"trial-{config['x']!r}",))
+    finally:
+        db.close()
+    return objective(config, budget)
+
+
 def budget_cost(config, budget):
     return float(budget)
 
@@ -88,6 +104,18 @@ def rows(log: ResultLog):
          t.budget, t.sim_time, t.worker)
         for t in log.trials
     ]
+
+
+class CountingQueue(DurableTrialQueue):
+    """Counts the transactions the queue begins, as ``bench/`` does."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        self.txn_count = 0
+        super().__init__(*args, **kwargs)
+
+    def _txn(self):
+        self.txn_count += 1
+        return super()._txn()
 
 
 @pytest.fixture
@@ -267,6 +295,94 @@ class TestQueueBasics:
         q.meta_set("k", {"a": 1})
         q.meta_set("k", {"a": 2})
         assert q.meta_get("k") == {"a": 2}
+
+    def test_fast_keyword_is_gone(self, tmp_path):
+        with pytest.raises(TypeError):
+            DurableTrialQueue(tmp_path / "fast.db", fast=True)
+
+
+# ----------------------------------------------------------------------
+# Groups: many calls, one transaction
+# ----------------------------------------------------------------------
+class TestGroups:
+    def test_other_connections_see_a_group_only_once_it_commits(self, tmp_path):
+        path = tmp_path / "iso.db"
+        reader = sqlite3.connect(str(path), isolation_level=None)
+
+        def visible():
+            return (reader.execute("SELECT COUNT(*) FROM jobs").fetchone()[0],
+                    reader.execute("SELECT COUNT(*) FROM events").fetchone()[0],
+                    reader.execute("SELECT COUNT(*) FROM jobs WHERE status = 'done'")
+                    .fetchone()[0])
+
+        try:
+            with DurableTrialQueue(path) as queue:
+                with queue.transaction():
+                    queue.enqueue({"x": 0.1})
+                    queue.enqueue({"x": 0.2})
+                    job = queue.claim("c0", now=0.0)
+                    assert queue.ack(job.job_id, "c0", 0.5)
+                    assert queue.counts() == {PENDING: 1, CLAIMED: 0, DONE: 1}
+                    assert visible() == (0, 0, 0)
+                assert visible() == (2, 3, 1)
+        finally:
+            reader.close()
+
+    def test_exception_rolls_back_every_call_and_the_stats(self, q):
+        q.enqueue({"x": 0.1})
+        before = (q.jobs(), q.events(), dict(q.stats))
+        with pytest.raises(RuntimeError):
+            with q.transaction():
+                q.enqueue({"x": 0.2})
+                job = q.claim("c0", now=0.0)
+                assert q.ack(job.job_id, "c0", 0.5)
+                assert not q.ack(job.job_id, "c0", 0.5)
+                q.meta_set("sim_now", 3.0)
+                raise RuntimeError("driver died mid-group")
+        assert (q.jobs(), q.events(), q.stats) == before
+        assert q.meta_get("sim_now") is None
+        assert q.enqueue({"x": 0.3}) == 2  # the queue is usable afterwards
+
+    def test_nested_groups_begin_once(self, tmp_path):
+        with CountingQueue(tmp_path / "n.db") as queue:
+            with queue.transaction():
+                queue.enqueue({"x": 0.1})
+                with queue.transaction():
+                    queue.claim("c0", now=0.0)
+                    assert queue.n_jobs == 1
+                queue.ack(1, "c0", 0.5)
+            assert queue.txn_count == 1
+            queue.enqueue({"x": 0.2})  # a call outside a group is its own
+            assert queue.txn_count == 2
+
+    def test_another_thread_waits_for_the_group_and_keeps_its_own_write(self, q):
+        """The lock is reentrant for the group's thread only: a call
+        from another thread waits and commits on its own, so the group's
+        rollback cannot take it along."""
+        other = threading.Thread(target=lambda: q.enqueue({"x": 0.9}))
+        with pytest.raises(RuntimeError):
+            with q.transaction():
+                q.enqueue({"x": 0.1})
+                other.start()
+                other.join(timeout=0.2)
+                assert other.is_alive()
+                raise RuntimeError
+        other.join(timeout=10)
+        assert not other.is_alive()
+        assert [j.config for j in q.jobs()] == [{"x": 0.9}]
+
+    def test_real_clock_waits_for_workers_outside_any_group(self, tmp_path):
+        """Each trial writes to the queue file from its worker process;
+        a driver holding its group's write lock across the wait for
+        results would make every one of those writes time out."""
+        path = tmp_path / "real.db"
+        with ParallelTrialExecutor(2) as ex:
+            log = run_elastic(RandomSearch(small_space(), seed=4),
+                              functools.partial(_writes_beside_the_driver, str(path)),
+                              6, path, n_workers=2, executor=ex)
+        assert len(log) == 6 and log.stats["failures"] == 0
+        with DurableTrialQueue(path) as queue:
+            assert all(queue.meta_get(f"trial-{t.config['x']!r}") == 1 for t in log.trials)
 
 
 # ----------------------------------------------------------------------
@@ -566,6 +682,87 @@ class TestElasticRuntime:
         # flight at the kill) — and the event log matches the tables.
         assert counts[DONE] == tells == 7
         assert sum(counts.values()) == asks
+
+    def test_claims_take_the_queue_lease(self, tmp_path):
+        """A queue object's ``lease_s`` is the lease (it used to be
+        ignored for run_elastic's own 60 s); ``lease_s=`` builds a
+        queue from a path, and is refused beside a queue object."""
+        kw = dict(n_workers=4, cost_model=budget_cost, stop_after=3)
+        with DurableTrialQueue(tmp_path / "own.db", lease_s=7.0) as queue:
+            run_elastic(RandomSearch(small_space(), seed=1), objective, 20, queue, **kw)
+            held = [r for r in queue.jobs() if r.status == CLAIMED]
+            with pytest.raises(ValueError):
+                run_elastic(RandomSearch(small_space(), seed=1), objective, 20, queue,
+                            lease_s=7.0, **kw)
+        assert held and {r.lease_expires - r.claimed_at for r in held} == {7.0}
+        run_elastic(RandomSearch(small_space(), seed=1), objective, 20,
+                    tmp_path / "built.db", lease_s=3.0, **kw)
+        with DurableTrialQueue(tmp_path / "built.db") as queue:
+            held = [r for r in queue.jobs() if r.status == CLAIMED]
+        assert held and {r.lease_expires - r.claimed_at for r in held} == {3.0}
+
+    def test_one_transaction_per_tick(self, tmp_path):
+        """A campaign begins three transactions to read its checkpoint
+        (jobs, events, sim clock), one for the fills at its start, and
+        one per distinct completion time — the same count every run."""
+        counts = []
+        for i in range(2):
+            with CountingQueue(tmp_path / f"t{i}.db") as queue:
+                log = run_elastic(ASHA(small_space(), seed=5, max_budget=9), objective,
+                                  60, queue, n_workers=8, cost_model=budget_cost)
+                ticks = len({t.sim_time for t in log.trials})
+                assert queue.txn_count == 3 + 1 + ticks
+                counts.append(queue.txn_count)
+        assert counts[0] == counts[1] < len(log) / 2
+        # A respawn and a lease expiry move the clock too.  Ticks: 0 (job
+        # 1 claimed, its consumer killed), 1 (respawn; job 2 claimed), 2
+        # (job 2 done), 5 (job 1's lease expired; reclaimed), 6 (done).
+        with CountingQueue(tmp_path / "kill.db", lease_s=5.0) as queue:
+            log = run_elastic(RandomSearch(small_space(), seed=1), objective, 2, queue,
+                              n_workers=1, cost_model=constant_cost(1.0),
+                              kill_plan=KillPlan(kills={(1, 1): "claim"}))
+            assert [t.sim_time for t in log.trials] == [2.0, 6.0]
+            assert queue.txn_count == 3 + 5
+
+    @pytest.mark.parametrize("kills", [{}, {(j, 1): ("claim" if j % 2 else "ack")
+                                            for j in range(2, 24, 5)}])
+    def test_driver_crash_leaves_a_tick_boundary(self, tmp_path, kills):
+        """An objective that raises at its k-th call, for every k, kills
+        the driver mid-tick: the tick rolls back as a whole, so the file
+        holds exactly the completions of earlier ticks with the event log
+        matching the tables, and resuming it reproduces the uninterrupted
+        run."""
+        kw = dict(n_workers=3, cost_model=budget_cost, lease_s=6.0,
+                  kill_plan=KillPlan(kills=kills))
+        mk = lambda: ASHA(small_space(), seed=13, max_budget=9)  # noqa: E731
+        full = run_elastic(mk(), objective, 24, tmp_path / "full.db", **kw)
+        assert full.stats["giveups"] == 0  # so the k-th call is the k-th trial
+
+        for k, crashed in enumerate(full.trials, start=1):
+            calls = []
+
+            def crashing(config, budget=1):
+                calls.append(config)
+                if len(calls) == k:
+                    raise RuntimeError("driver killed")
+                return objective(config, budget)
+
+            path = tmp_path / f"crash{k}.db"
+            with pytest.raises(RuntimeError):
+                run_elastic(mk(), crashing, 24, path, **kw)
+            with DurableTrialQueue(path) as queue:
+                records = queue.jobs()
+                events = queue.events()
+            done = {r.job_id for r in records if r.status == DONE}
+            assert done == {t.trial_id + 1 for t in full.trials
+                            if t.sim_time < crashed.sim_time}, k
+            assert sum(kind == "ask" for _, kind, _, _ in events) == len(records)
+            assert sorted(j for _, kind, j, _ in events if kind == "tell") == sorted(done)
+            for r in records:
+                held = r.status == CLAIMED
+                assert (r.owner is not None) == held == (r.lease_expires is not None)
+            resumed = run_elastic(mk(), objective, 24, path, **kw)
+            assert rows(resumed) == rows(full), k
 
 
 # ----------------------------------------------------------------------
