@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from conftest import print_experiment
-from repro.hpc import SUMMIT_ERA, DatasetSpec, StagingSimulator, compare_policies
+from repro.hpc import SUMMIT_ERA, DatasetSpec, compare_policies
 from repro.utils import format_table
 
 N_EPOCHS = 20
@@ -19,7 +19,7 @@ N_EPOCHS = 20
 SIZES_GB = (50, 200, 600, 1200, 2400)
 
 
-def test_e11_staging_policies(benchmark):
+def test_e11_staging_policies():
     rows = []
     results = {}
     for gb in SIZES_GB:
@@ -50,6 +50,3 @@ def test_e11_staging_policies(benchmark):
     assert spill_speedup < fit_speedup
     # Small datasets: DRAM cache is at least as good as NVRAM prefetch.
     assert results[50]["dram_cache"] <= results[50]["nvram_prefetch"] * 1.01
-
-    ds = DatasetSpec(bytes_total=600e9, samples=int(1e6))
-    benchmark(lambda: StagingSimulator(SUMMIT_ERA, ds, "nvram_prefetch").total_exposed_time(N_EPOCHS))

@@ -24,7 +24,7 @@ from repro.hpc import (
 from repro.utils import format_table
 
 
-def test_e12_energy_breakdown(benchmark):
+def test_e12_energy_breakdown():
     profile = mlp_profile([8192] * 6, batch_size=2048, name="fc6")
     cluster64 = SimCluster.build("summit_era", 64, "fat_tree")
     cluster1 = SimCluster.build("summit_era", 1, "ring")
@@ -64,5 +64,3 @@ def test_e12_energy_breakdown(benchmark):
     assert (dp.memory + dp.network) > 0.3 * dp.compute
     # Static energy at 64 poorly-scaled nodes dwarfs the single-node run's.
     assert results["data(64) fp32"].static > results["single fp32"].static
-
-    benchmark(lambda: step_energy(DataParallel(64), profile, cluster64, "fp16"))

@@ -20,7 +20,7 @@ STALENESS = (0, 2, 8, 32, 96)
 EPOCHS = 4
 
 
-def test_e13_staleness_ablation(benchmark):
+def test_e13_staleness_ablation():
     ds = make_tumor_expression(n_samples=256, n_genes=60, n_classes=3, seed=0)
 
     rows = []
@@ -43,10 +43,3 @@ def test_e13_staleness_ablation(benchmark):
     # ...extreme staleness wrecks early convergence.
     assert early[96] > early[0] * 2
     assert finals[96] > finals[0]
-
-    model = build_p1b2_classifier(3, hidden=(16,), dropout=0.0)
-    benchmark(lambda: train_async_sgd(
-        build_p1b2_classifier(3, hidden=(16,), dropout=0.0),
-        ds.x[:128], ds.y[:128], n_workers=4, staleness=4, epochs=1,
-        loss="cross_entropy", lr=0.05, seed=0,
-    ))

@@ -21,7 +21,7 @@ from repro.utils import format_table
 NODES = (64, 1024, 16384, 131072)
 
 
-def test_e15_resilience(benchmark):
+def test_e15_resilience():
     profile = mlp_profile([16384] * 10, batch_size=1024)  # ~2.4B params
     rows = []
     eff = {}
@@ -51,10 +51,8 @@ def test_e15_resilience(benchmark):
     # At extreme scale the PFS penalty is material (>1% of the machine).
     assert eff[(131072, "pfs")] < 0.95
 
-    benchmark(lambda: campaign_efficiency(profile, SUMMIT_ERA, 16384, tier_name="nvram"))
 
-
-def test_e15_measured_vs_modeled(benchmark):
+def test_e15_measured_vs_modeled():
     """The model, lived: run a real training loop under injected crashes
     at the modeled failure rate, checkpointing at the Daly interval, and
     compare the *measured* efficiency (from the run's time ledger) with
@@ -119,14 +117,3 @@ def test_e15_measured_vs_modeled(benchmark):
             max(1, int(round(daly_interval(ckpt_time, mtbf) / step_time))) * step_time,
         )
         assert abs(measured[mtbf] - modeled) < 0.15, (mtbf, measured[mtbf], modeled)
-
-    def kernel():
-        model = build_p1b2_classifier(4, hidden=(16,), dropout=0.0)
-        with tempfile.TemporaryDirectory() as tmp:
-            run_resilient_training(
-                model, d.x[:64], d.y[:64], checkpoint_dir=tmp, epochs=1,
-                batch_size=8, loss="cross_entropy", seed=0, checkpoint_every=8,
-                injector=FaultInjector(crash_steps=(3,), seed=0),
-            )
-
-    benchmark(kernel)

@@ -40,7 +40,7 @@ def _r2(model_kind: str, strength: float, seed: int = 0) -> float:
     return metrics.r2_score(model.predict(xs_te), y_te)
 
 
-def test_e16_combo_architecture_ablation(benchmark):
+def test_e16_combo_architecture_ablation():
     rows = []
     results = {}
     for strength in STRENGTHS:
@@ -61,5 +61,3 @@ def test_e16_combo_architecture_ablation(benchmark):
     # interaction signal grows (ridge can't represent it at all).
     gaps = [results[s]["tower"] - results[s]["ridge"] for s in STRENGTHS]
     assert gaps[-1] >= gaps[0] - 0.05
-
-    benchmark(lambda: _r2("ridge", 1.5))

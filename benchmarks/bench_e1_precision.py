@@ -52,7 +52,7 @@ def _train_combo(fmt: str) -> float:
     return metrics.r2_score(model.predict((x_te - mu) / sd), y_te)
 
 
-def test_e1_precision_ablation(benchmark):
+def test_e1_precision_ablation():
     rows = []
     results = {}
     for fmt in FORMATS:
@@ -72,13 +72,3 @@ def test_e1_precision_ablation(benchmark):
         assert results[fmt][2] >= results["fp64"][2] - 0.15, f"{fmt} Combo degraded"
     # int8 may degrade but must stay usable.
     assert results["int8"][0] > 0.5
-
-    # Timed kernel: one fp16 policy training epoch.
-    ds = make_tumor_expression(n_samples=150, n_genes=60, n_classes=4, seed=2)
-
-    def kernel():
-        model = build_p1b2_classifier(4, hidden=(32,), dropout=0.0)
-        train_with_policy(model, ds.x, ds.y, PrecisionPolicy("fp16"), epochs=1,
-                          loss="cross_entropy", lr=1e-3, seed=0)
-
-    benchmark(kernel)

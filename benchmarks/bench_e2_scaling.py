@@ -40,7 +40,7 @@ def _strong_weak_tables():
     return table, strong_speedup, weak_eff
 
 
-def test_e2_scaling_curves(benchmark):
+def test_e2_scaling_curves():
     table, strong, weak = _strong_weak_tables()
     print_experiment("E2  Strong vs weak scaling, data parallelism (summit_era, fat-tree)", table)
 
@@ -50,7 +50,3 @@ def test_e2_scaling_curves(benchmark):
     assert strong[1024] < strong[256] * 2.0
     # Weak scaling stays within 3x of perfect.
     assert weak[1024] > 1.0 / 3.0
-
-    profile = mlp_profile([4096, 4096, 1000], batch_size=4096)
-    cluster = SimCluster.build("summit_era", 256, "fat_tree")
-    benchmark(lambda: DataParallel(256).step_time(profile, cluster, "fp32"))

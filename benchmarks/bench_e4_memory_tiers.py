@@ -17,7 +17,7 @@ from repro.utils import format_table
 BATCH_BYTES = 32 * 60_000 * 4.0  # batch 32 of 60k fp32 features (CANDLE-ish)
 
 
-def test_e4_tier_placement(benchmark):
+def test_e4_tier_placement():
     profile = mlp_profile([60_000, 2048, 512, 32], batch_size=32)
     rows = []
     per_node = {}
@@ -42,6 +42,3 @@ def test_e4_tier_placement(benchmark):
         # From HBM, input reads hide behind compute; from PFS they dominate.
         assert times["hbm"] < compute
         assert times["pfs"] > compute
-
-    node = SUMMIT_ERA
-    benchmark(lambda: [t.access_time(BATCH_BYTES) for t in node.tiers])

@@ -14,10 +14,8 @@ import pytest
 from conftest import print_experiment
 from repro.hpo import (
     STRATEGIES,
-    RandomSearch,
     SurrogateLandscape,
     candle_mlp_space,
-    run_sequential,
 )
 from repro.utils import format_table
 
@@ -59,7 +57,7 @@ def _run(name, space, seed):
     return best, n_cfg, spent
 
 
-def test_e5_strategy_comparison(benchmark):
+def test_e5_strategy_comparison():
     space = candle_mlp_space()
     land_ref = SurrogateLandscape(space, noise=0.0, seed=5)
     rows = []
@@ -84,6 +82,3 @@ def test_e5_strategy_comparison(benchmark):
         assert bests[smart] <= bests["random"] + 0.05, f"{smart} did not match random search"
     naive = min(bests["grid"], bests["random"])
     assert min(bests[s] for s in smart_names) < naive - 0.2
-
-    land = SurrogateLandscape(space, seed=5)
-    benchmark(lambda: run_sequential(RandomSearch(space, seed=0, default_budget=FULL_FIDELITY), land, 50))

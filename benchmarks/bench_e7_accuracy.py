@@ -135,7 +135,7 @@ def row_imaging():
     return ["imaging (tumor grade conv2d)", "accuracy", dl, base, dl > base + 0.1]
 
 
-def test_e7_accuracy_table(benchmark):
+def test_e7_accuracy_table():
     rows = [row_p1b1(), row_p1b2(), row_nt3(), row_combo(), row_p3b1(), row_amr(), row_imaging()]
     table_rows = [[r[0], r[1], r[2], r[3], "yes" if r[4] else "NO"] for r in rows]
     print_experiment(
@@ -144,5 +144,3 @@ def test_e7_accuracy_table(benchmark):
     )
     failures = [r[0] for r in rows if not r[4]]
     assert not failures, f"DL failed to beat baseline on: {failures}"
-
-    benchmark(row_p1b1)

@@ -9,14 +9,14 @@ import numpy as np
 import pytest
 
 from conftest import print_experiment
-from repro.datasets import langevin_trajectory, make_rugged_landscape
+from repro.datasets import make_rugged_landscape
 from repro.utils import format_table
 from repro.workflow import run_sampling_campaign
 
 SETTINGS = dict(n_rounds=7, trajectories_per_round=3, steps_per_trajectory=200, temperature=0.15, extent=9.0)
 
 
-def test_e8_md_supervision(benchmark):
+def test_e8_md_supervision():
     pot = make_rugged_landscape(n_wells=16, extent=8.0, min_separation=2.0, seed=1)
     rows = []
     coverage = {}
@@ -40,7 +40,3 @@ def test_e8_md_supervision(benchmark):
 
     assert coverage["adaptive"] > coverage["replica"], "supervision must beat blind continuation"
     assert coverage["adaptive"] >= coverage["uniform"] - 1e-9, "supervision must not lose to uniform"
-
-    benchmark(
-        lambda: langevin_trajectory(pot, np.zeros(2), n_steps=200, rng=np.random.default_rng(0))
-    )

@@ -1,9 +1,10 @@
 """Shared fixtures for the experiment benches.
 
 Each ``bench_eN_*.py`` regenerates one experiment from DESIGN.md's
-per-experiment index and prints its table (the paper analogue), while the
-``benchmark`` fixture times the experiment's core kernel.
-Run: ``pytest benchmarks/ --benchmark-only -s`` (``-s`` to see the tables).
+per-experiment index, prints its table (the paper analogue) and asserts
+the claim's expected shape.  Nothing here is timed: ``bench/`` is the
+repository's one measurement system.
+Run: ``pytest benchmarks/ -s`` (``-s`` to see the tables).
 """
 
 import sys

@@ -162,8 +162,8 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 
 def _cmd_experiments(args: argparse.Namespace) -> int:
-    print("The experiment tables (E1-E15) are regenerated by the bench suite:")
-    print("  pytest benchmarks/ --benchmark-only -s")
+    print("The experiment tables (E1-E16) are regenerated by the bench suite:")
+    print("  pytest benchmarks/ -s")
     print("Each bench prints its table and asserts the expected shape;")
     print("see DESIGN.md for the claim map and EXPERIMENTS.md for results.")
     return 0

@@ -22,20 +22,16 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..nn.functional import OPS
 from ..nn.layers import (
     Activation,
     AvgPool1D,
     BatchNorm,
-    Conv1D,
-    Conv2D,
-    Dense,
     Dropout,
     Embedding,
     Flatten,
     GlobalAvgPool2D,
     LayerNorm,
-    MaxPool1D,
-    MaxPool2D,
 )
 from ..nn.model import Model
 from .hardware import DTYPE_BYTES, AcceleratorSpec, NodeSpec
@@ -152,21 +148,10 @@ def profile_model(model: Model, input_shape: Tuple[int, ...], batch_size: int = 
 def _layer_cost(layer, in_shape: Tuple[int, ...], out_shape: Tuple[int, ...], b: int) -> LayerCost:
     out_elems = b * int(np.prod(out_shape))
     params = layer.param_count()
-    if isinstance(layer, Dense):
-        fan_in = in_shape[-1]
-        rows = b * int(np.prod(in_shape[:-1])) if len(in_shape) > 1 else b
-        flops_fwd = 2.0 * rows * fan_in * layer.units
-        flops_bwd = 2.0 * flops_fwd  # dX and dW GEMMs
-    elif isinstance(layer, Conv1D):
-        c_out, l_out = out_shape
-        c_in = in_shape[0]
-        flops_fwd = 2.0 * b * c_out * l_out * c_in * layer.kernel_size
-        flops_bwd = 2.0 * flops_fwd
-    elif isinstance(layer, Conv2D):
-        c_out, h_out, w_out = out_shape
-        c_in = in_shape[0]
-        flops_fwd = 2.0 * b * c_out * h_out * w_out * c_in * layer.kernel_size ** 2
-        flops_bwd = 2.0 * flops_fwd  # dX and dW GEMMs
+    entry = OPS.get(getattr(layer, "op", None))
+    if entry is not None:  # priced by the op-table entry the layer runs
+        kernel = getattr(layer, "kernel_size", None)
+        flops_fwd, flops_bwd, out_elems = entry.cost(b, in_shape, out_shape, kernel)
     elif isinstance(layer, Embedding):
         flops_fwd = float(out_elems)  # gather
         flops_bwd = float(out_elems)
@@ -176,7 +161,7 @@ def _layer_cost(layer, in_shape: Tuple[int, ...], out_shape: Tuple[int, ...], b:
     elif isinstance(layer, (Activation, Dropout)):
         flops_fwd = float(out_elems)
         flops_bwd = float(out_elems)
-    elif isinstance(layer, (MaxPool1D, AvgPool1D, MaxPool2D)):
+    elif isinstance(layer, AvgPool1D):
         flops_fwd = float(b * int(np.prod(in_shape)))
         flops_bwd = float(out_elems)
     elif isinstance(layer, GlobalAvgPool2D):
@@ -208,14 +193,8 @@ def mlp_profile(layer_dims: Sequence[int], batch_size: int = 32, name: str = "ml
     costs = []
     for i in range(len(layer_dims) - 1):
         fan_in, units = layer_dims[i], layer_dims[i + 1]
-        flops_fwd = 2.0 * batch_size * fan_in * units
-        costs.append(
-            LayerCost(
-                name=f"dense{i}", params=fan_in * units + units,
-                flops_fwd=flops_fwd, flops_bwd=2 * flops_fwd,
-                activation_elems=batch_size * units,
-            )
-        )
+        flops = OPS["linear_act"].cost(batch_size, (fan_in,), (units,))
+        costs.append(LayerCost(f"dense{i}", fan_in * units + units, *flops))
     return ModelProfile(layers=costs, batch_size=batch_size, name=name)
 
 
@@ -234,14 +213,8 @@ def conv1d_profile(
     c_prev, l = 1, length
     for i, c in enumerate(channels):
         l_out = l - kernel_size + 1
-        flops_fwd = 2.0 * batch_size * c * l_out * c_prev * kernel_size
-        costs.append(
-            LayerCost(
-                name=f"conv{i}", params=c * c_prev * kernel_size + c,
-                flops_fwd=flops_fwd, flops_bwd=2 * flops_fwd,
-                activation_elems=batch_size * c * l_out,
-            )
-        )
+        flops = OPS["conv1d"].cost(batch_size, (c_prev, l), (c, l_out), kernel_size)
+        costs.append(LayerCost(f"conv{i}", c * c_prev * kernel_size + c, *flops))
         l = l_out // pool
         c_prev = c
     flat = c_prev * l

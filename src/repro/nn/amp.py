@@ -1,8 +1,8 @@
 """Autocast state for dtype-aware fused kernels (reduced precision).
 
 This module is the *mechanism* half of ``repro.precision.autocast``: a
-module-global cast plan that the fused kernels in
-:mod:`repro.nn.functional` consult on every call.  It lives under
+module-global cast plan that :func:`repro.nn.functional.apply` reads once
+per op-table call and applies as the entry's dtype rule.  It lives under
 ``repro.nn`` (not ``repro.precision``) so ``functional.py`` can import it
 without a package cycle — ``repro.precision`` imports ``repro.nn.model``,
 which imports ``layers``, which imports ``functional``.
@@ -20,8 +20,8 @@ Design (the standard mixed-precision recipe, emulated on NumPy):
   updates full-precision master weights; *activation* gradients are
   snapped back to the narrow grid, keeping the backward datapath narrow.
 
-With no plan active (`_ACTIVE is None`) every kernel takes one global
-read and an ``is None`` branch — the fp64 path is unchanged.
+With no plan active (`_ACTIVE is None`) an entry with a dtype rule costs
+one global read and an ``is None`` branch — the fp64 path is unchanged.
 """
 
 from __future__ import annotations
@@ -135,9 +135,9 @@ def active() -> Optional[CastPlan]:
 class autocast:
     """Context manager enabling the narrow datapath for fused kernels.
 
-    Reentrant (plans nest/restore); the kernels it affects are
-    ``linear_act``, ``conv1d``, ``conv2d``, and ``softmax_cross_entropy``
-    — the GEMM-bearing ops.  Everything else runs in whatever dtype its
+    Reentrant (plans nest/restore); it affects the op-table entries that
+    declare a dtype rule (``cast`` in ``functional.OPS``: the GEMM-bearing
+    ops and the fused loss).  Everything else runs in whatever dtype its
     inputs carry (fp32 under :meth:`repro.nn.Model.fit` with
     ``precision=``), which is exactly the mixed-precision contract.
     """

@@ -32,6 +32,9 @@ class Layer:
     # The tape-free eval forward ``infer(xd) -> ndarray``; None for a
     # layer without one (see the module docstring).
     infer = None
+    # The op-table entry (``functional.OPS``) the layer runs, whose cost
+    # ``hpc.perfmodel`` prices it with; None for a layer outside the table.
+    op = None
 
     def __init__(self, name: Optional[str] = None) -> None:
         self.name = name or type(self).__name__
@@ -79,6 +82,8 @@ class Layer:
 class Dense(Layer):
     """Fully connected layer: ``y = x @ W + b``."""
 
+    op = "linear_act"
+
     def __init__(
         self,
         units: int,
@@ -120,8 +125,8 @@ class Dense(Layer):
     def infer(self, xd: np.ndarray) -> np.ndarray:
         # The weights are read per call: a set_weights, cast or rebind of
         # p.data between two calls is seen by the second.
-        return F.linear_act_kernel(
-            xd, self.weight.data, None if self.bias is None else self.bias.data,
+        return F.LinearAct.forward(
+            None, xd, self.weight.data, None if self.bias is None else self.bias.data,
             None if self.activation is None else self.activation.kind,
         )
 
@@ -275,6 +280,8 @@ class LayerNorm(Layer):
 class Conv1D(Layer):
     """1-D convolution over (N, C, L) inputs."""
 
+    op = "conv1d"
+
     def __init__(
         self,
         filters: int,
@@ -342,6 +349,8 @@ class Conv1D(Layer):
 
 
 class MaxPool1D(Layer):
+    op = "maxpool1d"
+
     def __init__(self, pool_size: int, stride: Optional[int] = None, name: Optional[str] = None) -> None:
         super().__init__(name)
         self.pool_size = pool_size
@@ -417,6 +426,8 @@ class Embedding(Layer):
 class Conv2D(Layer):
     """2-D convolution over (N, C, H, W) inputs (tumor-imaging workloads)."""
 
+    op = "conv2d"
+
     def __init__(
         self,
         filters: int,
@@ -487,6 +498,8 @@ class Conv2D(Layer):
 
 
 class MaxPool2D(Layer):
+    op = "maxpool2d"
+
     def __init__(self, pool_size: int, stride: Optional[int] = None, name: Optional[str] = None) -> None:
         super().__init__(name)
         self.pool_size = pool_size

@@ -1,10 +1,11 @@
 """Instrumentation shim between the nn ops and the profiler.
 
-:mod:`repro.nn.functional` wraps its public ops with :func:`instrument`
-at import time.  With no sink attached (the overwhelmingly common case)
-each call pays one module-global read and a truthiness test; attaching an
-:class:`~repro.perf.profiler.OpProfiler` reroutes every op through its
-``record`` method.
+:func:`repro.nn.functional.apply` checks :func:`get_sink` once per
+op-table call, and the ops outside the table are wrapped with
+:func:`instrument` at import time.  With no sink attached (the
+overwhelmingly common case) each call pays one module-global read and a
+test; attaching an :class:`~repro.perf.profiler.OpProfiler` reroutes every
+op through its ``record(name, fn, args, kwargs)`` method.
 
 This module must stay import-light (stdlib only) — it is imported *by*
 ``repro.nn.functional``, so pulling anything from ``repro.nn`` here would
@@ -18,7 +19,7 @@ from typing import Any, Callable, Optional
 
 # The active sink (an OpProfiler), or None.  A plain module global rather
 # than a thread-local: the engine itself is single-threaded per process
-# (parallelism in this repo is process-level, see repro.distributed).
+# (parallelism in this repo is process-level, see repro.parallel).
 _SINK: Optional[Any] = None
 
 
@@ -37,8 +38,7 @@ def set_sink(sink: Optional[Any]) -> Optional[Any]:
 def instrument(name: str, fn: Callable) -> Callable:
     """Wrap ``fn`` so calls are forwarded to the active sink, if any.
 
-    The undecorated function stays reachable as ``wrapper.__wrapped__``
-    (used by the benchmarks to measure hook overhead).
+    The undecorated function stays reachable as ``wrapper.__wrapped__``.
     """
 
     @functools.wraps(fn)

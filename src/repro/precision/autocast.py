@@ -6,10 +6,9 @@ float64 storage — numerically faithful, but slower than fp64, so claim C7
 This module is the datapath that does pay off, through the same
 ``Model.fit(precision=...)`` entry point:
 
-* ``autocast`` (re-exported from :mod:`repro.nn.amp`) switches the fused
-  kernels — ``linear_act``, ``conv1d``, ``conv2d``,
-  ``softmax_cross_entropy`` — to narrow-storage compute with fp32
-  accumulation;
+* ``autocast`` (re-exported from :mod:`repro.nn.amp`) switches the
+  op-table entries that declare a dtype rule (``functional.OPS``) to
+  narrow-storage compute with fp32 accumulation;
 * :class:`FitPrecision` is the :class:`~repro.precision.policy.StepController`
   ``Model.fit(precision="fp32"|"bf16"|"fp16")`` drives: fp32 master
   weights and the autocast context around forward/backward.  Loss

@@ -7,6 +7,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from repro.nn.tensor import Tensor
+from repro.perf import set_sink
 
 
 def numerical_grad(fn: Callable[[np.ndarray], float], x: np.ndarray, eps: float = 1e-6) -> np.ndarray:
@@ -119,3 +120,22 @@ def check_dead_input_grad(
         # Each run calls the closure twice (once directly, once through
         # backward()): forward + 2 input-grad GEMMs against forward only.
         assert (live_matmuls, dead_matmuls) == (3, 1)
+
+
+class SeenOps:
+    """Pass-through profiler sink: adds the name of every op that runs to
+    ``into``.  Used as a context manager, it is the active sink inside."""
+
+    def __init__(self, into: set) -> None:
+        self.into = into
+
+    def record(self, name, fn, args, kwargs):
+        self.into.add(name)
+        return fn(*args, **kwargs)
+
+    def __enter__(self) -> "SeenOps":
+        self.prev = set_sink(self)
+        return self
+
+    def __exit__(self, *exc) -> None:
+        set_sink(self.prev)

@@ -400,6 +400,25 @@ class TestFusedSoftmaxCrossEntropy:
             assert fused.item() == pytest.approx(unfused.item(), abs=1e-6)
             np.testing.assert_allclose(zf.grad, zu.grad, atol=1e-6)
 
+    def test_second_backward_gives_the_same_gradient(self):
+        # The backward reads the saved softmax without consuming it, so a
+        # node walked twice adds the same gradient twice.
+        from repro.nn.losses import cross_entropy_unfused
+
+        z = RNG.standard_normal((4, 3))
+        labels = np.array([0, 2, 1, 2])
+        for target in (labels, np.eye(3)[labels]):
+            once = Tensor(z.copy(), requires_grad=True)
+            F.softmax_cross_entropy(once, target).backward()
+            twice = Tensor(z.copy(), requires_grad=True)
+            loss = F.softmax_cross_entropy(twice, target)
+            loss.backward()
+            loss.backward()
+            np.testing.assert_allclose(twice.grad, 2 * once.grad, rtol=0, atol=1e-12)
+            ref = Tensor(z.copy(), requires_grad=True)
+            cross_entropy_unfused(ref, target).backward()
+            np.testing.assert_allclose(once.grad, ref.grad, rtol=0, atol=1e-12)
+
     def test_extreme_logits_stable(self):
         z = Tensor(np.array([[1000.0, -1000.0], [-1000.0, 1000.0]]), requires_grad=True)
         loss = F.softmax_cross_entropy(z, np.array([0, 1]))

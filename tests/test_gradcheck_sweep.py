@@ -6,10 +6,11 @@ compares the autograd gradient against central finite differences via
 :func:`repro.nn.gradcheck.gradient_check`.
 
 Coverage is enforced, not hoped for: the final tests enumerate every
-public ``Layer`` subclass (including the recurrent cells) and every
-public loss in :mod:`repro.nn.losses` and assert each one appears in the
-sweep.  A new layer or loss added without a gradcheck case fails the
-suite.
+public ``Layer`` subclass (including the recurrent cells), every public
+loss in :mod:`repro.nn.losses` and every op-table entry
+(``functional.OPS``, seen running through a pass-through profiler sink)
+and assert each one appears in the sweep.  A new layer, loss or entry
+added without a gradcheck case fails the suite.
 
 Numerics notes baked into the cases:
 
@@ -60,6 +61,8 @@ from repro.nn.layers import (
 from repro.nn.recurrent import GRU, LSTM, SimpleRNN
 from repro.nn.tensor import Tensor
 
+from helpers import SeenOps
+
 SWEEP = settings(
     max_examples=6, deadline=None, suppress_health_check=[HealthCheck.too_slow]
 )
@@ -67,6 +70,7 @@ SWEEP = settings(
 #: Filled by the case functions; the coverage tests assert completeness.
 COVERED_LAYERS = set()
 COVERED_LOSSES = set()
+COVERED_OPS = set()
 
 
 def _away_from_zero(rng, shape, gap=0.08):
@@ -82,7 +86,8 @@ def _distinct(rng, shape, spacing=0.1):
 
 
 def _check(op, x, atol=1e-5, rtol=1e-4):
-    passed, err = gradient_check(op, x, atol=atol, rtol=rtol)
+    with SeenOps(COVERED_OPS):
+        passed, err = gradient_check(op, x, atol=atol, rtol=rtol)
     assert passed, f"max grad error {err:.3e}"
 
 
@@ -484,6 +489,10 @@ class TestZCoverage:
         missing = _public_losses() - COVERED_LOSSES
         assert not missing, f"losses with no gradcheck sweep case: {sorted(missing)}"
 
+    def test_every_op_table_entry_is_gradchecked(self):
+        missing = set(F.OPS) - COVERED_OPS
+        assert not missing, f"op-table entries no gradcheck sweep case ran: {sorted(missing)}"
+
 
 # ----------------------------------------------------------------------
 # Narrow-format sweep: the real fp32 / bf16 datapaths vs float64
@@ -501,6 +510,7 @@ NARROW_TOL = {"fp32": dict(rtol=1e-3, atol=1e-3), "bf16": dict(rtol=6e-2, atol=6
 #: Filled by the narrow-sweep tests; coverage enforced at the bottom.
 COVERED_NARROW_LAYERS = set()
 COVERED_NARROW_LOSSES = set()
+COVERED_NARROW_OPS = set()
 
 
 def _cast_layer_f32(layer):
@@ -539,7 +549,8 @@ def _run_narrow_layer(factory, feature_shape, x, fmt, seed=0, training=False,
             prep(layer)
         xt = Tensor(xi, requires_grad=xi.dtype.kind == "f")
         ctx = autocast("bf16") if mode == "bf16" else nullcontext()
-        with ctx:
+        seen = nullcontext() if mode == "fp64" else SeenOps(COVERED_NARROW_OPS)
+        with ctx, seen:
             out = layer.forward(xt, training=training)
             out.backward(np.ones(out.data.shape, dtype=out.data.dtype))
         grad = xt.grad if grad_of == "input" else next(iter(layer.parameters())).grad
@@ -659,7 +670,8 @@ def _run_narrow_loss(make, x, fmt):
         xi = np.array(x) if mode == "fp64" else np.array(x, dtype=np.float32)
         xt = Tensor(xi, requires_grad=True)
         ctx = autocast("bf16") if mode == "bf16" else nullcontext()
-        with ctx:
+        seen = nullcontext() if mode == "fp64" else SeenOps(COVERED_NARROW_OPS)
+        with ctx, seen:
             out = make(xt, xi.dtype)
             out.backward()
         if mode != "fp64":
@@ -783,3 +795,7 @@ class TestZZNarrowCoverage:
     def test_every_public_loss_in_narrow_sweep(self):
         missing = _public_losses() - COVERED_NARROW_LOSSES
         assert not missing, f"losses with no narrow-format case: {sorted(missing)}"
+
+    def test_every_op_table_entry_in_narrow_sweep(self):
+        missing = set(F.OPS) - COVERED_NARROW_OPS
+        assert not missing, f"op-table entries no narrow-format case ran: {sorted(missing)}"

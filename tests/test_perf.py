@@ -10,7 +10,18 @@ from repro.nn import Dense, Sequential, Tensor, no_grad
 from repro.perf import OpProfiler, get_sink, instrument, set_sink
 from repro.perf import reference
 
+from helpers import SeenOps
+
 RNG = np.random.default_rng(99)
+
+#: Table entries no frozen kernel checks (linear_act's GEMM never had a
+#: pre-optimization twin); every other entry names its oracle.
+ORACLE_FREE = {"linear_act"}
+
+
+def oracle(op_name: str, i: int = 0):
+    """The ``i``-th frozen kernel the op-table entry names (forward first)."""
+    return getattr(reference, F.OPS[op_name].oracle[i])
 
 
 class TestHooks:
@@ -37,9 +48,34 @@ class TestHooks:
         assert get_sink() is prev
 
     def test_functional_ops_are_instrumented(self):
-        assert hasattr(F.relu, "__wrapped__")
-        assert hasattr(F.conv2d, "__wrapped__")
-        assert hasattr(F.linear_act, "__wrapped__")
+        # An attached sink records every table entry and every op still
+        # wrapped by ``instrument``.
+        x = Tensor(RNG.standard_normal((4, 3)), requires_grad=True)
+        img = Tensor(RNG.standard_normal((2, 2, 6, 6)), requires_grad=True)
+        seq = img[:, :, 0]
+        gamma, beta = Tensor(np.ones(3), requires_grad=True), Tensor(np.zeros(3), requires_grad=True)
+        calls = {
+            "linear_act": lambda: F.linear_act(x, Tensor(RNG.standard_normal((3, 2)))),
+            "conv1d": lambda: F.conv1d(seq, Tensor(RNG.standard_normal((3, 2, 3)))),
+            "conv2d": lambda: F.conv2d(img, Tensor(RNG.standard_normal((3, 2, 3, 3)))),
+            "maxpool1d": lambda: F.maxpool1d(seq, 2),
+            "maxpool2d": lambda: F.maxpool2d(img, 2),
+            "softmax_cross_entropy": lambda: F.softmax_cross_entropy(x, np.array([0, 1, 2, 0])),
+            "linear": lambda: F.linear(x, Tensor(RNG.standard_normal((3, 2)))),
+            "dropout": lambda: F.dropout(x, 0.5, np.random.default_rng(0)),
+            "embedding": lambda: F.embedding(x, np.array([0, 2])),
+            "batch_norm": lambda: F.batch_norm(x, gamma, beta, np.zeros(3), np.ones(3)),
+            "layer_norm": lambda: F.layer_norm(x, gamma, beta),
+            "avgpool1d": lambda: F.avgpool1d(seq, 2),
+        }
+        assert set(F.OPS) <= set(calls)
+        seen = set()
+        with SeenOps(seen):
+            for name in F._INSTRUMENTED_OPS:
+                calls.get(name, lambda name=name: getattr(F, name)(x))()
+            for name in F.OPS:
+                calls[name]()
+        assert seen == set(F.OPS) | set(F._INSTRUMENTED_OPS)
 
 
 class TestOpProfiler:
@@ -123,7 +159,7 @@ class TestReferenceKernels:
         w = RNG.standard_normal((4, 2, 3))
         b = RNG.standard_normal(4)
         new = F.conv1d(Tensor(x), Tensor(w), Tensor(b), stride=2, padding=1).data
-        ref = reference.conv1d_forward(x, w, b, stride=2, padding=1)
+        ref = oracle("conv1d")(x, w, b, stride=2, padding=1)
         np.testing.assert_allclose(new, ref, atol=1e-12)
 
     def test_conv2d_forward_matches(self):
@@ -131,7 +167,7 @@ class TestReferenceKernels:
         w = RNG.standard_normal((4, 3, 3, 3))
         b = RNG.standard_normal(4)
         new = F.conv2d(Tensor(x), Tensor(w), Tensor(b), stride=2, padding=1).data
-        ref = reference.conv2d_forward(x, w, b, stride=2, padding=1)
+        ref = oracle("conv2d")(x, w, b, stride=2, padding=1)
         np.testing.assert_allclose(new, ref, atol=1e-12)
 
     def test_conv2d_backward_matches(self):
@@ -146,7 +182,7 @@ class TestReferenceKernels:
         xd_pad = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
         cols = reference.im2col_2d(xd_pad, 3, 3, stride)
         g = np.ones(out.shape)
-        grad_x, grad_w = reference.conv2d_backward(
+        grad_x, grad_w = oracle("conv2d", 1)(
             g, cols, w, xd_pad.shape[2:], x.shape[0], stride=stride, padding=padding
         )
         np.testing.assert_allclose(xt.grad, grad_x, atol=1e-10)
@@ -158,7 +194,7 @@ class TestReferenceKernels:
         zt = Tensor(z.copy(), requires_grad=True)
         loss = F.softmax_cross_entropy(zt, labels)
         loss.backward()
-        ref_loss, ref_grad = reference.cross_entropy_forward_backward(z, labels)
+        ref_loss, ref_grad = oracle("softmax_cross_entropy")(z, labels)
         assert loss.item() == pytest.approx(ref_loss, abs=1e-10)
         np.testing.assert_allclose(zt.grad, ref_grad, atol=1e-10)
 
@@ -187,6 +223,15 @@ class TestReferenceKernels:
             ref.step([arr], [g])
         np.testing.assert_array_equal(p.data, arr)
 
+    def test_every_entry_names_an_oracle_or_is_oracle_free(self):
+        for name, op in F.OPS.items():
+            if name in ORACLE_FREE:
+                assert op.oracle is None, f"{name} names an oracle but is listed oracle-free"
+                continue
+            assert op.oracle, f"table entry {name} names no frozen kernel and is not listed oracle-free"
+            for kernel in op.oracle:
+                assert callable(getattr(reference, kernel, None)), f"{name}: no reference.{kernel}"
+
 
 class TestPoolingParity:
     """The tap-wise max pools against the frozen window + argmax kernels,
@@ -211,8 +256,8 @@ class TestPoolingParity:
             x2 = np.maximum(x2, 0.0)
             x2[rng.random(x2.shape) < 0.4] = 0.0
         cases = (
-            (x2, F.maxpool2d, reference.maxpool2d_forward, reference.maxpool2d_backward),
-            (x2[:, :, 0], F.maxpool1d, reference.maxpool1d_forward, reference.maxpool1d_backward),
+            (x2, F.maxpool2d, oracle("maxpool2d"), oracle("maxpool2d", 1)),
+            (x2[:, :, 0], F.maxpool1d, oracle("maxpool1d"), oracle("maxpool1d", 1)),
         )
         for x, op, ref_forward, ref_backward in cases:
             ref_out, ref_arg = ref_forward(x, pool, stride)
