@@ -60,7 +60,7 @@ def test_e15_measured_vs_modeled():
     trustworthy if the runtime reproduces it."""
     from repro.candle import build_p1b2_classifier
     from repro.datasets import make_tumor_expression
-    from repro.resilience import FaultInjector, run_resilient_training
+    from repro.resilience import FaultSchedule, run_resilient_training
 
     d = make_tumor_expression(n_samples=256, n_genes=20, n_classes=4, seed=0)
     step_time, ckpt_time, restart_time = 1.0, 2.0, 2.0
@@ -75,13 +75,13 @@ def test_e15_measured_vs_modeled():
             total_steps if mtbf == float("inf")
             else max(1, int(round(daly_interval(ckpt_time, mtbf) / step_time)))
         )
-        inj = FaultInjector(crash_prob=crash_prob, seed=42) if crash_prob else None
+        faults = FaultSchedule(crash=crash_prob, seed=42) if crash_prob else None
         model = build_p1b2_classifier(4, hidden=(16,), dropout=0.0)
         with tempfile.TemporaryDirectory() as tmp:
             _, rep = run_resilient_training(
                 model, d.x, d.y, checkpoint_dir=tmp, epochs=epochs,
                 batch_size=batch, loss="cross_entropy", seed=0,
-                checkpoint_every=interval_steps, injector=inj,
+                checkpoint_every=interval_steps, faults=faults,
                 max_restarts=200, step_time_s=step_time,
                 checkpoint_time_s=ckpt_time, restart_time_s=restart_time,
             )

@@ -18,7 +18,7 @@ import sys
 import tempfile
 
 from repro.hpo import Float, Int, SearchSpace
-from repro.resilience import FaultSpec
+from repro.resilience import CRASH, FaultSchedule
 from repro.utils import format_table
 from repro.workflow import run_campaign
 
@@ -28,14 +28,16 @@ space = SearchSpace({
     "hidden2": Int(8, 64, log=True),
 })
 
-faults = FaultSpec(
-    crash_prob=0.05,          # 5% of trial attempts / training steps die
-    straggler_prob=0.10,      # 10% of attempts run 4x slower
+faults = FaultSchedule(
+    crash=0.05,               # 5% of trial attempts / training steps die
+    straggler=0.10,           # 10% of attempts run 4x slower
     straggler_factor=4.0,
-    nan_prob=0.05,            # 5% of attempts / gradients diverge to NaN
-    storage_fail_prob=0.05,   # 5% of checkpoint writes fail cleanly
+    nan=0.05,                 # 5% of attempts / gradients diverge to NaN
+    storage=0.05,             # 5% of checkpoint writes fail cleanly
     worker_loss_times=(40.0,),  # one node leaves the pool for good
-    crash_steps=(25, 60),     # two guaranteed crashes in final training
+    # Two guaranteed crashes in final training, keyed (incarnation, step):
+    # the drawn crashes restart the run before it reaches steps 25 and 60.
+    entries={("step", 1, 25): CRASH, ("step", 8, 60): CRASH},
     seed=12,
 )
 

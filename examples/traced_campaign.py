@@ -11,7 +11,7 @@ timeline.  Every subsystem reports into it:
 * the HPO scheduler (one span per trial attempt, on the simulated clock),
 * ``Model.fit`` (epoch/step spans with loss and gradient-norm gauges),
 * the op profiler (per-kernel spans nested under the step that ran them),
-* the fault injector and checkpoint/restart loop (instant events),
+* the fault schedule and checkpoint/restart loop (instant events),
 * the registry publish (``campaign.publish``) and the inference server
   (per-batch ``serve.batch`` spans with queue-depth gauges).
 
@@ -37,7 +37,7 @@ from repro.obs import (
 )
 from repro.perf import OpProfiler
 from repro.registry import ArtifactStore
-from repro.resilience import FaultSpec
+from repro.resilience import FaultSchedule
 from repro.serve import BatchPolicy, InferenceServer
 from repro.workflow.campaign import run_campaign
 
@@ -65,7 +65,7 @@ with tempfile.TemporaryDirectory() as ckpt_dir:
                 final_epochs=1 if smoke else 3,
                 max_search_samples=60 if smoke else 150,
                 seed=7,
-                faults=FaultSpec(crash_prob=0.10, nan_prob=0.05, seed=3),
+                faults=FaultSchedule(crash=0.10, nan=0.05, seed=3),
                 checkpoint_dir=ckpt_dir,
                 publish_to=store,
                 model_name="p1b1",

@@ -3,7 +3,7 @@ typed search spaces, seven strategies, and sequential + simulated-parallel
 schedulers."""
 
 from .analysis import Comparison, aggregate_trajectories, bootstrap_compare, rank_strategies
-from .elastic import KillPlan, WorkerPlan, run_elastic
+from .elastic import WorkerPlan, run_elastic
 from .objectives import SurrogateLandscape, benchmark_objective
 from .queue import DurableTrialQueue
 from .results import ResultLog, Trial
@@ -34,7 +34,7 @@ __all__ = [
     "candle_mlp_space",
     "ResultLog", "Trial",
     "run_sequential", "run_parallel", "constant_cost",
-    "run_elastic", "KillPlan", "WorkerPlan", "DurableTrialQueue",
+    "run_elastic", "WorkerPlan", "DurableTrialQueue",
     "SurrogateLandscape", "benchmark_objective",
     "aggregate_trajectories", "bootstrap_compare", "Comparison", "rank_strategies",
     "Strategy", "Suggestion", "STRATEGIES",

@@ -51,21 +51,24 @@ crashed driver leaves the file at a group boundary.
 
 Faults follow two rules, the same on both clocks:
 
-* **A trial CRASH is a failed attempt.**  Injected by a
-  :class:`~repro.resilience.FaultInjector`, raised by the objective, or
-  a pool worker dying under the trial: the attempt is counted, the job
-  goes back to pending, the consumer lives and takes the next job (on
-  the sim clock the attempt first burns its full duration).  A job
-  claimed more than ``max_retries + 1`` times completes as ``inf``, so
-  every enqueued job still ends ``done`` and ``failures == retries +
-  giveups``.  NaN objective values are quarantined to ``inf``.
-* **Only consumer death leads to lease expiry.**  A :class:`KillPlan`
-  entry kills the consumer holding a claim; nobody requeues it, and the
-  job becomes runnable again when its lease runs out.  A *live*
-  consumer never loses its claim that way: the driver knows which
-  claims are in flight and renews any whose lease has run out
-  (:meth:`DurableTrialQueue.extend_lease`) before the next claim is
-  taken, so a trial may outlive ``lease_s``.
+* **A trial CRASH is a failed attempt.**  Drawn from the
+  :class:`~repro.resilience.FaultSchedule` (site ``trial``), raised by
+  the objective, or a pool worker dying under the trial: the attempt is
+  counted, the job goes back to pending, the consumer lives and takes
+  the next job (on the sim clock the attempt first burns its full
+  duration).  A job claimed more than ``max_retries + 1`` times
+  completes as ``inf``, so every enqueued job still ends ``done`` and
+  ``failures == retries + giveups``.  NaN objective values are
+  quarantined to ``inf``.
+* **Only consumer death leads to lease expiry.**  An entry of the
+  schedule's ``consumer`` site kills the consumer holding a claim (at
+  ``"claim"`` or before its ``"ack"``); nobody requeues it, and the job
+  becomes runnable again when its lease runs out.  The killed slot
+  respawns :data:`RESPAWN_DELAY_S` simulated seconds later as a fresh
+  consumer.  A *live* consumer never loses its claim that way: the
+  driver knows which claims are in flight and renews any whose lease
+  has run out (:meth:`DurableTrialQueue.extend_lease`) before the next
+  claim is taken, so a trial may outlive ``lease_s``.
 
 Every retry, give-up, quarantine, kill and reclaim lands on the obs
 timeline when a recorder is attached.
@@ -75,6 +78,7 @@ from __future__ import annotations
 
 import heapq
 import time
+from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -83,49 +87,24 @@ from typing import Callable, Dict, Iterator, List, Optional, Tuple, Union
 import numpy as np
 
 from ..obs.context import get_recorder
-from ..resilience.faults import CRASH, NAN, STRAGGLER, WORKER_LOSS, FaultInjector
+from ..resilience.faults import (
+    CRASH, KILL_AFTER_CLAIM, KILL_BEFORE_ACK, NAN, STRAGGLER, WORKER_LOSS, FaultSchedule, record,
+)
 from .queue import DONE, ClaimedJob, DurableTrialQueue
 from .results import ResultLog, Trial
 from .strategies.base import Strategy, Suggestion
 
 __all__ = [
-    "KillPlan", "WorkerPlan", "ElasticReplayError", "run_elastic", "replay_into",
+    "WorkerPlan", "ElasticReplayError", "run_elastic", "replay_into",
     "new_ledger", "screen",
 ]
 
-KILL_AFTER_CLAIM = "claim"  # consumer dies right after claiming, before evaluating
-KILL_BEFORE_ACK = "ack"     # consumer dies after evaluating, before acking
+RESPAWN_DELAY_S = 1.0  # simulated seconds before a killed consumer's slot rejoins
 
 
 class ElasticReplayError(RuntimeError):
     """The strategy did not reproduce the recorded ask sequence — the
     determinism contract a resumable campaign depends on is broken."""
-
-
-@dataclass
-class KillPlan:
-    """A deterministic consumer-kill schedule for the simulated clock.
-
-    ``kills`` maps ``(job_id, attempt)`` (attempt is 1-based: the n-th
-    execution of that job) to a boundary: ``"claim"`` kills the
-    consumer immediately after its claim transaction commits (the trial
-    never runs), ``"ack"`` kills it after the evaluation finishes but
-    before the ack lands (the classic lost-completion window).  Either
-    way the claim is orphaned until its lease expires.  The killed
-    worker slot respawns ``respawn_delay`` simulated seconds later as a
-    fresh consumer.
-    """
-
-    kills: Dict[Tuple[int, int], str] = field(default_factory=dict)
-    respawn_delay: float = 1.0
-
-    def __post_init__(self) -> None:
-        for key, boundary in self.kills.items():
-            if boundary not in (KILL_AFTER_CLAIM, KILL_BEFORE_ACK):
-                raise ValueError(f"unknown kill boundary {boundary!r} for {key}")
-
-    def boundary(self, job_id: int, attempt: int) -> Optional[str]:
-        return self.kills.get((job_id, attempt))
 
 
 @dataclass
@@ -203,6 +182,7 @@ def new_ledger() -> Dict:
         "workers_lost": 0, "workers_killed": 0, "reclaims": 0,
         "duplicate_acks": 0, "replayed": 0, "resumed": False, "aborted": False,
         "busy_s": 0.0,  # real clock: worker-measured execution seconds
+        "faults": Counter(),  # drawn from the schedule, by kind
     }
 
 
@@ -233,7 +213,7 @@ class _Search:
     q: DurableTrialQueue
     n_trials: int
     max_retries: int
-    injector: Optional[FaultInjector]
+    faults: Optional[FaultSchedule]
     stop_after: Optional[int]
     sugs: Dict[int, Suggestion]
     log: ResultLog
@@ -264,11 +244,14 @@ class _Search:
             yield
 
     def fault(self, job: ClaimedJob) -> Optional[str]:
-        """The injected fault of this attempt.  Drawn once per attempt:
-        every draw is counted and traced by the injector."""
-        if self.injector is None:
+        """The scheduled fault of this attempt, drawn once per attempt and
+        counted in the ledger."""
+        if self.faults is None:
             return None
-        return self.injector.trial_fault(job.job_id - 1, job.attempts - 1)
+        kind = self.faults.draw("trial", job.job_id - 1, job.attempts - 1)
+        if kind is not None:
+            record(kind, self.stats["faults"])
+        return kind
 
     def next_job(self, owner: str, worker: int) -> Optional[ClaimedJob]:
         """A job for one free consumer: claim first (pending jobs and
@@ -343,8 +326,7 @@ def run_elastic(
     executor=None,
     lease_s: Optional[float] = None,
     max_retries: int = 3,
-    injector: Optional[FaultInjector] = None,
-    kill_plan: Optional[KillPlan] = None,
+    faults: Optional[FaultSchedule] = None,
     worker_plan: Optional[WorkerPlan] = None,
     stop_after: Optional[int] = None,
 ) -> ResultLog:
@@ -360,6 +342,9 @@ def run_elastic(
     Claims are leased for the queue's own ``lease_s``.  ``lease_s=``
     sets it for a queue this call builds from a path (default 60 s); a
     queue object already has one, so passing both is a ``ValueError``.
+
+    ``faults`` schedules trial crashes, NaNs and stragglers, permanent
+    worker losses and (simulated clock) consumer kills.
 
     ``stop_after`` aborts the campaign after that many *newly* acked
     completions — the test/bench hook that simulates a driver crash
@@ -394,12 +379,12 @@ def run_elastic(
             stats["replayed"] = len(log)
             if rec is not None:
                 rec.event("resume", kind="hpo.resume", replayed=len(log))
-        search = _Search(strategy, q, n_trials, max_retries, injector, stop_after,
+        search = _Search(strategy, q, n_trials, max_retries, faults, stop_after,
                          sugs, log, rec)
         if executor is not None:
             _run_real(search, objective, n_workers, executor, worker_plan)
         else:
-            _run_sim(search, objective, n_workers, cost_model, kill_plan, worker_plan)
+            _run_sim(search, objective, n_workers, cost_model, worker_plan)
         stats["reclaims"] += q.stats["reclaims"]
         stats["duplicate_acks"] += q.stats["duplicate_acks"]
         return log
@@ -411,13 +396,12 @@ def run_elastic(
 # ----------------------------------------------------------------------
 # Simulated clock
 # ----------------------------------------------------------------------
-def _run_sim(s: _Search, objective, n_workers, cost_model, kill_plan, worker_plan) -> None:
+def _run_sim(s: _Search, objective, n_workers, cost_model, worker_plan) -> None:
     from .scheduler import constant_cost
 
-    q, stats, rec, injector, lease_s = s.q, s.stats, s.rec, s.injector, s.q.lease_s
+    q, stats, rec, faults, lease_s = s.q, s.stats, s.rec, s.faults, s.q.lease_s
     cost = cost_model or constant_cost()
-    kill_plan = kill_plan or KillPlan()
-    straggler_factor = injector.spec.straggler_factor if injector is not None else 1.0
+    straggler_factor = faults.straggler_factor if faults is not None else 1.0
 
     clock = float(q.meta_get("sim_now", 0.0))
     s.now = s.stamp = lambda: clock
@@ -468,14 +452,14 @@ def _run_sim(s: _Search, objective, n_workers, cost_model, kill_plan, worker_pla
             if not past:
                 stats["workers_lost"] += 1
                 if injected:
-                    injector.record(WORKER_LOSS)
+                    record(WORKER_LOSS, stats["faults"])
         if rec is not None and not past:
             rec.event("workers_joined" if delta > 0 else "workers_left",
                       kind="hpo.elastic", n=abs(delta))
 
     changes = [(t, delta, False) for t, delta in (worker_plan.sim if worker_plan else ())]
-    if injector is not None:
-        changes += [(t, -1, True) for t in injector.worker_loss_times]
+    if faults is not None:
+        changes += [(t, -1, True) for t in faults.worker_loss_times]
     for t, delta, injected in sorted(changes):
         if t <= clock:
             # Resume: this change fired before the previous driver died.
@@ -511,7 +495,7 @@ def _run_sim(s: _Search, objective, n_workers, cost_model, kill_plan, worker_pla
 
     def start(wid: int, job: ClaimedJob, at: float) -> None:
         idle.discard(wid)
-        boundary = kill_plan.boundary(job.job_id, job.attempts)
+        boundary = faults.draw("consumer", job.job_id, job.attempts) if faults is not None else None
         if boundary == KILL_AFTER_CLAIM:
             kill(wid, job, at, burned=0.0)
             return
@@ -534,7 +518,7 @@ def _run_sim(s: _Search, objective, n_workers, cost_model, kill_plan, worker_pla
             rec.event("consumer_killed", kind="hpo.kill",
                       trial=job.job_id - 1, attempt=job.attempts,
                       worker=wid, burned_sim=burned)
-        push(at + burned + kill_plan.respawn_delay, "respawn", wid)
+        push(at + burned + RESPAWN_DELAY_S, "respawn", wid)
 
     def evaluate(wid: int, job: ClaimedJob, duration: float) -> float:
         trial = job.job_id - 1
@@ -558,15 +542,15 @@ def _run_sim(s: _Search, objective, n_workers, cost_model, kill_plan, worker_pla
     # whose owner is not a sim-mode consumer (e.g. a real-clock
     # incarnation) are requeued and simply re-run.
     inflight: Dict[int, List[Tuple[int, object]]] = {}
-    for record in (q.jobs() if stats["resumed"] else ()):
-        if record.status != "claimed":
+    for row in (q.jobs() if stats["resumed"] else ()):
+        if row.status != "claimed":
             continue
-        parsed = _parse_consumer(record.owner)
-        if parsed is None or record.claimed_at is None:
-            q.requeue(record.job_id, record.owner)
+        parsed = _parse_consumer(row.owner)
+        if parsed is None or row.claimed_at is None:
+            q.requeue(row.job_id, row.owner)
             continue
         wid, incarnation = parsed
-        inflight.setdefault(wid, []).append((incarnation, record))
+        inflight.setdefault(wid, []).append((incarnation, row))
     # Only a slot's newest incarnation holds live work.  An older
     # incarnation's claim is the orphaned lease of a consumer that was
     # killed *and already respawned* (the newer incarnation proves it) —
@@ -580,17 +564,17 @@ def _run_sim(s: _Search, objective, n_workers, cost_model, kill_plan, worker_pla
     # oldest-job-first) — so heap ties at equal times pop exactly as
     # they would have.
     live.sort(key=lambda item: (item[0][1].claimed_at, item[0][1].job_id))
-    for (incarnation, record), wid in live:
+    for (incarnation, row), wid in live:
         if wid not in slots:
             slots[wid] = 0
             idle.add(wid)
             next_wid = max(next_wid, wid + 1)
         slots[wid] = max(slots[wid], incarnation)
         start(wid, ClaimedJob(
-            job_id=record.job_id, config=record.config, budget=record.budget,
-            tag=record.tag, attempts=record.attempts,
-            lease_expires=record.lease_expires,
-        ), at=record.claimed_at)
+            job_id=row.job_id, config=row.config, budget=row.budget,
+            tag=row.tag, attempts=row.attempts,
+            lease_expires=row.lease_expires,
+        ), at=row.claimed_at)
 
     def search() -> Iterator[bool]:
         """The loop: fill, pop the next event, settle it, fill again.

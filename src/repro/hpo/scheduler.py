@@ -11,7 +11,7 @@ disk, on the simulated or the real clock.  The bulk-synchronous wave
 studies it and its barrier times are the reference the tests pin.
 
 Both regimes degrade gracefully under the
-:class:`repro.resilience.FaultInjector` fault model, with the same
+:class:`repro.resilience.FaultSchedule`, with the same
 accounting (:func:`repro.hpo.elastic.new_ledger`): a crashed attempt
 burns its duration and is retried up to ``max_retries`` times, then the
 trial lands as ``inf``; stragglers stretch their slot; NaN objective
@@ -32,7 +32,7 @@ from __future__ import annotations
 from typing import Callable, List, Optional, Tuple
 
 from ..obs.context import get_recorder
-from ..resilience.faults import CRASH, NAN, STRAGGLER, WORKER_LOSS, FaultInjector
+from ..resilience.faults import CRASH, NAN, STRAGGLER, WORKER_LOSS, FaultSchedule, record
 from .elastic import new_ledger, run_elastic, screen
 from .results import ResultLog, Trial
 from .space import Config
@@ -95,7 +95,7 @@ def run_parallel(
     cost_model: Optional[CostModel] = None,
     sync: bool = False,
     max_retries: int = 3,
-    injector: Optional[FaultInjector] = None,
+    faults: Optional[FaultSchedule] = None,
     executor=None,
     queue=None,
 ) -> ResultLog:
@@ -124,14 +124,14 @@ def run_parallel(
     path where ``sim_time`` is the completion event.  Simulated clock and
     no queue only.
 
-    Faults come from ``injector`` (a
-    :class:`~repro.resilience.FaultInjector`): deterministic per
+    Faults come from ``faults`` (a
+    :class:`~repro.resilience.FaultSchedule`): deterministic per
     (trial, attempt) crash / straggler / NaN faults, plus permanent
     worker loss at scheduled times (the pool shrinks; in sync mode later
     waves are narrower).  See the module docstring for the recovery
     rules; ``log.stats`` records failures, retries, give-ups,
-    quarantined trials and workers lost, with the same keys in both
-    regimes.
+    quarantined trials, workers lost and the faults drawn by kind, with
+    the same keys in both regimes.
     """
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
@@ -145,14 +145,14 @@ def run_parallel(
                 "real-clock and durable-queue searches are async-only (sync=True unsupported)"
             )
         return _run_bsp(strategy, objective, n_trials, n_workers,
-                        cost_model or constant_cost(), max_retries, injector)
+                        cost_model or constant_cost(), max_retries, faults)
     # The in-memory ledger has one driver by construction and no consumer
     # that can die without it, so its leases never expire.
     storage = {"queue": queue} if queue is not None else {
         "queue": ":memory:", "lease_s": float("inf")}
     return run_elastic(
         strategy, objective, n_trials, n_workers=n_workers, cost_model=cost_model,
-        executor=executor, max_retries=max_retries, injector=injector, **storage,
+        executor=executor, max_retries=max_retries, faults=faults, **storage,
     )
 
 
@@ -163,14 +163,14 @@ def _run_bsp(
     n_workers: int,
     cost: CostModel,
     max_retries: int,
-    injector: Optional[FaultInjector],
+    faults: Optional[FaultSchedule],
 ) -> ResultLog:
     """Bulk-synchronous waves on the simulated clock."""
     log = ResultLog()
     stats = log.stats
     stats.update(new_ledger())
-    straggler_factor = injector.spec.straggler_factor if injector is not None else 1.0
-    losses = sorted(injector.worker_loss_times) if injector is not None else []
+    straggler_factor = faults.straggler_factor if faults is not None else 1.0
+    losses = sorted(faults.worker_loss_times) if faults is not None else []
     alive = n_workers
     now = 0.0
 
@@ -188,7 +188,9 @@ def _run_bsp(
         duration = cost(sug.config, sug.budget)
         elapsed = 0.0
         for attempt in range(max_retries + 1):
-            kind = injector.trial_fault(tid, attempt) if injector is not None else None
+            kind = faults.draw("trial", tid, attempt) if faults is not None else None
+            if kind is not None:
+                record(kind, stats["faults"])
             burn = duration * (straggler_factor if kind == STRAGGLER else 1.0)
             elapsed += burn
             if kind != CRASH:
@@ -222,7 +224,7 @@ def _run_bsp(
                 losses.pop(0)
                 alive -= 1
                 stats["workers_lost"] += 1
-                injector.record(WORKER_LOSS)
+                record(WORKER_LOSS, stats["faults"])
             batch: List[Suggestion] = []
             for _ in range(min(alive, n_trials - len(log))):
                 sug = strategy.ask()

@@ -29,8 +29,8 @@ Usage — attach a recorder and everything instrumented reports to it::
 
 Hook points live in ``Model.fit`` (epoch/step spans, loss and grad-norm
 gauges), :class:`repro.perf.OpProfiler` (op spans nested under step
-spans), the HPO schedulers (trial lifecycle, retries, quarantine), the
-resilience fault injector (fault events), the inference server (batch
+spans), the HPO schedulers (trial lifecycle, retries, quarantine), every
+reader of the fault schedule (fault events), the inference server (batch
 spans, queue-depth gauge), and the campaign driver (top-level span).
 Detached cost is one module-global read per hook site; attached cost is
 gated below 5% on the MLP train step by

@@ -3,11 +3,12 @@
 :mod:`repro.hpc.resilience` *analyzes* failures (Young/Daly); this
 package *survives* them.  It provides:
 
-* :class:`FaultInjector` / :class:`FaultSpec` — a seeded, deterministic
-  fault schedule (node crashes, stragglers, NaN/corrupted gradients,
-  storage write failures, permanent worker loss) pluggable into the
-  fit loop's driver, the distributed-SGD simulators, the HPO schedulers,
-  and the campaign driver.
+* :class:`FaultSchedule` — the one seeded, deterministic fault schedule
+  (node crashes, stragglers, NaN/corrupted gradients, storage write
+  failures, permanent worker loss, replica kills/hangs/slowdowns/corrupt
+  answers, consumer kills) that the fit loop's driver, the checkpoint
+  writer, the distributed-SGD simulators, the HPO loops, the campaign
+  driver and the serving router all read through ``draw(site, *key)``.
 * :class:`CheckpointManager` — periodic atomic (write-tmp-then-rename)
   training snapshots including optimizer moments, epoch/step cursor and
   RNG state, with Daly-optimal interval planning.
@@ -30,9 +31,7 @@ from .faults import (
     STORAGE,
     STRAGGLER,
     WORKER_LOSS,
-    FaultInjector,
-    FaultSpec,
-    as_injector,
+    FaultSchedule,
 )
 from .runtime import (
     ResilienceReport,
@@ -42,7 +41,7 @@ from .runtime import (
 )
 
 __all__ = [
-    "FaultSpec", "FaultInjector", "as_injector", "FAULT_KINDS",
+    "FaultSchedule", "FAULT_KINDS",
     "CRASH", "STRAGGLER", "NAN", "STORAGE", "WORKER_LOSS",
     "SERVING_FAULT_KINDS",
     "KILL_REPLICA", "HANG_REPLICA", "SLOW_REPLICA", "CORRUPT_RESPONSE",

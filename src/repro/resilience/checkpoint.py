@@ -10,11 +10,12 @@ snapshot damaged *after* it landed (a truncating copy, bit rot) is
 refused by the reader and skipped: restore falls back to the newest
 snapshot that still reads.
 
-Injected storage faults (:class:`repro.resilience.FaultInjector`) make
-a write *fail cleanly*: the manager reports the failure, leaves the
-previous checkpoint in place, and the training loop simply tries again
-at the next interval — exactly the graceful-degradation contract a
-parallel filesystem hiccup demands.
+A storage fault drawn from the :class:`repro.resilience.FaultSchedule`
+(site ``write``, keyed on the write's index) makes a write *fail
+cleanly*: the manager reports the failure, leaves the previous
+checkpoint in place, and the training loop simply tries again at the
+next interval — exactly the graceful-degradation contract a parallel
+filesystem hiccup demands.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from ..nn.serialization import (
     load_training_state,
     save_training_state,
 )
-from .faults import FaultInjector
+from .faults import STORAGE, FaultSchedule, record
 
 _PREFIX = "ckpt-"
 
@@ -47,22 +48,22 @@ class CheckpointManager:
         How many most-recent snapshots to retain (older ones pruned).
         The step-0 baseline snapshot is always kept: it anchors restarts
         that happen before the first periodic checkpoint succeeds.
-    injector:
-        Optional fault injector consulted before every write.
+    faults:
+        Optional fault schedule consulted before every write.
     """
 
     def __init__(
         self,
         directory: Union[str, Path],
         keep: int = 3,
-        injector: Optional[FaultInjector] = None,
+        faults: Optional[FaultSchedule] = None,
     ) -> None:
         if keep < 1:
             raise ValueError("keep must be >= 1")
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
         self.keep = keep
-        self.injector = injector
+        self.faults = faults
         self.writes_attempted = 0
         self.writes_failed = 0
         self.snapshots_skipped = 0  # unreadable snapshots restore() stepped over
@@ -98,9 +99,10 @@ class CheckpointManager:
         self.writes_attempted += 1
         if (
             not force
-            and self.injector is not None
-            and self.injector.storage_write_fails(self.writes_attempted)
+            and self.faults is not None
+            and self.faults.draw("write", self.writes_attempted) == STORAGE
         ):
+            record(STORAGE)
             self.writes_failed += 1
             return None
         path = save_training_state(

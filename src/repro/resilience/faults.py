@@ -1,253 +1,139 @@
-"""Seeded, deterministic fault injection.
+"""One seeded fault schedule for every fault-tolerant path in the library.
 
-One :class:`FaultInjector` drives every fault-tolerant execution path in
-the library: the resilient training loop, the distributed-SGD
-simulators, the sync/async HPO schedulers, and the campaign driver.
+A :class:`FaultSchedule` is a frozen declaration: a seed, one rate per
+fault kind, and explicit entries.  Every consumer asks it one question,
+``draw(site, *key)``: which fault, if any, hits this unit of work?  The
+answer is a pure function of ``(seed, site, key)``: one keyed uniform,
+partitioned over the site's kinds.  So the same trial attempt, training
+step, checkpoint write or dispatch meets the same fault however the event
+loop interleaved the questions, a killed-and-resumed run replays its own
+fault history exactly, and a schedule passed to two runs gives both the
+same faults.  Each run counts what it met in its own report
+(:func:`record`).
 
-Determinism is by construction, not by call order: every decision draws
-from a child generator keyed on ``(seed, context, ids...)``, so the same
-(seed, trial, attempt) or (seed, incarnation, step) always produces the
-same fault regardless of how the event loop interleaved the queries.
-This is what makes injected-failure experiments reproducible and lets a
-killed-and-resumed training run replay its own fault history exactly.
+=========  =============================  ==============================
+site       key                            kinds (partition order)
+=========  =============================  ==============================
+trial      (trial, attempt)               crash, nan, straggler
+step       (incarnation, global step)     crash
+grad       (global step,)                 nan
+write      (write index,)                 storage
+dispatch   (first request id, replica)    kill/hang/slow/corrupt replica
+consumer   (job id, attempt)              claim, ack (explicit entries)
+=========  =============================  ==============================
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Mapping, Optional, Tuple
 
 import numpy as np
 
 from ..obs.context import get_recorder
 
-#: Fault kinds (also the keys of :attr:`FaultInjector.counts`).
 CRASH = "crash"          # node dies mid-work; the work is lost and retried
 STRAGGLER = "straggler"  # the work completes, `straggler_factor` times slower
 NAN = "nan"              # corrupted gradient / NaN objective value
 STORAGE = "storage"      # a checkpoint write fails (the old one survives)
-WORKER_LOSS = "worker_loss"  # a worker leaves the pool permanently
-
-#: Serving fault kinds (the chaos harness's vocabulary, drawn per
-#: (request index, replica) during a traffic replay).
+WORKER_LOSS = "worker_loss"  # a worker leaves the pool permanently (scheduled by time)
 KILL_REPLICA = "kill_replica"          # replica process dies abruptly
 HANG_REPLICA = "hang_replica"          # replica wedges and stops answering
-SLOW_REPLICA = "slow_replica"          # replica answers, but slow_factor late
+SLOW_REPLICA = "slow_replica"          # replica answers, but late
 CORRUPT_RESPONSE = "corrupt_response"  # replica answers with wrong bytes
+KILL_AFTER_CLAIM = "claim"  # consumer dies right after claiming, before evaluating
+KILL_BEFORE_ACK = "ack"     # consumer dies after evaluating, before acking
 
 SERVING_FAULT_KINDS = (KILL_REPLICA, HANG_REPLICA, SLOW_REPLICA, CORRUPT_RESPONSE)
 FAULT_KINDS = (CRASH, STRAGGLER, NAN, STORAGE, WORKER_LOSS) + SERVING_FAULT_KINDS
 
-# Context tags for the keyed RNG streams (never reuse across contexts).
-_CTX_TRIAL = 1
-_CTX_STEP = 2
-_CTX_STORAGE = 3
-_CTX_GRAD = 4
-_CTX_SERVE = 6
+#: site -> (context tag of its keyed stream, kinds in partition order).
+#: A tag is never reused across sites; ``consumer`` has no stream: its
+#: faults are explicit entries only.
+SITES: Dict[str, Tuple[Optional[int], Tuple[str, ...]]] = {
+    "trial": (1, (CRASH, NAN, STRAGGLER)),
+    "step": (2, (CRASH,)),
+    "write": (3, (STORAGE,)),
+    "grad": (4, (NAN,)),
+    "dispatch": (6, SERVING_FAULT_KINDS),
+    "consumer": (None, (KILL_AFTER_CLAIM, KILL_BEFORE_ACK)),
+}
 
 
 @dataclass(frozen=True)
-class FaultSpec:
-    """Declarative fault model.
+class FaultSchedule:
+    """The one seeded fault schedule; ask it with :meth:`draw`.
 
-    Probabilities are per *unit of work*: per trial attempt for the
-    schedulers, per optimizer step for the training loop, per write for
-    checkpoint storage.  Explicit schedules (``crash_steps`` /
-    ``nan_steps``) fire exactly once each, at the named global training
-    step — the deterministic hammer the property tests use.
-    """
+    Rates are per unit of work of each site that draws the kind: a
+    ``crash`` rate applies to every trial attempt and every training
+    step.  ``entries`` maps ``(site, *key)`` to a kind of that site and
+    overrides the draw there: ``{("step", 0, 25): CRASH}`` kills the first
+    incarnation before step 25 (its restart replays step 25 unharmed),
+    ``{("consumer", 3, 1): "ack"}`` kills the consumer of job 3's first
+    attempt before it acks.  ``worker_loss_times`` are simulated times at
+    which a worker leaves the search pool for good."""
 
-    crash_prob: float = 0.0
-    straggler_prob: float = 0.0
-    straggler_factor: float = 4.0
-    nan_prob: float = 0.0
-    storage_fail_prob: float = 0.0
-    worker_loss_times: Tuple[float, ...] = ()
-    crash_steps: Tuple[int, ...] = ()
-    nan_steps: Tuple[int, ...] = ()
-    kill_replica_prob: float = 0.0
-    hang_replica_prob: float = 0.0
-    slow_replica_prob: float = 0.0
-    corrupt_response_prob: float = 0.0
-    slow_factor: float = 5.0
     seed: int = 0
+    crash: float = 0.0
+    straggler: float = 0.0
+    nan: float = 0.0
+    storage: float = 0.0
+    kill_replica: float = 0.0
+    hang_replica: float = 0.0
+    slow_replica: float = 0.0
+    corrupt_response: float = 0.0
+    straggler_factor: float = 4.0
+    worker_loss_times: Tuple[float, ...] = ()
+    entries: Mapping[tuple, str] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        for name in (
-            "crash_prob", "straggler_prob", "nan_prob", "storage_fail_prob",
-            "kill_replica_prob", "hang_replica_prob", "slow_replica_prob",
-            "corrupt_response_prob",
-        ):
-            p = getattr(self, name)
-            if not 0.0 <= p < 1.0:
-                raise ValueError(f"{name} must be in [0, 1), got {p}")
+        for site, (ctx, kinds) in SITES.items():
+            if ctx is None:
+                continue
+            rates = [getattr(self, kind) for kind in kinds]
+            if any(not 0.0 <= r < 1.0 for r in rates):
+                raise ValueError(f"{site} fault rates must each be in [0, 1), got {rates}")
+            if sum(rates) >= 1.0:
+                raise ValueError(f"{site} fault rates must sum to < 1, got {rates}")
         if self.straggler_factor < 1.0:
             raise ValueError("straggler_factor must be >= 1")
-        if self.slow_factor < 1.0:
-            raise ValueError("slow_factor must be >= 1")
-        if self.crash_prob + self.nan_prob + self.straggler_prob >= 1.0:
-            raise ValueError("fault probabilities must sum to < 1")
-        serve_sum = (self.kill_replica_prob + self.hang_replica_prob
-                     + self.slow_replica_prob + self.corrupt_response_prob)
-        if serve_sum >= 1.0:
-            raise ValueError("serving fault probabilities must sum to < 1")
         if any(t < 0 for t in self.worker_loss_times):
             raise ValueError("worker_loss_times must be non-negative")
-        if any(s < 0 for s in self.crash_steps) or any(s < 0 for s in self.nan_steps):
-            raise ValueError("fault steps must be non-negative")
+        for key, kind in self.entries.items():
+            site, ids = key[0], key[1:]
+            if site not in SITES or kind not in SITES[site][1]:
+                raise ValueError(f"{kind!r} is not a fault of site {site!r} (entry {key})")
+            if any(not isinstance(i, (int, np.integer)) or i < 0 for i in ids):
+                raise ValueError(f"entry {key}: a unit of work is non-negative integers")
+        object.__setattr__(self, "entries", dict(self.entries))
 
-
-class FaultInjector:
-    """Stateful oracle over a :class:`FaultSpec`.
-
-    The only mutable state is bookkeeping: ``counts`` (injections by
-    kind, feeding :class:`repro.resilience.ResilienceReport`) and the
-    consumed-once explicit step schedules.  All probabilistic decisions
-    are pure functions of (seed, context ids).
-    """
-
-    def __init__(self, spec: Optional[FaultSpec] = None, **kwargs) -> None:
-        if spec is not None and kwargs:
-            raise ValueError("pass either a FaultSpec or keyword fields, not both")
-        self.spec = spec if spec is not None else FaultSpec(**kwargs)
-        self.counts: Dict[str, int] = {kind: 0 for kind in FAULT_KINDS}
-        self._pending_crash_steps = set(self.spec.crash_steps)
-        self._pending_nan_steps = set(self.spec.nan_steps)
-
-    def _draw(self, *key: int) -> float:
-        seed = [self.spec.seed & 0xFFFFFFFF] + [int(k) & 0xFFFFFFFF for k in key]
-        return float(np.random.default_rng(seed).random())
-
-    def record(self, kind: str, n: int = 1) -> None:
-        self.counts[kind] += n
-        # Every injection in the library funnels through here, so this
-        # one hook puts all fault events on the shared obs timeline.
-        rec = get_recorder()
-        if rec is not None:
-            rec.event(f"fault.{kind}", kind="fault", fault=kind, n=n)
-            rec.metrics.counter(f"faults.{kind}").inc(n)
-
-    @property
-    def total_injected(self) -> int:
-        return sum(self.counts.values())
-
-    # -- scheduler-facing (per trial attempt) ---------------------------
-    def trial_fault(self, trial_id: int, attempt: int) -> Optional[str]:
-        """Fault (if any) for one execution attempt of one trial.
-
-        A single uniform draw is partitioned crash | nan | straggler so
-        at most one fault fires per attempt.  Deterministic in
-        (seed, trial_id, attempt).
-        """
-        s = self.spec
-        if s.crash_prob == s.nan_prob == s.straggler_prob == 0.0:
+    def draw(self, site: str, *key: int) -> Optional[str]:
+        """The fault kind (or None) for unit of work ``key`` at ``site``."""
+        kind = self.entries.get((site, *key))
+        if kind is not None:
+            return kind
+        ctx, kinds = SITES[site]
+        rates = [getattr(self, k) for k in kinds] if ctx is not None else ()
+        if not any(rates):
             return None
-        u = self._draw(_CTX_TRIAL, trial_id, attempt)
-        if u < s.crash_prob:
-            self.record(CRASH)
-            return CRASH
-        if u < s.crash_prob + s.nan_prob:
-            self.record(NAN)
-            return NAN
-        if u < s.crash_prob + s.nan_prob + s.straggler_prob:
-            self.record(STRAGGLER)
-            return STRAGGLER
+        seed = [self.seed & 0xFFFFFFFF] + [int(k) & 0xFFFFFFFF for k in (ctx, *key)]
+        u = float(np.random.default_rng(seed).random())
+        edge = 0.0
+        for kind, rate in zip(kinds, rates):
+            edge += rate
+            if u < edge:
+                return kind
         return None
 
-    # -- training-loop-facing (per optimizer step) ----------------------
-    def crash_now(self, global_step: int, incarnation: int = 0) -> bool:
-        """Should the job die before executing ``global_step``?
 
-        Explicit ``crash_steps`` fire once each (the restarted
-        incarnation replays past the same step unharmed); rate-based
-        crashes are keyed on (incarnation, step) so a restart redraws.
-        """
-        if global_step in self._pending_crash_steps:
-            self._pending_crash_steps.discard(global_step)
-            self.record(CRASH)
-            return True
-        if self.spec.crash_prob > 0.0 and (
-            self._draw(_CTX_STEP, incarnation, global_step) < self.spec.crash_prob
-        ):
-            self.record(CRASH)
-            return True
-        return False
-
-    def corrupt_gradients(self, global_step: int, grads: Sequence[np.ndarray]) -> bool:
-        """Poison this step's gradients (in place) if a NaN fault fires.
-
-        Returns True when corrupted; the training loop's non-finite
-        guard then skips the update and quarantines the step.
-        """
-        due = False
-        if global_step in self._pending_nan_steps:
-            self._pending_nan_steps.discard(global_step)
-            due = True
-        elif self.spec.nan_prob > 0.0 and (
-            self._draw(_CTX_GRAD, global_step) < self.spec.nan_prob
-        ):
-            due = True
-        if due and len(grads) > 0:
-            grads[0][...] = np.nan
-            self.record(NAN)
-            return True
-        return False
-
-    # -- serving-facing (per request per replica) -----------------------
-    def serving_fault(self, request_index: int, replica: int) -> Optional[str]:
-        """Fault (if any) to inject while ``replica`` handles the
-        ``request_index``-th replayed request.
-
-        A single uniform draw partitioned kill | hang | slow | corrupt,
-        so at most one serving fault fires per (request, replica) pair;
-        deterministic in (seed, request_index, replica) regardless of
-        how the router interleaved dispatches.  The *caller* (the chaos
-        harness) performs the actual sabotage — this is just the oracle.
-        """
-        s = self.spec
-        if (s.kill_replica_prob == s.hang_replica_prob
-                == s.slow_replica_prob == s.corrupt_response_prob == 0.0):
-            return None
-        u = self._draw(_CTX_SERVE, request_index, replica)
-        edge = s.kill_replica_prob
-        if u < edge:
-            self.record(KILL_REPLICA)
-            return KILL_REPLICA
-        edge += s.hang_replica_prob
-        if u < edge:
-            self.record(HANG_REPLICA)
-            return HANG_REPLICA
-        edge += s.slow_replica_prob
-        if u < edge:
-            self.record(SLOW_REPLICA)
-            return SLOW_REPLICA
-        edge += s.corrupt_response_prob
-        if u < edge:
-            self.record(CORRUPT_RESPONSE)
-            return CORRUPT_RESPONSE
-        return None
-
-    # -- storage-facing (per checkpoint write) --------------------------
-    def storage_write_fails(self, write_index: int) -> bool:
-        if self.spec.storage_fail_prob > 0.0 and (
-            self._draw(_CTX_STORAGE, write_index) < self.spec.storage_fail_prob
-        ):
-            self.record(STORAGE)
-            return True
-        return False
-
-    # -- pool-facing ----------------------------------------------------
-    @property
-    def worker_loss_times(self) -> Tuple[float, ...]:
-        return self.spec.worker_loss_times
-
-
-def as_injector(faults) -> Optional[FaultInjector]:
-    """Coerce None | FaultSpec | FaultInjector into an injector."""
-    if faults is None:
-        return None
-    if isinstance(faults, FaultInjector):
-        return faults
-    if isinstance(faults, FaultSpec):
-        return FaultInjector(faults)
-    raise TypeError(f"faults must be a FaultSpec or FaultInjector, got {type(faults).__name__}")
+def record(kind: str, counts: Optional[Counter] = None) -> None:
+    """Count one fault a run met in that run's own tally, and put it on
+    the shared obs timeline as a ``fault`` event and a ``faults.<kind>``
+    counter."""
+    if counts is not None:
+        counts[kind] += 1
+    rec = get_recorder()
+    if rec is not None:
+        rec.event(f"fault.{kind}", kind="fault", fault=kind, n=1)
+        rec.metrics.counter(f"faults.{kind}").inc(1)

@@ -20,6 +20,7 @@ The :class:`ResilienceReport` it returns is the measured counterpart of
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
@@ -30,7 +31,7 @@ from ..hpc.perfmodel import ModelProfile
 from ..nn.model import FitLoop, History, Model
 from ..obs.context import get_recorder
 from .checkpoint import CheckpointManager
-from .faults import FaultInjector
+from .faults import CRASH, NAN, STORAGE, FaultSchedule, record
 
 
 class SimulatedCrash(RuntimeError):
@@ -47,7 +48,7 @@ class ResilienceReport:
     tracked, so :attr:`measured_efficiency` is meaningful either way.
     """
 
-    faults: Dict[str, int] = field(default_factory=dict)
+    faults: Dict[str, int] = field(default_factory=Counter)  # met by this run, by kind
     restarts: int = 0
     retries: int = 0
     quarantined: int = 0
@@ -104,25 +105,25 @@ class _ResilientLoop(FitLoop):
     def __init__(self, manager: CheckpointManager, report: "ResilienceReport",
                  checkpoint_every: Optional[int], /, *fit_args, **fit_kwargs) -> None:
         super().__init__(*fit_args, **fit_kwargs)
-        self.manager, self.injector, self.report = manager, manager.injector, report
+        self.manager, self.faults, self.report = manager, manager.faults, report
         self.checkpoint_every = checkpoint_every
         self.furthest = 0  # distinct batches completed at least once
         self.snapshot_due = False
 
     # -- the three boundaries ---------------------------------------------
     def before_batch(self) -> None:
-        # The incarnation number is the restart count: rate-based crashes redraw.
-        if self.injector is not None and self.injector.crash_now(self.global_step, self.report.restarts):
+        # The incarnation number is the restart count: a restart redraws.
+        faults = self.faults
+        if faults is not None and faults.draw("step", self.report.restarts, self.global_step) == CRASH:
+            record(CRASH, self.report.faults)
             raise SimulatedCrash(f"injected crash at step {self.global_step}")
 
     def accept_update(self) -> bool:
         grads = [p.grad for p in self.model.parameters() if p.grad is not None]
-        corrupted = self.injector is not None and self.injector.corrupt_gradients(
-            self.global_step, grads
-        )
-        if corrupted or not np.isfinite(self.last_loss) or not all(
-            np.isfinite(g).all() for g in grads
-        ):
+        if grads and self.faults is not None and self.faults.draw("grad", self.global_step) == NAN:
+            grads[0][...] = np.nan  # poisoned in place: the guard below must catch it
+            record(NAN, self.report.faults)
+        if not np.isfinite(self.last_loss) or not all(np.isfinite(g).all() for g in grads):
             # Quarantine: drop the poisoned update, keep training.
             self.report.nan_updates_skipped += 1
             return False
@@ -204,7 +205,7 @@ def run_resilient_training(
     *,
     checkpoint_dir,
     checkpoint_every: Optional[int] = 50,
-    injector: Optional[FaultInjector] = None,
+    faults: Optional[FaultSchedule] = None,
     max_restarts: int = 50,
     step_time_s: float = 0.0,
     checkpoint_time_s: float = 0.0,
@@ -218,7 +219,10 @@ def run_resilient_training(
     ``precision``, ``clip_norm``, ``grad_accumulation``, validation and
     early stopping all compose with crashes.  ``checkpoint_every`` is in
     batches (optimizer steps at ``grad_accumulation=1``; None disables
-    periodic snapshots; epoch boundaries still snapshot).
+    periodic snapshots; epoch boundaries still snapshot).  ``faults``
+    draws crashes per (restart count, step), NaN gradients per step and
+    failed snapshot writes per write; the report counts what this run
+    met, so one schedule passed to two runs reports the same faults.
     ``step_time_s`` / ``checkpoint_time_s`` / ``restart_time_s`` are the
     simulated costs used for the report's time ledger; leave them at 0
     to account in steps only.  An existing checkpoint directory resumes —
@@ -228,7 +232,7 @@ def run_resilient_training(
     if checkpoint_every is not None and checkpoint_every < 1:
         raise ValueError("checkpoint_every must be >= 1 (or None)")
     report = ResilienceReport()
-    manager = CheckpointManager(checkpoint_dir, injector=injector)
+    manager = CheckpointManager(checkpoint_dir, faults=faults)
     loop = _ResilientLoop(manager, report, checkpoint_every, model, x, y, **fit_kwargs)
     if manager.latest() is None:
         # Baseline snapshot: anchors restarts that beat the first periodic
@@ -253,8 +257,7 @@ def run_resilient_training(
                     "or lower the injected crash rate"
                 )
 
-    if injector is not None:
-        report.faults = dict(injector.counts)
+    report.faults[STORAGE] = manager.writes_failed
     report.snapshots_skipped = manager.snapshots_skipped
     # The time ledger is the step ledger priced.
     report.sim_useful_time = report.useful_steps * step_time_s

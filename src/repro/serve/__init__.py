@@ -31,9 +31,9 @@ alive under failure:
   breakers;
 * :class:`ReplicaSupervisor` (:mod:`repro.serve.supervisor`) —
   bit-identical canary probes, recycle-under-traffic, autoscaling hook;
-* :class:`ChaosHarness` / :func:`run_chaos_replay`
-  (:mod:`repro.serve.chaos`) — seeded kill/hang/slow/corrupt injection
-  with accounting + parity audits.
+* :func:`run_chaos_replay` (:mod:`repro.serve.chaos`) — a replay through
+  a ``Router(faults=)`` whose schedule kills, hangs, slows or corrupts
+  replicas, with accounting + parity audits.
 
 Measured from outside by ``python3 bench/run.py --workload serve_b1``
 (in-process server, batch 1) and ``--workload serve_open`` (router over
@@ -47,7 +47,7 @@ from ..registry.artifact import (
     weights_checksum,
 )
 from .batcher import BatchPolicy, MicroBatcher, Request
-from .chaos import ChaosHarness, run_chaos_replay
+from .chaos import run_chaos_replay
 from .distributed import ReplicaGroup
 from .metrics import LatencyHistogram, ServingStats
 from .router import CircuitBreaker, RoutedRequest, Router, RouterStats
@@ -91,6 +91,5 @@ __all__ = [
     "RoutedRequest",
     "CircuitBreaker",
     "ReplicaSupervisor",
-    "ChaosHarness",
     "run_chaos_replay",
 ]

@@ -1,89 +1,26 @@
-"""Chaos harness: deterministic serving-fault injection under replay.
+"""Traffic replay under the fault schedule, audited.
 
-Robustness claims are only as good as the faults actually exercised, so
-the chaos harness drives the *real* distributed tier — real processes,
-real kills — from the seeded fault oracle in
-:mod:`repro.resilience.faults`:
-
-* :class:`ChaosHarness` hooks the router's dispatch path; for every
-  dispatched batch it asks :meth:`FaultInjector.serving_fault` for a
-  verdict keyed on ``(seed, first request id, replica)`` — the same
-  (seed, ids) discipline every other injector in the library uses, so a
-  replayed schedule injects the same faults at the same requests
-  regardless of wall-clock jitter;
-* the directive executes *inside the replica*: ``kill_replica`` dies
-  mid-batch (``os._exit``), ``hang_replica`` wedges until the pool's
-  hang detector terminates it, ``slow_replica`` delays the response, and
-  ``corrupt_response`` flips the replica into sticky wrong-answers state
-  that only a supervisor canary can detect;
-* :func:`run_chaos_replay` replays a request stream through the router
-  under an active harness and audits the wreckage: the accounting
-  invariant must balance (zero lost requests), and every completed
-  response must be **bit-identical** to ``Model.predict`` on the same
-  micro-batch composition.
+A :class:`~repro.serve.router.Router` built with ``faults=`` draws every
+dispatch's fault from the one :class:`~repro.resilience.FaultSchedule`
+(site ``dispatch``, keyed on the batch's first request id and the
+replica), and the replica executes it: ``kill_replica`` dies mid-batch,
+``hang_replica`` wedges until the pool's hang detector terminates it,
+``slow_replica`` answers late and ``corrupt_response`` flips the replica
+into sticky wrong answers that only a supervisor canary can detect.
+:func:`run_chaos_replay` replays a request stream through such a router
+and audits the wreckage: the accounting invariant must balance (zero
+lost requests), and every completed response must be **bit-identical**
+to ``Model.predict`` on the same micro-batch composition.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 import numpy as np
 
-from ..resilience.faults import (
-    CORRUPT_RESPONSE,
-    HANG_REPLICA,
-    KILL_REPLICA,
-    SERVING_FAULT_KINDS,
-    SLOW_REPLICA,
-    as_injector,
-)
+from ..resilience.faults import SERVING_FAULT_KINDS
 from .router import Router
-
-
-class ChaosHarness:
-    """Seeded serving-fault oracle wired into a router's dispatch path.
-
-    ``faults`` is a :class:`~repro.resilience.FaultSpec` (or injector)
-    whose ``kill_replica_prob`` / ``hang_replica_prob`` /
-    ``slow_replica_prob`` / ``corrupt_response_prob`` fields set the
-    per-dispatch fault mix.  ``slow_s`` is the injected delay for slow
-    faults (keep it under the pool's hang timeout: slow is *degraded*,
-    not dead); hang faults sleep ``hang_s`` and rely on the hang
-    detector to be put down.
-    """
-
-    def __init__(self, faults, slow_s: float = 0.05, hang_s: float = 3600.0) -> None:
-        injector = as_injector(faults)
-        if injector is None:
-            raise ValueError("chaos harness needs a FaultSpec or FaultInjector")
-        self.injector = injector
-        self.slow_s = slow_s
-        self.hang_s = hang_s
-        self.planned: List[Dict[str, Any]] = []
-
-    def attach(self, router: Router) -> "ChaosHarness":
-        router.chaos = self
-        return self
-
-    def plan(self, first_request_id: int, slot: int) -> Optional[Dict[str, Any]]:
-        """Router dispatch hook: the fault directive for this batch."""
-        kind = self.injector.serving_fault(first_request_id, slot)
-        if kind is None:
-            return None
-        self.planned.append({"kind": kind, "request_id": first_request_id, "slot": slot})
-        if kind == KILL_REPLICA:
-            return {"fault": "kill"}
-        if kind == HANG_REPLICA:
-            return {"fault": "hang", "hang_s": self.hang_s}
-        if kind == SLOW_REPLICA:
-            return {"fault": "slow", "slow_s": self.slow_s}
-        if kind == CORRUPT_RESPONSE:
-            return {"fault": "corrupt"}
-        return None  # pragma: no cover - exhaustive above
-
-    @property
-    def counts(self) -> Dict[str, int]:
-        return {kind: self.injector.counts[kind] for kind in SERVING_FAULT_KINDS}
 
 
 def run_chaos_replay(
@@ -106,8 +43,7 @@ def run_chaos_replay(
     start, one per request) paces the open-loop replay; None submits as
     fast as the router admits.  ``force_kill=(i, slot)`` terminates
     ``slot`` right before request ``i`` is submitted — a deterministic
-    respawn-under-traffic probe on top of whatever the seeded oracle
-    injects.
+    respawn-under-traffic probe on top of whatever the schedule injects.
 
     The returned report carries the two robustness verdicts the chaos
     suite gates on:
@@ -185,8 +121,8 @@ def run_chaos_replay(
         "parity_checked": parity_checked,
         "parity_ok": bool(parity_ok),
     }
-    if router.chaos is not None:
-        report["fault_counts"] = dict(router.chaos.counts)
+    if router.faults is not None:
+        report["fault_counts"] = {kind: stats.faults[kind] for kind in SERVING_FAULT_KINDS}
     if supervisor is not None:
         report["supervisor"] = supervisor.stats()
     return report

@@ -22,9 +22,9 @@ module provides the replica plane:
   request payloads, which drops per-batch IPC to a few bytes.
 
 Scheduling policy (admission, retries, breakers) lives in
-:class:`repro.serve.router.Router`; this class is mechanism only.
-Chaos directives (``fault=``) are injected by the parent at dispatch
-time and executed inside the replica — see :mod:`repro.serve.chaos`.
+:class:`repro.serve.router.Router`; this class is mechanism only.  A
+fault kind (``fault=``) is drawn by the parent at dispatch time and
+executed inside the replica — see :mod:`repro.serve.chaos`.
 """
 
 from __future__ import annotations
@@ -40,6 +40,10 @@ from ..nn.model import Model
 from ..obs.context import get_recorder
 from ..parallel.pool import ProcessWorkerPool, TaskResult
 from ..parallel.shm import SharedArrayStore
+from ..resilience.faults import CORRUPT_RESPONSE, HANG_REPLICA, KILL_REPLICA, SLOW_REPLICA
+
+SLOW_S = 0.05     # a slow replica's added latency: degraded, well under any hang timeout
+HANG_S = 3600.0   # a hung replica sleeps until the pool's hang detector puts it down
 
 # Replica-global state, installed once per worker process by the pool
 # initializer (and re-installed by the initializer of every respawned
@@ -89,21 +93,22 @@ def _init_replica(
 def _replica_task(payload: Dict[str, Any]) -> np.ndarray:
     """One inference batch inside a replica (canaries included).
 
-    ``payload["fault"]`` carries the parent-drawn chaos directive:
-    ``kill`` dies abruptly mid-batch, ``hang`` wedges until the pool's
-    hang detector fires, ``slow`` adds latency, ``corrupt`` flips the
-    replica into a *sticky* wrong-answers state (every later response is
+    ``payload["fault"]`` carries the parent-drawn fault kind:
+    ``kill_replica`` dies abruptly mid-batch, ``hang_replica`` wedges
+    until the pool's hang detector fires, ``slow_replica`` adds
+    :data:`SLOW_S` of latency, ``corrupt_response`` flips the replica
+    into a *sticky* wrong-answers state (every later response is
     corrupted until the supervisor recycles the process).
     """
     global _WEDGED
     fault = payload.get("fault")
-    if fault == "kill":
+    if fault == KILL_REPLICA:
         os._exit(23)
-    if fault == "hang":
-        time.sleep(payload.get("hang_s", 3600.0))
-    if fault == "slow":
-        time.sleep(payload.get("slow_s", 0.1))
-    if fault == "corrupt":
+    if fault == HANG_REPLICA:
+        time.sleep(HANG_S)
+    if fault == SLOW_REPLICA:
+        time.sleep(SLOW_S)
+    if fault == CORRUPT_RESPONSE:
         _WEDGED = True
     if "rows" in payload:
         xb = np.asarray(_DATA[payload.get("pool_key", "x_pool")][payload["rows"]])
@@ -260,16 +265,17 @@ class ReplicaGroup:
         replica: int,
         x: Optional[np.ndarray] = None,
         rows: Optional[Sequence[int]] = None,
-        fault: Optional[Dict[str, Any]] = None,
+        fault: Optional[str] = None,
     ) -> int:
         """Ship one batch to ``replica``; returns the pool task id.
 
         Exactly one of ``x`` (stacked batch) or ``rows`` (indices into
-        the published request pool) must be given.
+        the published request pool) must be given; ``fault`` is a serving
+        fault kind for the replica to execute.
         """
         if (x is None) == (rows is None):
             raise ValueError("pass exactly one of x or rows")
-        payload: Dict[str, Any] = dict(fault or {})
+        payload: Dict[str, Any] = {} if fault is None else {"fault": fault}
         if x is not None:
             payload["x"] = np.asarray(x)
         else:

@@ -41,6 +41,7 @@ under seeded kill/hang/slow fault schedules.
 from __future__ import annotations
 
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
@@ -48,6 +49,7 @@ import numpy as np
 
 from ..obs.context import get_recorder
 from ..parallel.pool import TaskResult
+from ..resilience.faults import FaultSchedule, record
 from .batcher import BatchPolicy, MicroBatcher, Request
 from .distributed import ReplicaGroup
 from .metrics import ServingStats
@@ -69,6 +71,7 @@ class RouterStats(ServingStats):
 
     retried_away: int = 0  # terminal: retries exhausted on replica failures
     retries: int = 0       # non-terminal: request re-dispatched after a failure
+    faults: Counter = field(default_factory=Counter)  # drawn from Router(faults=), by kind
 
     def accounted(self, still_queued: int = 0) -> bool:
         return self.submitted == (
@@ -146,6 +149,9 @@ class Router:
     enqueues, ``pump`` forms batches, dispatches to replicas, polls
     results, and runs the retry/breaker machinery.  A ``submit``/``pump``
     loop is the serving event loop; :func:`drain` runs it to completion.
+    With ``faults`` every dispatch draws its fault from that schedule
+    (site ``dispatch``) and the replica executes it; ``stats.faults``
+    counts them by kind.
     """
 
     def __init__(
@@ -158,6 +164,7 @@ class Router:
         breaker_cooldown_s: float = 1.0,
         clock: Optional[Callable[[], float]] = None,
         record_batches: bool = False,
+        faults: Optional[FaultSchedule] = None,
     ) -> None:
         if not groups:
             raise ValueError("need at least one replica group")
@@ -173,7 +180,7 @@ class Router:
         self.record_batches = record_batches
         self.stats = RouterStats()
         self.batch_log: List[Tuple[str, Tuple[int, ...]]] = []
-        self.chaos = None       # duck-typed: .plan(first_request_id, slot) -> dict|None
+        self.faults = faults
         self.supervisor = None  # duck-typed: .handle_canary(model, slot, result, now)
         self._batchers = {name: MicroBatcher(self.policy) for name in self.groups}
         self._breakers: Dict[Tuple[str, int], CircuitBreaker] = {
@@ -358,8 +365,10 @@ class Router:
         self._breakers[(batch.model, slot)].on_dispatch(now)
         group = self.groups[batch.model]
         fault = None
-        if self.chaos is not None:
-            fault = self.chaos.plan(batch.requests[0].request_id, slot)
+        if self.faults is not None:
+            fault = self.faults.draw("dispatch", batch.requests[0].request_id, slot)
+            if fault is not None:
+                record(fault, self.stats.faults)
         if batch.requests[0].row is not None:
             rows = [r.row for r in batch.requests]
             task_id = group.submit(slot, rows=rows, fault=fault)

@@ -31,7 +31,7 @@ from ..nn import metrics as metrics_mod
 from ..nn.dataloader import train_val_split
 from ..obs.context import get_recorder
 from ..obs.trace import maybe_span
-from ..resilience import ResilienceReport, as_injector
+from ..resilience import ResilienceReport
 from .training_job import run_training_job, simulated_trial_cost
 
 
@@ -104,8 +104,8 @@ def run_campaign(
     dataset at the requested ``precision``, priced and metered on
     ``cluster``.
 
-    ``faults`` (a FaultSpec or FaultInjector) runs the whole campaign
-    under that fault model: search trials crash/straggle/NaN and are
+    ``faults`` (a :class:`repro.resilience.FaultSchedule`) runs the whole
+    campaign under that schedule: search trials crash/straggle/NaN and are
     retried or quarantined, workers may leave the pool permanently, and
     the final training — at any ``precision`` — checkpoint/restarts
     through the injected crash schedule.  The campaign always completes;
@@ -130,7 +130,6 @@ def run_campaign(
         raise ValueError("n_trials must be >= 1")
     spec = get_benchmark(benchmark)
     cluster = cluster or SimCluster.build("summit_era", max(n_workers, 1))
-    injector = as_injector(faults)
 
     # Observability: with a repro.obs.TraceRecorder attached, the whole
     # campaign is one top-level span with search / final-training /
@@ -140,7 +139,7 @@ def run_campaign(
     with maybe_span(
         rec, benchmark, "campaign",
         benchmark=benchmark, strategy=strategy, n_trials=n_trials,
-        n_workers=n_workers, precision=precision, faulted=injector is not None,
+        n_workers=n_workers, precision=precision, faulted=faults is not None,
     ) as campaign_span:
         # -- 1. search -----------------------------------------------------
         with maybe_span(rec, "search", "campaign.search", strategy=strategy) as search_span:
@@ -152,7 +151,7 @@ def run_campaign(
             strat = strat_cls(space, seed=seed, **(strategy_kwargs or {}))
             log = run_parallel(
                 strat, objective, n_trials, n_workers, cost,
-                injector=injector, max_retries=max_retries, queue=queue_path,
+                faults=faults, max_retries=max_retries, queue=queue_path,
             )
             try:
                 best = log.best_config()
@@ -184,7 +183,7 @@ def run_campaign(
             report = run_training_job(
                 model, x_tr, y_tr, cluster, precision=precision,
                 epochs=final_epochs, batch_size=batch_size, loss=spec.loss,
-                lr=lr, seed=seed, faults=injector, checkpoint_dir=checkpoint_dir,
+                lr=lr, seed=seed, faults=faults, checkpoint_dir=checkpoint_dir,
             )
             train_time, energy = report.sim_total_time, report.energy_joules
             if train_span is not None:
@@ -201,13 +200,13 @@ def run_campaign(
 
         # -- 4. resilience ledger --------------------------------------------
         resilience: Optional[ResilienceReport] = None
-        if injector is not None:
+        if faults is not None:
             resilience = report.resilience or ResilienceReport()
             stats = log.stats
             resilience.retries += stats.get("retries", 0)
             resilience.quarantined += stats.get("quarantined", 0)
             resilience.workers_lost += stats.get("workers_lost", 0)
-            resilience.faults = dict(injector.counts)  # search + training, by kind
+            resilience.faults = resilience.faults + stats["faults"]  # search + training, by kind
 
         if campaign_span is not None:
             campaign_span["attrs"].update(

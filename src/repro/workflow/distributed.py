@@ -29,7 +29,7 @@ import numpy as np
 from ..nn.model import FitLoop, Model
 from ..nn.optim import SGD
 from ..parallel.ddp import fit_data_parallel
-from ..resilience.faults import FaultInjector
+from ..resilience.faults import NAN, FaultSchedule, record
 
 
 @dataclass
@@ -107,9 +107,9 @@ class _AsyncLoop(_StudyLoop):
     ring of weight copies makes that exact) and applied to the live ones;
     the parameter server drops a poisoned one."""
 
-    def __init__(self, staleness: int, injector: Optional[FaultInjector], /, *args, **kwargs) -> None:
+    def __init__(self, staleness: int, faults: Optional[FaultSchedule], /, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
-        self.ring, self.injector = deque(maxlen=staleness + 1), injector
+        self.ring, self.faults = deque(maxlen=staleness + 1), faults
 
     def batch_grads(self, xb, yb, window: int) -> None:
         params = self.opt.params
@@ -123,9 +123,10 @@ class _AsyncLoop(_StudyLoop):
 
     def accept_update(self) -> bool:
         grads = [p.grad for p in self.opt.params if p.grad is not None]
-        inj = self.injector
-        corrupted = inj is not None and inj.corrupt_gradients(self.global_step, grads)
-        if corrupted or not all(np.isfinite(g).all() for g in grads):
+        if grads and self.faults is not None and self.faults.draw("grad", self.global_step) == NAN:
+            grads[0][...] = np.nan  # the arriving gradient is poisoned in place
+            record(NAN)
+        if not all(np.isfinite(g).all() for g in grads):
             self.result.dropped_updates += 1  # quarantined: the live weights stand
             return False
         self.result.updates += 1
@@ -143,7 +144,7 @@ def train_async_sgd(
     loss: str = "mse",
     lr: float = 1e-2,
     seed: int = 0,
-    injector: Optional[FaultInjector] = None,
+    faults: Optional[FaultSchedule] = None,
 ) -> DistributedRunResult:
     """Parameter-server asynchronous SGD with fixed gradient staleness.
 
@@ -153,7 +154,7 @@ def train_async_sgd(
     the staleness exact rather than stochastic, which isolates the effect
     for the E13 ablation.
 
-    An ``injector`` may poison arriving gradients (NaN faults); the
+    A ``faults`` schedule may poison arriving gradients (NaN faults); the
     parameter server drops those updates rather than absorbing NaNs —
     the live weights are untouched and the run reports the drop count.
     As everywhere under :class:`FitLoop`, a dropped update drops the
@@ -163,7 +164,7 @@ def train_async_sgd(
         raise ValueError("staleness must be >= 0")
     if n_workers < 1:
         raise ValueError("n_workers must be >= 1")
-    result = _AsyncLoop(staleness, injector, model, x, y, lr, epochs=epochs,
+    result = _AsyncLoop(staleness, faults, model, x, y, lr, epochs=epochs,
                         batch_size=batch_size, loss=loss, seed=seed).finish()
     result.comm_bytes = result.dense_bytes = model.param_count() * 8.0 * result.updates
     return result

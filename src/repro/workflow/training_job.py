@@ -23,7 +23,7 @@ from ..hpc.perfmodel import ModelProfile, profile_model
 from ..hpo.space import Config
 from ..nn.model import History, Model
 from ..precision.policy import PrecisionPolicy
-from ..resilience import ResilienceReport, as_injector, plan_checkpoint_interval, run_resilient_training
+from ..resilience import ResilienceReport, plan_checkpoint_interval, run_resilient_training
 
 
 @dataclass
@@ -72,7 +72,7 @@ def run_training_job(
     the emulated :class:`repro.precision.PrecisionPolicy` (the rounded
     working copy is left in the model, as deployed).
 
-    With ``faults`` (a FaultSpec or FaultInjector) that same fit runs
+    With ``faults`` (a :class:`repro.resilience.FaultSchedule`) that same fit runs
     under :func:`repro.resilience.run_resilient_training`, at any
     ``precision``: it checkpoints at the Daly-optimal step interval for
     this model on this cluster, survives the injected crash/NaN schedule,
@@ -86,7 +86,6 @@ def run_training_job(
     """
     plan = plan or SingleNode()
     x = np.asarray(x)
-    injector = as_injector(faults)
     op_prof = None
     if profile_ops:
         from ..perf import OpProfiler
@@ -101,7 +100,7 @@ def run_training_job(
     # built here; a plain job trains first and fit builds the model
     # (from the same seed either way).
     resilience = None
-    if injector is None:
+    if faults is None:
         history = model.fit(x, y, **fit_kwargs)
     elif not model.built:
         model.build(x.shape[1:], np.random.default_rng(seed))
@@ -114,13 +113,13 @@ def run_training_job(
         )
     step_t = plan.step_time(profile, cluster, precision)
     steps_per_epoch = int(np.ceil(len(x) / batch_size))
-    if injector is not None:
+    if faults is not None:
         cadence = plan_checkpoint_interval(profile, cluster, precision=precision, step_time_s=step_t)
         history, resilience = run_resilient_training(
             model, x, y,
             checkpoint_dir=checkpoint_dir or tempfile.mkdtemp(prefix="repro-ckpt-"),
             checkpoint_every=int(cadence["interval_steps"]),
-            injector=injector,
+            faults=faults,
             step_time_s=step_t,
             checkpoint_time_s=cadence["checkpoint_time"],
             restart_time_s=cadence["checkpoint_time"],  # reading the snapshot back mirrors writing it

@@ -21,7 +21,7 @@ from repro.hpo.space import Float, Int, SearchSpace
 from repro.nn import Sequential
 from repro.nn.layers import Activation, Dense, Dropout
 from repro.obs import TraceRecorder
-from repro.resilience import FaultInjector, FaultSpec, run_resilient_training
+from repro.resilience import CRASH, FaultSchedule, run_resilient_training
 from repro.workflow.campaign import run_campaign
 
 
@@ -94,13 +94,14 @@ class TestCheckpointRestartDeterminism:
     def _run(self, tmp_path, tag, crash_steps=(), instrumented=False):
         x, y = _data(seed=3)
         model = _model()
-        injector = (
-            FaultInjector(FaultSpec(crash_steps=tuple(crash_steps))) if crash_steps else None
-        )
+        # The k-th crash step kills the k-th incarnation (keyed by restart count).
+        faults = FaultSchedule(
+            entries={("step", k, step): CRASH for k, step in enumerate(crash_steps)}
+        ) if crash_steps else None
         kwargs = dict(
             checkpoint_dir=tmp_path / tag, epochs=3, batch_size=16,
             loss="cross_entropy", lr=1e-3, seed=9, checkpoint_every=4,
-            injector=injector,
+            faults=faults,
         )
         if instrumented:
             with TraceRecorder():
@@ -172,7 +173,7 @@ class TestElasticKillResumeDeterminism:
         ]
 
     def test_chaos_kill_resume_bit_identical(self, tmp_path):
-        from repro.hpo import ASHA, Float as F, KillPlan, SearchSpace as S, run_elastic
+        from repro.hpo import ASHA, Float as F, SearchSpace as S, run_elastic
         from repro.hpo.objectives import SurrogateLandscape
 
         space = S({"x": F(0.0, 1.0), "y": F(0.0, 1.0)})
@@ -180,7 +181,8 @@ class TestElasticKillResumeDeterminism:
         cost = lambda config, budget: float(budget)  # noqa: E731
         kills = {(j, 1): ("claim" if j % 2 else "ack") for j in range(2, 30, 5)}
         kw = dict(n_workers=4, cost_model=cost,
-                  kill_plan=KillPlan(kills=kills), lease_s=6.0)
+                  faults=FaultSchedule(entries={("consumer", *k): b for k, b in kills.items()}),
+                  lease_s=6.0)
         mk = lambda: ASHA(space, seed=17, max_budget=9)  # noqa: E731
 
         full = run_elastic(mk(), land, 48, tmp_path / "full.db", **kw)

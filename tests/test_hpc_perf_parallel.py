@@ -263,6 +263,18 @@ class TestDataParallel:
         assert DataParallel(1).comm_bytes_per_step(p) == 0.0
 
 
+class TestCrossValidationWithCostModels:
+    def test_ring_bytes_match_the_plan(self):
+        """DataParallel.comm_bytes_per_step charges each node the ring
+        allreduce's traffic: 2(p-1) steps (reduce-scatter, then allgather)
+        of one g/p chunk of the g gradient bytes, 2g(p-1)/p in all."""
+        profile = mlp_profile([10, 6], batch_size=4)
+        g = profile.params * 8.0  # fp64 gradients
+        for p in (2, 3, 8):
+            ring = 2 * (p - 1) * (g / p)
+            assert DataParallel(p).comm_bytes_per_step(profile, "fp64") == pytest.approx(ring)
+
+
 class TestModelParallel:
     def test_memory_divides(self):
         p = big_profile()

@@ -291,3 +291,14 @@ class TestCollectives:
         n = net(max(p, 2))
         for fn in ALLREDUCE_ALGORITHMS.values():
             assert fn(n, p, nbytes) > 0
+
+
+class TestCrossValidationWithCostModels:
+    def test_allreduce_energy_bytes_match(self):
+        """allreduce_energy's ring bills every one of the p ranks for the
+        ring's 2n(p-1)/p bytes at the link's energy per byte."""
+        for p, nbytes in ((4, 64 * 8.0), (7, 1e6)):
+            network = Network(Ring(p), LinkSpec())
+            joules = allreduce_energy(network, p, nbytes, "ring")
+            implied_bytes = joules / (network.link.energy_per_byte * 1e-12)
+            assert implied_bytes == pytest.approx(p * 2 * nbytes * (p - 1) / p)

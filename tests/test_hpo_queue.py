@@ -31,7 +31,6 @@ from repro.hpo import (
     ASHA,
     DurableTrialQueue,
     Float,
-    KillPlan,
     RandomSearch,
     SearchSpace,
     SuccessiveHalving,
@@ -47,7 +46,7 @@ from repro.hpo.queue import CLAIMED, DONE, PENDING
 from repro.hpo.results import ResultLog
 from repro.obs import TraceRecorder
 from repro.parallel import ParallelTrialExecutor
-from repro.resilience import NAN, WORKER_LOSS, FaultInjector, FaultSpec
+from repro.resilience import NAN, WORKER_LOSS, FaultSchedule
 
 
 def _drain_driver(path, name, barrier, out_q):
@@ -95,6 +94,12 @@ def _writes_beside_the_driver(path, config, budget=1):
 
 def budget_cost(config, budget):
     return float(budget)
+
+
+def kill_consumers(kills, **rates):
+    """A schedule whose consumer entries kill at ``{(job_id, attempt): "claim" | "ack"}``
+    (attempt 1-based), plus any rate faults."""
+    return FaultSchedule(entries={("consumer", *key): b for key, b in kills.items()}, **rates)
 
 
 def rows(log: ResultLog):
@@ -396,7 +401,7 @@ class TestKillBoundaries:
             strat = strategy or RandomSearch(small_space(), seed=3)
             log = run_elastic(
                 strat, objective, self.N, queue, n_workers=4,
-                cost_model=budget_cost, kill_plan=KillPlan(kills=kills), **kw,
+                cost_model=budget_cost, faults=kill_consumers(kills), **kw,
             )
             counts = queue.counts()
             completions = queue.completions()
@@ -456,8 +461,10 @@ class TestKillBoundaries:
         assert not rec.completed_by.endswith(".0")
 
     def test_kill_plan_validates_boundary(self):
-        with pytest.raises(ValueError):
-            KillPlan(kills={(1, 1): "mid-flight"})
+        with pytest.raises(ValueError, match="mid-flight"):
+            kill_consumers({(1, 1): "mid-flight"})
+        with pytest.raises(ValueError):  # a kill is a consumer fault, not a trial's
+            FaultSchedule(entries={("trial", 0, 0): "claim"})
 
     def test_asha_under_kills(self, tmp_path):
         kills = {(j, 1): ("claim" if j % 2 else "ack") for j in range(2, 20, 3)}
@@ -546,15 +553,14 @@ class TestElasticRuntime:
         assert {t.worker for t in log.trials} > {0, 1}
 
     def test_faulted_campaign_completes(self, tmp_path):
-        faults = FaultSpec(crash_prob=0.15, nan_prob=0.1, straggler_prob=0.1,
-                           worker_loss_times=(5.0,), seed=9)
-        injector = FaultInjector(faults)
+        faults = FaultSchedule(crash=0.15, nan=0.1, straggler=0.1,
+                               worker_loss_times=(5.0,), seed=9)
 
         with TraceRecorder() as rec, \
                 DurableTrialQueue(tmp_path / "faults.db", lease_s=5.0) as queue:
             log = run_elastic(RandomSearch(small_space(), seed=3), objective,
                               40, queue, n_workers=4, cost_model=budget_cost,
-                              injector=injector, max_retries=1)
+                              faults=faults, max_retries=1)
             counts = queue.counts()
         stats = log.stats
         assert counts == {PENDING: 0, CLAIMED: 0, DONE: 40}
@@ -567,13 +573,31 @@ class TestElasticRuntime:
         assert stats["giveups"] > 0
         assert stats["failures"] == stats["retries"] + stats["giveups"]
         assert stats["giveups"] == sum(t.worker == -1 for t in log.trials)
-        # Each attempt's fault is drawn once: the injector's counts, the
+        # Each attempt's fault is drawn once: the run's fault counts, the
         # trace's fault events and the ledger agree.
-        assert stats["failures"] == injector.counts["crash"]
-        assert stats["quarantined"] == injector.counts[NAN]
-        assert stats["workers_lost"] == injector.counts[WORKER_LOSS]
-        assert len(rec.events(kind="fault")) == injector.total_injected
+        assert stats["failures"] == stats["faults"]["crash"]
+        assert stats["quarantined"] == stats["faults"][NAN]
+        assert stats["workers_lost"] == stats["faults"][WORKER_LOSS]
+        assert len(rec.events(kind="fault")) == sum(stats["faults"].values())
         assert len(rec.events(kind="hpo.retry")) == stats["retries"]
+
+    def test_reused_schedule_gives_each_run_the_same_faults(self, tmp_path):
+        """A schedule is a declaration, not a consumable: passed to two
+        campaigns it kills the same consumers and draws the same rate
+        faults in both, and each ledger counts only its own run's."""
+        faults = kill_consumers({(2, 1): "claim", (5, 1): "ack"}, crash=0.15, nan=0.1,
+                                straggler=0.1, worker_loss_times=(5.0,), seed=9)
+        runs = []
+        for i in range(2):
+            log = run_elastic(RandomSearch(small_space(), seed=3), objective, 30,
+                              tmp_path / f"reuse{i}.db", n_workers=4, cost_model=budget_cost,
+                              lease_s=5.0, faults=faults, max_retries=1)
+            runs.append((rows(log), log.stats))
+        assert runs[0] == runs[1]
+        stats = runs[0][1]
+        assert stats["workers_killed"] == 2 and stats["reclaims"] == 2
+        assert stats["failures"] == stats["faults"]["crash"] > 0
+        assert stats["workers_lost"] == stats["faults"][WORKER_LOSS] == 1
 
     @pytest.mark.parametrize("via", ["run_elastic", "run_parallel"])
     def test_trial_longer_than_lease_runs_once(self, tmp_path, via):
@@ -602,7 +626,7 @@ class TestElasticRuntime:
         log = run_elastic(RandomSearch(small_space(), seed=2), objective, 4,
                           tmp_path / "killed.db", n_workers=2,
                           cost_model=constant_cost(100.0),
-                          kill_plan=KillPlan(kills={(1, 1): "ack"}))
+                          faults=kill_consumers({(1, 1): "ack"}))
         assert len(log) == 4
         assert log.stats["workers_killed"] == 1 and log.stats["reclaims"] == 1
 
@@ -612,8 +636,8 @@ class TestElasticRuntime:
         assert len(log) == 15
         # One loop, two storage modes: the ledger in memory and on disk
         # give the same rows, the same stats and the same fault counts.
-        faults = FaultSpec(crash_prob=0.15, nan_prob=0.1, straggler_prob=0.1,
-                           worker_loss_times=(2.0, 7.0), seed=4)
+        faults = FaultSchedule(crash=0.15, nan=0.1, straggler=0.1,
+                               worker_loss_times=(2.0, 7.0), seed=4)
         strategies = {
             "random": lambda: RandomSearch(small_space(), seed=8),
             "asha": lambda: ASHA(small_space(), seed=8, max_budget=9),
@@ -622,12 +646,11 @@ class TestElasticRuntime:
             for spec in (None, faults):
                 runs = []
                 for queue in (None, tmp_path / f"{name}-{spec is not None}.db"):
-                    injector = FaultInjector(spec) if spec is not None else None
                     with TraceRecorder() as rec:
                         log = run_parallel(mk(), objective, 40, 4, budget_cost,
-                                           injector=injector, max_retries=2, queue=queue)
+                                           faults=spec, max_retries=2, queue=queue)
                     assert len(log) == 40
-                    counts = dict(injector.counts) if injector is not None else {}
+                    counts = log.stats["faults"]
                     assert len(rec.events(kind="fault")) == sum(counts.values())
                     runs.append((rows(log), log.stats, counts))
                 assert runs[0] == runs[1], (name, spec)
@@ -720,7 +743,7 @@ class TestElasticRuntime:
         with CountingQueue(tmp_path / "kill.db", lease_s=5.0) as queue:
             log = run_elastic(RandomSearch(small_space(), seed=1), objective, 2, queue,
                               n_workers=1, cost_model=constant_cost(1.0),
-                              kill_plan=KillPlan(kills={(1, 1): "claim"}))
+                              faults=kill_consumers({(1, 1): "claim"}))
             assert [t.sim_time for t in log.trials] == [2.0, 6.0]
             assert queue.txn_count == 3 + 5
 
@@ -733,7 +756,7 @@ class TestElasticRuntime:
         matching the tables, and resuming it reproduces the uninterrupted
         run."""
         kw = dict(n_workers=3, cost_model=budget_cost, lease_s=6.0,
-                  kill_plan=KillPlan(kills=kills))
+                  faults=kill_consumers(kills))
         mk = lambda: ASHA(small_space(), seed=13, max_budget=9)  # noqa: E731
         full = run_elastic(mk(), objective, 24, tmp_path / "full.db", **kw)
         assert full.stats["giveups"] == 0  # so the k-th call is the k-th trial
@@ -791,7 +814,7 @@ class TestCrashReplayProperties:
             log = run_elastic(
                 ASHA(small_space(), seed=11, max_budget=9), objective,
                 N_PROP, queue, n_workers=3, cost_model=budget_cost,
-                kill_plan=KillPlan(kills=kills),
+                faults=kill_consumers(kills),
             )
             counts = queue.counts()
             done_ids = [r.job_id for r in queue.completions()]
@@ -810,7 +833,7 @@ class TestCrashReplayProperties:
         uninterrupted run bit for bit."""
         mk = lambda: ASHA(small_space(), seed=13, max_budget=9)  # noqa: E731
         kw = dict(n_workers=3, cost_model=budget_cost,
-                  kill_plan=KillPlan(kills=kills))
+                  faults=kill_consumers(kills))
         with tempfile.TemporaryDirectory(prefix="repro_hpoq_") as tmp:
             full = run_elastic(mk(), objective, 24, Path(tmp) / "pf.db", **kw)
             run_elastic(mk(), objective, 24, Path(tmp) / "pc.db",

@@ -25,7 +25,7 @@ from repro.hpo import (
     run_parallel,
     run_sequential,
 )
-from repro.resilience import FaultInjector
+from repro.resilience import FaultSchedule
 
 
 def small_space():
@@ -435,7 +435,7 @@ class TestFailureInjection:
         log = run_parallel(
             RandomSearch(space, seed=0), sphere, 60, 8,
             constant_cost(5.0), max_retries=8,
-            injector=FaultInjector(crash_prob=0.25, seed=3),
+            faults=FaultSchedule(crash=0.25, seed=3),
         )
         assert len(log) == 60
         # P(9 consecutive crashes) ~ 4e-6: retries make every trial finish.
@@ -446,7 +446,7 @@ class TestFailureInjection:
         clean = run_parallel(RandomSearch(space, seed=0), sphere, 60, 8, constant_cost(5.0))
         faulty = run_parallel(
             RandomSearch(space, seed=0), sphere, 60, 8,
-            constant_cost(5.0), injector=FaultInjector(crash_prob=0.3, seed=1),
+            constant_cost(5.0), faults=FaultSchedule(crash=0.3, seed=1),
         )
         assert max(t.sim_time for t in faulty.trials) > max(t.sim_time for t in clean.trials)
 
@@ -455,7 +455,7 @@ class TestFailureInjection:
         log = run_parallel(
             RandomSearch(space, seed=0), sphere, 30, 4,
             constant_cost(1.0), max_retries=0,
-            injector=FaultInjector(crash_prob=0.9, seed=2),
+            faults=FaultSchedule(crash=0.9, seed=2),
         )
         assert len(log) == 30
         assert any(t.value == float("inf") for t in log.trials)
@@ -463,19 +463,19 @@ class TestFailureInjection:
     def test_failure_injection_deterministic(self):
         space = small_space()
         a = run_parallel(RandomSearch(space, seed=0), sphere, 40, 4,
-                         constant_cost(2.0), injector=FaultInjector(crash_prob=0.2, seed=7))
+                         constant_cost(2.0), faults=FaultSchedule(crash=0.2, seed=7))
         b = run_parallel(RandomSearch(space, seed=0), sphere, 40, 4,
-                         constant_cost(2.0), injector=FaultInjector(crash_prob=0.2, seed=7))
+                         constant_cost(2.0), faults=FaultSchedule(crash=0.2, seed=7))
         assert [t.sim_time for t in a.trials] == [t.sim_time for t in b.trials]
 
     def test_validation(self):
         space = small_space()
         with pytest.raises(ValueError):
             run_parallel(RandomSearch(space), sphere, 10, 2,
-                         injector=FaultInjector(crash_prob=1.0))
+                         faults=FaultSchedule(crash=1.0))
         with pytest.raises(ValueError):
             run_parallel(RandomSearch(space), sphere, 10, 2, max_retries=-1)
-        # The pre-injector spellings are gone, not shimmed.
+        # The pre-schedule spellings are gone, not shimmed.
         for stale in ({"failure_rate": 0.1}, {"failure_seed": 1}, {"retry_backoff": 1.0}):
             with pytest.raises(TypeError):
                 run_parallel(RandomSearch(space), sphere, 10, 2, **stale)
@@ -487,7 +487,7 @@ class TestFailureInjection:
         log = run_parallel(
             RandomSearch(space, seed=0), sphere, 40, 4,
             constant_cost(1.0), max_retries=2,
-            injector=FaultInjector(crash_prob=0.35, seed=9),
+            faults=FaultSchedule(crash=0.35, seed=9),
         )
         stats = log.stats
         n_inf = sum(t.value == float("inf") for t in log.trials)
@@ -500,20 +500,20 @@ class TestFailureInjection:
         space = small_space()
         runs = [
             run_parallel(RandomSearch(space, seed=0), sphere, 40, 4,
-                         constant_cost(2.0), injector=FaultInjector(crash_prob=0.2, seed=7)).stats
+                         constant_cost(2.0), faults=FaultSchedule(crash=0.2, seed=7)).stats
             for _ in range(2)
         ]
         assert runs[0] == runs[1]
         other = run_parallel(RandomSearch(space, seed=0), sphere, 40, 4,
-                             constant_cost(2.0), injector=FaultInjector(crash_prob=0.2, seed=8)).stats
+                             constant_cost(2.0), faults=FaultSchedule(crash=0.2, seed=8)).stats
         assert other != runs[0]
 
     def test_values_deterministic_under_failure_seed(self):
         space = small_space()
         a = run_parallel(RandomSearch(space, seed=0), sphere, 40, 4,
-                         constant_cost(2.0), injector=FaultInjector(crash_prob=0.2, seed=7))
+                         constant_cost(2.0), faults=FaultSchedule(crash=0.2, seed=7))
         b = run_parallel(RandomSearch(space, seed=0), sphere, 40, 4,
-                         constant_cost(2.0), injector=FaultInjector(crash_prob=0.2, seed=7))
+                         constant_cost(2.0), faults=FaultSchedule(crash=0.2, seed=7))
         assert [t.value for t in a.trials] == [t.value for t in b.trials]
         assert [t.trial_id for t in a.trials] == [t.trial_id for t in b.trials]
 
@@ -524,7 +524,7 @@ class TestFailureInjection:
         log = run_parallel(
             RandomSearch(space, seed=0), sphere, 24, 4,
             constant_cost(1.0), sync=True, max_retries=1,
-            injector=FaultInjector(crash_prob=0.4, seed=5),
+            faults=FaultSchedule(crash=0.4, seed=5),
         )
         assert len(log) == 24
         n_inf = sum(t.value == float("inf") for t in log.trials)

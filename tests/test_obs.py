@@ -38,7 +38,7 @@ from repro.obs import (
     write_jsonl,
 )
 from repro.perf import OpProfiler
-from repro.resilience import FaultSpec
+from repro.resilience import CRASH, FaultSchedule
 from repro.serve import BatchPolicy, InferenceServer
 from repro.workflow.campaign import run_campaign
 
@@ -421,12 +421,14 @@ class TestWiredHooks:
         assert [t.sim_time for t in log.trials] == [2.0, 2.0, 4.0, 4.0]
 
     def test_fault_events_and_counters(self):
-        from repro.resilience import FaultInjector
+        from repro.hpo import RandomSearch, constant_cost, run_parallel
 
-        injector = FaultInjector(FaultSpec(nan_prob=0.5, seed=1))
+        space = SearchSpace({"x": Float(0.0, 1.0)})
         rec = TraceRecorder()
         with rec:
-            hit = sum(injector.trial_fault(t, 0) is not None for t in range(20))
+            log = run_parallel(RandomSearch(space, seed=0), lambda c, b=1: c["x"], 20, 4,
+                               constant_cost(1.0), faults=FaultSchedule(nan=0.5, seed=1))
+        hit = log.stats["faults"]["nan"]
         assert hit > 0
         assert len(rec.events(kind="fault")) == hit
         total = sum(
@@ -448,9 +450,7 @@ class TestWiredHooks:
             history, report = run_resilient_training(
                 model, x, y, checkpoint_dir=tmp_path / "ck",
                 epochs=2, batch_size=10, checkpoint_every=3,
-                injector=__import__("repro.resilience", fromlist=["FaultInjector"]).FaultInjector(
-                    FaultSpec(crash_steps=(4,))
-                ),
+                faults=FaultSchedule(entries={("step", 0, 4): CRASH}),
             )
         assert report.restarts == 1
         assert rec.balanced
@@ -493,7 +493,7 @@ class TestWiredHooks:
         """Every executed step — useful or replayed — is one fit.step
         span and one fit.steps count; a crash fires between steps, so no
         step span is ever aborted."""
-        from repro.resilience import FaultInjector, run_resilient_training
+        from repro.resilience import run_resilient_training
 
         rng = np.random.default_rng(0)
         x = rng.standard_normal((40, 5))
@@ -504,7 +504,7 @@ class TestWiredHooks:
         with rec:
             _, report = run_resilient_training(
                 model, x, y, checkpoint_dir=tmp_path / "ck", epochs=2, batch_size=10,
-                checkpoint_every=3, injector=FaultInjector(crash_steps=(5,)),
+                checkpoint_every=3, faults=FaultSchedule(entries={("step", 0, 5): CRASH}),
             )
         assert report.restarts == 1 and report.steps_replayed > 0
         steps = rec.spans(kind="fit.step")
@@ -534,7 +534,7 @@ class TestInstrumentedCampaignEndToEnd:
                 run_campaign(
                     "p1b1", space, n_trials=2, n_workers=2,
                     final_epochs=1, max_search_samples=50, seed=1,
-                    faults=FaultSpec(nan_prob=0.4, seed=5),
+                    faults=FaultSchedule(nan=0.4, seed=5),
                     checkpoint_dir=tmp_path / "ck",
                 )
             # Serve the same process's model under the same recorder so

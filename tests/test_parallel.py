@@ -41,7 +41,7 @@ from repro.parallel import (
     reduce_ranks,
     worker_data,
 )
-from repro.resilience.faults import FaultInjector
+from repro.resilience.faults import FaultSchedule
 
 
 # Module-level task/objective functions: the pool ships them to workers
@@ -553,19 +553,19 @@ class TestParallelTrialExecutor:
         assert times == sorted(times) and times[-1] > 0
 
     def test_injected_faults_retry_and_quarantine(self):
-        inj = FaultInjector(crash_prob=0.3, nan_prob=0.2, seed=11)
+        faults = FaultSchedule(crash=0.3, nan=0.2, seed=11)
         with TraceRecorder() as rec:
             with ParallelTrialExecutor(2) as ex:
                 log = run_parallel(
                     RandomSearch(self.SPACE, seed=7), _sleep_objective,
                     n_trials=8, n_workers=2, executor=ex,
-                    injector=inj, max_retries=2,
+                    faults=faults, max_retries=2,
                 )
         assert len(log.trials) == 8
         assert log.stats["failures"] > 0
         assert log.stats["retries"] > 0
-        assert log.stats["failures"] == inj.counts["crash"] or log.stats["retries"] > 0
-        assert len(rec.events(kind="fault")) == inj.total_injected
+        assert log.stats["failures"] == log.stats["faults"]["crash"] or log.stats["retries"] > 0
+        assert len(rec.events(kind="fault")) == sum(log.stats["faults"].values())
         assert np.isfinite(log.best().value)
 
     def test_trial_spans_carry_worker_duration(self):

@@ -39,13 +39,12 @@ from repro.resilience import (
     NAN,
     STRAGGLER,
     CheckpointManager,
-    FaultInjector,
-    FaultSpec,
+    FaultSchedule,
     ResilienceReport,
-    as_injector,
     plan_checkpoint_interval,
     run_resilient_training,
 )
+from repro.resilience.faults import SITES
 
 
 def small_model(dropout: float = 0.0):
@@ -62,6 +61,13 @@ def params_of(model):
     return [p.data.copy() for p in model.parameters()]
 
 
+def crashes(*steps, **schedule):
+    """Crash before each of ``steps``: the k-th (in step order) kills the
+    k-th incarnation, each restart replaying past the steps before it."""
+    entries = {("step", k, step): CRASH for k, step in enumerate(sorted(steps))}
+    return FaultSchedule(entries=entries, **schedule)
+
+
 def assert_bit_identical(model_a, model_b):
     pa, pb = params_of(model_a), params_of(model_b)
     assert len(pa) == len(pb)
@@ -69,78 +75,102 @@ def assert_bit_identical(model_a, model_b):
         assert np.array_equal(a, b), "weights diverged"
 
 
+#: Rates for every drawn kind and a few keys per site: the draw is a
+#: function of (seed, site, key) alone, whatever order the keys come in.
+ALL_RATES = dict(crash=0.2, nan=0.1, straggler=0.1, storage=0.3, kill_replica=0.1,
+                 hang_replica=0.1, slow_replica=0.1, corrupt_response=0.1)
+SITE_KEYS = {"trial": 2, "step": 2, "grad": 1, "write": 1, "dispatch": 2, "consumer": 2}
+
+
 class TestFaultSpec:
     def test_validation(self):
         with pytest.raises(ValueError):
-            FaultSpec(crash_prob=1.0)
+            FaultSchedule(crash=1.0)
         with pytest.raises(ValueError):
-            FaultSpec(crash_prob=0.5, nan_prob=0.3, straggler_prob=0.3)
+            FaultSchedule(crash=0.5, nan=0.3, straggler=0.3)
         with pytest.raises(ValueError):
-            FaultSpec(straggler_factor=0.5)
+            FaultSchedule(straggler_factor=0.5)
         with pytest.raises(ValueError):
-            FaultSpec(crash_steps=(-1,))
-
-    def test_as_injector_coercion(self):
-        assert as_injector(None) is None
-        spec = FaultSpec(crash_prob=0.1)
-        inj = as_injector(spec)
-        assert isinstance(inj, FaultInjector) and inj.spec is spec
-        assert as_injector(inj) is inj
-        with pytest.raises(TypeError):
-            as_injector(0.1)
+            crashes(-1)
+        with pytest.raises(ValueError, match="not a fault of site 'step'"):
+            FaultSchedule(entries={("step", 0, 3): NAN})
+        with pytest.raises(ValueError):
+            FaultSchedule(entries={("nowhere", 1): CRASH})
 
 
 class TestFaultInjector:
     def test_decisions_are_order_independent(self):
         """Fault decisions are pure functions of (seed, ids) — the event
         loop's interleaving cannot change them."""
-        a = FaultInjector(crash_prob=0.2, nan_prob=0.1, straggler_prob=0.1, seed=5)
-        b = FaultInjector(crash_prob=0.2, nan_prob=0.1, straggler_prob=0.1, seed=5)
+        a = FaultSchedule(crash=0.2, nan=0.1, straggler=0.1, seed=5)
         keys = [(t, att) for t in range(30) for att in range(2)]
-        fwd = {k: a.trial_fault(*k) for k in keys}
-        rev = {k: b.trial_fault(*k) for k in reversed(keys)}
+        fwd = {k: a.draw("trial", *k) for k in keys}
+        rev = {k: a.draw("trial", *k) for k in reversed(keys)}
         assert fwd == rev
-        assert a.counts == b.counts
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1),
+           keys=st.lists(st.tuples(st.sampled_from(sorted(SITE_KEYS)),
+                                   st.lists(st.integers(0, 50), min_size=2, max_size=2)),
+                         min_size=1, max_size=40),
+           order=st.randoms(use_true_random=False))
+    def test_draw_is_pure_over_any_call_order(self, seed, keys, order):
+        """Every site: the kinds drawn for a set of units of work are the
+        same whatever order they are asked in, and a second schedule
+        equal to the first answers the same."""
+        units = [(site, *ids[:SITE_KEYS[site]]) for site, ids in keys]
+        entries = {units[0]: SITES[units[0][0]][1][0]}
+        first = FaultSchedule(seed=seed, entries=entries, **ALL_RATES)
+        want = {u: first.draw(*u) for u in units}
+        shuffled = list(units)
+        order.shuffle(shuffled)
+        again = FaultSchedule(seed=seed, entries=entries, **ALL_RATES)
+        assert {u: again.draw(*u) for u in shuffled} == want
+        assert want[units[0]] == entries[units[0]]
+        assert all(k is None or k in SITES[u[0]][1] for u, k in want.items())
 
     def test_seed_changes_schedule(self):
-        a = FaultInjector(crash_prob=0.3, seed=0)
-        b = FaultInjector(crash_prob=0.3, seed=1)
-        fa = [a.trial_fault(t, 0) for t in range(50)]
-        fb = [b.trial_fault(t, 0) for t in range(50)]
+        a = FaultSchedule(crash=0.3, seed=0)
+        b = FaultSchedule(crash=0.3, seed=1)
+        fa = [a.draw("trial", t, 0) for t in range(50)]
+        fb = [b.draw("trial", t, 0) for t in range(50)]
         assert fa != fb
 
     def test_at_most_one_fault_per_attempt_and_counts_match(self):
-        inj = FaultInjector(crash_prob=0.2, nan_prob=0.2, straggler_prob=0.2, seed=2)
+        schedule = FaultSchedule(crash=0.2, nan=0.2, straggler=0.2, seed=2)
         seen = {CRASH: 0, NAN: 0, STRAGGLER: 0}
         for t in range(300):
-            kind = inj.trial_fault(t, 0)
+            kind = schedule.draw("trial", t, 0)
             if kind is not None:
                 seen[kind] += 1
         for kind, n in seen.items():
             assert n > 0, f"no {kind} in 300 draws at p=0.2"
-            assert inj.counts[kind] == n
+        assert 0.45 < sum(seen.values()) / 300 < 0.75  # ~60% nominal
 
     def test_crash_steps_fire_exactly_once(self):
-        inj = FaultInjector(crash_steps=(3, 7), seed=0)
-        fired = [g for g in range(10) if inj.crash_now(g)]
-        assert fired == [3, 7]
-        # Replay (the restarted incarnation) passes unharmed.
-        assert not any(inj.crash_now(g, incarnation=1) for g in range(10))
+        schedule = crashes(3, 7)
+        fired = [g for g in range(10) if schedule.draw("step", 0, g) == CRASH]
+        assert fired == [3]
+        # Replay (the restarted incarnation) passes step 3 unharmed and
+        # dies at the next entry.
+        assert [g for g in range(10) if schedule.draw("step", 1, g) == CRASH] == [7]
+        assert not any(schedule.draw("step", 2, g) for g in range(10))
 
     def test_rate_crashes_redraw_per_incarnation(self):
-        inj = FaultInjector(crash_prob=0.3, seed=8)
-        inc0 = [inj.crash_now(g, 0) for g in range(40)]
-        inj2 = FaultInjector(crash_prob=0.3, seed=8)
-        inc1 = [inj2.crash_now(g, 1) for g in range(40)]
+        schedule = FaultSchedule(crash=0.3, seed=8)
+        inc0 = [schedule.draw("step", 0, g) for g in range(40)]
+        inc1 = [schedule.draw("step", 1, g) for g in range(40)]
         assert inc0 != inc1  # a restart is a fresh draw, not a replay loop
 
-    def test_corrupt_gradients_poisons_in_place(self):
-        inj = FaultInjector(nan_steps=(1,), seed=0)
-        g = [np.ones(4)]
-        assert not inj.corrupt_gradients(0, g)
-        assert inj.corrupt_gradients(1, g)
-        assert np.isnan(g[0]).all()
-        assert inj.counts[NAN] == 1
+    def test_corrupt_gradients_poisons_in_place(self, data, tmp_path):
+        """A NaN entry poisons that step's gradient inside the loop, whose
+        guard then drops exactly that update."""
+        x, y = data
+        _, rep = run_resilient_training(
+            small_model(), x, y, checkpoint_dir=tmp_path, epochs=1, batch_size=16,
+            loss="cross_entropy", faults=FaultSchedule(entries={("grad", 1): NAN}),
+        )
+        assert rep.nan_updates_skipped == 1 and rep.faults[NAN] == 1
 
 
 class TestTrainingStateSerialization:
@@ -323,8 +353,7 @@ class TestCheckpointManager:
         model = small_model()
         model.build(x.shape[1:], np.random.default_rng(0))
         opt = Adam(model.parameters())
-        inj = FaultInjector(storage_fail_prob=0.99, seed=0)
-        mgr = CheckpointManager(tmp_path, injector=inj)
+        mgr = CheckpointManager(tmp_path, faults=FaultSchedule(storage=0.99, seed=0))
         assert mgr.save(model, opt, epoch=0, step=0, global_step=0, force=True) is not None
         before = mgr.latest()
         failed = sum(1 for g in range(1, 8) if self._save(mgr, model, opt, g) is None)
@@ -365,20 +394,19 @@ OPTIMIZERS = {
 
 
 class TestBitIdenticalResume:
-    def _run(self, data, ckpt_dir, injector=None, epochs=3, dropout=0.3, **kw):
+    def _run(self, data, ckpt_dir, faults=None, epochs=3, dropout=0.3, **kw):
         x, y = data
         model = small_model(dropout=dropout)
         history, report = run_resilient_training(
             model, x, y, checkpoint_dir=ckpt_dir, epochs=epochs, batch_size=16,
             loss="cross_entropy", lr=1e-3, seed=0, checkpoint_every=4,
-            injector=injector, **kw,
+            faults=faults, **kw,
         )
         return model, history, report
 
     def test_crashed_run_matches_uninterrupted(self, data, tmp_path):
         clean_model, clean_hist, clean_rep = self._run(data, tmp_path / "clean")
-        inj = FaultInjector(crash_steps=(3, 9, 14), seed=0)
-        faulty_model, faulty_hist, rep = self._run(data, tmp_path / "faulty", injector=inj)
+        faulty_model, faulty_hist, rep = self._run(data, tmp_path / "faulty", faults=crashes(3, 9, 14))
 
         assert rep.restarts == 3
         assert rep.steps_replayed > 0
@@ -387,22 +415,35 @@ class TestBitIdenticalResume:
         assert faulty_hist.series("loss") == clean_hist.series("loss")
         assert_bit_identical(clean_model, faulty_model)
 
+    def test_reused_schedule_gives_each_run_the_same_faults(self, data, tmp_path):
+        """One schedule, two runs: each meets the explicit crash and the
+        same drawn storage failures, and each report counts only its own
+        run's faults."""
+        faults = crashes(5, storage=0.3, seed=2)
+        (m0, h0, r0), (m1, h1, r1) = [
+            self._run(data, tmp_path / f"run{i}", faults=faults) for i in range(2)
+        ]
+        assert r0.restarts == r0.faults[CRASH] == 1 and r0.faults["storage"] > 0
+        assert r0 == r1
+        assert h0.series("loss") == h1.series("loss")
+        assert_bit_identical(m0, m1)
+
     def test_batchnorm_statistics_survive_a_crash(self, data, tmp_path):
         """Layer buffers are model state: a snapshot that kept only the
         parameters resumed with stale running statistics, and the resumed
         model predicted differently on identical weights."""
         x, y = data
 
-        def run(ckpt_dir, injector=None):
+        def run(ckpt_dir, faults=None):
             model = build_p1b2_classifier(4, hidden=(12,), dropout=0.0, batch_norm=True)
             run_resilient_training(
                 model, x, y, checkpoint_dir=ckpt_dir, epochs=3, batch_size=16,
-                loss="cross_entropy", lr=1e-3, seed=0, checkpoint_every=4, injector=injector,
+                loss="cross_entropy", lr=1e-3, seed=0, checkpoint_every=4, faults=faults,
             )
             return model
 
         clean = run(tmp_path / "clean")
-        faulty = run(tmp_path / "faulty", FaultInjector(crash_steps=(5, 11), seed=0))
+        faulty = run(tmp_path / "faulty", crashes(5, 11))
         assert_bit_identical(clean, faulty)
         assert np.array_equal(clean.predict(x), faulty.predict(x))
 
@@ -447,7 +488,7 @@ class TestBitIdenticalResume:
         to the uninterrupted run's weights: keys added since default."""
         straight_model, straight_hist, _ = self._run(data, tmp_path / "a", epochs=3)
         with pytest.raises(RuntimeError, match="restarts"):  # die at step 9, stay dead
-            self._run(data, tmp_path / "b", injector=FaultInjector(crash_steps=(9,)),
+            self._run(data, tmp_path / "b", faults=crashes(9),
                       max_restarts=0)
         x, y = data
         newest = sorted((tmp_path / "b").glob("ckpt-*.npz"))[-1]
@@ -514,7 +555,7 @@ class TestBitIdenticalResume:
         for steps in [(), tuple(sorted(crash_steps))]:
             model = small_model(dropout=0.2)
             model.build(d.x.shape[1:], np.random.default_rng(0))
-            inj = FaultInjector(crash_steps=steps, seed=0) if steps else None
+            faults = crashes(*steps) if steps else None
             fit_kwargs = dict(grad_accumulation=grad_accumulation, clip_norm=clip_norm,
                               optimizer=OPTIMIZERS[optimizer](model.parameters()))
             if precision == "overflowing fp16 policy":
@@ -529,7 +570,7 @@ class TestBitIdenticalResume:
                 hist, rep = run_resilient_training(
                     model, d.x, d.y, checkpoint_dir=tmp, epochs=3, batch_size=8,
                     loss="cross_entropy", lr=1e-3, seed=0,
-                    checkpoint_every=checkpoint_every, injector=inj, **fit_kwargs,
+                    checkpoint_every=checkpoint_every, faults=faults, **fit_kwargs,
                 )
             assert rep.snapshots_skipped == 0
             runs.append((model, hist))
@@ -543,22 +584,20 @@ class TestBitIdenticalResume:
         assert np.array_equal(clean.predict(x), faulty.predict(x))
 
     def test_nan_steps_are_quarantined_not_fatal(self, data, tmp_path):
-        inj = FaultInjector(nan_steps=(2, 5), seed=0)
-        _, hist, rep = self._run(data, tmp_path, injector=inj, dropout=0.0)
+        faults = FaultSchedule(entries={("grad", 2): NAN, ("grad", 5): NAN})
+        _, hist, rep = self._run(data, tmp_path, faults=faults, dropout=0.0)
         assert rep.nan_updates_skipped == 2
         assert rep.faults[NAN] == 2
         assert all(np.isfinite(v) for v in hist.series("loss"))
 
     def test_storage_failures_tolerated(self, data, tmp_path):
-        inj = FaultInjector(storage_fail_prob=0.6, crash_steps=(7,), seed=1)
-        _, _, rep = self._run(data, tmp_path, injector=inj, dropout=0.0)
+        _, _, rep = self._run(data, tmp_path, faults=crashes(7, storage=0.6, seed=1), dropout=0.0)
         assert rep.checkpoint_write_failures > 0
         assert rep.restarts == 1  # still survived the crash
 
     def test_time_ledger_and_efficiency(self, data, tmp_path):
-        inj = FaultInjector(crash_steps=(5,), seed=0)
         _, _, rep = self._run(
-            data, tmp_path, injector=inj, dropout=0.0,
+            data, tmp_path, faults=crashes(5), dropout=0.0,
             step_time_s=1.0, checkpoint_time_s=0.5, restart_time_s=2.0,
         )
         assert rep.sim_useful_time == rep.useful_steps
@@ -571,9 +610,8 @@ class TestBitIdenticalResume:
         assert 0.0 < rep.measured_efficiency < 1.0
 
     def test_gives_up_after_max_restarts(self, data, tmp_path):
-        inj = FaultInjector(crash_steps=tuple(range(1, 6)), seed=0)
         with pytest.raises(RuntimeError, match="restarts"):
-            self._run(data, tmp_path, injector=inj, max_restarts=2)
+            self._run(data, tmp_path, faults=crashes(*range(1, 6)), max_restarts=2)
 
 
 class TestRemovedOptions:
@@ -643,25 +681,25 @@ class TestSchedulerResilience:
     def test_sync_straggler_stalls_its_wave(self):
         from repro.hpo import RandomSearch, constant_cost, run_parallel
 
-        inj = FaultInjector(straggler_prob=0.4, straggler_factor=5.0, seed=2)
+        faults = FaultSchedule(straggler=0.4, straggler_factor=5.0, seed=2)
         log = run_parallel(RandomSearch(_space(), seed=0), _sphere, 4, 4,
-                           constant_cost(1.0), sync=True, injector=inj)
-        assert inj.counts[STRAGGLER] > 0
+                           constant_cost(1.0), sync=True, faults=faults)
+        assert log.stats["faults"][STRAGGLER] > 0
         # One barrier; everyone pays the slowest slot's stretched time.
         times = {t.sim_time for t in log.trials}
         assert times == {5.0}
 
     def test_sync_and_async_inject_identical_fault_schedules(self):
-        """Keyed-RNG determinism: the injector's decisions depend only on
+        """Keyed-RNG determinism: the schedule's decisions depend only on
         (seed, trial, attempt), not on the scheduler's interleaving."""
         from repro.hpo import RandomSearch, constant_cost, run_parallel
 
         def run(sync):
-            inj = FaultInjector(crash_prob=0.15, nan_prob=0.1, straggler_prob=0.1, seed=11)
+            faults = FaultSchedule(crash=0.15, nan=0.1, straggler=0.1, seed=11)
             log = run_parallel(RandomSearch(_space(), seed=0), _sphere, 30, 4,
-                               constant_cost(1.0), sync=sync, injector=inj,
+                               constant_cost(1.0), sync=sync, faults=faults,
                                max_retries=2)
-            return inj.counts, log.stats
+            return log.stats["faults"], log.stats
 
         counts_s, stats_s = run(sync=True)
         counts_a, stats_a = run(sync=False)
@@ -672,9 +710,9 @@ class TestSchedulerResilience:
         from repro.hpo import RandomSearch, constant_cost, run_parallel
 
         for sync in (True, False):
-            inj = FaultInjector(worker_loss_times=(0.5, 1.5), seed=0)
+            faults = FaultSchedule(worker_loss_times=(0.5, 1.5), seed=0)
             log = run_parallel(RandomSearch(_space(), seed=0), _sphere, 12, 4,
-                               constant_cost(1.0), sync=sync, injector=inj)
+                               constant_cost(1.0), sync=sync, faults=faults)
             assert len(log) == 12, f"sync={sync}"
             assert log.stats["workers_lost"] == 2
             # Fewer workers → later completion than a full-strength pool.
@@ -698,11 +736,11 @@ class TestSchedulerResilience:
     def test_injected_nan_trials_quarantined_as_inf(self):
         from repro.hpo import RandomSearch, constant_cost, run_parallel
 
-        inj = FaultInjector(nan_prob=0.3, seed=4)
+        faults = FaultSchedule(nan=0.3, seed=4)
         log = run_parallel(RandomSearch(_space(), seed=0), _sphere, 20, 4,
-                           constant_cost(1.0), injector=inj)
-        assert log.stats["quarantined"] == inj.counts[NAN] > 0
-        assert sum(t.value == float("inf") for t in log.trials) == inj.counts[NAN]
+                           constant_cost(1.0), faults=faults)
+        assert log.stats["quarantined"] == log.stats["faults"][NAN] > 0
+        assert sum(t.value == float("inf") for t in log.trials) == log.stats["faults"][NAN]
 
 
 class TestWorkflowResilience:
@@ -715,14 +753,17 @@ class TestWorkflowResilience:
 
         x, y = data
         model = small_model()
-        inj = FaultInjector(crash_steps=(4,), nan_steps=(2,), seed=0)
+        faults = FaultSchedule(entries={("step", 0, 4): CRASH, ("grad", 2): NAN})
         rep = run_training_job(
             model, x, y, cluster, epochs=2, batch_size=16, loss="cross_entropy",
-            faults=inj, checkpoint_dir=tmp_path,
+            faults=faults, checkpoint_dir=tmp_path,
         )
         r = rep.resilience
         assert r is not None
-        assert r.restarts == 1 and r.nan_updates_skipped == 1
+        # The crash rewinds past step 2, and its replay meets step 2's NaN
+        # again: a fault belongs to its unit of work, as the
+        # uninterrupted run with the same schedule would meet it.
+        assert r.restarts == 1 and r.nan_updates_skipped == r.faults[NAN] == 2
         assert r.checkpoints_written > 0
         assert rep.sim_total_time == pytest.approx(r.sim_total_time)
         assert rep.energy_joules > 0
@@ -744,8 +785,8 @@ class TestWorkflowResilience:
             "lr": Float(1e-4, 1e-2, log=True),
             "hidden1": Int(8, 32),
         })
-        spec = FaultSpec(crash_prob=0.1, straggler_prob=0.1, nan_prob=0.05,
-                         crash_steps=(6,), worker_loss_times=(3.0,), seed=7)
+        spec = crashes(6, crash=0.1, straggler=0.1, nan=0.05,
+                       worker_loss_times=(3.0,), seed=7)
         rep = run_campaign(
             "p1b2", space, n_trials=8, n_workers=4, final_epochs=2,
             max_search_samples=120, faults=spec, seed=1, checkpoint_dir=tmp_path,
@@ -774,7 +815,7 @@ class TestWorkflowResilience:
 
         space = SearchSpace({"lr": Float(1e-4, 1e-2, log=True), "hidden1": Int(8, 32)})
         published = {}
-        for name, spec in (("faulty", FaultSpec(crash_steps=(3, 7))), ("clean", FaultSpec())):
+        for name, spec in (("faulty", crashes(3, 7)), ("clean", FaultSchedule())):
             store = ArtifactStore(tmp_path / name)
             rep = run_campaign(
                 "p1b2", space, n_trials=4, n_workers=2, final_epochs=3, precision="bf16",
@@ -783,14 +824,14 @@ class TestWorkflowResilience:
             )
             published[name] = load_artifact(store.path_for(rep.published))[1]
             r = rep.resilience
-            assert r.restarts == r.faults[CRASH] == len(spec.crash_steps)
+            assert r.restarts == r.faults[CRASH] == len(spec.entries)
             assert r.checkpoints_written > 0 and r.snapshots_skipped == 0
         for a, b in zip(published["faulty"], published["clean"]):
             assert np.array_equal(a, b)
 
         x, y = data
         jobs = []
-        for spec in (FaultSpec(crash_steps=(2, 9)), FaultSpec()):
+        for spec in (crashes(2, 9), FaultSchedule()):
             model = small_model()
             rep = run_training_job(model, x, y, cluster, precision="fp16", epochs=2,
                                    batch_size=16, loss="cross_entropy", faults=spec)
@@ -807,7 +848,7 @@ class TestWorkflowResilience:
 
         space = SearchSpace({"lr": Float(1e-4, 1e-2, log=True)})
         # seed 0: every trial draws a NaN fault — the whole search is lost.
-        spec = FaultSpec(nan_prob=0.97, seed=0)
+        spec = FaultSchedule(nan=0.97, seed=0)
         rep = run_campaign(
             "p1b2", space, n_trials=4, n_workers=2, final_epochs=1,
             max_search_samples=100, faults=spec, max_retries=0, seed=0,
@@ -826,7 +867,7 @@ class TestDistributedResilience:
         return d.x, d.y
 
     def test_sync_faultless_path_unchanged(self, xy):
-        """injector=None must be numerically identical to the seed code."""
+        """faults=None must be numerically identical to the seed code."""
         from repro.workflow import train_sync_data_parallel
 
         x, y = xy
@@ -841,8 +882,7 @@ class TestDistributedResilience:
         from repro.workflow import train_async_sgd
 
         x, y = xy
-        inj = FaultInjector(nan_prob=0.2, seed=3)
-        res = train_async_sgd(small_model(), x, y, n_workers=2, staleness=1,
-                              epochs=2, loss="cross_entropy", injector=inj)
+        res = train_async_sgd(small_model(), x, y, n_workers=2, staleness=1, epochs=2,
+                              loss="cross_entropy", faults=FaultSchedule(nan=0.2, seed=3))
         assert res.dropped_updates > 0
         assert all(np.isfinite(v) for v in res.epoch_losses)

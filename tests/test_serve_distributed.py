@@ -24,10 +24,9 @@ from hypothesis import strategies as st
 from repro.candle.registry import get_benchmark
 from repro.obs import TraceRecorder
 from repro.parallel.pool import TaskResult
-from repro.resilience import SERVING_FAULT_KINDS, FaultInjector, FaultSpec
+from repro.resilience import CORRUPT_RESPONSE, SERVING_FAULT_KINDS, FaultSchedule
 from repro.serve import (
     BatchPolicy,
-    ChaosHarness,
     CircuitBreaker,
     ReplicaGroup,
     ReplicaSupervisor,
@@ -84,6 +83,7 @@ class FakeGroup:
         self._next = 0
         self.dispatched = []  # (slot, n_requests)
         self.rows = []        # per dispatch: the pool rows it carried
+        self.faults = []      # per dispatch: the fault kind it carried (None: none)
 
     def submit(self, replica, x=None, rows=None, fault=None):
         task_id = self._next
@@ -91,6 +91,7 @@ class FakeGroup:
         xb = self._x_pool[np.asarray(rows)] if rows is not None else np.asarray(x)
         self.dispatched.append((replica, len(xb)))
         self.rows.append(None if rows is None else [int(r) for r in rows])
+        self.faults.append(fault)
         if replica in self._fail:
             self.respawns += 1  # the real pool respawns the slot
             res = TaskResult(task_id, replica, self._fail[replica], None, 0.0)
@@ -459,12 +460,12 @@ class TestAutoscaleHook:
 
 class TestServingFaultOracle:
     def test_deterministic_and_partitioned(self):
-        spec = FaultSpec(
-            seed=5, kill_replica_prob=0.1, hang_replica_prob=0.1,
-            slow_replica_prob=0.1, corrupt_response_prob=0.1,
+        spec = FaultSchedule(
+            seed=5, kill_replica=0.1, hang_replica=0.1,
+            slow_replica=0.1, corrupt_response=0.1,
         )
-        a = [FaultInjector(spec).serving_fault(i, i % 3) for i in range(300)]
-        b = [FaultInjector(spec).serving_fault(i, i % 3) for i in range(300)]
+        a = [spec.draw("dispatch", i, i % 3) for i in range(300)]
+        b = [FaultSchedule(**vars(spec)).draw("dispatch", i, i % 3) for i in range(300)]
         assert a == b
         kinds = {k for k in a if k is not None}
         assert kinds.issubset(set(SERVING_FAULT_KINDS))
@@ -473,17 +474,29 @@ class TestServingFaultOracle:
         assert 0.2 < frac < 0.6  # ~40% nominal
 
     def test_zero_probs_draw_nothing(self):
-        inj = FaultInjector(FaultSpec(seed=0))
-        assert all(inj.serving_fault(i, 0) is None for i in range(50))
+        schedule = FaultSchedule(seed=0)
+        assert all(schedule.draw("dispatch", i, 0) is None for i in range(50))
 
-    def test_chaos_harness_plans_reproducibly(self):
-        spec = FaultSpec(seed=9, kill_replica_prob=0.2, slow_replica_prob=0.2)
-        h1 = ChaosHarness(spec, slow_s=0.01)
-        h2 = ChaosHarness(spec, slow_s=0.01)
-        d1 = [h1.plan(i, i % 2) for i in range(100)]
-        d2 = [h2.plan(i, i % 2) for i in range(100)]
-        assert d1 == d2
-        assert h1.planned == h2.planned and len(h1.planned) > 0
+    def test_chaos_harness_plans_reproducibly(self, parent):
+        """Two routers over one schedule dispatch the same faults to the
+        same replicas, each the schedule's draw for (first request id,
+        replica), and count them alike."""
+        spec = FaultSchedule(seed=9, kill_replica=0.2, slow_replica=0.2)
+        runs = []
+        for _ in range(2):
+            router, group = _fake_router(parent, faults=spec, record_batches=True)
+            for i in range(100):
+                router.submit("m", row=i % 64)
+                router.pump()
+            router.drain()
+            assert len(router.batch_log) == len(group.faults)  # the fake never fails
+            for fault, (slot, _), (_, ids) in zip(group.faults, group.dispatched,
+                                                  router.batch_log):
+                assert fault == spec.draw("dispatch", ids[0], slot)
+            runs.append((group.faults, group.dispatched, dict(router.stats.faults)))
+        assert runs[0] == runs[1]
+        faults, _, counts = runs[0]
+        assert sum(k is not None for k in faults) == sum(counts.values()) > 0
 
 
 @pytest.mark.slow
@@ -530,7 +543,7 @@ class TestDistributedTier:
                 probe_interval_s=0.05, probe_timeout_s=5.0,
             )
             # Wedge replica 0: sticky corrupt state only a canary can see.
-            g.submit(0, rows=[0], fault={"fault": "corrupt"})
+            g.submit(0, rows=[0], fault=CORRUPT_RESPONSE)
             while g.poll(timeout=0.5) is None:
                 pass
             deadline = time.perf_counter() + 15.0
@@ -563,12 +576,9 @@ class TestDistributedTier:
                 policy=BatchPolicy(max_batch_size=4, max_wait_s=0.01, max_queue=64),
                 max_retries=3, backoff_base_s=0.01,
                 breaker_threshold=2, breaker_cooldown_s=0.1,
+                faults=FaultSchedule(seed=seed, kill_replica=0.06,
+                                     hang_replica=0.04, slow_replica=0.08),
             )
-            ChaosHarness(
-                FaultSpec(seed=seed, kill_replica_prob=0.06,
-                          hang_replica_prob=0.04, slow_replica_prob=0.08),
-                slow_s=0.02,
-            ).attach(router)
             report = run_chaos_replay(router, "m", x_pool, 48)
             assert report["invariant_ok"], report
             assert report["parity_ok"], report
