@@ -105,7 +105,7 @@ class Op:
     the kernel on raw arrays (``ctx`` None: no node will be recorded, save
     nothing); ``backward(ctx, g)`` returns a gradient per input, None where
     ``ctx.needs`` is False, reading what forward saved without consuming it.
-    ``cast`` is the dtype rule under autocast: the ``CastPlan`` method per
+    ``cast`` is the dtype rule under autocast: the ``amp.Format`` method per
     input (None: run in the inputs' dtype); a ``narrow`` entry stores its
     output narrow, takes its gradient in fp32 and returns the activation's
     (first input's) gradient narrow, the rest fp32.  ``layout`` transposes

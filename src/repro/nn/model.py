@@ -182,19 +182,17 @@ class Model:
         """
         dtype = np.dtype(dtype)
         for p in self.parameters():
-            p.data = p.data.astype(dtype)
+            p.data = p.data.astype(dtype, copy=False)
             p.grad = None
         for layer in self.layers:
             if getattr(layer, "dtype", None) is not None:
                 layer.dtype = dtype
             for attr in layer.buffer_names():
-                setattr(layer, attr, getattr(layer, attr).astype(dtype))
+                setattr(layer, attr, getattr(layer, attr).astype(dtype, copy=False))
         self._int8_plan = None
         return self
 
-    def quantize_int8(
-        self, x_calib: np.ndarray, method: str = "percentile", percentile: float = 99.9
-    ):
+    def quantize_int8(self, x_calib: np.ndarray):
         """Calibrate an int8 inference plan from sample inputs.
 
         Attaches the plan (used by ``predict(precision="int8")`` and the
@@ -203,7 +201,7 @@ class Model:
         """
         from ..precision.int8 import quantize_model  # lazy: precision imports nn
 
-        self._int8_plan = quantize_model(self, x_calib, method=method, percentile=percentile)
+        self._int8_plan = quantize_model(self, x_calib)
         return self._int8_plan
 
     def predict(
@@ -222,6 +220,7 @@ class Model:
         array either way, bit-identical to the eager ``no_grad`` forward.
         """
         x = np.asarray(x)
+        infer = self._infer
         if precision == "int8":
             plan = getattr(self, "_int8_plan", None)
             if plan is None:
@@ -231,8 +230,8 @@ class Model:
                 )
             if len(x) == 0:
                 return self._empty_output(x).astype(np.float32)
-            return plan.predict(x, batch_size=batch_size)
-        if precision == "fp32":
+            infer = plan.forward
+        elif precision == "fp32":
             p0 = next(iter(self.parameters()), None)
             if p0 is not None and p0.data.dtype != np.float32:
                 raise ValueError(
@@ -250,13 +249,13 @@ class Model:
             return self._empty_output(x)
         if len(x) > batch_size:
             return np.concatenate(
-                [self._infer(x[start : start + batch_size]) for start in range(0, len(x), batch_size)],
+                [infer(x[start : start + batch_size]) for start in range(0, len(x), batch_size)],
                 axis=0,
             )
         # One batch: its output is the result, copied only where it is the
         # input or a view that may overlap it (identity layers hand the
         # batch through; an array that owns its buffer and is not x cannot).
-        out = self._infer(x)
+        out = infer(x)
         if out is x or (out.base is not None and np.may_share_memory(out, x)):
             return out.copy()
         return np.ascontiguousarray(out)
@@ -296,10 +295,11 @@ class Model:
         ``"fp16"`` run the real reduced-precision datapath — fp32 master
         weights, narrow-storage fused kernels with fp32 accumulation
         (bf16/fp16 via :mod:`repro.nn.amp`), and automatic loss scaling
-        for fp16 through :class:`repro.precision.LossScaler`.  Parameters
-        are cast to fp32 in place.  A :class:`repro.precision.PrecisionPolicy`
-        object selects the *emulated* form of any format (fp8, int8, …):
-        float64 storage, a rounded working copy inside forward/backward.
+        for fp16 through :class:`repro.precision.LossScaler`.  The model
+        (parameters and layer buffers) is cast to fp32 in place.  A
+        :class:`repro.precision.PrecisionPolicy` object selects the
+        *emulated* form of any format (fp8, int8, …): float64 storage, a
+        rounded working copy inside forward/backward.
         Either way the controller's stats land on ``history.precision``.
         """
         return FitLoop(self, x, y, **options).run()
@@ -423,9 +423,10 @@ class FitLoop:
         if precision is not None and precision != "fp64":
             if isinstance(precision, str):
                 # Lazy import: repro.precision imports repro.nn at module scope.
-                from ..precision.autocast import FitPrecision
+                from ..precision.policy import FitPrecision
 
                 self.ctrl = FitPrecision(precision, model.parameters())
+                model.astype(np.float32)  # parameters and layer buffers: the fp32 masters
             else:
                 self.ctrl = precision.bind(model.parameters())
             cast = self.ctrl.cast_array

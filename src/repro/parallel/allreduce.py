@@ -59,6 +59,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..nn.amp import snap_bf16
 from .shm import AttachedArray, SharedArrayRef, SharedArrayStore
 
 #: Selectable wire formats for bucketed gradient exchange.  Encoding is
@@ -114,11 +115,11 @@ def _check_wire(wire_dtype: str) -> str:
 def encode_wire(src: np.ndarray, wire_dtype: str, out: np.ndarray) -> None:
     """Narrow a float contribution into its wire storage, in ``out``.
 
-    ``float32`` is the C cast (round-to-nearest-even); ``bf16`` rounds
-    the float32 bit pattern to its upper 16 bits with the same RNE
-    trick as :func:`repro.nn.amp.snap_bf16_` and stores them as uint16.
-    Every rank (and the serial reference) runs this exact function, so
-    the rounding it introduces is part of the pinned float sequence.
+    ``float32`` is the C cast (round-to-nearest-even); ``bf16`` is the
+    bf16 grid's snap (:func:`repro.nn.amp.snap_bf16`, a copy) with the
+    upper 16 bits of each float32 pattern stored as uint16.  Every rank
+    (and the serial reference) runs this exact function, so the
+    rounding it introduces is part of the pinned float sequence.
     """
     wire_dtype = _check_wire(wire_dtype)
     if wire_dtype == "float64":
@@ -126,12 +127,7 @@ def encode_wire(src: np.ndarray, wire_dtype: str, out: np.ndarray) -> None:
     elif wire_dtype == "float32":
         out[...] = src.astype(np.float32)
     else:  # bf16
-        # A copy even when ``src`` is float32 already (an fp32 gradient
-        # arena): the rounding below runs in place on ``bits``.
-        bits = np.array(src, dtype=np.float32, order="C").view(np.uint32)
-        lsb = (bits >> 16) & np.uint32(1)
-        bits += np.uint32(0x7FFF) + lsb
-        out[...] = (bits >> 16).astype(np.uint16)
+        out[...] = snap_bf16(src).view(np.uint32) >> 16
 
 
 def decode_wire(src: np.ndarray, wire_dtype: str, out: np.ndarray) -> None:

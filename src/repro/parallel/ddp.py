@@ -591,8 +591,8 @@ def _fit_on_pool(model: Model, x, y, spec: _TrainSpec, start_method: Optional[st
         raise
     pool.close()
     weights, history, stats = payload
-    for p, w in zip(model.parameters(), weights):
-        if p.data.dtype != w.dtype:  # precision= cast the ranks' parameters in place
-            p.data = p.data.astype(w.dtype)
+    p0 = next(model.parameters(), None)
+    if p0 is not None and p0.data.dtype != weights[0].dtype:
+        model.astype(weights[0].dtype)  # precision= cast the ranks' models
     model.set_weights(weights)
     return history, stats

@@ -1,53 +1,127 @@
-"""Calibrated int8 inference: the serving half of claim C7.
+"""Symmetric int8: scale calibration and calibrated int8 inference.
 
-Post-training static quantization for the Dense/MLP topologies the serving
-tier hosts (the CANDLE type-classifiers): per-tensor symmetric scales from
-:func:`repro.precision.quantize.calibrate`, int8 weights, activations
-quantized on the fly, and an int8×int8→int32-accumulate fused linear that
-rescales straight into a float32 epilogue (bias + activation).
+The E1 ablation's int8 rows fake-quantize through :class:`QuantParams`
+(a per-tensor symmetric scale from :func:`calibrate`); the serving tier
+runs an :class:`Int8Plan` — post-training static quantization of the
+Dense/MLP stacks it hosts (the CANDLE type-classifiers): int8 weights,
+activations quantized on the fly, and an int8×int8→int32-accumulate fused
+linear that rescales straight into a float32 epilogue (bias + activation).
 
 Two GEMM paths compute the *same exact integer accumulator*:
 
 * the int32 reference path — ``int8.astype(int32) @ int8.astype(int32)``,
-  always exact, but NumPy has no tuned integer GEMM so it is slow;
-* the f32-exact fast path — int8 values held in float32 and fed to the
-  BLAS sgemm.  Every product is an integer ≤ 127² = 16129 and every
-  partial sum stays an exactly-representable integer while
-  ``K·127² < 2²⁴``, i.e. ``K ≤ 1040`` (:data:`INT8_GEMM_EXACT_MAX_K`);
-  within that bound the two paths are bit-identical and the fast path
-  runs at full sgemm speed — this is what makes int8 serving *faster*
-  than fp32 instead of a simulation.
+  always exact;
+* the f32-exact path — int8 values held in float32 and fed to the BLAS
+  sgemm.  Every product is an integer ≤ 127² = 16129 and every partial
+  sum stays an exactly-representable integer while ``K·127² < 2²⁴``,
+  i.e. ``K ≤ 1040`` (:data:`INT8_GEMM_EXACT_MAX_K`); within that bound
+  the two paths are bit-identical, so the plan takes the sgemm there.
 
-Plans are split into a picklable :meth:`Int8Plan.spec` (structure +
-scales) and the weight arrays themselves, so the distributed serving tier
-can ship int8 weights through :class:`repro.parallel.shm.SharedArrayStore`
-(one byte per parameter — a quarter of fp32 segments) and rebuild the
-plan replica-side, and the model registry can re-quantize
-deterministically from an fp32 checkpoint plus recorded scales.
+A plan is a JSON-able :meth:`Int8Plan.spec` (structure + scales) plus its
+weight arrays (:meth:`Int8Plan.arrays`), and ``Int8Plan(spec, arrays)``
+is its one constructor: :func:`quantize_model` calibrates and calls it,
+:func:`plan_from_spec` re-quantizes an fp32 checkpoint with the recorded
+scales and calls it, and a serving replica calls it on the arrays it
+attached from :class:`repro.parallel.shm.SharedArrayStore` (one byte per
+parameter — a quarter of fp32 segments).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
+from ..nn.functional import _FUSED_ACTS
 from ..nn.layers import Activation, Dense, Dropout, Flatten
-from .quantize import INT8_LEVELS, QuantParams, calibrate, min_size_for_percentile
+
+INT8_LEVELS = 127  # symmetric: [-127, 127], -128 unused
 
 #: Largest inner dimension for which the f32-held int8 GEMM is exact:
 #: partial sums reach at most K·127², which must stay below 2²⁴ (the
 #: float32 integer-exactness bound).
 INT8_GEMM_EXACT_MAX_K = (1 << 24) // (INT8_LEVELS * INT8_LEVELS)
 
+#: What a plan calibrates with; the spec records both.
+METHOD, PERCENTILE = "percentile", 99.9
 
-def _relu_(z: np.ndarray) -> np.ndarray:
-    return np.maximum(z, 0.0, out=z)
+
+@dataclass
+class QuantParams:
+    """Per-tensor symmetric quantization parameters."""
+
+    scale: float
+
+    def quantize(self, x: np.ndarray) -> np.ndarray:
+        """Real -> int8 grid (returned as int8)."""
+        q = np.round(np.asarray(x, dtype=np.float64) / self.scale)
+        return np.clip(q, -INT8_LEVELS, INT8_LEVELS).astype(np.int8)
+
+    def dequantize(self, q: np.ndarray) -> np.ndarray:
+        """int8 grid -> real."""
+        return q.astype(np.float64) * self.scale
+
+    def fake_quantize(self, x: np.ndarray) -> np.ndarray:
+        """Round-trip through the int8 grid, staying in float64 — the
+        standard "fake quant" used for quantization-aware evaluation."""
+        return self.dequantize(self.quantize(x))
 
 
-def _tanh_(z: np.ndarray) -> np.ndarray:
-    return np.tanh(z, out=z)
+def min_size_for_percentile(percentile: float) -> int:
+    """Smallest element count at which the ``(100 - percentile)%`` tail is
+    resolvable — below it, ``np.percentile`` just interpolates between the
+    two largest values and the "outlier clipping" the method promises is
+    fictitious."""
+    if percentile >= 100.0:
+        return 1
+    return int(np.ceil(100.0 / (100.0 - percentile)))
+
+
+def calibrate(x: np.ndarray, method: str = "minmax", percentile: float = 99.9) -> QuantParams:
+    """Choose a quantization scale for tensor ``x``.
+
+    ``minmax`` maps max|x| to the top level; ``percentile`` clips outliers
+    so the bulk of the distribution gets finer resolution.
+
+    Degenerate inputs raise instead of returning a junk scale: an
+    all-zero tensor has no meaningful scale (callers that want to pass
+    zeros through untouched should skip quantization — zeros are exactly
+    representable at *any* scale); a percentile whose tail the tensor is
+    too small to resolve silently degrades to minmax, so it is rejected;
+    a percentile that lands on zero while the tensor has signal would
+    saturate everything to ±127.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    if x.size == 0:
+        raise ValueError("cannot calibrate an empty tensor")
+    if not np.any(x):
+        raise ValueError(
+            "cannot calibrate an all-zero tensor (any scale is degenerate); "
+            "skip quantization for this tensor — zeros are exactly representable"
+        )
+    if method == "minmax":
+        amax = float(np.abs(x).max())
+    elif method == "percentile":
+        if not 0 < percentile <= 100:
+            raise ValueError("percentile must be in (0, 100]")
+        need = min_size_for_percentile(percentile)
+        if x.size < need:
+            raise ValueError(
+                f"tensor of {x.size} elements cannot resolve the {percentile} "
+                f"percentile (needs >= {need}); use method='minmax' or a "
+                f"coarser percentile"
+            )
+        amax = float(np.percentile(np.abs(x), percentile))
+        if amax == 0.0:
+            raise ValueError(
+                f"the {percentile} percentile of |x| is 0 while max|x| > 0: "
+                f"quantizing at this scale would saturate all signal; use "
+                f"method='minmax' or a higher percentile"
+            )
+    else:
+        raise ValueError(f"unknown calibration method {method!r}")
+    return QuantParams(scale=amax / INT8_LEVELS)
 
 
 def _sigmoid_(z: np.ndarray) -> np.ndarray:
@@ -69,9 +143,10 @@ def _linear_(z: np.ndarray) -> np.ndarray:
     return z
 
 
+# In-place epilogues: relu and tanh are the op table's fused forwards.
 _ACTS = {
-    "relu": _relu_,
-    "tanh": _tanh_,
+    "relu": _FUSED_ACTS["relu"][0],
+    "tanh": _FUSED_ACTS["tanh"][0],
     "sigmoid": _sigmoid_,
     "softmax": _softmax_,
     "linear": _linear_,
@@ -98,7 +173,7 @@ def int8_linear(
     """Fused quantized linear: int8×int8 → int32 accumulate → rescale.
 
     ``qx``/``qw`` hold int8-grid values (dtype int8, or integer-valued
-    float32 for the fast path).  ``exact_f32`` forces a GEMM path; by
+    float32 for the f32-exact path).  ``exact_f32`` forces a GEMM path; by
     default the f32-exact path is used iff the inner dimension admits it.
     Returns float32 ``(qx @ qw) · x_scale·w_scale + bias`` with ``act``
     applied in place.
@@ -121,84 +196,56 @@ def int8_linear(
     return _ACTS[act](out)
 
 
-@dataclass
-class QuantizedDense:
-    """One quantized Dense layer: int8 weights + the scales to run it."""
+def _dense_step(qw: np.ndarray, w_scale: float, x_scale: float,
+                bias: Optional[np.ndarray], act: Optional[str]) -> Callable:
+    """One quantized Dense as a function of its float32 input batch."""
+    if qw.shape[0] <= INT8_GEMM_EXACT_MAX_K:
+        qw32 = np.ascontiguousarray(qw, dtype=np.float32)
+        return lambda a: int8_linear(quantize_activations(a, x_scale), qw32, x_scale,
+                                     w_scale, bias, act, exact_f32=True)
+    return lambda a: int8_linear(quantize_activations(a, x_scale).astype(np.int8), qw,
+                                 x_scale, w_scale, bias, act, exact_f32=False)
 
-    layer_index: int
-    qweight: np.ndarray  # int8, (in_dim, units)
-    w_scale: float
-    x_scale: float
-    bias: Optional[np.ndarray]  # float32 or None
-    act: Optional[str]  # fused epilogue activation
-    _qw_f32: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
 
-    @property
-    def exact(self) -> bool:
-        return self.qweight.shape[0] <= INT8_GEMM_EXACT_MAX_K
-
-    @property
-    def qw_f32(self) -> np.ndarray:
-        if self._qw_f32 is None:
-            self._qw_f32 = np.ascontiguousarray(self.qweight, dtype=np.float32)
-        return self._qw_f32
-
-    def __call__(self, a_f32: np.ndarray) -> np.ndarray:
-        qx = quantize_activations(a_f32, self.x_scale)
-        if self.exact:
-            return int8_linear(
-                qx, self.qw_f32, self.x_scale, self.w_scale, self.bias, self.act,
-                exact_f32=True,
-            )
-        return int8_linear(
-            qx.astype(np.int8), self.qweight, self.x_scale, self.w_scale,
-            self.bias, self.act, exact_f32=False,
-        )
+def _flatten(a: np.ndarray) -> np.ndarray:
+    return a.reshape(len(a), -1)
 
 
 class Int8Plan:
     """Executable int8 inference program for a Dense/activation stack.
 
-    ``steps`` is a list of ``("dense", QuantizedDense)``,
-    ``("act", name)`` and ``("flatten",)`` tuples, in layer order.
+    ``spec["steps"]`` lists ``{"kind": "dense", "layer_index", "w_scale",
+    "x_scale", "has_bias", "act"}``, ``{"kind": "act", "act"}`` and
+    ``{"kind": "flatten"}`` in layer order; ``arrays`` holds the dense
+    step at position ``i``'s int8 weights as ``q{i}.w`` and its float32
+    bias as ``q{i}.b`` (other keys are ignored).
     """
 
-    def __init__(self, steps: List[tuple], method: str, percentile: float) -> None:
-        self.steps = steps
-        self.method = method
-        self.percentile = percentile
+    def __init__(self, spec: Dict, arrays: Dict[str, np.ndarray]) -> None:
+        self.method = spec.get("method", METHOD)
+        self.percentile = spec.get("percentile", PERCENTILE)
+        self._steps = [dict(s) for s in spec["steps"]]
+        self._arrays: Dict[str, np.ndarray] = {}
+        self._fns: List[Callable] = []
+        for i, s in enumerate(self._steps):
+            if s["kind"] == "dense":
+                self._arrays.update((k, arrays[k]) for k in (f"q{i}.w", f"q{i}.b") if k in arrays)
+                self._fns.append(_dense_step(arrays[f"q{i}.w"], s["w_scale"], s["x_scale"],
+                                             arrays.get(f"q{i}.b"), s["act"]))
+            elif s["kind"] == "act":
+                self._fns.append(_ACTS[s["act"]])
+            else:
+                self._fns.append(_flatten)
 
-    # -- execution -------------------------------------------------------
-    def _forward(self, a: np.ndarray) -> np.ndarray:
+    def forward(self, a: np.ndarray) -> np.ndarray:
+        """The plan on one batch; a new float32 array."""
         src = a
         a = np.ascontiguousarray(a, dtype=np.float32)
         if a is src:
             a = a.copy()  # activations run in place; never mutate caller data
-        for step in self.steps:
-            kind = step[0]
-            if kind == "dense":
-                a = step[1](a)
-            elif kind == "act":
-                a = _ACTS[step[1]](a)
-            else:  # flatten
-                a = a.reshape(len(a), -1)
+        for fn in self._fns:
+            a = fn(a)
         return a
-
-    def predict(self, x: np.ndarray, batch_size: int = 256) -> np.ndarray:
-        outs = [
-            self._forward(x[start : start + batch_size])
-            for start in range(0, len(x), batch_size)
-        ]
-        return np.concatenate(outs, axis=0)
-
-    # -- structure accounting --------------------------------------------
-    def weight_bytes(self) -> int:
-        total = 0
-        for step in self.steps:
-            if step[0] == "dense":
-                qd = step[1]
-                total += qd.qweight.nbytes + (qd.bias.nbytes if qd.bias is not None else 0)
-        return total
 
     def spec(self) -> Dict:
         """Picklable/JSON-able structure + scales (no weight arrays).
@@ -207,76 +254,33 @@ class Int8Plan:
         a plan rebuilt from an fp32 checkpoint plus this spec is
         bit-identical to the original.
         """
-        steps = []
-        for step in self.steps:
-            if step[0] == "dense":
-                qd = step[1]
-                steps.append({
-                    "kind": "dense",
-                    "layer_index": qd.layer_index,
-                    "w_scale": qd.w_scale,
-                    "x_scale": qd.x_scale,
-                    "has_bias": qd.bias is not None,
-                    "act": qd.act,
-                })
-            elif step[0] == "act":
-                steps.append({"kind": "act", "act": step[1]})
-            else:
-                steps.append({"kind": "flatten"})
         return {
             "format": "int8",
             "method": self.method,
             "percentile": self.percentile,
-            "steps": steps,
+            "steps": [dict(s) for s in self._steps],
         }
 
     def arrays(self) -> Dict[str, np.ndarray]:
-        """Named weight arrays for shared-memory publishing (int8 qweights,
+        """Named weight arrays for shared-memory publishing (int8 weights,
         f32 biases) keyed ``q{i}.w`` / ``q{i}.b`` by step position."""
-        out: Dict[str, np.ndarray] = {}
-        for i, step in enumerate(self.steps):
-            if step[0] == "dense":
-                out[f"q{i}.w"] = step[1].qweight
-                if step[1].bias is not None:
-                    out[f"q{i}.b"] = step[1].bias
-        return out
-
-    @classmethod
-    def from_arrays(cls, spec: Dict, arrays: Dict[str, np.ndarray]) -> "Int8Plan":
-        """Rebuild a plan from :meth:`spec` + :meth:`arrays` (shm attach)."""
-        steps: List[tuple] = []
-        for i, s in enumerate(spec["steps"]):
-            if s["kind"] == "dense":
-                steps.append(("dense", QuantizedDense(
-                    layer_index=s["layer_index"],
-                    qweight=arrays[f"q{i}.w"],
-                    w_scale=s["w_scale"],
-                    x_scale=s["x_scale"],
-                    bias=arrays.get(f"q{i}.b"),
-                    act=s["act"],
-                )))
-            elif s["kind"] == "act":
-                steps.append(("act", s["act"]))
-            else:
-                steps.append(("flatten",))
-        return cls(steps, spec["method"], spec["percentile"])
+        return dict(self._arrays)
 
 
-def _calibrate(t: np.ndarray, method: str, percentile: float, what: str) -> QuantParams:
+def _calibrate(t: np.ndarray, what: str) -> QuantParams:
     """Calibrate one tensor, naming it in any error.
 
-    Tensors too small to resolve the requested percentile tail (e.g. a
-    narrow output head's weight matrix) fall back to minmax — for them
-    the percentile *is* the max, minus interpolation noise.
+    Tensors too small to resolve the percentile tail (e.g. a narrow output
+    head's weight matrix) fall back to minmax — for them the percentile
+    *is* the max, minus interpolation noise.
     """
-    if method == "percentile" and t.size < min_size_for_percentile(percentile):
-        method = "minmax"
+    method = "minmax" if t.size < min_size_for_percentile(PERCENTILE) else METHOD
     try:
-        return calibrate(t, method=method, percentile=percentile)
+        return calibrate(t, method=method, percentile=PERCENTILE)
     except ValueError as exc:
         raise ValueError(
             f"int8 calibration failed for {what}: {exc} "
-            f"(try a larger/more varied calibration batch or method='minmax')"
+            f"(try a larger/more varied calibration batch)"
         ) from exc
 
 
@@ -285,20 +289,25 @@ def _float_reference_dense(a: np.ndarray, layer: Dense) -> np.ndarray:
     out = a @ layer.weight.data.astype(np.float32)
     if layer.bias is not None:
         out += layer.bias.data.astype(np.float32)
-    act = layer.activation.kind if layer.activation is not None else None
-    return _ACTS[act](out) if act in _ACTS else _ACTS[None](out)
+    return _ACTS[layer.activation.kind if layer.activation is not None else None](out)
 
 
-def quantize_model(
-    model, x_calib: np.ndarray, method: str = "percentile", percentile: float = 99.9
-) -> Int8Plan:
+def _dense_arrays(i: int, layer: Dense, w_qp: QuantParams) -> Dict[str, np.ndarray]:
+    out = {f"q{i}.w": w_qp.quantize(layer.weight.data)}
+    if layer.bias is not None:
+        out[f"q{i}.b"] = layer.bias.data.astype(np.float32)
+    return out
+
+
+def quantize_model(model, x_calib: np.ndarray) -> Int8Plan:
     """Calibrate an :class:`Int8Plan` for ``model`` from sample inputs.
 
     Runs an fp32 reference forward pass over ``x_calib``, calibrating a
     per-layer activation scale at each Dense input and a per-tensor
-    weight scale (standard post-training static quantization).  Supports
-    Dense / Activation / Dropout / Flatten stacks — the serving-tier
-    topologies; anything else raises rather than silently degrading.
+    weight scale (standard post-training static quantization, at the
+    99.9th percentile).  Supports Dense / Activation / Dropout / Flatten
+    stacks — the serving-tier topologies; anything else raises rather
+    than silently degrading.
     """
     if not model.built:
         raise RuntimeError("build (or fit) the model before quantizing")
@@ -308,7 +317,8 @@ def quantize_model(
         a = a.copy()  # reference forward mutates activations in place
     if len(a) == 0:
         raise ValueError("cannot calibrate from an empty batch")
-    steps: List[tuple] = []
+    steps: List[Dict] = []
+    arrays: Dict[str, np.ndarray] = {}
     for i, layer in enumerate(model.layers):
         if isinstance(layer, Dense):
             act = layer.activation.kind if layer.activation is not None else None
@@ -317,36 +327,30 @@ def quantize_model(
                     f"int8 plan does not support fused activation {act!r} "
                     f"(layer {i}); supported: {sorted(k for k in _ACTS if k)}"
                 )
-            x_qp = _calibrate(a, method, percentile, f"layer {i} input activations")
-            w = layer.weight.data
-            w_qp = _calibrate(w, method, percentile, f"layer {i} weights")
-            steps.append(("dense", QuantizedDense(
-                layer_index=i,
-                qweight=w_qp.quantize(w),
-                w_scale=w_qp.scale,
-                x_scale=x_qp.scale,
-                bias=None if layer.bias is None else layer.bias.data.astype(np.float32),
-                act=act,
-            )))
+            x_qp = _calibrate(a, f"layer {i} input activations")
+            w_qp = _calibrate(layer.weight.data, f"layer {i} weights")
+            arrays.update(_dense_arrays(len(steps), layer, w_qp))
+            steps.append({"kind": "dense", "layer_index": i, "w_scale": w_qp.scale,
+                          "x_scale": x_qp.scale, "has_bias": layer.bias is not None, "act": act})
             a = _float_reference_dense(a, layer)
         elif isinstance(layer, Activation):
             if layer.kind not in _ACTS:
                 raise ValueError(
                     f"int8 plan does not support activation {layer.kind!r} (layer {i})"
                 )
-            steps.append(("act", layer.kind))
+            steps.append({"kind": "act", "act": layer.kind})
             a = _ACTS[layer.kind](a)
         elif isinstance(layer, Dropout):
             continue  # identity at inference time
         elif isinstance(layer, Flatten):
-            steps.append(("flatten",))
-            a = a.reshape(len(a), -1)
+            steps.append({"kind": "flatten"})
+            a = _flatten(a)
         else:
             raise ValueError(
                 f"int8 plan supports Dense/Activation/Dropout/Flatten stacks; "
                 f"got {type(layer).__name__} at layer {i}"
             )
-    return Int8Plan(steps, method, percentile)
+    return Int8Plan({"steps": steps}, arrays)
 
 
 def plan_from_spec(model, spec: Dict) -> Int8Plan:
@@ -356,22 +360,9 @@ def plan_from_spec(model, spec: Dict) -> Int8Plan:
     deterministic, so the rebuilt plan predicts bit-identically to the
     plan the spec was saved from.
     """
-    layers = model.layers
-    steps: List[tuple] = []
-    for s in spec["steps"]:
+    arrays: Dict[str, np.ndarray] = {}
+    for i, s in enumerate(spec["steps"]):
         if s["kind"] == "dense":
-            layer = layers[s["layer_index"]]
-            w_qp = QuantParams(scale=s["w_scale"])
-            steps.append(("dense", QuantizedDense(
-                layer_index=s["layer_index"],
-                qweight=w_qp.quantize(layer.weight.data),
-                w_scale=s["w_scale"],
-                x_scale=s["x_scale"],
-                bias=None if layer.bias is None else layer.bias.data.astype(np.float32),
-                act=s["act"],
-            )))
-        elif s["kind"] == "act":
-            steps.append(("act", s["act"]))
-        else:
-            steps.append(("flatten",))
-    return Int8Plan(steps, spec.get("method", "percentile"), spec.get("percentile", 99.9))
+            arrays.update(_dense_arrays(i, model.layers[s["layer_index"]],
+                                        QuantParams(scale=s["w_scale"])))
+    return Int8Plan(spec, arrays)

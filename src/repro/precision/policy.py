@@ -1,35 +1,51 @@
-"""Mixed-precision training policies.
+"""The step controllers ``Model.fit(precision=...)`` drives.
 
-A :class:`PrecisionPolicy` is a step controller for :meth:`Model.fit`
-(``model.fit(..., precision=policy)``) that reproduces the numerics of
-low-precision training on float64 storage:
+:class:`StepController` writes the loss-scale arithmetic once; two
+controllers share it:
 
-* **master weights** are kept at full precision — they are ``p.data``
-  everywhere outside forward/backward;
-* the *working copy* used by forward/backward is rounded to the target
-  format on entering ``cast()`` (emulating a half-precision compute
-  datapath) and the master weights are put back on leaving it;
-* gradients are rounded to the target format when their window closes;
-* for narrow-range formats (fp16, fp8) a **dynamic loss scale** multiplies
-  the loss before backward and divides gradients after, preventing
-  underflow of small gradients — the standard mixed-precision recipe.
+* :class:`FitPrecision` — ``precision="fp32"|"bf16"|"fp16"``: fp32 master
+  weights and the format's autocast plan (:mod:`repro.nn.amp`) around
+  forward/backward, so the op table's kernels store narrow and accumulate
+  in fp32;
+* :class:`PrecisionPolicy` — ``precision=PrecisionPolicy(fmt)``: the
+  *emulated* form of any format (fp8, int8, …) on float64 storage.  The
+  master weights are ``p.data`` everywhere outside forward/backward; the
+  working copy used by forward/backward is rounded to the format on
+  entering ``cast()`` and the masters are put back on leaving it;
+  gradients are rounded when their window closes; for narrow-range
+  formats (fp16, fp8) a dynamic loss scale multiplies the loss before
+  backward and divides gradients after.
 
-This is the mechanism behind experiment E1: the same model trained under
-different policies, with only the rounding changing.
+Both read the same grids: every float format is one entry of
+:data:`repro.nn.amp.FORMATS`.  ``PrecisionPolicy`` is the mechanism
+behind experiment E1: the same model trained under different formats,
+with only the rounding changing.
 """
 
 from __future__ import annotations
 
 import contextlib
 from dataclasses import asdict, dataclass, field
-from typing import Iterable, Iterator, List, Optional, Sequence
+from typing import Callable, Iterable, Iterator, List, Optional, Sequence
 
 import numpy as np
 
+from ..nn import amp
 from ..nn.model import Model
 from ..nn.tensor import Tensor
-from . import quantize as quantize_mod
-from .rounding import FORMAT_INFO, get_rounder
+from .int8 import calibrate
+
+#: Formats Model.fit(precision=...) accepts by name (beyond None/"fp64").
+TRAIN_FORMATS = ("fp32", "bf16", "fp16")
+
+
+def get_rounder(fmt: str) -> Callable[[np.ndarray], np.ndarray]:
+    """The emulation rounder of a named format: its grid's snap, widened
+    back to float64."""
+    try:
+        return amp.FORMATS[fmt].round
+    except KeyError:
+        raise ValueError(f"unknown precision format {fmt!r}; choose from {sorted(amp.FORMATS)}")
 
 
 @dataclass
@@ -126,6 +142,43 @@ class StepController:
             vars(self.scaler).update(state["scaler"])
 
 
+class FitPrecision(StepController):
+    """The controller of ``Model.fit(precision="fp32"|"bf16"|"fp16")``.
+
+    The fit casts the model with ``Model.astype(np.float32)`` (parameters
+    and layer buffers) before building it; those fp32 tensors are the
+    master weights for the whole fit and remain the model's weights
+    afterwards.  Per step the op table snaps weights and activations to
+    the format's grid on entry, so no separate working copy exists.  Loss
+    scaling is on for fp16 (whose narrow exponent range underflows
+    gradients) and off for bf16/fp32 (fp32-range exponents).
+    """
+
+    def __init__(self, fmt: str, params: Iterable[Tensor]) -> None:
+        if fmt not in TRAIN_FORMATS:
+            raise ValueError(
+                f"unsupported training precision {fmt!r}; choose from "
+                f"{TRAIN_FORMATS} (or None/'fp64' for the full-precision path)"
+            )
+        self.fmt = fmt
+        self.params = list(params)
+        self.plan = None if fmt == "fp32" else amp.get_plan(fmt)
+        self.scaler = LossScaler() if fmt == "fp16" else None
+
+    def cast_array(self, a: np.ndarray) -> np.ndarray:
+        """Float arrays to fp32 (labels/int arrays pass through)."""
+        a = np.asarray(a)
+        if a.dtype.kind == "f" and a.dtype != np.float32:
+            return a.astype(np.float32)
+        return a
+
+    def cast(self):
+        """Context manager for the forward+backward of one batch."""
+        if self.plan is None:
+            return contextlib.nullcontext()
+        return amp.autocast(self.plan)
+
+
 class PrecisionPolicy(StepController):
     """Rounding policy applied around each optimizer step.
 
@@ -135,22 +188,27 @@ class PrecisionPolicy(StepController):
         One of ``fp64 | fp32 | fp16 | bf16 | fp8_e4m3 | int8``.
     loss_scaling:
         Enable dynamic loss scaling (default: on for fp16/fp8, off otherwise).
-    int8_calibration:
-        Calibration method when ``fmt == 'int8'``.
+    overrides:
+        Per-parameter formats: a map from a substring of the parameter's
+        ``name`` to a float format; the first matching substring wins and
+        every other parameter uses ``fmt``.  The production AMP recipe
+        keeps normalization gains and biases at fp32 while matmul weights
+        run narrow: ``{"gamma": "fp32", "beta": "fp32", ".b": "fp32"}``.
     """
 
     def __init__(
         self,
         fmt: str = "fp32",
         loss_scaling: Optional[bool] = None,
-        int8_calibration: str = "minmax",
+        overrides: Optional[dict] = None,
     ) -> None:
         self._round = None if fmt == "int8" else get_rounder(fmt)  # validates fmt
         self.fmt = fmt
         narrow = fmt in ("fp16", "fp8_e4m3")
         self.loss_scaling = narrow if loss_scaling is None else loss_scaling
         self.scaler = LossScaler() if self.loss_scaling else None
-        self.int8_calibration = int8_calibration
+        self.overrides = dict(overrides or {})
+        self._rounders = {f: get_rounder(f) for f in set(self.overrides.values())}
         self.params: List[Tensor] = []
 
     # -- rounding primitives -------------------------------------------
@@ -160,13 +218,18 @@ class PrecisionPolicy(StepController):
                 # Zeros (fresh biases) are exactly representable at any
                 # scale; calibrate() rejects all-zero tensors by design.
                 return np.array(x, dtype=np.float64, copy=True)
-            return quantize_mod.calibrate(x, method=self.int8_calibration).fake_quantize(x)
+            return calibrate(x, method="minmax").fake_quantize(x)
         return self._round(x)
 
     def round_for(self, param: Tensor, x: np.ndarray) -> np.ndarray:
         """Round ``x`` (``param``'s values or gradient) to ``param``'s
         format — the one per-parameter hook every rounding site goes
-        through; :class:`LayerwisePolicy` overrides it."""
+        through."""
+        for key, f in self.overrides.items():
+            if key in (param.name or ""):
+                if f != self.fmt:
+                    return self._rounders[f](x)
+                break
         return self.round_array(x)
 
     def round_params(self, params: Sequence[Tensor]) -> None:
@@ -222,40 +285,3 @@ def train_with_policy(model: Model, x: np.ndarray, y, policy: PrecisionPolicy, *
     history = model.fit(x, y, precision=policy, **fit_kwargs)
     policy.round_params(policy.params)
     return history.series("loss")
-
-
-class LayerwisePolicy(PrecisionPolicy):
-    """Mixed precision with per-parameter format overrides.
-
-    The production AMP recipe: matmul-heavy weights run at the narrow
-    format while numerically-sensitive parameters (normalization gains and
-    biases, typically small and variance-critical) stay at fp32.
-
-    ``overrides`` maps a substring of the parameter's ``name`` to a format;
-    the first matching substring wins, everything else uses ``fmt``.
-    """
-
-    def __init__(
-        self,
-        fmt: str = "fp16",
-        overrides: Optional[dict] = None,
-        loss_scaling: Optional[bool] = None,
-    ) -> None:
-        super().__init__(fmt=fmt, loss_scaling=loss_scaling)
-        if overrides is None:  # `overrides or ...` would replace an empty map too
-            overrides = {"gamma": "fp32", "beta": "fp32", ".b": "fp32"}
-        self.overrides = dict(overrides)
-        # Validate every override format eagerly.
-        self._rounders = {f: get_rounder(f) for f in set(self.overrides.values())}
-
-    def _format_for(self, name: str) -> str:
-        for key, f in self.overrides.items():
-            if key in (name or ""):
-                return f
-        return self.fmt
-
-    def round_for(self, param: Tensor, x: np.ndarray) -> np.ndarray:
-        f = self._format_for(param.name)
-        if f == self.fmt:
-            return self.round_array(x)
-        return self._rounders[f](x)

@@ -79,7 +79,7 @@ def _init_replica(
         # one byte per weight on the shared-memory plane.
         from ..precision.int8 import Int8Plan
 
-        model._int8_plan = Int8Plan.from_arrays(quant_spec, arrays)
+        model._int8_plan = Int8Plan(quant_spec, arrays)
     # Warm-up forward: allocate layer scratch off the request path, in
     # the serving dtype (a float64 warmup would prime the wrong path).
     wdtype = np.float64 if precision is None else np.float32

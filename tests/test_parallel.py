@@ -465,6 +465,18 @@ class TestDataParallelFit:
             assert r_proc.epoch_losses == r_ser.epoch_losses
             assert r_proc.steps == r_ser.steps == 3 * (96 // 16)
 
+    def test_precision_casts_layer_buffers_on_both_backends(self):
+        # fit(precision=) casts the whole model, BatchNorm's running
+        # statistics included, and the process backend's caller model too.
+        from repro.nn import BatchNorm
+
+        x, y = make_regression()
+        for backend in ("serial", "process"):
+            m = Sequential([Dense(8), BatchNorm(), Dense(1)])
+            fit_data_parallel(m, x, y, world=2, epochs=1, batch_size=16, backend=backend,
+                              seed=0, precision="fp32")
+            assert {w.dtype for w in m.get_weights()} == {np.dtype(np.float32)}, backend
+
     def test_world_one_matches_model_fit(self):
         x, y = make_regression()
         m_ddp, m_fit = make_net(), make_net()

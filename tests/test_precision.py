@@ -6,25 +6,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.nn import Dense, Sequential
+from repro.parallel.allreduce import encode_wire
 from repro.precision import (
-    FORMAT_INFO,
+    FORMATS,
     INT8_LEVELS,
     LossScaler,
     PrecisionPolicy,
     QuantParams,
     calibrate,
     get_rounder,
-    quantization_mse,
-    quantization_noise_std,
-    round_bf16,
-    round_fp8_e4m3,
-    round_fp16,
-    round_fp32,
-    stochastic_round_fp16,
     train_with_policy,
 )
 
 RNG = np.random.default_rng(5)
+round_fp32, round_fp16, round_bf16, round_fp8_e4m3 = (
+    get_rounder(f) for f in ("fp32", "fp16", "bf16", "fp8_e4m3"))
+#: The production AMP recipe: gains and biases at fp32, the rest narrow.
+AMP_OVERRIDES = {"gamma": "fp32", "beta": "fp32", ".b": "fp32"}
 
 
 class TestRounders:
@@ -95,31 +93,36 @@ class TestRounders:
             if np.isfinite(r):
                 # Relative bound in the normal range; absolute spacing bound
                 # in the subnormal range.
-                tol = max(abs(v) * FORMAT_INFO[fmt]["eps"], subnormal_step[fmt])
+                tol = max(abs(v) * FORMATS[fmt].eps, subnormal_step[fmt])
                 assert abs(r - v) <= tol + 1e-30
 
-    def test_noise_std_ordering(self):
-        stds = [quantization_noise_std(f) for f in ("fp32", "fp16", "bf16", "fp8_e4m3")]
-        assert stds == sorted(stds)
+
+#: Values every grid must agree on: signed zeros, infinities, NaN, float32
+#: and float16 subnormals, fp16/fp8 overflow and bf16 round-half-even ties.
+EDGES = [0.0, -0.0, np.inf, -np.inf, np.nan, 1.0 + 2.0 ** -8, 1.0 + 3 * 2.0 ** -8,
+         -(1.0 + 2.0 ** -8), 65504.0, 65520.0, 1e5, 448.0, 464.0, -1e20, 2.0 ** -6,
+         2.0 ** -10, 2.0 ** -24, 2.0 ** -25, 2.0 ** -126, 2.0 ** -133, 2.0 ** -149, 1e-300]
 
 
-class TestStochasticRounding:
-    def test_unbiased_in_expectation(self):
-        rng = np.random.default_rng(0)
-        v = np.full(200000, 1.0 + 2.0 ** -12)  # between fp16 neighbours
-        out = stochastic_round_fp16(v, rng)
-        assert out.mean() == pytest.approx(v[0], abs=1e-5)
+class TestOneGrid:
+    """Emulation, autocast and the bf16 wire read one grid per format."""
 
-    def test_exact_values_unchanged(self):
-        v = np.array([1.0, 0.5, 2.0])
-        out = stochastic_round_fp16(v, np.random.default_rng(0))
-        assert np.array_equal(out, v)
-
-    def test_outputs_are_fp16_representable(self):
-        rng = np.random.default_rng(1)
-        x = rng.standard_normal(1000)
-        out = stochastic_round_fp16(x, rng)
-        assert np.array_equal(out.astype(np.float16).astype(np.float64), out)
+    @given(st.sampled_from([np.float64, np.float32, np.float16]),
+           st.lists(st.one_of(st.sampled_from(EDGES), st.floats(allow_nan=True, allow_infinity=True)),
+                    min_size=1, max_size=40))
+    @settings(max_examples=200, deadline=None)
+    def test_rounders_are_the_snap_widened_and_the_wire_is_its_upper_half(self, dtype, values):
+        with np.errstate(over="ignore", invalid="ignore"):
+            x = np.array(values, dtype=np.float64).astype(dtype)
+            for name, fmt in FORMATS.items():
+                want = fmt.snap(x).astype(np.float64)
+                got = get_rounder(name)(x)
+                assert got.dtype == np.float64 and got.tobytes() == want.tobytes(), name
+            if dtype != np.float16:
+                wire = np.empty(x.shape, dtype=np.uint16)
+                encode_wire(x, "bf16", wire)
+                upper = (FORMATS["bf16"].snap(x).view(np.uint32) >> 16).astype(np.uint16)
+                assert wire.tobytes() == upper.tobytes()
 
 
 class TestInt8Quantization:
@@ -161,13 +164,6 @@ class TestInt8Quantization:
         x[0] = 5.0
         with pytest.raises(ValueError, match="saturate"):
             calibrate(x, method="percentile", percentile=99.9)
-
-    def test_quantize_weights_passes_zero_arrays_through(self):
-        from repro.precision import quantize_weights
-
-        out = quantize_weights([np.zeros(4), np.ones(4)])
-        assert np.array_equal(out[0], np.zeros(4))
-        assert np.array_equal(out[1], np.ones(4))
 
     def test_empty_raises(self):
         with pytest.raises(ValueError):
@@ -290,11 +286,10 @@ class TestPrecisionPolicy:
 class TestLayerwisePolicy:
     def test_overrides_keep_named_params_at_fp32(self):
         from repro.nn import BatchNorm, Dense, Sequential
-        from repro.precision import LayerwisePolicy
 
         x, y = _toy_problem(n=80)
         model = Sequential([Dense(8, activation=None), BatchNorm(), Dense(1)])
-        policy = LayerwisePolicy("fp16")
+        policy = PrecisionPolicy("fp16", overrides=AMP_OVERRIDES)
         train_with_policy(model, x, y, policy, epochs=2, lr=1e-3, seed=0)
         for p in model.parameters():
             name = p.name or ""
@@ -307,28 +302,25 @@ class TestLayerwisePolicy:
 
     def test_training_converges(self):
         from repro.nn import Dense, Sequential
-        from repro.precision import LayerwisePolicy
 
         x, y = _toy_problem()
         model = Sequential([Dense(16, activation="tanh"), Dense(1)])
-        losses = train_with_policy(model, x, y, LayerwisePolicy("fp16"), epochs=15, lr=1e-2, seed=0)
+        losses = train_with_policy(model, x, y, PrecisionPolicy("fp16", overrides=AMP_OVERRIDES),
+                                   epochs=15, lr=1e-2, seed=0)
         assert losses[-1] < losses[0] * 0.5
 
     def test_matches_base_policy_when_no_overrides(self):
         from repro.nn import Dense, Sequential
-        from repro.precision import LayerwisePolicy
 
         x, y = _toy_problem(n=60)
         m1 = Sequential([Dense(8), Dense(1)])
         l1 = train_with_policy(m1, x, y, PrecisionPolicy("fp16"), epochs=3, seed=0)
         m2 = Sequential([Dense(8), Dense(1)])
-        policy = LayerwisePolicy("fp16", overrides={})
+        policy = PrecisionPolicy("fp16", overrides={})
         assert policy.overrides == {}, "an empty map is a map, not 'use the default'"
         l2 = train_with_policy(m2, x, y, policy, epochs=3, seed=0)
         assert l1 == l2
 
     def test_bad_override_format_raises(self):
-        from repro.precision import LayerwisePolicy
-
         with pytest.raises(ValueError):
-            LayerwisePolicy("fp16", overrides={"gamma": "fp999"})
+            PrecisionPolicy("fp16", overrides={"gamma": "fp999"})

@@ -154,6 +154,20 @@ class TestFitPrecision:
         assert state.unscale_and_check()  # finite grads pass through
         np.testing.assert_allclose(p.grad, 1.0 / state.scale, rtol=1e-6)
 
+    @pytest.mark.parametrize("fmt", ["fp32", "bf16", "fp16"])
+    def test_fit_casts_layer_buffers_too(self, fmt):
+        # BatchNorm's running statistics are layer buffers, not
+        # parameters: the fit's cast must reach them, or get_weights()
+        # comes back mixed and an fp32 predict returns float64.
+        from repro.nn import BatchNorm
+
+        x, y = _class_data(n=64)
+        model = Sequential([Dense(8), BatchNorm(), Dense(3)])
+        model.fit(x, y, epochs=2, batch_size=32, loss="cross_entropy",
+                  lr=1e-2, seed=0, precision=fmt)
+        assert {w.dtype for w in model.get_weights()} == {np.dtype(np.float32)}
+        assert model.predict(x, precision="fp32").dtype == np.float32
+
     def test_bf16_diverges_from_fp32_eventually(self):
         # The bf16 path must actually round: identical trajectories would
         # mean autocast is a no-op.
@@ -253,14 +267,14 @@ class TestInt8Plan:
         spec = json.loads(json.dumps(plan.spec()))  # through JSON, as served
         rebuilt = plan_from_spec(model, spec)
         np.testing.assert_array_equal(
-            rebuilt.predict(x), plan.predict(x))
+            rebuilt.forward(x), plan.forward(x))
 
     def test_plan_survives_shm_arrays_roundtrip(self):
         model, x, _ = self._trained()
         plan = model.quantize_int8(x)
         arrays = {k: np.array(v) for k, v in plan.arrays().items()}
-        rebuilt = Int8Plan.from_arrays(plan.spec(), arrays)
-        np.testing.assert_array_equal(rebuilt.predict(x), plan.predict(x))
+        rebuilt = Int8Plan(plan.spec(), arrays)
+        np.testing.assert_array_equal(rebuilt.forward(x), plan.forward(x))
 
     def test_predict_int8_without_plan_is_actionable(self):
         model, x, _ = self._trained()

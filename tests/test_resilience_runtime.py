@@ -32,7 +32,7 @@ from repro.nn import (
     save_training_state,
     save_weights,
 )
-from repro.precision import LayerwisePolicy, LossScaler, PrecisionPolicy, train_with_policy
+from repro.precision import FitPrecision, LossScaler, PrecisionPolicy, quantize_model, train_with_policy
 from repro.registry import ArtifactStore, load_artifact
 from repro.resilience import (
     CRASH,
@@ -626,9 +626,19 @@ class TestRemovedOptions:
                                                  report=ResilienceReport()),
         lambda x, y, tmp: PrecisionPolicy("fp16", stochastic=True),
         lambda x, y, tmp: PrecisionPolicy("fp16", seed=1),
-        lambda x, y, tmp: LayerwisePolicy("fp16", seed=1),
+        lambda x, y, tmp: PrecisionPolicy("fp16", overrides={}, seed=1),
+        lambda x, y, tmp: PrecisionPolicy("int8", int8_calibration="percentile"),
+        lambda x, y, tmp: FitPrecision("fp16", [], loss_scaling=False),
+        lambda x, y, tmp: FitPrecision("fp16", [], scaler=LossScaler()),
+        lambda x, y, tmp: small_model().quantize_int8(x, method="minmax"),
+        lambda x, y, tmp: small_model().quantize_int8(x, percentile=99.0),
+        lambda x, y, tmp: quantize_model(small_model(), x, method="minmax"),
+        lambda x, y, tmp: quantize_model(small_model(), x, percentile=99.0),
     ], ids=["fit-grad_ready_hook", "resilient-shuffle", "resilient-keep_checkpoints",
-            "resilient-report", "policy-stochastic", "policy-seed", "layerwise-seed"])
+            "resilient-report", "policy-stochastic", "policy-seed", "layerwise-seed",
+            "policy-int8_calibration", "fitprecision-loss_scaling", "fitprecision-scaler",
+            "quantize_int8-method", "quantize_int8-percentile", "quantize_model-method",
+            "quantize_model-percentile"])
     def test_stale_keyword_raises(self, call, data, tmp_path):
         with pytest.raises(TypeError, match="unexpected keyword"):
             call(*data, tmp_path)

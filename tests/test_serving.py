@@ -572,5 +572,5 @@ class TestTapeFreePredict:
             server.drain()
         assert not calls
         served = np.stack([h.result for h in handles])
-        want = np.concatenate([plan.predict(x[s : s + 8], batch_size=8) for s in (0, 8, 16)])
+        want = np.concatenate([plan.forward(x[s : s + 8]) for s in (0, 8, 16)])
         assert served.tobytes() == want.tobytes()
