@@ -5,9 +5,9 @@ Everything here is vectorized NumPy: convolutions use an im2col
 softmax and log-softmax use the log-sum-exp trick, and backward closures
 avoid re-computing forward quantities.
 
-The GEMM-bearing ops and the two they feed (``linear_act``, ``conv1d``,
-``conv2d``, ``maxpool1d``, ``maxpool2d``, ``softmax_cross_entropy``) are
-entries of one table, :data:`OPS`: forward and backward on raw arrays plus
+The GEMM-bearing ops, the two they feed and mse (``linear_act``, ``conv1d``,
+``conv2d``, ``maxpool1d``, ``maxpool2d``, ``softmax_cross_entropy``, ``mse``)
+are entries of one table, :data:`OPS`: forward and backward on raw arrays plus
 their dtype rule, cost and frozen oracle, run by :func:`apply`.  The
 elementwise ops are still closures.
 
@@ -504,6 +504,33 @@ def softmax_cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
     """Fused softmax + cross-entropy as one tape node (:class:`SoftmaxCrossEntropy`);
     ``labels`` are integer class ids (N,) or one-hot / soft labels (N, C)."""
     return apply(SoftmaxCrossEntropy, (logits,), labels)
+
+
+class MeanSquaredError(Op):
+    """``mean((pred - target)**2)`` as one node where the composed chain
+    records four, in that chain's float order (the backward sums the
+    square's two edges as ``x + x``).  ``losses`` refuses a target that
+    would grow pred, so the gradient has pred's shape."""
+
+    oracle = ("mse_forward_backward",)
+
+    @staticmethod
+    def forward(ctx, pd, target):
+        diff = pd - target
+        inv = np.asarray(1.0 / diff.size, dtype=diff.dtype)
+        if ctx is not None:
+            ctx.saved = (diff, inv)
+        return (diff * diff).sum() * inv
+
+    @staticmethod
+    def backward(ctx, g):
+        diff, inv = ctx.saved
+        grad = np.full(diff.shape, np.asarray(g).reshape(()) * inv)
+        np.multiply(grad, diff, out=grad)
+        return (np.add(grad, grad, out=grad),)
+
+
+register("mse", MeanSquaredError)  # losses.mse runs it
 
 
 def dropout(x: Tensor, p: float, rng: np.random.Generator, training: bool = True) -> Tensor:

@@ -14,22 +14,29 @@ from . import functional as F
 from .tensor import Tensor
 
 
-def mse(pred: Tensor, target: np.ndarray) -> Tensor:
-    """Mean squared error over all elements."""
+def _target(pred: Tensor, target: np.ndarray) -> np.ndarray:
+    """``target`` in pred's dtype, refused if broadcasting would grow pred
+    (a 1-D ``y`` under an (N, 1) head would score every (i, j) pair)."""
     target = np.asarray(target, dtype=pred.dtype)
-    diff = pred - Tensor(target)
-    return (diff * diff).mean()
+    if target.ndim > pred.ndim or any(t not in (1, p) for t, p in zip(target.shape[::-1], pred.shape[::-1])):
+        raise ValueError(f"target shape {target.shape} does not broadcast to prediction shape {pred.shape}")
+    return target
+
+
+def mse(pred: Tensor, target: np.ndarray) -> Tensor:
+    """Mean squared error over all elements (one op-table node)."""
+    return F.apply(F.MeanSquaredError, (pred,), _target(pred, target))
 
 
 def mae(pred: Tensor, target: np.ndarray) -> Tensor:
     """Mean absolute error."""
-    target = np.asarray(target, dtype=pred.dtype)
+    target = _target(pred, target)
     return F.abs(pred - Tensor(target)).mean()
 
 
 def huber(pred: Tensor, target: np.ndarray, delta: float = 1.0) -> Tensor:
     """Huber loss: quadratic near zero, linear in the tails."""
-    target = np.asarray(target, dtype=pred.dtype)
+    target = _target(pred, target)
     diff = pred - Tensor(target)
     abs_diff = F.abs(diff)
     quad = diff * diff * 0.5
@@ -68,8 +75,7 @@ def cross_entropy_unfused(logits: Tensor, labels: np.ndarray) -> Tensor:
 
 def binary_cross_entropy_with_logits(logits: Tensor, labels: np.ndarray) -> Tensor:
     """Numerically-stable BCE on raw logits: max(x,0) - x*y + log(1+e^-|x|)."""
-    labels = np.asarray(labels, dtype=logits.dtype)
-    y = Tensor(labels)
+    y = Tensor(_target(logits, labels))
     relu_x = F.relu(logits)
     return (relu_x - logits * y + F.softplus(-F.abs(logits))).mean()
 
@@ -85,7 +91,7 @@ def kl_divergence_gaussian(mu: Tensor, log_var: Tensor) -> Tensor:
 
 def r2_loss(pred: Tensor, target: np.ndarray) -> Tensor:
     """1 - R^2, differentiable (useful as a drug-response objective)."""
-    target = np.asarray(target, dtype=pred.dtype)
+    target = _target(pred, target)
     t = Tensor(target)
     resid = pred - t
     ss_res = (resid * resid).sum()
@@ -123,7 +129,7 @@ def focal_loss_with_logits(logits: Tensor, labels: np.ndarray, gamma: float = 2.
         raise ValueError("gamma must be >= 0")
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must be in (0, 1)")
-    labels = np.asarray(labels, dtype=logits.dtype)
+    labels = _target(logits, labels)
     y = Tensor(labels)
     p = F.sigmoid(logits)
     p_t = p * y + (1.0 - p) * (1.0 - y)

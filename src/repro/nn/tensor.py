@@ -590,17 +590,22 @@ class Tensor:
         return F.abs(self)
 
 
+def flat_ranges(params: Sequence[Tensor]) -> List[slice]:
+    """Each tensor's slot in :func:`flat_layout`'s vector, as a slice."""
+    ends = np.cumsum([p.data.size for p in params]).tolist()
+    return [slice(hi - p.data.size, hi) for p, hi in zip(params, ends)]
+
+
 def flat_layout(params: Sequence[Tensor], extra: int = 0) -> Tuple[np.ndarray, List[np.ndarray]]:
     """The one layout everything a training run carries per parameter is
     addressed in (gradients, optimizer state): a zeroed vector with a slot
     per tensor back to back in list order, plus ``extra`` trailing slots,
     in the promotion of the tensors' dtypes — and each slot as a view in
     its tensor's shape."""
-    sizes = [p.data.size for p in params]
-    dtype = np.result_type(*(p.data.dtype for p in params)) if sizes else np.float64
-    flat = np.zeros(sum(sizes) + extra, dtype=dtype)
-    ends = np.cumsum(sizes)
-    return flat, [flat[hi - n:hi].reshape(p.data.shape) for p, n, hi in zip(params, sizes, ends)]
+    ranges = flat_ranges(params)
+    dtype = np.result_type(*(p.data.dtype for p in params)) if ranges else np.float64
+    flat = np.zeros((ranges[-1].stop if ranges else 0) + extra, dtype=dtype)
+    return flat, [flat[r].reshape(p.data.shape) for p, r in zip(params, ranges)]
 
 
 class GradArena:

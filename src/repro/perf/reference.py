@@ -3,9 +3,10 @@
 These are the engine's hot-path implementations as they stood before the
 kernel/memory pass (copying im2col in the (N, L_out, C*K) layout,
 ``np.pad``, batched matmul, broadcast bias adds, allocating optimizer
-updates) and, since the pooling rewrite, the window-tensor + ``argmax``
-max-pooling kernels the tap-wise ones in ``nn.functional`` replaced.  They exist so the optimized ops have an independent,
-*recorded* reference to be checked against (``tests/test_perf.py``).
+updates), the window-tensor + ``argmax`` max-pooling kernels the tap-wise
+ones in ``nn.functional`` replaced, and the four-node mse chain.  They
+exist so the optimized ops have an independent, *recorded* reference to
+be checked against (``tests/test_perf.py``).
 
 Everything here works on raw ``np.ndarray`` s — no tape: the quantity
 being pinned is the kernel's arithmetic, not autodiff overhead.
@@ -232,6 +233,20 @@ def cross_entropy_forward_backward(zd: np.ndarray, labels: np.ndarray) -> Tuple[
     np.add.at(g_logp, (np.arange(n), idx), np.full(n, -1.0 / n))
     grad = g_logp - sm * g_logp.sum(axis=1, keepdims=True)
     return loss, grad
+
+
+# ----------------------------------------------------------------------
+# Pre-PR mean squared error (sub → mul → sum → mul tape chain)
+# ----------------------------------------------------------------------
+def mse_forward_backward(pd: np.ndarray, target: np.ndarray, g) -> Tuple[np.ndarray, np.ndarray]:
+    """The composed ``((pred - target) ** 2).mean()`` chain on raw arrays,
+    forward, then ``g`` back through each node's adjoint."""
+    diff = pd - target
+    sq = diff * diff
+    total = np.asarray(sq.sum())
+    inv = np.asarray(1.0 / sq.size, dtype=total.dtype)  # mean's 0-d 1/n
+    edge = np.broadcast_to(np.asarray(g) * inv, sq.shape).copy() * diff
+    return np.asarray(total * inv), edge + edge  # the square's two edges
 
 
 # ----------------------------------------------------------------------

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro.nn.losses as L
 from repro.nn import (
@@ -308,4 +310,237 @@ class TestOptimizerGradIntegrity:
         tracemalloc.stop()
         # A handful of interpreter-level bytes is fine; array-sized
         # allocations (64*64*8 = 32 KiB each) are not.
+        assert after - before < 16_384, f"steady-state step() allocated {after - before} bytes"
+
+
+class TestLossTargetShape:
+    """A target that broadcasting would grow pred by — a 1-D ``y`` under a
+    ``Dense(1)`` head — is refused instead of scoring every (i, j) pair."""
+
+    ELEMENTWISE = [L.mse, L.mae, L.huber, L.binary_cross_entropy_with_logits, L.focal_loss_with_logits, L.r2_loss]
+
+    @pytest.mark.parametrize("loss", ELEMENTWISE, ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("pred_shape, target_shape", [((16, 1), (16,)), ((16,), (16, 1)), ((4, 3), (4,))])
+    def test_growing_target_is_refused(self, loss, pred_shape, target_shape):
+        pred = Tensor(RNG.standard_normal(pred_shape), requires_grad=True)
+        with pytest.raises(ValueError, match=r"target shape .* prediction shape"):
+            loss(pred, RNG.random(target_shape))
+
+    @pytest.mark.parametrize("loss", ELEMENTWISE, ids=lambda f: f.__name__)
+    def test_broadcast_within_pred_is_kept(self, loss):
+        pred = Tensor(RNG.standard_normal((5, 3)), requires_grad=True)
+        out = loss(pred, RNG.random((1, 3)))
+        assert out.shape == () and np.isfinite(out.item())
+
+    def test_fit_with_flat_target_under_a_one_unit_head_is_refused(self):
+        from repro.nn import Dense, Sequential
+
+        model = Sequential([Dense(4, activation="relu"), Dense(1)])
+        x, y = RNG.standard_normal((32, 3)), RNG.standard_normal(32)
+        with pytest.raises(ValueError, match=r"\(16,\) .* \(16, 1\)"):
+            model.fit(x, y, epochs=1, batch_size=16, loss="mse")
+        model.fit(x, y.reshape(-1, 1), epochs=1, batch_size=16, loss="mse")
+
+
+class TestMseEntry:
+    """``mse`` is one op-table node with the floats of the four-node chain
+    it replaced (frozen in ``perf/reference.py``)."""
+
+    @staticmethod
+    def composed(pred, target):
+        diff = pred - Tensor(target)
+        return (diff * diff).mean()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        shape=st.sampled_from([(32, 64), (7, 3), (5, 1), (4, 2, 3), (6,), (1, 1)]),
+        broadcast=st.booleans(), dtype=st.sampled_from([np.float64, np.float32]),
+        window=st.sampled_from([1, 3]), plan=st.sampled_from([None, "bf16", "fp16"]),
+        seed=st.integers(0, 10**6),
+    )
+    def test_matches_composed_chain_byte_for_byte(self, shape, broadcast, dtype, window, plan, seed):
+        from repro.nn import amp
+        from repro.perf import reference
+
+        rng = np.random.default_rng(seed)
+        pd = rng.standard_normal(shape).astype(dtype)
+        target = rng.standard_normal((1,) * (len(shape) - 1) + shape[-1:] if broadcast else shape).astype(dtype)
+        g = np.asarray(1.0 / window, dtype=dtype)
+        ref_loss, ref_grad = reference.mse_forward_backward(pd, target, g)
+        with amp.autocast(plan):
+            fused, chain = Tensor(pd.copy(), requires_grad=True), Tensor(pd.copy(), requires_grad=True)
+            out, out_chain = L.mse(fused, target), self.composed(chain, target)
+            out.backward(g)
+            out_chain.backward(g)
+        for got, want in ((out.data, ref_loss), (fused.grad, ref_grad), (out_chain.data, ref_loss),
+                          (chain.grad, ref_grad)):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+    def test_one_tape_node_per_call(self):
+        from repro.nn.tensor import tape_node_count
+
+        pred = Tensor(RNG.standard_normal((8, 4)), requires_grad=True)
+        before = tape_node_count()
+        L.mse(pred, RNG.standard_normal((8, 4)))
+        assert tape_node_count() - before == 1
+
+    def test_untaped_forward_saves_nothing(self):
+        from repro.nn import no_grad
+        from repro.nn.tensor import tape_node_count
+
+        pred = Tensor(RNG.standard_normal((8, 4)), requires_grad=True)
+        before = tape_node_count()
+        with no_grad():
+            out = L.mse(pred, np.zeros((8, 4)))
+        assert tape_node_count() == before and out._backward_fn is None
+
+
+OPTIMIZERS = {
+    "sgd": lambda ps, wd: SGD(ps, lr=0.05, weight_decay=wd),
+    "momentum": lambda ps, wd: SGD(ps, lr=0.05, momentum=0.9, weight_decay=wd),
+    "nesterov": lambda ps, wd: SGD(ps, lr=0.05, momentum=0.9, nesterov=True, weight_decay=wd),
+    "adam": lambda ps, wd: Adam(ps, lr=1e-2, weight_decay=wd),
+    "rmsprop": lambda ps, wd: RMSProp(ps, lr=1e-2, weight_decay=wd),
+    "adagrad": lambda ps, wd: AdaGrad(ps, lr=1e-1, weight_decay=wd),
+}
+
+
+def count_ranges(opt):
+    """Wrap ``opt``'s update body; the returned list collects each call's range."""
+    calls, body = [], opt._update
+
+    def counted(r, grad, dtype):
+        calls.append(r)
+        return body(r, grad, dtype)
+
+    opt._update = counted
+    return calls
+
+
+class TestOneUpdateBody:
+    """The body swept once over arena-view gradients and run once per
+    parameter over tape-owned ones reads the same floats."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        name=st.sampled_from(sorted(OPTIMIZERS)), wd=st.sampled_from([0.0, 0.01]),
+        dtype=st.sampled_from([np.float64, np.float32]),
+        shapes=st.lists(st.sampled_from([(3,), (4, 5), (2, 3, 2), (1,), (7, 1)]), min_size=1, max_size=5),
+        seed=st.integers(0, 10**6),
+    )
+    def test_arena_sweep_matches_per_parameter_ranges(self, name, wd, dtype, shapes, seed):
+        from repro.nn.tensor import GradArena
+
+        rng = np.random.default_rng(seed)
+        init = [rng.standard_normal(s).astype(dtype) for s in shapes]
+        swept = [Tensor(a.copy(), requires_grad=True) for a in init]
+        ranged = [Tensor(a.copy(), requires_grad=True) for a in init]
+        opt_s, opt_r = OPTIMIZERS[name](swept, wd), OPTIMIZERS[name](ranged, wd)
+        arena = GradArena(swept)
+        calls_s, calls_r = count_ranges(opt_s), count_ranges(opt_r)
+        for _ in range(25):
+            grads = [rng.standard_normal(s).astype(dtype) for s in shapes]
+            for v, g in zip(arena.views, grads):
+                v[...] = g
+            arena.bind()
+            for p, g in zip(ranged, grads):
+                p.grad = g.copy()
+            opt_s.step()
+            opt_r.step()
+            opt_s.zero_grad()
+            opt_r.zero_grad()
+        assert len(calls_s) == 25 and len(calls_r) == 25 * len(shapes)
+        for a, b in zip(swept, ranged):
+            assert a.data.tobytes() == b.data.tobytes()
+        assert opt_s.state.keys() == opt_r.state.keys()
+        for k in opt_s.state:
+            assert opt_s.state[k].tobytes() == opt_r.state[k].tobytes()
+
+    @staticmethod
+    def model_and_data(seed=0):
+        from repro.nn import Dense, Sequential
+
+        model = Sequential([Dense(8, activation="tanh"), Dense(6)])
+        model.build((6,), np.random.default_rng(seed))
+        return model, np.random.default_rng(seed + 1).standard_normal((48, 6))
+
+    def test_fit_step_runs_one_range(self):
+        from repro.nn.optim import BLOCK
+
+        model, x = self.model_and_data()
+        opt = Adam(model.parameters(), lr=1e-2)
+        calls = count_ranges(opt)
+        model.fit(x, None, epochs=2, batch_size=16, loss="mse", optimizer=opt)
+        assert calls == [slice(0, BLOCK)] * 6  # 3 batches x 2 epochs, one range each
+
+    def test_hand_loop_runs_one_range_per_parameter(self):
+        model, x = self.model_and_data()
+        params = list(model.parameters())
+        opt = Adam(params, lr=1e-2)
+        calls = count_ranges(opt)
+        L.mse(model.forward(Tensor(x[:16]), training=True), x[:16]).backward()
+        opt.step()
+        sizes = [p.data.size for p in params]
+        assert [r.stop - r.start for r in calls] == sizes
+
+    def test_parameter_without_grad_is_untouched(self):
+        a = Tensor(RNG.standard_normal((3, 2)), requires_grad=True)
+        b = Tensor(RNG.standard_normal(4), requires_grad=True)
+        opt = Adam([a, b], lr=1e-2)
+        a.grad, b.grad = RNG.standard_normal((3, 2)), RNG.standard_normal(4)
+        opt.step()
+        b_data, m, v = b.data.copy(), opt.state["m"][6:].copy(), opt.state["v"][6:].copy()
+        a.grad, b.grad = RNG.standard_normal((3, 2)), None
+        opt.step()
+        assert b.data.tobytes() == b_data.tobytes()
+        assert opt.state["m"][6:].tobytes() == m.tobytes() and opt.state["v"][6:].tobytes() == v.tobytes()
+
+    def test_fit_and_hand_loop_alternating_match_per_parameter_reference(self):
+        # One optimizer stepped from fit (arena views) and from a hand loop
+        # (tape-owned grads) in turn, against one that only ever sees copies.
+        runs = []
+        for per_parameter in (False, True):
+            model, x = self.model_and_data()
+            opt = Adam(model.parameters(), lr=1e-2, weight_decay=0.01)
+            if per_parameter:
+                step = opt.step
+
+                def copied_step(step=step, opt=opt):
+                    for p in opt.params:
+                        p.grad = None if p.grad is None else p.grad.copy()
+                    step()
+
+                opt.step = copied_step
+            for epoch in range(3):
+                model.fit(x, None, epochs=1, batch_size=16, loss="mse", optimizer=opt, seed=epoch)
+                for i in range(0, 48, 16):
+                    L.mse(model.forward(Tensor(x[i:i + 16]), training=True), x[i:i + 16]).backward()
+                    opt.step()
+                    opt.zero_grad()
+            runs.append(([p.data.tobytes() for p in model.parameters()],
+                         {k: v.tobytes() for k, v in opt.state.items()}))
+        assert runs[0] == runs[1]
+
+    def test_arena_step_allocates_nothing_after_warmup(self):
+        import tracemalloc
+
+        from repro.nn.tensor import GradArena
+
+        params = [Tensor(RNG.standard_normal((64, 64)), requires_grad=True),
+                  Tensor(RNG.standard_normal(64), requires_grad=True)]
+        opt = Adam(params, lr=1e-3, weight_decay=0.01)
+        arena = GradArena(params)
+        arena.flat[:] = RNG.standard_normal(arena.flat.size)
+        arena.bind()
+        calls = count_ranges(opt)
+        opt.step()  # warmup: moments + scratch allocated, the arena matched
+        opt.step()
+        tracemalloc.start()
+        before = tracemalloc.get_traced_memory()[0]
+        for _ in range(5):
+            opt.step()
+        after = tracemalloc.get_traced_memory()[0]
+        tracemalloc.stop()
+        assert len(calls) == 7  # every step swept the arena as one range
         assert after - before < 16_384, f"steady-state step() allocated {after - before} bytes"

@@ -61,6 +61,7 @@ class TestHooks:
             "maxpool1d": lambda: F.maxpool1d(seq, 2),
             "maxpool2d": lambda: F.maxpool2d(img, 2),
             "softmax_cross_entropy": lambda: F.softmax_cross_entropy(x, np.array([0, 1, 2, 0])),
+            "mse": lambda: F.apply(F.OPS["mse"], (x,), np.zeros((4, 3))),
             "linear": lambda: F.linear(x, Tensor(RNG.standard_normal((3, 2)))),
             "dropout": lambda: F.dropout(x, 0.5, np.random.default_rng(0)),
             "embedding": lambda: F.embedding(x, np.array([0, 2])),
