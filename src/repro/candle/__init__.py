@@ -1,7 +1,7 @@
 """CANDLE-style benchmark models for cancer and infectious disease, plus
 classical baselines (claims C1, C2, C4, C5 / experiment E7)."""
 
-from .baselines import PCA, KNNClassifier, KNNRegressor, LogisticRegression, RidgeRegression
+from .baselines import PCA, KNNRegressor, LogisticRegression, RidgeRegression
 from .models import (
     ComboModel,
     MultitaskModel,
@@ -19,7 +19,7 @@ from .models import (
 from .registry import REGISTRY, BenchmarkSpec, get_benchmark
 
 __all__ = [
-    "RidgeRegression", "LogisticRegression", "KNNClassifier", "KNNRegressor", "PCA",
+    "RidgeRegression", "LogisticRegression", "KNNRegressor", "PCA",
     "build_p1b1_autoencoder", "encode_p1b1", "build_p1b2_classifier",
     "build_nt3_classifier", "ComboModel", "build_combo_mlp",
     "build_imaging_classifier", "build_p3b2_sequence_classifier",

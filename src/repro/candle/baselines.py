@@ -107,40 +107,6 @@ class LogisticRegression:
         return self.predict_proba(x).argmax(axis=1)
 
 
-class KNNClassifier:
-    """Brute-force k-nearest-neighbour classifier (Euclidean)."""
-
-    def __init__(self, k: int = 5) -> None:
-        if k < 1:
-            raise ValueError("k must be >= 1")
-        self.k = k
-        self._x: Optional[np.ndarray] = None
-        self._y: Optional[np.ndarray] = None
-
-    def fit(self, x: np.ndarray, y: np.ndarray) -> "KNNClassifier":
-        self._x = np.asarray(x, dtype=np.float64)
-        self._y = np.asarray(y).astype(np.int64)
-        return self
-
-    def predict(self, x: np.ndarray, batch: int = 256) -> np.ndarray:
-        if self._x is None:
-            raise RuntimeError("fit before predict")
-        x = np.asarray(x, dtype=np.float64)
-        n_classes = int(self._y.max()) + 1
-        preds = np.empty(len(x), dtype=np.int64)
-        train_sq = (self._x ** 2).sum(axis=1)
-        for start in range(0, len(x), batch):
-            xb = x[start : start + batch]
-            d2 = (xb ** 2).sum(axis=1)[:, None] - 2 * xb @ self._x.T + train_sq[None, :]
-            nn_idx = np.argpartition(d2, self.k - 1, axis=1)[:, : self.k]
-            votes = self._y[nn_idx]
-            counts = np.zeros((len(xb), n_classes), dtype=np.int64)
-            for col in range(self.k):
-                np.add.at(counts, (np.arange(len(xb)), votes[:, col]), 1)
-            preds[start : start + batch] = counts.argmax(axis=1)
-        return preds
-
-
 class KNNRegressor:
     """Brute-force k-nearest-neighbour regressor (mean of neighbours)."""
 

@@ -50,12 +50,24 @@ def _cmd_list(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_train(args: argparse.Namespace) -> int:
+def _benchmark(name: str):
+    """The registry entry ``name``, or None after a ``FAIL:`` line."""
     from .candle.registry import get_benchmark
+
+    try:
+        return get_benchmark(name)
+    except ValueError as e:
+        print(f"FAIL: {e}", file=sys.stderr)
+        return None
+
+
+def _cmd_train(args: argparse.Namespace) -> int:
     from .nn import metrics as metrics_mod
     from .nn.dataloader import train_val_split
 
-    spec = get_benchmark(args.benchmark)
+    spec = _benchmark(args.benchmark)
+    if spec is None:
+        return 1
     x, y = spec.make_data(seed=args.seed)
     rng = np.random.default_rng(args.seed)
     x_tr, y_tr, x_va, y_va = train_val_split(x, y, val_frac=0.3, rng=rng)
@@ -77,12 +89,16 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
 
 def _cmd_price(args: argparse.Namespace) -> int:
-    from .candle.registry import get_benchmark
     from .hpc import DataParallel, SimCluster, SingleNode, profile_model
     from .hpc.hardware import MACHINES
     from .utils import format_table
 
-    spec = get_benchmark(args.benchmark)
+    if args.nodes < 1:
+        print(f"FAIL: --nodes must be >= 1, got {args.nodes}", file=sys.stderr)
+        return 1
+    spec = _benchmark(args.benchmark)
+    if spec is None:
+        return 1
     x, _ = spec.make_data(seed=0)
     model = spec.build_model()
     profile = profile_model(model, x.shape[1:], batch_size=args.batch_size)
@@ -92,7 +108,7 @@ def _cmd_price(args: argparse.Namespace) -> int:
         for precision in ("fp32", "fp16"):
             if not node.accelerator.supports(precision):
                 continue
-            cluster = SimCluster.build(machine, max(args.nodes, 1))
+            cluster = SimCluster.build(machine, args.nodes)
             plan = DataParallel(args.nodes) if args.nodes > 1 else SingleNode()
             t = plan.step_time(profile, cluster, precision)
             rows.append([machine, precision, args.nodes, t * 1e6, profile.batch_size / t])
@@ -102,10 +118,15 @@ def _cmd_price(args: argparse.Namespace) -> int:
 
 def _cmd_registry(args: argparse.Namespace) -> int:
     import json
+    from pathlib import Path
 
     from .registry import ArtifactStore, CheckpointIntegrityError
     from .utils import format_table
 
+    if not Path(args.root).is_dir():
+        # Browsing is read-only: opening a store would create a mistyped root.
+        print(f"FAIL: {args.root}: no such registry directory", file=sys.stderr)
+        return 1
     store = ArtifactStore(args.root)
     if args.spec is None:
         names = store.names()

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .drug_response import hill_response
 
@@ -45,6 +44,10 @@ def fit_hill(
     Growth is modelled as 1 - hill(dose; ic50, slope).  Requires at least
     three points spanning some dose range.
     """
+    # Imported here, not at module level: nothing else in the package needs
+    # scipy.optimize, and importing it costs every `import repro.datasets`.
+    from scipy.optimize import least_squares
+
     doses = np.asarray(doses, dtype=np.float64).ravel()
     growth = np.asarray(growth, dtype=np.float64).ravel()
     if doses.size != growth.size:

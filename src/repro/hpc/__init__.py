@@ -38,7 +38,6 @@ from .parallelism import (
     ParallelPlan,
     PipelineParallel,
     SingleNode,
-    scaling_efficiency,
     throughput,
 )
 from .perfmodel import (
@@ -78,7 +77,7 @@ __all__ = [
     "conv1d_profile", "roofline_time", "achieved_flops",
     "arithmetic_intensity", "compute_step_time",
     "ParallelPlan", "SingleNode", "DataParallel", "ModelParallel",
-    "PipelineParallel", "HybridParallel", "throughput", "scaling_efficiency",
+    "PipelineParallel", "HybridParallel", "throughput",
     "DatasetSpec", "StagingSimulator", "EpochIO", "compare_policies",
     "EnergyBreakdown", "step_energy", "energy_per_sample",
     "system_mtbf", "young_interval", "daly_interval", "expected_runtime",

@@ -64,10 +64,6 @@ class Network:
         """Message time to a topological neighbour (1 hop)."""
         return self.ptp_time(nbytes, hops=1)
 
-    def average_ptp_time(self, nbytes: float) -> float:
-        """Message time at the topology's average hop distance."""
-        return self.link.alpha + self.topology.average_hops(sample=2048) * self.link.per_hop + nbytes * self.link.beta
-
     def contention_factor(self) -> float:
         """Slowdown applied to bandwidth-bound all-to-all-like traffic:
         1 / bisection_factor, floored at 1 (full bisection = no slowdown)."""

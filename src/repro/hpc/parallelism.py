@@ -22,10 +22,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Optional
 
 from .cluster import SimCluster
-from .collectives import ALLREDUCE_ALGORITHMS, allgather_ring, allreduce_ring
+from .collectives import ALLREDUCE_ALGORITHMS, allgather_ring
 from .hardware import DTYPE_BYTES
 from .perfmodel import ModelProfile, compute_step_time
 
@@ -287,29 +287,3 @@ def throughput(plan: ParallelPlan, profile: ModelProfile, cluster: SimCluster, p
     """Samples/second the plan achieves on the global batch."""
     t = plan.step_time(profile, cluster, precision)
     return profile.batch_size / t if t > 0 else float("inf")
-
-
-def scaling_efficiency(
-    plan_small: ParallelPlan,
-    plan_big: ParallelPlan,
-    profile: ModelProfile,
-    cluster_small: SimCluster,
-    cluster_big: SimCluster,
-    precision: str = "fp32",
-    weak: bool = False,
-) -> float:
-    """Parallel efficiency of scaling from the small to the big plan.
-
-    Strong: ideal is time_small / n_ratio.  Weak: profile scales with nodes.
-    """
-    n_small = getattr(plan_small, "n_nodes", 1)
-    n_big = getattr(plan_big, "n_nodes", 1)
-    ratio = n_big / n_small
-    if weak:
-        big_profile = profile.with_batch_size(int(profile.batch_size * ratio))
-        t_small = plan_small.step_time(profile, cluster_small, precision)
-        t_big = plan_big.step_time(big_profile, cluster_big, precision)
-        return t_small / t_big  # ideal weak scaling: equal times
-    t_small = plan_small.step_time(profile, cluster_small, precision)
-    t_big = plan_big.step_time(profile, cluster_big, precision)
-    return (t_small / ratio) / t_big

@@ -18,9 +18,9 @@ up to the compute time of the epoch (double-buffered input pipelines).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List
 
-from .hardware import MemoryTier, NodeSpec
+from .hardware import NodeSpec
 
 
 @dataclass(frozen=True)
@@ -37,10 +37,6 @@ class DatasetSpec:
     def __post_init__(self) -> None:
         if self.bytes_total <= 0 or self.samples <= 0:
             raise ValueError("dataset must have positive size and samples")
-
-    @property
-    def bytes_per_sample(self) -> float:
-        return self.bytes_total / self.samples
 
 
 @dataclass

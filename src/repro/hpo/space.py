@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -152,9 +152,6 @@ class SearchSpace:
 
     def sample(self, rng: np.random.Generator) -> Config:
         return {name: dim.sample(rng) for name, dim in self.dimensions.items()}
-
-    def sample_many(self, n: int, rng: np.random.Generator) -> List[Config]:
-        return [self.sample(rng) for _ in range(n)]
 
     def to_unit(self, config: Config) -> np.ndarray:
         """Config -> point in the unit hypercube."""

@@ -41,5 +41,3 @@ class GridSearch(Strategy):
     def exhausted(self) -> bool:
         return self._next >= len(self._configs)
 
-    def __len__(self) -> int:
-        return len(self._configs)

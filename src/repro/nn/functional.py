@@ -110,7 +110,7 @@ class Op:
     output narrow, takes its gradient in fp32 and returns the activation's
     (first input's) gradient narrow, the rest fp32.  ``layout`` transposes
     the stored output into the result.  ``oracle`` names the frozen kernels
-    in ``perf/reference.py`` (forward first) or is None.  ``cost(b,
+    in ``tests/reference.py`` (forward first) or is None.  ``cost(b,
     in_shape, out_shape, kernel)`` is (flops fwd, flops bwd, activation
     elements) of a layer over a batch of ``b``; None for a non-layer."""
 

@@ -17,7 +17,7 @@ Shapes are channels-first for convolutional layers: (N, C, L).
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, Optional, Tuple
 
 import numpy as np
 
@@ -74,9 +74,6 @@ class Layer:
 
     def param_count(self) -> int:
         return sum(p.size for p in self.parameters())
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}(name={self.name!r})"
 
 
 class Dense(Layer):

@@ -186,5 +186,3 @@ class MetricsRegistry:
         )
         return sorted(records, key=lambda r: (r["metric"], r["name"]))
 
-    def __len__(self) -> int:
-        return len(self._counters) + len(self._gauges) + len(self._histograms)

@@ -424,20 +424,10 @@ class ProcessWorkerPool:
         """Tasks submitted whose results have not been returned yet."""
         return self._outstanding
 
-    def backlog_depth(self, slot: Optional[int] = None) -> int:
-        """Tasks queued in the parent, not yet dispatched to a worker."""
-        if slot is None:
-            return sum(len(b) for b in self._backlogs)
-        return len(self._backlog_for(slot))
-
     def worker_alive(self, slot: int) -> bool:
         """Liveness of the process currently occupying ``slot``."""
         proc = self._procs.get(slot)
         return proc is not None and proc.is_alive()
-
-    def worker_busy(self, slot: int) -> bool:
-        """Does ``slot`` have a task in flight right now?"""
-        return self._running.get(slot) is not None
 
     def wait_ready(self, timeout_s: float = 60.0) -> None:
         """Block until every slot's worker has finished its initializer.

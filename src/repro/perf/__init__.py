@@ -7,10 +7,10 @@ module init):
 * :mod:`repro.perf.hooks` — the zero-dependency instrumentation shim the
   functional ops wrap themselves with at import time;
 * :mod:`repro.perf.profiler` — :class:`OpProfiler`, the user-facing sink
-  collecting per-op wall time / call counts / bytes;
-* :mod:`repro.perf.reference` — kernels frozen from the pre-optimization
-  engine, the independent oracle ``tests/test_perf.py`` checks the
-  optimized ops against.
+  collecting per-op wall time / call counts / bytes.
+
+The kernels frozen from the pre-optimization engine, the oracles the
+optimized ops are checked against, are test code: ``tests/reference.py``.
 
 Timing the engine is the job of ``bench/`` (``python3 bench/run.py
 --workload train_mlp`` / ``train_cnn``), from outside the package.

@@ -17,7 +17,7 @@ cache merely drops *its* reference so the next ``get`` reloads.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, List
+from typing import List
 
 
 class WarmModelCache:
@@ -72,11 +72,3 @@ class WarmModelCache:
     def clear(self) -> None:
         self._models.clear()
 
-    def stats(self) -> Dict[str, int]:
-        return {
-            "capacity": self.capacity,
-            "resident": len(self._models),
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-        }

@@ -31,7 +31,7 @@ timing out expensive in the queue.  Requests that nevertheless exceed
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Deque, List, Optional, Tuple
 
 import numpy as np
@@ -70,10 +70,6 @@ class Request:
     complete_time: Optional[float] = None
 
     @property
-    def done(self) -> bool:
-        return self.status != "queued"
-
-    @property
     def latency(self) -> Optional[float]:
         if self.complete_time is None:
             return None
@@ -86,9 +82,6 @@ class MicroBatcher:
     def __init__(self, policy: BatchPolicy) -> None:
         self.policy = policy
         self._queue: Deque[Request] = deque()
-
-    def __len__(self) -> int:
-        return len(self._queue)
 
     @property
     def depth(self) -> int:

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import os
 import time
-from typing import Any, Dict, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -307,10 +307,6 @@ class ReplicaGroup:
     @property
     def respawns(self) -> int:
         return self.pool.respawns
-
-    @property
-    def outstanding(self) -> int:
-        return self.pool.outstanding
 
     def close(self) -> None:
         self.pool.close()

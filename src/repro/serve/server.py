@@ -130,9 +130,6 @@ class InferenceServer:
         return req
 
     # -- batch dispatch --------------------------------------------------
-    @property
-    def queue_depth(self) -> int:
-        return self.batcher.depth
 
     def step(self, now: Optional[float] = None, force: bool = False) -> int:
         """Dispatch one micro-batch if the policy allows (or ``force``).

@@ -6,7 +6,6 @@ from .distributed import (
     DistributedRunResult,
     topk_sparsify,
     train_async_sgd,
-    train_sync_data_parallel,
     train_topk_sgd,
 )
 from .md_supervision import NoveltyModel, SamplingResult, compare_strategies, run_sampling_campaign
@@ -16,6 +15,6 @@ __all__ = [
     "TrainingReport", "run_training_job", "simulated_trial_cost", "time_to_loss",
     "NoveltyModel", "SamplingResult", "run_sampling_campaign", "compare_strategies",
     "CampaignReport", "run_campaign",
-    "DistributedRunResult", "train_sync_data_parallel", "train_async_sgd",
+    "DistributedRunResult", "train_async_sgd",
     "train_topk_sgd", "topk_sparsify",
 ]

@@ -4,10 +4,10 @@ Unlike :mod:`repro.hpc.parallelism` (which models *time*), this module
 simulates the *numerics* of distributed training on real NumPy models.
 It holds no step body: each study is a :class:`repro.nn.FitLoop` driver
 stepping ``SGD(lr)`` that acts on a batch's gradients at the loop's
-boundaries, or a call into :func:`repro.parallel.fit_data_parallel`.
+boundaries.  Synchronous data parallelism with exact gradient averaging
+is :func:`repro.parallel.fit_data_parallel` (``backend="serial"`` runs it
+in one process).
 
-* :func:`train_sync_data_parallel` — K replicas, exact gradient averaging
-  (mathematically identical to large-batch SGD; the tests verify this).
 * :func:`train_async_sgd` — parameter-server asynchrony: each arriving
   gradient was computed against weights ``staleness`` updates old.
   Quantifies claim C10's dark side: the convergence price of hiding
@@ -28,22 +28,19 @@ import numpy as np
 
 from ..nn.model import FitLoop, Model
 from ..nn.optim import SGD
-from ..parallel.ddp import fit_data_parallel
 from ..resilience.faults import NAN, FaultSchedule, record
 
 
 @dataclass
 class DistributedRunResult:
     """Outcome of a simulated distributed training run.  ``dropped_updates``
-    counts poisoned gradients that were discarded; ``workers_lost`` stays 0
-    (a rank that dies and resumes is ROADMAP item 4's)."""
+    counts poisoned gradients that were discarded."""
 
     epoch_losses: List[float]
     comm_bytes: float = 0.0
     dense_bytes: float = 0.0
     updates: int = 0
     dropped_updates: int = 0
-    workers_lost: int = 0
 
     @property
     def final_loss(self) -> float:
@@ -69,37 +66,6 @@ class _StudyLoop(FitLoop):
     def finish(self) -> DistributedRunResult:
         self.result.epoch_losses = self.run().series("loss")
         return self.result
-
-
-def train_sync_data_parallel(
-    model: Model,
-    x: np.ndarray,
-    y,
-    n_workers: int,
-    epochs: int = 5,
-    batch_size_per_worker: int = 16,
-    loss: str = "mse",
-    lr: float = 1e-2,
-    seed: int = 0,
-) -> DistributedRunResult:
-    """Synchronous data parallelism with exact gradient averaging.
-
-    Every step, all workers compute gradients at the *same* weights on
-    their share of one global batch and the average is applied once
-    (plain SGD): :func:`repro.parallel.fit_data_parallel` on its serial
-    backend, which is pinned bit-identical to real rank processes.  The
-    reported volume is dense: every worker's full gradient per update.
-    """
-    if n_workers < 1:
-        raise ValueError("n_workers must be >= 1")
-    fit = fit_data_parallel(
-        model, x, y, world=n_workers, backend="serial",
-        batch_size=n_workers * batch_size_per_worker, drop_last=True,
-        optimizer_factory=lambda params: SGD(params, lr=lr),
-        epochs=epochs, loss=loss, seed=seed,
-    )
-    dense = model.param_count() * 8.0 * n_workers * fit.steps
-    return DistributedRunResult(fit.epoch_losses, dense, dense, updates=fit.steps)
 
 
 class _AsyncLoop(_StudyLoop):

@@ -6,7 +6,8 @@ kernel/memory pass (copying im2col in the (N, L_out, C*K) layout,
 updates), the window-tensor + ``argmax`` max-pooling kernels the tap-wise
 ones in ``nn.functional`` replaced, and the four-node mse chain.  They
 exist so the optimized ops have an independent, *recorded* reference to
-be checked against (``tests/test_perf.py``).
+be checked against (``test_perf.py``); the op table's ``oracle``
+names resolve here.
 
 Everything here works on raw ``np.ndarray`` s — no tape: the quantity
 being pinned is the kernel's arithmetic, not autodiff overhead.

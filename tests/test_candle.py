@@ -6,7 +6,6 @@ import pytest
 from repro.candle import (
     PCA,
     ComboModel,
-    KNNClassifier,
     KNNRegressor,
     LogisticRegression,
     MultitaskModel,
@@ -92,12 +91,6 @@ class TestLogistic:
 
 
 class TestKNN:
-    def test_classifier_memorizes_train(self):
-        x = RNG.standard_normal((80, 4))
-        y = RNG.integers(0, 3, 80)
-        model = KNNClassifier(k=1).fit(x, y)
-        assert (model.predict(x) == y).all()
-
     def test_regressor_memorizes_train(self):
         x = RNG.standard_normal((80, 4))
         y = RNG.standard_normal(80)
@@ -106,13 +99,13 @@ class TestKNN:
 
     def test_k_validation(self):
         with pytest.raises(ValueError):
-            KNNClassifier(k=0)
+            KNNRegressor(k=0)
         with pytest.raises(ValueError):
             KNNRegressor(k=-1)
 
     def test_predict_before_fit(self):
         with pytest.raises(RuntimeError):
-            KNNClassifier().predict(np.zeros((2, 3)))
+            KNNRegressor().predict(np.zeros((2, 3)))
 
 
 class TestPCA:

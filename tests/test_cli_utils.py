@@ -27,9 +27,32 @@ class TestCli:
         out = capsys.readouterr().out
         assert "us/step" in out and "future_dl" in out
 
-    def test_unknown_benchmark_raises(self):
-        with pytest.raises(ValueError):
-            main(["train", "nope", "--epochs", "1"])
+    @pytest.mark.parametrize("argv", [
+        ["train", "nope", "--epochs", "1"],
+        ["price", "nope"],
+        ["price", "p1b1", "--nodes", "-3"],
+        ["price", "p1b1", "--nodes", "0"],
+    ], ids=["train-unknown", "price-unknown", "price-nodes-negative", "price-nodes-zero"])
+    def test_bad_input_refused(self, argv, capsys):
+        """An unknown benchmark or a node count below 1 is one FAIL line and
+        exit 1, like registry and trace; no traceback, no priced rows."""
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert err.startswith("FAIL: ") and "us/step" not in out
+
+    def test_registry_browse_creates_nothing(self, tmp_path, capsys):
+        """Browsing a missing root refuses it; publishing still creates its root."""
+        from repro.registry import ArtifactStore
+
+        root = tmp_path / "no" / "such" / "registry"
+        for argv in (["registry", str(root)], ["registry", str(root), "p1b1", "--verify"]):
+            assert main(argv) == 1
+            assert capsys.readouterr().err.startswith("FAIL: ")
+        assert not (tmp_path / "no").exists()
+        ArtifactStore(root)
+        assert root.is_dir()
+        assert main(["registry", str(root)]) == 0
+        assert "empty registry" in capsys.readouterr().out
 
     def test_missing_command_exits(self):
         with pytest.raises(SystemExit):

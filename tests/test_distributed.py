@@ -8,12 +8,8 @@ from hypothesis import strategies as st
 from repro.candle import build_p1b2_classifier
 from repro.datasets import make_tumor_expression
 from repro.nn import SGD
-from repro.workflow import (
-    topk_sparsify,
-    train_async_sgd,
-    train_sync_data_parallel,
-    train_topk_sgd,
-)
+from repro.parallel import fit_data_parallel
+from repro.workflow import topk_sparsify, train_async_sgd, train_topk_sgd
 
 RNG = np.random.default_rng(23)
 
@@ -28,11 +24,20 @@ def make_model():
     return build_p1b2_classifier(3, hidden=(16,), dropout=0.0)
 
 
+def sync_data_parallel(model, x, y, world, epochs, lr=1e-2, batch_size_per_worker=16, **kwargs):
+    """Exact synchronous data parallelism: ``world`` ranks average their
+    gradients on one global batch and take one SGD step, in one process."""
+    return fit_data_parallel(
+        model, x, y, world=world, backend="serial", batch_size=world * batch_size_per_worker,
+        drop_last=True, optimizer_factory=lambda params: SGD(params, lr=lr), epochs=epochs, **kwargs,
+    )
+
+
 class TestSyncDataParallel:
     def test_converges(self, data):
         x, y = data
-        res = train_sync_data_parallel(make_model(), x, y, n_workers=4, epochs=6,
-                                       loss="cross_entropy", lr=0.05, seed=0)
+        res = sync_data_parallel(make_model(), x, y, world=4, epochs=6,
+                                 loss="cross_entropy", lr=0.05, seed=0)
         assert res.final_loss < res.epoch_losses[0] * 0.4
 
     def test_matches_large_batch_single_worker(self, data):
@@ -67,17 +72,19 @@ class TestSyncDataParallel:
             assert np.allclose(ga, gb, atol=1e-12)
 
     def test_comm_volume_accounting(self, data):
+        """One update per global batch of ``world * 16`` (the ragged tail is
+        dropped), and the serial backend puts nothing on a wire."""
         x, y = data
-        res = train_sync_data_parallel(make_model(), x, y, n_workers=4, epochs=1,
-                                       loss="cross_entropy", seed=0)
-        assert res.comm_bytes > 0
-        assert res.comm_bytes == res.dense_bytes
-        assert res.compression_ratio == 1.0
+        res = sync_data_parallel(make_model(), x, y, world=4, epochs=1,
+                                 loss="cross_entropy", seed=0)
+        assert res.steps == res.steps_per_epoch == len(x) // 64
+        assert res.world == 4 and res.backend == "serial"
+        assert res.comm_stats is None
 
     def test_validation(self, data):
         x, y = data
         with pytest.raises(ValueError):
-            train_sync_data_parallel(make_model(), x, y, n_workers=0)
+            sync_data_parallel(make_model(), x, y, world=0, epochs=1)
 
 
 class TestAsyncSGD:

@@ -31,7 +31,6 @@ from repro.hpc import (
     mlp_profile,
     profile_model,
     roofline_time,
-    scaling_efficiency,
     step_energy,
     throughput,
 )
@@ -376,15 +375,6 @@ class TestThroughputEfficiency:
         c = SimCluster.build("summit_era", 1, "ring")
         t = SingleNode().step_time(p, c)
         assert throughput(SingleNode(), p, c) == pytest.approx(p.batch_size / t)
-
-    def test_weak_scaling_efficiency_below_one(self):
-        p = big_profile(batch=256)
-        c1 = SimCluster.build("summit_era", 1, "ring")
-        c64 = SimCluster.build("summit_era", 64, "fat_tree")
-        eff = scaling_efficiency(
-            SingleNode(), DataParallel(64, strong_scaling=False), p, c1, c64, weak=True
-        )
-        assert 0 < eff <= 1.0
 
 
 class TestCluster:

@@ -15,13 +15,10 @@ from repro.hpo import (
     benchmark_objective,
     run_parallel,
 )
-from repro.nn import Adam, load_training_state, metrics, save_training_state, train_val_split
+from repro.nn import SGD, Adam, load_training_state, metrics, save_training_state, train_val_split
+from repro.parallel import fit_data_parallel
 from repro.precision import PrecisionPolicy, train_with_policy
-from repro.workflow import (
-    run_training_job,
-    simulated_trial_cost,
-    train_sync_data_parallel,
-)
+from repro.workflow import run_training_job, simulated_trial_cost
 
 
 class TestSearchThenTrain:
@@ -84,8 +81,9 @@ class TestCheckpointAcrossNodes:
         assert loss_restored == pytest.approx(loss_before)
 
         # Continue with exact data parallelism; loss keeps going down.
-        res = train_sync_data_parallel(restored, ds.x, ds.y, n_workers=4, epochs=3,
-                                       loss="cross_entropy", lr=0.02, seed=1)
+        res = fit_data_parallel(restored, ds.x, ds.y, world=4, backend="serial", batch_size=64,
+                                drop_last=True, optimizer_factory=lambda params: SGD(params, lr=0.02),
+                                epochs=3, loss="cross_entropy", seed=1)
         assert res.final_loss < loss_restored
 
 

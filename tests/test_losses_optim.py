@@ -344,7 +344,7 @@ class TestLossTargetShape:
 
 class TestMseEntry:
     """``mse`` is one op-table node with the floats of the four-node chain
-    it replaced (frozen in ``perf/reference.py``)."""
+    it replaced (frozen in ``tests/reference.py``)."""
 
     @staticmethod
     def composed(pred, target):
@@ -360,7 +360,7 @@ class TestMseEntry:
     )
     def test_matches_composed_chain_byte_for_byte(self, shape, broadcast, dtype, window, plan, seed):
         from repro.nn import amp
-        from repro.perf import reference
+        import reference
 
         rng = np.random.default_rng(seed)
         pd = rng.standard_normal(shape).astype(dtype)

@@ -467,7 +467,9 @@ class TestWiredHooks:
         fit / epoch / step spans and the same fit.steps count (one per
         batch run) on the same data."""
         from repro.precision import PrecisionPolicy, train_with_policy
-        from repro.workflow import train_async_sgd, train_sync_data_parallel, train_topk_sgd
+        from repro.nn import SGD
+        from repro.parallel import fit_data_parallel
+        from repro.workflow import train_async_sgd, train_topk_sgd
 
         rng = np.random.default_rng(0)
         x = rng.standard_normal((40, 5))
@@ -477,7 +479,8 @@ class TestWiredHooks:
             lambda m: train_with_policy(m, x, y, PrecisionPolicy("fp16"), epochs=2, batch_size=10),
             lambda m: train_async_sgd(m, x, y, 2, staleness=2, epochs=2, batch_size=10),
             lambda m: train_topk_sgd(m, x, y, fraction=0.1, epochs=2, batch_size=10),
-            lambda m: train_sync_data_parallel(m, x, y, 2, epochs=2, batch_size_per_worker=5),
+            lambda m: fit_data_parallel(m, x, y, world=2, backend="serial", batch_size=10, drop_last=True,
+                                        optimizer_factory=lambda p: SGD(p, lr=1e-2), epochs=2),
         ]
         for train in trainers:
             model = Sequential()

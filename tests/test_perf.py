@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 import repro.nn.functional as F
 from repro.nn import Dense, Sequential, Tensor, no_grad
 from repro.perf import OpProfiler, get_sink, instrument, set_sink
-from repro.perf import reference
 
+import reference
 from helpers import SeenOps
 
 RNG = np.random.default_rng(99)
