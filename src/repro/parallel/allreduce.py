@@ -48,6 +48,21 @@ Why that is safe without barriers:
   step-``t`` rows.  So every read of a row precedes the write that
   replaces it.  Flags only grow, hence the ``>`` readiness test; a peer
   can be one step ahead, never two.
+
+The same flags carry one more exchange: the **weight all-gather** after
+a sharded optimizer step (:mod:`repro.parallel.ddp`).  Each rank owns a
+run of the vector, writes its updated values there in one float64
+``weights`` slab, raises its cell of one extra flag column
+(:meth:`BucketRankReducer.gather`) and copies its peers' runs out once
+every cell shows the step.  float64 holds an fp32 or fp64 weight
+exactly, whatever the gradient wire.
+
+* *One generation is enough.*  A peer writes its step-``t + 1`` run only
+  after its optimizer step ``t + 1``, i.e. after it collected this
+  rank's step-``t + 1`` gradients; this rank publishes those in the
+  backward that follows its read of the step-``t`` runs.  So every read
+  of a run precedes the write that replaces it, and the wait is the
+  only synchronisation the gather needs.
 """
 
 from __future__ import annotations
@@ -315,23 +330,26 @@ class BucketAllreduceHandle:
     world: int
     plan: BucketPlan
     wire_dtype: str
-    slab_refs: list          # [step parity] -> (world, n) wire-storage slab
-    seq_ref: SharedArrayRef  # (world, n_buckets) int64: last step published + 1
+    slab_refs: list              # [step parity] -> (world, n) wire-storage slab
+    seq_ref: SharedArrayRef      # (world, n_buckets + 1) int64: last step published + 1
+    weights_ref: SharedArrayRef  # (n,) float64: every rank's run of updated weights
 
 
 def create_bucketed_allreduce(store: SharedArrayStore, world: int, plan: BucketPlan,
                               wire_dtype: str = "float64") -> BucketAllreduceHandle:
-    """Allocate the double-buffered slabs and the zeroed flags."""
+    """Allocate the double-buffered slabs, the weight slab and the zeroed
+    flags: one column per bucket, then the weight gather's."""
     if world < 1:
         raise ValueError("world must be >= 1")
     storage = _WIRE_STORAGE[_check_wire(wire_dtype)]
     for parity in (0, 1):
         store.allocate(f"bucket_slab{parity}", (world, plan.n), storage)
-    store.allocate("bucket_seq", (world, plan.n_buckets), np.int64)[...] = 0
+    store.allocate("bucket_seq", (world, plan.n_buckets + 1), np.int64)[...] = 0
+    store.allocate("gather_slab", (plan.n,), np.float64)
     return BucketAllreduceHandle(
         world, plan, wire_dtype,
         [store.ref("bucket_slab0"), store.ref("bucket_slab1")],
-        store.ref("bucket_seq"),
+        store.ref("bucket_seq"), store.ref("gather_slab"),
     )
 
 
@@ -352,8 +370,10 @@ class BucketRankReducer:
     ``collect`` reduces a bucket every rank has published into ``vec``
     in place; ``ready`` is the non-blocking test, ``wait`` the blocking
     one.  Callers issue buckets in schedule order and pass the global
-    step index, whose parity selects the slab generation.
-    ``timeout_s`` bounds every wait of this reducer's lifetime.
+    step index, whose parity selects the slab generation.  ``gather``
+    is the weight all-gather over ``weights``, whose flag is column
+    ``plan.n_buckets``.  ``timeout_s`` bounds every wait of this
+    reducer's lifetime.
     """
 
     def __init__(self, handle: BucketAllreduceHandle, rank: int, *,
@@ -364,9 +384,10 @@ class BucketRankReducer:
         self.world = handle.world
         self.plan = handle.plan
         self.wire_dtype = handle.wire_dtype
-        self._atts = [AttachedArray(r) for r in (*handle.slab_refs, handle.seq_ref)]
+        self._atts = [AttachedArray(r) for r in (*handle.slab_refs, handle.seq_ref, handle.weights_ref)]
         self._slabs = [a.array for a in self._atts[:2]]
         self._seq = self._atts[2].array
+        self.weights = self._atts[3].array
         self._dec = WireScratch(self.world, self.plan.spans, self.wire_dtype).dec
         self._deadline = time.perf_counter() + timeout_s
         self._ppid = os.getppid()
@@ -391,9 +412,10 @@ class BucketRankReducer:
                 continue
             timed_out = time.perf_counter() > self._deadline
             if timed_out or os.getppid() != self._ppid:
+                what = "weight gather" if bucket == self.plan.n_buckets else f"bucket {bucket}"
                 raise RuntimeError(
                     f"allreduce wait {'timed out' if timed_out else 'lost its parent process'}: "
-                    f"rank {self.rank}, bucket {bucket}, step {step}, "
+                    f"rank {self.rank}, {what}, step {step}, "
                     f"flags {self._seq[:, bucket].tolist()}")
             time.sleep(min(_SLEEP_MAX_S,
                            (polls - _SPIN_POLLS) // _POLLS_PER_STEP * _SLEEP_STEP_S))
@@ -403,8 +425,14 @@ class BucketRankReducer:
         lo, hi = self.plan.spans[bucket]
         accumulate_rows(self._slabs[step & 1][:, lo:hi], self.wire_dtype, vec[lo:hi], self._dec)
 
+    def gather(self, step: int) -> None:
+        """This rank's run of :attr:`weights` holds its step-``step``
+        values: raise its gather flag, then wait until every rank's is up."""
+        self._seq[self.rank, -1] = step + 1  # the flag covers the run written before it
+        self.wait(self.plan.n_buckets, step)
+
     def close(self) -> None:
         self._slabs = []
-        self._seq = None  # type: ignore[assignment]
+        self._seq = self.weights = None  # type: ignore[assignment]
         for a in self._atts:
             a.close()

@@ -5,9 +5,14 @@ step, every rank draws the *same* global-batch permutation slice (the
 data-order RNG is replicated bit-for-bit into every rank), computes
 gradients on its ``batch_size / world`` micro-batch, and the gradients
 are averaged through the deterministic shared-memory allreduce of
-:mod:`repro.parallel.allreduce`.  All ranks then apply the identical
-averaged gradient with identical optimizer state, so replica weights
-never diverge — standard DDP, actually running on processes.
+:mod:`repro.parallel.allreduce`.  Every rank then holds the identical
+averaged gradient, but steps only the parameters it owns — a contiguous
+run of whole parameters, balanced by element count (:func:`_owned_runs`)
+— with an optimizer over that run alone, so it keeps about ``1/world``
+of the optimizer state; the ranks then all-gather the updated runs
+through one float64 slab, so replica weights never diverge.  That is
+data parallelism with a sharded optimizer step (ZeRO stage 1),
+actually running on processes.
 
 There is no training loop here.  A rank is a driver of
 :class:`repro.nn.FitLoop`, the library's one forward → backward → step
@@ -17,17 +22,20 @@ rank's share of each *global* batch; :meth:`~repro.nn.FitLoop.batch_grads`
 ends with the exchange, so what ``fit`` clips and steps on is the rank
 average; and the gradient arena ``fit`` allocates is the vector the
 exchange ships — bucket spans index it directly, nothing is packed or
-unpacked.
+unpacked.  A process rank changes a fourth: ``fit``'s optimizer steps
+the owned run, and the weight gather runs at the cursor move after it.
 
 Two backends, one contract: ``backend="process"`` is one
 :class:`~repro.parallel.pool.ProcessWorkerPool` slot per rank, the
 dataset and the allreduce slabs its shared-memory data plane;
 ``backend="serial"`` is the same driver executing every rank's share in
-turn in one process (:class:`_SerialFit` says what that checks).
-Because the reduction association order is pinned (ascending rank order
-in both) the two produce **bit-identical** weights, buffers and
-histories — the parity the ``ddp_mlp`` workload of ``bench/`` checks
-inside every run and ``tests/test_ddp_overlap.py`` pins per wire dtype.
+turn in one process, stepping every parameter with one optimizer
+(:class:`_SerialFit` says what that checks).  Because the reduction
+association order is pinned (ascending rank order in both) and each
+optimizer update is elementwise per parameter, the two produce
+**bit-identical** weights, buffers and histories — the parity the
+``ddp_mlp`` workload of ``bench/`` checks inside every run and
+``tests/test_ddp_overlap.py`` pins per wire dtype.
 With ``world=1`` the driver degenerates to plain ``Model.fit`` and
 matches it exactly, ragged last batch included.
 
@@ -50,6 +58,7 @@ identical schedule and codec.
 
 from __future__ import annotations
 
+import functools
 import inspect
 import time
 import warnings
@@ -60,7 +69,8 @@ import numpy as np
 
 from ..nn.dataloader import DataLoader
 from ..nn.model import FitLoop, History, Model
-from ..nn.tensor import GradArena
+from ..nn.optim import Adam, Optimizer
+from ..nn.tensor import GradArena, flat_ranges
 from ..obs.context import get_recorder
 from .allreduce import (
     DEFAULT_BUCKET_BYTES,
@@ -92,7 +102,8 @@ class DataParallelResult:
     ``comm_stats`` (process backend, rank 0's view) is what the
     gradient-communication engine actually did: bucket spans, bytes on
     the wire per step and the timings :class:`_GradBucketScheduler`
-    defines.
+    defines; ``owned``, each rank's ``[lo, hi)`` run of the arena; and
+    ``gather_s``, rank 0's time in the weight gather, waiting included.
     """
 
     world: int
@@ -126,7 +137,8 @@ class _TrainSpec:
     rng_state: dict  # the shuffle stream, after the caller's process built the model
     world: int
     fit_kwargs: dict
-    optimizer_factory: Optional[Callable]
+    optimizer_factory: Callable  # params -> Optimizer
+    owned: List[Tuple[int, int]]  # per rank: [first, end) parameter index it steps
     pre_step_hook: Optional[Callable[[int, int], None]]
     wire_dtype: str
     plan: BucketPlan  # over fit's gradient arena: the parameters, then the loss slot
@@ -289,8 +301,6 @@ class _ParallelFit(FitLoop):
     def __init__(self, model: Model, x, y, spec: _TrainSpec, ranks: Sequence[int]) -> None:
         super().__init__(model, x, y, **spec.fit_kwargs)
         self.rng.bit_generator.state = spec.rng_state
-        if spec.optimizer_factory is not None:
-            self.opt = spec.optimizer_factory(list(model.parameters()))
         self.world, self.ranks = spec.world, ranks
         self.loader = _ShareLoader(self.loader, spec, ranks)
 
@@ -319,16 +329,69 @@ class _ParallelFit(FitLoop):
         self.last_loss = float(flat[-1])
 
 
+def _owned_runs(sizes: Sequence[int], world: int) -> List[Tuple[int, int]]:
+    """Each rank's ``[first, end)`` run of whole parameters, balanced by
+    element count: the cut between ranks ``r - 1`` and ``r`` is the
+    parameter boundary nearest ``r / world`` of the elements (the lower
+    one on a tie).  A run may be empty (more ranks than parameters, or
+    one parameter holding most of the elements)."""
+    ends = np.concatenate(([0], np.cumsum(sizes, dtype=np.int64)))
+    cuts = [0]
+    for r in range(1, world):
+        nearest = int(np.argmin(np.abs(ends * world - ends[-1] * r)))
+        cuts.append(max(nearest, cuts[-1]))
+    cuts.append(len(sizes))
+    return list(zip(cuts[:-1], cuts[1:]))
+
+
+class _ShardedOptimizer:
+    """The optimizer ``fit`` holds on a process rank.
+
+    ``step`` is the step of ``optimizer_factory(owned)`` — an optimizer
+    over the rank's run of whole parameters only — or a no-op for a rank
+    that owns none; ``FitLoop`` calls it as it calls any optimizer's.
+    ``clip_grad_norm`` and ``zero_grad`` see every parameter: the arena
+    holds the whole reduced gradient on every rank, so the clip factor
+    is the serial one.  ``step_count`` counts accepted windows
+    (:meth:`_RankFit.accept_update`), which every rank shares.
+    """
+
+    grad_norm = Optimizer.grad_norm
+    clip_grad_norm = Optimizer.clip_grad_norm
+    zero_grad = Optimizer.zero_grad
+
+    def __init__(self, params: List, owned: Tuple[int, int], factory: Callable) -> None:
+        self.params = params
+        first, end = owned
+        self.step = factory(params[first:end]).step if end > first else (lambda: None)
+        self.step_count = 0
+
+
 class _RankFit(_ParallelFit):
     """One rank process: the tape hook publishes and collects arena
-    slices under backward, and the exchange waits out the rest."""
+    slices under backward, the exchange waits out the rest, ``fit``'s
+    optimizer steps the owned run, and the cursor move after a step
+    gathers the peers' runs."""
 
     def __init__(self, model: Model, x, y, spec: _TrainSpec, rank: int,
                  reducer: BucketRankReducer) -> None:
         super().__init__(model, x, y, spec, (rank,))
         self.verbose = self.verbose and rank == 0
+        self.reducer = reducer
         self.sched = _GradBucketScheduler(self.arena, reducer, overlap=spec.overlap)
         self.grad_ready = self.sched.grad_ready
+        params = list(model.parameters())
+        self.opt = _ShardedOptimizer(params, spec.owned[rank], spec.optimizer_factory)
+        # Each parameter's run of the weight slab, in its shape; the slab
+        # is float64, which holds an fp32 or fp64 weight exactly.
+        ranges = flat_ranges(params)
+        views = [reducer.weights[r].reshape(p.data.shape) for p, r in zip(params, ranges)]
+        first, end = spec.owned[rank]
+        self._own = list(zip(params[first:end], views[first:end]))
+        self._peers = list(zip(params[:first] + params[end:], views[:first] + views[end:]))
+        bounds = [r.start for r in ranges] + [ranges[-1].stop]
+        self.arena_runs = [[bounds[a], bounds[b]] for a, b in spec.owned]
+        self._stepped, self.gather_s = False, 0.0
 
     def share_grads(self, rank: int, xb, yb, window: int, tail: int) -> None:
         # The tail is weighted after backward, so it has nothing to hide under.
@@ -337,6 +400,30 @@ class _RankFit(_ParallelFit):
 
     def exchange(self) -> None:
         self.sched.wait_step()
+
+    def accept_update(self) -> bool:
+        # Reached only for a window the precision check kept, identically
+        # on every rank: the optimizer steps next, so the cursor move gathers.
+        self._stepped = super().accept_update()
+        if self._stepped:
+            self.opt.step_count += 1
+        return self._stepped
+
+    def cursor_moved(self) -> None:
+        super().cursor_moved()
+        if self._stepped:
+            self._stepped = False
+            t0 = time.perf_counter()
+            for p, view in self._own:
+                view[...] = p.data
+            self.reducer.gather(self.global_step - 1)
+            for p, view in self._peers:
+                p.data[...] = view
+            self.gather_s += time.perf_counter() - t0
+
+    def stats(self) -> Dict:
+        return {**self.sched.stats(self.global_step), "owned": self.arena_runs,
+                "gather_s": float(self.gather_s)}
 
 
 class _SerialFit(_ParallelFit):
@@ -353,6 +440,7 @@ class _SerialFit(_ParallelFit):
 
     def __init__(self, model: Model, x, y, spec: _TrainSpec) -> None:
         super().__init__(model, x, y, spec, range(spec.world))
+        self.opt = spec.optimizer_factory(list(model.parameters()))
         self.rows = np.empty((spec.world, self.arena.flat.size), dtype=self.arena.flat.dtype)
         self.spans, self.wire_dtype = spec.plan.spans, spec.wire_dtype
         self.scratch = WireScratch(spec.world, self.spans, spec.wire_dtype)
@@ -401,7 +489,7 @@ def _train_rank(rank: int) -> Optional[Tuple]:
         history = loop.run()
     finally:
         reducer.close()
-    return (model.get_weights(), history, loop.sched.stats(loop.global_step)) if rank == 0 else None
+    return (model.get_weights(), history, loop.stats()) if rank == 0 else None
 
 
 def fit_data_parallel(
@@ -435,6 +523,15 @@ def fit_data_parallel(
     ``optimizer_factory(params) -> Optimizer``, default ``Adam(lr=lr)``),
     ``validation_split`` (split before the call) and
     ``grad_accumulation > 1`` when ``world > 1``.
+
+    On the process backend the factory receives only the parameters the
+    rank owns (a contiguous run of whole parameters; none, and no call,
+    for a rank that owns nothing), the serial backend all of them.  So
+    the factory's update may read only each parameter's own gradient and
+    state — every optimizer in :mod:`repro.nn.optim` does — and a global
+    quantity such as a gradient-norm clip belongs in ``clip_norm``,
+    which sees every parameter on every rank.  The peers' updated runs
+    arrive after a rank's ``step_hook`` for the step has run.
 
     ``batch_size`` is the *global* batch and must be divisible by
     ``world``.  When it does not divide the dataset, ``drop_last=True``
@@ -504,7 +601,8 @@ def fit_data_parallel(
     sizes = [p.data.size for p in model.parameters()]
     spec = _TrainSpec(
         rng_state=rng.bit_generator.state, world=world, fit_kwargs=fit_kwargs,
-        optimizer_factory=optimizer_factory, pre_step_hook=pre_step_hook,
+        optimizer_factory=optimizer_factory or functools.partial(Adam, lr=fit["lr"]),
+        owned=_owned_runs(sizes, world), pre_step_hook=pre_step_hook,
         wire_dtype=wire_dtype, plan=plan_buckets(sizes, sum(sizes) + 1, bucket_bytes),
         overlap=overlap, drop_last=drop_tail, timeout_s=timeout_s,
     )

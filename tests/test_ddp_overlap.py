@@ -27,7 +27,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.nn import Adam, BatchNorm, Dense, Dropout, Sequential
+from repro.candle.registry import REGISTRY
+from repro.nn import SGD, AdaGrad, Adam, BatchNorm, Dense, Dropout, RMSProp, Sequential
+from repro.nn.losses import mse
 from repro.obs import TraceRecorder
 from repro.parallel import (
     BucketRankReducer,
@@ -67,6 +69,41 @@ def weights_diff(a, b):
     return max(float(np.abs(p - q).max()) for p, q in zip(wa, wb))
 
 
+def _loud_mse(pred, target):
+    """``mse`` times 8: on these nets its first gradients overflow fp16 at
+    the loss scaler's initial 2**12, so an fp16 fit skips its first one or
+    two windows, halving the scale each time."""
+    return mse(pred, target) * 8.0
+
+
+class _CyclingOptimizer:
+    """``optimizer_factory`` that cycles SGD (Nesterov momentum, weight
+    decay), RMSProp and AdaGrad over the parameters by element count mod
+    3, so the optimizer a parameter gets does not depend on which list it
+    arrives in: the serial backend's whole model, or a rank's owned run."""
+
+    makers = (
+        lambda ps: SGD(ps, lr=0.05, momentum=0.9, nesterov=True, weight_decay=1e-2),
+        lambda ps: RMSProp(ps, lr=1e-2),
+        lambda ps: AdaGrad(ps, lr=0.05),
+    )
+
+    def __init__(self, params):
+        self.params = list(params)
+        groups = [[p for p in self.params if p.data.size % 3 == k] for k in range(3)]
+        self.parts = [make(g) for make, g in zip(self.makers, groups) if g]
+        self.step_count = 0
+
+    def step(self):
+        self.step_count += 1
+        for opt in self.parts:
+            opt.step()
+
+    def zero_grad(self):
+        for p in self.params:
+            p.grad = None
+
+
 #: ``fit`` keywords ``fit_data_parallel`` forwards to its drivers: what
 #: they mean must not depend on the backend.  (Two epochs never exhaust
 #: ``early_stopping_patience=1``; the bookkeeping still runs.)
@@ -77,6 +114,9 @@ FIT_KEYWORD_SETS = {
     "validate": dict(validation_data=(_XV, _YV), early_stopping_patience=1),
     "fp32": dict(precision="fp32"),
     "bf16": dict(precision="bf16"),
+    # Loss scaling, and non-finite windows every rank must skip together.
+    "fp16": dict(precision="fp16", loss=_loud_mse),
+    "optimizers": dict(optimizer_factory=_CyclingOptimizer),
 }
 
 
@@ -398,6 +438,18 @@ class TestBucketedEngineParity:
         # backward is part of the first-publish -> last-collect chain.
         assert sum(stats["bucket_comm_s"]) == pytest.approx(stats["total_comm_s"])
         assert 0.0 < stats["exposed_wait_s"] <= stats["comm_chain_s"]
+        # Each rank steps a run of whole parameters; the runs tile them.
+        bounds = np.cumsum([0] + [p.data.size for p in m.parameters()]).tolist()
+        runs = stats["owned"]
+        assert len(runs) == 2 and runs[0][0] == 0 and runs[-1][1] == bounds[-1]
+        assert all(a[1] == b[0] for a, b in zip(runs, runs[1:]))
+        assert all(lo in bounds and hi in bounds for lo, hi in runs)
+        assert stats["gather_s"] > 0.0
+        # P1B1 (115,980 values) at world 2: parameters 0-5 and 6-11.
+        xp = np.random.default_rng(0).standard_normal((64, 200))
+        p1b1 = fit_data_parallel(REGISTRY["p1b1"].build_model(), xp, None, world=2,
+                                 epochs=1, batch_size=64, seed=0)
+        assert p1b1.comm_stats["owned"] == [[0, 57_900], [57_900, 115_980]]
 
 
 # ----------------------------------------------------------------------
@@ -452,6 +504,20 @@ class TestOneSidedProtocol:
                 t0 = time.perf_counter()
                 with pytest.raises(RuntimeError, match=r"timed out: rank 0, bucket 0, step 0"):
                     red.wait(0, step=0)
+                assert time.perf_counter() - t0 < 1.0
+            finally:
+                red.close()
+
+    def test_gather_wait_is_bounded_and_names_the_gather(self):
+        plan = plan_buckets([20, 20], total=41, bucket_bytes=160)
+        with SharedArrayStore(prefix="repro_ddp") as store:
+            handle = create_bucketed_allreduce(store, 2, plan, "bf16")
+            red = BucketRankReducer(handle, 0, timeout_s=0.05)
+            try:
+                red.weights[:20] = 1.0  # rank 0's run; rank 1 never publishes its own
+                t0 = time.perf_counter()
+                with pytest.raises(RuntimeError, match=r"timed out: rank 0, weight gather, step 3"):
+                    red.gather(step=3)
                 assert time.perf_counter() - t0 < 1.0
             finally:
                 red.close()
@@ -520,6 +586,33 @@ fit_data_parallel(Sequential([Dense(8, activation="tanh"), Dense(6)]), x, None, 
                         os.kill(int(f.read_text()), signal.SIGKILL)
                     except ProcessLookupError:
                         pass
+
+
+# ----------------------------------------------------------------------
+# The sharded optimizer step
+# ----------------------------------------------------------------------
+class TestShardedStep:
+    @pytest.mark.parametrize("fit_set,start_method", [
+        ("plain", "fork"), ("plain", "spawn"), ("fp16", "fork"), ("optimizers", "fork"),
+    ])
+    def test_rank_that_owns_nothing_is_bit_identical_to_serial(self, fit_set, start_method):
+        """World 3 on a two-parameter model: one rank steps no parameter,
+        builds no optimizer, and still joins every gather."""
+        x, y = make_regression(n=5 * 12 + 5)
+        m_proc, m_ser = Sequential([Dense(1)]), Sequential([Dense(1)])
+        kwargs = dict(world=3, epochs=2, batch_size=12, seed=4, drop_last=False,
+                      **FIT_KEYWORD_SETS[fit_set])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # fp16's overflowing windows
+            r_proc = fit_data_parallel(m_proc, x, y, backend="process",
+                                       start_method=start_method, **kwargs)
+            r_ser = fit_data_parallel(m_ser, x, y, backend="serial", **kwargs)
+        assert r_proc.comm_stats["owned"] == [[0, 0], [0, 6], [6, 7]]
+        assert weights_diff(m_proc, m_ser) == 0.0
+        assert history_rows(r_proc) == history_rows(r_ser)
+        if fit_set == "fp16":
+            assert r_proc.history.precision == r_ser.history.precision
+            assert r_ser.history.precision["skipped_steps"] > 0
 
 
 # ----------------------------------------------------------------------
