@@ -7,7 +7,6 @@ from .evolutionary import EvolutionarySearch
 from .generative import ConfigVAE, GenerativeSearch
 from .hyperband import ASHA, Hyperband, SuccessiveHalving
 from .naive import GridSearch, RandomSearch
-from .sampling import LatinHypercubeSearch, MedianStoppingWrapper, PopulationBasedTraining
 
 STRATEGIES = {
     "random": RandomSearch,
@@ -18,8 +17,6 @@ STRATEGIES = {
     "evolutionary": EvolutionarySearch,
     "bayesian": BayesianSearch,
     "generative": GenerativeSearch,
-    "lhs": LatinHypercubeSearch,
-    "pbt": PopulationBasedTraining,
 }
 
 __all__ = [
@@ -27,5 +24,4 @@ __all__ = [
     "SuccessiveHalving", "Hyperband", "ASHA", "EvolutionarySearch",
     "BayesianSearch", "GaussianProcess", "expected_improvement",
     "GenerativeSearch", "ConfigVAE", "STRATEGIES",
-    "LatinHypercubeSearch", "MedianStoppingWrapper", "PopulationBasedTraining",
 ]
