@@ -3,7 +3,7 @@
 The substrate every CANDLE-style benchmark in :mod:`repro.candle` runs on:
 reverse-mode autograd (:mod:`repro.nn.tensor`), differentiable ops
 (:mod:`repro.nn.functional`), Keras-style layers and models, optimizers,
-schedules, losses and metrics.
+losses and metrics.
 """
 
 from . import functional
@@ -11,7 +11,6 @@ from . import init
 from . import losses
 from . import metrics
 from . import optim
-from . import schedules
 from . import serialization
 from .serialization import (
     CheckpointIntegrityError,
@@ -44,14 +43,6 @@ from .model import FitLoop, History, Model, Sequential
 from .gradcheck import gradient_check, numerical_gradient
 from .recurrent import GRU, LSTM, SimpleRNN
 from .optim import SGD, AdaGrad, Adam, Optimizer, RMSProp
-from .schedules import (
-    Constant,
-    CosineAnnealing,
-    ExponentialDecay,
-    ScheduledOptimizer,
-    StepDecay,
-    WarmupCosine,
-)
 from .tensor import (
     GradArena,
     Tensor,
@@ -67,15 +58,13 @@ from .tensor import (
 __all__ = [
     "Tensor", "tensor", "zeros", "ones", "concatenate", "stack", "no_grad",
     "tape_node_count", "GradArena",
-    "functional", "init", "losses", "metrics", "optim", "schedules",
+    "functional", "init", "losses", "metrics", "optim",
     "Layer", "Dense", "Activation", "Dropout", "BatchNorm", "LayerNorm",
     "Conv1D", "MaxPool1D", "AvgPool1D", "Flatten", "Embedding",
     "Conv2D", "MaxPool2D", "GlobalAvgPool2D", "SimpleRNN", "GRU", "LSTM",
     "gradient_check", "numerical_gradient",
     "Model", "Sequential", "History", "FitLoop",
     "Optimizer", "SGD", "Adam", "RMSProp", "AdaGrad",
-    "Constant", "StepDecay", "ExponentialDecay", "CosineAnnealing",
-    "WarmupCosine", "ScheduledOptimizer",
     "DataLoader", "shard", "train_val_split",
     "serialization", "save_weights", "load_weights", "CheckpointIntegrityError",
     "save_training_state", "load_training_state", "atomic_savez", "rng_state", "restore_rng",

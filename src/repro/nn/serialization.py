@@ -119,23 +119,9 @@ def load_weights(model: Model, path: Union[str, Path]) -> Dict:
     return header["metadata"]
 
 
-def unwrap_optimizer(optimizer):
-    """Follow ``.optimizer`` links (e.g. :class:`ScheduledOptimizer`)
-    down to the base :class:`Optimizer` that owns the moment state."""
-    seen = set()
-    while optimizer is not None and not isinstance(optimizer, Optimizer):
-        inner = getattr(optimizer, "optimizer", None)
-        if inner is None or id(optimizer) in seen:
-            break
-        seen.add(id(optimizer))
-        optimizer = inner
-    return optimizer
-
-
 def _pack_optimizer(optimizer: Optional[Optimizer], arrays: Dict[str, np.ndarray]) -> Dict:
     """Append the optimizer's slot vectors to ``arrays`` as ``opt_<slot>``;
     return the JSON header, which names them."""
-    optimizer = unwrap_optimizer(optimizer)
     if optimizer is None:
         return {"type": None}
     state = optimizer.state
@@ -151,7 +137,6 @@ def _unpack_optimizer(optimizer: Optional[Optimizer], opt_state: Dict, data) -> 
     taken before the first step has no slots and clears the optimizer's —
     a run restored to it must not carry stale moments from the incarnation
     that died."""
-    optimizer = unwrap_optimizer(optimizer)
     if optimizer is None or opt_state.get("type") != type(optimizer).__name__:
         return
     slots = opt_state.get("slots")

@@ -1,4 +1,4 @@
-"""Tests for losses, optimizers, and schedules."""
+"""Tests for losses and optimizers."""
 
 import numpy as np
 import pytest
@@ -10,15 +10,9 @@ from repro.nn import (
     SGD,
     AdaGrad,
     Adam,
-    CosineAnnealing,
-    ExponentialDecay,
     RMSProp,
-    ScheduledOptimizer,
-    StepDecay,
     Tensor,
-    WarmupCosine,
 )
-from repro.nn.schedules import Constant
 
 from helpers import check_grad, numerical_grad
 
@@ -188,47 +182,6 @@ class TestOptimizers:
         p.grad = np.ones(4)
         SGD([p], lr=0.1).zero_grad()
         assert p.grad is None
-
-
-class TestSchedules:
-    def test_constant(self):
-        assert Constant(0.1)(100) == 0.1
-
-    def test_step_decay(self):
-        s = StepDecay(1.0, step_size=10, gamma=0.5)
-        assert s(0) == 1.0
-        assert s(10) == 0.5
-        assert s(20) == 0.25
-
-    def test_exponential(self):
-        s = ExponentialDecay(1.0, decay_rate=0.5, decay_steps=10)
-        assert s(10) == pytest.approx(0.5)
-
-    def test_cosine_endpoints(self):
-        s = CosineAnnealing(1.0, total_steps=100, min_lr=0.1)
-        assert s(0) == pytest.approx(1.0)
-        assert s(100) == pytest.approx(0.1)
-        assert s(200) == pytest.approx(0.1)  # clamps past the end
-
-    def test_warmup_cosine(self):
-        s = WarmupCosine(1.0, warmup_steps=10, total_steps=110)
-        assert s(0) == pytest.approx(0.1)
-        assert s(9) == pytest.approx(1.0)
-        assert s(110) == pytest.approx(0.0, abs=1e-12)
-
-    def test_warmup_validation(self):
-        with pytest.raises(ValueError):
-            WarmupCosine(1.0, warmup_steps=10, total_steps=5)
-
-    def test_scheduled_optimizer_applies_lr(self):
-        p = Tensor(np.zeros(2), requires_grad=True)
-        opt = ScheduledOptimizer(SGD([p], lr=999.0), StepDecay(1.0, step_size=1, gamma=0.5))
-        p.grad = np.ones(2)
-        opt.step()
-        assert opt.lr == pytest.approx(1.0)  # step 0 -> lr 1.0
-        p.grad = np.ones(2)
-        opt.step()
-        assert opt.lr == pytest.approx(0.5)
 
 
 class TestFocalLoss:

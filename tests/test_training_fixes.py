@@ -4,23 +4,15 @@
   its *actual* length, so accumulated gradients match the equivalent
   full-batch gradient (the bug silently down-weighted tail batches).
 * ``predict`` / ``evaluate`` on zero-length inputs.
-* ``ScheduledOptimizer`` state transparency (``step_count`` passthrough
-  and checkpoint round-trip through the wrapper).
+* ``step_hook`` reports the optimizer's step count, not the batch index.
 """
 
 import numpy as np
-import pytest
 
 from repro.candle.registry import get_benchmark
 from repro.nn import Dense, Sequential
 from repro.nn import losses as losses_mod
-from repro.nn.optim import SGD, Adam
-from repro.nn.schedules import Constant, ScheduledOptimizer, StepDecay
-from repro.nn.serialization import (
-    load_training_state,
-    save_training_state,
-    unwrap_optimizer,
-)
+from repro.nn.optim import SGD
 from repro.nn.tensor import Tensor
 
 
@@ -144,71 +136,18 @@ class TestEmptyInput:
         assert model.predict(x).shape == (5, 4)
 
 
-class TestScheduledOptimizerPassthrough:
-    def test_step_count_reads_through(self):
-        model = _make_model()
-        inner = Adam(model.parameters(), lr=1e-3)
-        wrapped = ScheduledOptimizer(inner, Constant(1e-3))
-        assert wrapped.step_count == 0
-        rng = np.random.default_rng(0)
-        x = rng.standard_normal((8, 4))
-        y = rng.standard_normal((8, 1))
-        model.fit(x, y, epochs=1, batch_size=4, loss="mse", optimizer=wrapped, seed=0)
-        assert wrapped.step_count == inner.step_count == 2
-
+class TestStepHook:
     def test_step_hook_sees_true_step_count(self):
-        # Before the fix, getattr(opt, "step_count", n_batches) fell back
-        # to the raw batch counter for wrapped optimizers; with
-        # grad_accumulation the two diverge.
+        # With grad_accumulation the optimizer's step count and the batch
+        # counter diverge; the hook must report the former.
         model = _make_model()
-        inner = SGD(model.parameters(), lr=1e-3)
-        wrapped = ScheduledOptimizer(inner, StepDecay(1e-3, step_size=10))
+        opt = SGD(model.parameters(), lr=1e-3)
         seen = []
         rng = np.random.default_rng(0)
         x = rng.standard_normal((8, 4))
         y = rng.standard_normal((8, 1))
-        model.fit(x, y, epochs=1, batch_size=2, loss="mse", optimizer=wrapped,
+        model.fit(x, y, epochs=1, batch_size=2, loss="mse", optimizer=opt,
                   grad_accumulation=2, seed=0, step_hook=lambda s, loss: seen.append(s))
         # 4 batches, 2 optimizer steps: hook fires per batch but reports
         # optimizer steps, not batch indices (which would be 1..4).
         assert seen == [0, 1, 1, 2]
-
-    def test_attr_passthrough(self):
-        model = _make_model()
-        inner = Adam(model.parameters(), lr=1e-3, weight_decay=0.01)
-        wrapped = ScheduledOptimizer(inner, Constant(1e-3))
-        assert wrapped.weight_decay == 0.01
-        wrapped.step_count = 5
-        assert inner.step_count == 5
-        with pytest.raises(AttributeError):
-            wrapped.nonexistent_attribute
-
-    def test_unwrap(self):
-        model = _make_model()
-        inner = Adam(model.parameters(), lr=1e-3)
-        wrapped = ScheduledOptimizer(inner, Constant(1e-3))
-        assert unwrap_optimizer(wrapped) is inner
-        assert unwrap_optimizer(inner) is inner
-        assert unwrap_optimizer(None) is None
-
-    def test_checkpoint_roundtrip_through_wrapper(self, tmp_path):
-        rng = np.random.default_rng(0)
-        x = rng.standard_normal((8, 4))
-        y = rng.standard_normal((8, 1))
-        model = _make_model()
-        inner = Adam(model.parameters(), lr=1e-3)
-        wrapped = ScheduledOptimizer(inner, Constant(1e-3))
-        model.fit(x, y, epochs=1, batch_size=4, loss="mse", optimizer=wrapped, seed=0)
-
-        path = tmp_path / "ckpt.npz"
-        save_training_state(model, wrapped, path, epoch=1)
-
-        restored_model = _make_model(seed=99)
-        restored_inner = Adam(restored_model.parameters(), lr=5e-4)
-        restored = ScheduledOptimizer(restored_inner, Constant(1e-3))
-        header = load_training_state(restored_model, restored, path)
-        assert header["optimizer"]["type"] == "Adam"
-        assert restored_inner.step_count == inner.step_count
-        assert restored_inner.state["m"].shape == inner.state["m"].shape
-        for got, want in zip(restored_model.get_weights(), model.get_weights()):
-            np.testing.assert_array_equal(got, want)
