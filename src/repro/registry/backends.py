@@ -4,8 +4,8 @@ The :class:`ArtifactStore` never touches the filesystem directly — every
 blob and manifest goes through a :class:`RegistryBackend`, a small
 key/value contract (string keys with ``/`` separators, byte values,
 atomic writes) chosen so an S3/MinIO-style remote drops in without
-changing the store: ``exists/read_bytes/write_bytes/delete/list_keys``
-map 1:1 onto HEAD/GET/PUT/DELETE/LIST, and :meth:`~RegistryBackend.open_local`
+changing the store: ``exists/read_bytes/write_bytes/list_keys`` map
+1:1 onto HEAD/GET/PUT/LIST, and :meth:`~RegistryBackend.open_local`
 is the one extra affordance NumPy needs — a real local path to ``np.load``
 — which a remote backend satisfies by materializing the object into a
 local blob cache (exactly what :class:`InMemoryBackend` demonstrates).
@@ -56,10 +56,6 @@ class RegistryBackend(ABC):
         """Atomically install a finished local file as ``key`` (consumes
         ``src``).  The bulk-upload path — blobs are written locally first
         (atomic temp file), then installed/uploaded in one step."""
-
-    @abstractmethod
-    def delete(self, key: str) -> None:
-        """Remove ``key``; no-op if absent."""
 
     @abstractmethod
     def list_keys(self, prefix: str = "") -> List[str]:
@@ -131,9 +127,6 @@ class LocalDirBackend(RegistryBackend):
                 raise
             src.unlink(missing_ok=True)
 
-    def delete(self, key: str) -> None:
-        self._path(key).unlink(missing_ok=True)
-
     def list_keys(self, prefix: str = "") -> List[str]:
         base = self.root
         keys = []
@@ -187,9 +180,6 @@ class InMemoryBackend(RegistryBackend):
         src = Path(src)
         self.write_bytes(key, src.read_bytes())
         src.unlink(missing_ok=True)
-
-    def delete(self, key: str) -> None:
-        self._objects.pop(key, None)
 
     def list_keys(self, prefix: str = "") -> List[str]:
         return sorted(k for k in self._objects if k.startswith(prefix))
