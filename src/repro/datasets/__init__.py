@@ -23,7 +23,6 @@ from .gene_expression import (
     make_autoencoder_expression,
     make_tumor_expression,
 )
-from .pharmacology import HillFit, dose_response_auc, estimate_ic50_from_model, fit_hill
 from .kmers import encode_sequence, featurize_genomes, kmer_count_vector, kmer_indices
 from .md import (
     GaussianWellsPotential,
@@ -41,7 +40,6 @@ __all__ = [
     "MedicalRecordsDataset", "make_medical_records", "TASK_NAMES",
     "AMRDataset", "make_amr_genomes", "motif_buckets", "attribution_hit_rate",
     "encode_sequence", "kmer_indices", "kmer_count_vector", "featurize_genomes",
-    "HillFit", "fit_hill", "dose_response_auc", "estimate_ic50_from_model",
     "ImagingDataset", "make_tumor_images",
     "EventSequenceDataset", "make_event_sequences",
     "GaussianWellsPotential", "make_rugged_landscape", "langevin_trajectory",

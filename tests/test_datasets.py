@@ -349,88 +349,3 @@ class TestMD:
         pot = self.make_two_well()
         samples = np.array([[-2.0, 0.0], [2.0, 0.0]])
         assert basin_coverage(pot, samples) == 1.0
-
-
-class TestPharmacology:
-    def test_fit_recovers_planted_parameters(self):
-        from repro.datasets import fit_hill
-
-        rng = np.random.default_rng(0)
-        doses = np.linspace(-8, -4, 12)
-        true_ic50, true_slope = -6.2, 1.4
-        growth = 1 - hill_response(doses, np.full_like(doses, true_ic50), true_slope)
-        growth += 0.01 * rng.standard_normal(12)
-        fit = fit_hill(doses, growth)
-        assert fit.ic50 == pytest.approx(true_ic50, abs=0.1)
-        assert fit.slope == pytest.approx(true_slope, rel=0.2)
-        assert fit.residual < 0.02
-
-    def test_fit_validation(self):
-        from repro.datasets import fit_hill
-
-        with pytest.raises(ValueError):
-            fit_hill([1.0, 2.0], [0.5, 0.5])
-        with pytest.raises(ValueError):
-            fit_hill([1.0, 2.0, 3.0], [0.5, 0.5])
-
-    def test_fit_predicts_growth(self):
-        from repro.datasets import fit_hill
-
-        doses = np.linspace(-8, -4, 8)
-        growth = 1 - hill_response(doses, np.full_like(doses, -6.0), 1.0)
-        fit = fit_hill(doses, growth)
-        assert np.allclose(fit.growth(doses), growth, atol=1e-3)
-
-    def test_auc_extremes(self):
-        from repro.datasets import dose_response_auc
-
-        doses = np.linspace(-8, -4, 10)
-        assert dose_response_auc(doses, np.ones(10)) == pytest.approx(1.0)
-        assert dose_response_auc(doses, np.zeros(10)) == pytest.approx(0.0)
-
-    def test_auc_monotone_in_sensitivity(self):
-        from repro.datasets import dose_response_auc
-
-        doses = np.linspace(-8, -4, 20)
-        weak = 1 - hill_response(doses, np.full_like(doses, -4.0), 1.0)
-        strong = 1 - hill_response(doses, np.full_like(doses, -7.0), 1.0)
-        assert dose_response_auc(doses, strong) < dose_response_auc(doses, weak)
-
-    def test_auc_validation(self):
-        from repro.datasets import dose_response_auc
-
-        with pytest.raises(ValueError):
-            dose_response_auc([1.0], [0.5])
-        with pytest.raises(ValueError):
-            dose_response_auc([1.0, 1.0], [0.5, 0.5])
-
-    def test_virtual_ic50_from_trained_model(self):
-        """End to end: train the response MLP, extract a virtual dose-
-        response curve for one (cell, drug), fit the Hill curve, and check
-        the recovered IC50 correlates with the planted one."""
-        from repro.candle import build_combo_mlp
-        from repro.datasets import estimate_ic50_from_model, make_single_drug_response
-
-        ds = make_single_drug_response(n_samples=3000, n_cells=20, n_drugs=10,
-                                       feature_noise=0.1, response_noise=0.02, seed=0)
-        mu, sd = ds.x.mean(axis=0), ds.x.std(axis=0) + 1e-9
-        model = build_combo_mlp(hidden=(96, 48), dropout=0.0)
-        model.fit((ds.x - mu) / sd, ds.y.reshape(-1, 1), epochs=30, loss="mse", lr=3e-3, seed=0)
-
-        def predict(x_raw):
-            return model.predict((x_raw - mu) / sd)
-
-        # Pick several measured rows; compare fitted vs planted IC50.
-        rng = np.random.default_rng(1)
-        idx = rng.choice(len(ds.x), size=12, replace=False)
-        fitted, planted = [], []
-        nc = ds.n_cell_features
-        for i in idx:
-            cell = ds.x[i, :nc]
-            drug = ds.x[i, nc:-1]
-            fit = estimate_ic50_from_model(predict, cell, drug)
-            fitted.append(fit.ic50)
-            planted.append(ds.true_ic50[i])
-        from repro.nn.metrics import pearson_r
-
-        assert pearson_r(np.array(fitted), np.array(planted)) > 0.5
