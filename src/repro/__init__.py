@@ -20,7 +20,7 @@ Subpackages
   DL-supervised molecular dynamics).
 - :mod:`repro.parallel` — real multi-core execution engine: shared-memory
   data plane, process worker pool, deterministic allreduce, real-clock
-  HPO trial executor, prefetching.
+  HPO trial executor.
 - :mod:`repro.resilience` — fault injection, checkpoint/restart, and the
   degradation-policy campaign runtime.
 - :mod:`repro.perf` — op-level profiling and kernel benchmarks.

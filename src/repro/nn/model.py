@@ -285,11 +285,6 @@ class Model:
         training, so every instrumented op (including validation passes)
         is attributed to it.
 
-        ``prefetch=True`` wraps the batch loader in a
-        :class:`repro.parallel.PrefetchLoader` (background-thread double
-        buffering) so batch assembly overlaps compute; batch order and
-        values are unchanged, so training stays bit-identical.
-
         ``precision`` selects the training datapath: ``None``/"fp64" is
         the unchanged full-precision path; ``"fp32"``, ``"bf16"`` and
         ``"fp16"`` run the real reduced-precision datapath — fp32 master
@@ -407,7 +402,6 @@ class FitLoop:
         step_hook: Optional[Callable[[int, float], None]] = None,
         grad_accumulation: int = 1,
         profiler: Optional[ContextManager] = None,
-        prefetch: bool = False,
         precision=None,
     ) -> None:
         if grad_accumulation < 1:
@@ -447,7 +441,7 @@ class FitLoop:
         self.loader = DataLoader(x, y, batch_size=batch_size)
         self.epochs, self.validation_data, self.metrics = epochs, validation_data, metrics
         self.patience, self.clip_norm, self.step_hook = early_stopping_patience, clip_norm, step_hook
-        self.grad_accumulation, self.profiler, self.prefetch = grad_accumulation, profiler, prefetch
+        self.grad_accumulation, self.profiler = grad_accumulation, profiler
         self.verbose = verbose
 
         self.epoch = self.batch = self.global_step = self.accum = 0
@@ -539,14 +533,7 @@ class FitLoop:
                 self.accum = 0
                 if rec is not None:
                     epoch_id = rec.begin("epoch", kind="fit.epoch", epoch=self.epoch)
-                batches = loader.batches(self.perm, self.batch)
-                if self.prefetch:
-                    # Lazy import: repro.parallel imports repro.nn, so
-                    # importing it at module scope here would cycle.
-                    from ..parallel.prefetch import PrefetchLoader
-
-                    batches = PrefetchLoader(batches)
-                for xb, yb in batches:
+                for xb, yb in loader.batches(self.perm, self.batch):
                     self.before_batch()
                     if rec is not None:
                         step_id = rec.begin("step", kind="fit.step")

@@ -26,10 +26,6 @@ layers, bottom-up:
   training) and :class:`ParallelTrialExecutor` (real-clock HPO via
   ``run_parallel(..., executor=...)``).
 
-:class:`PrefetchLoader` (background-thread double buffering) overlaps
-batch assembly/staging with compute and is usable standalone or via
-``Model.fit(..., prefetch=True)``.
-
 Measured by ``python3 bench/run.py --workload ddp_mlp`` (and
 ``hpo_campaign`` for the executor); see the README "Parallel execution"
 section.
@@ -54,7 +50,6 @@ from .allreduce import (
 from .ddp import DataParallelResult, fit_data_parallel
 from .executor import ParallelTrialExecutor, bind_worker_data, worker_data
 from .pool import DEFAULT_WORKER_ENV, ProcessWorkerPool, TaskResult, echo_task
-from .prefetch import PrefetchLoader
 from .shm import AttachedArray, SharedArrayRef, SharedArrayStore, attach
 
 __all__ = [
@@ -67,5 +62,4 @@ __all__ = [
     "WIRE_DTYPES", "DEFAULT_BUCKET_BYTES",
     "fit_data_parallel", "DataParallelResult",
     "ParallelTrialExecutor", "worker_data", "bind_worker_data",
-    "PrefetchLoader",
 ]

@@ -255,11 +255,8 @@ class _ShareLoader(DataLoader):
     shares of one, in rank order, each a :func:`chunk_bounds` slice of
     the batch's permutation indices.  ``steps`` full batches split evenly
     (``batch_size`` divides by ``world``); a kept ragged ``tail`` splits
-    pad-free, so a rank's share of it can be empty.
-
-    The staging hook runs here, in the generator — which is what
-    ``prefetch=True`` overlaps with compute: the gather *and* the hook
-    run on the producer thread while the consumer computes.
+    pad-free, so a rank's share of it can be empty.  The staging hook
+    runs here, in the generator, while each share is gathered.
     """
 
     def __init__(self, data: DataLoader, spec: _TrainSpec, ranks: Sequence[int]) -> None:
@@ -517,7 +514,7 @@ def fit_data_parallel(
     defaults and meaning: ``epochs``, ``batch_size``, ``loss``, ``lr``,
     ``seed``, ``clip_norm``, ``validation_data`` + ``metrics`` +
     ``early_stopping_patience``, ``step_hook`` (runs on every rank),
-    ``verbose`` (rank 0 prints), ``prefetch``, ``precision``.  Three are
+    ``verbose`` (rank 0 prints), ``precision``.  Three are
     refused, because ranks could not honour them identically:
     ``optimizer=`` (an instance cannot be shared; pass
     ``optimizer_factory(params) -> Optimizer``, default ``Adam(lr=lr)``),
@@ -543,9 +540,9 @@ def fit_data_parallel(
     ``backend``, ``wire_dtype``, ``bucket_bytes`` and ``overlap`` are
     described in the module docstring.  ``pre_step_hook(rank, step)`` runs
     during share assembly — the place a real pipeline pays its staging
-    latency, and what ``prefetch=True`` hides.  ``timeout_s`` bounds the
-    call; a rank that waits longer than that for a peer, or whose parent
-    is gone, raises instead of polling on.  With ``start_method="spawn"``
+    latency.  ``timeout_s`` bounds the call; a rank that waits longer
+    than that for a peer, or whose parent is gone, raises instead of
+    polling on.  With ``start_method="spawn"``
     the factory, a loss callable and the hooks must be module-level
     picklables.
     """

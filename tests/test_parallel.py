@@ -22,12 +22,11 @@ import pytest
 from repro.hpo.scheduler import run_parallel, run_sequential
 from repro.hpo.space import Float, SearchSpace
 from repro.hpo.strategies import RandomSearch
-from repro.nn import DataLoader, Dense, Sequential
+from repro.nn import Dense, Sequential
 from repro.obs import TraceRecorder
 from repro.parallel import (
     DEFAULT_WORKER_ENV,
     ParallelTrialExecutor,
-    PrefetchLoader,
     BucketRankReducer,
     ProcessWorkerPool,
     SharedArrayStore,
@@ -511,15 +510,6 @@ class TestDataParallelFit:
         assert res.final_loss < res.epoch_losses[0] * 0.7
         assert res.steps_per_s > 0
 
-    def test_prefetch_does_not_change_numerics(self):
-        x, y = make_regression()
-        m_plain, m_pre = make_net(), make_net()
-        fit_data_parallel(m_plain, x, y, world=2, epochs=2, batch_size=16,
-                          backend="serial", seed=1)
-        fit_data_parallel(m_pre, x, y, world=2, epochs=2, batch_size=16,
-                          backend="serial", seed=1, prefetch=True)
-        assert weights_equal(m_plain, m_pre) == 0.0
-
     def test_validation_errors(self):
         x, y = make_regression()
         with pytest.raises(ValueError):
@@ -625,45 +615,6 @@ class TestParallelTrialExecutor:
         log = run_parallel(RandomSearch(self.SPACE, seed=5), _sleep_objective,
                            n_trials=4, n_workers=2)
         assert len(log.trials) == 4
-
-
-class TestPrefetchLoader:
-    def test_value_and_order_transparent(self):
-        x, y = make_regression()
-        plain = DataLoader(x, y, batch_size=16, seed=3)
-        pre = PrefetchLoader(DataLoader(x, y, batch_size=16, seed=3))
-        for _ in range(2):  # re-iterable across epochs
-            got = list(pre)
-            want = list(plain)
-            assert len(got) == len(want) == len(pre)
-            for (xa, ya), (xb, yb) in zip(want, got):
-                assert np.array_equal(xa, xb) and np.array_equal(ya, yb)
-        assert pre.n_samples == 96
-
-    def test_producer_exception_propagates(self):
-        def gen():
-            yield 1
-            raise RuntimeError("boom in producer")
-
-        with pytest.raises(RuntimeError, match="boom in producer"):
-            list(PrefetchLoader(gen()))
-
-    def test_early_break_does_not_deadlock(self):
-        pre = PrefetchLoader(iter(range(1000)), depth=2)
-        for item in pre:
-            if item == 3:
-                break  # producer blocked on a full buffer must be released
-
-    def test_bad_depth(self):
-        with pytest.raises(ValueError):
-            PrefetchLoader([], depth=0)
-
-    def test_model_fit_prefetch_bit_identical(self):
-        x, y = make_regression()
-        m_plain, m_pre = make_net(), make_net()
-        m_plain.fit(x, y, epochs=2, batch_size=16, seed=0, verbose=0)
-        m_pre.fit(x, y, epochs=2, batch_size=16, seed=0, verbose=0, prefetch=True)
-        assert weights_equal(m_plain, m_pre) == 0.0
 
 
 class TestWorkerEnv:

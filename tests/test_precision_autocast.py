@@ -12,7 +12,7 @@ fp32/bf16 parity).  Here the contracts are:
 * int8 — ``int8_linear`` matches the ``fake_quantize`` reference
   numerics, the exact-f32 GEMM path is bit-identical to the int32 path,
   and plan specs rebuild bit-identical datapaths;
-* dtype preservation — the data pipeline (DataLoader/PrefetchLoader)
+* dtype preservation — the data pipeline (DataLoader)
   never round-trips float32 through float64;
 * serving — int8 through the micro-batching server is bit-identical to
   direct predict, checkpoints carry dtype + quantization metadata, and
@@ -29,7 +29,6 @@ from repro.nn import functional as F
 from repro.nn.amp import active, autocast, get_plan, snap_bf16, snap_bf16_
 from repro.nn.dataloader import DataLoader
 from repro.nn.layers import Dense
-from repro.parallel.prefetch import PrefetchLoader
 from repro.precision import (
     INT8_GEMM_EXACT_MAX_K,
     FitPrecision,
@@ -312,13 +311,6 @@ class TestPipelineDtypePreservation:
         for shuffle in (False, True):
             for xb, _ in DataLoader(x, None, batch_size=8, shuffle=shuffle):
                 assert xb.dtype == np.float32
-
-    def test_prefetch_loader_hands_batches_through_by_reference(self):
-        x, y = _class_data(n=48, seed=6)
-        loader = DataLoader(x, y, batch_size=16, dtype=np.float32, seed=0)
-        for xb, yb in PrefetchLoader(loader, depth=2):
-            assert xb.dtype == np.float32
-            assert yb.dtype == y.dtype
 
 
 # ----------------------------------------------------------------------
