@@ -54,6 +54,13 @@ class TestCli:
         assert main(["registry", str(root)]) == 0
         assert "empty registry" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("spec", ["p1b1@abc", "sha256:../../x"])
+    def test_registry_malformed_spec_refused(self, tmp_path, spec, capsys):
+        root = tmp_path / "registry"
+        root.mkdir()
+        assert main(["registry", str(root), spec]) == 1
+        assert capsys.readouterr().err.startswith("FAIL: ")
+
     def test_missing_command_exits(self):
         with pytest.raises(SystemExit):
             main([])
