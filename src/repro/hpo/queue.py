@@ -77,6 +77,7 @@ CREATE TABLE IF NOT EXISTS jobs (
     completed_by  TEXT
 );
 CREATE INDEX IF NOT EXISTS idx_jobs_status ON jobs (status, job_id);
+CREATE INDEX IF NOT EXISTS idx_jobs_lease ON jobs (lease_expires) WHERE status = 'claimed';
 CREATE TABLE IF NOT EXISTS events (
     seq    INTEGER PRIMARY KEY AUTOINCREMENT,
     kind   TEXT    NOT NULL,
@@ -234,10 +235,18 @@ class DurableTrialQueue:
         now = time.time() if now is None else float(now)
         lease = self.lease_s if lease_s is None else float(lease_s)
         with self.transaction():
+            # Two index searches, not a walk of every pending and
+            # in-flight row: the first pending job (idx_jobs_status) and
+            # the oldest expired claim (idx_jobs_lease, which holds only
+            # claimed rows and which the planner does not pick by
+            # itself).  The smaller id is the oldest runnable job.
             row = self._db.execute(
                 "SELECT job_id, config, budget, tag, status, attempts FROM jobs "
-                "WHERE status = 'pending' OR (status = 'claimed' AND lease_expires <= ?) "
-                "ORDER BY job_id LIMIT 1",
+                "WHERE job_id = (SELECT MIN(id) FROM ("
+                "SELECT MIN(job_id) AS id FROM jobs WHERE status = 'pending' "
+                "UNION ALL "
+                "SELECT MIN(job_id) FROM jobs INDEXED BY idx_jobs_lease "
+                "WHERE status = 'claimed' AND lease_expires <= ?))",
                 (now,),
             ).fetchone()
             if row is None:
@@ -275,20 +284,20 @@ class DurableTrialQueue:
         ack for the job returns False and changes nothing.
         """
         with self.transaction():
-            row = self._db.execute(
-                "SELECT status FROM jobs WHERE job_id = ?", (job_id,)
-            ).fetchone()
-            if row is None:
-                raise KeyError(f"unknown job_id {job_id}")
-            if row[0] == DONE:
-                self.stats["duplicate_acks"] += 1
-                return False
-            self._db.execute(
+            cur = self._db.execute(
                 "UPDATE jobs SET status = 'done', value = ?, sim_time = ?, worker = ?, "
                 "completed_by = ?, owner = NULL, claimed_at = NULL, lease_expires = NULL "
-                "WHERE job_id = ?",
+                "WHERE job_id = ? AND status != 'done'",
                 (float(value), sim_time, int(worker), consumer, job_id),
             )
+            if cur.rowcount == 0:
+                # Not completed now: an unknown job, or a duplicate ack.
+                if self._db.execute(
+                    "SELECT 1 FROM jobs WHERE job_id = ?", (job_id,)
+                ).fetchone() is None:
+                    raise KeyError(f"unknown job_id {job_id}")
+                self.stats["duplicate_acks"] += 1
+                return False
             self._db.execute(
                 "INSERT INTO events (kind, job_id, value) VALUES ('tell', ?, ?)",
                 (job_id, float(value)),
@@ -328,19 +337,12 @@ class DurableTrialQueue:
         (Claim also reclaims lazily; this is the eager sweep the driver
         runs so leases expire even when no consumer is asking.)"""
         with self.transaction():
-            rows = self._db.execute(
-                "SELECT job_id FROM jobs WHERE status = 'claimed' AND lease_expires <= ? "
-                "ORDER BY job_id",
+            ids = sorted(r[0] for r in self._db.execute(
+                "UPDATE jobs INDEXED BY idx_jobs_lease SET status = 'pending', owner = NULL, "
+                "claimed_at = NULL, lease_expires = NULL "
+                "WHERE status = 'claimed' AND lease_expires <= ? RETURNING job_id",
                 (float(now),),
-            ).fetchall()
-            ids = [r[0] for r in rows]
-            if ids:
-                self._db.execute(
-                    "UPDATE jobs SET status = 'pending', owner = NULL, claimed_at = NULL, "
-                    "lease_expires = NULL "
-                    f"WHERE job_id IN ({','.join('?' * len(ids))})",
-                    ids,
-                )
+            ).fetchall())
         self.stats["reclaims"] += len(ids)
         return ids
 
@@ -356,13 +358,18 @@ class DurableTrialQueue:
 
     # -- queries ---------------------------------------------------------
     def counts(self) -> Dict[str, int]:
+        """Jobs per status.  Job ids are dense (a job is never deleted),
+        so the done count is the highest id less the jobs in flight: two
+        index searches over the pending and claimed rows and one seek,
+        not a scan of the whole ledger (the driver reads this once per
+        group)."""
         with self.transaction():
-            rows = self._db.execute(
-                "SELECT status, COUNT(*) FROM jobs GROUP BY status"
-            ).fetchall()
-        out = {PENDING: 0, CLAIMED: 0, DONE: 0}
-        out.update(dict(rows))
-        return out
+            total, pending, claimed = self._db.execute(
+                "SELECT (SELECT MAX(job_id) FROM jobs), "
+                "(SELECT COUNT(*) FROM jobs WHERE status = 'pending'), "
+                "(SELECT COUNT(*) FROM jobs WHERE status = 'claimed')"
+            ).fetchone()
+        return {PENDING: pending, CLAIMED: claimed, DONE: (total or 0) - pending - claimed}
 
     @property
     def n_jobs(self) -> int:
@@ -379,7 +386,8 @@ class DurableTrialQueue:
     def next_lease_expiry(self) -> Optional[float]:
         with self.transaction():
             row = self._db.execute(
-                "SELECT MIN(lease_expires) FROM jobs WHERE status = 'claimed'"
+                "SELECT MIN(lease_expires) FROM jobs INDEXED BY idx_jobs_lease "
+                "WHERE status = 'claimed'"
             ).fetchone()
         return row[0]
 
