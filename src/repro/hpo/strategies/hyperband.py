@@ -19,6 +19,7 @@ scale.
 from __future__ import annotations
 
 import bisect
+import heapq
 import math
 from typing import List, Optional, Tuple
 
@@ -199,6 +200,9 @@ class _AshaRung:
         self.budget = budget
         #: completed results, kept sorted by (value, launch_idx)
         self.results: List[Tuple[float, int, Config]] = []
+        #: the same rows as a heap, less those found promoted: its root
+        #: is the one row this rung can promote next
+        self.unpromoted: List[Tuple[float, int, Config]] = []
         #: launch indices already promoted out of this rung
         self.promoted = set()
         self.launched = 0
@@ -246,12 +250,21 @@ class ASHA(Strategy):
 
     def _promotable(self, rung_idx: int) -> Optional[Tuple[int, Config]]:
         """Best not-yet-promoted config in the top 1/eta of this rung's
-        results so far, or None."""
+        results so far, or None.
+
+        The best unpromoted row is the heap's root (rows of a launch
+        already promoted — it was told twice — are dropped on the way);
+        it is in the top 1/eta iff fewer than ``len // eta`` rows rank
+        before it — O(log n), however many rows the rung has promoted."""
         rung = self.rungs[rung_idx]
-        k = len(rung.results) // self.eta
-        for value, launch_idx, cfg in rung.results[:k]:
-            if launch_idx not in rung.promoted:
-                return launch_idx, cfg
+        heap = rung.unpromoted
+        while heap and heap[0][1] in rung.promoted:
+            heapq.heappop(heap)
+        if not heap:
+            return None
+        value, launch_idx, cfg = heap[0]
+        if bisect.bisect_left(rung.results, (value, launch_idx)) < len(rung.results) // self.eta:
+            return launch_idx, cfg
         return None
 
     def ask(self) -> Optional[Suggestion]:
@@ -284,7 +297,9 @@ class ASHA(Strategy):
         if not 0 <= rung_idx < self.n_rungs:
             return
         rung = self.rungs[rung_idx]
-        # Insert keeping (value, launch_idx) order so promotion checks
-        # read a ranked prefix without re-sorting (10^4-trial campaigns
-        # ask constantly; a full sort per ask would be quadratic).
-        bisect.insort(rung.results, (float(value), launch_idx, suggestion.config))
+        # Insert keeping (value, launch_idx) order so a promotion check
+        # ranks its candidate by bisection (10^4-trial campaigns ask
+        # constantly; a full sort per ask would be quadratic).
+        row = (float(value), launch_idx, suggestion.config)
+        bisect.insort(rung.results, row)
+        heapq.heappush(rung.unpromoted, row)

@@ -7,7 +7,9 @@ updates), the window-tensor + ``argmax`` max-pooling kernels the tap-wise
 ones in ``nn.functional`` replaced, and the four-node mse chain.  They
 exist so the optimized ops have an independent, *recorded* reference to
 be checked against (``test_perf.py``); the op table's ``oracle``
-names resolve here.
+names resolve here.  ``ScanASHA`` keeps ASHA's promotion check as the
+ranked-prefix scan it was before it became a heap plus a bisection
+(``test_hpo_strategies.py``).
 
 Everything here works on raw ``np.ndarray`` s — no tape: the quantity
 being pinned is the kernel's arithmetic, not autodiff overhead.
@@ -19,6 +21,8 @@ from __future__ import annotations
 from typing import Optional, Tuple
 
 import numpy as np
+
+from repro.hpo import ASHA
 
 
 # ----------------------------------------------------------------------
@@ -321,3 +325,20 @@ class AdamReference:
             m_hat = m / (1 - self.beta1 ** self.t)
             v_hat = v / (1 - self.beta2 ** self.t)
             p -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+
+
+# ----------------------------------------------------------------------
+# Pre-PR ASHA promotion check (scan of the ranked prefix)
+# ----------------------------------------------------------------------
+class ScanASHA(ASHA):
+    """ASHA whose promotion check scans the top ``len // eta`` of the
+    rung's ranked results past every promoted entry: cost grows with the
+    rung, the choice is the one the heap check must reproduce."""
+
+    def _promotable(self, rung_idx):
+        rung = self.rungs[rung_idx]
+        k = len(rung.results) // self.eta
+        for value, launch_idx, cfg in rung.results[:k]:
+            if launch_idx not in rung.promoted:
+                return launch_idx, cfg
+        return None

@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from reference import ScanASHA
 
 from repro.hpo import (
     ASHA,
@@ -213,6 +216,45 @@ class TestASHA:
         b = run_sequential(ASHA(small_space(), seed=4, max_budget=9), sphere, 40)
         assert a.values == b.values
         assert [t.budget for t in a.trials] == [t.budget for t in b.trials]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        eta=st.sampled_from([2, 3, 4]),
+        ops=st.lists(
+            st.one_of(
+                st.just(("ask",)),
+                st.tuples(st.just("tell"), st.integers(0, 10**6),
+                          st.sampled_from([0.0, 0.5, 0.5, 1.0, 2.0, float("inf")]),
+                          st.booleans()),
+            ),
+            max_size=120,
+        ),
+    )
+    def test_same_choices_as_the_prefix_scan(self, eta, ops):
+        """Over any ask/tell interleaving — tied values, ``inf``, a launch
+        told twice — the heap check asks exactly what the old scan of the
+        ranked prefix asked, and promotes as often."""
+        new = ASHA(small_space(), seed=9, min_budget=1, max_budget=eta ** 3, eta=eta)
+        old = ScanASHA(small_space(), seed=9, min_budget=1, max_budget=eta ** 3, eta=eta)
+        asked, told = [], []
+        for op in ops:
+            if op[0] == "ask":
+                sug = new.ask()
+                assert sug == old.ask()
+                asked.append(sug)
+            elif asked or told:
+                _, pick, value, again = op
+                if again and told or not asked:
+                    sug = told[pick % len(told)]  # a launch told twice
+                else:
+                    sug = asked.pop(pick % len(asked))
+                    told.append(sug)
+                new.tell(sug, value)
+                old.tell(sug, value)
+            assert new.promotions == old.promotions
+        for _ in range(3):  # the rungs as the interleaving left them
+            assert new.ask() == old.ask()
+        assert new.promotions == old.promotions
 
 
 class TestEvolutionary:
