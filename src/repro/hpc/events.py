@@ -1,8 +1,9 @@
 """Minimal discrete-event simulation core.
 
-Drives the simulated-clock hyperparameter-search runtime (experiment E6):
-job completions are events, and the search strategy reacts to each one
-by scheduling the next trial.
+Drives the serving simulator (:func:`repro.serve.simulate_serving`):
+arrivals, ``max_wait_s`` timers and batch landings are events, each
+calling the deployed ``Router`` on this loop's clock.  The simulated HPO
+runtime keeps its own heap (DESIGN.md, "Two event heaps").
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ class EventLoop:
         self.now: float = 0.0
         self._queue: List[Tuple[float, int, Callable[[], None]]] = []
         self._counter = itertools.count()  # FIFO tie-break at equal times
-        self._processed = 0
 
     def schedule(self, delay: float, callback: Callable[[], None]) -> None:
         """Run ``callback`` at ``now + delay``."""
@@ -38,7 +38,6 @@ class EventLoop:
             return False
         time, _, callback = heapq.heappop(self._queue)
         self.now = time
-        self._processed += 1
         callback()
         return True
 
@@ -61,7 +60,3 @@ class EventLoop:
     @property
     def pending(self) -> int:
         return len(self._queue)
-
-    @property
-    def processed(self) -> int:
-        return self._processed

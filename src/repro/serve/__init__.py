@@ -16,8 +16,9 @@ provides one, built from the library's own parts:
   ``get`` is the only model loader (checksum-verified, warm-cached);
 * :class:`LatencyHistogram` / :class:`ServingStats` — tail-latency and
   request-accounting observability;
-* :func:`simulate_serving` / :func:`sweep_offered_load` — offered-load
-  experiments on the simulated clock (:class:`repro.hpc.events.EventLoop`).
+* :func:`simulate_serving` — one offered-load point on the simulated
+  clock: the deployed :class:`Router` on
+  :class:`repro.hpc.events.EventLoop` time over a simulated replica.
 
 The **distributed tier** scales this out to real processes and keeps it
 alive under failure:
@@ -26,7 +27,8 @@ alive under failure:
   replicas on :class:`repro.parallel.ProcessWorkerPool` workers, weights
   published once through shared memory;
 * :class:`Router` (:mod:`repro.serve.router`) — per-model routing,
-  admission control, dispatch to idle replicas at once, per-request
+  admission control (``max_queue`` bounds every request a model holds,
+  queued or dispatched), dispatch to idle replicas at once, per-request
   deadlines, bounded retries with backoff, and per-replica circuit
   breakers;
 * :class:`ReplicaSupervisor` (:mod:`repro.serve.supervisor`) —
@@ -52,17 +54,7 @@ from .distributed import ReplicaGroup
 from .metrics import LatencyHistogram, ServingStats
 from .router import CircuitBreaker, RoutedRequest, Router, RouterStats
 from .server import InferenceServer
-from .simulate import (
-    TRAFFIC_MIXES,
-    AffineServiceTime,
-    bursty_arrivals,
-    diurnal_arrivals,
-    fit_service_time,
-    poisson_arrivals,
-    simulate_serving,
-    sweep_offered_load,
-    traffic_arrivals,
-)
+from .simulate import AffineServiceTime, poisson_arrivals, simulate_serving
 from .supervisor import ReplicaSupervisor
 
 __all__ = [
@@ -77,14 +69,8 @@ __all__ = [
     "weights_checksum",
     "InferenceServer",
     "AffineServiceTime",
-    "fit_service_time",
     "simulate_serving",
-    "sweep_offered_load",
-    "TRAFFIC_MIXES",
-    "traffic_arrivals",
     "poisson_arrivals",
-    "bursty_arrivals",
-    "diurnal_arrivals",
     "ReplicaGroup",
     "Router",
     "RouterStats",

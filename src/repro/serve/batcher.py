@@ -1,9 +1,11 @@
 """Deadline-aware micro-batching policy.
 
-The batcher is pure queueing logic — no model, no clock of its own — so
-the same code drives both the wall-clock server (:mod:`repro.serve.server`)
-and the simulated-load driver (:mod:`repro.serve.simulate`).  Callers
-pass ``now`` explicitly; the batcher never reads time.
+The batcher is pure queueing logic — no model, no clock of its own.
+Two callers own one each: the synchronous server
+(:mod:`repro.serve.server`) and the router (:mod:`repro.serve.router`),
+which the simulated-load driver (:mod:`repro.serve.simulate`) runs on
+simulated time.  Callers pass ``now`` explicitly; the batcher never
+reads time.
 
 Dispatch rule — work-conserving: a non-empty queue has a batch ready as
 soon as any of
@@ -24,8 +26,11 @@ it steps) leaves ``idle`` at False and gets the full-or-timer rule.
 
 Overload handling: the queue is bounded (``max_queue``); offers beyond
 the bound are *shed* immediately — rejecting cheap at the door beats
-timing out expensive in the queue.  Requests that nevertheless exceed
-``timeout_s`` while queued are dropped at batch-formation time.
+timing out expensive in the queue.  The router applies the same bound to
+everything a model holds, dispatched-but-unresolved requests included,
+so its batcher never reaches the bound on its own.  Requests that
+nevertheless exceed ``timeout_s`` while queued are dropped at
+batch-formation time.
 """
 
 from __future__ import annotations
@@ -109,7 +114,9 @@ class MicroBatcher:
             return False
         if idle or len(self._queue) >= self.policy.max_batch_size:
             return True
-        return now - self._queue[0].enqueue_time >= self.policy.max_wait_s
+        # Written as a sum so a timer set for enqueue_time + max_wait_s
+        # finds the batch ready when it fires, to the last bit.
+        return now >= self._queue[0].enqueue_time + self.policy.max_wait_s
 
     def take(self, now: float) -> Tuple[List[Request], List[Request]]:
         """Pop up to ``max_batch_size`` live requests; expire stale ones.

@@ -4,11 +4,13 @@ The :class:`Router` fronts one or more :class:`~repro.serve.distributed.ReplicaG
 instances (per-model routing) and owns every *policy* decision the
 replica plane deliberately does not make:
 
-* **Admission control** — each model has a bounded micro-batch queue
-  (:class:`~repro.serve.batcher.MicroBatcher`); requests beyond the
-  bound are shed *at the door* (rejecting cheap beats timing out
-  expensive in the queue), so a traffic burst degrades into an explicit
-  shed rate, never an unbounded backlog.
+* **Admission control** — ``max_queue`` bounds the requests each model
+  holds: queued in its micro-batch queue
+  (:class:`~repro.serve.batcher.MicroBatcher`), or dispatched (in flight
+  or awaiting a retry) and not yet resolved.  Requests beyond the bound
+  are shed *at the door* (rejecting cheap beats timing out expensive in
+  the queue), so sustained overload degrades into an explicit shed rate,
+  never an unbounded backlog behind busy replicas.
 * **Work-conserving dispatch** — ``pump`` absorbs finished results
   first, then hands whatever is queued to each *idle* replica (nothing
   in flight — inference batch or canary — and a breaker that would let
@@ -149,9 +151,11 @@ class Router:
     enqueues, ``pump`` forms batches, dispatches to replicas, polls
     results, and runs the retry/breaker machinery.  A ``submit``/``pump``
     loop is the serving event loop; :func:`drain` runs it to completion.
-    With ``faults`` every dispatch draws its fault from that schedule
-    (site ``dispatch``) and the replica executes it; ``stats.faults``
-    counts them by kind.
+    ``clock`` is the only time it reads, so the same code runs on
+    simulated time: :func:`~repro.serve.simulate.simulate_serving` drives
+    it on :class:`~repro.hpc.events.EventLoop` time.  With ``faults``
+    every dispatch draws its fault from that schedule (site ``dispatch``)
+    and the replica executes it; ``stats.faults`` counts them by kind.
     """
 
     def __init__(
@@ -192,6 +196,9 @@ class Router:
         # Batches + canaries in flight on each replica.
         self._slot_load: Dict[Tuple[str, int], int] = dict.fromkeys(self._breakers, 0)
         self._retry_q: List[_Batch] = []
+        # Admitted requests without an outcome yet, per model: what
+        # max_queue bounds (queued, in flight or awaiting a retry).
+        self._held: Dict[str, int] = dict.fromkeys(self.groups, 0)
         self._next_id = 0
 
     # -- ingress ---------------------------------------------------------
@@ -223,7 +230,10 @@ class Router:
         )
         self._next_id += 1
         self.stats.submitted += 1
-        if not self._batchers[model].offer(req):
+        if self._held[model] < self.policy.max_queue and self._batchers[model].offer(req):
+            self._held[model] += 1
+        else:
+            req.status = "shed"
             self.stats.shed += 1
             rec = get_recorder()
             if rec is not None:
@@ -278,7 +288,7 @@ class Router:
         for model, batcher in self._batchers.items():
             while batcher.ready(now, idle=self._idle_capacity(model, now)):
                 formed, expired = batcher.take(now)
-                self._expire(expired, now)
+                self._finish(model, expired, "timed_out", now)
                 if formed:
                     self._dispatch(_Batch(model, formed), now)
         self._gauges()
@@ -317,19 +327,24 @@ class Router:
         return self.queue_depth + inflight
 
     # -- internals -------------------------------------------------------
-    def _expire(self, requests: List[RoutedRequest], now: float) -> None:
+    def _finish(self, model: str, requests: List[RoutedRequest], status: str, now: float) -> None:
+        """Give ``requests`` their outcome — ``completed``, ``timed_out`` or
+        ``retried_away``, each also the name of its ``stats`` counter — and
+        release their hold on ``model``'s admission bound."""
         for req in requests:
-            req.status = "timed_out"
+            req.status = status
             req.complete_time = now
-            self.stats.timed_out += 1
+        setattr(self.stats, status, getattr(self.stats, status) + len(requests))
+        self._held[model] -= len(requests)
 
-    def _still_live(self, req: RoutedRequest, now: float) -> bool:
-        if req.deadline_s is not None and now - req.enqueue_time > req.deadline_s:
-            req.status = "timed_out"
-            req.complete_time = now
-            self.stats.timed_out += 1
-            return False
-        return True
+    def _live(self, model: str, requests: List[RoutedRequest], now: float) -> List[RoutedRequest]:
+        """Time out the requests past their deadline; return the rest."""
+        live, expired = [], []
+        for req in requests:
+            late = req.deadline_s is not None and now - req.enqueue_time > req.deadline_s
+            (expired if late else live).append(req)
+        self._finish(model, expired, "timed_out", now)
+        return live
 
     def _idle_capacity(self, model: str, now: float) -> bool:
         """Could some replica of ``model`` start a batch right now?  It has
@@ -353,7 +368,7 @@ class Router:
         return min(candidates, key=lambda s: self._slot_load[(model, s)])
 
     def _dispatch(self, batch: _Batch, now: float) -> None:
-        batch.requests = [r for r in batch.requests if self._still_live(r, now)]
+        batch.requests = self._live(batch.model, batch.requests, now)
         if not batch.requests:
             return
         slot = self._choose_slot(batch.model, now, avoid=batch.slot)
@@ -403,10 +418,8 @@ class Router:
             outs = res.value
             for i, req in enumerate(batch.requests):
                 req.result = outs[i]
-                req.status = "completed"
-                req.complete_time = now
-                self.stats.completed += 1
                 self.stats.latency.observe(now - req.enqueue_time)
+            self._finish(model, batch.requests, "completed", now)
             self.stats.record_batch(len(batch.requests), res.duration_s)
             if self.record_batches:
                 self.batch_log.append(
@@ -424,7 +437,7 @@ class Router:
             )
             rec.metrics.counter("serve.replica_failures").inc()
         if batch.attempt <= self.max_retries:
-            live = [r for r in batch.requests if self._still_live(r, now)]
+            live = self._live(model, batch.requests, now)
             if live:
                 self.stats.retries += len(live)
                 if rec is not None:
@@ -435,10 +448,7 @@ class Router:
                            slot=batch.slot, not_before=now + backoff)
                 )
             return 0
-        for req in batch.requests:
-            req.status = "retried_away"
-            req.complete_time = now
-            self.stats.retried_away += 1
+        self._finish(model, batch.requests, "retried_away", now)
         if rec is not None:
             rec.metrics.counter("serve.retried_away").inc(len(batch.requests))
         return 0

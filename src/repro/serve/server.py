@@ -5,8 +5,7 @@ NumPy engine is single-threaded per process; concurrency in this repo is
 process-level).  ``submit`` enqueues a request and returns a handle;
 ``step`` dispatches one micro-batch when the policy says so; ``drain``
 forces the queue empty.  A caller loop of ``submit``/``step`` is an
-event loop; the simulated driver replaces the wall clock with
-:class:`repro.hpc.events.EventLoop` time.
+event loop, on the wall clock or whatever ``clock`` the caller passes.
 
 Batch execution routes through :meth:`Model.predict` on the coalesced
 batch, i.e. the exact grad-free ``no_grad`` path training evaluation
@@ -46,7 +45,7 @@ class InferenceServer:
     clock:
         0-arg callable returning seconds; defaults to
         ``time.perf_counter``.  Pass a simulated clock for deterministic
-        latency experiments (see :mod:`repro.serve.simulate`).
+        latency experiments.
     profiler:
         Optional :class:`repro.perf.OpProfiler` entered around every
         batch execution, attributing the forward's per-op cost (and the

@@ -406,7 +406,7 @@ class TestWiredHooks:
         assert rec.balanced
         trials = rec.spans(kind="hpo.trial")
         assert len(trials) == 4
-        # The scheduler attached its EventLoop to the sim clock: trial
+        # The scheduler attached its simulated clock to the recorder: trial
         # spans are stamped in simulated seconds and detach afterwards.
         assert all(t["t_sim"] is not None and t["dur_sim"] is not None for t in trials)
         assert rec.sim_clock is None

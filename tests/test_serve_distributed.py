@@ -32,8 +32,6 @@ from repro.serve import (
     ReplicaSupervisor,
     Router,
     run_chaos_replay,
-    traffic_arrivals,
-    TRAFFIC_MIXES,
 )
 
 BENCH = "p1b2"
@@ -183,33 +181,6 @@ class TestCircuitBreaker:
             CircuitBreaker(cooldown_s=0.0)
 
 
-class TestTrafficArrivals:
-    @pytest.mark.parametrize("mix", TRAFFIC_MIXES)
-    def test_strictly_increasing_and_reproducible(self, mix):
-        t1 = traffic_arrivals(mix, rate=500.0, n=200, seed=3)
-        t2 = traffic_arrivals(mix, rate=500.0, n=200, seed=3)
-        assert len(t1) == 200
-        assert np.all(np.diff(t1) > 0) and t1[0] > 0
-        assert np.array_equal(t1, t2)
-        assert not np.array_equal(t1, traffic_arrivals(mix, 500.0, 200, seed=4))
-
-    @pytest.mark.parametrize("mix", TRAFFIC_MIXES)
-    def test_mean_rate_near_nominal(self, mix):
-        n, rate = 4000, 800.0
-        t = traffic_arrivals(mix, rate=rate, n=n, seed=0)
-        achieved = n / t[-1]
-        assert 0.6 * rate < achieved < 1.6 * rate
-
-    def test_bursty_is_burstier_than_poisson(self):
-        gaps_p = np.diff(traffic_arrivals("poisson", 500.0, 3000, seed=0))
-        gaps_b = np.diff(traffic_arrivals("bursty", 500.0, 3000, seed=0))
-        assert np.std(gaps_b) > np.std(gaps_p)
-
-    def test_unknown_mix_rejected(self):
-        with pytest.raises(ValueError, match="unknown traffic mix"):
-            traffic_arrivals("flash_crowd", 100.0, 10)
-
-
 class TestRouterPolicy:
     """Admission, deadlines, retries, breakers — against the fake group."""
 
@@ -220,6 +191,23 @@ class TestRouterPolicy:
         handles = [router.submit("m", row=i % 8) for i in range(5)]
         assert [h.status for h in handles].count("shed") == 3
         assert router.stats.shed == 3
+        assert router.stats.accounted(still_queued=router.pending)
+
+    def test_admission_bounds_dispatched_requests_too(self, parent):
+        # Replicas never finish, and max_wait_s=0 sends every admitted
+        # request out behind them: the bound must still hold, counting
+        # what is dispatched and unresolved, not only what is queued.
+        router, group = _fake_router(
+            parent, policy=BatchPolicy(4, max_wait_s=0.0, max_queue=8), hold=True,
+        )
+        for i in range(100):
+            router.submit("m", row=i % 64)
+            router.pump()
+        assert router.stats.shed == 92 and router.pending == 8
+        assert sum(n for _, n in group.dispatched) == 8
+        group.release()
+        router.drain()
+        assert router.stats.completed == 8
         assert router.stats.accounted(still_queued=router.pending)
 
     def test_expired_requests_never_dispatch(self, parent):
@@ -413,6 +401,7 @@ class TestWorkConservingDispatch:
             elif op == "advance":
                 clock["t"] += arg
             assert router.stats.accounted(still_queued=router.pending)
+            assert router._held["m"] == router.pending  # what max_queue bounds
         while router.pending:
             group.release()
             router.pump()

@@ -23,7 +23,6 @@ from repro.serve import (
     Request,
     ServingStats,
     simulate_serving,
-    sweep_offered_load,
 )
 
 
@@ -388,12 +387,18 @@ class TestSimulatedServing:
         assert out["completed"] == out["submitted"] == 400 and out["accounted"]
         assert out == simulate_serving(self.POLICY, self.SERVICE, arrival_rate=10.0, n_requests=400, seed=3)
 
-    def test_sweep_shapes(self):
-        rows = sweep_offered_load(self.POLICY, self.SERVICE, rates=[1000.0, 4000.0], n_requests=200, seed=0)
-        assert len(rows) == 2
-        assert rows[0]["offered_rps"] == 1000.0
-        for row in rows:
-            assert row["accounted"]
+    @pytest.mark.parametrize("rate, n, seed, completed, batches, p50_s, p99_s", [
+        (10.0, 400, 3, 400, 400, 0.001158426263826606, 0.0015792238852177316),
+        (1000.0, 800, 1, 800, 552, 0.0016248281549393509, 0.0025021989256212764),
+        (2000.0, 500, 7, 500, 203, 0.001958341519974916, 0.0029931736253027436),
+    ])
+    def test_below_capacity_matches_one_server_loop(self, rate, n, seed, completed, batches, p50_s, p99_s):
+        # Figures of the one-server dispatch loop the simulator used to
+        # run.  Below capacity no max_wait_s timer fires while the replica
+        # is busy, so the Router on sim time must batch exactly as it did.
+        out = simulate_serving(self.POLICY, self.SERVICE, arrival_rate=rate, n_requests=n, seed=seed)
+        assert (out["completed"], out["batches"]) == (completed, batches)
+        assert (out["latency"]["p50_s"], out["latency"]["p99_s"]) == (p50_s, p99_s)
 
     def test_validation(self):
         with pytest.raises(ValueError):
