@@ -71,25 +71,32 @@ def test_e9c_measured_vs_modeled():
     """Measured op-level profile of a real train step vs the modeled story.
 
     The roofline model above *predicts* that a DNN step is GEMM-dominated
-    (claim C6).  Here we train an actual MLP with the op profiler attached
-    and check the prediction against measured wall time: the fused
-    GEMM-bearing op (linear_act) must dominate the elementwise rest.
+    (claim C6).  Here we train an actual MLP under a recorder that times
+    every op (``TraceRecorder(ops=True)``) and check the prediction
+    against measured wall time: the fused GEMM-bearing op (linear_act)
+    must dominate the elementwise rest.
     Absolute times are host-CPU and machine-dependent, so the assertions
     are about *shares*, not seconds.
     """
     from repro.nn import Dense, Sequential
-    from repro.perf import OpProfiler
+    from repro.obs import TraceRecorder
 
     rng = np.random.default_rng(9)
     x = rng.standard_normal((512, 128))
     y = rng.integers(0, 10, 512)
     model = Sequential([Dense(128, activation="relu"), Dense(64, activation="relu"), Dense(10)])
-    prof = OpProfiler()
-    model.fit(x, y, epochs=2, batch_size=64, loss="cross_entropy", profiler=prof)
+    rec = TraceRecorder(ops=True)
+    with rec:
+        model.fit(x, y, epochs=2, batch_size=64, loss="cross_entropy")
 
-    stats = prof.as_dict()
+    # One op.<name> histogram per op: calls and total seconds, by total.
+    stats = {
+        r["name"][len("op."):]: {"calls": r["count"], "total_s": r["mean_s"] * r["count"]}
+        for r in rec.metrics.snapshot() if r["name"].startswith("op.")
+    }
+    stats = dict(sorted(stats.items(), key=lambda kv: kv[1]["total_s"], reverse=True))
     total = sum(s["total_s"] for s in stats.values())
-    assert total > 0, "profiler recorded nothing"
+    assert total > 0, "the recorder timed no op"
     rows = [
         [name, s["calls"], 1e3 * s["total_s"], 100.0 * s["total_s"] / total]
         for name, s in stats.items()

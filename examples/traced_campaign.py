@@ -10,7 +10,8 @@ timeline.  Every subsystem reports into it:
 * the campaign driver (top-level span + search/train/evaluate phases),
 * the HPO scheduler (one span per trial attempt, on the simulated clock),
 * ``Model.fit`` (epoch/step spans with loss and gradient-norm gauges),
-* the op profiler (per-kernel spans nested under the step that ran them),
+* op timing (``TraceRecorder(ops=True)``: one ``op.<name>`` histogram per
+  kernel, the calls, seconds and tail of every op the run executed),
 * the fault schedule and checkpoint/restart loop (instant events),
 * the registry publish (``campaign.publish``) and the inference server
   (per-batch ``serve.batch`` spans with queue-depth gauges).
@@ -35,7 +36,6 @@ from repro.obs import (
     TraceRecorder, format_summary, read_jsonl, summarize_trace,
     validate_trace, write_chrome_trace, write_jsonl,
 )
-from repro.perf import OpProfiler
 from repro.registry import ArtifactStore
 from repro.resilience import FaultSchedule
 from repro.serve import BatchPolicy, InferenceServer
@@ -52,24 +52,23 @@ space = SearchSpace({
 # ----------------------------------------------------------------------
 # 1. Run the campaign with the recorder attached.
 # ----------------------------------------------------------------------
-recorder = TraceRecorder()
+recorder = TraceRecorder(ops=True)  # ops=True: time every op by name
 store = ArtifactStore("traced_registry")
 with tempfile.TemporaryDirectory() as ckpt_dir:
     with recorder:
-        with OpProfiler():  # op spans nest under the fit-step spans
-            report = run_campaign(
-                "p1b1",
-                space,
-                n_trials=2 if smoke else 6,
-                n_workers=2,
-                final_epochs=1 if smoke else 3,
-                max_search_samples=60 if smoke else 150,
-                seed=7,
-                faults=FaultSchedule(crash=0.10, nan=0.05, seed=3),
-                checkpoint_dir=ckpt_dir,
-                publish_to=store,
-                model_name="p1b1",
-            )
+        report = run_campaign(
+            "p1b1",
+            space,
+            n_trials=2 if smoke else 6,
+            n_workers=2,
+            final_epochs=1 if smoke else 3,
+            max_search_samples=60 if smoke else 150,
+            seed=7,
+            faults=FaultSchedule(crash=0.10, nan=0.05, seed=3),
+            checkpoint_dir=ckpt_dir,
+            publish_to=store,
+            model_name="p1b1",
+        )
 
         # A serving burst against what the campaign just published, on
         # the same timeline.
@@ -95,8 +94,8 @@ print(f"\nwrote {jsonl_path}: "
       "(schema-valid)")
 
 # The final training is the one fit loop, faults or not: its step spans
-# (and the op spans under them) must hang off the campaign's
-# final-training phase.  The trace-smoke CI job gates on this.
+# must hang off the campaign's final-training phase.  The trace-smoke CI
+# job gates on this.
 spans = {r["id"]: r for r in records if r.get("type") == "span"}
 
 
@@ -110,6 +109,17 @@ n_steps = sum(under_final_training(s) for s in spans.values() if s["kind"] == "f
 print(f"{n_steps} fit.step spans under campaign.final_training")
 if n_steps == 0:
     sys.exit("no fit.step span under campaign.final_training: a trainer is missing from the trace")
+
+# Op time comes from the op.<name> histograms (count and mean per op):
+# the kernels ran inside the fit steps and served batches, so their
+# total cannot exceed those spans' wall time.
+ops = {r["name"]: r for r in records if r.get("type") == "metric" and r["name"].startswith("op.")}
+op_s = sum(r["mean_s"] * r["count"] for r in ops.values())
+step_s = sum(s["dur_wall"] for s in spans.values() if s["kind"] in ("fit.step", "serve.batch"))
+print(f"{len(ops)} op histograms: {1e3 * op_s:.3f} ms of op time, "
+      f"{1e3 * step_s:.3f} ms of fit.step + serve.batch spans")
+if "op.linear_act" not in ops or op_s > step_s:
+    sys.exit("op histograms missing linear_act or exceeding the step and batch spans")
 
 chrome_path = write_chrome_trace(records, "traced_campaign_chrome.json")
 print(f"wrote {chrome_path} (load in chrome://tracing or ui.perfetto.dev)")

@@ -23,8 +23,8 @@ Subpackages
   HPO trial executor.
 - :mod:`repro.resilience` — fault injection, checkpoint/restart, and the
   degradation-policy campaign runtime.
-- :mod:`repro.perf` — op-level profiling and kernel benchmarks.
-- :mod:`repro.obs` — spans/metrics/trace export and artifact schemas.
+- :mod:`repro.obs` — spans/metrics/trace export and artifact schemas;
+  a ``TraceRecorder(ops=True)`` also times every op by name.
 - :mod:`repro.serve` — micro-batched inference serving.
 """
 

@@ -11,7 +11,8 @@ are entries of one table, :data:`OPS`: forward and backward on raw arrays plus
 their dtype rule, cost and frozen oracle, run by :func:`apply`.  The
 elementwise ops are still closures.
 
-Hot-path conventions (see ``repro.perf`` for the measurement side):
+Hot-path conventions (a ``TraceRecorder(ops=True)`` times each op by name;
+``bench/`` times the engine from outside):
 
 * im2col materializes its copy in a (C*K, N*L_out) "kn" layout whose inner
   runs are contiguous in the source image, then feeds one GEMM; the column
@@ -38,7 +39,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import amp as _amp
-from ..perf.hooks import get_sink, instrument as _instrument
+from ..obs.context import get_recorder, instrument as _instrument
 from .tensor import Tensor, is_grad_enabled, unbroadcast
 
 
@@ -122,7 +123,7 @@ OPS: dict = {}
 
 
 def register(name: str, op: type) -> None:
-    op.name = name  # what OpProfiler records
+    op.name = name  # the op.<name> histogram an ops recorder fills
     OPS[name] = op
 
 
@@ -153,11 +154,12 @@ class Ctx:
 def apply(op, inputs: tuple, *params) -> Tensor:
     """Run table entry ``op`` on ``inputs`` (Tensors; an absent bias is None
     and comes last) and its forward's ``params``, recording a tape node when
-    grad mode is on and an input needs a gradient.  The one place the
-    profiler sink is checked and the autocast plan is read."""
-    sink = get_sink()
-    if sink is not None:
-        return sink.record(op.name, _run, (op, inputs, params), {})
+    grad mode is on and an input needs a gradient.  The one place a table
+    op is timed (under an ``ops=True`` recorder) and the autocast plan is
+    read."""
+    rec = get_recorder()
+    if rec is not None and rec.ops:
+        return rec.time_op(op.name, _run, op, inputs, params)
     return _run(op, inputs, params)
 
 
@@ -917,10 +919,10 @@ def global_avgpool2d(x: Tensor) -> Tensor:
 
 
 # ----------------------------------------------------------------------
-# Op-level instrumentation of the ops outside the table (see repro.perf)
+# Op-level instrumentation of the ops outside the table (see repro.obs)
 # ----------------------------------------------------------------------
-# Wrap them so an attached OpProfiler sees every call, as apply() does for
-# the table entries.  With no profiler active the wrapper is one global read
+# Wrap them so an ops=True recorder times every call, as apply() does for
+# the table entries.  With no recorder active the wrapper is one global read
 # + branch.  This runs at the end of module init, so layers.py (imported
 # after us) binds the instrumented functions.
 _INSTRUMENTED_OPS = (

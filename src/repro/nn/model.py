@@ -11,7 +11,7 @@ from __future__ import annotations
 import contextlib
 import math
 import time
-from typing import Callable, ContextManager, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -20,7 +20,6 @@ from . import losses as losses_mod
 from . import metrics as metrics_mod
 from ..obs.context import get_recorder
 from ..obs.trace import maybe_span
-from ..perf.hooks import get_sink
 from .dataloader import DataLoader, train_val_split
 from .layers import Layer
 from .optim import Adam, Optimizer
@@ -154,15 +153,16 @@ class Model:
         can see that would make that differ from the eager forward sends
         the batch through the tape under ``no_grad`` instead, which stays
         the reference: another input rank (Dense on (N, T, F) is the
-        unfused composition), an overridden or profiler-attached
-        ``forward``, an active ``OpProfiler`` sink (it must see every op)
-        or an active ``amp`` autocast plan.  Weights are read from the
+        unfused composition), an overridden or instance-replaced
+        ``forward``, an active ``ops=True`` recorder (it must time every
+        op) or an active ``amp`` autocast plan.  Weights are read from the
         layers on every call; nothing is cached on the model.
         """
+        rec = get_recorder()
         if (
             xb.ndim == 2
             and getattr(self.forward, "__func__", None) is Model.forward
-            and get_sink() is None
+            and (rec is None or not rec.ops)
             and amp.active() is None
         ):
             steps = [layer.infer for layer in self.layers]
@@ -280,11 +280,6 @@ class Model:
         window is shorter; its gradients are averaged over the *actual*
         window length, so tail batches carry full weight.
 
-        ``profiler`` is any context manager — typically a
-        :class:`repro.perf.OpProfiler` — entered for the duration of
-        training, so every instrumented op (including validation passes)
-        is attributed to it.
-
         ``precision`` selects the training datapath: ``None``/"fp64" is
         the unchanged full-precision path; ``"fp32"``, ``"bf16"`` and
         ``"fp16"`` run the real reduced-precision datapath — fp32 master
@@ -401,7 +396,6 @@ class FitLoop:
         clip_norm: Optional[float] = None,
         step_hook: Optional[Callable[[int, float], None]] = None,
         grad_accumulation: int = 1,
-        profiler: Optional[ContextManager] = None,
         precision=None,
     ) -> None:
         if grad_accumulation < 1:
@@ -441,7 +435,7 @@ class FitLoop:
         self.loader = DataLoader(x, y, batch_size=batch_size)
         self.epochs, self.validation_data, self.metrics = epochs, validation_data, metrics
         self.patience, self.clip_norm, self.step_hook = early_stopping_patience, clip_norm, step_hook
-        self.grad_accumulation, self.profiler = grad_accumulation, profiler
+        self.grad_accumulation = grad_accumulation
         self.verbose = verbose
 
         self.epoch = self.batch = self.global_step = self.accum = 0
@@ -521,7 +515,7 @@ class FitLoop:
             obs_loss = rec.metrics.gauge("fit.loss")
             obs_grad_norm = rec.metrics.gauge("fit.grad_norm")
 
-        with self.profiler if self.profiler is not None else contextlib.nullcontext(), maybe_span(
+        with maybe_span(
             rec, "fit", "fit",
             epochs=self.epochs, batch_size=loader.batch_size, n_samples=loader.n_samples,
         ) as fit_span:

@@ -23,6 +23,12 @@ library reads that slot.  Detached cost at each hook site is one module
 global read; attached cost is two clock reads and two dict operations
 per span — gated below 5% on the MLP train step by
 ``benchmarks/bench_obs_overhead.py``.
+
+A recorder built with ``ops=True`` also times every op the engine runs
+(:meth:`TraceRecorder.time_op`): one ``op.<name>`` histogram per op name
+in :attr:`TraceRecorder.metrics`, and no record per call, so a trace's
+size does not grow with its op count.  It is off by default: a traced
+run does not pay for op timing unless it asks.
 """
 
 from __future__ import annotations
@@ -50,8 +56,11 @@ class TraceRecorder:
         self,
         clock: Optional[Callable[[], float]] = None,
         sim_clock: Optional[Callable[[], float]] = None,
+        ops: bool = False,
     ) -> None:
         self._clock = clock or time.perf_counter
+        #: Time every op into an ``op.<name>`` histogram (:meth:`time_op`).
+        self.ops = ops
         #: Optional 0-arg callable returning the current simulated time.
         #: Mutable on purpose: subsystems that own a sim clock (the HPO
         #: scheduler's EventLoop) attach it for their scope and restore
@@ -159,10 +168,9 @@ class TraceRecorder:
     ) -> Dict:
         """Record an already-measured span (begin and end in one call).
 
-        The op-profiler path: the profiler times the op itself, then
-        reports the finished interval here.  The span nests under the
-        innermost currently-open span.  ``t_wall`` defaults to "it just
-        ended": now minus its duration.
+        For a caller that timed the interval itself.  The span nests
+        under the innermost currently-open span.  ``t_wall`` defaults to
+        "it just ended": now minus its duration.
         """
         span_id = self._next_id
         self._next_id += 1
@@ -180,6 +188,15 @@ class TraceRecorder:
         }
         self.records.append(span)
         return span
+
+    def time_op(self, name: str, fn: Callable, *args: Any, **kwargs: Any) -> Any:
+        """Run ``fn(*args, **kwargs)`` and observe its wall duration into
+        the ``op.<name>`` histogram (count, exact sum, p50/p95/p99).  The
+        op hooks call this only when :attr:`ops` is set."""
+        t0 = self._clock()
+        out = fn(*args, **kwargs)
+        self.metrics.histogram("op." + name).observe(self._clock() - t0)
+        return out
 
     # -- events ----------------------------------------------------------
     def event(self, name: str, kind: str = "event", **attrs: Any) -> Dict:

@@ -10,7 +10,8 @@ provides one, built from the library's own parts:
   a bounded queue, load shedding, and per-request timeouts (the
   :mod:`repro.resilience` overload idioms applied to serving);
 * :class:`InferenceServer` — the request front-end over the grad-free
-  ``no_grad`` predict path, instrumented for :class:`repro.perf.OpProfiler`;
+  ``no_grad`` predict path, one ``serve.batch`` span per batch under a
+  :class:`repro.obs.TraceRecorder`;
   ``InferenceServer.from_store`` / ``ReplicaGroup.from_store`` serve a
   ``name@version`` out of a :class:`repro.registry.ArtifactStore`, whose
   ``get`` is the only model loader (checksum-verified, warm-cached);

@@ -12,10 +12,9 @@ batch, i.e. the exact grad-free ``no_grad`` path training evaluation
 uses — serving a batch of the same requests in the same order is
 bit-identical to calling ``predict`` directly.
 
-The batch execution is also registered with the perf instrumentation
-hooks (op name ``serve.batch``): run the server under a
-:class:`repro.perf.OpProfiler` (or pass ``profiler=``) and every batch's
-wall time and output bytes land in the op table next to the kernels.
+Under an active :class:`repro.obs.TraceRecorder` every dispatched batch
+is a ``serve.batch`` span; a recorder built with ``ops=True`` also times
+each op of the batch's forward into its ``op.<name>`` histograms.
 """
 
 from __future__ import annotations
@@ -26,7 +25,6 @@ from typing import Callable, List, Optional, Sequence
 import numpy as np
 
 from ..obs.context import get_recorder
-from ..perf import hooks
 from ..nn.model import Model
 from .batcher import BatchPolicy, MicroBatcher, Request
 from .metrics import ServingStats
@@ -46,10 +44,6 @@ class InferenceServer:
         0-arg callable returning seconds; defaults to
         ``time.perf_counter``.  Pass a simulated clock for deterministic
         latency experiments.
-    profiler:
-        Optional :class:`repro.perf.OpProfiler` entered around every
-        batch execution, attributing the forward's per-op cost (and the
-        ``serve.batch`` envelope) to the profiler.
     precision:
         Inference datapath passed to :meth:`Model.predict` on every
         batch — ``None``/"fp64" (native), ``"fp32"``, or ``"int8"``
@@ -63,7 +57,6 @@ class InferenceServer:
         model: Model,
         policy: Optional[BatchPolicy] = None,
         clock: Optional[Callable[[], float]] = None,
-        profiler=None,
         precision: Optional[str] = None,
     ) -> None:
         if precision not in (None, "fp64", "fp32", "int8"):
@@ -78,7 +71,6 @@ class InferenceServer:
         self.model = model
         self.policy = policy or BatchPolicy()
         self.clock = clock or time.perf_counter
-        self.profiler = profiler
         self.precision = precision
         self.batcher = MicroBatcher(self.policy)
         self.stats = ServingStats()
@@ -177,21 +169,8 @@ class InferenceServer:
     def _execute(self, xs: Sequence[np.ndarray]) -> List[np.ndarray]:
         xb = np.stack(xs, axis=0) if xs else np.zeros((0,))
         t0 = time.perf_counter()
-        if self.profiler is not None:
-            with self.profiler:
-                out = _serve_batch(self.model, xb, self.precision)
-        else:
-            out = _serve_batch(self.model, xb, self.precision)
+        # Routing through Model.predict keeps the serving guarantee: a served
+        # batch is bit-identical to calling predict(..., precision=) directly.
+        out = self.model.predict(xb, batch_size=max(len(xb), 1), precision=self.precision)
         self.stats.record_batch(len(xs), time.perf_counter() - t0)
         return [out[i] for i in range(len(xs))]
-
-
-def _predict_batch(model: Model, xb: np.ndarray, precision: Optional[str] = None) -> np.ndarray:
-    # Routing through Model.predict keeps the serving guarantee: a served
-    # batch is bit-identical to calling predict(..., precision=) directly.
-    return model.predict(xb, batch_size=max(len(xb), 1), precision=precision)
-
-
-# Instrumented at import time like the functional ops: any active
-# OpProfiler sees one "serve.batch" record per dispatched batch.
-_serve_batch = hooks.instrument("serve.batch", _predict_batch)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import tempfile
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -42,10 +42,6 @@ class TrainingReport:
     energy_joules: float
     final_loss: float
     resilience: Optional[ResilienceReport] = None
-    # Measured per-op wall-clock breakdown (repro.perf.OpProfiler.as_dict),
-    # populated when run_training_job(..., profile_ops=True): the measured
-    # counterpart to the modeled ``profile``/``sim_*`` numbers.
-    op_profile: Optional[Dict] = None
 
 
 def run_training_job(
@@ -62,7 +58,6 @@ def run_training_job(
     seed: int = 0,
     faults=None,
     checkpoint_dir=None,
-    profile_ops: bool = False,
 ) -> TrainingReport:
     """Train ``model`` for real; price every step on ``cluster``/``plan``.
 
@@ -80,20 +75,15 @@ def run_training_job(
     checkpoint writes and restart overheads (its ``resilience`` field
     itemizes them).
 
-    ``profile_ops=True`` attaches a :class:`repro.perf.OpProfiler` to the
-    training run and fills the report's ``op_profile`` with the measured
-    per-op breakdown — the empirical check on the ``sim_*`` cost model.
+    Run it under a ``TraceRecorder(ops=True)`` for the measured per-op
+    breakdown (its ``op.<name>`` histograms) — the empirical check on the
+    ``sim_*`` cost model.
     """
     plan = plan or SingleNode()
     x = np.asarray(x)
-    op_prof = None
-    if profile_ops:
-        from ..perf import OpProfiler
-
-        op_prof = OpProfiler()
     policy = None if precision in ("fp32", "fp64") else PrecisionPolicy(precision)
     fit_kwargs = dict(epochs=epochs, batch_size=batch_size, loss=loss, lr=lr, seed=seed,
-                      precision=policy, profiler=op_prof)
+                      precision=policy)
 
     # The checkpoint cadence depends on step time and MTBF, so a
     # fault-tolerant job is priced before it trains and its model is
@@ -144,7 +134,6 @@ def run_training_job(
         energy_joules=step_energy(plan, profile, cluster, precision).total * executed_steps,
         final_loss=history.series("loss")[-1],
         resilience=resilience,
-        op_profile=op_prof.as_dict() if op_prof is not None else None,
     )
 
 

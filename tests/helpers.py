@@ -7,7 +7,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from repro.nn.tensor import Tensor
-from repro.perf import set_sink
+from repro.obs import TraceRecorder
 
 
 def numerical_grad(fn: Callable[[np.ndarray], float], x: np.ndarray, eps: float = 1e-6) -> np.ndarray:
@@ -122,20 +122,16 @@ def check_dead_input_grad(
         assert (live_matmuls, dead_matmuls) == (3, 1)
 
 
-class SeenOps:
-    """Pass-through profiler sink: adds the name of every op that runs to
-    ``into``.  Used as a context manager, it is the active sink inside."""
+class SeenOps(TraceRecorder):
+    """A ``TraceRecorder(ops=True)`` that, on leaving its ``with`` block,
+    adds to ``into`` the name of every op timed inside it."""
 
     def __init__(self, into: set) -> None:
+        super().__init__(ops=True)
         self.into = into
 
-    def record(self, name, fn, args, kwargs):
-        self.into.add(name)
-        return fn(*args, **kwargs)
-
-    def __enter__(self) -> "SeenOps":
-        self.prev = set_sink(self)
-        return self
-
     def __exit__(self, *exc) -> None:
-        set_sink(self.prev)
+        super().__exit__(*exc)
+        self.into.update(
+            r["name"][len("op."):] for r in self.metrics.snapshot() if r["name"].startswith("op.")
+        )

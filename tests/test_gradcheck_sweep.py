@@ -8,7 +8,7 @@ compares the autograd gradient against central finite differences via
 Coverage is enforced, not hoped for: the final tests enumerate every
 public ``Layer`` subclass (including the recurrent cells), every public
 loss in :mod:`repro.nn.losses` and every op-table entry
-(``functional.OPS``, seen running through a pass-through profiler sink)
+(``functional.OPS``, seen running under a ``TraceRecorder(ops=True)``)
 and assert each one appears in the sweep.  A new layer, loss or entry
 added without a gradcheck case fails the suite.
 

@@ -4,8 +4,8 @@ Covers the tentpole contract end to end: span-stack invariants (balanced
 open/close, unwind-on-exception), dual clocks, the metrics registry, the
 versioned JSONL schema round-trip, the Chrome trace conversion, the
 summary report — and an instrumented campaign whose trace contains
-balanced spans from all six hook points (campaign driver, HPO scheduler,
-``Model.fit``, op profiler, resilience, serving)."""
+records from all six hook points (campaign driver, HPO scheduler,
+``Model.fit``, op timing, resilience, serving)."""
 
 import json
 
@@ -37,7 +37,6 @@ from repro.obs import (
     write_chrome_trace,
     write_jsonl,
 )
-from repro.perf import OpProfiler
 from repro.resilience import CRASH, FaultSchedule
 from repro.serve import BatchPolicy, InferenceServer
 from repro.workflow.campaign import run_campaign
@@ -344,15 +343,16 @@ class TestWiredHooks:
         self._fit_mlp()  # recorder never installed
         assert len(rec) == 0
 
-    def test_op_spans_nest_under_fit_steps(self):
-        rec = TraceRecorder()
+    def test_op_histograms_under_fit(self):
+        rec = TraceRecorder(ops=True)
         with rec:
-            with OpProfiler():
-                self._fit_mlp(epochs=1)
-        ops = rec.spans(kind="op")
-        assert ops, "op profiler recorded no spans"
-        step_ids = {s["id"] for s in rec.spans(kind="fit.step")}
-        assert any(op["parent"] in step_ids for op in ops)
+            self._fit_mlp(epochs=1)
+        assert len(rec.spans(kind="fit.step")) == 3
+        assert not rec.spans(kind="op")  # a histogram per op, no span per call
+        # 3 batches: two Dense layers and one relu forward each.
+        assert rec.metrics.histogram("op.linear_act").n == 3 * 2
+        assert rec.metrics.histogram("op.relu").n == 3
+        assert rec.metrics.histogram("op.mse").n == 3
 
     def test_serve_batch_spans_and_queue_gauge(self):
         rng = np.random.default_rng(0)
@@ -519,11 +519,13 @@ class TestWiredHooks:
 
 
 class TestInstrumentedCampaignEndToEnd:
-    """Acceptance criterion: a full run_campaign under one recorder
-    exports a schema-valid JSONL trace with balanced spans from all six
-    hook points, converting to a loadable Chrome trace."""
+    """Acceptance criterion: a full run_campaign under one ``ops=True``
+    recorder exports a schema-valid JSONL trace with records from all six
+    hook points — balanced spans or events from five, ``op.<name>``
+    histograms from the op hooks — converting to a loadable Chrome
+    trace."""
 
-    SIX_KINDS = ("campaign", "hpo.trial", "fit", "op", "fault", "serve.batch")
+    FIVE_KINDS = ("campaign", "hpo.trial", "fit", "fault", "serve.batch")
 
     def test_trace_covers_all_six_hook_points(self, tmp_path):
         space = SearchSpace({
@@ -531,15 +533,14 @@ class TestInstrumentedCampaignEndToEnd:
             "hidden1": Int(4, 16),
             "batch_size": Int(8, 32),
         })
-        rec = TraceRecorder()
+        rec = TraceRecorder(ops=True)
         with rec:
-            with OpProfiler():
-                run_campaign(
-                    "p1b1", space, n_trials=2, n_workers=2,
-                    final_epochs=1, max_search_samples=50, seed=1,
-                    faults=FaultSchedule(nan=0.4, seed=5),
-                    checkpoint_dir=tmp_path / "ck",
-                )
+            run_campaign(
+                "p1b1", space, n_trials=2, n_workers=2,
+                final_epochs=1, max_search_samples=50, seed=1,
+                faults=FaultSchedule(nan=0.4, seed=5),
+                checkpoint_dir=tmp_path / "ck",
+            )
             # Serve the same process's model under the same recorder so
             # the timeline spans training *and* inference.
             rng = np.random.default_rng(0)
@@ -558,10 +559,12 @@ class TestInstrumentedCampaignEndToEnd:
         assert counts["span"] > 0 and counts["event"] > 0 and counts["metric"] > 0
 
         kinds = {r["kind"] for r in records[1:] if r["type"] in ("span", "event")}
-        for needed in self.SIX_KINDS:
+        for needed in self.FIVE_KINDS:
             assert any(k == needed or k.startswith(needed + ".") for k in kinds), (
                 f"hook point {needed!r} missing from trace kinds {sorted(kinds)}"
             )
+        ops = [r for r in records if r["type"] == "metric" and r["name"].startswith("op.")]
+        assert any(r["name"] == "op.linear_act" and r["count"] > 0 for r in ops), ops
 
         # Campaign phases are children of the campaign root span.
         spans = [r for r in records if r["type"] == "span"]

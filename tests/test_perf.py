@@ -1,4 +1,7 @@
-"""Tests for the op-level perf subsystem (repro.perf)."""
+"""Tests for op-level measurement (a ``TraceRecorder(ops=True)``) and the
+op table's frozen oracles."""
+
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -7,7 +10,8 @@ from hypothesis import strategies as st
 
 import repro.nn.functional as F
 from repro.nn import Dense, Sequential, Tensor, no_grad
-from repro.perf import OpProfiler, get_sink, instrument, set_sink
+from repro.obs import TraceRecorder, get_recorder
+from repro.obs.context import instrument
 
 import reference
 from helpers import SeenOps
@@ -24,31 +28,26 @@ def oracle(op_name: str, i: int = 0):
     return getattr(reference, F.OPS[op_name].oracle[i])
 
 
+def op_calls(rec: TraceRecorder) -> dict:
+    """``{op name: calls}`` from the recorder's ``op.<name>`` histograms."""
+    return {
+        r["name"][len("op."):]: r["count"]
+        for r in rec.metrics.snapshot() if r["name"].startswith("op.")
+    }
+
+
 class TestHooks:
     def test_no_sink_passthrough(self):
         def op(a, b):
             return a + b
 
         wrapped = instrument("op", op)
-        assert get_sink() is None
+        assert get_recorder() is None
         assert wrapped(2, 3) == 5
         assert wrapped.__wrapped__ is op
 
-    def test_set_sink_returns_previous(self):
-        class Sink:
-            def record(self, name, fn, args, kwargs):
-                return fn(*args, **kwargs)
-
-        s = Sink()
-        prev = set_sink(s)
-        try:
-            assert get_sink() is s
-        finally:
-            set_sink(prev)
-        assert get_sink() is prev
-
     def test_functional_ops_are_instrumented(self):
-        # An attached sink records every table entry and every op still
+        # An ops recorder times every table entry and every op still
         # wrapped by ``instrument``.
         x = Tensor(RNG.standard_normal((4, 3)), requires_grad=True)
         img = Tensor(RNG.standard_normal((2, 2, 6, 6)), requires_grad=True)
@@ -80,75 +79,83 @@ class TestHooks:
 
 
 class TestOpProfiler:
+    """Op timing is a mode of the trace recorder: ``ops=True``."""
+
     def test_records_op_calls_and_time(self):
-        prof = OpProfiler()
+        rec = TraceRecorder(ops=True)
         x = Tensor(RNG.standard_normal((8, 4)), requires_grad=True)
         w = Tensor(RNG.standard_normal((4, 3)), requires_grad=True)
-        with prof:
+        with rec:
             F.linear_act(x, w, activation="relu").sum().backward()
             F.relu(x)
-        stats = prof.as_dict()
-        assert stats["linear_act"]["calls"] == 1
-        assert stats["relu"]["calls"] == 1
-        assert stats["linear_act"]["total_s"] >= 0.0
-        assert prof.total_time >= 0.0
+        assert op_calls(rec) == {"linear_act": 1, "relu": 1}
+        assert rec.metrics.histogram("op.linear_act").sum >= 0.0
+        assert len(rec) == 0  # no record per call
 
     def test_outside_context_records_nothing(self):
-        prof = OpProfiler()
-        with prof:
+        rec = TraceRecorder(ops=True)
+        with rec:
             pass
         F.relu(Tensor(RNG.standard_normal(4)))
-        assert prof.as_dict() == {}
+        assert op_calls(rec) == {}
 
     def test_nesting_restores_outer_sink(self):
-        outer, inner = OpProfiler(), OpProfiler()
+        outer, inner = TraceRecorder(ops=True), TraceRecorder(ops=True)
         x = Tensor(RNG.standard_normal(4))
         with outer:
             F.relu(x)
             with inner:
                 F.tanh(x)
             F.relu(x)
-        assert outer.as_dict()["relu"]["calls"] == 2
-        assert "tanh" not in outer.as_dict()
-        assert inner.as_dict()["tanh"]["calls"] == 1
-        assert get_sink() is None
+        assert op_calls(outer) == {"relu": 2}
+        assert op_calls(inner) == {"tanh": 1}
+        assert get_recorder() is None
 
-    def test_attach_detach_model(self):
-        model = Sequential([Dense(6, activation="relu"), Dense(2)])
-        x = RNG.standard_normal((8, 4))
-        model.build(x.shape[1:], np.random.default_rng(0))
-        prof = OpProfiler()
-        prof.attach(model)
-        model(Tensor(x))
-        prof.detach(model)
-        model(Tensor(x))  # not recorded
-        stats = prof.as_dict()
-        assert stats["linear_act"]["calls"] == 2  # two Dense layers, one pass
-
-    def test_track_alloc_records_bytes(self):
-        prof = OpProfiler(track_alloc=True)
-        x = Tensor(RNG.standard_normal((64, 64)))
-        with prof:
-            F.relu(x)
-        s = prof.as_dict()["relu"]
-        assert s["bytes_out"] == 64 * 64 * 8
-        assert s["bytes_alloc"] > 0
-
-    def test_table_and_reset(self):
-        prof = OpProfiler()
-        with prof:
-            F.relu(Tensor(RNG.standard_normal(8)))
-        assert "relu" in prof.table()
-        prof.reset()
-        assert prof.as_dict() == {}
-
-    def test_fit_accepts_profiler(self):
+    def test_fit_under_ops_recorder(self):
         model = Sequential([Dense(8, activation="relu"), Dense(1)])
         x = RNG.standard_normal((32, 4))
         y = RNG.standard_normal((32, 1))
-        prof = OpProfiler()
-        model.fit(x, y, epochs=1, batch_size=8, loss="mse", profiler=prof)
-        assert prof.as_dict()["linear_act"]["calls"] == 8  # 4 batches x 2 layers
+        rec = TraceRecorder(ops=True)
+        with rec:
+            model.fit(x, y, epochs=1, batch_size=8, loss="mse")
+        assert op_calls(rec)["linear_act"] == 8  # 4 batches x 2 layers
+        assert len(rec.spans(kind="fit.step")) == 4
+
+    @pytest.mark.parametrize("around", [nullcontext, TraceRecorder], ids=["detached", "plain_recorder"])
+    def test_no_op_is_timed_without_ops(self, around, monkeypatch):
+        def refuse(self, name, fn, *args, **kwargs):
+            raise AssertionError(f"op {name} timed without ops=True")
+
+        monkeypatch.setattr(TraceRecorder, "time_op", refuse)
+        tape_free = []
+        dense_infer = Dense.infer
+        monkeypatch.setattr(Dense, "infer", lambda self, xd: tape_free.append(1) or dense_infer(self, xd))
+        model = Sequential([Dense(8, activation="relu"), Dense(3)])
+        x = RNG.standard_normal((16, 4))
+        with around():
+            model.fit(x, RNG.integers(0, 3, 16), epochs=1, batch_size=8, loss="cross_entropy")
+            F.softmax(F.relu(Tensor(x)))  # two wrapped ops outside the table
+            model.predict(x, batch_size=8)
+        assert tape_free, "predict left the tape-free path"
+
+    @pytest.mark.parametrize("precision", [None, "bf16"], ids=["fp64", "bf16"])
+    def test_fit_weights_do_not_depend_on_the_recorder(self, precision):
+        x = RNG.standard_normal((40, 6))
+        y = RNG.standard_normal((40, 2))
+
+        def fit(recorder):
+            model = Sequential([Dense(8, activation="tanh"), Dense(2)])
+            with recorder:
+                history = model.fit(x, y, epochs=2, batch_size=8, loss="mse", seed=3,
+                                    validation_split=0.25, precision=precision)
+            weights = b"".join(w.tobytes() for w in model.get_weights())
+            return weights, history.series("val_loss")
+
+        detached = fit(nullcontext())
+        assert fit(TraceRecorder()) == detached
+        ops = TraceRecorder(ops=True)
+        assert fit(ops) == detached
+        assert op_calls(ops)["linear_act"] > 0
 
 
 class TestReferenceKernels:
@@ -283,8 +290,8 @@ class TestPoolingParity:
             np.testing.assert_array_equal(nan_out, ref_forward(x_nan, pool, stride)[0])
 
 
-class TestWorkflowProfileOps:
-    def test_training_report_op_profile(self):
+class TestWorkflowOps:
+    def test_training_job_under_ops_recorder(self):
         from repro.hpc.cluster import SimCluster
         from repro.workflow.training_job import run_training_job
 
@@ -292,10 +299,7 @@ class TestWorkflowProfileOps:
         x = RNG.standard_normal((48, 6))
         y = RNG.standard_normal((48, 1))
         cluster = SimCluster.build("summit_era", 1)
-        report = run_training_job(
-            model, x, y, cluster, epochs=1, batch_size=16, loss="mse", profile_ops=True
-        )
-        assert report.op_profile is not None
-        assert report.op_profile["linear_act"]["calls"] > 0
-        plain = run_training_job(model, x, y, cluster, epochs=1, batch_size=16, loss="mse")
-        assert plain.op_profile is None
+        rec = TraceRecorder(ops=True)
+        with rec:
+            run_training_job(model, x, y, cluster, epochs=1, batch_size=16, loss="mse")
+        assert op_calls(rec)["linear_act"] == 3 * 2  # 3 batches x 2 layers

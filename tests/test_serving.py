@@ -12,7 +12,7 @@ from repro.nn import (
     BatchNorm, Conv2D, Dense, Dropout, Flatten, Sequential, Tensor, amp, losses, no_grad,
     tape_node_count,
 )
-from repro.perf import OpProfiler
+from repro.obs import TraceRecorder
 from repro.registry import ArtifactStore, load_artifact, weights_checksum
 from repro.serve import (
     AffineServiceTime,
@@ -236,16 +236,20 @@ class TestInferenceServer:
         assert server.step() == 0
 
     def test_profiler_sees_serve_batch_op(self, p1b2_model, p1b2_shape):
-        prof = OpProfiler(keep_samples=True)
-        server = InferenceServer(p1b2_model, BatchPolicy(max_batch_size=8, max_wait_s=0.0), profiler=prof)
+        # The op-timing recorder sees each batch as a serve.batch span and
+        # the ops inside it as op.<name> histograms with their tail.
+        rec = TraceRecorder(ops=True)
+        server = InferenceServer(p1b2_model, BatchPolicy(max_batch_size=8, max_wait_s=0.0))
         x = np.random.default_rng(4).standard_normal((16,) + p1b2_shape)
-        for i in range(len(x)):
-            server.submit(x[i])
-        server.drain()
-        assert prof.stats["serve.batch"].calls == 2
-        assert "linear_act" in prof.stats  # inner ops attributed too
-        assert prof.percentiles("serve.batch")  # keep_samples feeds tail latency
-        assert prof.percentiles("no_such_op") == {}
+        with rec:
+            for i in range(len(x)):
+                server.submit(x[i])
+            server.drain()
+        assert len(rec.spans(kind="serve.batch")) == 2
+        linear_act = rec.metrics.histogram("op.linear_act")
+        assert linear_act.n > 0  # inner ops attributed too
+        summary = linear_act.summary()
+        assert summary["p50_s"] <= summary["p95_s"] <= summary["p99_s"] <= summary["max_s"]
 
 
 class TestModelRegistry:
@@ -512,7 +516,7 @@ class TestTapeFreePredict:
         assert after.tobytes() == np.concatenate(_eager(model, x, batch_size)).tobytes()
 
     @pytest.mark.parametrize("case", [
-        "profiler", "attached_profiler", "autocast", "forward_override", "conv2d", "batchnorm",
+        "profiler", "instance_forward", "autocast", "forward_override", "conv2d", "batchnorm",
         "sigmoid", "3d_input",
     ])
     def test_eager_wherever_the_tape_free_path_could_differ(self, case):
@@ -535,12 +539,13 @@ class TestTapeFreePredict:
         model.build(shape, rng)
         x = rng.standard_normal((10,) + shape)
         x.flat[0] = np.nan
-        prof = OpProfiler()
+        rec = TraceRecorder(ops=True)
         around = contextlib.nullcontext()
-        if case == "profiler":
-            around = prof
-        elif case == "attached_profiler":
-            prof.attach(model)
+        if case == "profiler":  # a recorder timing every op
+            around = rec
+        elif case == "instance_forward":  # forward replaced on the instance
+            forward = model.forward
+            model.forward = lambda x, training=True: forward(x, training=training)
         elif case == "autocast":
             around = amp.autocast("bf16")
 
@@ -549,21 +554,21 @@ class TestTapeFreePredict:
             ref = _eager(model, x, 4)
         assert not calls
         assert out.tobytes() == np.concatenate(ref).tobytes()
-        if "profiler" in case:
+        if case == "profiler":
             # Every op of every batch is seen (the reference pass included).
-            assert prof.stats["linear_act"].calls == 2 * 3 * 2
+            assert rec.metrics.histogram("op.linear_act").n == 2 * 3 * 2
 
     def test_server_profiler_sees_the_ops_of_every_batch(self, p1b2_model, p1b2_shape):
-        prof = OpProfiler()
-        server = InferenceServer(p1b2_model, BatchPolicy(max_batch_size=4, max_wait_s=0.0), profiler=prof)
+        rec = TraceRecorder(ops=True)
+        server = InferenceServer(p1b2_model, BatchPolicy(max_batch_size=4, max_wait_s=0.0))
         x = np.random.default_rng(6).standard_normal((12,) + p1b2_shape)
-        with _tape_free_calls() as calls:
+        with _tape_free_calls() as calls, rec:
             handles = [server.submit(row) for row in x]
             server.drain()
         assert not calls
         n_dense = sum(isinstance(layer, Dense) for layer in p1b2_model.layers)
-        assert prof.stats["serve.batch"].calls == 3
-        assert prof.stats["linear_act"].calls == 3 * n_dense
+        assert len(rec.spans(kind="serve.batch")) == 3
+        assert rec.metrics.histogram("op.linear_act").n == 3 * n_dense
         served = np.stack([h.result for h in handles])
         assert served.tobytes() == np.concatenate(_eager(p1b2_model, x, 4)).tobytes()
 
