@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import repro.nn.functional as F
 from repro.nn import Dense, Sequential, Tensor, no_grad
-from repro.obs import TraceRecorder, get_recorder
+from repro.obs import TraceRecorder, get_recorder, set_recorder
 from repro.obs.context import instrument
 
 import reference
@@ -45,6 +45,21 @@ class TestHooks:
         assert get_recorder() is None
         assert wrapped(2, 3) == 5
         assert wrapped.__wrapped__ is op
+
+    def test_set_sink_returns_previous(self):
+        # Op timing reads the one recorder slot; setting it returns the
+        # recorder it replaced, so an ops recorder installed by hand can
+        # be taken out again.
+        rec = TraceRecorder(ops=True)
+        wrapped = instrument("op", lambda a, b: a + b)
+        prev = set_recorder(rec)
+        try:
+            assert get_recorder() is rec
+            assert wrapped(2, 3) == 5
+        finally:
+            assert set_recorder(prev) is rec
+        assert get_recorder() is prev
+        assert op_calls(rec) == {"op": 1}
 
     def test_functional_ops_are_instrumented(self):
         # An ops recorder times every table entry and every op still
