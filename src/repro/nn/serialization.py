@@ -3,18 +3,19 @@
 Every file this repo writes for a model — bare weights
 (:func:`save_weights`), resumable training snapshots
 (:func:`save_training_state`, what :mod:`repro.resilience` restarts
-from) and registry artifacts (:func:`repro.registry.write_artifact`) —
+from) and registry artifacts (:func:`repro.registry.encode_artifact`) —
 is one ``.npz``: the parameters in order as ``param_0000``…, any
 further named arrays, and a ``_meta`` member holding a JSON header with
-``n_params``.  :func:`write_npz` is the only writer (always through
-:func:`atomic_savez`: temp file, then ``os.replace``, so a reader never
-finds a torn file) and :func:`read_npz` the only reader (a file that is
-unreadable, truncated or fails a CRC is refused with
+``n_params``.  :func:`encode_npz` is the only encoder (what
+:func:`write_npz` installs by temp file + ``os.replace``, and what the
+registry hands its backend) and :func:`read_npz` the only reader (a
+file that is unreadable, truncated or fails a CRC is refused with
 :class:`CheckpointIntegrityError`, whoever asks).
 """
 
 from __future__ import annotations
 
+import io
 import json
 import os
 import tempfile
@@ -34,21 +35,16 @@ class CheckpointIntegrityError(RuntimeError):
     any weights are installed into a model."""
 
 
-def atomic_savez(path: Union[str, Path], arrays: Dict[str, np.ndarray]) -> Path:
-    """Write an .npz atomically: savez to a temp file, then rename.
-
-    ``os.replace`` is atomic on POSIX, so readers either see the previous
-    complete checkpoint or the new complete one — never a torn write.
-    Returns the final path (with the ``.npz`` suffix ``np.savez`` adds).
-    """
+def _replace_atomically(path: Union[str, Path], data: bytes) -> Path:
+    """Install ``data`` as ``path`` (``.npz`` added if missing) through a
+    temp file and ``os.replace``, atomic on POSIX: never a torn file."""
     path = Path(path)
     if path.suffix != ".npz":
         path = path.with_suffix(path.suffix + ".npz")
     fd, tmp_name = tempfile.mkstemp(suffix=".npz", dir=path.parent, prefix=".tmp_ckpt_")
-    os.close(fd)
     try:
-        with open(tmp_name, "wb") as fh:
-            np.savez(fh, **arrays)
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(data)
         os.replace(tmp_name, path)
     except BaseException:
         if os.path.exists(tmp_name):
@@ -57,20 +53,42 @@ def atomic_savez(path: Union[str, Path], arrays: Dict[str, np.ndarray]) -> Path:
     return path
 
 
+def atomic_savez(path: Union[str, Path], arrays: Dict[str, np.ndarray]) -> Path:
+    """Write an .npz of ``arrays`` atomically; returns the final path
+    (with the ``.npz`` suffix ``np.savez`` adds)."""
+    return _replace_atomically(path, _savez(arrays))
+
+
+def _savez(arrays: Dict[str, np.ndarray]) -> bytes:
+    buf = io.BytesIO()
+    np.savez(buf, **arrays)
+    return buf.getvalue()
+
+
+def encode_npz(
+    weights: Sequence[np.ndarray],
+    header: Dict,
+    arrays: Optional[Dict[str, np.ndarray]] = None,
+) -> bytes:
+    """The encoder: ``weights`` in order, ``arrays`` by name, ``header``
+    (plus ``n_params``) as JSON — the bytes of one ``.npz``, in memory."""
+    members = {f"param_{i:04d}": w for i, w in enumerate(weights)}
+    members.update(arrays or {})
+    members["_meta"] = np.frombuffer(
+        json.dumps({"n_params": len(weights), **header}).encode(), dtype=np.uint8
+    )
+    return _savez(members)
+
+
 def write_npz(
     path: Union[str, Path],
     weights: Sequence[np.ndarray],
     header: Dict,
     arrays: Optional[Dict[str, np.ndarray]] = None,
 ) -> Path:
-    """The writer: ``weights`` in order, ``arrays`` by name, ``header``
-    (plus ``n_params``) as JSON — atomically.  Returns the final path."""
-    members = {f"param_{i:04d}": w for i, w in enumerate(weights)}
-    members.update(arrays or {})
-    members["_meta"] = np.frombuffer(
-        json.dumps({"n_params": len(weights), **header}).encode(), dtype=np.uint8
-    )
-    return atomic_savez(path, members)
+    """The writer: :func:`encode_npz`'s bytes, installed atomically.
+    Returns the final path."""
+    return _replace_atomically(path, encode_npz(weights, header, arrays))
 
 
 def read_npz(path: Union[str, Path]) -> Tuple[Dict, List[np.ndarray], Dict[str, np.ndarray]]:

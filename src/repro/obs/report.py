@@ -9,8 +9,10 @@ answers the ``repro trace`` subcommand prints:
 * **critical path** — the greedy heaviest-child walk from the longest
   root span down, i.e. the chain of nested spans that bounds the run;
 * **overhead estimate** — the recorder's own bookkeeping cost, from the
-  record count times a per-record cost calibrated on the spot (timing a
-  scratch recorder), as a fraction of the traced wall clock.
+  record count times a per-record cost, plus the ``op.*`` histograms'
+  counts (timed op calls write no record) times a per-op cost, both
+  calibrated on the spot (timing a scratch recorder), as a fraction of
+  the traced wall clock; and a per-op table of those histograms.
 """
 
 from __future__ import annotations
@@ -27,6 +29,16 @@ def calibrate_record_cost(n: int = 2000) -> float:
     t0 = time.perf_counter()
     for i in range(n):
         rec.end(rec.begin("calib", kind="calib", i=i))
+    return (time.perf_counter() - t0) / n
+
+
+def calibrate_op_cost(n: int = 2000) -> float:
+    """Measured seconds ``time_op`` adds to one op call on this machine,
+    now (timing ``int()``, a call that does next to nothing)."""
+    rec = TraceRecorder(ops=True)
+    t0 = time.perf_counter()
+    for _ in range(n):
+        rec.time_op("calib", int)
     return (time.perf_counter() - t0) / n
 
 
@@ -81,9 +93,17 @@ def summarize_trace(records: List[Dict], record_cost_s: Optional[float] = None) 
     else:
         wall_span = 0.0
 
+    ops = {
+        m["name"]: {"count": m["count"], "mean_s": m["mean_s"], "p95_s": m["p95_s"],
+                    "total_s": m["count"] * m["mean_s"]}
+        for m in metrics if m.get("metric") == "histogram" and m["name"].startswith("op.")
+    }
+    op_calls = sum(row["count"] for row in ops.values())
+
     cost = calibrate_record_cost() if record_cost_s is None else record_cost_s
+    op_cost = calibrate_op_cost() if op_calls else 0.0
     # An event is one timestamp+append, roughly half a span's two.
-    overhead_s = cost * (len(spans) + 0.5 * len(events))
+    overhead_s = cost * (len(spans) + 0.5 * len(events)) + op_cost * op_calls
     return {
         "spans": len(spans),
         "events": len(events),
@@ -91,9 +111,11 @@ def summarize_trace(records: List[Dict], record_cost_s: Optional[float] = None) 
         "wall_span_s": wall_span,
         "kinds": dict(sorted(kinds.items(), key=lambda kv: -kv[1]["total_wall_s"])),
         "event_kinds": dict(sorted(event_kinds.items())),
+        "ops": dict(sorted(ops.items(), key=lambda kv: -kv[1]["total_s"])),
         "critical_path": path,
         "overhead": {
             "per_record_s": cost,
+            "per_op_s": op_cost,
             "estimate_s": overhead_s,
             "estimate_frac": overhead_s / wall_span if wall_span > 0 else 0.0,
         },
@@ -119,6 +141,14 @@ def format_summary(summary: Dict) -> str:
         lines.append("events: " + "  ".join(
             f"{kind}={n}" for kind, n in summary["event_kinds"].items()
         ))
+    if summary["ops"]:
+        lines.append("")
+        lines.append(f"{'op':<24} {'count':>7} {'mean us':>10} {'p95 us':>10} {'total ms':>10}")
+        for name, row in summary["ops"].items():
+            lines.append(
+                f"{name:<24} {row['count']:>7d} {row['mean_s'] * 1e6:>10.2f} "
+                f"{row['p95_s'] * 1e6:>10.2f} {row['total_s'] * 1e3:>10.3f}"
+            )
     if summary["critical_path"]:
         lines.append("")
         lines.append("critical path (heaviest nested chain):")
@@ -133,6 +163,7 @@ def format_summary(summary: Dict) -> str:
     lines.append(
         f"recorder overhead ≈ {over['estimate_s'] * 1e3:.3f} ms "
         f"({over['estimate_frac'] * 100:.2f}% of traced wall, "
-        f"{over['per_record_s'] * 1e9:.0f} ns/record)"
+        f"{over['per_record_s'] * 1e9:.0f} ns/record"
+        + (f", {over['per_op_s'] * 1e9:.0f} ns/timed op)" if summary["ops"] else ")")
     )
     return "\n".join(lines)

@@ -33,9 +33,9 @@ from .artifact import (
     UnsupportedDtypeError,
     build_artifact_meta,
     build_from_artifact,
+    encode_artifact,
     load_artifact,
     weights_checksum,
-    write_artifact,
 )
 from .backends import InMemoryBackend, LocalDirBackend, RegistryBackend
 from .cache import WarmModelCache
@@ -53,7 +53,7 @@ __all__ = [
     "WarmModelCache",
     "build_artifact_meta",
     "build_from_artifact",
+    "encode_artifact",
     "load_artifact",
     "weights_checksum",
-    "write_artifact",
 ]

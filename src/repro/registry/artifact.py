@@ -6,8 +6,8 @@ per-parameter dtypes, optional quantization spec, lineage back to the
 producing campaign/trial, and a SHA-256 content checksum over the
 weights.  The bytes are the ``.npz`` layout of
 :mod:`repro.nn.serialization` — this module never touches the file
-format, only what the header means: :func:`write_artifact` hands
-weights and header to the one atomic writer, :func:`load_artifact`
+format, only what the header means: :func:`encode_artifact` hands
+weights and header to the one encoder, :func:`load_artifact`
 takes them back from the one reader and checks the weights against the
 recorded checksum *before* anything is installed into a model, and
 :func:`build_from_artifact` turns the pair into a served model.
@@ -21,7 +21,7 @@ from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 import numpy as np
 
-from ..nn.serialization import CheckpointIntegrityError, read_npz, write_npz
+from ..nn.serialization import CheckpointIntegrityError, encode_npz, read_npz
 
 
 class UnsupportedDtypeError(RuntimeError):
@@ -95,8 +95,9 @@ def build_artifact_meta(
     metadata: Optional[Dict] = None,
     quantization: Optional[Dict] = None,
     lineage: Optional[Dict] = None,
-) -> Dict:
-    """Assemble the self-describing header for one model artifact.
+) -> Tuple[Dict, List[np.ndarray]]:
+    """The self-describing header for one model artifact, and the weight
+    copies its checksum covers (what :func:`encode_artifact` stores).
 
     ``benchmark`` must name an entry of :data:`repro.candle.registry.REGISTRY`
     (the loader rebuilds the architecture through its ``build_model``);
@@ -120,14 +121,13 @@ def build_artifact_meta(
         "quantization": quantization,
         "lineage": lineage or {},
         "extra": metadata or {},
-    })
+    }), weights
 
 
-def write_artifact(model, path: Union[str, Path], meta: Dict) -> Path:
-    """Atomically write ``model``'s weights + ``meta`` as an artifact:
-    concurrent readers see either the previous complete artifact or the
-    new complete one — never a torn write."""
-    return write_npz(path, model.get_weights(), {"metadata": meta})
+def encode_artifact(weights: List[np.ndarray], meta: Dict) -> bytes:
+    """The artifact's bytes: ``weights`` + ``meta`` in the one ``.npz``
+    layout, for the store to install in one atomic write."""
+    return encode_npz(weights, {"metadata": meta})
 
 
 def load_artifact(path: Union[str, Path]) -> Tuple[Dict, List[np.ndarray]]:

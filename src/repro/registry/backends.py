@@ -12,8 +12,8 @@ local blob cache (exactly what :class:`InMemoryBackend` demonstrates).
 
 Two implementations ship today:
 
-* :class:`LocalDirBackend` — a directory tree; every write is temp-file
-  + ``os.replace`` so concurrent readers never observe a torn object;
+* :class:`LocalDirBackend` — a directory tree; every write is one temp
+  file beside its key + ``os.replace``, so readers never see a torn object;
 * :class:`InMemoryBackend` — a dict, standing in for the remote shape
   (``open_local`` spools through a local cache directory); used by the
   tests and as the template for a real S3 backend.
@@ -22,7 +22,6 @@ Two implementations ship today:
 from __future__ import annotations
 
 import os
-import shutil
 import tempfile
 from abc import ABC, abstractmethod
 from pathlib import Path
@@ -34,9 +33,9 @@ class RegistryBackend(ABC):
 
     Keys are relative POSIX-style paths (``objects/<hash>.npz``,
     ``manifests/<name>/000003.json``).  Implementations must make
-    :meth:`write_bytes` and :meth:`put_file` atomic — a reader that
-    races a writer sees the old value or the new value, never a torn
-    one — because the store's crash-safety argument rests on it.
+    :meth:`write_bytes` atomic — a reader that races a writer sees the
+    old value or the new value, never a torn one — because the store's
+    crash-safety argument rests on it.
     """
 
     @abstractmethod
@@ -50,12 +49,6 @@ class RegistryBackend(ABC):
     @abstractmethod
     def write_bytes(self, key: str, data: bytes) -> None:
         """Atomically (over)write ``key`` with ``data``."""
-
-    @abstractmethod
-    def put_file(self, key: str, src: Union[str, Path]) -> None:
-        """Atomically install a finished local file as ``key`` (consumes
-        ``src``).  The bulk-upload path — blobs are written locally first
-        (atomic temp file), then installed/uploaded in one step."""
 
     @abstractmethod
     def list_keys(self, prefix: str = "") -> List[str]:
@@ -81,12 +74,14 @@ class LocalDirBackend(RegistryBackend):
     """
 
     def __init__(self, root: Union[str, Path]) -> None:
-        self.root = Path(root)
-        self.root.mkdir(parents=True, exist_ok=True)
+        Path(root).mkdir(parents=True, exist_ok=True)
+        # Resolved once: a relative root keeps naming the same directory
+        # after a chdir, and a key access resolves only the key.
+        self.root = Path(root).resolve()
 
     def _path(self, key: str) -> Path:
-        path = (self.root / key).resolve()
-        if self.root.resolve() not in path.parents and path != self.root.resolve():
+        path = (self.root / key).resolve()  # follows symlinks, collapses ".."
+        if self.root not in path.parents and path != self.root:
             raise ValueError(f"key {key!r} escapes the registry root")
         return path
 
@@ -98,8 +93,11 @@ class LocalDirBackend(RegistryBackend):
 
     def write_bytes(self, key: str, data: bytes) -> None:
         dest = self._path(key)
-        dest.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=dest.parent, prefix=".tmp_reg_")
+        try:
+            fd, tmp = tempfile.mkstemp(dir=dest.parent, prefix=".tmp_reg_")
+        except FileNotFoundError:  # a new directory: only its first write pays
+            dest.parent.mkdir(parents=True, exist_ok=True)
+            fd, tmp = tempfile.mkstemp(dir=dest.parent, prefix=".tmp_reg_")
         try:
             with os.fdopen(fd, "wb") as fh:
                 fh.write(data)
@@ -108,24 +106,6 @@ class LocalDirBackend(RegistryBackend):
             if os.path.exists(tmp):
                 os.unlink(tmp)
             raise
-
-    def put_file(self, key: str, src: Union[str, Path]) -> None:
-        dest = self._path(key)
-        dest.parent.mkdir(parents=True, exist_ok=True)
-        src = Path(src)
-        try:
-            os.replace(src, dest)  # atomic when src is on the same filesystem
-        except OSError:
-            fd, tmp = tempfile.mkstemp(dir=dest.parent, prefix=".tmp_reg_")
-            os.close(fd)
-            try:
-                shutil.copyfile(src, tmp)
-                os.replace(tmp, dest)
-            except BaseException:
-                if os.path.exists(tmp):
-                    os.unlink(tmp)
-                raise
-            src.unlink(missing_ok=True)
 
     def list_keys(self, prefix: str = "") -> List[str]:
         base = self.root
@@ -175,11 +155,6 @@ class InMemoryBackend(RegistryBackend):
         cached = self._cache_dir / key.replace("/", "_")
         if cached.exists():
             cached.unlink()  # manifest repoint: invalidate the spooled copy
-
-    def put_file(self, key: str, src: Union[str, Path]) -> None:
-        src = Path(src)
-        self.write_bytes(key, src.read_bytes())
-        src.unlink(missing_ok=True)
 
     def list_keys(self, prefix: str = "") -> List[str]:
         return sorted(k for k in self._objects if k.startswith(prefix))

@@ -23,7 +23,7 @@ code that turns stored bytes into a built, warm model:
   :class:`repro.serve.ReplicaGroup` both serve what ``get`` returns.
 
 Storage is pluggable (:mod:`repro.registry.backends`): a local directory
-today, an S3-style remote by implementing the same six-method contract.
+today, an S3-style remote by implementing the same five-method contract.
 """
 
 from __future__ import annotations
@@ -40,8 +40,8 @@ from .artifact import (
     build_artifact_meta,
     build_from_artifact,
     check_serving_dtypes,
+    encode_artifact,
     load_artifact,
-    write_artifact,
 )
 from .backends import LocalDirBackend, RegistryBackend
 from .cache import WarmModelCache
@@ -153,10 +153,11 @@ class ArtifactStore:
     ) -> ArtifactRef:
         """Store the model's weights and append a new ``name@version``.
 
-        The blob lands before the manifest and the manifest before the
-        ``latest`` pointer, each write atomic — a crash at any point
-        leaves every already-visible reference loadable.  Returns the
-        new version's :class:`ArtifactRef`.
+        Three atomic ``write_bytes`` (two when the object already
+        exists): the blob before the manifest and the manifest before the
+        ``latest`` pointer, so a crash at any point leaves every
+        already-visible reference loadable.  Returns the new version's
+        :class:`ArtifactRef`.
         """
         if not name or "/" in name or "@" in name:
             raise ValueError(f"invalid artifact name {name!r} ('/' and '@' are reserved)")
@@ -164,7 +165,7 @@ class ArtifactStore:
             from ..candle.registry import get_benchmark
 
             input_shape = get_benchmark(benchmark).input_shape()
-        meta = build_artifact_meta(
+        meta, weights = build_artifact_meta(
             model, benchmark, tuple(input_shape), hparams=hparams,
             metadata=metadata, quantization=quantization, lineage=lineage,
         )
@@ -173,14 +174,7 @@ class ArtifactStore:
         if self.backend.exists(obj_key):
             self.dedup_hits += 1
         else:
-            import tempfile
-
-            # Write the blob next to nothing the store serves (a local
-            # temp file), then install it through the backend in one
-            # atomic step — remote backends upload here.
-            with tempfile.TemporaryDirectory(prefix="repro_publish_") as tmpdir:
-                local = write_artifact(model, Path(tmpdir) / "artifact.npz", meta)
-                self.backend.put_file(obj_key, local)
+            self.backend.write_bytes(obj_key, encode_artifact(weights, meta))
         version = self.latest_version(name) + 1
         manifest = dict(
             meta,

@@ -338,3 +338,106 @@ INSTRUMENT_MUTANTS = {
 @pytest.mark.parametrize("edits", INSTRUMENT_MUTANTS.values(), ids=list(INSTRUMENT_MUTANTS))
 def test_one_instrument_rejects(edits):
     assert instrument_violations(_mutated(*edits))
+
+
+# -- One flag wait -------------------------------------------------------
+# Every cross-rank wait of a DDP rank -- the bucket collects and the
+# weight gather of the sharded optimizer step -- goes through
+# BucketRankReducer.wait (parallel/allreduce.py), which carries the
+# timeout_s deadline and the orphaned-parent check.  So parallel/ddp.py
+# calls no sleep and compares no perf_counter() reading: not a call, and
+# not a name or attribute it assigned from one.
+FLAG_WAIT_SECTION = 'DESIGN.md, "Training: one fit loop"'
+FLAG_WAIT_MODULE = "parallel/ddp.py"
+
+
+def _reads_clock(node):
+    return any(isinstance(sub, ast.Call) and _called_name(sub) == "perf_counter"
+               for sub in ast.walk(node))
+
+
+def _is_clock(node):
+    """A ``perf_counter()`` call, or arithmetic over one (a deadline)."""
+    if isinstance(node, ast.BinOp):
+        return _is_clock(node.left) or _is_clock(node.right)
+    return isinstance(node, ast.Call) and _called_name(node) == "perf_counter"
+
+
+def _spelled(node):
+    return node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+
+
+def flag_wait_violations(source):
+    tree = _parse(source)
+    clocks = {
+        _spelled(target)
+        for node in ast.walk(tree) if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign))
+        and node.value is not None and _is_clock(node.value)
+        for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+    } - {None}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and _called_name(node) == "sleep":
+            found.append(f"{FLAG_WAIT_MODULE}:{node.lineno} sleep(...)")
+        elif isinstance(node, ast.Compare) and (_reads_clock(node) or any(
+            isinstance(sub, (ast.Name, ast.Attribute)) and _spelled(sub) in clocks
+            for sub in ast.walk(node)
+        )):
+            found.append(f"{FLAG_WAIT_MODULE}:{node.lineno} compares a perf_counter() reading")
+    return found
+
+
+def test_one_flag_wait():
+    found = flag_wait_violations(dict(_sources())[FLAG_WAIT_MODULE])
+    assert found == [], (
+        f"a cross-rank wait outside BucketRankReducer.wait (see {FLAG_WAIT_SECTION}): {found}"
+    )
+
+
+def test_one_flag_wait_reads_code_not_text():
+    comment = '\n# time.sleep(0) and perf_counter() > deadline live in BucketRankReducer.wait\n'
+    doc = '\nNOTE = "if time.perf_counter() > deadline: time.sleep(1e-4)"\n'
+    assert flag_wait_violations(dict(_sources())[FLAG_WAIT_MODULE] + comment + doc) == []
+
+
+FLAG_WAIT_MUTANTS = {
+    "a sleep-and-deadline poll loop": (
+        "\ndef _await_peers(seq, step, deadline):\n"
+        "    while not all(s >= step for s in seq):\n"
+        "        if time.perf_counter() > deadline:\n"
+        "            raise TimeoutError('weight gather')\n"
+        "        time.sleep(0.0001)\n"
+    ),
+    "a reversed deadline test without a sleep": (
+        "\ndef _spin(flags, deadline):\n"
+        "    while deadline >= time.perf_counter():\n"
+        "        if flags.ready():\n"
+        "            return\n"
+    ),
+    "names imported from time": (
+        "\nfrom time import sleep\n"
+        "def _nap():\n"
+        "    sleep(0)\n"
+    ),
+    "an elapsed-time test": (
+        "\ndef _late(t0, timeout_s):\n"
+        "    return time.perf_counter() - t0 > timeout_s\n"
+    ),
+    "the clock read into a name first": (
+        "\ndef _expired(deadline):\n"
+        "    now = time.perf_counter()\n"
+        "    return now >= deadline\n"
+    ),
+    "a deadline kept on the rank": (
+        "\nclass _Watch:\n"
+        "    def arm(self, spec):\n"
+        "        self.deadline = time.perf_counter() + spec.timeout_s\n"
+        "    def expired(self):\n"
+        "        return self.deadline < 0\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("code", FLAG_WAIT_MUTANTS.values(), ids=list(FLAG_WAIT_MUTANTS))
+def test_one_flag_wait_rejects(code):
+    assert flag_wait_violations(dict(_sources())[FLAG_WAIT_MODULE] + code)

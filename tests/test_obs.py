@@ -297,6 +297,39 @@ class TestExportRoundTrip:
         text = format_summary(summary)
         assert "critical path" in text and "phase" in text
 
+    @pytest.mark.parametrize("n", [1, 97, 5000])
+    def test_timed_ops_are_priced_and_tabulated(self, n):
+        """Timed op calls write no record, so the overhead estimate adds
+        each ``op.*`` histogram's count times a calibrated per-op cost;
+        a histogram that is not an op's adds nothing."""
+        records = trace_records(self._recorded())
+        base = summarize_trace(records, record_cost_s=1e-6)
+        rec = TraceRecorder(ops=True)
+        for _ in range(n):
+            rec.time_op("linear_act", lambda: None)
+        rec.metrics.histogram("serve.latency").observe(0.5)
+        extra = [r for r in trace_records(rec) if r["type"] == "metric"]
+        hist = next(r for r in extra if r["name"] == "op.linear_act")
+        summary = summarize_trace(records + extra, record_cost_s=1e-6)
+
+        per_op = summary["overhead"]["per_op_s"]
+        assert 0 < per_op < 1e-3 and base["overhead"]["per_op_s"] == 0.0
+        assert summary["overhead"]["estimate_s"] - base["overhead"]["estimate_s"] == (
+            pytest.approx(n * per_op, rel=1e-9))
+        assert list(summary["ops"]) == ["op.linear_act"] and base["ops"] == {}
+        row = summary["ops"]["op.linear_act"]
+        assert (row["count"], row["mean_s"], row["p95_s"]) == (n, hist["mean_s"], hist["p95_s"])
+        assert row["total_s"] == pytest.approx(n * hist["mean_s"])
+        text = format_summary(summary)
+        lines = text.splitlines()
+        header = next(i for i, line in enumerate(lines) if line.startswith("op "))
+        assert lines[header].split() == ["op", "count", "mean", "us", "p95", "us", "total", "ms"]
+        name, count, mean_us, p95_us, total_ms = lines[header + 1].split()
+        assert (name, int(count)) == ("op.linear_act", n)
+        assert float(total_ms) == pytest.approx(row["total_s"] * 1e3, abs=1e-3)
+        assert "serve.latency" not in text
+        assert "ns/timed op" in text and "ns/timed op" not in format_summary(base)
+
 
 class TestSchemaValidator:
     def test_bool_is_not_a_number(self):

@@ -5,11 +5,17 @@ this subsystem fixes (a republish must reload; the double checkpoint
 read), the drift the merged load path closes (server and replica group
 refuse, default and cache alike), the failure paths (corrupt artifacts, alias
 repoints under a concurrent reader, eviction mid-``get``, unsupported
-dtypes), the backend contract, and a seeded publisher-vs-readers churn.
+dtypes), the backend contract (escapes through ``..`` or a symlink, a
+relative root after a chdir), partial writes, what a publish costs in
+writes, and a seeded publisher-vs-readers churn.
 """
 
+import errno
 import json
 import multiprocessing as mp
+import os
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +28,7 @@ from repro.registry import (
     LocalDirBackend,
     UnsupportedDtypeError,
     WarmModelCache,
+    build_artifact_meta,
     weights_checksum,
 )
 from repro.serve import InferenceServer, ReplicaGroup
@@ -250,6 +257,42 @@ class TestBackends:
         with pytest.raises(ValueError):
             backend.read_bytes("../outside")
 
+    @pytest.mark.parametrize("link", ["dir", "file"])
+    @pytest.mark.parametrize("access", ["exists", "read_bytes", "write_bytes", "open_local"])
+    def test_local_dir_symlink_escape_refused(self, tmp_path, link, access):
+        """The root is resolved once, and each key still is: a symlink
+        inside the root that points outside it is not followed out."""
+        outside = tmp_path / "outside"
+        outside.mkdir()
+        (outside / "f.json").write_bytes(b"secret")
+        backend = LocalDirBackend(tmp_path / "reg")
+        if link == "dir":
+            (tmp_path / "reg" / "objects").symlink_to(outside, target_is_directory=True)
+            key = "objects/f.json"
+        else:
+            (tmp_path / "reg" / "f.json").symlink_to(outside / "f.json")
+            key = "f.json"
+        args = (key, b"overwritten") if access == "write_bytes" else (key,)
+        with pytest.raises(ValueError, match="escapes the registry root"):
+            getattr(backend, access)(*args)
+        assert (outside / "f.json").read_bytes() == b"secret"
+        assert sorted(p.name for p in outside.iterdir()) == ["f.json"]
+
+    def test_relative_root_serves_its_keys_after_chdir(self, tmp_path, monkeypatch, p1b2_shape):
+        monkeypatch.chdir(tmp_path)
+        store = ArtifactStore("reg", capacity=1)
+        model = _tiny_model(bump=1)
+        ref = store.publish(model, "m", BENCHMARK, hparams=HPARAMS)
+        (tmp_path / "elsewhere").mkdir()
+        monkeypatch.chdir(tmp_path / "elsewhere")
+        x = np.random.default_rng(0).standard_normal((4,) + p1b2_shape)
+        assert np.array_equal(store.get("m").predict(x), model.predict(x))
+        assert store.verify("m@1")
+        store.publish(_tiny_model(bump=2), "m", BENCHMARK, hparams=HPARAMS)
+        assert ArtifactStore(tmp_path / "reg").versions("m") == [1, 2]
+        assert store.path_for(ref).parent == (tmp_path / "reg" / "objects").resolve()
+        assert list((tmp_path / "elsewhere").iterdir()) == []
+
     def test_local_dir_write_is_atomic_rename(self, tmp_path):
         backend = LocalDirBackend(tmp_path / "reg")
         backend.write_bytes("a/b.json", b"{}")
@@ -297,6 +340,179 @@ class TestWarmModelCache:
         loaded = store.get(ref)
         assert other.get("m") is loaded, "identical bytes, one resident model"
         assert other.loads == 0 and other.hits == 1
+
+
+class _FailingWrite:
+    """``os.fdopen``'s file with a ``write`` that stores the first half
+    of the data and then reports a full disk."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, data):
+        self.fh.write(data[: len(data) // 2])
+        self.fh.flush()
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+def _fail_on_call(monkeypatch, owner, name, n, make_error):
+    """Make ``owner.name``'s ``n``-th call (1-based) fail through
+    ``make_error(real, args, kwargs)``; every other call is the real one."""
+    real = getattr(owner, name)
+    calls = [0]
+
+    def patched(*args, **kwargs):
+        calls[0] += 1
+        if calls[0] == n:
+            return make_error(real, args, kwargs)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, patched)
+
+
+def _raise(exc):
+    raise exc
+
+
+PARTIAL_WRITES = {
+    # The encoder stops after the first member is in the zip.
+    "encode": (np.lib.format, "write_array", 2,
+               lambda real, a, k: _raise(MemoryError("encoder stopped"))),
+    # Half the blob reaches the temp file, then the disk is full.
+    "write": (os, "fdopen", 1, lambda real, a, k: _FailingWrite(real(*a, **k))),
+    # The temp file is complete; the rename into place fails.
+    "rename": (os, "replace", 1,
+               lambda real, a, k: _raise(OSError(errno.EIO, "rename failed"))),
+}
+
+
+class TestPartialWrites:
+    """A publish whose blob write stops partway leaves the store as it
+    was: the three writes are temp file + rename inside the root, and
+    the blob is the first of them."""
+
+    @pytest.mark.parametrize("where", list(PARTIAL_WRITES))
+    def test_failed_blob_write_changes_nothing_visible(self, tmp_path, monkeypatch, where, p1b2_shape):
+        scratch_tmp = tmp_path / "tmp"
+        scratch_tmp.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(scratch_tmp))
+        store = ArtifactStore(tmp_path / "reg", capacity=1)
+        first = store.publish(_tiny_model(bump=1), "m", BENCHMARK, hparams=HPARAMS)
+        keys, stats = store.backend.list_keys(), store.stats()
+        files = sorted(p for p in (tmp_path / "reg").rglob("*"))
+
+        owner, name, n, make_error = PARTIAL_WRITES[where]
+        with monkeypatch.context() as patch:
+            _fail_on_call(patch, owner, name, n, make_error)
+            with pytest.raises((OSError, MemoryError)):
+                store.publish(_tiny_model(bump=2), "m", BENCHMARK, hparams=HPARAMS)
+
+        assert store.backend.list_keys() == keys
+        assert store.stats()["objects"] == stats["objects"] == 1
+        assert store.resolve("m@latest") == first and store.latest_version("m") == 1
+        assert sorted(p for p in (tmp_path / "reg").rglob("*")) == files, "a temp file was left"
+        assert list(scratch_tmp.iterdir()) == [], "the publish staged outside the root"
+
+        second = store.publish(_tiny_model(bump=2), "m", BENCHMARK, hparams=HPARAMS)
+        assert second.version == 2 and store.stats()["objects"] == 2
+        x = np.random.default_rng(0).standard_normal((4,) + p1b2_shape)
+        assert np.array_equal(store.get("m").predict(x), _tiny_model(bump=2).predict(x))
+        assert list(scratch_tmp.iterdir()) == []
+
+    def test_a_killed_writers_temp_files_are_not_keys(self, tmp_path):
+        """A process killed between mkstemp and the rename leaves a
+        ``.tmp_reg_`` file; it is not an object, a manifest or a version."""
+        store = ArtifactStore(tmp_path, capacity=1)
+        store.publish(_tiny_model(), "m", BENCHMARK, hparams=HPARAMS)
+        keys = store.backend.list_keys()
+        for sub in ("objects", "manifests/m"):
+            (tmp_path / sub / ".tmp_reg_killed").write_bytes(b"PK\x03\x04torn")
+        assert store.backend.list_keys() == keys
+        assert store.stats()["objects"] == 1 and store.versions("m") == [1]
+        assert store.verify("m@latest")
+
+    def test_an_artifact_from_the_file_writer_loads_and_verifies(self, tmp_path, p1b2_shape):
+        """Blobs written before publish encoded in memory were ``np.savez``
+        straight into a file.  One of those, with the same member names
+        and ``_meta`` header, loads and verifies, and publishing the same
+        weights now finds it under the same content hash."""
+        model = _tiny_model(bump=3)
+        meta, weights = build_artifact_meta(model, BENCHMARK, p1b2_shape, hparams=HPARAMS)
+        members = {f"param_{i:04d}": w for i, w in enumerate(weights)}
+        members["_meta"] = np.frombuffer(
+            json.dumps({"n_params": len(weights), "metadata": meta}).encode(), dtype=np.uint8
+        )
+        store = ArtifactStore(tmp_path, capacity=1)
+        (tmp_path / "objects").mkdir()
+        with open(tmp_path / "objects" / f"{meta['checksum']}.npz", "wb") as fh:
+            np.savez(fh, **members)
+        manifest = dict(meta, name="old", version=1, content_hash=meta["checksum"])
+        store.backend.write_bytes("manifests/old/000001.json", json.dumps(manifest).encode())
+        store.backend.write_bytes("manifests/old/latest.json", b'{"version": 1}')
+
+        assert store.verify("old@latest")
+        x = np.random.default_rng(0).standard_normal((4,) + p1b2_shape)
+        assert np.array_equal(store.get("old").predict(x), model.predict(x))
+        ref = store.publish(model, "new", BENCHMARK, input_shape=p1b2_shape, hparams=HPARAMS)
+        assert ref.content_hash == meta["checksum"] and store.dedup_hits == 1
+
+        other = ArtifactStore(tmp_path / "fresh", capacity=1)
+        blob = other.path_for(other.publish(model, "new", BENCHMARK, input_shape=p1b2_shape,
+                                            hparams=HPARAMS))
+        with np.load(blob) as new, np.load(tmp_path / "objects" / blob.name) as old:
+            assert new.files == old.files
+            assert all(np.array_equal(new[k], old[k]) for k in old.files)
+            assert new["param_0000"].dtype == old["param_0000"].dtype
+
+
+class TestPublishCost:
+    """What a publish costs, pinned as counts: three atomic writes (two
+    on a dedup hit), no directory made or removed once the store's
+    directories exist, and one ``Path.resolve`` per key access."""
+
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        counts = {}
+
+        def count(owner, name):
+            real = getattr(owner, name)
+
+            def counting(*args, **kwargs):
+                counts[name] = counts.get(name, 0) + 1
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, counting)
+
+        for owner, name in [(tempfile, "mkstemp"), (tempfile, "mkdtemp"), (os, "replace"),
+                            (os, "mkdir"), (os, "rmdir"), (os, "unlink"), (Path, "resolve")]:
+            count(owner, name)
+        return counts
+
+    def test_a_publish_is_three_atomic_writes(self, tmp_path, counted):
+        store = ArtifactStore(tmp_path, capacity=1)
+        store.publish(_tiny_model(bump=1), "m", BENCHMARK, hparams=HPARAMS)
+        model = _tiny_model(bump=2)
+        counted.clear()
+        store.publish(model, "m", BENCHMARK, hparams=HPARAMS)
+        assert counted == {"mkstemp": 3, "replace": 3, "resolve": 5}  # 5 key accesses
+        counted.clear()
+        ref = store.publish(model, "m", BENCHMARK, hparams=HPARAMS)
+        assert counted == {"mkstemp": 2, "replace": 2, "resolve": 4}
+        assert store.dedup_hits == 1 and ref.version == 3
+
+    @pytest.mark.parametrize("access", ["exists", "read_bytes", "write_bytes", "open_local"])
+    def test_a_key_access_resolves_once(self, tmp_path, counted, access):
+        backend = LocalDirBackend(tmp_path / "reg")
+        backend.write_bytes("a/b.json", b"{}")
+        counted.clear()
+        getattr(backend, access)(*(("a/b.json", b"[]") if access == "write_bytes" else ("a/b.json",)))
+        assert counted.get("resolve") == 1
 
 
 def _churn_publisher(root, n_versions):
