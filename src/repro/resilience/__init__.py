@@ -5,8 +5,8 @@ package *survives* them.  It provides:
 
 * :class:`FaultSchedule` — the one seeded, deterministic fault schedule
   (node crashes, stragglers, NaN/corrupted gradients, storage write
-  failures, permanent worker loss, replica kills/hangs/slowdowns/corrupt
-  answers, consumer kills) that the fit loop's driver, the checkpoint
+  failures, permanent worker loss, replica kills/hangs/slowdowns,
+  consumer kills) that the fit loop's driver, the checkpoint
   writer, the distributed-SGD simulators, the HPO loops, the campaign
   driver and the serving router all read through ``draw(site, *key)``.
 * :class:`CheckpointManager` — periodic atomic (write-tmp-then-rename)
@@ -20,7 +20,6 @@ package *survives* them.  It provides:
 
 from .checkpoint import CheckpointManager
 from .faults import (
-    CORRUPT_RESPONSE,
     CRASH,
     FAULT_KINDS,
     HANG_REPLICA,
@@ -44,7 +43,7 @@ __all__ = [
     "FaultSchedule", "FAULT_KINDS",
     "CRASH", "STRAGGLER", "NAN", "STORAGE", "WORKER_LOSS",
     "SERVING_FAULT_KINDS",
-    "KILL_REPLICA", "HANG_REPLICA", "SLOW_REPLICA", "CORRUPT_RESPONSE",
+    "KILL_REPLICA", "HANG_REPLICA", "SLOW_REPLICA",
     "CheckpointManager",
     "ResilienceReport", "SimulatedCrash",
     "run_resilient_training", "plan_checkpoint_interval",

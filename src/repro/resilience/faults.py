@@ -18,7 +18,7 @@ trial      (trial, attempt)               crash, nan, straggler
 step       (incarnation, global step)     crash
 grad       (global step,)                 nan
 write      (write index,)                 storage
-dispatch   (first request id, replica)    kill/hang/slow/corrupt replica
+dispatch   (first request id, replica)    kill/hang/slow replica
 consumer   (job id, attempt)              claim, ack (explicit entries)
 =========  =============================  ==============================
 """
@@ -41,11 +41,10 @@ WORKER_LOSS = "worker_loss"  # a worker leaves the pool permanently (scheduled b
 KILL_REPLICA = "kill_replica"          # replica process dies abruptly
 HANG_REPLICA = "hang_replica"          # replica wedges and stops answering
 SLOW_REPLICA = "slow_replica"          # replica answers, but late
-CORRUPT_RESPONSE = "corrupt_response"  # replica answers with wrong bytes
 KILL_AFTER_CLAIM = "claim"  # consumer dies right after claiming, before evaluating
 KILL_BEFORE_ACK = "ack"     # consumer dies after evaluating, before acking
 
-SERVING_FAULT_KINDS = (KILL_REPLICA, HANG_REPLICA, SLOW_REPLICA, CORRUPT_RESPONSE)
+SERVING_FAULT_KINDS = (KILL_REPLICA, HANG_REPLICA, SLOW_REPLICA)
 FAULT_KINDS = (CRASH, STRAGGLER, NAN, STORAGE, WORKER_LOSS) + SERVING_FAULT_KINDS
 
 #: site -> (context tag of its keyed stream, kinds in partition order).
@@ -82,7 +81,6 @@ class FaultSchedule:
     kill_replica: float = 0.0
     hang_replica: float = 0.0
     slow_replica: float = 0.0
-    corrupt_response: float = 0.0
     straggler_factor: float = 4.0
     worker_loss_times: Tuple[float, ...] = ()
     entries: Mapping[tuple, str] = field(default_factory=dict)

@@ -30,13 +30,9 @@ alive under failure:
 * :class:`Router` (:mod:`repro.serve.router`) — per-model routing,
   admission control (``max_queue`` bounds every request a model holds,
   queued or dispatched), dispatch to idle replicas at once, per-request
-  deadlines, bounded retries with backoff, and per-replica circuit
-  breakers;
-* :class:`ReplicaSupervisor` (:mod:`repro.serve.supervisor`) —
-  bit-identical canary probes, recycle-under-traffic, autoscaling hook;
-* :func:`run_chaos_replay` (:mod:`repro.serve.chaos`) — a replay through
-  a ``Router(faults=)`` whose schedule kills, hangs, slows or corrupts
-  replicas, with accounting + parity audits.
+  deadlines, bounded retries with backoff, per-replica circuit
+  breakers, and a ``faults=`` schedule whose draws kill, hang or slow
+  replicas; a killed replica is respawned in place under traffic.
 
 Measured from outside by ``python3 bench/run.py --workload serve_b1``
 (in-process server, batch 1) and ``--workload serve_open`` (router over
@@ -50,13 +46,11 @@ from ..registry.artifact import (
     weights_checksum,
 )
 from .batcher import BatchPolicy, MicroBatcher, Request
-from .chaos import run_chaos_replay
 from .distributed import ReplicaGroup
 from .metrics import LatencyHistogram, ServingStats
 from .router import CircuitBreaker, RoutedRequest, Router, RouterStats
 from .server import InferenceServer
 from .simulate import AffineServiceTime, poisson_arrivals, simulate_serving
-from .supervisor import ReplicaSupervisor
 
 __all__ = [
     "BatchPolicy",
@@ -77,6 +71,4 @@ __all__ = [
     "RouterStats",
     "RoutedRequest",
     "CircuitBreaker",
-    "ReplicaSupervisor",
-    "run_chaos_replay",
 ]

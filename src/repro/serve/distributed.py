@@ -23,8 +23,9 @@ module provides the replica plane:
 
 Scheduling policy (admission, retries, breakers) lives in
 :class:`repro.serve.router.Router`; this class is mechanism only.  A
-fault kind (``fault=``) is drawn by the parent at dispatch time and
-executed inside the replica — see :mod:`repro.serve.chaos`.
+fault kind (``fault=``) is drawn by the parent at dispatch time, from the
+router's :class:`repro.resilience.FaultSchedule`, and executed inside the
+replica.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from ..nn.model import Model
 from ..obs.context import get_recorder
 from ..parallel.pool import ProcessWorkerPool, TaskResult
 from ..parallel.shm import SharedArrayStore
-from ..resilience.faults import CORRUPT_RESPONSE, HANG_REPLICA, KILL_REPLICA, SLOW_REPLICA
+from ..resilience.faults import HANG_REPLICA, KILL_REPLICA, SLOW_REPLICA
 
 SLOW_S = 0.05     # a slow replica's added latency: degraded, well under any hang timeout
 HANG_S = 3600.0   # a hung replica sleeps until the pool's hang detector puts it down
@@ -50,7 +51,6 @@ HANG_S = 3600.0   # a hung replica sleeps until the pool's hang detector puts it
 # replacement replica).
 _MODEL: Optional[Model] = None
 _DATA: Dict[str, np.ndarray] = {}
-_WEDGED = False  # sticky corrupt-response state (chaos), cleared by respawn
 _PRECISION: Optional[str] = None  # serving datapath, set by the initializer
 
 
@@ -60,8 +60,7 @@ def _init_replica(
 ) -> None:
     """``arrays`` holds ``w0..w{n_weights-1}``, the request pools named
     by ``data_keys`` and, for int8 groups, the quantized plan's arrays."""
-    global _MODEL, _WEDGED, _PRECISION
-    _WEDGED = False
+    global _MODEL, _PRECISION
     _PRECISION = precision
     spec = get_benchmark(benchmark)
     model = spec.materialize(input_shape=tuple(input_shape), **hparams)
@@ -91,16 +90,13 @@ def _init_replica(
 
 
 def _replica_task(payload: Dict[str, Any]) -> np.ndarray:
-    """One inference batch inside a replica (canaries included).
+    """One inference batch inside a replica.
 
     ``payload["fault"]`` carries the parent-drawn fault kind:
     ``kill_replica`` dies abruptly mid-batch, ``hang_replica`` wedges
     until the pool's hang detector fires, ``slow_replica`` adds
-    :data:`SLOW_S` of latency, ``corrupt_response`` flips the replica
-    into a *sticky* wrong-answers state (every later response is
-    corrupted until the supervisor recycles the process).
+    :data:`SLOW_S` of latency.
     """
-    global _WEDGED
     fault = payload.get("fault")
     if fault == KILL_REPLICA:
         os._exit(23)
@@ -108,16 +104,11 @@ def _replica_task(payload: Dict[str, Any]) -> np.ndarray:
         time.sleep(HANG_S)
     if fault == SLOW_REPLICA:
         time.sleep(SLOW_S)
-    if fault == CORRUPT_RESPONSE:
-        _WEDGED = True
     if "rows" in payload:
         xb = np.asarray(_DATA[payload.get("pool_key", "x_pool")][payload["rows"]])
     else:
         xb = payload["x"]
-    out = _MODEL.predict(xb, batch_size=max(len(xb), 1), precision=_PRECISION)
-    if _WEDGED:
-        out = out + 1.0  # wrong bytes, right shape: only a canary notices
-    return out
+    return _MODEL.predict(xb, batch_size=max(len(xb), 1), precision=_PRECISION)
 
 
 class ReplicaGroup:
@@ -301,7 +292,7 @@ class ReplicaGroup:
         return self.pool.worker_alive(replica)
 
     def kill_replica(self, replica: int, reason: str = "killed") -> None:
-        """Terminate one replica process (supervisor recycle, chaos)."""
+        """Terminate one replica process (the pool respawns it in place)."""
         self.pool.terminate_worker(replica, reason=reason)
 
     @property

@@ -12,9 +12,9 @@ replica plane deliberately does not make:
   the queue), so sustained overload degrades into an explicit shed rate,
   never an unbounded backlog behind busy replicas.
 * **Work-conserving dispatch** — ``pump`` absorbs finished results
-  first, then hands whatever is queued to each *idle* replica (nothing
-  in flight — inference batch or canary — and a breaker that would let
-  a dispatch through), one batch per idle replica, without waiting;
+  first, then hands whatever is queued to each *idle* replica (no batch
+  in flight and a breaker that would let a dispatch through), one batch
+  per idle replica, without waiting;
   ``max_wait_s`` only bounds how long a partial batch keeps collecting
   while every replica is busy, after which (or once it is full) it is
   queued behind the least-loaded one.
@@ -29,8 +29,7 @@ replica plane deliberately does not make:
   exhaust their retries are surfaced as ``retried_away``.
 * **Per-replica circuit breaker** — consecutive failures open a
   replica's breaker (no dispatch) for ``breaker_cooldown_s``, then one
-  half-open probe batch decides recovery vs re-open; a replica recycled
-  by the supervisor gets its breaker reset (fresh process, clean slate).
+  half-open probe batch decides recovery vs re-open.
 
 Accounting is the load-bearing invariant::
 
@@ -45,7 +44,7 @@ from __future__ import annotations
 import time
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -124,12 +123,6 @@ class CircuitBreaker:
             self._open_until = now + self.cooldown_s
             self.opens += 1
 
-    def reset(self) -> None:
-        """Fresh process behind this slot: forget its predecessor's sins."""
-        self.state = "closed"
-        self.failures = 0
-        self._probe_inflight = False
-
 
 @dataclass
 class _Batch:
@@ -137,11 +130,9 @@ class _Batch:
 
     model: str
     requests: List[RoutedRequest]
-    kind: str = "infer"  # "infer" | "canary"
     attempt: int = 0
     slot: Optional[int] = None
     not_before: float = 0.0
-    expected: Any = None  # canary: parent-side reference output
 
 
 class Router:
@@ -185,7 +176,6 @@ class Router:
         self.stats = RouterStats()
         self.batch_log: List[Tuple[str, Tuple[int, ...]]] = []
         self.faults = faults
-        self.supervisor = None  # duck-typed: .handle_canary(model, slot, result, now)
         self._batchers = {name: MicroBatcher(self.policy) for name in self.groups}
         self._breakers: Dict[Tuple[str, int], CircuitBreaker] = {
             (name, slot): CircuitBreaker(breaker_threshold, breaker_cooldown_s)
@@ -193,7 +183,7 @@ class Router:
             for slot in range(group.n_replicas)
         }
         self._inflight: Dict[Tuple[str, int], _Batch] = {}  # (model, task_id)
-        # Batches + canaries in flight on each replica.
+        # Batches in flight on each replica.
         self._slot_load: Dict[Tuple[str, int], int] = dict.fromkeys(self._breakers, 0)
         self._retry_q: List[_Batch] = []
         # Admitted requests without an outcome yet, per model: what
@@ -240,27 +230,6 @@ class Router:
                 rec.event("shed", kind="serve.shed", request_id=req.request_id, model=model)
         self._gauges()
         return req
-
-    def submit_canary(
-        self, model: str, replica: int, x: np.ndarray, expected: np.ndarray,
-        now: Optional[float] = None,
-    ) -> int:
-        """Dispatch a supervisor health probe to one specific replica.
-
-        Canaries bypass admission and batching (they must reach the
-        replica even when the breaker has it ejected — that is how an
-        ejected replica proves it recovered) and are excluded from the
-        request accounting; the result is handed to the attached
-        supervisor's ``handle_canary``.
-        """
-        now = self.clock() if now is None else now
-        group = self.groups[model]
-        task_id = group.submit(replica, x=np.asarray(x))
-        self._inflight[(model, task_id)] = _Batch(
-            model, [], kind="canary", slot=replica, expected=expected,
-        )
-        self._slot_load[(model, replica)] += 1
-        return task_id
 
     # -- event loop ------------------------------------------------------
     def pump(self, now: Optional[float] = None) -> int:
@@ -321,10 +290,7 @@ class Router:
     @property
     def pending(self) -> int:
         """Requests with no outcome yet (queued, in flight, or awaiting retry)."""
-        inflight = sum(
-            len(b.requests) for b in self._inflight.values() if b.kind == "infer"
-        )
-        return self.queue_depth + inflight
+        return self.queue_depth + sum(len(b.requests) for b in self._inflight.values())
 
     # -- internals -------------------------------------------------------
     def _finish(self, model: str, requests: List[RoutedRequest], status: str, now: float) -> None:
@@ -348,8 +314,7 @@ class Router:
 
     def _idle_capacity(self, model: str, now: float) -> bool:
         """Could some replica of ``model`` start a batch right now?  It has
-        nothing in flight (inference batch or canary) and its breaker
-        would let a dispatch through."""
+        no batch in flight and its breaker would let a dispatch through."""
         return any(
             not self._slot_load[(model, s)] and self._breakers[(model, s)].available(now)
             for s in range(self.groups[model].n_replicas)
@@ -405,14 +370,9 @@ class Router:
         if batch is None:  # not ours (stale duplicate already handled by pool)
             return 0
         now = self.clock()
-        if batch.slot is not None:
-            key = (model, batch.slot)
-            self._slot_load[key] = max(0, self._slot_load[key] - 1)
-        breaker = self._breakers[(model, batch.slot)]
-        if batch.kind == "canary":
-            if self.supervisor is not None:
-                self.supervisor.handle_canary(model, batch.slot, res, batch.expected, now)
-            return 0
+        key = (model, batch.slot)
+        self._slot_load[key] -= 1
+        breaker = self._breakers[key]
         if res.status == "ok":
             breaker.on_success()
             outs = res.value
@@ -452,10 +412,6 @@ class Router:
         if rec is not None:
             rec.metrics.counter("serve.retried_away").inc(len(batch.requests))
         return 0
-
-    def note_recycled(self, model: str, slot: int) -> None:
-        """A fresh process now backs (model, slot): reset its breaker."""
-        self._breakers[(model, slot)].reset()
 
     def breaker_state(self, model: str, slot: int) -> str:
         return self._breakers[(model, slot)].state

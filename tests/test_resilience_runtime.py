@@ -79,7 +79,7 @@ def assert_bit_identical(model_a, model_b):
 #: Rates for every drawn kind and a few keys per site: the draw is a
 #: function of (seed, site, key) alone, whatever order the keys come in.
 ALL_RATES = dict(crash=0.2, nan=0.1, straggler=0.1, storage=0.3, kill_replica=0.1,
-                 hang_replica=0.1, slow_replica=0.1, corrupt_response=0.1)
+                 hang_replica=0.1, slow_replica=0.1)
 SITE_KEYS = {"trial": 2, "step": 2, "grad": 1, "write": 1, "dispatch": 2, "consumer": 2}
 
 
