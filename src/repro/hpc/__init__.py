@@ -11,10 +11,6 @@ from .collectives import (
     allreduce_recursive_doubling,
     allreduce_ring,
     allreduce_tree,
-    alltoall,
-    best_allreduce,
-    broadcast_tree,
-    reduce_scatter_ring,
 )
 from .energy import EnergyBreakdown, energy_per_sample, step_energy
 from .events import EventLoop
@@ -36,7 +32,6 @@ from .parallelism import (
     HybridParallel,
     ModelParallel,
     ParallelPlan,
-    PipelineParallel,
     SingleNode,
     throughput,
 )
@@ -46,7 +41,6 @@ from .perfmodel import (
     achieved_flops,
     arithmetic_intensity,
     compute_step_time,
-    conv1d_profile,
     mlp_profile,
     profile_model,
     roofline_time,
@@ -58,7 +52,6 @@ from .resilience import (
     efficiency,
     expected_runtime,
     system_mtbf,
-    young_interval,
 )
 from .storage import DatasetSpec, EpochIO, StagingSimulator, compare_policies
 from .topology import Dragonfly, FatTree, Ring, Topology, Torus, make_topology
@@ -71,15 +64,14 @@ __all__ = [
     "LinkSpec", "Network",
     "ALLREDUCE_ALGORITHMS", "allreduce_ring", "allreduce_tree",
     "allreduce_recursive_doubling", "allreduce_rabenseifner",
-    "broadcast_tree", "allgather_ring", "reduce_scatter_ring", "alltoall",
-    "best_allreduce", "allreduce_energy",
+    "allgather_ring", "allreduce_energy",
     "LayerCost", "ModelProfile", "profile_model", "mlp_profile",
-    "conv1d_profile", "roofline_time", "achieved_flops",
+    "roofline_time", "achieved_flops",
     "arithmetic_intensity", "compute_step_time",
     "ParallelPlan", "SingleNode", "DataParallel", "ModelParallel",
-    "PipelineParallel", "HybridParallel", "throughput",
+    "HybridParallel", "throughput",
     "DatasetSpec", "StagingSimulator", "EpochIO", "compare_policies",
     "EnergyBreakdown", "step_energy", "energy_per_sample",
-    "system_mtbf", "young_interval", "daly_interval", "expected_runtime",
+    "system_mtbf", "daly_interval", "expected_runtime",
     "efficiency", "checkpoint_time_for_training", "campaign_efficiency",
 ]

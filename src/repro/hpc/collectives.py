@@ -98,39 +98,8 @@ def allreduce_rabenseifner(net: Network, n_ranks: int, nbytes: float) -> float:
     return 2 * rounds * alpha + bw_term
 
 
-def broadcast_tree(net: Network, n_ranks: int, nbytes: float) -> float:
-    """Binomial-tree broadcast."""
-    _validate(n_ranks, nbytes)
-    if n_ranks == 1 or nbytes == 0:
-        return 0.0
-    alpha, beta = _alpha_beta(net)
-    return math.ceil(math.log2(n_ranks)) * (alpha + nbytes * beta)
-
-
 def allgather_ring(net: Network, n_ranks: int, nbytes: float) -> float:
     """Ring allgather; ``nbytes`` is the per-rank contribution."""
-    _validate(n_ranks, nbytes)
-    if n_ranks == 1 or nbytes == 0:
-        return 0.0
-    alpha, beta = _alpha_beta(net)
-    return (n_ranks - 1) * (alpha + nbytes * beta)
-
-
-def reduce_scatter_ring(net: Network, n_ranks: int, nbytes: float) -> float:
-    """Ring reduce-scatter; ``nbytes`` is the full buffer size."""
-    _validate(n_ranks, nbytes)
-    if n_ranks == 1 or nbytes == 0:
-        return 0.0
-    alpha, beta = _alpha_beta(net)
-    return (n_ranks - 1) * (alpha + (nbytes / n_ranks) * beta)
-
-
-def alltoall(net: Network, n_ranks: int, nbytes: float) -> float:
-    """Pairwise-exchange all-to-all; ``nbytes`` is the per-pair block.
-
-    Bandwidth-dominated: (p-1) rounds, heavily exposed to the topology's
-    bisection limit (hence the raw contention factor).
-    """
     _validate(n_ranks, nbytes)
     if n_ranks == 1 or nbytes == 0:
         return 0.0
@@ -144,17 +113,6 @@ ALLREDUCE_ALGORITHMS: Dict[str, Callable[[Network, int, float], float]] = {
     "recursive_doubling": allreduce_recursive_doubling,
     "rabenseifner": allreduce_rabenseifner,
 }
-
-
-def best_allreduce(net: Network, n_ranks: int, nbytes: float) -> tuple:
-    """(algorithm name, time) of the fastest allreduce for this size —
-    what a tuned MPI library's algorithm selection does."""
-    best_name, best_time = None, math.inf
-    for name, fn in ALLREDUCE_ALGORITHMS.items():
-        t = fn(net, n_ranks, nbytes)
-        if t < best_time:
-            best_name, best_time = name, t
-    return best_name, best_time
 
 
 def allreduce_energy(net: Network, n_ranks: int, nbytes: float, algorithm: str = "ring") -> float:

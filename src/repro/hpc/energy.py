@@ -13,8 +13,6 @@ low-precision datapaths.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict
-
 from .cluster import SimCluster
 from .collectives import allreduce_energy
 from .hardware import DTYPE_BYTES
@@ -34,15 +32,6 @@ class EnergyBreakdown:
     @property
     def total(self) -> float:
         return self.compute + self.memory + self.network + self.static
-
-    def as_dict(self) -> Dict[str, float]:
-        return {
-            "compute": self.compute,
-            "memory": self.memory,
-            "network": self.network,
-            "static": self.static,
-            "total": self.total,
-        }
 
 
 def _compute_energy(profile: ModelProfile, cluster: SimCluster, precision: str) -> float:

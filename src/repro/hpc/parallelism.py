@@ -9,8 +9,6 @@ first two (search parallelism is :mod:`repro.hpo.scheduler`):
   gradients every step.
 * :class:`ModelParallel` — shard layers across nodes; activations cross
   the fabric at every layer boundary, twice per step.
-* :class:`PipelineParallel` — stage-partitioned model with micro-batches
-  (bubble overhead included).
 * :class:`HybridParallel` — model-parallel groups, data parallelism across
   groups: the configuration the keynote argues future fabrics must serve.
 
@@ -161,69 +159,6 @@ class ModelParallel(ParallelPlan):
         elem = DTYPE_BYTES[precision]
         total = sum(l.activation_elems for l in profile.layers) * elem
         return 2.0 * total * (self.n_nodes - 1) / self.n_nodes
-
-
-@dataclass
-class PipelineParallel(ParallelPlan):
-    """Stage-partitioned pipeline (GPipe-style) with micro-batching.
-
-    ``n_stages`` nodes each hold a contiguous slice of layers; the batch is
-    split into ``n_microbatches``; the bubble costs (stages-1) extra
-    micro-steps.  Stage boundaries move one activation tensor per
-    micro-batch, forward and backward.
-    """
-
-    n_stages: int
-    n_microbatches: int = 8
-    name: str = "pipeline"
-
-    def __post_init__(self) -> None:
-        if self.n_stages < 1:
-            raise ValueError("n_stages must be >= 1")
-        if self.n_microbatches < 1:
-            raise ValueError("n_microbatches must be >= 1")
-
-    def step_time(self, profile: ModelProfile, cluster: SimCluster, precision: str = "fp32") -> float:
-        if self.n_stages == 1:
-            return compute_step_time(profile, cluster.node, precision)
-        micro = profile.with_batch_size(max(1, profile.batch_size // self.n_microbatches))
-        from .hardware import DTYPE_BYTES as _DB
-        from .perfmodel import layer_step_time
-
-        # Per-micro-batch stage compute (no optimizer update here — the
-        # update happens once per global step, after the last micro-batch).
-        acc = cluster.node.accelerator
-        micro_compute = sum(layer_step_time(l, acc, precision) for l in micro.layers)
-        stage_compute = micro_compute / self.n_stages
-        # Boundary activations: average layer activation of the micro-batch.
-        elem = DTYPE_BYTES[precision]
-        nonzero = [l.activation_elems for l in micro.layers if l.activation_elems > 0]
-        boundary_bytes = (sum(nonzero) / len(nonzero)) * elem if nonzero else 0.0
-        hop_time = cluster.network.neighbor_time(boundary_bytes)
-        micro_step = stage_compute + 2.0 * hop_time  # fwd + bwd crossing
-        n_steps = self.n_microbatches + self.n_stages - 1  # pipeline fill bubble
-        # One optimizer update per global step, sharded across stages.
-        update_bytes = 7.0 * profile.params * _DB["fp32"] / self.n_stages
-        return n_steps * micro_step + update_bytes / cluster.node.accelerator.mem_bandwidth
-
-    def memory_per_node(self, profile: ModelProfile, precision: str = "fp32") -> float:
-        state = profile.training_memory_bytes(precision) - profile.activation_bytes(precision)
-        # In-flight activations: up to n_stages micro-batches stashed.
-        micro_act = profile.activation_bytes(precision) / max(self.n_microbatches, 1)
-        return state / self.n_stages + micro_act * self.n_stages
-
-    def comm_bytes_per_step(self, profile: ModelProfile, precision: str = "fp32") -> float:
-        if self.n_stages == 1:
-            return 0.0
-        elem = DTYPE_BYTES[precision]
-        nonzero = [l.activation_elems for l in profile.layers if l.activation_elems > 0]
-        boundary = (sum(nonzero) / len(nonzero)) * elem / max(self.n_microbatches, 1) if nonzero else 0.0
-        return 2.0 * boundary * self.n_microbatches
-
-    @property
-    def bubble_fraction(self) -> float:
-        """Idle fraction from pipeline fill/drain."""
-        return (self.n_stages - 1) / (self.n_microbatches + self.n_stages - 1)
 
 
 @dataclass

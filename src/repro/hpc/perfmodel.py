@@ -4,7 +4,7 @@ roofline execution model.
 Two entry points:
 
 * :func:`profile_model` introspects an actual ``repro.nn`` model;
-* :func:`mlp_profile` / :func:`conv1d_profile` build *synthetic* profiles
+* :func:`mlp_profile` builds a *synthetic* profile
   for models far too large to instantiate (the scaling experiments sweep
   multi-billion-parameter configurations — claim C10 needs models that
   don't fit one node).
@@ -50,10 +50,6 @@ class LayerCost:
     flops_fwd: float
     flops_bwd: float
     activation_elems: int
-
-    @property
-    def flops_total(self) -> float:
-        return self.flops_fwd + self.flops_bwd
 
 
 @dataclass
@@ -195,32 +191,6 @@ def mlp_profile(layer_dims: Sequence[int], batch_size: int = 32, name: str = "ml
         fan_in, units = layer_dims[i], layer_dims[i + 1]
         flops = OPS["linear_act"].cost(batch_size, (fan_in,), (units,))
         costs.append(LayerCost(f"dense{i}", fan_in * units + units, *flops))
-    return ModelProfile(layers=costs, batch_size=batch_size, name=name)
-
-
-def conv1d_profile(
-    length: int,
-    channels: Sequence[int],
-    kernel_size: int = 7,
-    pool: int = 2,
-    dense: Sequence[int] = (256,),
-    n_classes: int = 2,
-    batch_size: int = 32,
-    name: str = "conv1d",
-) -> ModelProfile:
-    """Profile of an NT3-style conv stack without building it."""
-    costs = []
-    c_prev, l = 1, length
-    for i, c in enumerate(channels):
-        l_out = l - kernel_size + 1
-        flops = OPS["conv1d"].cost(batch_size, (c_prev, l), (c, l_out), kernel_size)
-        costs.append(LayerCost(f"conv{i}", c * c_prev * kernel_size + c, *flops))
-        l = l_out // pool
-        c_prev = c
-    flat = c_prev * l
-    dims = [flat] + list(dense) + [n_classes]
-    tail = mlp_profile(dims, batch_size=batch_size)
-    costs.extend(tail.layers)
     return ModelProfile(layers=costs, batch_size=batch_size, name=name)
 
 

@@ -6,8 +6,8 @@ classic resilience wall.  This module provides the standard first-order
 analysis (Young 1974 / Daly 2006):
 
 * :func:`system_mtbf` — per-node MTBF / n_nodes.
-* :func:`young_interval` / :func:`daly_interval` — optimal checkpoint
-  periods.
+* :func:`daly_interval` — the optimal checkpoint period (Daly's
+  refinement of Young's sqrt(2CM)).
 * :func:`expected_runtime` — expected wall-clock for a job of given
   useful work under periodic checkpointing with failures.
 * :func:`checkpoint_time_for_training` — the checkpoint cost of a DNN
@@ -30,13 +30,6 @@ def system_mtbf(node_mtbf: float, n_nodes: int) -> float:
     if node_mtbf <= 0 or n_nodes < 1:
         raise ValueError("node_mtbf must be > 0 and n_nodes >= 1")
     return node_mtbf / n_nodes
-
-
-def young_interval(checkpoint_time: float, mtbf: float) -> float:
-    """Young's first-order optimal checkpoint period: sqrt(2 C M)."""
-    if checkpoint_time <= 0 or mtbf <= 0:
-        raise ValueError("checkpoint_time and mtbf must be positive")
-    return math.sqrt(2.0 * checkpoint_time * mtbf)
 
 
 def daly_interval(checkpoint_time: float, mtbf: float) -> float:

@@ -26,10 +26,6 @@ class Topology:
         """Switch-to-switch hops on the shortest path (0 for src == dst)."""
         raise NotImplementedError
 
-    def diameter(self) -> int:
-        """Maximum hops over all pairs (closed-form per topology)."""
-        raise NotImplementedError
-
     def bisection_factor(self) -> float:
         """Bisection bandwidth relative to a full (non-blocking) network,
         in units of (links crossing the cut) / (n_nodes / 2)."""
@@ -63,9 +59,6 @@ class Ring(Topology):
         d = abs(src - dst)
         return min(d, self.n_nodes - d)
 
-    def diameter(self) -> int:
-        return self.n_nodes // 2
-
     def bisection_factor(self) -> float:
         # Two links cross any balanced cut.
         return 2.0 / max(self.n_nodes / 2.0, 1.0)
@@ -96,9 +89,6 @@ class Torus(Topology):
             delta = abs(x - y)
             total += min(delta, d - delta)
         return total
-
-    def diameter(self) -> int:
-        return sum(d // 2 for d in self.dims)
 
     def bisection_factor(self) -> float:
         # Cutting the longest dimension in half: 2 * (product of the other
@@ -138,13 +128,6 @@ class FatTree(Topology):
             return 4  # through an aggregation switch
         return 6  # through the core
 
-    def diameter(self) -> int:
-        if self.n_nodes <= self.radix:
-            return 2
-        if self.n_nodes <= self.pod_size:
-            return 4
-        return 6
-
     def bisection_factor(self) -> float:
         return self.taper
 
@@ -173,9 +156,6 @@ class Dragonfly(Topology):
         if src // self.group_size == dst // self.group_size:
             return 2
         return 4
-
-    def diameter(self) -> int:
-        return 2 if self.n_nodes <= self.group_size else 4
 
     def bisection_factor(self) -> float:
         return self.global_taper

@@ -17,7 +17,6 @@ from repro.hpc import (
     HybridParallel,
     ModelParallel,
     ModelProfile,
-    PipelineParallel,
     SimCluster,
     SingleNode,
     StagingSimulator,
@@ -25,7 +24,6 @@ from repro.hpc import (
     arithmetic_intensity,
     compare_policies,
     compute_step_time,
-    conv1d_profile,
     energy_per_sample,
     get_machine,
     mlp_profile,
@@ -131,25 +129,21 @@ class TestProfiles:
         gemm_flops = 0.0
         shape = (1, 16, 16)
         for layer, cost in zip(model.layers, profile.layers):
+            flops = cost.flops_fwd + cost.flops_bwd
             out = layer.output_shape(shape)
             if isinstance(layer, Conv2D):
                 m, k, n = layer.filters, shape[0] * layer.kernel_size ** 2, batch * out[1] * out[2]
             elif isinstance(layer, Dense):
                 m, k, n = batch, shape[-1], layer.units
             else:
-                assert cost.flops_total <= 2 * batch * max(np.prod(shape), np.prod(out))
+                assert flops <= 2 * batch * max(np.prod(shape), np.prod(out))
                 shape = out
                 continue
-            assert cost.flops_total == 3 * 2.0 * m * k * n
-            gemm_flops += cost.flops_total
+            assert flops == 3 * 2.0 * m * k * n
+            gemm_flops += flops
             shape = out
         assert gemm_flops / 1e9 == pytest.approx(0.0178, abs=5e-5)
         assert profile.flops_step == pytest.approx(gemm_flops, rel=0.02)
-
-    def test_conv1d_profile_synthetic(self):
-        p = conv1d_profile(length=1000, channels=(32, 64), kernel_size=7, batch_size=16)
-        assert p.params > 0
-        assert p.flops_fwd > 0
 
     def test_memory_accounting_scales_with_precision(self):
         p = mlp_profile([1000, 1000], batch_size=32)
@@ -314,32 +308,6 @@ class TestModelParallel:
             ModelParallel(4, shard_efficiency=0.0)
 
 
-class TestPipeline:
-    def test_bubble_fraction(self):
-        plan = PipelineParallel(n_stages=4, n_microbatches=12)
-        assert plan.bubble_fraction == pytest.approx(3 / 15)
-
-    def test_more_microbatches_shrink_bubble(self):
-        """Going from 1 micro-batch (75% bubble at 4 stages) to 8 must help;
-        far beyond that, fixed per-micro costs (weight re-reads, hops) win."""
-        p = big_profile(batch=2048)
-        c = SimCluster.build("summit_era", 4, "ring")
-        t_one = PipelineParallel(4, n_microbatches=1).step_time(p, c)
-        t_eight = PipelineParallel(4, n_microbatches=8).step_time(p, c)
-        assert t_eight < t_one
-
-    def test_single_stage_is_single_node(self):
-        p = big_profile()
-        c = SimCluster.build("summit_era", 1, "ring")
-        assert PipelineParallel(1).step_time(p, c) == pytest.approx(SingleNode().step_time(p, c))
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            PipelineParallel(0)
-        with pytest.raises(ValueError):
-            PipelineParallel(2, n_microbatches=0)
-
-
 class TestHybrid:
     def test_n_nodes(self):
         assert HybridParallel(group_size=4, n_groups=16).n_nodes == 64
@@ -395,8 +363,8 @@ class TestCluster:
     def test_with_link_bandwidth(self):
         c = SimCluster.build("summit_era", 8)
         fast = c.with_link_bandwidth(100e9)
-        assert fast.network.link.bandwidth == pytest.approx(100e9)
-        assert c.network.link.bandwidth != fast.network.link.bandwidth
+        assert 1.0 / fast.network.link.beta == pytest.approx(100e9)
+        assert c.network.link.beta != fast.network.link.beta
 
 
 class TestStorage:
@@ -464,7 +432,7 @@ class TestEnergy:
         c = SimCluster.build("summit_era", 16)
         e = step_energy(DataParallel(16), p, c, "fp32")
         assert e.compute > 0 and e.memory > 0 and e.network > 0 and e.static > 0
-        assert e.total == pytest.approx(sum(e.as_dict()[k] for k in ("compute", "memory", "network", "static")))
+        assert e.total == pytest.approx(e.compute + e.memory + e.network + e.static)
 
     def test_lower_precision_lower_compute_energy(self):
         p = big_profile()

@@ -12,7 +12,6 @@ from repro.hpc import (
     expected_runtime,
     mlp_profile,
     system_mtbf,
-    young_interval,
 )
 
 HOUR = 3600.0
@@ -29,9 +28,20 @@ class TestMTBF:
             system_mtbf(HOUR, 0)
 
 
+def young_interval(checkpoint_time, mtbf):
+    """Young's first-order optimal checkpoint period, sqrt(2 C M): the
+    reference Daly's refinement is checked against."""
+    return np.sqrt(2.0 * checkpoint_time * mtbf)
+
+
 class TestIntervals:
     def test_young_formula(self):
-        assert young_interval(10.0, 2000.0) == pytest.approx(np.sqrt(2 * 10 * 2000))
+        # Daly's period with the correction terms stripped is Young's.
+        c, m = 10.0, 2000.0
+        ratio = np.sqrt(c / (2 * m))
+        daly = daly_interval(c, m)
+        assert (daly + c) / (1 + ratio / 3 + (c / (2 * m)) / 9) == pytest.approx(
+            young_interval(c, m))
 
     def test_daly_close_to_young_when_c_small(self):
         c, m = 1.0, 1e6
@@ -47,7 +57,7 @@ class TestIntervals:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            young_interval(0, 100)
+            daly_interval(0, 100)
         with pytest.raises(ValueError):
             daly_interval(10, 0)
 
