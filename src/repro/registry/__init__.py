@@ -11,7 +11,7 @@ with pluggable storage backends and a warm model cache:
   load, dtype refusal, building the served model (the ``.npz`` bytes
   themselves belong to :mod:`repro.nn.serialization`);
 * :mod:`repro.registry.backends` — the :class:`RegistryBackend` ABC
-  (local directory now, S3-style remotes by the same five-method
+  (local directory now, S3-style remotes by the same seven-method
   contract) with atomic-write semantics;
 * :mod:`repro.registry.cache` — :class:`WarmModelCache`, an LRU of built
   models keyed by content hash so aliases of the same bytes share one

@@ -5,7 +5,9 @@ blob and manifest goes through a :class:`RegistryBackend`, a small
 key/value contract (string keys with ``/`` separators, byte values,
 atomic writes) chosen so an S3/MinIO-style remote drops in without
 changing the store: ``exists/read_bytes/write_bytes/list_keys`` map
-1:1 onto HEAD/GET/PUT/LIST, and :meth:`~RegistryBackend.open_local`
+1:1 onto HEAD/GET/PUT/LIST, ``create_bytes`` onto a conditional PUT
+(``If-None-Match: *``), ``list_dir`` onto a LIST with a ``/``
+delimiter, and :meth:`~RegistryBackend.open_local`
 is the one extra affordance NumPy needs — a real local path to ``np.load``
 — which a remote backend satisfies by materializing the object into a
 local blob cache (exactly what :class:`InMemoryBackend` demonstrates).
@@ -13,7 +15,8 @@ local blob cache (exactly what :class:`InMemoryBackend` demonstrates).
 Two implementations ship today:
 
 * :class:`LocalDirBackend` — a directory tree; every write is one temp
-  file beside its key + ``os.replace``, so readers never see a torn object;
+  file beside its key + ``os.replace`` (``os.link`` for a create), so
+  readers never see a torn object;
 * :class:`InMemoryBackend` — a dict, standing in for the remote shape
   (``open_local`` spools through a local cache directory); used by the
   tests and as the template for a real S3 backend.
@@ -51,8 +54,20 @@ class RegistryBackend(ABC):
         """Atomically (over)write ``key`` with ``data``."""
 
     @abstractmethod
+    def create_bytes(self, key: str, data: bytes) -> bool:
+        """Atomically write ``key`` with ``data`` only if no object holds
+        it yet; whether this call created it.  Of two racing creates of
+        one key exactly one wins, and the loser changes nothing."""
+
+    @abstractmethod
     def list_keys(self, prefix: str = "") -> List[str]:
         """All keys under ``prefix``, sorted."""
+
+    @abstractmethod
+    def list_dir(self, key: str) -> List[str]:
+        """The names one level under the directory ``key`` (``""`` is the
+        root): its objects' and its sub-directories' last components,
+        sorted."""
 
     @abstractmethod
     def open_local(self, key: str) -> Path:
@@ -69,8 +84,9 @@ class LocalDirBackend(RegistryBackend):
     """Registry storage on a local directory tree.
 
     Every write lands as a temp file in the destination directory and is
-    ``os.replace``d into place — atomic on POSIX — so a publisher crash
-    mid-write leaves at most a stray temp file, never a torn object.
+    ``os.replace``d into place (a create ``os.link``s it, which fails if
+    the key exists) — atomic on POSIX — so a publisher crash mid-write
+    leaves at most a stray temp file, never a torn object.
     """
 
     def __init__(self, root: Union[str, Path]) -> None:
@@ -91,8 +107,11 @@ class LocalDirBackend(RegistryBackend):
     def read_bytes(self, key: str) -> bytes:
         return self._path(key).read_bytes()
 
-    def write_bytes(self, key: str, data: bytes) -> None:
-        dest = self._path(key)
+    @staticmethod
+    def _install(dest: Path, data: bytes, place) -> None:
+        """Write ``data`` to a temp file beside ``dest``, then
+        ``place(tmp, dest)``; the temp file never outlives the call
+        unless ``place`` moved it."""
         try:
             fd, tmp = tempfile.mkstemp(dir=dest.parent, prefix=".tmp_reg_")
         except FileNotFoundError:  # a new directory: only its first write pays
@@ -101,22 +120,38 @@ class LocalDirBackend(RegistryBackend):
         try:
             with os.fdopen(fd, "wb") as fh:
                 fh.write(data)
-            os.replace(tmp, dest)
-        except BaseException:
+            place(tmp, dest)
+        finally:
             if os.path.exists(tmp):
                 os.unlink(tmp)
-            raise
+
+    def write_bytes(self, key: str, data: bytes) -> None:
+        self._install(self._path(key), data, os.replace)
+
+    def create_bytes(self, key: str, data: bytes) -> bool:
+        try:
+            self._install(self._path(key), data, os.link)  # EEXIST if taken
+        except FileExistsError:
+            return False
+        return True
 
     def list_keys(self, prefix: str = "") -> List[str]:
-        base = self.root
+        # Walk only the directory the prefix names or ends in.
         keys = []
-        for path in base.rglob("*"):
-            if not path.is_file() or path.name.startswith(".tmp_reg_"):
-                continue
-            key = path.relative_to(base).as_posix()
-            if key.startswith(prefix):
-                keys.append(key)
+        for dirpath, _, files in os.walk(self._path(prefix.rpartition("/")[0])):
+            rel = Path(dirpath).relative_to(self.root).as_posix()
+            for name in files:
+                key = name if rel == "." else f"{rel}/{name}"
+                if key.startswith(prefix) and not name.startswith(".tmp_reg_"):
+                    keys.append(key)
         return sorted(keys)
+
+    def list_dir(self, key: str) -> List[str]:
+        try:
+            with os.scandir(self._path(key)) as entries:
+                return sorted(e.name for e in entries if not e.name.startswith(".tmp_reg_"))
+        except FileNotFoundError:
+            return []
 
     def open_local(self, key: str) -> Path:
         path = self._path(key)
@@ -156,8 +191,18 @@ class InMemoryBackend(RegistryBackend):
         if cached.exists():
             cached.unlink()  # manifest repoint: invalidate the spooled copy
 
+    def create_bytes(self, key: str, data: bytes) -> bool:
+        # setdefault is the dict's atomic check-and-set; a fresh object
+        # tells whose value stuck.
+        blob = bytes(memoryview(data))
+        return self._objects.setdefault(key, blob) is blob
+
     def list_keys(self, prefix: str = "") -> List[str]:
         return sorted(k for k in self._objects if k.startswith(prefix))
+
+    def list_dir(self, key: str) -> List[str]:
+        base = f"{key}/" if key else ""
+        return sorted({k[len(base):].split("/", 1)[0] for k in self._objects if k.startswith(base)})
 
     def open_local(self, key: str) -> Path:
         if key not in self._objects:

@@ -10,10 +10,13 @@ code that turns stored bytes into a built, warm model:
 * **Manifests** are tiny JSON aliases, ``name@version``: each publish of
   a name appends a monotonically numbered manifest carrying the content
   hash, benchmark/input-shape/hparams, dtype + quantization metadata,
-  and lineage back to the producing campaign/trial (obs span ids).
-  ``latest.json`` points at the newest version; repointing an alias is
-  one atomic manifest write, so concurrent readers always resolve a
-  complete version — old or new, never torn.
+  and lineage back to the producing campaign/trial (obs span ids).  A
+  publish claims its number with an exclusive create of the complete
+  manifest and takes the next number if another publisher got there
+  first, so concurrent publishers of one name never overwrite each
+  other and the numbers stay contiguous.  ``latest.json`` is a hint at
+  the newest version that readers step forward from; concurrent
+  readers always resolve a complete version — old or new, never torn.
 * **Loading** is one sequence, written once: resolve the manifest →
   probe the content-keyed :class:`~repro.registry.cache.WarmModelCache`
   (a warm hit costs zero file I/O, the manifest already carries the
@@ -23,7 +26,7 @@ code that turns stored bytes into a built, warm model:
   :class:`repro.serve.ReplicaGroup` both serve what ``get`` returns.
 
 Storage is pluggable (:mod:`repro.registry.backends`): a local directory
-today, an S3-style remote by implementing the same five-method contract.
+today, an S3-style remote by implementing the same seven-method contract.
 """
 
 from __future__ import annotations
@@ -153,11 +156,11 @@ class ArtifactStore:
     ) -> ArtifactRef:
         """Store the model's weights and append a new ``name@version``.
 
-        Three atomic ``write_bytes`` (two when the object already
-        exists): the blob before the manifest and the manifest before the
-        ``latest`` pointer, so a crash at any point leaves every
-        already-visible reference loadable.  Returns the new version's
-        :class:`ArtifactRef`.
+        Three atomic writes (two when the object already exists): the
+        blob, then the manifest, created exclusively at the first free
+        version, then the ``latest`` hint, so a crash at any point leaves
+        every already-visible reference loadable.  Returns the new
+        version's :class:`ArtifactRef`.
         """
         if not name or "/" in name or "@" in name:
             raise ValueError(f"invalid artifact name {name!r} ('/' and '@' are reserved)")
@@ -175,17 +178,20 @@ class ArtifactStore:
             self.dedup_hits += 1
         else:
             self.backend.write_bytes(obj_key, encode_artifact(weights, meta))
-        version = self.latest_version(name) + 1
-        manifest = dict(
-            meta,
-            name=name,
-            version=version,
-            content_hash=content_hash,
-            published_at=time.time(),
-        )
-        self.backend.write_bytes(
-            _version_key(name, version), json.dumps(manifest, sort_keys=True).encode()
-        )
+        version = self.latest_version(name)
+        while True:  # each lost race means one more publisher took a number
+            version += 1
+            manifest = dict(
+                meta,
+                name=name,
+                version=version,
+                content_hash=content_hash,
+                published_at=time.time(),
+            )
+            if self.backend.create_bytes(
+                _version_key(name, version), json.dumps(manifest, sort_keys=True).encode()
+            ):
+                break
         self.backend.write_bytes(
             f"{MANIFESTS}/{name}/latest.json", json.dumps({"version": version}).encode()
         )
@@ -195,12 +201,7 @@ class ArtifactStore:
     # -- catalog ---------------------------------------------------------
     def names(self) -> List[str]:
         """Every published alias name."""
-        seen = set()
-        for key in self.backend.list_keys(f"{MANIFESTS}/"):
-            parts = key.split("/")
-            if len(parts) == 3:
-                seen.add(parts[1])
-        return sorted(seen)
+        return self.backend.list_dir(MANIFESTS)
 
     def versions(self, name: str) -> List[int]:
         """All published versions of ``name``, ascending."""
@@ -212,13 +213,22 @@ class ArtifactStore:
         return sorted(out)
 
     def latest_version(self, name: str) -> int:
-        """Newest version of ``name`` (0 if never published)."""
+        """Newest version of ``name`` (0 if never published).
+
+        ``latest.json`` is a hint: a publisher that lost a race may write
+        an older number after a newer one.  Versions are claimed
+        contiguously and only complete manifests are created, so stepping
+        forward from the hint while the next manifest exists ends on the
+        newest version."""
         try:
             pointer = json.loads(self.backend.read_bytes(f"{MANIFESTS}/{name}/latest.json"))
-            return int(pointer["version"])
+            version = int(pointer["version"])
         except (FileNotFoundError, ValueError, KeyError):
             versions = self.versions(name)
-            return versions[-1] if versions else 0
+            version = versions[-1] if versions else 0
+        while self.backend.exists(_version_key(name, version + 1)):
+            version += 1
+        return version
 
     def resolve(self, spec: Union[str, ArtifactRef]) -> ArtifactRef:
         """``"name"`` / ``"name@latest"`` / ``"name@<v>"`` / ``"sha256:<hex>"``

@@ -6,8 +6,10 @@ read), the drift the merged load path closes (server and replica group
 refuse, default and cache alike), the failure paths (corrupt artifacts, alias
 repoints under a concurrent reader, eviction mid-``get``, unsupported
 dtypes), the backend contract (escapes through ``..`` or a symlink, a
-relative root after a chdir), partial writes, what a publish costs in
-writes, and a seeded publisher-vs-readers churn.
+relative root after a chdir, exclusive creates, listings that read only
+the asked directory), partial writes, what a publish costs in writes,
+two publisher processes racing for versions of one name, and a seeded
+publisher-vs-readers churn.
 """
 
 import errno
@@ -314,6 +316,31 @@ class TestBackends:
         with pytest.raises(ValueError):
             ArtifactStore()
 
+    @pytest.mark.parametrize("kind", ["local", "memory"])
+    def test_create_is_exclusive(self, tmp_path, kind):
+        backend = LocalDirBackend(tmp_path / "reg") if kind == "local" else InMemoryBackend()
+        data = b"first"
+        assert backend.create_bytes("a/1.json", data)
+        assert not backend.create_bytes("a/1.json", data)
+        assert not backend.create_bytes("a/1.json", b"second")
+        assert backend.read_bytes("a/1.json") == b"first"
+        assert backend.list_keys() == ["a/1.json"], "a lost create left a key behind"
+        assert backend.list_dir("") == ["a"] and backend.list_dir("a") == ["1.json"]
+        if kind == "local":
+            assert sorted(p.name for p in (tmp_path / "reg" / "a").iterdir()) == ["1.json"]
+
+    def test_a_stale_latest_hint_steps_forward(self, tmp_path):
+        """A publisher that lost a race writes its older number to
+        ``latest.json`` after the winner's: readers and the next publish
+        still find the newest version."""
+        store = ArtifactStore(tmp_path, capacity=1)
+        for bump in (1, 2, 3):
+            store.publish(_tiny_model(bump=bump), "m", BENCHMARK, hparams=HPARAMS)
+        store.backend.write_bytes("manifests/m/latest.json", b'{"version": 1}')
+        assert store.latest_version("m") == 3
+        assert store.resolve("m@latest").version == 3
+        assert store.publish(_tiny_model(bump=4), "m", BENCHMARK, hparams=HPARAMS).version == 4
+
 
 class TestWarmModelCache:
     def test_lru_order_and_eviction_count(self):
@@ -473,8 +500,10 @@ class TestPartialWrites:
 
 class TestPublishCost:
     """What a publish costs, pinned as counts: three atomic writes (two
-    on a dedup hit), no directory made or removed once the store's
-    directories exist, and one ``Path.resolve`` per key access."""
+    on a dedup hit), each one temp file and one install (the manifest's
+    install is an exclusive ``os.link``, whose temp file is then
+    removed), no directory made or removed once the store's directories
+    exist, and one ``Path.resolve`` per key access."""
 
     @pytest.fixture
     def counted(self, monkeypatch):
@@ -490,7 +519,8 @@ class TestPublishCost:
             monkeypatch.setattr(owner, name, counting)
 
         for owner, name in [(tempfile, "mkstemp"), (tempfile, "mkdtemp"), (os, "replace"),
-                            (os, "mkdir"), (os, "rmdir"), (os, "unlink"), (Path, "resolve")]:
+                            (os, "link"), (os, "mkdir"), (os, "rmdir"), (os, "unlink"),
+                            (Path, "resolve")]:
             count(owner, name)
         return counts
 
@@ -500,10 +530,13 @@ class TestPublishCost:
         model = _tiny_model(bump=2)
         counted.clear()
         store.publish(model, "m", BENCHMARK, hparams=HPARAMS)
-        assert counted == {"mkstemp": 3, "replace": 3, "resolve": 5}  # 5 key accesses
+        # 6 key accesses: the blob's exists + write, the latest hint's
+        # read, the forward probe for version 3, the manifest's create
+        # and the hint's write.
+        assert counted == {"mkstemp": 3, "replace": 2, "link": 1, "unlink": 1, "resolve": 6}
         counted.clear()
         ref = store.publish(model, "m", BENCHMARK, hparams=HPARAMS)
-        assert counted == {"mkstemp": 2, "replace": 2, "resolve": 4}
+        assert counted == {"mkstemp": 2, "replace": 1, "link": 1, "unlink": 1, "resolve": 5}
         assert store.dedup_hits == 1 and ref.version == 3
 
     @pytest.mark.parametrize("access", ["exists", "read_bytes", "write_bytes", "open_local"])
@@ -513,6 +546,47 @@ class TestPublishCost:
         counted.clear()
         getattr(backend, access)(*(("a/b.json", b"[]") if access == "write_bytes" else ("a/b.json",)))
         assert counted.get("resolve") == 1
+
+    def test_listings_read_only_the_asked_directory(self, tmp_path, monkeypatch):
+        """``versions(name)`` reads that name's directory and ``names()``
+        the manifests directory alone: the entries either visits do not
+        grow with another name's versions."""
+        real = os.scandir
+        seen = []
+
+        class Counted:
+            def __init__(self, path):
+                self.it = real(path)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.it.close()
+
+            def __iter__(self):
+                return self
+
+            def __next__(self):
+                entry = next(self.it)
+                seen.append(entry.name)
+                return entry
+
+        store = ArtifactStore(tmp_path, capacity=1)
+        store.publish(_tiny_model(bump=1), "a", BENCHMARK, hparams=HPARAMS)
+        visits = []
+        for n_other in (1, 6):
+            while store.latest_version("b") < n_other:
+                store.publish(_tiny_model(bump=10 + n_other), "b", BENCHMARK, hparams=HPARAMS)
+            with monkeypatch.context() as patch:
+                patch.setattr(os, "scandir", Counted)
+                seen.clear()
+                assert store.versions("a") == [1]
+                n_versions = len(seen)
+                seen.clear()
+                assert store.names() == ["a", "b"]
+                visits.append((n_versions, len(seen)))
+        assert visits == [(2, 2), (2, 2)]  # 000001.json + latest.json; a + b
 
 
 def _churn_publisher(root, n_versions):
@@ -541,6 +615,48 @@ def _churn_reader_proc(root, ready, stop, out_q):
         except Exception:
             errors += 1
     out_q.put((reads, errors))
+
+
+def _racing_publisher(root, proc, n_versions, start, out_q):
+    from repro.registry import ArtifactStore
+
+    store = ArtifactStore(root, capacity=1, warmup=False)
+    model = _tiny_model()
+    param = next(iter(model.parameters()))
+    start.wait(timeout=120)
+    refs = []
+    for i in range(n_versions):
+        param.data.flat[0] = float(1000 * proc + i)  # distinct weights per publish
+        ref = store.publish(model, "shared", BENCHMARK, hparams=HPARAMS)
+        refs.append((ref.version, ref.content_hash))
+    out_q.put(refs)
+
+
+class TestConcurrentPublish:
+    def test_two_publishers_lose_no_version(self, tmp_path):
+        """Two processes publish 30 distinct weight sets each to one
+        name: the versions are exactly 1..60, and every returned ref
+        still resolves to the content it published."""
+        ctx = mp.get_context("spawn")
+        start, out_q = ctx.Event(), ctx.Queue()
+        procs = [
+            ctx.Process(target=_racing_publisher, args=(str(tmp_path), p, 30, start, out_q))
+            for p in range(2)
+        ]
+        for proc in procs:
+            proc.start()
+        start.set()
+        refs = out_q.get(timeout=120) + out_q.get(timeout=120)
+        for proc in procs:
+            proc.join(timeout=60)
+        store = ArtifactStore(tmp_path, capacity=1)
+        assert sorted(v for v, _ in refs) == list(range(1, 61))
+        assert store.versions("shared") == list(range(1, 61))
+        assert len({h for _, h in refs}) == 60
+        for version, content_hash in refs:
+            assert store.resolve(f"shared@{version}").content_hash == content_hash
+        assert store.latest_version("shared") == 60
+        assert store.resolve("shared@latest").version == 60
 
 
 class TestChurn:
