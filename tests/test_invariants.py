@@ -7,6 +7,7 @@ fails here instead of passing on everything.
 
 import ast
 import functools
+import re
 from pathlib import Path
 
 import pytest
@@ -441,3 +442,350 @@ FLAG_WAIT_MUTANTS = {
 @pytest.mark.parametrize("code", FLAG_WAIT_MUTANTS.values(), ids=list(FLAG_WAIT_MUTANTS))
 def test_one_flag_wait_rejects(code):
     assert flag_wait_violations(dict(_sources())[FLAG_WAIT_MODULE] + code)
+
+
+@functools.lru_cache(maxsize=None)
+def _strings(source):
+    """Every string constant in the code (docstrings included), with its
+    line: a name spelled as a lookup key is still the name."""
+    return [(node.value, node.lineno) for node in ast.walk(_parse(source))
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)]
+
+
+def _spells(source, words):
+    """``(word, line)`` for each of ``words`` the code spells: as an
+    identifier, or as a whole word inside a string constant."""
+    pattern = re.compile(r"\b(%s)\b" % "|".join(map(re.escape, sorted(words))))
+    found = [(name, line) for name, line in _names(source) if name in words]
+    found += [(m.group(1), line) for text, line in _strings(source)
+              for m in pattern.finditer(text)]
+    return found
+
+
+def _import_targets(rel, source):
+    """``(module path, line)`` for every module ``source`` (at ``rel``)
+    imports, written ``a/b/c`` from ``src/repro``; an imported name is
+    also tried as a submodule of its package."""
+    package = rel.split("/")[:-1]
+    for node in ast.walk(_parse(source)):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                parts = alias.name.split(".")
+                if parts[0] == "repro":
+                    yield "/".join(parts[1:]), node.lineno
+        elif isinstance(node, ast.ImportFrom):
+            module = (node.module or "").split(".") if node.module else []
+            if node.level:
+                base = package[: len(package) - node.level + 1] + module
+            elif module[:1] == ["repro"]:
+                base = module[1:]
+            else:
+                continue
+            yield "/".join(base), node.lineno
+            for alias in node.names:
+                yield "/".join(base + [alias.name]), node.lineno
+
+
+# -- One step body -------------------------------------------------------
+# FitLoop is the only forward -> backward -> step loop: DDP ranks, the
+# serial DDP reference, checkpoint/restart and the distributed-SGD studies
+# are drivers of it, so none of them calls .forward(), .backward() or a
+# bare .step().  What a run carries per parameter is addressed by
+# position: no id(p) table in the optimizers, and no snapshot code that
+# knows an optimizer class by name.  Each optimizer has one update body,
+# _update, run over the whole gradient vector or per parameter: no second
+# update function beside it.
+STEP_BODY_SECTION = 'DESIGN.md, "Training: one fit loop"'
+STEP_BODY_DRIVERS = ("parallel/", "resilience/", "workflow/")
+OPTIMIZER_CLASSES = {"SGD", "Adam", "RMSProp", "AdaGrad"}
+
+
+def step_body_violations(sources):
+    found = []
+    for rel, source in sources.items():
+        if not rel.startswith(STEP_BODY_DRIVERS):
+            continue
+        for node in ast.walk(_parse(source)):
+            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
+                continue
+            name = node.func.attr
+            if name in ("forward", "backward") or (
+                name == "step" and not node.args and not node.keywords
+            ):
+                found.append(f"{rel}:{node.lineno} .{name}(...)")
+    optim = _parse(sources["nn/optim.py"])
+    found += [f"nn/optim.py:{node.lineno} id(...)" for node in ast.walk(optim)
+              if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id == "id"]
+    found += [f"nn/serialization.py:{line} {name}"
+              for name, line in _spells(sources["nn/serialization.py"], OPTIMIZER_CLASSES)]
+    for node in ast.walk(optim):
+        if isinstance(node, ast.FunctionDef) and "update" in node.name and node.name != "_update":
+            found.append(f"nn/optim.py:{node.lineno} def {node.name}")
+        if isinstance(node, ast.ClassDef):
+            bodies = [f.lineno for f in node.body
+                      if isinstance(f, ast.FunctionDef) and f.name == "_update"]
+            if len(bodies) > 1:
+                found.append(f"nn/optim.py:{node.lineno} {node.name} has _update at {bodies}")
+    return found
+
+
+def test_one_step_body():
+    found = step_body_violations(dict(_sources()))
+    assert found == [], f"a training step body outside FitLoop (see {STEP_BODY_SECTION}): {found}"
+
+
+_SECOND_UPDATE = '''\
+    def _update(self, r, grad, dtype):
+        return self.lr * grad
+
+'''
+
+STEP_BODY_MUTANTS = {
+    "a DDP rank stepping its own optimizer": (
+        "parallel/ddp.py",
+        lambda s: s + "\ndef _own_step(loss, opt):\n    loss.backward()\n    opt.step()\n",
+    ),
+    "a forward call in the checkpoint/restart driver": (
+        "resilience/runtime.py",
+        lambda s: s + "\ndef _peek(model, x):\n    return model.forward(x)\n",
+    ),
+    "a study stepping an optimizer by hand": (
+        "workflow/distributed.py", lambda s: s + "\ndef _sgd(opt):\n    opt.step()\n",
+    ),
+    "optimizer state keyed by id(p)": (
+        "nn/optim.py",
+        lambda s: s + "\n_STATE = {}\n\ndef _state(p):\n    return _STATE.setdefault(id(p), {})\n",
+    ),
+    "a snapshot that tests an optimizer's class": (
+        "nn/serialization.py",
+        lambda s: s + "\ndef _kind(opt):\n    return 'adam' if isinstance(opt, Adam) else 'other'\n",
+    ),
+    "a snapshot keyed by optimizer name": (
+        "nn/serialization.py", lambda s: s + '\n_SLOTS = {"SGD": 1, "RMSProp": 1}\n',
+    ),
+    "an _update_flat method": (
+        "nn/optim.py",
+        lambda s: s.replace(
+            "class Adam(Optimizer):\n",
+            "class Adam(Optimizer):\n    def _update_flat(self, grad):\n        return grad\n\n",
+        ),
+    ),
+    "a second _update": (
+        "nn/optim.py",
+        lambda s: s.replace("class SGD(Optimizer):\n", "class SGD(Optimizer):\n" + _SECOND_UPDATE),
+    ),
+    "a module-level fused_update": (
+        "nn/optim.py", lambda s: s + "\ndef fused_update(opts, grads):\n    return grads\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("edits", STEP_BODY_MUTANTS.values(), ids=list(STEP_BODY_MUTANTS))
+def test_one_step_body_rejects(edits):
+    assert step_body_violations(_mutated(*edits))
+
+
+def test_one_step_body_reads_code_not_text():
+    note = '\n# loss.backward() and opt.step() run in FitLoop; id(p) is gone\n'
+    assert step_body_violations(_mutated(
+        "parallel/ddp.py", lambda s: s + note, "nn/optim.py", lambda s: s + note,
+    )) == []
+
+
+# -- One fault plane -----------------------------------------------------
+# Every injected fault is drawn from the one FaultSchedule in
+# resilience/faults.py through draw(site, *key): no chaos module or
+# duck-typed .chaos hook, no injector= keyword or parameter, and no keyed
+# default_rng([seed, ctx, ...]) draw of its own anywhere else.
+FAULT_SECTION = 'DESIGN.md, "Faults: one schedule"'
+FAULT_OWNER = "resilience/faults.py"
+
+
+def fault_plane_violations(sources):
+    found = []
+    for rel, source in sources.items():
+        found += [f"{rel}:{line} imports {target}" for target, line in _import_targets(rel, source)
+                  if target.rsplit("/", 1)[-1] == "chaos"]
+        for node in ast.walk(_parse(source)):
+            if isinstance(node, ast.Attribute) and node.attr == "chaos":
+                found.append(f"{rel}:{node.lineno} .chaos")
+            elif isinstance(node, ast.keyword) and node.arg == "injector":
+                found.append(f"{rel}:{node.value.lineno} injector=")
+            elif isinstance(node, ast.arg) and node.arg == "injector":
+                found.append(f"{rel}:{node.lineno} parameter injector")
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)) and any(
+                _spelled(t) == "injector"
+                for t in (node.targets if isinstance(node, ast.Assign) else [node.target])
+            ):
+                found.append(f"{rel}:{node.lineno} injector = ...")
+            elif (rel != FAULT_OWNER and isinstance(node, ast.Call)
+                  and _called_name(node) == "default_rng"
+                  and node.args and isinstance(node.args[0], ast.List)):
+                found.append(f"{rel}:{node.lineno} default_rng([...])")
+    return found
+
+
+def test_one_fault_plane():
+    found = fault_plane_violations(dict(_sources()))
+    assert found == [], f"a fault drawn outside the one schedule (see {FAULT_SECTION}): {found}"
+
+
+FAULT_MUTANTS = {
+    "the chaos module back beside the router": (
+        "serve/chaos.py", lambda _: "def run_chaos_replay(router):\n    return router\n",
+        "serve/__init__.py", lambda s: s + "\nfrom .chaos import run_chaos_replay\n",
+    ),
+    "an absolute import of a chaos module": (
+        "hpo/elastic.py", lambda s: s + "\nfrom repro.serve import chaos\n",
+    ),
+    "a duck-typed .chaos hook": (
+        "serve/router.py", lambda s: s + "\ndef _hook(router):\n    return router.chaos\n",
+    ),
+    "an injector= keyword": (
+        "hpo/elastic.py", lambda s: s + "\ndef _go(run, inj):\n    return run(injector=inj)\n",
+    ),
+    "an injector parameter": (
+        "workflow/campaign.py", lambda s: s + "\ndef _drive(x, injector=None):\n    return x\n",
+    ),
+    "a keyed draw of its own": (
+        "serve/router.py",
+        lambda s: s + "\ndef _draw(seed, i):\n    return np.random.default_rng([seed, 6, i]).random()\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("edits", FAULT_MUTANTS.values(), ids=list(FAULT_MUTANTS))
+def test_one_fault_plane_rejects(edits):
+    assert fault_plane_violations(_mutated(*edits))
+
+
+# -- One precision stack -------------------------------------------------
+# Every float format is one entry of nn/amp.py's FORMATS, read by the
+# emulated PrecisionPolicy, the autocast plans and the bf16 wire alike:
+# no RNE bit trick or fp16 cast outside it, no second format or plan
+# table, no rounder or plan class of its own, and no import of the
+# retired precision.rounding / precision.autocast modules.
+PRECISION_SECTION = 'DESIGN.md, "Precision: one stack"'
+PRECISION_OWNER = "nn/amp.py"
+RETIRED_PRECISION_MODULES = {"precision/rounding", "precision/autocast"}
+FORMAT_TABLE = re.compile(r"_?[A-Z0-9_]*(PLANS|ROUNDERS|FORMAT_INFO|FORMATS)")
+ROUNDER = re.compile(r"_?(round|snap)_(fp|bf)[0-9]")
+
+
+def _is_float16(node):
+    return _spelled(node) == "float16" or (
+        isinstance(node, ast.Constant) and node.value in ("float16", "f2", "<f2", "e")
+    )
+
+
+def precision_violations(sources):
+    found = []
+    for rel, source in sources.items():
+        found += [f"{rel}:{line} imports {target}" for target, line in _import_targets(rel, source)
+                  if target in RETIRED_PRECISION_MODULES]
+        for node in ast.walk(_parse(source)):
+            if (isinstance(node, ast.Attribute) and node.attr in ("rounding", "autocast")
+                    and _spelled(node.value) == "precision"):
+                found.append(f"{rel}:{node.lineno} precision.{node.attr}")
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                for t in targets:
+                    name = t.id if isinstance(t, ast.Name) else ""
+                    owned = (rel == PRECISION_OWNER and name == "FORMATS"
+                             and isinstance(node, ast.AnnAssign))
+                    if FORMAT_TABLE.fullmatch(name) and not owned and name != "TRAIN_FORMATS":
+                        found.append(f"{rel}:{node.lineno} table {name}")
+            if rel == PRECISION_OWNER:
+                continue
+            if isinstance(node, ast.Constant) and node.value == 0x7FFF and type(node.value) is int:
+                found.append(f"{rel}:{node.lineno} 0x7FFF")
+            elif (isinstance(node, ast.Call) and _called_name(node) == "astype"
+                  and node.args and _is_float16(node.args[0])):
+                found.append(f"{rel}:{node.lineno} astype(float16)")
+            elif isinstance(node, ast.ClassDef) and any(
+                    _spelled(b) in ("CastPlan", "Format") for b in node.bases):
+                found.append(f"{rel}:{node.lineno} class {node.name}")
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and ROUNDER.match(node.name):
+                found.append(f"{rel}:{node.lineno} def {node.name}")
+    return found
+
+
+def test_one_precision_stack():
+    found = precision_violations(dict(_sources()))
+    assert found == [], f"a format grid with a second home (see {PRECISION_SECTION}): {found}"
+
+
+PRECISION_MUTANTS = {
+    "an RNE bit trick in the policy": (
+        "precision/policy.py",
+        lambda s: s + "\ndef _rne(bits):\n    return (bits + 0x7FFF + ((bits >> 16) & 1)) >> 16\n",
+    ),
+    "an fp16 cast on the wire": (
+        "parallel/allreduce.py", lambda s: s + "\ndef _half(x):\n    return x.astype(np.float16)\n",
+    ),
+    "an fp16 cast by dtype name": (
+        "nn/model.py", lambda s: s + "\ndef _half(x):\n    return x.astype('float16')\n",
+    ),
+    "the rounding module imported again": (
+        "precision/__init__.py", lambda s: s + "\nfrom .rounding import round_bf16\n",
+    ),
+    "the autocast module imported from nn": (
+        "nn/model.py", lambda s: s + "\nfrom ..precision import autocast\n",
+    ),
+    "a second rounder table": (
+        "precision/policy.py", lambda s: s + "\n_ROUNDERS = {}\n",
+    ),
+    "an annotated plan table": (
+        "nn/model.py", lambda s: s + "\nPLANS: dict = {}\n",
+    ),
+    "a FORMATS assigned outside its annotation": (
+        "nn/amp.py", lambda s: s + "\nFORMATS = dict(FORMATS)\n",
+    ),
+    "a plan class of its own": (
+        "parallel/allreduce.py", lambda s: s + "\nclass WirePlan(CastPlan):\n    pass\n",
+    ),
+    "a format subclass": (
+        "precision/policy.py", lambda s: s + "\nclass Fp8(amp.Format):\n    pass\n",
+    ),
+    "a rounder function": (
+        "precision/int8.py", lambda s: s + "\ndef _round_bf16(x):\n    return x\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("edits", PRECISION_MUTANTS.values(), ids=list(PRECISION_MUTANTS))
+def test_one_precision_stack_rejects(edits):
+    assert precision_violations(_mutated(*edits))
+
+
+# -- Retired names -------------------------------------------------------
+# Names a merge retired, each with the section that says what replaced
+# it: no code spells them again, as an identifier or inside a string.
+RETIRED_NAMES = {
+    "ChaosHarness": FAULT_SECTION,
+    "KillPlan": FAULT_SECTION,
+    "FaultInjector": FAULT_SECTION,
+    "FaultSpec": FAULT_SECTION,
+    "as_injector": FAULT_SECTION,
+    "LayerwisePolicy": PRECISION_SECTION,
+    "QuantizedDense": PRECISION_SECTION,
+    "from_arrays": PRECISION_SECTION,
+}
+
+
+def retired_name_violations(sources):
+    return [f"{rel}:{line} {name} (see {RETIRED_NAMES[name]})"
+            for rel, source in sources.items()
+            for name, line in _spells(source, set(RETIRED_NAMES))]
+
+
+@pytest.mark.parametrize("name", [None] + list(RETIRED_NAMES))
+def test_no_retired_name(name):
+    """The tree spells no retired name, and each one, spelled again,
+    is caught."""
+    if name is None:
+        assert retired_name_violations(dict(_sources())) == []
+    else:
+        code = f"\n{name} = None\n" if name[0].isupper() else f"\nx = plan.{name}(spec)\n"
+        assert retired_name_violations(_mutated("serve/router.py", lambda s: s + code))
