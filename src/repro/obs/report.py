@@ -11,8 +11,9 @@ answers the ``repro trace`` subcommand prints:
 * **overhead estimate** — the recorder's own bookkeeping cost, from the
   record count times a per-record cost, plus the ``op.*`` histograms'
   counts (timed op calls write no record) times a per-op cost, both
-  calibrated on the spot (timing a scratch recorder), as a fraction of
-  the traced wall clock; and a per-op table of those histograms.
+  calibrated on the spot (timing a scratch recorder, warm, fastest of
+  several passes), as a fraction of the traced wall clock; and a per-op
+  table of those histograms.
 """
 
 from __future__ import annotations
@@ -23,23 +24,28 @@ from typing import Dict, List, Optional
 from .trace import TraceRecorder
 
 
-def calibrate_record_cost(n: int = 2000) -> float:
-    """Measured seconds per begin/end span pair on this machine, now."""
-    rec = TraceRecorder()
-    t0 = time.perf_counter()
-    for i in range(n):
-        rec.end(rec.begin("calib", kind="calib", i=i))
-    return (time.perf_counter() - t0) / n
+def _calibrate(ops: bool, n: int = 2000, passes: int = 5) -> float:
+    """Measured seconds a scratch recorder adds per record (a begin/end
+    span pair) or, with ``ops``, per timed op call (``time_op`` on
+    ``int()``, a call that does next to nothing), on this machine, now.
 
+    One untimed warm-up pass of ``n`` calls, then the fastest of
+    ``passes`` timed passes: a cold first pass reads several times slower
+    than the steady state the trace was recorded in."""
+    rec = TraceRecorder(ops=ops)
 
-def calibrate_op_cost(n: int = 2000) -> float:
-    """Measured seconds ``time_op`` adds to one op call on this machine,
-    now (timing ``int()``, a call that does next to nothing)."""
-    rec = TraceRecorder(ops=True)
-    t0 = time.perf_counter()
-    for _ in range(n):
-        rec.time_op("calib", int)
-    return (time.perf_counter() - t0) / n
+    def one_pass() -> float:
+        t0 = time.perf_counter()
+        if ops:
+            for _ in range(n):
+                rec.time_op("calib", int)
+        else:
+            for i in range(n):
+                rec.end(rec.begin("calib", kind="calib", i=i))
+        return time.perf_counter() - t0
+
+    one_pass()  # warm-up: its time is dropped
+    return min(one_pass() for _ in range(passes)) / n
 
 
 def summarize_trace(records: List[Dict], record_cost_s: Optional[float] = None) -> Dict:
@@ -100,8 +106,8 @@ def summarize_trace(records: List[Dict], record_cost_s: Optional[float] = None) 
     }
     op_calls = sum(row["count"] for row in ops.values())
 
-    cost = calibrate_record_cost() if record_cost_s is None else record_cost_s
-    op_cost = calibrate_op_cost() if op_calls else 0.0
+    cost = _calibrate(ops=False) if record_cost_s is None else record_cost_s
+    op_cost = _calibrate(ops=True) if op_calls else 0.0
     # An event is one timestamp+append, roughly half a span's two.
     overhead_s = cost * (len(spans) + 0.5 * len(events)) + op_cost * op_calls
     return {

@@ -330,6 +330,34 @@ class TestExportRoundTrip:
         assert "serve.latency" not in text
         assert "ns/timed op" in text and "ns/timed op" not in format_summary(base)
 
+    @pytest.mark.parametrize("ops", [False, True])
+    def test_calibration_drops_a_warm_up_pass_and_keeps_the_fastest(self, monkeypatch, ops):
+        """The per-record and per-op costs come from one helper: one
+        untimed warm-up pass, then the fastest of five timed passes.  The
+        clock is scripted (pass durations 1, 5, 3, 4, 8, 6 with the
+        warm-up first), so the pass structure is checked, not a timing."""
+        from types import SimpleNamespace
+
+        from repro.obs import report
+
+        calls = []
+        name = "time_op" if ops else "begin"
+        real = getattr(TraceRecorder, name)
+
+        def counting(self, *args, **kwargs):
+            calls.append(name)
+            return real(self, *args, **kwargs)
+
+        readings, t = [], 0.0
+        for duration in (1.0, 5.0, 3.0, 4.0, 8.0, 6.0):
+            readings += [t, t + duration]
+            t += duration
+        clock = iter(readings)
+        monkeypatch.setattr(TraceRecorder, name, counting)
+        monkeypatch.setattr(report, "time", SimpleNamespace(perf_counter=clock.__next__))
+        assert report._calibrate(ops, n=10) == 3.0 / 10
+        assert len(calls) == 6 * 10 and next(clock, None) is None
+
 
 class TestSchemaValidator:
     def test_bool_is_not_a_number(self):
