@@ -67,7 +67,8 @@ class RegistryBackend(ABC):
     def list_dir(self, key: str) -> List[str]:
         """The names one level under the directory ``key`` (``""`` is the
         root): its objects' and its sub-directories' last components,
-        sorted."""
+        sorted.  As in an object store, a sub-directory is there only
+        while it holds an object."""
 
     @abstractmethod
     def open_local(self, key: str) -> Path:
@@ -149,9 +150,18 @@ class LocalDirBackend(RegistryBackend):
     def list_dir(self, key: str) -> List[str]:
         try:
             with os.scandir(self._path(key)) as entries:
-                return sorted(e.name for e in entries if not e.name.startswith(".tmp_reg_"))
+                return sorted(e.name for e in entries if not e.name.startswith(".tmp_reg_")
+                              and (not e.is_dir() or self._holds_any(e.path)))
         except FileNotFoundError:
             return []
+
+    @staticmethod
+    def _holds_any(path: str) -> bool:
+        """Whether a directory holds anything but temp files: one that a
+        killed first write left empty is no directory of keys.  Stops at
+        the first entry that is not a temp file."""
+        with os.scandir(path) as entries:
+            return any(not e.name.startswith(".tmp_reg_") for e in entries)
 
     def open_local(self, key: str) -> Path:
         path = self._path(key)
