@@ -371,7 +371,7 @@ class Router:
             return 0
         now = self.clock()
         key = (model, batch.slot)
-        self._slot_load[key] -= 1
+        self._slot_load[key] = max(0, self._slot_load[key] - 1)
         breaker = self._breakers[key]
         if res.status == "ok":
             breaker.on_success()
