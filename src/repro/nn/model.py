@@ -9,6 +9,7 @@ heads, VAEs).
 from __future__ import annotations
 
 import contextlib
+import functools
 import math
 import time
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
@@ -365,16 +366,22 @@ class FitLoop:
     ``last_loss``, the open window's length ``accum``, ``history``, the
     early-stopping ``best_val`` / ``patience_left`` / ``best_weights`` /
     ``stopped``, and the precision controller ``ctrl`` (a
-    :class:`repro.precision.policy.StepController` or None).  A driver
-    subclasses the three boundaries — :meth:`before_batch`,
-    :meth:`accept_update`, :meth:`cursor_moved` — never the step body
-    (:func:`repro.resilience.run_resilient_training` does).
+    :class:`repro.precision.policy.StepController` or None).
+
+    ``drivers`` (empty for ``Model.fit``) is an ordered tuple of plain
+    objects with any of four boundaries, each taking the loop:
+    ``before_batch(loop)``; ``batch_grads(loop, body, xb, yb, window)``,
+    wrapping ``body`` (the step body :meth:`batch_grads` or the previous
+    driver's wrapper); ``accept_update(loop) -> bool`` on a window's final
+    gradients (unscaled, not yet clipped), asked in order until one says
+    False, which drops the update; and ``cursor_moved(loop)`` after every
+    batch and every epoch's row (``perm`` is None then).  A resilience
+    snapshot also keeps a driver's ``state`` attribute.
 
     Gradients live in ``arena`` (a :class:`~repro.nn.tensor.GradArena`
     allocated after any precision cast): ``p.grad`` is a view of it while
-    a window is open and None after ``zero_grad``.  A driver whose batch
-    has parts (data-parallel ranks) wraps :meth:`batch_grads` and may set
-    ``grad_ready``, the tape's per-parameter hook.
+    a window is open and None after ``zero_grad``.  A driver may set
+    ``grad_ready``, the tape's per-parameter hook (data-parallel ranks do).
     """
 
     def __init__(
@@ -446,19 +453,7 @@ class FitLoop:
         self.best_weights: Optional[List[np.ndarray]] = None
         self.patience_left = early_stopping_patience
         self.stopped = False
-
-    # -- the three boundaries a driver may act at -------------------------
-    def before_batch(self) -> None:
-        """Before the batch at the cursor is processed."""
-
-    def accept_update(self) -> bool:
-        """A window's gradients are final (unscaled, not yet clipped);
-        False drops the update."""
-        return True
-
-    def cursor_moved(self) -> None:
-        """After every batch, and after every epoch's row is appended
-        (``perm`` is None then)."""
+        self.drivers: tuple = ()
 
     def batch_grads(self, xb: np.ndarray, yb: Optional[np.ndarray], window: int) -> None:
         """Forward → loss → backward of one batch of a ``window``-batch
@@ -481,11 +476,11 @@ class FitLoop:
                 root = loss * (1.0 / window) if window > 1 else loss
                 root.backward(None, self.grad_ready, self.arena)
 
-    def _close_window(self) -> None:
+    def _close_window(self, accepts) -> None:
         """Close one accumulation window: unscale/check (mixed precision),
-        clip, step, zero.  A non-finite window is dropped whole — the
-        scaler has already halved, so the retry lands in range."""
-        if (self.ctrl is None or self.ctrl.unscale_and_check()) and self.accept_update():
+        ask the drivers, clip, step, zero.  A non-finite window is dropped
+        whole — the scaler has already halved, so the retry lands in range."""
+        if (self.ctrl is None or self.ctrl.unscale_and_check()) and all(a(self) for a in accepts):
             if self.clip_norm is not None:
                 self.opt.clip_grad_norm(self.clip_norm)
             self.opt.step()
@@ -496,6 +491,14 @@ class FitLoop:
         """Train from the cursor to ``epochs`` (or early stop)."""
         model, opt, ctrl, loss_fn, loader = self.model, self.opt, self.ctrl, self.loss_fn, self.loader
         k, step_hook, history = self.grad_accumulation, self.step_hook, self.history
+        # Resolved once: a run without drivers pays an empty loop, not a call.
+        before, accepts, moved, wraps = (
+            [getattr(d, name) for d in self.drivers if hasattr(d, name)]
+            for name in ("before_batch", "accept_update", "cursor_moved", "batch_grads")
+        )
+        batch_grads = self.batch_grads
+        for wrap in wraps:
+            batch_grads = functools.partial(wrap, self, batch_grads)
 
         # Window lengths for gradient averaging: every full window has k
         # batches; the last window of the epoch may be shorter and must
@@ -528,7 +531,8 @@ class FitLoop:
                 if rec is not None:
                     epoch_id = rec.begin("epoch", kind="fit.epoch", epoch=self.epoch)
                 for xb, yb in loader.batches(self.perm, self.batch):
-                    self.before_batch()
+                    for hook in before:
+                        hook(self)
                     if rec is not None:
                         step_id = rec.begin("step", kind="fit.step")
                     window = (
@@ -536,7 +540,7 @@ class FitLoop:
                         if trailing_window and self.batch >= full_window_batches
                         else k
                     )
-                    self.batch_grads(xb, yb, window)
+                    batch_grads(xb, yb, window)
                     loss_val = self.last_loss
                     if rec is not None:
                         # Grad norm must be read here: the window boundary
@@ -547,7 +551,7 @@ class FitLoop:
                         )) / (ctrl.scale if ctrl is not None else 1.0)
                     self.accum += 1
                     if self.accum >= k:
-                        self._close_window()
+                        self._close_window(accepts)
                     self.epoch_sum += loss_val
                     self.batch += 1
                     self.global_step += 1
@@ -558,9 +562,10 @@ class FitLoop:
                         rec.end(step_id, loss=loss_val, grad_norm=grad_norm)
                     if step_hook is not None:
                         step_hook(getattr(opt, "step_count", self.batch), loss_val)
-                    self.cursor_moved()
+                    for hook in moved:
+                        hook(self)
                 if self.accum > 0:  # flush a trailing partial window
-                    self._close_window()
+                    self._close_window(accepts)
                 record: Dict[str, float] = {
                     "loss": self.epoch_sum / max(self.batch, 1),
                     "time": time.perf_counter() - t0,
@@ -588,7 +593,8 @@ class FitLoop:
                     print(f"epoch {self.epoch + 1}/{self.epochs}: {parts}")
                 self.epoch += 1
                 self.batch, self.perm, self.epoch_sum = 0, None, 0.0
-                self.cursor_moved()
+                for hook in moved:
+                    hook(self)
 
             if self.best_weights is not None:
                 model.set_weights(self.best_weights)

@@ -1,59 +1,39 @@
 """Real data-parallel training: per-rank shards, shared-memory allreduce.
 
 :func:`fit_data_parallel` trains one model on ``world`` ranks.  Each
-step, every rank draws the *same* global-batch permutation slice (the
-data-order RNG is replicated bit-for-bit into every rank), computes
-gradients on its ``batch_size / world`` micro-batch, and the gradients
-are averaged through the deterministic shared-memory allreduce of
-:mod:`repro.parallel.allreduce`.  Every rank then holds the identical
-averaged gradient, but steps only the parameters it owns — a contiguous
-run of whole parameters, balanced by element count (:func:`_owned_runs`)
-— with an optimizer over that run alone, so it keeps about ``1/world``
-of the optimizer state; the ranks then all-gather the updated runs
-through one float64 slab, so replica weights never diverge.  That is
-data parallelism with a sharded optimizer step (ZeRO stage 1),
-actually running on processes.
+step, every rank takes its ``batch_size / world`` share of the *same*
+global batch (the data-order RNG is replicated bit-for-bit into every
+rank), and the gradients are averaged through the deterministic
+shared-memory allreduce of :mod:`repro.parallel.allreduce`.  A rank
+then steps only its owned run of whole parameters (:func:`_owned_runs`),
+keeping about ``1/world`` of the optimizer state, and the ranks
+all-gather the updated runs: ZeRO stage 1, actually running on processes.
 
-There is no training loop here.  A rank is a driver of
-:class:`repro.nn.FitLoop`, the library's one forward → backward → step
-body, so every ``fit`` keyword means here what it means in
-``Model.fit``.  The driver changes three things: its loader yields the
-rank's share of each *global* batch; :meth:`~repro.nn.FitLoop.batch_grads`
-ends with the exchange, so what ``fit`` clips and steps on is the rank
-average; and the gradient arena ``fit`` allocates is the vector the
-exchange ships — bucket spans index it directly, nothing is packed or
-unpacked.  A process rank changes a fourth: ``fit``'s optimizer steps
-the owned run, and the weight gather runs at the cursor move after it.
+There is no training loop here: a rank is a :class:`repro.nn.FitLoop`
+under one driver, a :class:`_Shares`, so every ``fit`` keyword means
+what it means in ``Model.fit``; the driver wraps the step body and ends
+it with the exchange of ``fit``'s own gradient arena.  Two backends, one
+contract: ``backend="process"`` runs one :class:`_Rank` per
+:class:`~repro.parallel.pool.ProcessWorkerPool` slot, the dataset and
+the allreduce slabs its shared-memory data plane; ``backend="serial"``
+runs every rank's share in turn in one process (:class:`_Serial` says
+what that checks).  With the reduction order pinned and each optimizer
+update elementwise per parameter, the two give **bit-identical**
+weights, buffers and histories — checked inside every ``ddp_mlp`` run of
+``bench/`` and per wire dtype by ``tests/test_ddp_overlap.py``.  With
+``world=1`` this is plain ``Model.fit``, ragged last batch included.
 
-Two backends, one contract: ``backend="process"`` is one
-:class:`~repro.parallel.pool.ProcessWorkerPool` slot per rank, the
-dataset and the allreduce slabs its shared-memory data plane;
-``backend="serial"`` is the same driver executing every rank's share in
-turn in one process, stepping every parameter with one optimizer
-(:class:`_SerialFit` says what that checks).  Because the reduction
-association order is pinned (ascending rank order in both) and each
-optimizer update is elementwise per parameter, the two produce
-**bit-identical** weights, buffers and histories — the parity the
-``ddp_mlp`` workload of ``bench/`` checks inside every run and
-``tests/test_ddp_overlap.py`` pins per wire dtype.
-With ``world=1`` the driver degenerates to plain ``Model.fit`` and
-matches it exactly, ragged last batch included.
-
-Gradient communication is one engine.  Parameters are partitioned into
-size-targeted buckets in reverse layout order
-(:func:`~repro.parallel.allreduce.plan_buckets`; ``bucket_bytes`` at
-least the gradient vector's size gives a single whole-vector bucket); a
-per-parameter grad-ready tape hook counts a bucket's parameters down as
-backward finalises them in the arena; the hook that completes a bucket
-*publishes* it (a slab write and a sequence flag, never a wait) and
-*collects* — reduces into the rank's own arena — every earlier bucket
-all ranks have published by then, and ``wait_step`` collects the rest.
-One thread per rank, no barrier (protocol and safety argument:
-:mod:`repro.parallel.allreduce`).  ``overlap=False`` publishes only
-after backward (the ablation baseline).  ``wire_dtype`` selects the slab
-format (``float64`` | ``float32`` | ``bf16``); accumulation is in
-ascending rank order into the arena, and the serial backend replays the
-identical schedule and codec.
+Gradient communication is one engine, :class:`_GradBucketScheduler`
+(protocol and safety argument: :mod:`repro.parallel.allreduce`).
+Parameters are partitioned into size-targeted buckets in reverse layout
+order (:func:`~repro.parallel.allreduce.plan_buckets`; ``bucket_bytes``
+at least the gradient vector's size gives one bucket); a tape hook
+publishes each bucket as backward completes it and collects every
+earlier one all ranks have published — one thread per rank, no barrier.
+``overlap=False`` publishes only after backward (the ablation baseline).
+``wire_dtype`` is the slab format (``float64`` | ``float32`` |
+``bf16``); accumulation is in ascending rank order, and the serial
+backend replays the identical schedule and codec.
 """
 
 from __future__ import annotations
@@ -278,13 +258,13 @@ class _ShareLoader(DataLoader):
             yield xs, ys
 
 
-class _ParallelFit(FitLoop):
-    """:class:`FitLoop` whose batch is a global batch: ``batch_grads``
-    runs the step body on each of this driver's ``ranks``' shares
-    (:meth:`share_grads`) and leaves the arena holding the mean over all
-    ``world`` ranks, loss slot included — which is then what ``fit``
-    unscales, clips and steps on.  A subclass wraps ``share_grads`` and
-    provides ``exchange()``: sum the ranks' arenas, ascending, into this one.
+class _Shares:
+    """Driver whose batch is a global batch: ``batch_grads`` runs the step
+    body on each of its ``ranks``' shares (:meth:`share_grads`) and
+    leaves the arena holding the mean over all ``world`` ranks, loss slot
+    included — which is then what ``fit`` unscales, clips and steps on.
+    A subclass wraps ``share_grads`` and provides ``exchange(loop)``: sum
+    the ranks' arenas, ascending, into the loop's.
 
     The ragged tail batch is sample-weighted: each rank scales its
     share-mean gradient (and loss) by ``n_r * world / n_tail`` before the
@@ -295,35 +275,34 @@ class _ParallelFit(FitLoop):
     backends.
     """
 
-    def __init__(self, model: Model, x, y, spec: _TrainSpec, ranks: Sequence[int]) -> None:
-        super().__init__(model, x, y, **spec.fit_kwargs)
-        self.rng.bit_generator.state = spec.rng_state
+    def __init__(self, loop: FitLoop, spec: _TrainSpec, ranks: Sequence[int]) -> None:
+        loop.rng.bit_generator.state = spec.rng_state
+        loop.loader = _ShareLoader(loop.loader, spec, ranks)
         self.world, self.ranks = spec.world, ranks
-        self.loader = _ShareLoader(self.loader, spec, ranks)
 
-    def share_grads(self, rank: int, xb, yb, window: int, tail: int) -> None:
+    def share_grads(self, loop: FitLoop, body, rank: int, xb, yb, window: int, tail: int) -> None:
         """``rank``'s weighted gradients and loss into the arena; ``tail``
         is the ragged batch's sample count, 0 for a full batch."""
-        flat = self.arena.flat
+        flat = loop.arena.flat
         if len(xb):
-            super().batch_grads(xb, yb, window)
+            body(xb, yb, window)
             # A parameter this share's backward did not reach may be
             # reached on a peer: it takes part with a zero gradient.
-            self.arena.bind(zero_unreached=True)
+            loop.arena.bind(zero_unreached=True)
             if tail:
                 flat *= len(xb) * self.world / tail
         else:
             flat[:] = 0.0
 
-    def batch_grads(self, xs, ys, window: int) -> None:
-        flat = self.arena.flat
-        tail = self.loader.tail if self.batch == self.loader.steps else 0
+    def batch_grads(self, loop: FitLoop, body, xs, ys, window: int) -> None:
+        flat = loop.arena.flat
+        tail = loop.loader.tail if loop.batch == loop.loader.steps else 0
         for rank, xb, yb in zip(self.ranks, xs, ys):
-            self.share_grads(rank, xb, yb, window, tail)
-        self.exchange()
+            self.share_grads(loop, body, rank, xb, yb, window, tail)
+        self.exchange(loop)
         flat *= 1.0 / self.world
-        self.arena.bind()
-        self.last_loss = float(flat[-1])
+        loop.arena.bind()
+        loop.last_loss = float(flat[-1])
 
 
 def _owned_runs(sizes: Sequence[int], world: int) -> List[Tuple[int, int]]:
@@ -342,15 +321,13 @@ def _owned_runs(sizes: Sequence[int], world: int) -> List[Tuple[int, int]]:
 
 
 class _ShardedOptimizer:
-    """The optimizer ``fit`` holds on a process rank.
-
-    ``step`` is the step of ``optimizer_factory(owned)`` — an optimizer
-    over the rank's run of whole parameters only — or a no-op for a rank
-    that owns none; ``FitLoop`` calls it as it calls any optimizer's.
+    """The optimizer ``fit`` holds on a process rank: ``step`` steps
+    ``optimizer_factory(owned)``, an optimizer over the rank's run of whole
+    parameters (nothing, for a rank that owns none), and counts in
+    ``step_count`` the windows every rank accepted alike.
     ``clip_grad_norm`` and ``zero_grad`` see every parameter: the arena
-    holds the whole reduced gradient on every rank, so the clip factor
-    is the serial one.  ``step_count`` counts accepted windows
-    (:meth:`_RankFit.accept_update`), which every rank shares.
+    holds the whole reduced gradient on every rank, so the clip factor is
+    the serial one.
     """
 
     grad_norm = Optimizer.grad_norm
@@ -360,25 +337,29 @@ class _ShardedOptimizer:
     def __init__(self, params: List, owned: Tuple[int, int], factory: Callable) -> None:
         self.params = params
         first, end = owned
-        self.step = factory(params[first:end]).step if end > first else (lambda: None)
+        self._owned_step = factory(params[first:end]).step if end > first else (lambda: None)
         self.step_count = 0
 
+    def step(self) -> None:
+        self.step_count += 1
+        self._owned_step()
 
-class _RankFit(_ParallelFit):
+
+class _Rank(_Shares):
     """One rank process: the tape hook publishes and collects arena
     slices under backward, the exchange waits out the rest, ``fit``'s
     optimizer steps the owned run, and the cursor move after a step
     gathers the peers' runs."""
 
-    def __init__(self, model: Model, x, y, spec: _TrainSpec, rank: int,
+    def __init__(self, loop: FitLoop, spec: _TrainSpec, rank: int,
                  reducer: BucketRankReducer) -> None:
-        super().__init__(model, x, y, spec, (rank,))
-        self.verbose = self.verbose and rank == 0
+        super().__init__(loop, spec, (rank,))
+        loop.verbose = loop.verbose and rank == 0
         self.reducer = reducer
-        self.sched = _GradBucketScheduler(self.arena, reducer, overlap=spec.overlap)
-        self.grad_ready = self.sched.grad_ready
-        params = list(model.parameters())
-        self.opt = _ShardedOptimizer(params, spec.owned[rank], spec.optimizer_factory)
+        self.sched = _GradBucketScheduler(loop.arena, reducer, overlap=spec.overlap)
+        loop.grad_ready = self.sched.grad_ready
+        params = list(loop.model.parameters())
+        loop.opt = _ShardedOptimizer(params, spec.owned[rank], spec.optimizer_factory)
         # Each parameter's run of the weight slab, in its shape; the slab
         # is float64, which holds an fp32 or fp64 weight exactly.
         ranges = flat_ranges(params)
@@ -388,42 +369,33 @@ class _RankFit(_ParallelFit):
         self._peers = list(zip(params[:first] + params[end:], views[:first] + views[end:]))
         bounds = [r.start for r in ranges] + [ranges[-1].stop]
         self.arena_runs = [[bounds[a], bounds[b]] for a, b in spec.owned]
-        self._stepped, self.gather_s = False, 0.0
+        self._gathered, self.gather_s = 0, 0.0
 
-    def share_grads(self, rank: int, xb, yb, window: int, tail: int) -> None:
+    def share_grads(self, loop: FitLoop, body, rank: int, xb, yb, window: int, tail: int) -> None:
         # The tail is weighted after backward, so it has nothing to hide under.
-        self.sched.begin_step(self.global_step, hide=not tail)
-        super().share_grads(rank, xb, yb, window, tail)
+        self.sched.begin_step(loop.global_step, hide=not tail)
+        super().share_grads(loop, body, rank, xb, yb, window, tail)
 
-    def exchange(self) -> None:
+    def exchange(self, loop: FitLoop) -> None:
         self.sched.wait_step()
 
-    def accept_update(self) -> bool:
-        # Reached only for a window the precision check kept, identically
-        # on every rank: the optimizer steps next, so the cursor move gathers.
-        self._stepped = super().accept_update()
-        if self._stepped:
-            self.opt.step_count += 1
-        return self._stepped
-
-    def cursor_moved(self) -> None:
-        super().cursor_moved()
-        if self._stepped:
-            self._stepped = False
+    def cursor_moved(self, loop: FitLoop) -> None:
+        if loop.opt.step_count > self._gathered:
+            self._gathered = loop.opt.step_count
             t0 = time.perf_counter()
             for p, view in self._own:
                 view[...] = p.data
-            self.reducer.gather(self.global_step - 1)
+            self.reducer.gather(loop.global_step - 1)
             for p, view in self._peers:
                 p.data[...] = view
             self.gather_s += time.perf_counter() - t0
 
-    def stats(self) -> Dict:
-        return {**self.sched.stats(self.global_step), "owned": self.arena_runs,
+    def stats(self, steps: int) -> Dict:
+        return {**self.sched.stats(steps), "owned": self.arena_runs,
                 "gather_s": float(self.gather_s)}
 
 
-class _SerialFit(_ParallelFit):
+class _Serial(_Shares):
     """The single-process reference: every rank's share in turn, same
     shards, same schedule, same codec.  What it checks the process
     backend against: a rank's arena is copied to its row *after* backward
@@ -432,37 +404,53 @@ class _SerialFit(_ParallelFit):
     :func:`reduce_ranks_bucketed`, never a slab; and each rank's share
     runs under that rank's own layer state (dropout stream, BatchNorm
     statistics), as ``world`` replicas would — the model is left with
-    rank 0's, which is also what validation sees.
+    rank 0's, which is also what validation sees.  Those layer states are
+    the driver's snapshot ``state``: each rank's generators, and every
+    rank's buffers back to back.
     """
 
-    def __init__(self, model: Model, x, y, spec: _TrainSpec) -> None:
-        super().__init__(model, x, y, spec, range(spec.world))
-        self.opt = spec.optimizer_factory(list(model.parameters()))
-        self.rows = np.empty((spec.world, self.arena.flat.size), dtype=self.arena.flat.dtype)
+    def __init__(self, loop: FitLoop, spec: _TrainSpec) -> None:
+        super().__init__(loop, spec, range(spec.world))
+        self.model = loop.model
+        loop.opt = spec.optimizer_factory(list(loop.model.parameters()))
+        self.rows = np.empty((spec.world, loop.arena.flat.size), dtype=loop.arena.flat.dtype)
         self.spans, self.wire_dtype = spec.plan.spans, spec.wire_dtype
         self.scratch = WireScratch(spec.world, self.spans, spec.wire_dtype)
-        self.layer_states = [self._layer_state()] * spec.world  # replicas start identical
+        rngs, buffers = self._layer_state()
+        self.state = ([rngs] * spec.world, buffers * spec.world)  # replicas start identical
 
     def _layer_state(self) -> Tuple[Dict, List[np.ndarray]]:
         return self.model.layer_rng_states(), [b.copy() for b in self.model.buffers()]
 
+    def _buffers_of(self, rank: int) -> slice:
+        n = len(self.state[1]) // self.world
+        return slice(rank * n, (rank + 1) * n)
+
     def _install(self, rank: int) -> None:
-        rngs, buffers = self.layer_states[rank]
-        self.model.set_layer_rng_states(rngs)
-        for dst, src in zip(self.model.buffers(), buffers):
+        rngs, buffers = self.state
+        self.model.set_layer_rng_states(rngs[rank])
+        for dst, src in zip(self.model.buffers(), buffers[self._buffers_of(rank)]):
             dst[...] = src
 
-    def share_grads(self, rank: int, xb, yb, window: int, tail: int) -> None:
+    def share_grads(self, loop: FitLoop, body, rank: int, xb, yb, window: int, tail: int) -> None:
         self._install(rank)
-        super().share_grads(rank, xb, yb, window, tail)
-        self.rows[rank] = self.arena.flat
-        self.arena.release()
-        self.layer_states[rank] = self._layer_state()
+        super().share_grads(loop, body, rank, xb, yb, window, tail)
+        self.rows[rank] = loop.arena.flat
+        loop.arena.release()
+        rngs, buffers = self.state
+        rngs[rank], buffers[self._buffers_of(rank)] = self._layer_state()
 
-    def exchange(self) -> None:
+    def exchange(self, loop: FitLoop) -> None:
         reduce_ranks_bucketed(list(self.rows), self.spans, self.wire_dtype,
-                              out=self.arena.flat, scratch=self.scratch)
+                              out=loop.arena.flat, scratch=self.scratch)
         self._install(0)
+
+
+def _serial_fit(model: Model, x, y, spec: _TrainSpec) -> History:
+    """Every rank in this process, under the :class:`_Serial` driver."""
+    loop = FitLoop(model, x, y, **spec.fit_kwargs)
+    loop.drivers = (_Serial(loop, spec),)
+    return loop.run()
 
 
 #: What :func:`_init_rank` installed: (model, x, y, spec, allreduce handle).
@@ -482,11 +470,13 @@ def _train_rank(rank: int) -> Optional[Tuple]:
     model, x, y, spec, handle = _RANK
     reducer = BucketRankReducer(handle, rank, timeout_s=spec.timeout_s)
     try:
-        loop = _RankFit(model, x, y, spec, rank, reducer)
+        loop = FitLoop(model, x, y, **spec.fit_kwargs)
+        driver = _Rank(loop, spec, rank, reducer)
+        loop.drivers = (driver,)
         history = loop.run()
     finally:
         reducer.close()
-    return (model.get_weights(), history, loop.stats()) if rank == 0 else None
+    return (model.get_weights(), history, driver.stats(loop.global_step)) if rank == 0 else None
 
 
 def fit_data_parallel(
@@ -534,7 +524,7 @@ def fit_data_parallel(
     ``world``.  When it does not divide the dataset, ``drop_last=True``
     drops the ragged tail, ``False`` trains on it as one extra
     sample-weighted step per epoch (pad-free and exact: see
-    :class:`_ParallelFit`), and the default ``None`` drops it with a
+    :class:`_Shares`), and the default ``None`` drops it with a
     warning — the silent drop used to be an easy way to lose data.
 
     ``backend``, ``wire_dtype``, ``bucket_bytes`` and ``overlap`` are
@@ -618,7 +608,7 @@ def fit_data_parallel(
         if backend == "serial" or world == 1:
             # world==1 process mode would pay the data-plane setup for a
             # pool of one; run it in-process (identical numerics).
-            history, stats = _SerialFit(model, x, y_arr, spec).run(), None
+            history, stats = _serial_fit(model, x, y_arr, spec), None
         else:
             history, stats = _fit_on_pool(model, x, y_arr, spec, start_method, env)
         elapsed = time.perf_counter() - t0

@@ -1,18 +1,18 @@
 """Checkpoint/restart training: the analytic model, lived.
 
-:func:`run_resilient_training` is :meth:`Model.fit` under a driver that
-expects to die.  It holds no forward/backward of its own: it is the
-restart loop, checkpoint cadence, crash point, poisoned-gradient
-quarantine and step ledger around :class:`repro.nn.FitLoop`, acting at
-that loop's three boundaries.  It snapshots atomically on a periodic
-step interval (pick it with :func:`plan_checkpoint_interval`, which
-applies Daly's formula to the simulated machine), and when an injected
-fault kills the job it restores the newest snapshot — weights, optimizer
-moments, per-layer dropout RNG states and everything the loop carries
-across a batch boundary — and replays forward.  Because every stochastic
-input is part of the snapshot, a killed-and-resumed run is
-**bit-identical** to an uninterrupted one under any of ``fit``'s options
-(property-tested).
+:func:`run_resilient_training` is :meth:`Model.fit` under failures.  It
+holds no forward/backward of its own: it is a restart loop around
+:class:`repro.nn.FitLoop` and two drivers in the loop's tuple — the
+poisoned-gradient quarantine (shared with the async-SGD study) and the
+crash point, step ledger and checkpoint cadence.  It snapshots
+atomically on a periodic step interval (pick it with
+:func:`plan_checkpoint_interval`, which applies Daly's formula to the
+simulated machine), and when an injected fault kills the job it restores
+the newest snapshot — weights, optimizer moments, per-layer dropout RNG
+states, everything the loop carries across a batch boundary and every
+driver's state — and replays forward.  Because every stochastic input is
+part of the snapshot, a killed-and-resumed run is **bit-identical** to
+an uninterrupted one under any of ``fit``'s options (property-tested).
 
 The :class:`ResilienceReport` it returns is the measured counterpart of
 :func:`repro.hpc.resilience.expected_runtime`: E15 compares the two.
@@ -95,75 +95,86 @@ class ResilienceReport:
         )
 
 
-class _ResilientLoop(FitLoop):
-    """:class:`FitLoop` under a fault schedule: crash before a batch,
-    quarantine a poisoned window, and after the cursor moves keep the
-    step ledger and snapshot on cadence.  The snapshot header keeps the
-    layout older ``ckpt-*.npz`` directories have; keys added since are
-    read with defaults."""
+class _Quarantine:
+    """Driver: draw the window's ``grad`` fault (a NaN poisons the first
+    gradient in place; ``met`` tallies it), then drop, and count in
+    ``dropped``, a window whose loss or gradients are not finite."""
+
+    def __init__(self, faults: Optional[FaultSchedule], met: Optional[Counter] = None) -> None:
+        self.faults, self.met, self.dropped = faults, met, 0
+
+    def accept_update(self, loop: FitLoop) -> bool:
+        grads = [p.grad for p in loop.model.parameters() if p.grad is not None]
+        if grads and self.faults is not None and self.faults.draw("grad", loop.global_step) == NAN:
+            grads[0][...] = np.nan  # poisoned in place: the guard below must catch it
+            record(NAN, self.met)
+        if np.isfinite(loop.last_loss) and all(np.isfinite(g).all() for g in grads):
+            return True
+        self.dropped += 1
+        return False
+
+
+class _Resilience:
+    """Driver under a fault schedule: crash before a batch, and after the
+    cursor moves keep the step ledger and snapshot on cadence.  A snapshot
+    also holds the ``state`` of each driver that has one — a pair of
+    JSON-able metadata and a list of arrays — and a restore sets it back.
+    Its header keeps the layout older ``ckpt-*.npz`` directories have;
+    keys added since are read with defaults."""
 
     def __init__(self, manager: CheckpointManager, report: "ResilienceReport",
-                 checkpoint_every: Optional[int], /, *fit_args, **fit_kwargs) -> None:
-        super().__init__(*fit_args, **fit_kwargs)
+                 checkpoint_every: Optional[int]) -> None:
         self.manager, self.faults, self.report = manager, manager.faults, report
         self.checkpoint_every = checkpoint_every
         self.furthest = 0  # distinct batches completed at least once
         self.snapshot_due = False
 
-    # -- the three boundaries ---------------------------------------------
-    def before_batch(self) -> None:
+    def before_batch(self, loop: FitLoop) -> None:
         # The incarnation number is the restart count: a restart redraws.
         faults = self.faults
-        if faults is not None and faults.draw("step", self.report.restarts, self.global_step) == CRASH:
+        if faults is not None and faults.draw("step", self.report.restarts, loop.global_step) == CRASH:
             record(CRASH, self.report.faults)
-            raise SimulatedCrash(f"injected crash at step {self.global_step}")
+            raise SimulatedCrash(f"injected crash at step {loop.global_step}")
 
-    def accept_update(self) -> bool:
-        grads = [p.grad for p in self.model.parameters() if p.grad is not None]
-        if grads and self.faults is not None and self.faults.draw("grad", self.global_step) == NAN:
-            grads[0][...] = np.nan  # poisoned in place: the guard below must catch it
-            record(NAN, self.report.faults)
-        if not np.isfinite(self.last_loss) or not all(np.isfinite(g).all() for g in grads):
-            # Quarantine: drop the poisoned update, keep training.
-            self.report.nan_updates_skipped += 1
-            return False
-        return True
-
-    def cursor_moved(self) -> None:
-        if self.perm is None:  # an epoch ended: always snapshot
-            self.snapshot()
+    def cursor_moved(self, loop: FitLoop) -> None:
+        if loop.perm is None:  # an epoch ended: always snapshot
+            self.snapshot(loop)
             return
-        if self.global_step <= self.furthest:
+        if loop.global_step <= self.furthest:
             self.report.steps_replayed += 1
         else:
             self.report.useful_steps += 1
-            self.furthest = self.global_step
-        if self.checkpoint_every is not None and self.global_step % self.checkpoint_every == 0:
+            self.furthest = loop.global_step
+        if self.checkpoint_every is not None and loop.global_step % self.checkpoint_every == 0:
             self.snapshot_due = True
         # A snapshot holds no half-accumulated gradients: one that falls
         # due inside an accumulation window waits for the window to close.
-        if self.snapshot_due and self.accum == 0:
-            self.snapshot()
+        if self.snapshot_due and loop.accum == 0:
+            self.snapshot(loop)
 
     # -- snapshot / restore -------------------------------------------------
-    def snapshot(self, force: bool = False) -> None:
+    def snapshot(self, loop: FitLoop, force: bool = False) -> None:
         self.snapshot_due = False
         meta = {
-            "epoch_sum": self.epoch_sum,
-            "epoch_count": self.batch,
-            "layer_rngs": self.model.layer_rng_states(),
-            "best_val": self.best_val,
-            "patience_left": self.patience_left,
-            "stopped": self.stopped,
-            "precision": None if self.ctrl is None else self.ctrl.state(),
+            "epoch_sum": loop.epoch_sum,
+            "epoch_count": loop.batch,
+            "layer_rngs": loop.model.layer_rng_states(),
+            "best_val": loop.best_val,
+            "patience_left": loop.patience_left,
+            "stopped": loop.stopped,
+            "precision": None if loop.ctrl is None else loop.ctrl.state(),
         }
-        extra = {} if self.perm is None else {"perm": self.perm}
-        for i, w in enumerate(self.best_weights or ()):
+        extra = {} if loop.perm is None else {"perm": loop.perm}
+        for i, w in enumerate(loop.best_weights or ()):
             extra[f"best_{i:04d}"] = w
-        rows = [{k: float(v) for k, v in row.items()} for row in self.history.epochs]
+        for i, driver in enumerate(loop.drivers):
+            if hasattr(driver, "state"):
+                meta[f"driver_{i}"], arrays = driver.state
+                extra.update({f"driver_{i}_{j:04d}": a for j, a in enumerate(arrays)})
+        rows = [{k: float(v) for k, v in row.items()} for row in loop.history.epochs]
         path = self.manager.save(
-            self.model, self.opt, epoch=self.epoch, step=self.batch,
-            global_step=self.global_step, rng=self.rng, extra_arrays=extra,
+            loop.model, loop.opt, epoch=loop.epoch, step=loop.batch,
+            global_step=loop.global_step, rng=loop.rng, extra_arrays=extra,
             history=rows, metadata=meta, force=force,
         )
         if path is not None:
@@ -174,28 +185,32 @@ class _ResilientLoop(FitLoop):
         if rec is not None:
             rec.event(
                 "checkpoint", kind="resilience.checkpoint",
-                epoch=self.epoch, global_step=self.global_step, ok=path is not None,
+                epoch=loop.epoch, global_step=loop.global_step, ok=path is not None,
             )
 
-    def restore(self) -> None:
-        """Put the newest readable snapshot back into model, optimizer and loop."""
-        header = self.manager.restore(self.model, self.opt)
+    def restore(self, loop: FitLoop) -> None:
+        """The newest readable snapshot back into model, optimizer, loop, drivers."""
+        header = self.manager.restore(loop.model, loop.opt)
         meta, extra = header.get("metadata", {}), header["extra"]
         if header["rng"] is not None:
-            self.rng = header["rng"]
-        self.model.set_layer_rng_states(meta.get("layer_rngs", {}))
-        self.epoch = int(header["epoch"])
-        self.batch = int(header.get("step", 0))
-        self.global_step = int(header.get("global_step", 0))
-        self.perm = extra["perm"].astype(np.int64) if self.batch > 0 else None
-        self.epoch_sum = float(meta.get("epoch_sum", 0.0))
-        self.history.epochs[:] = header.get("history", [])
-        self.best_val = meta.get("best_val", np.inf)
-        self.patience_left = meta.get("patience_left", self.patience)
-        self.stopped = meta.get("stopped", False)
-        self.best_weights = [extra[k] for k in sorted(extra) if k.startswith("best_")] or None
-        if self.ctrl is not None and meta.get("precision") is not None:
-            self.ctrl.load_state(meta["precision"])
+            loop.rng = header["rng"]
+        loop.model.set_layer_rng_states(meta.get("layer_rngs", {}))
+        loop.epoch = int(header["epoch"])
+        loop.batch = int(header.get("step", 0))
+        loop.global_step = int(header.get("global_step", 0))
+        loop.perm = extra["perm"].astype(np.int64) if loop.batch > 0 else None
+        loop.epoch_sum = float(meta.get("epoch_sum", 0.0))
+        loop.history.epochs[:] = header.get("history", [])
+        loop.best_val = meta.get("best_val", np.inf)
+        loop.patience_left = meta.get("patience_left", loop.patience)
+        loop.stopped = meta.get("stopped", False)
+        loop.best_weights = [extra[k] for k in sorted(extra) if k.startswith("best_")] or None
+        if loop.ctrl is not None and meta.get("precision") is not None:
+            loop.ctrl.load_state(meta["precision"])
+        for i, driver in enumerate(loop.drivers):
+            if hasattr(driver, "state"):
+                arrays = [extra[k] for k in sorted(extra) if k.startswith(f"driver_{i}_")]
+                driver.state = (meta[f"driver_{i}"], arrays)
 
 
 def run_resilient_training(
@@ -233,18 +248,21 @@ def run_resilient_training(
         raise ValueError("checkpoint_every must be >= 1 (or None)")
     report = ResilienceReport()
     manager = CheckpointManager(checkpoint_dir, faults=faults)
-    loop = _ResilientLoop(manager, report, checkpoint_every, model, x, y, **fit_kwargs)
+    loop = FitLoop(model, x, y, **fit_kwargs)
+    quarantine = _Quarantine(faults, report.faults)
+    driver = _Resilience(manager, report, checkpoint_every)
+    loop.drivers += (quarantine, driver)  # on top of any the loop has
     if manager.latest() is None:
         # Baseline snapshot: anchors restarts that beat the first periodic
         # checkpoint.  Written force=True — job staging is assumed durable.
-        loop.snapshot(force=True)
+        driver.snapshot(loop, force=True)
 
     rec = get_recorder()
     while True:
         try:
             # Each incarnation is one `fit` span; an injected crash
             # closes it (and its open epoch/step spans) aborted.
-            loop.restore()
+            driver.restore(loop)
             history = loop.run()
             break
         except SimulatedCrash:
@@ -257,6 +275,7 @@ def run_resilient_training(
                     "or lower the injected crash rate"
                 )
 
+    report.nan_updates_skipped = quarantine.dropped
     report.faults[STORAGE] = manager.writes_failed
     report.snapshots_skipped = manager.snapshots_skipped
     # The time ledger is the step ledger priced.

@@ -2,9 +2,10 @@
 
 Unlike :mod:`repro.hpc.parallelism` (which models *time*), this module
 simulates the *numerics* of distributed training on real NumPy models.
-It holds no step body: each study is a :class:`repro.nn.FitLoop` driver
-stepping ``SGD(lr)`` that acts on a batch's gradients at the loop's
-boundaries.  Synchronous data parallelism with exact gradient averaging
+It holds no step body: each study is a :class:`repro.nn.FitLoop` stepping
+``SGD(lr)`` under drivers that act on a batch's gradients at the loop's
+boundaries (async SGD shares the resilience runtime's quarantine driver).
+Synchronous data parallelism with exact gradient averaging
 is :func:`repro.parallel.fit_data_parallel` (``backend="serial"`` runs it
 in one process).
 
@@ -28,7 +29,8 @@ import numpy as np
 
 from ..nn.model import FitLoop, Model
 from ..nn.optim import SGD
-from ..resilience.faults import NAN, FaultSchedule, record
+from ..resilience.faults import FaultSchedule
+from ..resilience.runtime import _Quarantine
 
 
 @dataclass
@@ -53,50 +55,22 @@ class DistributedRunResult:
         return self.dense_bytes / self.comm_bytes
 
 
-class _StudyLoop(FitLoop):
-    """:class:`FitLoop` stepping ``SGD(lr)``, with a result to fill."""
+class _Stale:
+    """Driver: each gradient is taken at the weights ``staleness`` updates
+    ago (a ring of weight copies makes that exact), then applied live."""
 
-    def __init__(self, model: Model, x, y, lr: float, **fit_kwargs) -> None:
-        super().__init__(model, x, y, **fit_kwargs)
-        # After FitLoop has built the model: the generator is consumed in one
-        # order (build, then a permutation per epoch) built or unbuilt.
-        self.opt = SGD(model.parameters(), lr=lr)
-        self.result = DistributedRunResult([])
+    def __init__(self, staleness: int) -> None:
+        self.ring = deque(maxlen=staleness + 1)
 
-    def finish(self) -> DistributedRunResult:
-        self.result.epoch_losses = self.run().series("loss")
-        return self.result
-
-
-class _AsyncLoop(_StudyLoop):
-    """Gradients are taken at the weights ``staleness`` updates ago (a
-    ring of weight copies makes that exact) and applied to the live ones;
-    the parameter server drops a poisoned one."""
-
-    def __init__(self, staleness: int, faults: Optional[FaultSchedule], /, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        self.ring, self.faults = deque(maxlen=staleness + 1), faults
-
-    def batch_grads(self, xb, yb, window: int) -> None:
-        params = self.opt.params
+    def batch_grads(self, loop: FitLoop, body, xb, yb, window: int) -> None:
+        params = loop.opt.params
         live = [p.data.copy() for p in params]
         self.ring.append(live)
         for p, w in zip(params, self.ring[0]):  # the oldest kept: `staleness` updates ago
             p.data[...] = w
-        super().batch_grads(xb, yb, window)
+        body(xb, yb, window)
         for p, w in zip(params, live):
             p.data[...] = w
-
-    def accept_update(self) -> bool:
-        grads = [p.grad for p in self.opt.params if p.grad is not None]
-        if grads and self.faults is not None and self.faults.draw("grad", self.global_step) == NAN:
-            grads[0][...] = np.nan  # the arriving gradient is poisoned in place
-            record(NAN)
-        if not all(np.isfinite(g).all() for g in grads):
-            self.result.dropped_updates += 1  # quarantined: the live weights stand
-            return False
-        self.result.updates += 1
-        return True
 
 
 def train_async_sgd(
@@ -130,10 +104,16 @@ def train_async_sgd(
         raise ValueError("staleness must be >= 0")
     if n_workers < 1:
         raise ValueError("n_workers must be >= 1")
-    result = _AsyncLoop(staleness, faults, model, x, y, lr, epochs=epochs,
-                        batch_size=batch_size, loss=loss, seed=seed).finish()
-    result.comm_bytes = result.dense_bytes = model.param_count() * 8.0 * result.updates
-    return result
+    loop = FitLoop(model, x, y, epochs=epochs, batch_size=batch_size, loss=loss, seed=seed)
+    # After FitLoop has built the model: the generator is consumed in one
+    # order (build, then a permutation per epoch) built or unbuilt.
+    loop.opt = SGD(model.parameters(), lr=lr)
+    server = _Quarantine(faults)  # the parameter server drops a poisoned gradient
+    loop.drivers = (_Stale(staleness), server)
+    losses = loop.run().series("loss")
+    updates = loop.opt.step_count  # the windows the server kept
+    sent = model.param_count() * 8.0 * updates
+    return DistributedRunResult(losses, sent, sent, updates, server.dropped)
 
 
 def topk_sparsify(grad: np.ndarray, fraction: float) -> Tuple[np.ndarray, int]:
@@ -153,28 +133,27 @@ def topk_sparsify(grad: np.ndarray, fraction: float) -> Tuple[np.ndarray, int]:
     return out.reshape(grad.shape), k
 
 
-class _TopkLoop(_StudyLoop):
-    """Only the top-``fraction`` entries of each gradient reach the step;
-    with ``error_feedback`` the rest is carried to the next one."""
+class _Topk:
+    """Driver: only the top-``fraction`` entries of each gradient reach
+    the step; with ``error_feedback`` the rest is carried to the next
+    one.  ``comm_bytes`` and ``dense_bytes`` count what was sent."""
 
-    def __init__(self, fraction: float, error_feedback: bool, /, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
+    def __init__(self, loop: FitLoop, fraction: float, error_feedback: bool) -> None:
         self.fraction, self.error_feedback = fraction, error_feedback
-        self.residual = [np.zeros_like(p.data) for p in self.opt.params]
+        self.residual = [np.zeros_like(p.data) for p in loop.opt.params]
+        self.comm_bytes = self.dense_bytes = 0.0
 
-    def accept_update(self) -> bool:
-        self.arena.bind(zero_unreached=True)
-        res = self.result
-        for i, p in enumerate(self.opt.params):
+    def accept_update(self, loop: FitLoop) -> bool:
+        loop.arena.bind(zero_unreached=True)
+        for i, p in enumerate(loop.opt.params):
             grad = p.grad
             corrected = grad + self.residual[i] if self.error_feedback else grad
             sparse, kept = topk_sparsify(corrected, self.fraction)
             if self.error_feedback:
                 self.residual[i] = corrected - sparse
             grad[...] = sparse
-            res.comm_bytes += kept * 12.0
-            res.dense_bytes += grad.size * 8.0
-        res.updates += 1
+            self.comm_bytes += kept * 12.0
+            self.dense_bytes += grad.size * 8.0
         return True
 
 
@@ -200,5 +179,10 @@ def train_topk_sgd(
     Communicated bytes count 12 bytes per sent entry (8-byte value +
     4-byte index) vs 8 bytes per entry dense.
     """
-    return _TopkLoop(fraction, error_feedback, model, x, y, lr, epochs=epochs,
-                     batch_size=batch_size, loss=loss, seed=seed).finish()
+    loop = FitLoop(model, x, y, epochs=epochs, batch_size=batch_size, loss=loss, seed=seed)
+    loop.opt = SGD(model.parameters(), lr=lr)  # after the build, as in train_async_sgd
+    topk = _Topk(loop, fraction, error_feedback)
+    loop.drivers = (topk,)
+    losses = loop.run().series("loss")
+    return DistributedRunResult(losses, topk.comm_bytes, topk.dense_bytes,
+                                updates=loop.opt.step_count)

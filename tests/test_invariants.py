@@ -593,6 +593,58 @@ def test_one_step_body_reads_code_not_text():
     )) == []
 
 
+# -- One fit loop, extended by drivers -----------------------------------
+# A run is changed by the objects in FitLoop.drivers, never by a subclass:
+# no class in src/repro has FitLoop as a base, however the base is spelled
+# (a name, an attribute, or a name bound to FitLoop by an import alias or
+# an assignment).
+def fit_loop_subclass_violations(sources):
+    found = []
+    for rel, source in sources.items():
+        tree = _parse(source)
+        spellings = {"FitLoop"}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.alias) and node.name.rsplit(".", 1)[-1] == "FitLoop":
+                spellings.add((node.asname or node.name).rsplit(".", 1)[-1])
+            elif isinstance(node, ast.Assign) and _spelled(node.value) == "FitLoop":
+                spellings.update(_spelled(t) for t in node.targets)
+        found += [f"{rel}:{node.lineno} class {node.name}({_spelled(base)})"
+                  for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+                  for base in node.bases if _spelled(base) in spellings]
+    return found
+
+
+def test_no_fit_loop_subclass():
+    found = fit_loop_subclass_violations(dict(_sources()))
+    assert found == [], f"a FitLoop subclass, not a driver (see {STEP_BODY_SECTION}): {found}"
+
+
+FIT_LOOP_SUBCLASS_MUTANTS = {
+    "a direct subclass": (
+        "parallel/ddp.py", lambda s: s + "\nclass _X(FitLoop):\n    pass\n",
+    ),
+    "an attribute base": (
+        "workflow/distributed.py",
+        lambda s: s + "\nfrom .. import nn\n\nclass _X(nn.FitLoop):\n    pass\n",
+    ),
+    "an aliased import": (
+        "resilience/runtime.py",
+        lambda s: s + "\nfrom ..nn.model import FitLoop as _Loop\n\nclass _X(_Loop):\n    pass\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("edits", FIT_LOOP_SUBCLASS_MUTANTS.values(),
+                         ids=list(FIT_LOOP_SUBCLASS_MUTANTS))
+def test_no_fit_loop_subclass_rejects(edits):
+    assert fit_loop_subclass_violations(_mutated(*edits))
+
+
+def test_no_fit_loop_subclass_reads_code_not_text():
+    note = '\n# class _X(FitLoop) is what drivers replaced\nNOTE = "class _Y(FitLoop): ..."\n'
+    assert fit_loop_subclass_violations(_mutated("parallel/ddp.py", lambda s: s + note)) == []
+
+
 # -- One fault plane -----------------------------------------------------
 # Every injected fault is drawn from the one FaultSchedule in
 # resilience/faults.py through draw(site, *key): no chaos module or

@@ -23,6 +23,7 @@ from repro.nn import (
     CheckpointIntegrityError,
     Dense,
     Dropout,
+    FitLoop,
     RMSProp,
     Sequential,
     atomic_savez,
@@ -32,7 +33,7 @@ from repro.nn import (
     save_training_state,
     save_weights,
 )
-from repro.parallel import fit_data_parallel
+from repro.parallel import ddp, fit_data_parallel
 from repro.precision import FitPrecision, LossScaler, PrecisionPolicy, quantize_model, train_with_policy
 from repro.registry import ArtifactStore, load_artifact
 from repro.resilience import (
@@ -45,6 +46,7 @@ from repro.resilience import (
     plan_checkpoint_interval,
     run_resilient_training,
 )
+from repro.resilience import runtime
 from repro.resilience.faults import SITES
 
 
@@ -614,6 +616,44 @@ class TestBitIdenticalResume:
         with pytest.raises(RuntimeError, match="restarts"):
             self._run(data, tmp_path, faults=crashes(*range(1, 6)), max_restarts=2)
 
+    def test_resilience_stacks_on_the_serial_ddp_driver(self, data, tmp_path, monkeypatch):
+        """``run_resilient_training``'s drivers on top of the serial DDP
+        driver that ``fit_data_parallel`` set up, at world 2: three
+        crashes, the second restored mid-epoch (step 8 of 6-step epochs),
+        end with the weights and every history column but ``time`` of the
+        fault-free fit.  Each rank's dropout stream is the DDP driver's
+        state, so this holds only if the snapshot carries it."""
+        x, y = data
+        kw = dict(world=2, backend="serial", epochs=3, batch_size=16, loss="cross_entropy",
+                  lr=1e-3, seed=0, validation_data=(x[:32], y[:32]))
+        clean = small_model(dropout=0.3)
+        expected = fit_data_parallel(clean, x, y, **kw)
+        reports = []
+
+        def resilient_serial_fit(model, x, y, spec):
+            loop = FitLoop(model, x, y, **spec.fit_kwargs)
+            loop.drivers = (ddp._Serial(loop, spec),)
+            monkeypatch.setattr(runtime, "FitLoop", lambda *args, **kwargs: loop)
+            history, report = run_resilient_training(
+                model, x, y, checkpoint_dir=tmp_path, checkpoint_every=4,
+                faults=crashes(3, 9, 14),
+            )
+            reports.append(report)
+            return history
+
+        monkeypatch.setattr(ddp, "_serial_fit", resilient_serial_fit)
+        faulty = small_model(dropout=0.3)
+        got = fit_data_parallel(faulty, x, y, **kw)
+        [rep] = reports
+        # Replayed: steps 1-3 from the baseline, 9 from step 8, 13-14 from step 12.
+        assert rep.restarts == 3 and rep.steps_replayed == 3 + 1 + 2
+        assert rep.snapshots_skipped == 0
+        untimed = [[{k: v for k, v in row.items() if k != "time"} for row in r.history.epochs]
+                   for r in (expected, got)]
+        assert untimed[0] == untimed[1] and "val_loss" in untimed[0][0]
+        for a, b in zip(clean.get_weights(), faulty.get_weights()):
+            assert np.array_equal(a, b), "weights diverged"
+
 
 class TestRemovedOptions:
     """Options no caller set are gone without shims: a stale keyword is
@@ -883,7 +923,7 @@ class TestDistributedResilience:
     def test_sync_faultless_path_unchanged(self, xy):
         """faults=None must be numerically identical to the seed code."""
         from repro.nn import SGD
-        from repro.parallel import fit_data_parallel
+        from repro.parallel import ddp, fit_data_parallel
 
         x, y = xy
         a, b = (fit_data_parallel(small_model(), x, y, world=3, backend="serial", batch_size=48,
