@@ -25,7 +25,9 @@ Two implementations ship today:
 from __future__ import annotations
 
 import os
+import shutil
 import tempfile
+import weakref
 from abc import ABC, abstractmethod
 from pathlib import Path
 from typing import Dict, List, Union
@@ -184,6 +186,8 @@ class InMemoryBackend(RegistryBackend):
     def __init__(self) -> None:
         self._objects: Dict[str, bytes] = {}
         self._cache_dir = Path(tempfile.mkdtemp(prefix="repro_registry_cache_"))
+        # The spooled copies live as long as the objects they copy.
+        weakref.finalize(self, shutil.rmtree, self._cache_dir, ignore_errors=True)
         self.downloads = 0  # blob-cache misses (what a remote would fetch)
 
     def exists(self, key: str) -> bool:

@@ -13,6 +13,7 @@ publisher-vs-readers churn.
 """
 
 import errno
+import gc
 import json
 import multiprocessing as mp
 import os
@@ -311,6 +312,20 @@ class TestBackends:
         store.get("m")  # cold again, but the blob cache still holds it
         assert store.backend.downloads == 1
         assert m1 is not None
+
+    def test_in_memory_blob_cache_goes_with_the_backend(self, tmp_path, monkeypatch):
+        """The blob cache is removed when the backend is collected: every
+        in-memory store used to leave a ``repro_registry_cache_*``
+        directory in the temp dir."""
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        store = ArtifactStore(backend=InMemoryBackend(), capacity=1)
+        store.publish(_tiny_model(), "m", BENCHMARK, hparams=HPARAMS)
+        model = store.get("m")
+        assert store.backend.downloads == 1
+        assert len(list(tmp_path.glob("repro_registry_cache_*"))) == 1
+        del store, model
+        gc.collect()
+        assert list(tmp_path.glob("repro_registry_cache_*")) == []
 
     def test_store_requires_root_or_backend(self):
         with pytest.raises(ValueError):
