@@ -186,7 +186,7 @@ class InMemoryBackend(RegistryBackend):
     def __init__(self) -> None:
         self._objects: Dict[str, bytes] = {}
         self._cache_dir = Path(tempfile.mkdtemp(prefix="repro_registry_cache_"))
-        # The spooled copies live as long as the objects they copy.
+        # The blob cache is the backend's own: it goes when the backend is collected.
         weakref.finalize(self, shutil.rmtree, self._cache_dir, ignore_errors=True)
         self.downloads = 0  # blob-cache misses (what a remote would fetch)
 
