@@ -354,6 +354,20 @@ class Sequential(Model):
         return self
 
 
+def cast_for_fit(model: Model, precision) -> None:
+    """``fit``'s precision cast of a built ``model``, in place: a format
+    name other than ``"fp64"`` trains fp32 master weights, so parameters
+    and layer buffers become float32 (a name ``fit`` cannot train in is
+    refused first); ``None``, ``"fp64"`` and a rounding policy leave the
+    model as it is.  :class:`FitLoop` casts through this, and so does
+    ``fit_data_parallel`` before it sizes the weight slab its ranks share."""
+    if isinstance(precision, str) and precision != "fp64":
+        from ..precision.policy import train_format  # lazy: repro.precision imports repro.nn
+
+        train_format(precision)
+        model.astype(np.float32)
+
+
 class FitLoop:
     """One :meth:`Model.fit` run: the library's only forward → loss →
     backward → window close → optimizer step over a dataset, resumable
@@ -421,9 +435,9 @@ class FitLoop:
                 from ..precision.policy import FitPrecision
 
                 self.ctrl = FitPrecision(precision, model.parameters())
-                model.astype(np.float32)  # parameters and layer buffers: the fp32 masters
             else:
                 self.ctrl = precision.bind(model.parameters())
+            cast_for_fit(model, precision)
             cast = self.ctrl.cast_array
             x, y = cast(x), None if y is None else cast(y)
             if validation_data is not None:
@@ -454,6 +468,11 @@ class FitLoop:
         self.patience_left = early_stopping_patience
         self.stopped = False
         self.drivers: tuple = ()
+
+    @property
+    def finished(self) -> bool:
+        """The run has nothing left to train: every epoch ran, or it stopped early."""
+        return self.epoch >= self.epochs or self.stopped
 
     def batch_grads(self, xb: np.ndarray, yb: Optional[np.ndarray], window: int) -> None:
         """Forward → loss → backward of one batch of a ``window``-batch
@@ -522,7 +541,7 @@ class FitLoop:
             rec, "fit", "fit",
             epochs=self.epochs, batch_size=loader.batch_size, n_samples=loader.n_samples,
         ) as fit_span:
-            while self.epoch < self.epochs and not self.stopped:
+            while not self.finished:
                 t0 = time.perf_counter()
                 if self.perm is None:  # a resumed epoch keeps the order it was drawn with
                     self.perm = self.rng.permutation(loader.n_samples)
@@ -596,6 +615,7 @@ class FitLoop:
                 for hook in moved:
                     hook(self)
 
+            self._graph = None  # its saved arrays may view shared memory (a DDP rank's weights)
             if self.best_weights is not None:
                 model.set_weights(self.best_weights)
             if fit_span is not None:

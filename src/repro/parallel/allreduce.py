@@ -50,19 +50,19 @@ Why that is safe without barriers:
   can be one step ahead, never two.
 
 The same flags carry one more exchange: the **weight all-gather** after
-a sharded optimizer step (:mod:`repro.parallel.ddp`).  Each rank owns a
-run of the vector, writes its updated values there in one float64
-``weights`` slab, raises its cell of one extra flag column
-(:meth:`BucketRankReducer.gather`) and copies its peers' runs out once
-every cell shows the step.  float64 holds an fp32 or fp64 weight
-exactly, whatever the gradient wire.
+a sharded optimizer step (:mod:`repro.parallel.ddp`).  Every rank's
+parameters are views of one shared ``weights`` slab in their dtype, and
+each rank's optimizer steps its own run of it in place, so
+:meth:`BucketRankReducer.gather` only raises the rank's cell of one
+extra flag column and waits for every cell to show the step.
 
-* *One generation is enough.*  A peer writes its step-``t + 1`` run only
-  after its optimizer step ``t + 1``, i.e. after it collected this
-  rank's step-``t + 1`` gradients; this rank publishes those in the
-  backward that follows its read of the step-``t`` runs.  So every read
-  of a run precedes the write that replaces it, and the wait is the
-  only synchronisation the gather needs.
+* *One generation is enough.*  A rank reads no weight after its last
+  gradient publish of a step: the ``grad_ready`` hook publishes the last
+  bucket once every gradient is final, i.e. after backward's last read
+  of a weight, and the tail step publishes after backward.  A peer steps
+  its run in place only after it collected that publish.  So every read
+  of the step's weights (epoch-end validation included) precedes the
+  write that replaces them, and the wait is the only synchronisation.
 """
 
 from __future__ import annotations
@@ -332,20 +332,21 @@ class BucketAllreduceHandle:
     wire_dtype: str
     slab_refs: list              # [step parity] -> (world, n) wire-storage slab
     seq_ref: SharedArrayRef      # (world, n_buckets + 1) int64: last step published + 1
-    weights_ref: SharedArrayRef  # (n,) float64: every rank's run of updated weights
+    weights_ref: SharedArrayRef  # the ranks' parameters, back to back, in their dtype
 
 
 def create_bucketed_allreduce(store: SharedArrayStore, world: int, plan: BucketPlan,
-                              wire_dtype: str = "float64") -> BucketAllreduceHandle:
-    """Allocate the double-buffered slabs, the weight slab and the zeroed
-    flags: one column per bucket, then the weight gather's."""
+                              wire_dtype: str = "float64", *,
+                              weights: np.ndarray) -> BucketAllreduceHandle:
+    """Allocate the double-buffered slabs and the zeroed flags (one column
+    per bucket, then the gather's); publish ``weights`` as the weight slab."""
     if world < 1:
         raise ValueError("world must be >= 1")
     storage = _WIRE_STORAGE[_check_wire(wire_dtype)]
     for parity in (0, 1):
         store.allocate(f"bucket_slab{parity}", (world, plan.n), storage)
     store.allocate("bucket_seq", (world, plan.n_buckets + 1), np.int64)[...] = 0
-    store.allocate("gather_slab", (plan.n,), np.float64)
+    store.publish("gather_slab", weights)
     return BucketAllreduceHandle(
         world, plan, wire_dtype,
         [store.ref("bucket_slab0"), store.ref("bucket_slab1")],
@@ -370,10 +371,10 @@ class BucketRankReducer:
     ``collect`` reduces a bucket every rank has published into ``vec``
     in place; ``ready`` is the non-blocking test, ``wait`` the blocking
     one.  Callers issue buckets in schedule order and pass the global
-    step index, whose parity selects the slab generation.  ``gather``
-    is the weight all-gather over ``weights``, whose flag is column
-    ``plan.n_buckets``.  ``timeout_s`` bounds every wait of this
-    reducer's lifetime.
+    step index, whose parity selects the slab generation.  ``weights``
+    is the shared weight slab and ``gather`` its all-gather, whose flag
+    is column ``plan.n_buckets``.  ``timeout_s`` bounds every wait of
+    this reducer's lifetime.
     """
 
     def __init__(self, handle: BucketAllreduceHandle, rank: int, *,
@@ -426,8 +427,8 @@ class BucketRankReducer:
         accumulate_rows(self._slabs[step & 1][:, lo:hi], self.wire_dtype, vec[lo:hi], self._dec)
 
     def gather(self, step: int) -> None:
-        """This rank's run of :attr:`weights` holds its step-``step``
-        values: raise its gather flag, then wait until every rank's is up."""
+        """This rank's run of :attr:`weights` is stepped in place for step
+        ``step``: raise its gather flag, then wait until every rank's is up."""
         self._seq[self.rank, -1] = step + 1  # the flag covers the run written before it
         self.wait(self.plan.n_buckets, step)
 

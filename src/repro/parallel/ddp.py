@@ -6,8 +6,8 @@ global batch (the data-order RNG is replicated bit-for-bit into every
 rank), and the gradients are averaged through the deterministic
 shared-memory allreduce of :mod:`repro.parallel.allreduce`.  A rank
 then steps only its owned run of whole parameters (:func:`_owned_runs`),
-keeping about ``1/world`` of the optimizer state, and the ranks
-all-gather the updated runs: ZeRO stage 1, actually running on processes.
+keeping about ``1/world`` of the optimizer state, in place in one weight
+slab that every rank's parameters are views of: ZeRO stage 1 on processes.
 
 There is no training loop here: a rank is a :class:`repro.nn.FitLoop`
 under one driver, a :class:`_Shares`, so every ``fit`` keyword means
@@ -48,7 +48,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..nn.dataloader import DataLoader
-from ..nn.model import FitLoop, History, Model
+from ..nn.model import FitLoop, History, Model, cast_for_fit
 from ..nn.optim import Adam, Optimizer
 from ..nn.tensor import GradArena, flat_ranges
 from ..obs.context import get_recorder
@@ -83,7 +83,7 @@ class DataParallelResult:
     gradient-communication engine actually did: bucket spans, bytes on
     the wire per step and the timings :class:`_GradBucketScheduler`
     defines; ``owned``, each rank's ``[lo, hi)`` run of the arena; and
-    ``gather_s``, rank 0's time in the weight gather, waiting included.
+    ``gather_s``, rank 0's wait for its peers' steps of the shared weights.
     """
 
     world: int
@@ -348,8 +348,9 @@ class _ShardedOptimizer:
 class _Rank(_Shares):
     """One rank process: the tape hook publishes and collects arena
     slices under backward, the exchange waits out the rest, ``fit``'s
-    optimizer steps the owned run, and the cursor move after a step
-    gathers the peers' runs."""
+    optimizer steps the owned run of the parameters in place — they are
+    views of the reducer's weight slab until the run ends — and the
+    cursor move after a step waits until every peer has stepped its run."""
 
     def __init__(self, loop: FitLoop, spec: _TrainSpec, rank: int,
                  reducer: BucketRankReducer) -> None:
@@ -358,15 +359,13 @@ class _Rank(_Shares):
         self.reducer = reducer
         self.sched = _GradBucketScheduler(loop.arena, reducer, overlap=spec.overlap)
         loop.grad_ready = self.sched.grad_ready
-        params = list(loop.model.parameters())
-        loop.opt = _ShardedOptimizer(params, spec.owned[rank], spec.optimizer_factory)
-        # Each parameter's run of the weight slab, in its shape; the slab
-        # is float64, which holds an fp32 or fp64 weight exactly.
-        ranges = flat_ranges(params)
-        views = [reducer.weights[r].reshape(p.data.shape) for p, r in zip(params, ranges)]
-        first, end = spec.owned[rank]
-        self._own = list(zip(params[first:end], views[first:end]))
-        self._peers = list(zip(params[:first] + params[end:], views[:first] + views[end:]))
+        self.params = list(loop.model.parameters())
+        loop.opt = _ShardedOptimizer(self.params, spec.owned[rank], spec.optimizer_factory)
+        slab, ranges = reducer.weights, flat_ranges(self.params)
+        if {p.data.dtype for p in self.params} != {slab.dtype}:
+            raise TypeError(f"rank {rank}'s parameters do not match the {slab.dtype} weight slab")
+        for p, r in zip(self.params, ranges):  # the parent filled the slab with these values
+            p.data = slab[r].reshape(p.data.shape)
         bounds = [r.start for r in ranges] + [ranges[-1].stop]
         self.arena_runs = [[bounds[a], bounds[b]] for a, b in spec.owned]
         self._gathered, self.gather_s = 0, 0.0
@@ -383,12 +382,12 @@ class _Rank(_Shares):
         if loop.opt.step_count > self._gathered:
             self._gathered = loop.opt.step_count
             t0 = time.perf_counter()
-            for p, view in self._own:
-                view[...] = p.data
             self.reducer.gather(loop.global_step - 1)
-            for p, view in self._peers:
-                p.data[...] = view
             self.gather_s += time.perf_counter() - t0
+        if loop.finished:
+            # Off the slab before fit restores its best weights: a peer may still validate on it.
+            for p in self.params:
+                p.data = p.data.copy()
 
     def stats(self, steps: int) -> Dict:
         return {**self.sched.stats(steps), "owned": self.arena_runs,
@@ -466,7 +465,7 @@ def _init_rank(arrays, model: Model, spec: _TrainSpec, handle: BucketAllreduceHa
 def _train_rank(rank: int) -> Optional[Tuple]:
     """The pool's task function, ``rank == slot``: drive ``fit`` on the
     state :func:`_init_rank` installed.  Rank 0 returns (weights,
-    history, comm stats); the others None."""
+    history, comm stats); the others None.  A finished run has left the weight slab."""
     model, x, y, spec, handle = _RANK
     reducer = BucketRankReducer(handle, rank, timeout_s=spec.timeout_s)
     try:
@@ -517,8 +516,8 @@ def fit_data_parallel(
     the factory's update may read only each parameter's own gradient and
     state — every optimizer in :mod:`repro.nn.optim` does — and a global
     quantity such as a gradient-norm clip belongs in ``clip_norm``,
-    which sees every parameter on every rank.  The peers' updated runs
-    arrive after a rank's ``step_hook`` for the step has run.
+    which sees every parameter on every rank.  A rank's ``step_hook``
+    runs before it waits for its peers' steps of the shared weights.
 
     ``batch_size`` is the *global* batch and must be divisible by
     ``world``.  When it does not divide the dataset, ``drop_last=True``
@@ -585,6 +584,7 @@ def fit_data_parallel(
         raise ValueError("early stopping with layer buffers and world > 1 is refused: each "
                          "rank's running statistics give it its own validation loss, so "
                          "ranks would stop at different epochs")
+    cast_for_fit(model, fit["precision"])  # what the ranks train, and so the slab's dtype
     sizes = [p.data.size for p in model.parameters()]
     spec = _TrainSpec(
         rng_state=rng.bit_generator.state, world=world, fit_kwargs=fit_kwargs,
@@ -646,7 +646,8 @@ def _fit_on_pool(model: Model, x, y, spec: _TrainSpec, start_method: Optional[st
     rank 0's weights go into ``model``."""
     store = SharedArrayStore("repro_ddp", {"x": x} if y is None else {"x": x, "y": y})
     try:
-        handle = create_bucketed_allreduce(store, spec.world, spec.plan, spec.wire_dtype)
+        handle = create_bucketed_allreduce(store, spec.world, spec.plan, spec.wire_dtype, weights=(
+            np.concatenate([p.data.ravel() for p in model.parameters()])))
     except BaseException:
         store.close()
         raise
@@ -676,8 +677,5 @@ def _fit_on_pool(model: Model, x, y, spec: _TrainSpec, start_method: Optional[st
         raise
     pool.close()
     weights, history, stats = payload
-    p0 = next(model.parameters(), None)
-    if p0 is not None and p0.data.dtype != weights[0].dtype:
-        model.astype(weights[0].dtype)  # precision= cast the ranks' models
     model.set_weights(weights)
     return history, stats

@@ -142,6 +142,16 @@ class StepController:
             vars(self.scaler).update(state["scaler"])
 
 
+def train_format(fmt: str) -> str:
+    """``fmt``, if ``fit(precision=fmt)`` can train in it; else ValueError."""
+    if fmt not in TRAIN_FORMATS:
+        raise ValueError(
+            f"unsupported training precision {fmt!r}; choose from "
+            f"{TRAIN_FORMATS} (or None/'fp64' for the full-precision path)"
+        )
+    return fmt
+
+
 class FitPrecision(StepController):
     """The controller of ``Model.fit(precision="fp32"|"bf16"|"fp16")``.
 
@@ -155,12 +165,7 @@ class FitPrecision(StepController):
     """
 
     def __init__(self, fmt: str, params: Iterable[Tensor]) -> None:
-        if fmt not in TRAIN_FORMATS:
-            raise ValueError(
-                f"unsupported training precision {fmt!r}; choose from "
-                f"{TRAIN_FORMATS} (or None/'fp64' for the full-precision path)"
-            )
-        self.fmt = fmt
+        self.fmt = train_format(fmt)
         self.params = list(params)
         self.plan = None if fmt == "fp32" else amp.get_plan(fmt)
         self.scaler = LossScaler() if fmt == "fp16" else None

@@ -69,6 +69,7 @@ class Request:
     request_id: int
     x: np.ndarray
     enqueue_time: float
+    deadline_s: Optional[float] = None  # past enqueue_time; None: the policy's timeout_s
     # Filled in by the server as the request moves through its lifecycle.
     status: str = "queued"  # queued | completed | shed | timed_out
     result: Optional[np.ndarray] = None
@@ -122,16 +123,18 @@ class MicroBatcher:
         """Pop up to ``max_batch_size`` live requests; expire stale ones.
 
         Returns ``(batch, expired)``.  Expired requests (queued longer
-        than ``timeout_s``) are marked ``timed_out`` and excluded — a
-        request that already waited past its deadline must not consume
-        batch slots computing an answer nobody is waiting for.
+        than their ``deadline_s``, or the policy's ``timeout_s``) are
+        marked ``timed_out`` and excluded — a request that already waited
+        past its deadline must not consume batch slots computing an
+        answer nobody is waiting for.
         """
         batch: List[Request] = []
         expired: List[Request] = []
         timeout = self.policy.timeout_s
         while self._queue and len(batch) < self.policy.max_batch_size:
             req = self._queue.popleft()
-            if timeout is not None and now - req.enqueue_time > timeout:
+            limit = timeout if req.deadline_s is None else req.deadline_s
+            if limit is not None and now - req.enqueue_time > limit:
                 req.status = "timed_out"
                 req.complete_time = now
                 expired.append(req)

@@ -58,11 +58,11 @@ from .metrics import ServingStats
 
 @dataclass
 class RoutedRequest(Request):
-    """A :class:`Request` with routing state: row-addressed payloads,
-    a per-request deadline, and its retry trail."""
+    """A :class:`Request` with routing state: row-addressed payloads and
+    its retry trail.  The router sets ``deadline_s`` at submit: the
+    caller's, else the policy's ``timeout_s`` (None: never expires)."""
 
     row: Optional[int] = None          # index into the published request pool
-    deadline_s: Optional[float] = None  # from enqueue_time; None: never expires
     attempts: int = 0                  # dispatches so far (1 = no retries yet)
 
 

@@ -4,14 +4,19 @@
 
 runs each consumer of the package -- the E-table tests, every example,
 every CLI form and both ``bench/run.py`` modes -- in a subprocess whose
-``sitecustomize`` records the first call of each code object under
+``sitecustomize`` records the first call of each function under
 ``src/repro``, in the driver and in every worker it forks or spawns.  A
 function (its path under ``src/repro`` and ``ast`` qualname) is reached if
-a call was recorded at its ``def`` line or its first decorator line.
+a call was recorded under that path and the code object's qualname.
 Exit 1 if a consumer fails, a function is neither reached nor listed in
 ``consumers_allow.txt``, or a list entry names no function.  An entry
 whose functions were all reached is a warning: a 1 s bench window can
 miss a rare path.
+
+A hit is written to the process's file when it happens, so a worker that
+is killed keeps what it reached, and it names the function, not its
+line, so a source file edited during the minutes of a run moves no
+function out of reach.  Needs Python >= 3.11 (``co_qualname``).
 """
 
 from __future__ import annotations
@@ -28,34 +33,27 @@ PKG = ROOT / "src" / "repro"
 ALLOW = Path(__file__).with_name("consumers_allow.txt")
 
 SITE = """\
-import atexit, os, sys, threading
-_out, _hits = {out!r}, set()
-def _prof(frame, event, arg, _pkg={pkg!r}, _hits=_hits):
+import os, sys, threading
+_fd = os.open(os.path.join({out!r}, str(os.getpid())), os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+def _prof(frame, event, arg, _pkg={pkg!r}, _hits=set(), _write=os.write):
     if event == "call" and frame.f_code.co_filename.startswith(_pkg):
-        _hits.add((frame.f_code.co_filename, frame.f_code.co_firstlineno))
-def _flush():
-    with open(os.path.join(_out, str(os.getpid())), "a") as f:
-        f.writelines(f"{{p}}\\t{{n}}\\n" for p, n in _hits)
-def _exit(code, _real=os._exit):
-    _flush()
-    _real(code)
-os._exit = _exit
-atexit.register(_flush)
+        hit = frame.f_code.co_filename, frame.f_code.co_qualname
+        if hit not in _hits:
+            _hits.add(hit)
+            _write(_fd, ("%s\\t%s\\n" % hit).encode())
 sys.setprofile(_prof)
 threading.setprofile(_prof)
 """
 
 
 def functions():
-    """``{(path, qualname): {def line, first decorator line}}`` for every
-    function defined under src/repro."""
-    found = {}
+    """``(path, qualname)`` of every function defined under src/repro."""
+    found = set()
 
     def walk(node, path, prefix):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                lines = {child.lineno} | {d.lineno for d in child.decorator_list[:1]}
-                found[(path, prefix + child.name)] = lines
+                found.add((path, prefix + child.name))
                 walk(child, path, f"{prefix}{child.name}.<locals>.")
             elif isinstance(child, ast.ClassDef):
                 walk(child, path, f"{prefix}{child.name}.")
@@ -105,6 +103,8 @@ def consumers(work):
 
 
 def main() -> int:
+    if sys.version_info < (3, 11):
+        raise SystemExit("tests/consumers.py needs Python >= 3.11 (co_qualname)")
     sys.path.insert(0, str(ROOT / "src"))
     defined = functions()
     entries = allow_entries()
@@ -119,9 +119,9 @@ def main() -> int:
             print("$", " ".join(Path(c).name if os.sep in c else c for c in cmd[1:]), flush=True)
             if subprocess.run(cmd, cwd=work, env=env, stdout=subprocess.DEVNULL).returncode:
                 failed.append(" ".join(cmd[1:]))
-        hits = {(Path(p).relative_to(PKG).as_posix(), int(n))
-                for f in hits_dir.iterdir() for p, n in (ln.split("\t") for ln in f.read_text().splitlines())}
-    reached = {key for key, lines in defined.items() if any((key[0], n) in hits for n in lines)}
+        hits = {(Path(p).relative_to(PKG).as_posix(), name)
+                for f in hits_dir.iterdir() for p, name in (ln.split("\t") for ln in f.read_text().splitlines())}
+    reached = defined & hits
     stale = [e for e in entries if not any(matches(e, key) for key in defined)]
     unreached = [key for key in defined if key not in reached and not any(matches(e, key) for e in entries)]
     for entry in entries:

@@ -10,6 +10,7 @@ float sequence, and the ragged-tail handling is explicit rather than
 silent.
 """
 
+import gc
 import glob
 import multiprocessing as mp
 import os
@@ -30,7 +31,9 @@ from hypothesis import strategies as st
 from repro.candle.registry import REGISTRY
 from repro.nn import SGD, AdaGrad, Adam, BatchNorm, Dense, Dropout, RMSProp, Sequential
 from repro.nn.losses import mse
+from repro.nn.tensor import flat_ranges
 from repro.obs import TraceRecorder
+from repro.parallel import ddp
 from repro.parallel import (
     BucketRankReducer,
     SharedArrayStore,
@@ -496,7 +499,7 @@ class TestOneSidedProtocol:
     def test_wait_is_bounded_and_names_what_it_waited_for(self):
         plan = plan_buckets([20, 20], total=41, bucket_bytes=160)
         with SharedArrayStore(prefix="repro_ddp") as store:
-            handle = create_bucketed_allreduce(store, 2, plan, "float32")
+            handle = create_bucketed_allreduce(store, 2, plan, "float32", weights=np.zeros(40))
             red = BucketRankReducer(handle, 0, timeout_s=0.05)
             try:
                 red.publish(0, np.zeros(41), step=0)
@@ -511,7 +514,7 @@ class TestOneSidedProtocol:
     def test_gather_wait_is_bounded_and_names_the_gather(self):
         plan = plan_buckets([20, 20], total=41, bucket_bytes=160)
         with SharedArrayStore(prefix="repro_ddp") as store:
-            handle = create_bucketed_allreduce(store, 2, plan, "bf16")
+            handle = create_bucketed_allreduce(store, 2, plan, "bf16", weights=np.zeros(40))
             red = BucketRankReducer(handle, 0, timeout_s=0.05)
             try:
                 red.weights[:20] = 1.0  # rank 0's run; rank 1 never publishes its own
@@ -613,6 +616,43 @@ class TestShardedStep:
         if fit_set == "fp16":
             assert r_proc.history.precision == r_ser.history.precision
             assert r_ser.history.precision["skipped_steps"] > 0
+
+
+class TestSharedWeightSlab:
+    @pytest.mark.parametrize("precision,dtype", [(None, np.float64), ("fp32", np.float32)])
+    def test_rank_parameters_are_views_of_the_slab(self, monkeypatch, precision, dtype):
+        """The parent makes the weight slab in the dtype the ranks train
+        (float32 under ``precision="fp32"``), and inside a rank every
+        parameter is the slab at its offset: the optimizer's in-place
+        step is the all-gather's write."""
+        handles = []
+        create = ddp.create_bucketed_allreduce
+        monkeypatch.setattr(ddp, "create_bucketed_allreduce",
+                            lambda *a, **kw: handles.append(create(*a, **kw)) or handles[-1])
+        checked = mp.RawArray("i", 2)  # per rank: steps at which the hook checked the views
+
+        def hook(rank, step):
+            if step % 2:
+                return
+            slab = next(o for o in gc.get_objects() if isinstance(o, BucketRankReducer)).weights
+            params = list(ddp._RANK[0].parameters())
+            for p, r in zip(params, flat_ranges(params)):
+                assert p.data.dtype == slab.dtype
+                assert p.data.ctypes.data == slab.ctypes.data + r.start * slab.itemsize
+                assert np.shares_memory(p.data, slab)
+            checked[rank] += 1
+
+        before = set(glob.glob("/dev/shm/repro_ddp*"))
+        x, y = make_regression()
+        m = make_net()
+        fit_data_parallel(m, x, y, world=2, epochs=2, batch_size=16, seed=4, precision=precision,
+                          start_method="fork", pre_step_hook=hook)
+        ref, = [h.weights_ref for h in handles]
+        assert np.dtype(ref.dtype) == dtype == m.get_weights()[0].dtype
+        assert ref.shape == (sum(p.data.size for p in m.parameters()),)
+        assert list(checked) == [6, 6]  # 2 epochs of 6 steps, every other one
+        assert mp.active_children() == []
+        assert set(glob.glob("/dev/shm/repro_ddp*")) == before
 
 
 # ----------------------------------------------------------------------
@@ -734,6 +774,13 @@ class TestForwardedKeywords:
         with pytest.raises(ValueError, match="running statistics"):
             fit_data_parallel(STATEFUL_NETS["batchnorm"](), x, y, batch_size=16,
                               validation_data=(x, y), early_stopping_patience=2)
+
+    def test_unknown_precision_is_refused_before_the_model_is_cast(self):
+        x, y = make_regression()
+        net = make_net()
+        with pytest.raises(ValueError, match="unsupported training precision"):
+            fit_data_parallel(net, x, y, batch_size=16, drop_last=True, precision="fp8_e4m3")
+        assert {w.dtype for w in net.get_weights()} == {np.dtype(np.float64)}
 
     def test_accumulation_on_one_rank_is_model_fit(self):
         x, y = make_regression(n=101)

@@ -398,7 +398,7 @@ class TestAllreduce:
         expect = reduce_ranks(vecs)
         ctx = mp.get_context()
         with SharedArrayStore(prefix="repro_test") as store:
-            handle = create_bucketed_allreduce(store, world, plan)
+            handle = create_bucketed_allreduce(store, world, plan, weights=np.zeros(36))
             out_q = ctx.Queue()
             procs = [
                 ctx.Process(target=_allreduce_rank, args=(handle, r, vecs[r], out_q))
@@ -415,7 +415,8 @@ class TestAllreduce:
 
     def test_world_one_is_noop(self):
         with SharedArrayStore(prefix="repro_test") as store:
-            handle = create_bucketed_allreduce(store, 1, plan_buckets([4], total=5))
+            handle = create_bucketed_allreduce(store, 1, plan_buckets([4], total=5),
+                                               weights=np.zeros(4))
             red = BucketRankReducer(handle, 0)
             v = np.arange(5.0)
             _allreduce(red, v)
@@ -424,7 +425,8 @@ class TestAllreduce:
 
     def test_bad_rank_rejected(self):
         with SharedArrayStore(prefix="repro_test") as store:
-            handle = create_bucketed_allreduce(store, 2, plan_buckets([4], total=5))
+            handle = create_bucketed_allreduce(store, 2, plan_buckets([4], total=5),
+                                               weights=np.zeros(4))
             with pytest.raises(ValueError):
                 BucketRankReducer(handle, 2)
 
