@@ -654,6 +654,14 @@ class TestSharedWeightSlab:
         assert mp.active_children() == []
         assert set(glob.glob("/dev/shm/repro_ddp*")) == before
 
+    def test_a_rank_refuses_a_slab_of_another_dtype(self, monkeypatch):
+        monkeypatch.setattr(ddp, "cast_for_fit", lambda model, precision: None)  # the parent's
+        x, y = make_regression()
+        with pytest.raises(RuntimeError, match="do not match the float64 weight slab"):
+            fit_data_parallel(make_net(), x, y, world=2, epochs=1, batch_size=16, drop_last=True,
+                              precision="fp32", start_method="fork")
+        assert mp.active_children() == []
+
 
 # ----------------------------------------------------------------------
 # Ragged tail (drop_last)
