@@ -30,7 +30,8 @@ import tempfile
 import weakref
 from abc import ABC, abstractmethod
 from pathlib import Path
-from typing import Dict, List, Union
+from stat import S_ISLNK, S_ISREG
+from typing import Dict, List, Optional, Tuple, Union
 
 
 class RegistryBackend(ABC):
@@ -83,6 +84,13 @@ class RegistryBackend(ABC):
         """
 
 
+def _lstat(path: str) -> Optional[os.stat_result]:
+    try:
+        return os.lstat(path)
+    except OSError:  # missing, or below a file
+        return None
+
+
 class LocalDirBackend(RegistryBackend):
     """Registry storage on a local directory tree.
 
@@ -90,68 +98,112 @@ class LocalDirBackend(RegistryBackend):
     ``os.replace``d into place (a create ``os.link``s it, which fails if
     the key exists) — atomic on POSIX — so a publisher crash mid-write
     leaves at most a stray temp file, never a torn object.
+
+    A key is checked by walking its own components below the root, one
+    ``os.lstat`` each; only a key with a ``..`` or a symlink in it is
+    resolved in full and must land inside the root.
     """
 
     def __init__(self, root: Union[str, Path]) -> None:
         Path(root).mkdir(parents=True, exist_ok=True)
         # Resolved once: a relative root keeps naming the same directory
-        # after a chdir, and a key access resolves only the key.
+        # after a chdir, and a key access walks only the key.
         self.root = Path(root).resolve()
+        self._root = str(self.root)
 
-    def _path(self, key: str) -> Path:
+    def _path(self, key: str) -> Tuple[str, Optional[os.stat_result]]:
+        """The key's path, and the ``lstat`` of what is there (``None``
+        if nothing).  The walk stops at the first missing component:
+        nothing below it can be a symlink."""
+        if key.startswith("/"):  # the root does not prefix an absolute key
+            return self._resolve(key)
+        path, st = self._root.rstrip("/"), None
+        parts = key.split("/")
+        for i, part in enumerate(parts):
+            if part in ("", "."):
+                continue
+            if part == "..":
+                return self._resolve(key)
+            path = f"{path}/{part}"
+            st = _lstat(path)
+            if st is None:
+                rest = [p for p in parts[i + 1:] if p not in ("", ".")]
+                if ".." in rest:
+                    return self._resolve(key)
+                return "/".join([path, *rest]), None
+            if S_ISLNK(st.st_mode):
+                return self._resolve(key)
+        if st is None:  # no component: the key names the root
+            return self._root, _lstat(self._root)
+        return path, st
+
+    def _resolve(self, key: str) -> Tuple[str, Optional[os.stat_result]]:
+        """The fallback for a key with a ``..``, a symlink or a leading
+        ``/``: resolved in full, it must land inside the root."""
         path = (self.root / key).resolve()  # follows symlinks, collapses ".."
         if self.root not in path.parents and path != self.root:
             raise ValueError(f"key {key!r} escapes the registry root")
-        return path
+        return str(path), _lstat(str(path))  # no symlink is left in it
 
     def exists(self, key: str) -> bool:
-        return self._path(key).is_file()
+        st = self._path(key)[1]
+        return st is not None and S_ISREG(st.st_mode)
 
     def read_bytes(self, key: str) -> bytes:
-        return self._path(key).read_bytes()
+        with open(self._path(key)[0], "rb") as fh:
+            return fh.read()
 
     @staticmethod
-    def _install(dest: Path, data: bytes, place) -> None:
+    def _install(dest: str, data: bytes, exclusive: bool) -> None:
         """Write ``data`` to a temp file beside ``dest``, then
-        ``place(tmp, dest)``; the temp file never outlives the call
-        unless ``place`` moved it."""
+        ``os.replace`` it there (``os.link`` if ``exclusive``); the temp
+        file never outlives the call unless the replace moved it."""
+        parent = os.path.dirname(dest)
         try:
-            fd, tmp = tempfile.mkstemp(dir=dest.parent, prefix=".tmp_reg_")
+            fd, tmp = tempfile.mkstemp(dir=parent, prefix=".tmp_reg_")
         except FileNotFoundError:  # a new directory: only its first write pays
-            dest.parent.mkdir(parents=True, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(dir=dest.parent, prefix=".tmp_reg_")
+            os.makedirs(parent, exist_ok=True)
+            fd, tmp = tempfile.mkstemp(dir=parent, prefix=".tmp_reg_")
+        moved = False
         try:
             with os.fdopen(fd, "wb") as fh:
                 fh.write(data)
-            place(tmp, dest)
+            if exclusive:
+                os.link(tmp, dest)  # EEXIST if taken
+            else:
+                os.replace(tmp, dest)
+                moved = True
         finally:
-            if os.path.exists(tmp):
+            if not moved:
                 os.unlink(tmp)
 
     def write_bytes(self, key: str, data: bytes) -> None:
-        self._install(self._path(key), data, os.replace)
+        self._install(self._path(key)[0], data, exclusive=False)
 
     def create_bytes(self, key: str, data: bytes) -> bool:
         try:
-            self._install(self._path(key), data, os.link)  # EEXIST if taken
+            self._install(self._path(key)[0], data, exclusive=True)
         except FileExistsError:
             return False
         return True
 
     def list_keys(self, prefix: str = "") -> List[str]:
-        # Walk only the directory the prefix names or ends in.
+        # Walk only the directory the prefix names or ends in, and name
+        # each key by that directory, not by where a symlink led the walk.
         keys = []
-        for dirpath, _, files in os.walk(self._path(prefix.rpartition("/")[0])):
-            rel = Path(dirpath).relative_to(self.root).as_posix()
+        base = prefix.rpartition("/")[0]
+        top = self._path(base)[0]
+        for dirpath, _, files in os.walk(top):
+            rel = "/".join(p for p in (base, dirpath[len(top) + 1:]) if p)
             for name in files:
-                key = name if rel == "." else f"{rel}/{name}"
+                key = f"{rel}/{name}" if rel else name
                 if key.startswith(prefix) and not name.startswith(".tmp_reg_"):
                     keys.append(key)
         return sorted(keys)
 
     def list_dir(self, key: str) -> List[str]:
         try:
-            with os.scandir(self._path(key)) as entries:
+            with os.scandir(self._path(key)[0]) as entries:
                 return sorted(e.name for e in entries if not e.name.startswith(".tmp_reg_")
                               and (not e.is_dir() or self._holds_any(e.path)))
         except FileNotFoundError:
@@ -166,10 +218,10 @@ class LocalDirBackend(RegistryBackend):
             return any(not e.name.startswith(".tmp_reg_") for e in entries)
 
     def open_local(self, key: str) -> Path:
-        path = self._path(key)
-        if not path.is_file():
+        path, st = self._path(key)
+        if st is None or not S_ISREG(st.st_mode):
             raise FileNotFoundError(path)
-        return path
+        return Path(path)
 
 
 class InMemoryBackend(RegistryBackend):

@@ -5,11 +5,12 @@ this subsystem fixes (a republish must reload; the double checkpoint
 read), the drift the merged load path closes (server and replica group
 refuse, default and cache alike), the failure paths (corrupt artifacts, alias
 repoints under a concurrent reader, eviction mid-``get``, unsupported
-dtypes), the backend contract (escapes through ``..`` or a symlink, a
+dtypes), the backend contract (escapes through ``..``, a symlink or a
+leading ``/``, a key walk that names what resolving the whole key did, a
 relative root after a chdir, exclusive creates, listings that read only
-the asked directory), partial writes, what a publish costs in writes,
-two publisher processes racing for versions of one name, and a seeded
-publisher-vs-readers churn.
+the asked directory), partial writes, what a publish costs in writes and
+``lstat`` calls, two publisher processes racing for versions of one
+name, and a seeded publisher-vs-readers churn.
 """
 
 import errno
@@ -22,6 +23,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.candle.registry import get_benchmark
 from repro.registry import (
@@ -254,6 +257,35 @@ class TestFailurePaths:
         assert np.array_equal(store.get("a").predict(x), before)  # reloads
 
 
+KEY_PARTS = ["a", "objects", "f.json", "x.npz", "..", ".", "", "missing",
+             "dlink", "flink", "dout", "fout"]
+
+
+def _realpath_rule(root, key):
+    """How a key was checked before the walk: resolve it in full."""
+    path = (root / key).resolve()
+    if root not in path.parents and path != root:
+        raise ValueError(f"key {key!r} escapes the registry root")
+    return str(path)
+
+
+@pytest.fixture(scope="module")
+def linked_root(tmp_path_factory):
+    """A root of plain dirs and files, a dir and a file symlink inside
+    it, and one of each pointing outside it."""
+    base = tmp_path_factory.mktemp("linked")
+    root, outside = base / "reg", base / "outside"
+    for d in (root / "a", root / "objects", outside):
+        d.mkdir(parents=True)
+    for f in (root / "a" / "f.json", root / "objects" / "x.npz", outside / "f.json"):
+        f.write_bytes(b"{}")
+    (root / "dlink").symlink_to(root / "a", target_is_directory=True)
+    (root / "flink").symlink_to("a/f.json")
+    (root / "dout").symlink_to(outside, target_is_directory=True)
+    (root / "fout").symlink_to(outside / "f.json")
+    return root
+
+
 class TestBackends:
     def test_local_dir_key_escape_refused(self, tmp_path):
         backend = LocalDirBackend(tmp_path / "reg")
@@ -280,6 +312,45 @@ class TestBackends:
             getattr(backend, access)(*args)
         assert (outside / "f.json").read_bytes() == b"secret"
         assert sorted(p.name for p in outside.iterdir()) == ["f.json"]
+
+    @pytest.mark.parametrize("inside", [True, False])
+    @pytest.mark.parametrize("access", ["exists", "read_bytes", "write_bytes", "open_local"])
+    def test_a_leading_slash_key_is_refused(self, tmp_path, inside, access):
+        """``root / "/x"`` is ``/x``: a key that starts with ``/`` names
+        no key below the root, whether or not the root holds ``x``."""
+        outside = tmp_path / "outside"
+        outside.mkdir()
+        (outside / "f.json").write_bytes(b"secret")
+        backend = LocalDirBackend(tmp_path / "reg")
+        backend.write_bytes("f.json", b"inside")
+        key = "/f.json" if inside else str(outside / "f.json")
+        args = (key, b"overwritten") if access == "write_bytes" else (key,)
+        with pytest.raises(ValueError, match="escapes the registry root"):
+            getattr(backend, access)(*args)
+        assert (outside / "f.json").read_bytes() == b"secret"
+        assert backend.read_bytes("f.json") == b"inside"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["outside", "reg"]
+        assert sorted(p.name for p in outside.iterdir()) == ["f.json"]
+
+    @given(parts=st.lists(st.sampled_from(KEY_PARTS), max_size=5), absolute=st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_the_key_walk_matches_the_realpath_rule(self, linked_root, parts, absolute):
+        """Over keys built from plain, missing, ``.``, ``..``, empty and
+        symlinked components, the walk names the same path as resolving
+        the whole key did, or refuses it alike."""
+        backend = LocalDirBackend(linked_root)
+        key = "/" * absolute + "/".join(parts)
+        try:
+            want = _realpath_rule(backend.root, key)
+        except ValueError:
+            with pytest.raises(ValueError, match="escapes the registry root"):
+                backend._path(key)
+            return
+        path, found = backend._path(key)
+        assert path == want
+        assert (found is not None) == os.path.lexists(path)
+        if found is not None:
+            assert (found.st_ino, found.st_mode) == (os.lstat(path).st_ino, os.lstat(path).st_mode)
 
     def test_relative_root_serves_its_keys_after_chdir(self, tmp_path, monkeypatch, p1b2_shape):
         monkeypatch.chdir(tmp_path)
@@ -523,7 +594,10 @@ class TestPublishCost:
     on a dedup hit), each one temp file and one install (the manifest's
     install is an exclusive ``os.link``, whose temp file is then
     removed), no directory made or removed once the store's directories
-    exist, and one ``Path.resolve`` per key access."""
+    exist, and a key access that checks only the key's own components:
+    one ``os.lstat`` per component up to the first missing one, no
+    ``stat`` and no ``Path.resolve`` unless the key holds a ``..`` or a
+    symlink."""
 
     @pytest.fixture
     def counted(self, monkeypatch):
@@ -540,7 +614,7 @@ class TestPublishCost:
 
         for owner, name in [(tempfile, "mkstemp"), (tempfile, "mkdtemp"), (os, "replace"),
                             (os, "link"), (os, "mkdir"), (os, "rmdir"), (os, "unlink"),
-                            (Path, "resolve")]:
+                            (os, "lstat"), (os, "stat"), (Path, "resolve")]:
             count(owner, name)
         return counts
 
@@ -550,22 +624,44 @@ class TestPublishCost:
         model = _tiny_model(bump=2)
         counted.clear()
         store.publish(model, "m", BENCHMARK, hparams=HPARAMS)
-        # 6 key accesses: the blob's exists + write, the latest hint's
-        # read, the forward probe for version 3, the manifest's create
-        # and the hint's write.
-        assert counted == {"mkstemp": 3, "replace": 2, "link": 1, "unlink": 1, "resolve": 6}
+        # 6 key accesses, lstat per component walked: the blob's exists
+        # and write (objects, then the missing blob: 2 + 2), the latest
+        # hint's read (3), the forward probe for version 3 (3, the last
+        # missing), the manifest's create (3) and the hint's write (3).
+        assert counted == {"mkstemp": 3, "replace": 2, "link": 1, "unlink": 1, "lstat": 16}
         counted.clear()
         ref = store.publish(model, "m", BENCHMARK, hparams=HPARAMS)
-        assert counted == {"mkstemp": 2, "replace": 1, "link": 1, "unlink": 1, "resolve": 5}
+        assert counted == {"mkstemp": 2, "replace": 1, "link": 1, "unlink": 1, "lstat": 14}
         assert store.dedup_hits == 1 and ref.version == 3
 
     @pytest.mark.parametrize("access", ["exists", "read_bytes", "write_bytes", "open_local"])
     def test_a_key_access_resolves_once(self, tmp_path, counted, access):
+        """The key is resolved by one walk of its own components: an
+        ``lstat`` each, and nothing above the root."""
         backend = LocalDirBackend(tmp_path / "reg")
         backend.write_bytes("a/b.json", b"{}")
         counted.clear()
         getattr(backend, access)(*(("a/b.json", b"[]") if access == "write_bytes" else ("a/b.json",)))
-        assert counted.get("resolve") == 1
+        writes = {"mkstemp": 1, "replace": 1} if access == "write_bytes" else {}
+        assert counted == {"lstat": 2, **writes}
+
+    @pytest.mark.parametrize("key, lstats", [("a/c.json", 2), ("c/d/e.json", 1),
+                                             ("./a//b.json", 2), ("", 1)])
+    def test_the_walk_stops_at_the_first_missing_component(self, tmp_path, counted, key, lstats):
+        backend = LocalDirBackend(tmp_path / "reg")
+        backend.write_bytes("a/b.json", b"{}")
+        counted.clear()
+        assert backend.exists(key) == (key == "./a//b.json")
+        assert counted == {"lstat": lstats}
+
+    @pytest.mark.parametrize("key", ["link/b.json", "a/../a/b.json", "a/b.json/.."])
+    def test_a_symlink_or_dotdot_takes_the_fallback_once(self, tmp_path, counted, key):
+        backend = LocalDirBackend(tmp_path / "reg")
+        backend.write_bytes("a/b.json", b"{}")
+        (tmp_path / "reg" / "link").symlink_to("a", target_is_directory=True)
+        counted.clear()
+        assert backend.exists(key) == (not key.endswith(".."))
+        assert counted["resolve"] == 1
 
     def test_listings_read_only_the_asked_directory(self, tmp_path, monkeypatch):
         """``versions(name)`` reads that name's directory, and ``names()``
