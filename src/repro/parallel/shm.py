@@ -14,7 +14,8 @@ Lifecycle: the *publishing* process owns the segments and unlinks them
 in :meth:`SharedArrayStore.close` (or at context exit); a store handed
 to a :class:`~repro.parallel.pool.ProcessWorkerPool` (``shared=``) is
 closed by the pool, which is also what attaches it in every worker.
-Attaching processes only close their mapping.  When the attacher runs a
+Attaching processes only close their mapping.  Either side unmaps a
+segment only once the last NumPy view of it is gone.  When the attacher runs a
 *private* resource tracker (spawn children), attach unregisters the
 segment from it — otherwise the tracker of the first worker to exit
 unlinks segments the parent still owns (the long-standing CPython gotcha
@@ -25,6 +26,7 @@ tracker and must leave it alone.
 from __future__ import annotations
 
 import secrets
+import weakref
 from dataclasses import dataclass
 from multiprocessing import shared_memory
 from typing import Dict, Optional, Tuple
@@ -86,30 +88,35 @@ def _untrack(shm: shared_memory.SharedMemory) -> None:
         pass
 
 
+def _mapped_view(shm: shared_memory.SharedMemory, shape: Tuple[int, ...], dtype) -> np.ndarray:
+    """A NumPy view of the whole segment that unmaps it when the view and
+    every view taken of it are gone.  NumPy holds no buffer export on the
+    mapping, so ``shm.close()`` under a live view would succeed and leave
+    the view pointing at unmapped memory; every view of this array keeps
+    this array alive (its ``base``), so the finalizer runs after the last."""
+    view = np.ndarray(shape, dtype=dtype, buffer=shm.buf)
+    weakref.finalize(view, shm.close).atexit = False  # exit unmaps anyway
+    return view
+
+
 class AttachedArray:
     """A zero-copy NumPy view over a published segment.
 
-    Keeps the :class:`SharedMemory` mapping alive for as long as the
-    view is used (dropping the mapping invalidates the buffer).
+    The mapping lives as long as :attr:`array` or any view taken of it:
+    :meth:`close` drops this handle's reference, and the last view to go
+    unmaps the segment.
     """
 
     def __init__(self, ref: SharedArrayRef) -> None:
         self.ref = ref
         inherited = _tracker_inherited()  # must be sampled before attach
-        self._shm = shared_memory.SharedMemory(name=ref.shm_name)
+        shm = shared_memory.SharedMemory(name=ref.shm_name)
         if not inherited:
-            _untrack(self._shm)
-        self.array: np.ndarray = np.ndarray(
-            ref.shape, dtype=np.dtype(ref.dtype), buffer=self._shm.buf
-        )
+            _untrack(shm)
+        self.array: np.ndarray = _mapped_view(shm, ref.shape, np.dtype(ref.dtype))
 
     def close(self) -> None:
-        # The view must die before the mapping can be closed.
         self.array = None  # type: ignore[assignment]
-        try:
-            self._shm.close()
-        except BufferError:  # pragma: no cover - exported views still alive
-            pass
 
     def __enter__(self) -> "AttachedArray":
         return self
@@ -158,7 +165,7 @@ class SharedArrayStore:
         dt = np.dtype(dtype)
         nbytes = int(np.prod(shape, dtype=np.int64)) * dt.itemsize
         shm = self._new_segment(key, nbytes)
-        view = np.ndarray(shape, dtype=dt, buffer=shm.buf)
+        view = _mapped_view(shm, shape, dt)
         self._segments[key] = shm
         self._refs[key] = SharedArrayRef(shm.name, tuple(shape), dt.str)
         self._arrays[key] = view
@@ -191,13 +198,10 @@ class SharedArrayStore:
         return sum(r.nbytes for r in self._refs.values())
 
     def close(self) -> None:
-        """Close and unlink every segment (publisher-side cleanup)."""
+        """Unlink every segment (publisher-side cleanup).  A segment stays
+        mapped until the last owner-side view of it is gone."""
         self._arrays.clear()
         for key, shm in list(self._segments.items()):
-            try:
-                shm.close()
-            except BufferError:  # pragma: no cover
-                pass
             try:
                 shm.unlink()
             except FileNotFoundError:  # pragma: no cover - already gone

@@ -14,6 +14,8 @@ import glob
 import multiprocessing as mp
 import os
 import pickle
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -186,6 +188,38 @@ class TestSharedMemory:
             store.publish("b", np.zeros(6, dtype=np.float32))
             assert store.total_bytes == 80 + 24
             assert len(store) == 2
+
+    def test_no_unmap_under_a_live_view(self):
+        """A view taken before ``AttachedArray.close`` or
+        ``SharedArrayStore.close`` still reads the segment: the unmap
+        waits for the last view.  Both closes used to unmap at once, and
+        reading the view killed the interpreter (SIGSEGV), so this runs
+        in a child process."""
+        script = """
+import gc
+import numpy as np
+from repro.parallel import SharedArrayStore, attach
+
+def mapped(name):
+    with open("/proc/self/maps") as fh:
+        return name in fh.read()
+
+with SharedArrayStore(prefix="repro_test") as store:
+    ref = store.publish("x", np.arange(10.0))
+    att = attach(ref)
+    view = att.array[2:]
+    att.close()
+    owner = store.array("x")[::2]
+print(view.sum(), owner.sum(), mapped(ref.shm_name))
+del view, owner
+gc.collect()
+print(mapped(ref.shm_name))
+"""
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["44.0", "20.0", "True", "False"]
 
 
 class TestProcessWorkerPool:
