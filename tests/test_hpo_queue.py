@@ -15,6 +15,7 @@ killed mid-campaign, and the invariants must hold every time —
 """
 
 import functools
+import hashlib
 import json
 import multiprocessing as mp
 import sqlite3
@@ -427,6 +428,47 @@ class TestLedgerCost:
                 n_workers=64, cost_model=budget_cost))
             assert queue.counts()[DONE] == n
         assert len(sql) <= 2212, len(sql) / n
+
+
+# ----------------------------------------------------------------------
+# The ledger's rows, pinned: a change to how the loop talks to the queue
+# must leave every row it writes as it was
+# ----------------------------------------------------------------------
+LEDGER_DIGEST = "1a0687a0f3e07c7c576d7c26ffa46e2e07b3ed8b1c64143a65e7b28771dd0df6"
+
+
+def _ledger_rows(tmp_path, seed, storage, faulted):
+    """Everything one 150-trial ASHA campaign leaves: the queue's job
+    rows, its event log and stats, the result log's rows and ledger."""
+    space = candle_mlp_space()
+    faults = None
+    if faulted:
+        kills = {(j, 1 + j % 2): ("claim" if j % 3 else "ack") for j in range(3, 150, 11)}
+        faults = kill_consumers(kills, crash=0.1, nan=0.05, straggler=0.1, seed=seed)
+    path = ":memory:" if storage == "memory" else tmp_path / f"golden-{seed}-{faulted}.db"
+    with DurableTrialQueue(path, lease_s=3.0 if faulted else 60.0) as queue:
+        log = run_elastic(ASHA(space, seed=seed, max_budget=27),
+                          SurrogateLandscape(space, seed=seed), 150, queue,
+                          n_workers=8, cost_model=budget_cost, faults=faults)
+        jobs = [list(vars(r).values()) for r in queue.jobs()]
+        events = [list(e) for e in queue.events()]
+        queue_stats = dict(queue.stats)
+    trials = [list(vars(t).values()) for t in log.trials]
+    return [jobs, events, queue_stats, trials, log.stats]
+
+
+def test_ledger_rows_are_pinned(tmp_path):
+    """Two seeds, on disk and in memory, fault-free and under crashes,
+    NaNs, stragglers, consumer kills at both boundaries and a lease
+    shorter than most trials: one sha256 over every row."""
+    campaigns = [_ledger_rows(tmp_path, seed, storage, faulted)
+                 for seed in (0, 1) for storage in ("disk", "memory")
+                 for faulted in (False, True)]
+    assert all(c[4]["failures"] and c[4]["quarantined"] and c[4]["workers_killed"]
+               and c[4]["reclaims"] and c[4]["giveups"] == 0
+               for c in campaigns[1::2])
+    blob = json.dumps(campaigns, sort_keys=True).encode()
+    assert hashlib.sha256(blob).hexdigest() == LEDGER_DIGEST
 
 
 # ----------------------------------------------------------------------
