@@ -257,19 +257,29 @@ class _Search:
         """A job for one free consumer: claim first (pending jobs and
         expired leases), ask the strategy for fresh work only when the
         queue has nothing runnable.  None when the strategy stalled
-        (completions will unblock it) or everything is launched."""
+        (completions will unblock it) or everything is launched.
+
+        Fresh work is enqueued already claimed by ``owner``: the group
+        holds the write lock and the claim at this ``now`` found
+        nothing, so a second claim could only take the new job."""
         q, stats, rec = self.q, self.stats, self.rec
         while True:
-            job = q.claim(owner, now=self.now())
+            now = self.now()
+            job = q.claim(owner, now=now)
             if job is None:
                 if self.n_jobs >= self.n_trials:
                     return None
                 sug = self.strategy.ask()
                 if sug is None:
                     return None
-                self.sugs[q.enqueue(sug.config, sug.budget, sug.tag)] = sug
+                job_id = q.enqueue(sug.config, sug.budget, sug.tag, owner=owner, now=now)
+                self.sugs[job_id] = sug
                 self.n_jobs += 1
-                continue
+                # A shallow copy: an objective that edits its config must
+                # not reach the strategy's own record of it.
+                return ClaimedJob(job_id=job_id, config=dict(sug.config),
+                                  budget=int(sug.budget), tag=sug.tag, attempts=1,
+                                  lease_expires=now + q.lease_s)
             if job.attempts > self.max_retries + 1:
                 # Poison job: failed or orphaned on every allowed attempt.
                 # The driver completes it as inf so the exactly-once

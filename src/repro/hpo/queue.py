@@ -8,7 +8,9 @@ SQLite (stdlib, no external deps, one file on disk):
 
 * **enqueue** — the driver appends a trial job (config, budget,
   strategy tag) and, atomically in the same transaction, an ``ask``
-  record into the replay event log.
+  record into the replay event log.  Given an ``owner``, the job is
+  inserted already claimed by it: the row a claim of the new job would
+  leave, in one statement.
 * **claim** — a consumer atomically takes the oldest runnable job
   (pending, or claimed with an expired lease) and holds a *lease* on
   it.  A consumer that dies mid-trial simply stops renewing: after
@@ -37,6 +39,13 @@ rolled back as a whole if an exception leaves it.  A call made outside
 any group is a group of its own.  A crash therefore always leaves the
 file at a group boundary — the elastic driver groups one simulated
 tick, or one settled result, at a time.
+
+Inside a group nothing but the group's own calls changes the file, so
+a claim that found nothing runnable at ``now`` is remembered until the
+group ends: a later claim at the same ``now`` answers ``None`` without a
+statement, unless a call in between made a job runnable at that ``now``
+(a pending enqueue, a requeue, a reclaim or reset of claims, or a lease
+set to end by then).
 
 Clocks are injected: every lease-sensitive call takes ``now`` so the
 same queue runs under the simulated clock (deterministic 10k-trial
@@ -122,8 +131,14 @@ class JobRecord:
     completed_by: Optional[str]
 
 
+# Built once: the same bytes as ``json.dumps(config, sort_keys=True)``
+# and ``json.dumps(tag)``, without a new encoder per call.
+_encode_config = json.JSONEncoder(sort_keys=True).encode
+_encode_json = json.JSONEncoder().encode
+
+
 def _encode_tag(tag) -> Optional[str]:
-    return None if tag is None else json.dumps(tag)
+    return None if tag is None else _encode_json(tag)
 
 
 def _decode_tag(text: Optional[str]):
@@ -162,6 +177,9 @@ class DurableTrialQueue:
         # take it again.
         self._lock = threading.RLock()
         self._group_open = False
+        # The ``now`` at which a claim in the open group found nothing
+        # runnable (None: no such claim, or a later call made work).
+        self._drained: Optional[float] = None
         self._db = sqlite3.connect(str(self.path), timeout=30.0, check_same_thread=False)
         self._db.isolation_level = None  # explicit BEGIN/COMMIT below
         self._db.execute("PRAGMA journal_mode=WAL")
@@ -203,22 +221,51 @@ class DurableTrialQueue:
     def __exit__(self, *exc) -> None:
         self.close()
 
+    def _lease_set(self, expires: float) -> None:
+        """A claim now ends at ``expires``: if that is no later than the
+        drained ``now``, the job is runnable then."""
+        if self._drained is not None and expires <= self._drained:
+            self._drained = None
+
     # -- producer --------------------------------------------------------
-    def enqueue(self, config: Dict, budget: int = 1, tag=None) -> int:
+    def enqueue(
+        self, config: Dict, budget: int = 1, tag=None,
+        owner: Optional[str] = None, now: Optional[float] = None,
+    ) -> int:
         """Append one job and its ``ask`` event atomically; returns the
-        job id (the launch index: ids are assigned in ask order)."""
+        job id (the launch index: ids are assigned in ask order).
+
+        With ``owner``, the job is inserted claimed by it at ``now``
+        (default: the wall clock) under the queue's lease: the row, and
+        the stats, of a pending enqueue followed by a :meth:`claim` that
+        takes it.  The caller holds the job as it asked for it."""
         if budget < 1:
             raise ValueError("budget must be >= 1")
+        if owner is None and now is not None:
+            raise ValueError("now= is the time of a claim: it needs owner=")
+        values = (_encode_config(config), int(budget), _encode_tag(tag))
         with self.transaction():
-            cur = self._db.execute(
-                "INSERT INTO jobs (config, budget, tag) VALUES (?, ?, ?)",
-                (json.dumps(config, sort_keys=True), int(budget), _encode_tag(tag)),
-            )
+            if owner is None:
+                cur = self._db.execute(
+                    "INSERT INTO jobs (config, budget, tag) VALUES (?, ?, ?)", values,
+                )
+                self._drained = None
+            else:
+                now = time.time() if now is None else float(now)
+                expires = now + self.lease_s
+                cur = self._db.execute(
+                    "INSERT INTO jobs (config, budget, tag, status, owner, claimed_at, "
+                    "lease_expires, attempts) VALUES (?, ?, ?, 'claimed', ?, ?, ?, 1)",
+                    (*values, owner, now, expires),
+                )
+                self._lease_set(expires)
             job_id = cur.lastrowid
             self._db.execute(
                 "INSERT INTO events (kind, job_id) VALUES ('ask', ?)", (job_id,)
             )
         self.stats["enqueued"] += 1
+        if owner is not None:
+            self.stats["claims"] += 1
         return job_id
 
     # -- consumer --------------------------------------------------------
@@ -235,6 +282,8 @@ class DurableTrialQueue:
         now = time.time() if now is None else float(now)
         lease = self.lease_s if lease_s is None else float(lease_s)
         with self.transaction():
+            if now == self._drained:
+                return None
             # Two index searches, not a walk of every pending and
             # in-flight row: the first pending job (idx_jobs_status) and
             # the oldest expired claim (idx_jobs_lease, which holds only
@@ -250,6 +299,7 @@ class DurableTrialQueue:
                 (now,),
             ).fetchone()
             if row is None:
+                self._drained = now
                 return None
             job_id, config, budget, tag, status, attempts = row
             expires = now + lease
@@ -258,6 +308,7 @@ class DurableTrialQueue:
                 "lease_expires = ?, attempts = attempts + 1 WHERE job_id = ?",
                 (consumer, now, expires, job_id),
             )
+            self._lease_set(expires)
         self.stats["claims"] += 1
         if status == CLAIMED:
             self.stats["reclaims"] += 1
@@ -316,6 +367,8 @@ class DurableTrialQueue:
                 (job_id, consumer),
             )
             changed = cur.rowcount > 0
+            if changed:
+                self._drained = None
         if changed:
             self.stats["requeues"] += 1
         return changed
@@ -323,14 +376,17 @@ class DurableTrialQueue:
     def extend_lease(self, job_id: int, consumer: str, now: float, lease_s: Optional[float] = None) -> bool:
         """Renew a live claim's lease (long trials); False if the claim
         was lost (expired and reclaimed, or completed)."""
-        lease = self.lease_s if lease_s is None else float(lease_s)
+        expires = float(now) + (self.lease_s if lease_s is None else float(lease_s))
         with self.transaction():
             cur = self._db.execute(
                 "UPDATE jobs SET lease_expires = ? "
                 "WHERE job_id = ? AND status = 'claimed' AND owner = ?",
-                (float(now) + lease, job_id, consumer),
+                (expires, job_id, consumer),
             )
-            return cur.rowcount > 0
+            if cur.rowcount == 0:
+                return False
+            self._lease_set(expires)
+            return True
 
     def reclaim_expired(self, now: float) -> List[int]:
         """Flip every expired claim back to pending; returns the job ids.
@@ -343,6 +399,8 @@ class DurableTrialQueue:
                 "WHERE status = 'claimed' AND lease_expires <= ? RETURNING job_id",
                 (float(now),),
             ).fetchall())
+            if ids:
+                self._drained = None
         self.stats["reclaims"] += len(ids)
         return ids
 
@@ -354,6 +412,8 @@ class DurableTrialQueue:
                 "UPDATE jobs SET status = 'pending', owner = NULL, claimed_at = NULL, "
                 "lease_expires = NULL WHERE status = 'claimed'"
             )
+            if cur.rowcount:
+                self._drained = None
             return cur.rowcount
 
     # -- queries ---------------------------------------------------------
@@ -462,7 +522,8 @@ class _Transaction:
     instance lock around every call made inside it.  The group, not a
     single call, is the atomic unit: a crash leaves the queue at a
     group boundary.  Entered while this thread's group is open, it
-    joins that group and neither begins nor commits."""
+    joins that group and neither begins nor commits.  Closing the group,
+    either way, forgets its drained ``now``."""
 
     __slots__ = ("q", "saved_stats")
 
@@ -489,6 +550,7 @@ class _Transaction:
         try:
             if self.saved_stats is not None:
                 q._group_open = False
+                q._drained = None
                 if exc_type is None:
                     q._db.execute("COMMIT")
                 else:

@@ -205,9 +205,18 @@ class LocalDirBackend(RegistryBackend):
         try:
             with os.scandir(self._path(key)[0]) as entries:
                 return sorted(e.name for e in entries if not e.name.startswith(".tmp_reg_")
+                              and (not e.is_symlink() or self._follows(e.path))
                               and (not e.is_dir() or self._holds_any(e.path)))
         except FileNotFoundError:
             return []
+
+    def _follows(self, link: str) -> bool:
+        """Whether the symlink at ``link`` leads, as every access through
+        it is resolved, to something inside the root."""
+        try:
+            return self._resolve(link)[1] is not None
+        except ValueError:
+            return False
 
     @staticmethod
     def _holds_any(path: str) -> bool:

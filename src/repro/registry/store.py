@@ -162,8 +162,9 @@ class ArtifactStore:
         every already-visible reference loadable.  Returns the new
         version's :class:`ArtifactRef`.
         """
-        if not name or "/" in name or "@" in name:
-            raise ValueError(f"invalid artifact name {name!r} ('/' and '@' are reserved)")
+        if not name or name.startswith(".") or "/" in name or "@" in name:
+            raise ValueError(f"invalid artifact name {name!r} ('/' and '@' are reserved, "
+                             f"and a name does not start with '.')")
         if input_shape is None:
             from ..candle.registry import get_benchmark
 

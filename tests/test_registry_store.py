@@ -18,6 +18,7 @@ import gc
 import json
 import multiprocessing as mp
 import os
+import shutil
 import tempfile
 from pathlib import Path
 
@@ -119,6 +120,15 @@ class TestPublishResolveGet:
         for bad in ("", "a/b", "a@1"):
             with pytest.raises(ValueError):
                 store.publish(_tiny_model(), bad, BENCHMARK, hparams=HPARAMS)
+
+    @pytest.mark.parametrize("bad", [".", "..", ".tmp_reg_x", ".hidden"])
+    def test_names_starting_with_a_dot_refused(self, tmp_path, bad):
+        """``.`` would write into ``manifests/`` itself and ``..`` into the
+        root; a ``.tmp_reg_`` name would be hidden from ``names()``."""
+        store = ArtifactStore(tmp_path)
+        with pytest.raises(ValueError, match="invalid artifact name"):
+            store.publish(_tiny_model(), bad, BENCHMARK, hparams=HPARAMS)
+        assert store.names() == [] and store.backend.list_keys() == []
 
     def test_lineage_travels_with_the_artifact(self, tmp_path):
         store = ArtifactStore(tmp_path)
@@ -331,6 +341,26 @@ class TestBackends:
         assert backend.read_bytes("f.json") == b"inside"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["outside", "reg"]
         assert sorted(p.name for p in outside.iterdir()) == ["f.json"]
+
+    def test_list_dir_names_only_what_resolves(self, tmp_path):
+        """A listing is checked like a key: a symlink to a directory or
+        file inside the root is listed, one leading out of the root or
+        to nothing is not, so ``names()`` never names a refused name."""
+        store = ArtifactStore(tmp_path / "reg")
+        store.publish(_tiny_model(), "m", BENCHMARK, hparams=HPARAMS)
+        manifests, outside = tmp_path / "reg" / "manifests", tmp_path / "outside"
+        shutil.copytree(manifests / "m", outside / "m")
+        (manifests / "inside").symlink_to("m", target_is_directory=True)
+        (manifests / "out").symlink_to(outside / "m", target_is_directory=True)
+        (manifests / "gone").symlink_to("missing", target_is_directory=True)
+        (tmp_path / "reg" / "top").symlink_to(outside, target_is_directory=True)
+        (tmp_path / "reg" / "file").symlink_to("manifests/m/latest.json")
+        assert store.names() == ["inside", "m"]
+        assert store.backend.list_dir("") == ["file", "manifests", "objects"]
+        for name in store.names():
+            assert store.resolve(f"{name}@latest").version == 1
+        with pytest.raises(ValueError, match="escapes the registry root"):
+            store.resolve("out@latest")
 
     @given(parts=st.lists(st.sampled_from(KEY_PARTS), max_size=5), absolute=st.booleans())
     @settings(max_examples=300, deadline=None)
