@@ -29,7 +29,7 @@ import pytest
 from hypothesis import Phase, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import (
-    RuleBasedStateMachine, initialize, invariant, precondition, rule, run_state_machine_as_test,
+    RuleBasedStateMachine, initialize, invariant, rule, run_state_machine_as_test,
 )
 
 from repro.hpo.queue import CLAIMED, DONE, PENDING, DurableTrialQueue, _Transaction
@@ -54,12 +54,13 @@ picks = st.integers(0, 63)  # a job: pick % (jobs + 1) + 1, so the newest + 1 is
 claims = st.tuples(st.just("claim"), consumers, backs, leases)
 claimed_enqueues = st.tuples(st.just("enqueue_claimed"), consumers, backs)
 requeues = st.tuples(st.just("requeue"), picks, holders)
+drains = st.tuples(st.just("drain"), consumers, backs)
 CALLS = st.one_of(
     st.tuples(st.just("enqueue"), st.integers(0, len(CONFIGS) - 1), st.integers(1, 3),
               st.integers(0, len(TAGS) - 1)),
     claimed_enqueues, claimed_enqueues,
     claims, claims, claims,
-    st.tuples(st.just("drain"), consumers, backs), st.tuples(st.just("drain"), consumers, backs),
+    drains, drains,
     st.tuples(st.just("ack"), picks, consumers, st.sampled_from([0.5, 1.5])),
     requeues, requeues,
     st.tuples(st.just("extend_lease"), picks, holders, backs, leases),
